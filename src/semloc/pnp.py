@@ -11,6 +11,15 @@ Weighted and unweighted RANSAC share one code path (the unweighted case
 runs with uniform weights), so equal weights reproduce plain RANSAC draw
 for draw under the same seed.  Inlier counting is never weighted; weights
 only bias hypothesis sampling.
+
+Hypotheses are evaluated in chunks: a chunk's minimal samples are drawn,
+checked for degeneracy, solved by one vectorized P3P and scored by one
+reprojection of every candidate against every correspondence.  Draws and
+selection stay sequential: samples come from the generator in the same
+order as one draw per iteration would take them, and the iterations are
+replayed in order with the same best-selection rule and adaptive stopping
+bound, so a run returns what the one-hypothesis-per-iteration loop returns
+up to rounding in the solver.
 """
 
 from __future__ import annotations
@@ -36,78 +45,102 @@ __all__ = [
 
 _COLLINEAR_AREA_TOL = 1e-12
 
+# Minimal samples drawn, checked, solved and scored together per RANSAC
+# chunk.  Working memory per chunk is O(_CHUNK * N) whatever max_iterations
+# is; a chunk may solve up to _CHUNK - 1 hypotheses past the adaptive stop.
+_CHUNK = 64
 
-def _cross3(a, b) -> np.ndarray:
-    return np.array(
-        [
-            a[1] * b[2] - a[2] * b[1],
-            a[2] * b[0] - a[0] * b[2],
-            a[0] * b[1] - a[1] * b[0],
-        ]
-    )
+# Why _p3p_batch rejects a row (index 0: no rejection).
+_P3P_ERRORS = (None, "world points are collinear", "degenerate bearing vectors (parallel rays)")
 
 
-def _norm3(v) -> float:
-    return math.sqrt(v[0] * v[0] + v[1] * v[1] + v[2] * v[2])
+def _cross(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Row-wise cross product of two (..., 3) arrays of one shape."""
+    out = np.empty(a.shape)
+    out[..., 0] = a[..., 1] * b[..., 2] - a[..., 2] * b[..., 1]
+    out[..., 1] = a[..., 2] * b[..., 0] - a[..., 0] * b[..., 2]
+    out[..., 2] = a[..., 0] * b[..., 1] - a[..., 1] * b[..., 0]
+    return out
 
 
-def _quartic_roots(a4: float, a3: float, a2: float, a1: float, a0: float) -> np.ndarray:
-    """Closed-form (Ferrari) roots of a quartic, with eigenvalue fallback.
+def _norm(v: np.ndarray) -> np.ndarray:
+    """Row-wise Euclidean norm of (..., 3) arrays."""
+    return np.sqrt(v[..., 0] * v[..., 0] + v[..., 1] * v[..., 1] + v[..., 2] * v[..., 2])
 
-    Roughly 20x faster than np.roots; the caller Newton-polishes the real
-    roots afterwards, so last-ulp accuracy is not required here.
-    """
-    if a4 == 0.0 or not np.isfinite([a4, a3, a2, a1, a0]).all():
-        return np.roots([a4, a3, a2, a1, a0]).astype(complex)
-    b = a3 / a4
-    c = a2 / a4
-    d = a1 / a4
-    e = a0 / a4
-    b2 = b * b
-    p = -3.0 * b2 / 8.0 + c
-    q = b2 * b / 8.0 - b * c / 2.0 + d
-    r = -3.0 * b2 * b2 / 256.0 + b2 * c / 16.0 - b * d / 4.0 + e
 
-    pp = -p * p / 12.0 - r
-    qq = -p * p * p / 108.0 + p * r / 3.0 - q * q / 8.0
-    disc = complex(qq * qq / 4.0 + pp * pp * pp / 27.0)
-    rr = -qq / 2.0 + disc ** 0.5
-    u = rr ** (1.0 / 3.0)
-    if u == 0:
-        y = -5.0 * p / 6.0 - complex(qq) ** (1.0 / 3.0)
-    else:
-        y = -5.0 * p / 6.0 - pp / (3.0 * u) + u
-    w = (p + 2.0 * y) ** 0.5
-    if abs(w) < 1e-12:
-        return np.roots([a4, a3, a2, a1, a0]).astype(complex)
-    s1 = (-(3.0 * p + 2.0 * y + 2.0 * q / w)) ** 0.5
-    s2 = (-(3.0 * p + 2.0 * y - 2.0 * q / w)) ** 0.5
-    shift = -b / 4.0
-    roots = np.array(
-        [
-            shift + 0.5 * (w + s1),
-            shift + 0.5 * (w - s1),
-            shift + 0.5 * (-w + s2),
-            shift + 0.5 * (-w - s2),
-        ],
-        dtype=complex,
-    )
-    if not np.all(np.isfinite(roots.view(np.float64))):
-        return np.roots([a4, a3, a2, a1, a0]).astype(complex)
+def _quartic_roots(coeffs: np.ndarray) -> np.ndarray:
+    """Eigenvalue roots of one quartic (a4..a0), NaN-padded to 4 entries;
+    used only for rows where the closed form in _quartic_roots_batch fails."""
+    roots = np.full(4, np.nan, dtype=complex)
+    found = np.roots(coeffs)
+    roots[: len(found)] = found
     return roots
 
 
-def _newton_polish_root(x: float, coeffs: tuple) -> float:
-    a4, a3, a2, a1, a0 = coeffs
-    for _ in range(2):
-        f = (((a4 * x + a3) * x + a2) * x + a1) * x + a0
-        df = ((4.0 * a4 * x + 3.0 * a3) * x + 2.0 * a2) * x + a1
-        if df == 0.0:
-            break
-        step = f / df
-        if not math.isfinite(step):
-            break
-        x -= step
+def _quartic_roots_batch(A: np.ndarray) -> np.ndarray:
+    """Closed-form (Ferrari) roots of the quartics in the rows of (H, 5)
+    coefficients a4..a0, as (H, 4) complex.
+
+    Rows with a zero leading coefficient, a vanishing resolvent or
+    non-finite closed-form roots take the eigenvalue fallback.  Rows with
+    non-finite coefficients have no roots (all NaN).  Roughly 20x faster
+    than np.roots per row; the caller Newton-polishes the real roots, so
+    last-ulp accuracy is not required here.
+    """
+    a4, a3, a2, a1, a0 = A.T
+    with np.errstate(all="ignore"):
+        b = a3 / a4
+        c = a2 / a4
+        d = a1 / a4
+        e = a0 / a4
+        b2 = b * b
+        p = -3.0 * b2 / 8.0 + c
+        q = b2 * b / 8.0 - b * c / 2.0 + d
+        r = -3.0 * b2 * b2 / 256.0 + b2 * c / 16.0 - b * d / 4.0 + e
+
+        pp = -p * p / 12.0 - r
+        qq = -p * p * p / 108.0 + p * r / 3.0 - q * q / 8.0
+        disc = (qq * qq / 4.0 + pp * pp * pp / 27.0).astype(complex)
+        rr = -qq / 2.0 + disc**0.5
+        u = rr ** (1.0 / 3.0)
+        y = np.where(
+            u == 0,
+            -5.0 * p / 6.0 - qq.astype(complex) ** (1.0 / 3.0),
+            -5.0 * p / 6.0 - pp / (3.0 * u) + u,
+        )
+        w = (p + 2.0 * y) ** 0.5
+        s1 = (-(3.0 * p + 2.0 * y + 2.0 * q / w)) ** 0.5
+        s2 = (-(3.0 * p + 2.0 * y - 2.0 * q / w)) ** 0.5
+        shift = -b / 4.0
+        roots = np.stack(
+            [
+                shift + 0.5 * (w + s1),
+                shift + 0.5 * (w - s1),
+                shift + 0.5 * (-w + s2),
+                shift + 0.5 * (-w - s2),
+            ],
+            axis=1,
+        )
+    finite = np.isfinite(A).all(axis=1)
+    closed_ok = (a4 != 0.0) & (np.abs(w) >= 1e-12) & np.isfinite(roots.view(np.float64)).all(axis=1)
+    for h in np.nonzero(finite & ~closed_ok)[0]:
+        roots[h] = _quartic_roots(A[h])
+    roots[~finite] = np.nan
+    return roots
+
+
+def _newton_polish_roots(x: np.ndarray, A: np.ndarray) -> np.ndarray:
+    """Two Newton steps on (H, k) real roots of the (H, 5) quartics; an
+    entry stops at a zero derivative or a non-finite step."""
+    a4, a3, a2, a1, a0 = (A[:, j : j + 1] for j in range(5))
+    active = np.ones(x.shape, dtype=bool)
+    with np.errstate(all="ignore"):
+        for _ in range(2):
+            f = (((a4 * x + a3) * x + a2) * x + a1) * x + a0
+            df = ((4.0 * a4 * x + 3.0 * a3) * x + 2.0 * a2) * x + a1
+            step = f / df
+            active &= (df != 0.0) & np.isfinite(step)
+            x = np.where(active, x - step, x)
     return x
 
 
@@ -170,142 +203,159 @@ def _bearings_from_pixels(pixels: np.ndarray, K: CameraIntrinsics) -> np.ndarray
     return f / np.linalg.norm(f, axis=1, keepdims=True)
 
 
-def _p3p_candidates(P: np.ndarray, f: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Raw pose candidates (R, C) from 3 world points and 3 unit bearings.
+def _matvec(M: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Stacked M @ v.  matmul runs the same BLAS kernel per slice as on a
+    single matrix, so results are bitwise those of the unbatched product."""
+    return np.matmul(M, v[..., None])[..., 0]
 
-    Direct computation of camera position and orientation: build an
-    intermediate camera frame from the first two rays and an intermediate
-    world frame from the first two points, reduce to a quartic in the
-    cosine of the remaining free angle, and back-substitute.  Callers are
-    expected to polish and verify candidates by reprojection.
+
+def _ray_frame(f1: np.ndarray, f2: np.ndarray, f3: np.ndarray):
+    """Intermediate camera frame T (rows e1, e2, e3) of the first two rays,
+    the third ray in it, and the cross-product norm that flags parallel rays."""
+    e3 = _cross(f1, f2)
+    n3 = _norm(e3)
+    e3 = e3 / n3[:, None]
+    T = np.stack([f1, _cross(e3, f1), e3], axis=1)
+    return T, _matvec(T, f3), n3
+
+
+def _p3p_batch(
+    P: np.ndarray, f: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Raw pose candidates for H minimal sets at once.
+
+    P holds (H, 3, 3) world points and f (H, 3, 3) unit bearings.  Direct
+    computation of camera position and orientation: build an intermediate
+    camera frame from the first two rays and an intermediate world frame
+    from the first two points, reduce to a quartic in the cosine of the
+    remaining free angle, and back-substitute.  Every step runs on the
+    whole batch; products go through _matvec and matmul so that a row gets
+    bitwise the candidates it would get alone.
+
+    Returns R (H, 4, 3, 3) world-to-camera rotations, C (H, 4, 3) centres,
+    valid (H, 4) marking the finite candidates in root order, and status
+    (H,) indexing _P3P_ERRORS for rows rejected as collinear or parallel.
+    Callers are expected to polish and verify candidates by reprojection.
     """
-    P1, P2, P3 = P[0], P[1], P[2]
-    v1 = P2 - P1
-    v2 = P3 - P1
-    if 0.5 * _norm3(_cross3(v1, v2)) <= _COLLINEAR_AREA_TOL:
-        raise ValueError("world points are collinear")
-
-    f1, f2, f3 = f[0], f[1], f[2]
-    e1 = f1
-    e3 = _cross3(f1, f2)
-    n3 = _norm3(e3)
-    if n3 < 1e-12:
-        raise ValueError("degenerate bearing vectors (parallel rays)")
-    e3 = e3 / n3
-    e2 = _cross3(e3, e1)
-    T = np.stack([e1, e2, e3])
-    f3_t = T @ f3
-    if f3_t[2] > 0.0:
+    with np.errstate(all="ignore"):
+        P1, P2, P3 = P[:, 0], P[:, 1], P[:, 2]
+        f1, f2, f3 = f[:, 0], f[:, 1], f[:, 2]
+        collinear = 0.5 * _norm(_cross(P2 - P1, P3 - P1)) <= _COLLINEAR_AREA_TOL
+        _, f3_t, n3 = _ray_frame(f1, f2, f3)
+        parallel = n3 < 1e-12
         # Swap the first two correspondences so the free angle stays in [0, pi].
-        f1, f2 = f[1], f[0]
-        P1, P2 = P[1], P[0]
-        e1 = f1
-        e3 = _cross3(f1, f2)
-        n3 = _norm3(e3)
-        if n3 < 1e-12:
-            raise ValueError("degenerate bearing vectors (parallel rays)")
-        e3 = e3 / n3
-        e2 = _cross3(e3, e1)
-        T = np.stack([e1, e2, e3])
-        f3_t = T @ f3
+        swap = (f3_t[:, 2] > 0.0)[:, None]
+        f1, f2 = np.where(swap, f2, f1), np.where(swap, f1, f2)
+        P1, P2 = np.where(swap, P2, P1), np.where(swap, P1, P2)
+        T, f3_t, n3 = _ray_frame(f1, f2, f3)
+        parallel |= n3 < 1e-12
 
-    n1 = P2 - P1
-    n1 = n1 / _norm3(n1)
-    n3w = _cross3(n1, P3 - P1)
-    n3w = n3w / _norm3(n3w)
-    n2 = _cross3(n3w, n1)
-    N = np.stack([n1, n2, n3w])
+        n1 = P2 - P1
+        n1 = n1 / _norm(n1)[:, None]
+        n3w = _cross(n1, P3 - P1)
+        n3w = n3w / _norm(n3w)[:, None]
+        n2 = _cross(n3w, n1)
+        N = np.stack([n1, n2, n3w], axis=1)
 
-    P3_n = N @ (P3 - P1)
-    d12 = _norm3(P2 - P1)
-    p1 = P3_n[0]
-    p2 = P3_n[1]
+        P3_n = _matvec(N, P3 - P1)
+        d12 = _norm(P2 - P1)
+        p1 = P3_n[:, 0]
+        p2 = P3_n[:, 1]
 
-    phi1 = f3_t[0] / f3_t[2]
-    phi2 = f3_t[1] / f3_t[2]
+        phi1 = f3_t[:, 0] / f3_t[:, 2]
+        phi2 = f3_t[:, 1] / f3_t[:, 2]
 
-    cos_beta = float(np.dot(f1, f2))
-    b = 1.0 / (1.0 - cos_beta * cos_beta) - 1.0
-    if b < 0.0:
-        raise ValueError("degenerate bearing vectors (parallel rays)")
-    b = math.sqrt(b) if cos_beta >= 0.0 else -math.sqrt(b)
+        cos_beta = _matvec(f1[:, None], f2)[:, 0]
+        b = 1.0 / (1.0 - cos_beta * cos_beta) - 1.0
+        parallel |= b < 0.0
+        b = np.where(cos_beta >= 0.0, np.sqrt(b), -np.sqrt(b))
 
-    phi1_2 = phi1 * phi1
-    phi2_2 = phi2 * phi2
-    p1_2 = p1 * p1
-    p1_3 = p1_2 * p1
-    p1_4 = p1_3 * p1
-    p2_2 = p2 * p2
-    p2_3 = p2_2 * p2
-    p2_4 = p2_3 * p2
-    d12_2 = d12 * d12
-    b_2 = b * b
+        phi1_2 = phi1 * phi1
+        phi2_2 = phi2 * phi2
+        p1_2 = p1 * p1
+        p1_3 = p1_2 * p1
+        p1_4 = p1_3 * p1
+        p2_2 = p2 * p2
+        p2_3 = p2_2 * p2
+        p2_4 = p2_3 * p2
+        d12_2 = d12 * d12
+        b_2 = b * b
 
-    a4 = -phi2_2 * p2_4 - p2_4 * phi1_2 - p2_4
-    a3 = 2.0 * p2_3 * d12 * b + 2.0 * phi2_2 * p2_3 * d12 * b - 2.0 * phi2 * p2_3 * phi1 * d12
-    a2 = (
-        -phi2_2 * p2_2 * p1_2
-        - phi2_2 * p2_2 * d12_2 * b_2
-        - phi2_2 * p2_2 * d12_2
-        + phi2_2 * p2_4
-        + p2_4 * phi1_2
-        + 2.0 * p1 * p2_2 * d12
-        + 2.0 * phi1 * phi2 * p1 * p2_2 * d12 * b
-        - p2_2 * p1_2 * phi1_2
-        + 2.0 * p1 * p2_2 * phi2_2 * d12
-        - p2_2 * d12_2 * b_2
-        - 2.0 * p1_2 * p2_2
-    )
-    a1 = (
-        2.0 * p1_2 * p2 * d12 * b
-        + 2.0 * phi2 * p2_3 * phi1 * d12
-        - 2.0 * phi2_2 * p2_3 * d12 * b
-        - 2.0 * p1 * p2 * d12_2 * b
-    )
-    a0 = (
-        -2.0 * phi2 * p2_2 * phi1 * p1 * d12 * b
-        + phi2_2 * p2_2 * d12_2
-        + 2.0 * p1_3 * d12
-        - p1_2 * d12_2
-        + phi2_2 * p2_2 * p1_2
-        - p1_4
-        - 2.0 * phi2_2 * p2_2 * p1 * d12
-        + p2_2 * phi1_2 * p1_2
-        + phi2_2 * p2_2 * d12_2 * b_2
-    )
+        a4 = -phi2_2 * p2_4 - p2_4 * phi1_2 - p2_4
+        a3 = 2.0 * p2_3 * d12 * b + 2.0 * phi2_2 * p2_3 * d12 * b - 2.0 * phi2 * p2_3 * phi1 * d12
+        a2 = (
+            -phi2_2 * p2_2 * p1_2
+            - phi2_2 * p2_2 * d12_2 * b_2
+            - phi2_2 * p2_2 * d12_2
+            + phi2_2 * p2_4
+            + p2_4 * phi1_2
+            + 2.0 * p1 * p2_2 * d12
+            + 2.0 * phi1 * phi2 * p1 * p2_2 * d12 * b
+            - p2_2 * p1_2 * phi1_2
+            + 2.0 * p1 * p2_2 * phi2_2 * d12
+            - p2_2 * d12_2 * b_2
+            - 2.0 * p1_2 * p2_2
+        )
+        a1 = (
+            2.0 * p1_2 * p2 * d12 * b
+            + 2.0 * phi2 * p2_3 * phi1 * d12
+            - 2.0 * phi2_2 * p2_3 * d12 * b
+            - 2.0 * p1 * p2 * d12_2 * b
+        )
+        a0 = (
+            -2.0 * phi2 * p2_2 * phi1 * p1 * d12 * b
+            + phi2_2 * p2_2 * d12_2
+            + 2.0 * p1_3 * d12
+            - p1_2 * d12_2
+            + phi2_2 * p2_2 * p1_2
+            - p1_4
+            - 2.0 * phi2_2 * p2_2 * p1 * d12
+            + p2_2 * phi1_2 * p1_2
+            + phi2_2 * p2_2 * d12_2 * b_2
+        )
+        status = np.where(collinear, 1, np.where(parallel, 2, 0))
+        A = np.stack([a4, a3, a2, a1, a0], axis=1)
+        ok = status == 0
+        roots = np.full((len(P), 4), np.nan, dtype=complex)
+        if ok.any():
+            roots[ok] = _quartic_roots_batch(A[ok])
+        real = np.abs(roots.imag) <= 1e-6 * np.maximum(1.0, np.abs(roots.real))
 
-    roots = _quartic_roots(a4, a3, a2, a1, a0)
-    out = []
-    for root in roots:
-        if abs(root.imag) > 1e-6 * max(1.0, abs(root.real)):
-            continue
-        x = _newton_polish_root(float(root.real), (a4, a3, a2, a1, a0))
-        cos_theta = float(np.clip(x, -1.0, 1.0))
+        # Back-substitution, one column per root; (H, 1) row terms broadcast.
+        phi1, phi2, p1, p2, d12, b = (v[:, None] for v in (phi1, phi2, p1, p2, d12, b))
+        cos_theta = np.clip(_newton_polish_roots(roots.real, A), -1.0, 1.0)
         denom = -phi1 * cos_theta * p2 / phi2 + p1 - d12
-        if abs(denom) < 1e-15:
-            continue
         cot_alpha = (-phi1 * p1 / phi2 - cos_theta * p2 + d12 * b) / denom
-        sin_theta = math.sqrt(max(0.0, 1.0 - cos_theta * cos_theta))
-        sin_alpha = math.sqrt(1.0 / (cot_alpha * cot_alpha + 1.0))
-        cos_alpha = math.sqrt(max(0.0, 1.0 - sin_alpha * sin_alpha))
-        if cot_alpha < 0.0:
-            cos_alpha = -cos_alpha
+        sin_theta = np.sqrt(np.maximum(0.0, 1.0 - cos_theta * cos_theta))
+        sin_alpha = np.sqrt(1.0 / (cot_alpha * cot_alpha + 1.0))
+        cos_alpha = np.sqrt(np.maximum(0.0, 1.0 - sin_alpha * sin_alpha))
+        cos_alpha = np.where(cot_alpha < 0.0, -cos_alpha, cos_alpha)
 
         scale = sin_alpha * b + cos_alpha
-        C_n = d12 * scale * np.array(
-            [cos_alpha, cos_theta * sin_alpha, sin_theta * sin_alpha]
-        )
-        C = P1 + N.T @ C_n
-        Q = np.array(
-            [
-                [-cos_alpha, -sin_alpha * cos_theta, -sin_alpha * sin_theta],
-                [sin_alpha, -cos_alpha * cos_theta, -cos_alpha * sin_theta],
-                [0.0, -sin_theta, cos_theta],
-            ]
-        )
-        R_w2c = T.T @ Q @ N
-        out.append((R_w2c, C))
-    return out
+        C_n = np.empty(cos_theta.shape + (3,))
+        C_n[..., 0] = cos_alpha
+        C_n[..., 1] = cos_theta * sin_alpha
+        C_n[..., 2] = sin_theta * sin_alpha
+        C_n *= (d12 * scale)[..., None]
+        C = P1[:, None] + _matvec(N.transpose(0, 2, 1)[:, None], C_n)
+        Q = np.empty(cos_theta.shape + (3, 3))
+        Q[..., 0, 0] = -cos_alpha
+        Q[..., 0, 1] = -sin_alpha * cos_theta
+        Q[..., 0, 2] = -sin_alpha * sin_theta
+        Q[..., 1, 0] = sin_alpha
+        Q[..., 1, 1] = -cos_alpha * cos_theta
+        Q[..., 1, 2] = -cos_alpha * sin_theta
+        Q[..., 2, 0] = 0.0
+        Q[..., 2, 1] = -sin_theta
+        Q[..., 2, 2] = cos_theta
+        R = T.transpose(0, 2, 1)[:, None] @ Q @ N[:, None]
+    valid = (
+        real
+        & ~(np.abs(denom) < 1e-15)
+        & np.isfinite(R).all(axis=(2, 3))
+        & np.isfinite(C).all(axis=2)
+    )
+    return R, C, valid, status
 
 
 def _reprojection_residuals(
@@ -415,8 +465,11 @@ def solve_p3p(
         pix = np.asarray(pixels, dtype=np.float64).reshape(3, 2)
 
     bearings = _bearings_from_pixels(pix, K)
+    R_all, C_all, valid, status = _p3p_batch(points[None], bearings[None])
+    if status[0]:
+        raise ValueError(_P3P_ERRORS[status[0]])
     out: list[RigidPose] = []
-    for R, C in _p3p_candidates(points, bearings):
+    for R, C in zip(R_all[0][valid[0]], C_all[0][valid[0]]):
         R, C = _polish_pose(R, C, points, pix, K)
         res, _ = _reprojection_residuals(R, C, points, pix, K)
         if not np.all(np.isfinite(res)):
@@ -499,47 +552,111 @@ def solve_pnp_dlt(
 # ── RANSAC ───────────────────────────────────────────────────────────────
 
 
-def _draw_minimal_sample(rng: np.random.Generator, weights: np.ndarray) -> np.ndarray:
-    """Three distinct indices, drawn sequentially with probability
-    proportional to weight, renormalizing over the remaining items.  Used by
-    both weighted and unweighted (uniform-weight) RANSAC."""
-    w = weights.astype(np.float64).copy()
-    picks = np.empty(3, dtype=np.int64)
+def _draw_minimal_samples(rng: np.random.Generator, weights: np.ndarray, m: int) -> np.ndarray:
+    """(m, 3) minimal samples; each row holds three distinct indices drawn
+    sequentially with probability proportional to weight, renormalizing
+    over the remaining items.  Used by both weighted and unweighted
+    (uniform-weight) RANSAC.
+
+    Rows are drawn in order from 3m consecutive rng.random() values, so the
+    picks and the generator state equal those of m one-sample draws.
+    """
+    n = len(weights)
+    u = rng.random(3 * m).reshape(m, 3)
+    W = np.tile(np.asarray(weights, dtype=np.float64), (m, 1))
+    picks = np.empty((m, 3), dtype=np.int64)
+    rows = np.arange(m)
     for k in range(3):
-        total = w.sum()
-        if total <= 0.0:
+        total = W.sum(axis=1)
+        empty = np.nonzero(total <= 0.0)[0]
+        if len(empty):
             # Fewer than 3 positively weighted items remain; fall back to
             # uniform over the not-yet-picked rest.
-            w = np.ones(len(weights))
-            w[picks[:k]] = 0.0
-            total = w.sum()
-        cum = np.cumsum(w)
-        r = rng.random() * total
-        i = int(np.searchsorted(cum, r, side="right"))
-        i = min(i, len(w) - 1)
-        picks[k] = i
-        w[i] = 0.0
+            W[empty] = 1.0
+            W[empty[:, None], picks[empty, :k]] = 0.0
+            total[empty] = W[empty].sum(axis=1)
+        cum = np.cumsum(W, axis=1)
+        # Entries of cum not above r: searchsorted(cum, r, side="right").
+        i = (cum <= (u[:, k] * total)[:, None]).sum(axis=1)
+        picks[:, k] = np.minimum(i, n - 1)
+        W[rows, picks[:, k]] = 0.0
     return picks
 
 
-def _sample_is_degenerate(
-    points: np.ndarray, pixels: np.ndarray, cfg: RansacConfig
-) -> bool:
-    v1 = points[1] - points[0]
-    v2 = points[2] - points[0]
-    area2 = _norm3(_cross3(v1, v2))
-    n1 = _norm3(v1)
-    n2 = _norm3(v2)
-    if n1 < 1e-12 or n2 < 1e-12 or area2 <= 2.0 * _COLLINEAR_AREA_TOL:
-        return True
-    if area2 / (n1 * n2) < 1e-3:  # near-collinear: sin of spanned angle
-        return True
-    span = max(
-        math.hypot(pixels[0, 0] - pixels[1, 0], pixels[0, 1] - pixels[1, 1]),
-        math.hypot(pixels[0, 0] - pixels[2, 0], pixels[0, 1] - pixels[2, 1]),
-        math.hypot(pixels[1, 0] - pixels[2, 0], pixels[1, 1] - pixels[2, 1]),
+def _draw_minimal_sample(rng: np.random.Generator, weights: np.ndarray) -> np.ndarray:
+    """One minimal sample of _draw_minimal_samples."""
+    return _draw_minimal_samples(rng, weights, 1)[0]
+
+
+def _degenerate_samples(points: np.ndarray, pixels: np.ndarray, cfg: RansacConfig) -> np.ndarray:
+    """(m,) mask of minimal samples, given as (m, 3, 3) world points and
+    (m, 3, 2) pixels, whose points are near-collinear or whose pixels span
+    less than cfg.min_pixel_span_px."""
+    v1 = points[:, 1] - points[:, 0]
+    v2 = points[:, 2] - points[:, 0]
+    area2 = _norm(_cross(v1, v2))
+    n1 = _norm(v1)
+    n2 = _norm(v2)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        sin_angle = area2 / (n1 * n2)
+    d = pixels[:, [0, 0, 1]] - pixels[:, [1, 2, 2]]
+    span = np.hypot(d[..., 0], d[..., 1]).max(axis=1)
+    return (
+        (n1 < 1e-12)
+        | (n2 < 1e-12)
+        | (area2 <= 2.0 * _COLLINEAR_AREA_TOL)
+        | (sin_angle < 1e-3)
+        | (span < cfg.min_pixel_span_px)
     )
-    return span < cfg.min_pixel_span_px
+
+
+def _schedule(ok: np.ndarray, iterations: int, attempts_per_iteration: int) -> tuple[list, int]:
+    """Assign drawn samples (ok marks the non-degenerate ones) to up to
+    `iterations` RANSAC iterations in draw order.  An iteration takes the
+    first non-degenerate sample among its next attempts_per_iteration
+    draws, or none when all of them are degenerate; scheduling stops at an
+    iteration whose draws run past the end of `ok`.  Returns each
+    iteration's sample index (-1 for none) and the number of draws used."""
+    good = np.flatnonzero(ok).tolist()
+    sched = []
+    p = 0  # next unused draw
+    k = 0  # good[k] is the first non-degenerate draw at or after p
+    while len(sched) < iterations:
+        end = p + attempts_per_iteration
+        if k < len(good) and good[k] < end:
+            p = good[k] + 1
+            sched.append(good[k])
+            k += 1
+        elif end <= len(ok):
+            sched.append(-1)
+            p = end
+        else:
+            break
+    return sched, p
+
+
+def _score_hypotheses(
+    R: np.ndarray,
+    C: np.ndarray,
+    points: np.ndarray,
+    pixels: np.ndarray,
+    K: CameraIntrinsics,
+    threshold: float,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Unweighted inlier count and mean inlier error of M pose hypotheses
+    (R (M, 3, 3), C (M, 3)) over all N correspondences, from one (M, N)
+    reprojection; points at or behind a camera are never inliers."""
+    cam = (points[None] - C[:, None]) @ R.transpose(0, 2, 1)
+    z = cam[..., 2]
+    front = z > 0.0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        dx = K.fx * cam[..., 0] / z + K.cx - pixels[:, 0]
+        dy = K.fy * cam[..., 1] / z + K.cy - pixels[:, 1]
+        err = np.where(front, np.hypot(dx, dy), np.inf)
+    inl = err < threshold
+    count = inl.sum(axis=1)
+    mean_err = np.where(inl, err, 0.0).sum(axis=1) / np.maximum(count, 1)
+    return count, mean_err
 
 
 def _ransac_pnp(
@@ -548,9 +665,22 @@ def _ransac_pnp(
     cfg: RansacConfig,
     weights: Optional[np.ndarray],
 ) -> Optional[PnPSolution]:
+    """RANSAC-PnP evaluated in chunks, decided one draw at a time.
+
+    Each chunk tops up a pool of drawn minimal samples to _CHUNK (draws the
+    previous chunk did not use stay at its head, in order), flags the
+    degenerate ones, assigns samples to iterations exactly as a one-sample
+    loop would (first non-degenerate of up to max_sample_attempts draws),
+    solves P3P and scores every candidate for the whole chunk at once, then
+    replays the iterations in order with the best-selection rule and the
+    adaptive stopping bound.  Results are those of the sequential loop up
+    to rounding in the solver; work done for iterations past the stop is
+    discarded.
+    """
     n = len(corrs)
     points = np.stack([c.world_point for c in corrs])
     pixels = np.stack([c.query_pixel for c in corrs])
+    bearings = _bearings_from_pixels(pixels, K)
     w = np.full(n, 1.0 / n) if weights is None else np.asarray(weights, dtype=np.float64)
 
     rng = np.random.default_rng(cfg.seed)
@@ -559,50 +689,57 @@ def _ransac_pnp(
     best_pose: Optional[RigidPose] = None
     needed = cfg.max_iterations
     it = 0
+    # At least one iteration's worth of draws in hand, so that every chunk
+    # schedules at least one iteration.
+    pool_size = max(_CHUNK, cfg.max_sample_attempts)
+    drawn = np.empty((0, 3), dtype=np.int64)
+    ok = np.empty(0, dtype=bool)
     while it < needed:
-        it += 1
-        sample = None
-        for _ in range(cfg.max_sample_attempts):
-            cand = _draw_minimal_sample(rng, w)
-            if not _sample_is_degenerate(points[cand], pixels[cand], cfg):
-                sample = cand
+        fresh = _draw_minimal_samples(rng, w, pool_size - len(drawn))
+        drawn = np.concatenate([drawn, fresh])
+        ok = np.concatenate([ok, ~_degenerate_samples(points[fresh], pixels[fresh], cfg)])
+        sched, used = _schedule(ok, min(_CHUNK, needed - it), cfg.max_sample_attempts)
+        samples = drawn[[j for j in sched if j >= 0]]
+        drawn, ok = drawn[used:], ok[used:]
+
+        R, C, valid, _ = _p3p_batch(points[samples], bearings[samples])
+        per_sample = valid.sum(axis=1).tolist()
+        R, C = R[valid], C[valid]
+        counts, mean_errs = _score_hypotheses(R, C, points, pixels, K, cfg.inlier_threshold_px)
+        counts, mean_errs = counts.tolist(), mean_errs.tolist()
+
+        cand = 0
+        solved = iter(per_sample)
+        for j in sched:
+            if it >= needed:
                 break
-        if sample is None:
-            continue
-        try:
-            candidates = _p3p_candidates(points[sample], _bearings_from_pixels(pixels[sample], K))
-        except ValueError:
-            continue
-        for R, C in candidates:
-            cam = (points - C) @ R.T
-            front = cam[:, 2] > 0.0
-            err = np.full(n, np.inf)
-            z = cam[front, 2]
-            dx = K.fx * cam[front, 0] / z + K.cx - pixels[front, 0]
-            dy = K.fy * cam[front, 1] / z + K.cy - pixels[front, 1]
-            err[front] = np.hypot(dx, dy)
-            inl = err < cfg.inlier_threshold_px
-            count = int(inl.sum())
-            if count == 0:
+            it += 1
+            if j < 0:
                 continue
-            mean_err = float(err[inl].mean())
-            if count > best_count or (count == best_count and mean_err < best_err):
-                try:
-                    best_pose = RigidPose(*_orthonormalized(R, C))
-                except ValueError:
+            first = cand
+            cand += next(solved)
+            for c in range(first, cand):
+                count = counts[c]
+                if count == 0:
                     continue
-                best_count = count
-                best_err = mean_err
-                if cfg.adaptive_stopping:
-                    ratio = count / n
-                    if ratio >= 1.0:
-                        needed = min(needed, it)
-                    else:
-                        denom = math.log(max(1e-300, 1.0 - ratio**3))
-                        needed = min(
-                            cfg.max_iterations,
-                            max(it, int(math.ceil(math.log(1.0 - cfg.confidence) / denom))),
-                        )
+                mean_err = mean_errs[c]
+                if count > best_count or (count == best_count and mean_err < best_err):
+                    try:
+                        best_pose = RigidPose(*_orthonormalized(R[c], C[c]))
+                    except ValueError:
+                        continue
+                    best_count = count
+                    best_err = mean_err
+                    if cfg.adaptive_stopping:
+                        ratio = count / n
+                        if ratio >= 1.0:
+                            needed = min(needed, it)
+                        else:
+                            denom = math.log(max(1e-300, 1.0 - ratio**3))
+                            needed = min(
+                                cfg.max_iterations,
+                                max(it, int(math.ceil(math.log(1.0 - cfg.confidence) / denom))),
+                            )
 
     if best_pose is None and n >= 6:
         dlt = solve_pnp_dlt(corrs, K)

@@ -4,22 +4,33 @@ P3P correctness is established through forward synthesis (project a known
 pose, solve, require the pose among the solutions) plus solver
 self-consistency (all solutions must reproject the minimal set).  The
 refinement Jacobian is validated against central finite differences.
+
+The chunked RANSAC is checked against the one-sample-at-a-time oracles in
+pnp_oracle: the same draws and RNG state, the same degeneracy decisions,
+the same P3P candidates in the same order, and the same RANSAC results.
 """
 
 import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from semloc.geometry import RigidPose, project, rotation_error_deg
 from semloc.matching import Correspondence2D3D, set_weights
 from semloc.pnp import (
     PnPSolution,
     RansacConfig,
+    _bearings_from_pixels,
+    _degenerate_samples,
     _draw_minimal_sample,
+    _draw_minimal_samples,
     _exp_so3,
+    _p3p_batch,
     _pose_jacobian,
     _reprojection_residuals,
+    _ransac_pnp,
     estimate_temporary_pose,
     refine_pose,
     solve_p3p,
@@ -27,7 +38,8 @@ from semloc.pnp import (
     weighted_ransac_pnp,
 )
 
-from conftest import default_intrinsics, random_pose, synthetic_correspondences
+import pnp_oracle
+from conftest import default_intrinsics, random_pose, rodrigues, synthetic_correspondences
 
 
 def _pose_matches(sol, pose, tol_m=1e-6, tol_deg=1e-6):
@@ -96,6 +108,109 @@ class TestSolveP3P:
         corrs = synthetic_correspondences(rng, K, random_pose(rng), 4)
         with pytest.raises(ValueError, match="exactly 3"):
             solve_p3p(corrs, K)
+
+
+def _well_conditioned(P, f):
+    """Oracle quartic of the triple has only real roots whose
+    back-substitution is stable: cos(theta) off +-1, a back-substitution
+    denominator of at least 1% of the first side, and a relative root
+    condition number of at most 1e3.  Ulp-level differences between the
+    scalar and batched arithmetic stay below 1e-9 on such triples."""
+    try:
+        coeffs, (_, _, _, phi1, phi2, p1, p2, d12, _) = pnp_oracle.p3p_quartic(P, f)
+    except ValueError:
+        return False
+    a = np.array(coeffs)
+    if not np.all(np.isfinite(a)):
+        return False
+    for root in pnp_oracle.quartic_roots(*coeffs):
+        if abs(root.imag) > 1e-6 * max(1.0, abs(root.real)):
+            continue
+        x = pnp_oracle.newton_polish_root(float(root.real), coeffs)
+        if abs(x) > 1.0 - 1e-4:
+            return False
+        if abs(-phi1 * x * p2 / phi2 + p1 - d12) < 1e-2 * d12:
+            return False
+        slope = abs(np.polyval(np.polyder(a), x))
+        if np.sum(np.abs(a) * np.abs(x) ** np.arange(4, -1, -1)) > 1e3 * slope:
+            return False
+    return True
+
+
+_unit = st.floats(-1.0, 1.0, allow_nan=False)
+
+
+@st.composite
+def p3p_triples(draw):
+    """A pose and three exact correspondences in front of it."""
+    K = default_intrinsics()
+    axis = np.array([draw(_unit) for _ in range(3)])
+    assume(np.linalg.norm(axis) > 0.1)
+    pose = RigidPose(
+        rodrigues(axis, draw(st.floats(0.0, math.pi))),
+        np.array([draw(st.floats(-5.0, 5.0)) for _ in range(3)]),
+    )
+    pix = np.array(
+        [[draw(st.floats(10.0, K.width - 10.0)), draw(st.floats(10.0, K.height - 10.0))]
+         for _ in range(3)]
+    )
+    depth = np.array([draw(st.floats(2.0, 10.0)) for _ in range(3)])
+    cam = np.column_stack([(pix[:, 0] - K.cx) / K.fx, (pix[:, 1] - K.cy) / K.fy, np.ones(3)])
+    points = (cam * depth[:, None]) @ pose.rotation + pose.center
+    return pose, points, pix
+
+
+class TestP3PBatch:
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(p3p_triples())
+    def test_batch_matches_scalar_oracle_and_contains_generating_pose(self, triple):
+        pose, P, pix = triple
+        K = default_intrinsics()
+        f = _bearings_from_pixels(pix, K)
+        assume(_well_conditioned(P, f))
+        ref = pnp_oracle.p3p_candidates(P, f)
+        R, C, valid, status = _p3p_batch(P[None], f[None])
+        assert status[0] == 0
+        got = list(zip(R[0][valid[0]], C[0][valid[0]]))
+        assert len(got) == len(ref)
+        scale = max(1.0, float(np.abs(P).max()))
+        for (Rg, Cg), (Rr, Cr) in zip(got, ref):
+            assert np.max(np.abs(Rg - Rr)) < 1e-9
+            assert np.max(np.abs(Cg - Cr)) < 1e-9 * scale
+        assert any(
+            np.linalg.norm(Cg - pose.center) < 1e-6 and np.max(np.abs(Rg - pose.rotation)) < 1e-6
+            for Rg, Cg in got
+        )
+
+    def test_rows_are_independent(self):
+        # a batch gives each row the candidates it gets alone; rejected
+        # rows (collinear, parallel) yield none and do not disturb the rest
+        rng = np.random.default_rng(30)
+        K = default_intrinsics()
+        P, f = [], []
+        for _ in range(6):
+            corrs = synthetic_correspondences(rng, K, random_pose(rng), 3)
+            P.append(np.stack([c.world_point for c in corrs]))
+            f.append(_bearings_from_pixels(np.stack([c.query_pixel for c in corrs]), K))
+        P[2] = np.array([[0.0, 0.0, 5.0], [1.0, 0.0, 5.0], [2.0, 0.0, 5.0]])
+        f[4] = np.stack([f[4][0], f[4][0], f[4][2]])
+        R, C, valid, status = _p3p_batch(np.array(P), np.array(f))
+        assert status.tolist() == [0, 0, 1, 0, 2, 0]
+        assert not valid[2].any() and not valid[4].any()
+        for h in (0, 1, 3, 5):
+            R1, C1, v1, _ = _p3p_batch(P[h][None], f[h][None])
+            assert np.array_equal(valid[h], v1[0])
+            assert np.array_equal(R[h][valid[h]], R1[0][v1[0]])
+            assert np.array_equal(C[h][valid[h]], C1[0][v1[0]])
+
+    def test_shared_pixel_yields_no_candidates(self):
+        # two identical bearings put the third ray in the plane of the first
+        # two, so the quartic coefficients are non-finite: no candidates
+        # instead of an exception out of np.roots
+        K = default_intrinsics()
+        pix = np.array([[K.cx, K.cy], [K.cx + 0.75 * K.fx, K.cy], [K.cx + 0.75 * K.fx, K.cy]])
+        P = np.array([[0.0, 0.0, 5.0], [1.0, 0.0, 5.0], [0.0, 1.0, 5.0]])
+        assert solve_p3p(P, K, pixels=pix) == []
 
 
 class TestDLT:
@@ -186,6 +301,25 @@ class TestTemporaryPose:
         assert np.mean(errs) == pytest.approx(sol.mean_reprojection_error_px, rel=1e-9)
 
 
+    def test_shared_pixels_do_not_raise(self):
+        # Two feature families detect the same pixel and lift it to
+        # different world points.  Every pixel lies on the principal row, so
+        # each sample's third ray lies exactly in the plane of the first two
+        # and its quartic coefficients are non-finite; such samples must be
+        # skipped, not abort the run.
+        K = default_intrinsics()
+        xs = [100.0, 200.0, 300.0, 300.0, 400.0, 500.0, 300.0]
+        depths = [4.0, 5.0, 6.0, 9.0, 5.0, 7.0, 3.0]
+        corrs = [
+            Correspondence2D3D(np.array([x, K.cy]),
+                               np.array([(x - K.cx) / K.fx * d, 0.1 * i, d]), "db0", fam)
+            for i, (x, d, fam) in enumerate(zip(xs, depths, "ccbcbcb"))
+        ]
+        for seed in range(5):
+            sol = estimate_temporary_pose(corrs, K, RansacConfig(min_inliers=4, seed=seed,
+                                                                 max_iterations=100))
+            assert sol is None or sol.num_inliers >= 4
+
 class TestWeightedRansac:
     def test_uniform_weights_bitwise_equal_to_plain(self):
         # shared sampling code path: equal weights reproduce the unweighted
@@ -254,6 +388,158 @@ class TestWeightedRansac:
         for _ in range(2000):
             picks = set(_draw_minimal_sample(rng, w).tolist())
             assert picks <= {0, 2, 4}
+
+
+_DRAW_WEIGHTS = {
+    "uniform": np.full(30, 1.0 / 30),
+    "skewed": np.array([0.5, 0.25, 0.15, 0.06, 0.04]),
+    "with_zeros": np.array([0.5, 0.0, 0.3, 0.0, 0.2, 0.0, 0.0]),
+    # fewer than 3 positive weights: the later picks fall back to uniform
+    "two_positive": np.array([0.0, 0.7, 0.0, 0.3, 0.0, 0.0]),
+    "one_positive": np.array([0.0, 0.0, 1.0, 0.0]),
+}
+
+
+class TestBatchedDrawer:
+    @pytest.mark.parametrize("name", sorted(_DRAW_WEIGHTS))
+    def test_bitwise_equal_to_sequential_oracle(self, name):
+        weights = _DRAW_WEIGHTS[name]
+        for m in (1, 7, 500):
+            batched = np.random.default_rng(60)
+            scalar = np.random.default_rng(60)
+            picks = _draw_minimal_samples(batched, weights, m)
+            expected = np.stack([pnp_oracle.draw_minimal_sample(scalar, weights) for _ in range(m)])
+            assert np.array_equal(picks, expected)
+            assert batched.bit_generator.state == scalar.bit_generator.state
+
+    def test_single_draw_is_first_row_of_batch(self):
+        w = _DRAW_WEIGHTS["skewed"]
+        a = np.random.default_rng(61)
+        b = np.random.default_rng(61)
+        for row in _draw_minimal_samples(a, w, 50):
+            assert np.array_equal(_draw_minimal_sample(b, w), row)
+
+    def test_degeneracy_matches_scalar_oracle(self):
+        # random triples, a third of them near-collinear in the world and a
+        # third with pixels close to the minimum span
+        rng = np.random.default_rng(62)
+        cfg = RansacConfig()
+        m = 3000
+        points = rng.normal(size=(m, 3, 3))
+        t = rng.uniform(-1, 1, size=(m // 3, 1))
+        points[: m // 3, 2] = points[: m // 3, 0] + t * (points[: m // 3, 1] - points[: m // 3, 0])
+        points[: m // 3, 2] += rng.normal(scale=1e-4, size=(m // 3, 3))
+        pixels = rng.uniform(0, 640, size=(m, 3, 2))
+        pixels[m // 3: 2 * m // 3] = pixels[m // 3: 2 * m // 3, :1] + rng.uniform(
+            -6, 6, size=(m // 3, 3, 2))
+        got = _degenerate_samples(points, pixels, cfg)
+        expected = [pnp_oracle.sample_is_degenerate(points[i], pixels[i], cfg) for i in range(m)]
+        assert got.tolist() == expected
+        assert 0.2 < got.mean() < 0.8
+
+
+def _assert_same_result(a, b):
+    if b is None:
+        assert a is None
+        return
+    assert a is not None
+    assert a.iterations_used == b.iterations_used
+    assert np.array_equal(a.inlier_indices, b.inlier_indices)
+    assert np.max(np.abs(a.pose.rotation - b.pose.rotation)) < 1e-9
+    assert np.max(np.abs(a.pose.center - b.pose.center)) < 1e-9
+
+
+class TestChunkedRansacMatchesSequential:
+    """The chunked loop against the one-hypothesis-per-iteration oracle."""
+
+    def _compare(self, corrs, cfg, weights=None):
+        K = default_intrinsics()
+        a = _ransac_pnp(corrs, K, cfg, weights)
+        b = pnp_oracle.ransac_pnp(corrs, K, cfg, weights)
+        _assert_same_result(a, b)
+        return a
+
+    def test_doomed_temporary_run(self):
+        # 13 gross outliers and a 300-iteration budget: unless some model
+        # catches a 4th point by chance, the adaptive bound never drops
+        # below the cap and every iteration runs
+        rng = np.random.default_rng(70)
+        K = default_intrinsics()
+        full_budget = 0
+        for t in range(6):
+            corrs = synthetic_correspondences(rng, K, random_pose(rng), 13, outlier_frac=1.0)
+            assert self._compare(corrs, RansacConfig(min_inliers=6, seed=t,
+                                                     max_iterations=300)) is None
+            # min_inliers=3 returns the best outlier model, exposing the
+            # iteration count.  Each such model fits its own three points to
+            # ~1e-13 px, so the best-error tie-break between them is decided
+            # by the last ulp: compare the count and the error, not the pick.
+            cfg = RansacConfig(min_inliers=3, seed=t, max_iterations=300)
+            a = _ransac_pnp(corrs, K, cfg, None)
+            b = pnp_oracle.ransac_pnp(corrs, K, cfg, None)
+            assert a.iterations_used == b.iterations_used
+            full_budget += b.iterations_used == 300
+            if b.num_inliers > 3:
+                _assert_same_result(a, b)
+            assert a.num_inliers == b.num_inliers
+            assert abs(a.mean_reprojection_error_px - b.mean_reprojection_error_px) < 1e-9
+        assert full_budget >= 3
+
+    def test_weighted_final_run(self):
+        rng = np.random.default_rng(71)
+        K = default_intrinsics()
+        for t in range(3):
+            corrs = synthetic_correspondences(rng, K, random_pose(rng), 125, outlier_frac=0.7,
+                                              pixel_noise=0.5)
+            w = rng.uniform(0.0, 1.0, 125)
+            w[rng.random(125) < 0.2] = 0.0
+            w /= w.sum()
+            sol = self._compare(corrs, RansacConfig(min_inliers=12, seed=100 + t,
+                                                    max_iterations=1000), w)
+            assert sol is not None and 1 < sol.iterations_used < 1000
+
+    def test_without_adaptive_stopping(self):
+        rng = np.random.default_rng(72)
+        K = default_intrinsics()
+        corrs = synthetic_correspondences(rng, K, random_pose(rng), 40, outlier_frac=0.3,
+                                          pixel_noise=0.5)
+        cfg = RansacConfig(min_inliers=6, seed=5, max_iterations=150, adaptive_stopping=False)
+        assert self._compare(corrs, cfg).iterations_used == 150
+
+    def test_every_attempt_degenerate_falls_back_to_dlt(self):
+        # no sample spans the required pixel distance: each iteration spends
+        # its 20 redraws (runs of 20 straddle the 64-draw chunks) and finds
+        # nothing, so the pose comes from the DLT fallback
+        rng = np.random.default_rng(73)
+        K = default_intrinsics()
+        pose = random_pose(rng)
+        corrs = synthetic_correspondences(rng, K, pose, 20)
+        cfg = RansacConfig(min_inliers=6, seed=6, max_iterations=50, min_pixel_span_px=1e9)
+        sol = self._compare(corrs, cfg)
+        assert sol.iterations_used == 50
+        assert np.linalg.norm(sol.pose.center - pose.center) < 1e-6
+
+    def test_partly_degenerate_draws_carry_across_chunks(self):
+        # about half of all samples are degenerate, so iterations consume
+        # uneven runs of draws and some runs cross a chunk boundary
+        rng = np.random.default_rng(74)
+        K = default_intrinsics()
+        corrs = synthetic_correspondences(rng, K, random_pose(rng), 30, outlier_frac=0.9)
+        cfg = RansacConfig(min_inliers=3, seed=7, max_iterations=400, min_pixel_span_px=400.0)
+        points = np.stack([c.world_point for c in corrs])
+        pixels = np.stack([c.query_pixel for c in corrs])
+        draws = _draw_minimal_samples(np.random.default_rng(7), np.full(30, 1 / 30), 400)
+        share = _degenerate_samples(points[draws], pixels[draws], cfg).mean()
+        assert 0.3 < share < 0.7
+        self._compare(corrs, cfg)
+
+    def test_uniform_weights_match_unweighted_oracle(self):
+        rng = np.random.default_rng(75)
+        K = default_intrinsics()
+        corrs = synthetic_correspondences(rng, K, random_pose(rng), 60, outlier_frac=0.5,
+                                          pixel_noise=1.0)
+        self._compare(corrs, RansacConfig(min_inliers=6, seed=8), np.full(60, 1 / 60))
+        self._compare(corrs, RansacConfig(min_inliers=6, seed=8))
 
 
 class TestRefinePose:
