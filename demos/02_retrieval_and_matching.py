@@ -9,7 +9,7 @@ correspondences.
 
 import numpy as np
 
-from semloc.matching import lift_to_3d, match_family, merge_hybrid
+from semloc.matching import CorrespondenceBatch, lift_to_3d, match_family
 from semloc.retrieval import GlobalDescriptor, RetrievalConfig, build_index, query_top_k
 from semloc.synthetic import generate_scene, street_canyon_spec
 
@@ -43,10 +43,10 @@ for name, fam_spec in (("corner", spec.families[0]), ("blob", spec.families[1]))
           f"({lifted.dropped_invalid_depth} invalid depth, "
           f"{lifted.dropped_out_of_bounds} out of bounds)")
 
-pooled = merge_hybrid(per_family)
+pooled = CorrespondenceBatch.concat(per_family)
 print(f"\nhybrid pool: {len(pooled)} correspondences "
-      f"({sum(c.family == 'corner' for c in pooled)} corner + "
-      f"{sum(c.family == 'blob' for c in pooled)} blob)")
+      f"({np.sum(pooled.families == 'corner')} corner + "
+      f"{np.sum(pooled.families == 'blob')} blob)")
 
 # all lifted points should reproject close to their query keypoints at the
 # ground-truth pose (zero-noise scene)
@@ -54,9 +54,9 @@ from semloc.geometry import project
 
 gt = ds.gt_poses[query.image_id]
 residuals = []
-for c in pooled:
-    pix = project(c.world_point, gt, query.intrinsics)
+for X, x in zip(pooled.points, pooled.pixels):
+    pix = project(X, gt, query.intrinsics)
     if pix is not None:
-        residuals.append(float(np.linalg.norm(pix - c.query_pixel)))
+        residuals.append(float(np.linalg.norm(pix - x)))
 print(f"reprojection at the true pose: median {np.median(residuals):.2f} px, "
       f"p95 {np.percentile(residuals, 95):.2f} px")

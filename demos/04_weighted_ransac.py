@@ -11,10 +11,12 @@ and weighting the hypothesis sampling by score steers the solver back to
 the true pose; the inlier RULE is unchanged, only the sampling is biased.
 """
 
+from dataclasses import replace
+
 import numpy as np
 
 from semloc.config import PipelineConfig
-from semloc.matching import Correspondence2D3D, set_weights
+from semloc.matching import CorrespondenceBatch
 from semloc.pipeline import build_map
 from semloc.pnp import RansacConfig, estimate_temporary_pose, weighted_ransac_pnp
 from semloc.scoring import (
@@ -62,11 +64,14 @@ for trial in range(trials):
         world = q_pose.center + (t[:, None] * dirs) @ q_pose.rotation
         for j in np.nonzero(ok)[0][: 32 - len(pts)]:
             pts.append((pix[j], world[j]))
-    good = [Correspondence2D3D(p, X, "good_img", "corner") for p, X in pts]
+    pix_good = np.array([p for p, _ in pts])
+    world_good = np.array([X for _, X in pts])
+    good = CorrespondenceBatch(pix_good, world_good, ["good_img"] * 32, ["corner"] * 32)
     shift = np.array([0.0, 0.0, 20.0])
-    wrong = [Correspondence2D3D(pts[j % 32][0], pts[j % 32][1] + shift, "wrong_img", "corner")
-             for j in range(48)]
-    corrs = good + wrong
+    j = np.arange(48) % 32
+    wrong = CorrespondenceBatch(pix_good[j], world_good[j] + shift,
+                                ["wrong_img"] * 48, ["corner"] * 48)
+    corrs = CorrespondenceBatch.concat([good, wrong])
 
     # score each "retrieved image" through its temporary pose
     scores = []
@@ -83,7 +88,7 @@ for trial in range(trials):
             print(f"  {s.image_id}: {s.consistent} consistent of {s.projected} projected")
 
     weighted = normalize_weights(scores, corrs)
-    uniform = set_weights(corrs, np.full(len(corrs), 1.0 / len(corrs)))
+    uniform = replace(corrs, weights=np.full(len(corrs), 1.0 / len(corrs)))
     cfg = RansacConfig(inlier_threshold_px=2.0, min_inliers=12, seed=trial * 13 + 5,
                        max_iterations=200, adaptive_stopping=False)
     sw = weighted_ransac_pnp(weighted, K, cfg)

@@ -37,13 +37,12 @@ from .semantic_map import (
 )
 from .retrieval import GlobalDescriptor, RetrievalConfig, build_index, query_top_k
 from .matching import (
-    Correspondence2D3D,
+    CorrespondenceBatch,
     FeatureFamily,
     FeatureSet,
     Match2D2D,
     lift_to_3d,
     match_family,
-    merge_hybrid,
 )
 from .scoring import (
     SemanticScore,

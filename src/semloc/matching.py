@@ -9,25 +9,23 @@ complementary strengths cover for each other across imaging conditions.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields
 from typing import Optional, Sequence
 
 import numpy as np
 from scipy.spatial.distance import cdist
 
-from .geometry import back_project
+from .geometry import back_project_pixels
 from .semantic_map import DatabaseImageRecord, nearest_pixel
 
 __all__ = [
     "FeatureFamily",
     "FeatureSet",
     "Match2D2D",
-    "Correspondence2D3D",
+    "CorrespondenceBatch",
     "LiftResult",
     "match_family",
     "lift_to_3d",
-    "merge_hybrid",
-    "set_weights",
 ]
 
 
@@ -84,30 +82,59 @@ class Match2D2D:
 
 
 @dataclass(frozen=True)
-class Correspondence2D3D:
-    """Query pixel paired with a world point, tagged with the database image
-    that produced it and the sampling weight used by pose estimation."""
+class CorrespondenceBatch:
+    """2D-3D correspondences as columns, one row per correspondence.
 
-    query_pixel: np.ndarray
-    world_point: np.ndarray
-    source_image_id: str
-    family: str
-    weight: float = 1.0
+    Row i pairs query pixel pixels[i] (N, 2) with world point points[i]
+    (N, 3), lifted through database image image_ids[i] by feature family
+    families[i]; weights[i] is its sampling weight for pose estimation
+    (all 1 when not given).  Rows are selected with batch[mask_or_indices]
+    and batches pooled with CorrespondenceBatch.concat; no deduplication
+    happens, so a pixel matched by several families or retrieved images
+    contributes several rows.
+    """
+
+    pixels: np.ndarray
+    points: np.ndarray
+    image_ids: np.ndarray
+    families: np.ndarray
+    weights: Optional[np.ndarray] = None
 
     def __post_init__(self) -> None:
-        qp = np.asarray(self.query_pixel, dtype=np.float64).reshape(2)
-        wp = np.asarray(self.world_point, dtype=np.float64).reshape(3)
-        if not np.all(np.isfinite(wp)):
-            raise ValueError("world point must be finite")
-        if not self.weight >= 0.0:
-            raise ValueError("weight must be non-negative")
-        object.__setattr__(self, "query_pixel", qp)
-        object.__setattr__(self, "world_point", wp)
+        pixels = np.asarray(self.pixels, dtype=np.float64).reshape(-1, 2)
+        points = np.asarray(self.points, dtype=np.float64).reshape(-1, 3)
+        image_ids = np.asarray(self.image_ids, dtype=str).reshape(-1)
+        families = np.asarray(self.families, dtype=str).reshape(-1)
+        n = len(pixels)
+        weights = np.ones(n) if self.weights is None else np.asarray(
+            self.weights, dtype=np.float64).reshape(-1)
+        if not len(points) == len(image_ids) == len(families) == len(weights) == n:
+            raise ValueError("correspondence columns disagree in row count")
+        if not np.all(np.isfinite(points)):
+            raise ValueError("world points must be finite")
+        if not np.all(weights >= 0.0):
+            raise ValueError("weights must be non-negative")
+        for name, value in (("pixels", pixels), ("points", points), ("image_ids", image_ids),
+                            ("families", families), ("weights", weights)):
+            object.__setattr__(self, name, value)
+
+    def __len__(self) -> int:
+        return len(self.points)
+
+    def __getitem__(self, rows) -> "CorrespondenceBatch":
+        return CorrespondenceBatch(*(getattr(self, f.name)[rows] for f in fields(self)))
+
+    @classmethod
+    def concat(cls, batches: Sequence["CorrespondenceBatch"]) -> "CorrespondenceBatch":
+        """Rows of every batch in order; an empty sequence gives an empty
+        batch."""
+        columns = [[getattr(b, f.name) for b in batches] for f in fields(cls)]
+        return cls(*(np.concatenate(c) if c else [] for c in columns))
 
 
 @dataclass(frozen=True)
 class LiftResult:
-    correspondences: list
+    correspondences: CorrespondenceBatch
     dropped_out_of_bounds: int = 0
     dropped_invalid_depth: int = 0
 
@@ -166,50 +193,22 @@ def lift_to_3d(
     continuous location is then back-projected with that depth.  Matches
     over invalid depth or outside the image are dropped and counted.
     """
-    corrs = []
-    oob = 0
-    bad_depth = 0
+    n = len(matches)
+    locs = np.array([db.features[m.family].locations[m.db_index] for m in matches]).reshape(n, 2)
+    pix = nearest_pixel(locs)
     h, w = db.depth.shape
-    for m in matches:
-        db_set = db.features[m.family]
-        loc = db_set.locations[m.db_index]
-        px, py = nearest_pixel(loc)
-        if not (0 <= px < w and 0 <= py < h):
-            oob += 1
-            continue
-        depth = float(db.depth[py, px])
-        if depth <= 0.0:
-            bad_depth += 1
-            continue
-        world = back_project(loc, depth, db.pose, db.intrinsics)
-        corrs.append(
-            Correspondence2D3D(
-                query_pixel=query_set.locations[m.query_index],
-                world_point=world,
-                source_image_id=db.image_id,
-                family=m.family,
-                weight=1.0,
-            )
-        )
-    return LiftResult(corrs, dropped_out_of_bounds=oob, dropped_invalid_depth=bad_depth)
-
-
-def merge_hybrid(per_family: Sequence[Sequence[Correspondence2D3D]]) -> list:
-    """Pool correspondences across families, preserving family tags.
-
-    No deduplication: families observe complementary image regions, and a
-    pixel matched by several families (or several retrieved images) simply
-    contributes multiple entries.
-    """
-    out: list = []
-    for corrs in per_family:
-        out.extend(corrs)
-    return out
-
-
-def set_weights(corrs: Sequence[Correspondence2D3D], weights: np.ndarray) -> list:
-    """New correspondence list with replaced weights."""
-    w = np.asarray(weights, dtype=np.float64).reshape(-1)
-    if len(w) != len(corrs):
-        raise ValueError("weight count does not match correspondence count")
-    return [replace(c, weight=float(wi)) for c, wi in zip(corrs, w)]
+    inside = (pix[:, 0] >= 0) & (pix[:, 0] < w) & (pix[:, 1] >= 0) & (pix[:, 1] < h)
+    depth = np.zeros(n)
+    depth[inside] = db.depth[pix[inside, 1], pix[inside, 0]]
+    # Non-finite depths pass on to back-projection, which rejects them.
+    kept = np.nonzero(inside & ~(depth <= 0.0))[0]
+    query_rows = np.array([matches[i].query_index for i in kept], dtype=np.int64)
+    batch = CorrespondenceBatch(
+        pixels=query_set.locations[query_rows],
+        points=back_project_pixels(locs[kept], depth[kept], db.pose, db.intrinsics),
+        image_ids=[db.image_id] * len(kept),
+        families=[matches[i].family for i in kept],
+    )
+    n_inside = int(inside.sum())
+    return LiftResult(batch, dropped_out_of_bounds=n - n_inside,
+                      dropped_invalid_depth=n_inside - len(kept))

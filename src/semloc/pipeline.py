@@ -28,16 +28,17 @@ import numpy as np
 
 from .config import PipelineConfig
 from .geometry import RigidPose
-from .matching import lift_to_3d, match_family, merge_hybrid
+from .matching import CorrespondenceBatch, lift_to_3d, match_family
 from .pnp import estimate_temporary_pose, refine_pose, weighted_ransac_pnp
 from .retrieval import GlobalDescriptor, RetrievalConfig, RetrievalIndex, build_index, query_top_k
 from .scoring import SemanticScore, gate_visible, normalize_weights, semantic_consistency_score
-from .semantic_map import BuildStats, DatabaseImageRecord, DenseMap, DepthFilterConfig, QueryImage, build_dense_map
+from .semantic_map import BuildStats, DatabaseImageRecord, DenseMap, QueryImage, build_dense_map
 
 logger = logging.getLogger(__name__)
 
 __all__ = ["LocalizationResult", "build_map", "localize_query", "localize_all"]
 
+FAILURE_BAD_DESCRIPTOR = "bad global descriptor"
 FAILURE_NO_CORRESPONDENCES = "no correspondences"
 FAILURE_NO_CONSENSUS = "no consensus"
 
@@ -57,10 +58,7 @@ def build_map(
     """Map construction driven by a pipeline config."""
     return build_dense_map(
         records,
-        filter_cfg=DepthFilterConfig(
-            tau=cfg.depth_filter_tau,
-            min_consistent_neighbors=cfg.depth_filter_min_neighbors,
-        ),
+        filter_cfg=cfg.depth_filter(),
         voxel_size=cfg.fusion_voxel_size,
         unstable=cfg.unstable_classes,
         neighbor_count=cfg.depth_filter_neighbor_count,
@@ -80,20 +78,30 @@ def localize_query(
     index: RetrievalIndex,
     cfg: PipelineConfig,
 ) -> LocalizationResult:
+    """Localize one query.  A missing, non-finite, zero-norm or
+    wrong-dimension global descriptor fails this query alone with
+    FAILURE_BAD_DESCRIPTOR."""
     by_id = {r.image_id: r for r in db_records}
     top_k = cfg.top_k_night if query.condition == "night" else cfg.top_k_day
-    retrieved = query_top_k(
-        index,
-        GlobalDescriptor(query.image_id, query.global_descriptor),
-        RetrievalConfig(top_k=top_k),
-    )
+    retrieval_cfg = RetrievalConfig(top_k=top_k)
+    try:
+        descriptor = GlobalDescriptor(query.image_id, query.global_descriptor)
+        retrieved = query_top_k(index, descriptor, retrieval_cfg)
+    except ValueError as exc:
+        logger.warning("query %s: %s", query.image_id, exc)
+        return LocalizationResult(
+            query_id=query.image_id,
+            condition=query.condition,
+            pose=None,
+            failure_reason=FAILURE_BAD_DESCRIPTOR,
+        )
 
     diagnostics: dict = {
         "retrieved": [[i, d] for i, d in retrieved],
         "images": {},
     }
 
-    pooled = []
+    image_batches = []
     scores = []
     gate_cfg = cfg.gate()
     for rank, (image_id, _dist) in enumerate(retrieved):
@@ -105,7 +113,6 @@ def localize_query(
                 continue
             db_set = db.features[name]
             if len(query_set) == 0 or len(db_set) == 0:
-                per_family.append([])
                 match_counts[name] = {"matches": 0, "lifted": 0,
                                       "dropped_oob": 0, "dropped_invalid_depth": 0}
                 continue
@@ -119,7 +126,7 @@ def localize_query(
                 "dropped_oob": lifted.dropped_out_of_bounds,
                 "dropped_invalid_depth": lifted.dropped_invalid_depth,
             }
-        image_corrs = merge_hybrid(per_family)
+        image_corrs = CorrespondenceBatch.concat(per_family)
 
         temp_seed = _query_seed(cfg.seed, query_index, stage=1000 + rank)
         temp = estimate_temporary_pose(image_corrs, query.intrinsics, cfg.temp_ransac(temp_seed))
@@ -140,11 +147,12 @@ def localize_query(
             "score_consistent": score.consistent,
             "score_projected": score.projected,
         }
-        pooled.extend(image_corrs)
+        image_batches.append(image_corrs)
 
+    pooled = CorrespondenceBatch.concat(image_batches)
     if cfg.score_floor > 0.0:
-        passing = {s.image_id for s in scores if s.consistent >= cfg.score_floor}
-        pooled = [c for c in pooled if c.source_image_id in passing]
+        passing = [s.image_id for s in scores if s.consistent >= cfg.score_floor]
+        pooled = pooled[np.isin(pooled.image_ids, passing)]
         diagnostics["score_floor_kept"] = len(pooled)
 
     if len(pooled) < 4:

@@ -26,12 +26,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
 from .geometry import CameraIntrinsics, RigidPose
-from .matching import Correspondence2D3D
+from .matching import CorrespondenceBatch
 
 __all__ = [
     "RansacConfig",
@@ -441,28 +441,19 @@ def _polish_pose(
     return R, C
 
 
-def solve_p3p(
-    corrs: Sequence[Correspondence2D3D] | np.ndarray,
-    K: CameraIntrinsics,
-    pixels: Optional[np.ndarray] = None,
-) -> list[RigidPose]:
-    """Camera poses consistent with exactly 3 correspondences.
+def solve_p3p(points: np.ndarray, K: CameraIntrinsics, pixels: np.ndarray) -> list[RigidPose]:
+    """Camera poses consistent with exactly 3 correspondences: an (3, 3)
+    array of world points and an (3, 2) array of pixels.
 
-    Accepts either three Correspondence2D3D or an (3, 3) array of world
-    points plus an (3, 2) array of pixels.  Returns 0 to 4 poses; every
-    returned pose reprojects the three points within 1e-6 px (candidates
-    are polished by Gauss-Newton and filtered by that bound).  Raises on
-    collinear world points or parallel rays.
+    Returns 0 to 4 poses; every returned pose reprojects the three points
+    within 1e-6 px (candidates are polished by Gauss-Newton and filtered by
+    that bound).  Raises on collinear world points or parallel rays.
     """
-    if pixels is None:
-        cs = list(corrs)
-        if len(cs) != 3:
-            raise ValueError(f"exactly 3 correspondences required, got {len(cs)}")
-        points = np.stack([c.world_point for c in cs])
-        pix = np.stack([c.query_pixel for c in cs])
-    else:
-        points = np.asarray(corrs, dtype=np.float64).reshape(3, 3)
-        pix = np.asarray(pixels, dtype=np.float64).reshape(3, 2)
+    points = np.asarray(points, dtype=np.float64)
+    pix = np.asarray(pixels, dtype=np.float64)
+    if points.shape != (3, 3) or pix.shape != (3, 2):
+        raise ValueError(f"exactly 3 correspondences required, got points of shape "
+                         f"{points.shape} and pixels of shape {pix.shape}")
 
     bearings = _bearings_from_pixels(pix, K)
     R_all, C_all, valid, status = _p3p_batch(points[None], bearings[None])
@@ -479,9 +470,7 @@ def solve_p3p(
             continue
         # Orthonormality can drift slightly through back-substitution; snap
         # to the nearest rotation before constructing the pose.
-        U, _, Vt = np.linalg.svd(R)
-        R = U @ np.diag([1.0, 1.0, np.linalg.det(U @ Vt)]) @ Vt
-        pose = RigidPose(R, C)
+        pose = RigidPose(*_orthonormalized(R, C))
         if not any(
             np.linalg.norm(pose.center - p.center) < 1e-9
             and np.max(np.abs(pose.rotation - p.rotation)) < 1e-9
@@ -491,18 +480,15 @@ def solve_p3p(
     return out
 
 
-def solve_pnp_dlt(
-    corrs: Sequence[Correspondence2D3D], K: CameraIntrinsics
-) -> Optional[RigidPose]:
+def solve_pnp_dlt(batch: CorrespondenceBatch, K: CameraIntrinsics) -> Optional[RigidPose]:
     """Direct linear transform pose from >= 6 correspondences.
 
     Fallback for when minimal sampling keeps degenerating.  Fails (returns
     None) for coplanar point sets, which the DLT cannot handle.
     """
-    if len(corrs) < 6:
+    if len(batch) < 6:
         return None
-    points = np.stack([c.world_point for c in corrs])
-    pixels = np.stack([c.query_pixel for c in corrs])
+    points, pixels = batch.points, batch.pixels
     # Normalized camera coordinates remove K from the system.
     xn = (pixels[:, 0] - K.cx) / K.fx
     yn = (pixels[:, 1] - K.cy) / K.fy
@@ -511,7 +497,7 @@ def solve_pnp_dlt(
     scale = np.sqrt(3.0) / max(np.mean(np.linalg.norm(points - mean, axis=1)), 1e-12)
     Pn = (points - mean) * scale
 
-    n = len(corrs)
+    n = len(batch)
     A = np.zeros((2 * n, 12))
     Ph = np.concatenate([Pn, np.ones((n, 1))], axis=1)
     A[0::2, 0:4] = Ph
@@ -660,7 +646,7 @@ def _score_hypotheses(
 
 
 def _ransac_pnp(
-    corrs: Sequence[Correspondence2D3D],
+    batch: CorrespondenceBatch,
     K: CameraIntrinsics,
     cfg: RansacConfig,
     weights: Optional[np.ndarray],
@@ -677,9 +663,8 @@ def _ransac_pnp(
     to rounding in the solver; work done for iterations past the stop is
     discarded.
     """
-    n = len(corrs)
-    points = np.stack([c.world_point for c in corrs])
-    pixels = np.stack([c.query_pixel for c in corrs])
+    n = len(batch)
+    points, pixels = batch.points, batch.pixels
     bearings = _bearings_from_pixels(pixels, K)
     w = np.full(n, 1.0 / n) if weights is None else np.asarray(weights, dtype=np.float64)
 
@@ -742,7 +727,7 @@ def _ransac_pnp(
                             )
 
     if best_pose is None and n >= 6:
-        dlt = solve_pnp_dlt(corrs, K)
+        dlt = solve_pnp_dlt(batch, K)
         if dlt is not None:
             best_pose = dlt
 
@@ -770,20 +755,20 @@ def _orthonormalized(R: np.ndarray, C: np.ndarray) -> tuple[np.ndarray, np.ndarr
 
 
 def estimate_temporary_pose(
-    corrs: Sequence[Correspondence2D3D],
+    batch: CorrespondenceBatch,
     K: CameraIntrinsics,
     cfg: RansacConfig,
 ) -> Optional[PnPSolution]:
     """Plain (uniform-sampling) RANSAC + P3P over one retrieved image's
     correspondences; None when fewer than 4 correspondences exist or no
-    model reaches min_inliers."""
-    if len(corrs) < 4:
+    model reaches min_inliers.  The batch's weights are ignored."""
+    if len(batch) < 4:
         return None
-    return _ransac_pnp(corrs, K, cfg, weights=None)
+    return _ransac_pnp(batch, K, cfg, weights=None)
 
 
 def weighted_ransac_pnp(
-    corrs: Sequence[Correspondence2D3D],
+    batch: CorrespondenceBatch,
     K: CameraIntrinsics,
     cfg: RansacConfig,
 ) -> Optional[PnPSolution]:
@@ -794,12 +779,12 @@ def weighted_ransac_pnp(
     unweighted loop.  Raises when fewer than 4 correspondences are given;
     returns None when no model reaches min_inliers.
     """
-    if len(corrs) < 4:
-        raise ValueError(f"need at least 4 correspondences, got {len(corrs)}")
-    w = np.array([c.weight for c in corrs], dtype=np.float64)
-    if abs(w.sum() - 1.0) > 1e-6:
-        raise ValueError(f"weights must sum to 1, got {w.sum()!r}")
-    return _ransac_pnp(corrs, K, cfg, weights=w)
+    if len(batch) < 4:
+        raise ValueError(f"need at least 4 correspondences, got {len(batch)}")
+    total = batch.weights.sum()
+    if abs(total - 1.0) > 1e-6:
+        raise ValueError(f"weights must sum to 1, got {total!r}")
+    return _ransac_pnp(batch, K, cfg, weights=batch.weights)
 
 
 # ── Refinement ───────────────────────────────────────────────────────────
@@ -807,7 +792,7 @@ def weighted_ransac_pnp(
 
 def refine_pose(
     initial: PnPSolution,
-    corrs: Sequence[Correspondence2D3D],
+    batch: CorrespondenceBatch,
     K: CameraIntrinsics,
     max_iterations: int = 100,
     relative_tolerance: float = 1e-10,
@@ -821,8 +806,7 @@ def refine_pose(
     pose is returned unchanged.
     """
     idx = initial.inlier_indices
-    points = np.stack([corrs[i].world_point for i in idx])
-    pixels = np.stack([corrs[i].query_pixel for i in idx])
+    points, pixels = batch.points[idx], batch.pixels[idx]
     R = np.array(initial.pose.rotation)
     C = np.array(initial.pose.center)
 

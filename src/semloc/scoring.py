@@ -15,13 +15,13 @@ assumed visible to the query as well.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
 
 from .geometry import CameraIntrinsics, RigidPose
-from .matching import Correspondence2D3D, set_weights
+from .matching import CorrespondenceBatch
 from .semantic_map import UNLABELED, DenseMap
 
 __all__ = [
@@ -126,8 +126,8 @@ def semantic_consistency_score(
 
 
 def normalize_weights(
-    scores: Sequence[SemanticScore], corrs: Sequence[Correspondence2D3D]
-) -> list:
+    scores: Sequence[SemanticScore], batch: CorrespondenceBatch
+) -> CorrespondenceBatch:
     """Turn per-image scores into per-correspondence sampling weights.
 
     Every correspondence inherits its source image's score; weights are
@@ -135,17 +135,14 @@ def normalize_weights(
     contributes its score once per match) and sum to 1.  When every score is
     zero the weights fall back to uniform.
     """
-    by_image = {}
-    for s in scores:
-        by_image[s.image_id] = float(s.consistent)
-    raw = np.empty(len(corrs))
-    for i, c in enumerate(corrs):
-        if c.source_image_id not in by_image:
-            raise ValueError(f"no semantic score for source image {c.source_image_id!r}")
-        raw[i] = by_image[c.source_image_id]
+    by_image = {s.image_id: float(s.consistent) for s in scores}
+    try:
+        raw = np.array([by_image[i] for i in batch.image_ids.tolist()], dtype=np.float64)
+    except KeyError as exc:
+        raise ValueError(f"no semantic score for source image {exc.args[0]!r}") from None
     total = raw.sum()
     if total <= 0.0:
-        weights = np.full(len(corrs), 1.0 / len(corrs)) if len(corrs) else raw
+        weights = np.full(len(batch), 1.0 / len(batch)) if len(batch) else raw
     else:
         weights = raw / total
-    return set_weights(corrs, weights)
+    return replace(batch, weights=weights)

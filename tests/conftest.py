@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from semloc.geometry import CameraIntrinsics, RigidPose
-from semloc.matching import Correspondence2D3D
+from semloc.matching import CorrespondenceBatch
 
 
 def rodrigues(axis, angle):
@@ -41,7 +41,7 @@ def synthetic_correspondences(rng, K, pose, n, outlier_frac=0.0, pixel_noise=0.0
     px = rng.uniform(10, K.width - 10, size=n)
     py = rng.uniform(10, K.height - 10, size=n)
     n_out = int(round(outlier_frac * n))
-    corrs = []
+    pixels, points = [], []
     for i in range(n):
         cam = np.array([
             (px[i] - K.cx) / K.fx * depths[i],
@@ -54,8 +54,9 @@ def synthetic_correspondences(rng, K, pose, n, outlier_frac=0.0, pixel_noise=0.0
         pixel = np.array([px[i], py[i]])
         if pixel_noise > 0:
             pixel = pixel + rng.normal(scale=pixel_noise, size=2)
-        corrs.append(Correspondence2D3D(pixel, world, source_id, family, 1.0))
-    return corrs
+        pixels.append(pixel)
+        points.append(world)
+    return CorrespondenceBatch(np.array(pixels), np.array(points), [source_id] * n, [family] * n)
 
 
 @pytest.fixture(scope="session")

@@ -15,12 +15,12 @@ np.roots, which is the behaviour the batched solver specifies.
 from __future__ import annotations
 
 import math
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
 from semloc.geometry import CameraIntrinsics, RigidPose
-from semloc.matching import Correspondence2D3D
+from semloc.matching import CorrespondenceBatch
 from semloc.pnp import (
     PnPSolution,
     RansacConfig,
@@ -285,7 +285,7 @@ def sample_is_degenerate(points: np.ndarray, pixels: np.ndarray, cfg: RansacConf
 
 
 def ransac_pnp(
-    corrs: Sequence[Correspondence2D3D],
+    batch: CorrespondenceBatch,
     K: CameraIntrinsics,
     cfg: RansacConfig,
     weights: Optional[np.ndarray],
@@ -293,9 +293,8 @@ def ransac_pnp(
     """One hypothesis per iteration: draw (redrawing degenerate samples up to
     max_sample_attempts times), solve, score, keep the best, update the
     adaptive bound."""
-    n = len(corrs)
-    points = np.stack([c.world_point for c in corrs])
-    pixels = np.stack([c.query_pixel for c in corrs])
+    n = len(batch)
+    points, pixels = batch.points, batch.pixels
     w = np.full(n, 1.0 / n) if weights is None else np.asarray(weights, dtype=np.float64)
 
     rng = np.random.default_rng(cfg.seed)
@@ -350,7 +349,7 @@ def ransac_pnp(
                         )
 
     if best_pose is None and n >= 6:
-        dlt = solve_pnp_dlt(corrs, K)
+        dlt = solve_pnp_dlt(batch, K)
         if dlt is not None:
             best_pose = dlt
 

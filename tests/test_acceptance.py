@@ -28,7 +28,7 @@ from semloc.formats import (
     save_dataset,
 )
 from semloc.geometry import RigidPose, project, rotation_error_deg
-from semloc.matching import Correspondence2D3D, FeatureSet, set_weights
+from semloc.matching import CorrespondenceBatch, FeatureSet
 from semloc.pipeline import build_map, localize_all
 from semloc.pnp import (
     RansacConfig,
@@ -202,14 +202,14 @@ def _contamination_trial(spec, dense_map, trial_seed, n_total=80, wrong_frac=0.6
             if len(pts) >= n_good:
                 break
             pts.append((pix[j], world[j]))
-    good = [Correspondence2D3D(p, X, "good_img", "corner") for p, X in pts]
+    pix_good = np.array([p for p, _ in pts])
+    world_good = np.array([X for _, X in pts])
+    good = CorrespondenceBatch(pix_good, world_good, ["good_img"] * n_good, ["corner"] * n_good)
     shift = np.array([0.0, 0.0, half])
-    wrong = [
-        Correspondence2D3D(pts[j % len(pts)][0], pts[j % len(pts)][1] + shift,
-                           "wrong_img", "corner")
-        for j in range(n_wrong)
-    ]
-    corrs = good + wrong
+    j = np.arange(n_wrong) % len(pts)
+    wrong = CorrespondenceBatch(pix_good[j], world_good[j] + shift,
+                                ["wrong_img"] * n_wrong, ["corner"] * n_wrong)
+    corrs = CorrespondenceBatch.concat([good, wrong])
 
     scores = []
     for img, sub in (("good_img", good), ("wrong_img", wrong)):
@@ -223,7 +223,7 @@ def _contamination_trial(spec, dense_map, trial_seed, n_total=80, wrong_frac=0.6
         scores.append(semantic_consistency_score(gated, temp.pose, K, q_labels, image_id=img))
 
     weighted = normalize_weights(scores, corrs)
-    uniform = set_weights(corrs, np.full(len(corrs), 1.0 / len(corrs)))
+    uniform = dataclasses.replace(corrs, weights=np.full(len(corrs), 1.0 / len(corrs)))
     final_cfg = RansacConfig(inlier_threshold_px=thr, min_inliers=12,
                              seed=trial_seed * 13 + 5, max_iterations=iterations,
                              adaptive_stopping=False)
@@ -344,8 +344,7 @@ def test_acceptance_08_refinement():
     # analytic Jacobian vs central finite differences
     pose = random_pose(rng)
     corrs = synthetic_correspondences(rng, K, pose, 20, pixel_noise=1.0)
-    points = np.stack([c.world_point for c in corrs])
-    pixels = np.stack([c.query_pixel for c in corrs])
+    points, pixels = corrs.points, corrs.pixels
     R0, C0 = np.array(pose.rotation), np.array(pose.center)
     _, cam = _reprojection_residuals(R0, C0, points, pixels, K)
     J = _pose_jacobian(R0, C0, points, cam, K)
@@ -369,8 +368,8 @@ def test_acceptance_08_refinement():
         gt = random_pose(rng)
         trial_corrs = synthetic_correspondences(rng, K, gt, 100, pixel_noise=1.0)
         sol = estimate_temporary_pose(trial_corrs, K, RansacConfig(min_inliers=6, seed=t))
-        pts = np.stack([trial_corrs[i].world_point for i in sol.inlier_indices])
-        pix = np.stack([trial_corrs[i].query_pixel for i in sol.inlier_indices])
+        pts = trial_corrs.points[sol.inlier_indices]
+        pix = trial_corrs.pixels[sol.inlier_indices]
         r0, _ = _reprojection_residuals(sol.pose.rotation, sol.pose.center, pts, pix, K)
         refined = refine_pose(sol, trial_corrs, K)
         r1, _ = _reprojection_residuals(refined.rotation, refined.center, pts, pix, K)
@@ -395,8 +394,7 @@ def test_acceptance_09_p3p_self_consistency():
     for _ in range(n):
         pose = random_pose(rng)
         corrs = synthetic_correspondences(rng, K, pose, 3)
-        pts = np.stack([c.world_point for c in corrs])
-        pix = np.stack([c.query_pixel for c in corrs])
+        pts, pix = corrs.points, corrs.pixels
         sols = solve_p3p(pts, K, pixels=pix)
         found = False
         for s in sols:

@@ -1,7 +1,9 @@
 """Command-line interface tests: subcommands, exit codes, determinism."""
 
 import json
+import shutil
 
+import numpy as np
 import pytest
 
 from semloc.cli import main
@@ -109,6 +111,22 @@ class TestLocalizeAndEvaluate:
         assert main(["--threads", "3", "localize", str(workspace / "data"), str(map_path),
                      str(workspace / "config.txt"), str(est3)]) == 0
         assert est_path.read_bytes() == est3.read_bytes()
+
+    def test_bad_query_descriptor_fails_only_that_query(self, workspace, artifacts, tmp_path):
+        from semloc.formats import read_global_descriptor, write_global_descriptor
+
+        out, map_path, est_path = artifacts
+        data = tmp_path / "data"
+        shutil.copytree(workspace / "data", data)
+        gdesc = data / "queries" / "q001.gdesc.bin"
+        write_global_descriptor(gdesc, np.zeros_like(read_global_descriptor(gdesc)))
+        est = tmp_path / "estimates.txt"
+        assert main(["localize", str(data), str(map_path), str(workspace / "config.txt"),
+                     str(est)]) == 0
+        before = est_path.read_text().splitlines()
+        after = est.read_text().splitlines()
+        assert after[2] == "q001 day failed bad_global_descriptor"
+        assert after[:2] + after[3:] == before[:2] + before[3:]
 
     def test_evaluate_full_marks(self, workspace, artifacts, tmp_path):
         out, _, est_path = artifacts

@@ -6,22 +6,22 @@ analytic surface they were rendered from.
 """
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from semloc.geometry import CameraIntrinsics, RigidPose, project
+from semloc.config import PipelineConfig
+from semloc.geometry import CameraIntrinsics, RigidPose, back_project, project
 from semloc.matching import (
-    Correspondence2D3D,
+    CorrespondenceBatch,
     FeatureFamily,
     FeatureSet,
     Match2D2D,
     lift_to_3d,
     match_family,
-    merge_hybrid,
-    set_weights,
 )
-from semloc.semantic_map import DatabaseImageRecord
+from semloc.semantic_map import DatabaseImageRecord, nearest_pixel
 
 
 def _set(family, descs, locs=None):
@@ -136,12 +136,13 @@ class TestLiftTo3D:
         db.features["f"] = _set("f", [[1.0, 1.0]], locs=np.array([[70.0, 50.0]]))
         q_set = _set("f", [[1.0, 1.0]], locs=np.array([[33.0, 44.0]]))
         res = lift_to_3d([Match2D2D(0, 0, "f", 0.0)], q_set, db)
-        assert len(res.correspondences) == 1
-        c = res.correspondences[0]
-        np.testing.assert_allclose(c.world_point, [1.0, 0.0, 5.0], atol=1e-12)
-        np.testing.assert_allclose(c.query_pixel, [33.0, 44.0])
-        assert c.source_image_id == "db0"
-        assert c.weight == 1.0
+        c = res.correspondences
+        assert len(c) == 1
+        np.testing.assert_allclose(c.points[0], [1.0, 0.0, 5.0], atol=1e-12)
+        np.testing.assert_allclose(c.pixels[0], [33.0, 44.0])
+        assert c.image_ids.tolist() == ["db0"]
+        assert c.families.tolist() == ["f"]
+        assert c.weights.tolist() == [1.0]
 
     def test_invalid_depth_dropped(self):
         K = self._K()
@@ -149,7 +150,7 @@ class TestLiftTo3D:
         db.features["f"] = _set("f", [[0.0, 0.0]], locs=np.array([[70.0, 50.0]]))
         q_set = _set("f", [[0.0, 0.0]], locs=np.array([[1.0, 1.0]]))
         res = lift_to_3d([Match2D2D(0, 0, "f", 0.0)], q_set, db)
-        assert res.correspondences == []
+        assert len(res.correspondences) == 0
         assert res.dropped_invalid_depth == 1
 
     def test_out_of_bounds_dropped_and_counted(self):
@@ -159,7 +160,7 @@ class TestLiftTo3D:
         q_set = _set("f", [[0.0, 0.0]], locs=np.array([[1.0, 1.0]]))
         res = lift_to_3d([Match2D2D(0, 0, "f", 0.0)], q_set, db)
         # 99.9 rounds to pixel 100, outside the image
-        assert res.correspondences == []
+        assert len(res.correspondences) == 0
         assert res.dropped_out_of_bounds == 1
 
     def test_lifted_points_on_generating_plane(self, zero_noise_dataset):
@@ -177,8 +178,7 @@ class TestLiftTo3D:
         matches = [Match2D2D(i, i, "f", 0.0) for i in range(40)]
         res = lift_to_3d(matches, q_set, db)
         assert len(res.correspondences) == 40
-        for c in res.correspondences:
-            assert abs(c.world_point[2] - plane_z) < 1e-6
+        assert np.all(np.abs(res.correspondences.points[:, 2] - plane_z) < 1e-6)
 
     def test_self_reprojection_within_half_pixel(self, zero_noise_dataset):
         # per-axis deviation bounded by the nearest-pixel depth lookup
@@ -188,46 +188,128 @@ class TestLiftTo3D:
         lifted = 0
         for i in range(len(fs)):
             res = lift_to_3d([Match2D2D(i, i, "corner", 0.0)], fs, db)
-            if not res.correspondences:
+            if not len(res.correspondences):
                 continue
             lifted += 1
-            pix = project(res.correspondences[0].world_point, db.pose, db.intrinsics)
+            pix = project(res.correspondences.points[0], db.pose, db.intrinsics)
             assert pix is not None
             assert np.max(np.abs(pix - fs.locations[i])) <= 0.5 + 1e-6
         assert lifted > 10
 
 
+    def test_bitwise_equal_to_per_match_back_projection(self, zero_noise_dataset):
+        # every query against every database image, as rendered and with
+        # every other depth column invalidated: same kept rows, same dropped
+        # counts and bitwise the same points as lifting one match at a time
+        # through back_project
+        ds = zero_noise_dataset
+        cfg = PipelineConfig()
+        rows = 0
+        dropped = 0
+        holed = []
+        for db in ds.db_records:
+            depth = db.depth.copy()
+            depth[:, ::2] = 0.0
+            holed.append(replace(db, depth=depth))
+        for q in ds.queries:
+            for db in list(ds.db_records) + holed:
+                for name, q_set in q.features.items():
+                    family = cfg.family_rules(name, q_set.descriptors.shape[1])
+                    matches = match_family(q_set, db.features[name], family)
+                    res = lift_to_3d(matches, q_set, db)
+                    pixels, points, oob, bad = [], [], 0, 0
+                    h, w = db.depth.shape
+                    for m in matches:
+                        loc = db.features[name].locations[m.db_index]
+                        px, py = nearest_pixel(loc)
+                        if not (0 <= px < w and 0 <= py < h):
+                            oob += 1
+                            continue
+                        depth = float(db.depth[py, px])
+                        if depth <= 0.0:
+                            bad += 1
+                            continue
+                        pixels.append(q_set.locations[m.query_index])
+                        points.append(back_project(loc, depth, db.pose, db.intrinsics))
+                    assert (res.dropped_out_of_bounds, res.dropped_invalid_depth) == (oob, bad)
+                    assert np.array_equal(res.correspondences.points,
+                                          np.array(points).reshape(-1, 3))
+                    assert np.array_equal(res.correspondences.pixels,
+                                          np.array(pixels).reshape(-1, 2))
+                    rows += len(points)
+                    dropped += oob + bad
+        assert rows > 300 and dropped > 0
+
+
+def _batch(n, family="f", x=1.0, image_id="db0"):
+    return CorrespondenceBatch(
+        pixels=np.tile([x, 2.0], (n, 1)),
+        points=np.tile([0.0, 0.0, 5.0], (n, 1)),
+        image_ids=[image_id] * n,
+        families=[family] * n,
+    )
+
+
+class TestCorrespondenceBatch:
+    def test_non_finite_point_rejected(self):
+        for bad in (np.nan, np.inf):
+            with pytest.raises(ValueError, match="finite"):
+                CorrespondenceBatch([[1.0, 2.0]], [[0.0, bad, 5.0]], ["db0"], ["f"])
+
+    def test_negative_weight_rejected(self):
+        for bad in (-1e-12, np.nan):
+            with pytest.raises(ValueError, match="non-negative"):
+                CorrespondenceBatch(np.zeros((2, 2)), np.ones((2, 3)), ["a", "a"], ["f", "f"],
+                                    weights=[0.5, bad])
+
+    def test_row_count_mismatch_rejected(self):
+        cols = dict(pixels=np.zeros((3, 2)), points=np.ones((3, 3)),
+                    image_ids=["a"] * 3, families=["f"] * 3, weights=np.ones(3))
+        for name, short in (("pixels", np.zeros((2, 2))), ("points", np.ones((2, 3))),
+                            ("image_ids", ["a"] * 2), ("families", ["f"] * 2),
+                            ("weights", np.ones(2))):
+            with pytest.raises(ValueError, match="row count"):
+                CorrespondenceBatch(**{**cols, name: short})
+
+    def test_row_selection(self):
+        b = CorrespondenceBatch.concat([_batch(2, "f", x=1.0), _batch(3, "g", x=9.0)])
+        sel = b[b.families == "g"]
+        assert len(sel) == 3
+        assert sel.pixels[:, 0].tolist() == [9.0] * 3
+        assert b[np.array([4, 0])].families.tolist() == ["g", "f"]
+
+
 class TestMergeHybrid:
-    def _corr(self, fam, x=1.0):
-        return Correspondence2D3D(np.array([x, 2.0]), np.array([0.0, 0.0, 5.0]), "db0", fam, 1.0)
+    """Pooling feature families with CorrespondenceBatch.concat."""
 
     def test_one_empty_family(self):
-        a = [self._corr("f") for _ in range(3)]
-        assert merge_hybrid([a, []]) == a
+        a = _batch(3)
+        merged = CorrespondenceBatch.concat([a, _batch(0)])
+        assert len(merged) == 3
+        for col in ("pixels", "points", "image_ids", "families", "weights"):
+            assert np.array_equal(getattr(merged, col), getattr(a, col))
+        assert len(CorrespondenceBatch.concat([])) == 0
 
     def test_sizes_add(self):
-        a = [self._corr("f") for _ in range(10)]
-        b = [self._corr("g") for _ in range(15)]
-        merged = merge_hybrid([a, b])
+        merged = CorrespondenceBatch.concat([_batch(10, "f"), _batch(15, "g")])
         assert len(merged) == 25
-        assert [c.family for c in merged] == ["f"] * 10 + ["g"] * 15
+        assert merged.families.tolist() == ["f"] * 10 + ["g"] * 15
 
     def test_duplicates_kept(self):
-        a = [self._corr("f", x=7.0)]
-        b = [self._corr("g", x=7.0)]
-        merged = merge_hybrid([a, b])
+        merged = CorrespondenceBatch.concat([_batch(1, "f", x=7.0), _batch(1, "g", x=7.0)])
         assert len(merged) == 2
-        assert merged[0].query_pixel[0] == merged[1].query_pixel[0] == 7.0
+        assert merged.pixels[0, 0] == merged.pixels[1, 0] == 7.0
 
 
 class TestSetWeights:
+    """Replacing a batch's weights with dataclasses.replace."""
+
     def test_replaces_weights(self):
-        corrs = [Correspondence2D3D(np.zeros(2), np.ones(3), "a", "f", 1.0) for _ in range(3)]
-        out = set_weights(corrs, np.array([0.2, 0.3, 0.5]))
-        assert [c.weight for c in out] == [0.2, 0.3, 0.5]
-        assert all(c.weight == 1.0 for c in corrs)  # originals untouched
+        b = _batch(3)
+        out = replace(b, weights=np.array([0.2, 0.3, 0.5]))
+        assert out.weights.tolist() == [0.2, 0.3, 0.5]
+        assert b.weights.tolist() == [1.0, 1.0, 1.0]  # original untouched
 
     def test_length_mismatch(self):
-        corrs = [Correspondence2D3D(np.zeros(2), np.ones(3), "a", "f", 1.0)]
         with pytest.raises(ValueError):
-            set_weights(corrs, np.array([0.5, 0.5]))
+            replace(_batch(1), weights=np.array([0.5, 0.5]))

@@ -8,6 +8,7 @@ import pytest
 from semloc.config import PipelineConfig
 from semloc.geometry import pose_error
 from semloc.pipeline import (
+    FAILURE_BAD_DESCRIPTOR,
     FAILURE_NO_CORRESPONDENCES,
     build_map,
     localize_all,
@@ -106,7 +107,44 @@ class TestLocalization:
         cfg = dataclasses.replace(small_cfg, score_floor=5.0)
         res = localize_query(ds.queries[0], 0, ds.db_records, dense_map, index, cfg)
         assert res.pose is not None
-        assert "score_floor_kept" in res.diagnostics
+        images = res.diagnostics["images"].values()
+        assert res.diagnostics["score_floor_kept"] == sum(
+            d["correspondences"] for d in images if d["score_consistent"] >= 5.0)
+        assert any(d["score_consistent"] < 5.0 and d["correspondences"] for d in images)
+
+    def test_zeroed_descriptor_fails_only_that_query(self, zero_noise_dataset, small_cfg,
+                                                     small_run):
+        ds = zero_noise_dataset
+        dense_map, _, baseline = small_run
+        queries = list(ds.queries)
+        queries[1] = dataclasses.replace(
+            queries[1], global_descriptor=np.zeros_like(queries[1].global_descriptor))
+        results = localize_all(queries, ds.db_records, dense_map, small_cfg)
+        assert results[1].pose is None
+        assert results[1].failure_reason == FAILURE_BAD_DESCRIPTOR
+        for i in (0, 2, 3):
+            assert results[i].pose.rotation.tobytes() == baseline[i].pose.rotation.tobytes()
+            assert results[i].pose.center.tobytes() == baseline[i].pose.center.tobytes()
+            assert results[i].diagnostics == baseline[i].diagnostics
+
+    @pytest.mark.parametrize("case", ["missing", "non-finite", "zero-norm", "wrong-dimension"])
+    def test_malformed_descriptor_fails_with_reason(self, zero_noise_dataset, small_cfg,
+                                                    small_run, case):
+        ds = zero_noise_dataset
+        dense_map = small_run[0]
+        good = ds.queries[0].global_descriptor
+        bad = {
+            "missing": None,
+            "non-finite": np.where(np.arange(len(good)) == 3, np.inf, good),
+            "zero-norm": np.zeros_like(good),
+            "wrong-dimension": good[:-1],
+        }[case]
+        q = dataclasses.replace(ds.queries[0], global_descriptor=bad)
+        index = build_index([GlobalDescriptor(r.image_id, r.global_descriptor)
+                             for r in ds.db_records])
+        res = localize_query(q, 0, ds.db_records, dense_map, index, small_cfg)
+        assert res.pose is None
+        assert res.failure_reason == FAILURE_BAD_DESCRIPTOR
 
     def test_build_stats_logged(self, small_run):
         _, stats, _ = small_run

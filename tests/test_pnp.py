@@ -11,6 +11,7 @@ the same P3P candidates in the same order, and the same RANSAC results.
 """
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -18,7 +19,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from semloc.geometry import RigidPose, project, rotation_error_deg
-from semloc.matching import Correspondence2D3D, set_weights
+from semloc.matching import CorrespondenceBatch
 from semloc.pnp import (
     PnPSolution,
     RansacConfig,
@@ -56,18 +57,15 @@ class TestSolveP3P:
         for _ in range(100):
             pose = random_pose(rng)
             corrs = synthetic_correspondences(rng, K, pose, 3)
-            sols = solve_p3p(corrs, K)
+            sols = solve_p3p(corrs.points, K, pixels=corrs.pixels)
             assert any(_pose_matches(s, pose) for s in sols)
 
     def test_collinear_points_rejected(self):
         K = default_intrinsics()
-        corrs = [
-            Correspondence2D3D(np.array([100.0, 100.0]), np.array([0.0, 0.0, 5.0]), "a", "f"),
-            Correspondence2D3D(np.array([200.0, 100.0]), np.array([1.0, 0.0, 5.0]), "a", "f"),
-            Correspondence2D3D(np.array([300.0, 100.0]), np.array([2.0, 0.0, 5.0]), "a", "f"),
-        ]
+        pts = np.array([[0.0, 0.0, 5.0], [1.0, 0.0, 5.0], [2.0, 0.0, 5.0]])
+        pix = np.array([[100.0, 100.0], [200.0, 100.0], [300.0, 100.0]])
         with pytest.raises(ValueError, match="collinear"):
-            solve_p3p(corrs, K)
+            solve_p3p(pts, K, pixels=pix)
 
     def test_equilateral_head_on(self):
         # symmetric configuration straight ahead: verified purely by
@@ -94,8 +92,7 @@ class TestSolveP3P:
         for _ in range(300):
             pose = random_pose(rng)
             corrs = synthetic_correspondences(rng, K, pose, 3)
-            pts = np.stack([c.world_point for c in corrs])
-            pix = np.stack([c.query_pixel for c in corrs])
+            pts, pix = corrs.points, corrs.pixels
             for s in solve_p3p(pts, K, pixels=pix):
                 for p, z in zip(pts, pix):
                     back = project(p, s, K)
@@ -107,7 +104,7 @@ class TestSolveP3P:
         rng = np.random.default_rng(3)
         corrs = synthetic_correspondences(rng, K, random_pose(rng), 4)
         with pytest.raises(ValueError, match="exactly 3"):
-            solve_p3p(corrs, K)
+            solve_p3p(corrs.points, K, pixels=corrs.pixels)
 
 
 def _well_conditioned(P, f):
@@ -190,8 +187,8 @@ class TestP3PBatch:
         P, f = [], []
         for _ in range(6):
             corrs = synthetic_correspondences(rng, K, random_pose(rng), 3)
-            P.append(np.stack([c.world_point for c in corrs]))
-            f.append(_bearings_from_pixels(np.stack([c.query_pixel for c in corrs]), K))
+            P.append(corrs.points)
+            f.append(_bearings_from_pixels(corrs.pixels, K))
         P[2] = np.array([[0.0, 0.0, 5.0], [1.0, 0.0, 5.0], [2.0, 0.0, 5.0]])
         f[4] = np.stack([f[4][0], f[4][0], f[4][2]])
         R, C, valid, status = _p3p_batch(np.array(P), np.array(f))
@@ -295,8 +292,8 @@ class TestTemporaryPose:
         assert sol.num_inliers >= cfg.min_inliers
         errs = []
         for i in sol.inlier_indices:
-            pix = project(corrs[i].world_point, sol.pose, K)
-            errs.append(np.linalg.norm(pix - corrs[i].query_pixel))
+            pix = project(corrs.points[i], sol.pose, K)
+            errs.append(np.linalg.norm(pix - corrs.pixels[i]))
         assert max(errs) < cfg.inlier_threshold_px
         assert np.mean(errs) == pytest.approx(sol.mean_reprojection_error_px, rel=1e-9)
 
@@ -310,11 +307,12 @@ class TestTemporaryPose:
         K = default_intrinsics()
         xs = [100.0, 200.0, 300.0, 300.0, 400.0, 500.0, 300.0]
         depths = [4.0, 5.0, 6.0, 9.0, 5.0, 7.0, 3.0]
-        corrs = [
-            Correspondence2D3D(np.array([x, K.cy]),
-                               np.array([(x - K.cx) / K.fx * d, 0.1 * i, d]), "db0", fam)
-            for i, (x, d, fam) in enumerate(zip(xs, depths, "ccbcbcb"))
-        ]
+        corrs = CorrespondenceBatch(
+            pixels=[[x, K.cy] for x in xs],
+            points=[[(x - K.cx) / K.fx * d, 0.1 * i, d] for i, (x, d) in enumerate(zip(xs, depths))],
+            image_ids=["db0"] * len(xs),
+            families=list("ccbcbcb"),
+        )
         for seed in range(5):
             sol = estimate_temporary_pose(corrs, K, RansacConfig(min_inliers=4, seed=seed,
                                                                  max_iterations=100))
@@ -328,7 +326,7 @@ class TestWeightedRansac:
         K = default_intrinsics()
         pose = random_pose(rng)
         corrs = synthetic_correspondences(rng, K, pose, 30, outlier_frac=0.3)
-        uniform = set_weights(corrs, np.full(30, 1 / 30))
+        uniform = replace(corrs, weights=np.full(30, 1 / 30))
         cfg = RansacConfig(min_inliers=6, seed=41)
         a = estimate_temporary_pose(corrs, K, cfg)
         b = weighted_ransac_pnp(uniform, K, cfg)
@@ -346,7 +344,7 @@ class TestWeightedRansac:
     def test_too_few_correspondences_raises(self):
         rng = np.random.default_rng(14)
         K = default_intrinsics()
-        corrs = set_weights(synthetic_correspondences(rng, K, random_pose(rng), 3), np.full(3, 1 / 3))
+        corrs = replace(synthetic_correspondences(rng, K, random_pose(rng), 3), weights=np.full(3, 1 / 3))
         with pytest.raises(ValueError, match="at least 4"):
             weighted_ransac_pnp(corrs, K, RansacConfig(seed=0))
 
@@ -526,8 +524,7 @@ class TestChunkedRansacMatchesSequential:
         K = default_intrinsics()
         corrs = synthetic_correspondences(rng, K, random_pose(rng), 30, outlier_frac=0.9)
         cfg = RansacConfig(min_inliers=3, seed=7, max_iterations=400, min_pixel_span_px=400.0)
-        points = np.stack([c.world_point for c in corrs])
-        pixels = np.stack([c.query_pixel for c in corrs])
+        points, pixels = corrs.points, corrs.pixels
         draws = _draw_minimal_samples(np.random.default_rng(7), np.full(30, 1 / 30), 400)
         share = _degenerate_samples(points[draws], pixels[draws], cfg).mean()
         assert 0.3 < share < 0.7
@@ -551,8 +548,7 @@ class TestRefinePose:
         sol = estimate_temporary_pose(corrs, K, RansacConfig(min_inliers=6, seed=0))
         refined = refine_pose(sol, corrs, K)
         res, _ = _reprojection_residuals(refined.rotation, refined.center,
-                                         np.stack([c.world_point for c in corrs]),
-                                         np.stack([c.query_pixel for c in corrs]), K)
+                                         corrs.points, corrs.pixels, K)
         rms = math.sqrt(float(res @ res) / len(res))
         assert rms <= 1e-10
 
@@ -561,8 +557,7 @@ class TestRefinePose:
         K = default_intrinsics()
         pose = random_pose(rng)
         corrs = synthetic_correspondences(rng, K, pose, 15, pixel_noise=1.0)
-        points = np.stack([c.world_point for c in corrs])
-        pixels = np.stack([c.query_pixel for c in corrs])
+        points, pixels = corrs.points, corrs.pixels
         R0, C0 = np.array(pose.rotation), np.array(pose.center)
 
         def residual(delta):
@@ -606,8 +601,8 @@ class TestRefinePose:
             pose = random_pose(rng)
             corrs = synthetic_correspondences(rng, K, pose, 50, pixel_noise=2.0)
             sol = estimate_temporary_pose(corrs, K, RansacConfig(min_inliers=6, seed=t))
-            pts = np.stack([corrs[i].world_point for i in sol.inlier_indices])
-            pix = np.stack([corrs[i].query_pixel for i in sol.inlier_indices])
+            pts = corrs.points[sol.inlier_indices]
+            pix = corrs.pixels[sol.inlier_indices]
             r0, _ = _reprojection_residuals(sol.pose.rotation, sol.pose.center, pts, pix, K)
             refined = refine_pose(sol, corrs, K)
             r1, _ = _reprojection_residuals(refined.rotation, refined.center, pts, pix, K)
@@ -628,15 +623,13 @@ class TestContaminationMini:
             pose = random_pose(rng)
             good = synthetic_correspondences(rng, K, pose, 32, source_id="good")
             shift = np.array([20.0, 0.0, 0.0])
-            wrong = [
-                Correspondence2D3D(c.query_pixel, c.world_point + shift, "wrong", c.family, 1.0)
-                for c in synthetic_correspondences(rng, K, pose, 48, source_id="wrong")
-            ]
-            corrs = good + wrong
+            wrong = synthetic_correspondences(rng, K, pose, 48, source_id="wrong")
+            wrong = replace(wrong, points=wrong.points + shift)
+            corrs = CorrespondenceBatch.concat([good, wrong])
             # weights as normalize_weights would produce: wrong image scored 0
-            weights = np.array([1.0 / 32 if c.source_image_id == "good" else 0.0 for c in corrs])
-            weighted = set_weights(corrs, weights)
-            uniform = set_weights(corrs, np.full(len(corrs), 1.0 / len(corrs)))
+            weights = np.where(corrs.image_ids == "good", 1.0 / 32, 0.0)
+            weighted = replace(corrs, weights=weights)
+            uniform = replace(corrs, weights=np.full(len(corrs), 1.0 / len(corrs)))
             cfg = RansacConfig(min_inliers=12, seed=900 + t, max_iterations=200,
                                adaptive_stopping=False, inlier_threshold_px=2.0)
             sw = weighted_ransac_pnp(weighted, K, cfg)

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from semloc.geometry import RigidPose
-from semloc.matching import Correspondence2D3D
+from semloc.matching import CorrespondenceBatch
 from semloc.scoring import (
     SemanticScore,
     VisibilityGateConfig,
@@ -174,50 +174,51 @@ class TestSemanticConsistencyScore:
 
 
 class TestNormalizeWeights:
-    def _corr(self, img):
-        return Correspondence2D3D(np.zeros(2), np.ones(3), img, "f", 1.0)
+    def _batch(self, *images):
+        n = len(images)
+        return CorrespondenceBatch(np.zeros((n, 2)), np.ones((n, 3)), list(images), ["f"] * n)
 
     def test_basic_proportions(self):
         scores = [SemanticScore("a", 10, 20), SemanticScore("b", 30, 40)]
-        corrs = [self._corr("a"), self._corr("b")]
+        corrs = self._batch("a", "b")
         out = normalize_weights(scores, corrs)
-        assert [c.weight for c in out] == pytest.approx([0.25, 0.75])
+        assert out.weights.tolist() == pytest.approx([0.25, 0.75])
 
     def test_all_zero_scores_fall_back_to_uniform(self):
         scores = [SemanticScore("a", 0, 5), SemanticScore("b", 0, 9)]
-        corrs = [self._corr("a"), self._corr("b"), self._corr("b")]
+        corrs = self._batch("a", "b", "b")
         out = normalize_weights(scores, corrs)
-        assert [c.weight for c in out] == pytest.approx([1 / 3] * 3)
+        assert out.weights.tolist() == pytest.approx([1 / 3] * 3)
 
     def test_per_match_normalization(self):
         # A scores 10 with 2 matches, B scores 10 with 1 match: the sum runs
         # over matches, so every match weighs 10 / 30 = 1/3
         scores = [SemanticScore("a", 10, 10), SemanticScore("b", 10, 10)]
-        corrs = [self._corr("a"), self._corr("a"), self._corr("b")]
+        corrs = self._batch("a", "a", "b")
         out = normalize_weights(scores, corrs)
-        assert [c.weight for c in out] == pytest.approx([1 / 3, 1 / 3, 1 / 3])
+        assert out.weights.tolist() == pytest.approx([1 / 3, 1 / 3, 1 / 3])
 
     def test_weights_sum_to_one(self):
         rng = np.random.default_rng(25)
         scores = [SemanticScore(f"im{i}", int(rng.integers(0, 100)), 100) for i in range(8)]
-        corrs = [self._corr(f"im{int(rng.integers(0, 8))}") for _ in range(60)]
+        corrs = self._batch(*(f"im{int(rng.integers(0, 8))}" for _ in range(60)))
         if sum(s.consistent for s in scores) == 0:
             pytest.skip("degenerate draw")
         out = normalize_weights(scores, corrs)
-        assert abs(sum(c.weight for c in out) - 1.0) < 1e-12
+        assert abs(out.weights.sum() - 1.0) < 1e-12
 
     def test_scale_invariance(self):
         scores1 = [SemanticScore("a", 3, 10), SemanticScore("b", 9, 10)]
         scores7 = [SemanticScore("a", 21, 70), SemanticScore("b", 63, 70)]
-        corrs = [self._corr("a"), self._corr("b"), self._corr("b")]
-        w1 = [c.weight for c in normalize_weights(scores1, corrs)]
-        w7 = [c.weight for c in normalize_weights(scores7, corrs)]
+        corrs = self._batch("a", "b", "b")
+        w1 = normalize_weights(scores1, corrs).weights.tolist()
+        w7 = normalize_weights(scores7, corrs).weights.tolist()
         assert w1 == pytest.approx(w7, rel=1e-12)
 
     def test_unknown_source_id_rejected(self):
         scores = [SemanticScore("a", 1, 1)]
         with pytest.raises(ValueError, match="no semantic score"):
-            normalize_weights(scores, [self._corr("zzz")])
+            normalize_weights(scores, self._batch("zzz"))
 
 
 class TestConfigValidation:
