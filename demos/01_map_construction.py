@@ -60,6 +60,7 @@ print(f"\nvisibility cones: {int(multi.sum())} multi-view points "
       f"(max support {int(dense_map.support.max())}), "
       f"median visible angle {np.degrees(np.median(dense_map.theta[multi])):.1f} deg, "
       f"distance range {dense_map.d_min.min():.1f} .. {dense_map.d_max.max():.1f} m")
-point = dense_map.point(int(np.argmax(dense_map.theta)))
-print(f"widest cone: label={CITYSCAPES_CLASS_NAMES[point.label]}, "
-      f"theta={np.degrees(point.cone.theta):.1f} deg, support={point.support}")
+widest = int(np.argmax(dense_map.theta))
+print(f"widest cone: label={CITYSCAPES_CLASS_NAMES[dense_map.labels[widest]]}, "
+      f"theta={np.degrees(dense_map.theta[widest]):.1f} deg, "
+      f"support={dense_map.support[widest]}")

@@ -24,16 +24,11 @@ from .semantic_map import (
     DEFAULT_UNSTABLE_CLASS_IDS,
     DatabaseImageRecord,
     DenseMap,
-    DensePoint,
     DepthFilterConfig,
     QueryImage,
-    VisibilityCone,
     build_dense_map,
-    compute_visibility_cone,
     filter_depth_map,
     fuse_depth_maps,
-    remove_unstable_classes,
-    vote_semantic_label,
 )
 from .retrieval import GlobalDescriptor, RetrievalConfig, build_index, query_top_k
 from .matching import (

@@ -188,7 +188,10 @@ def read_feature_set(path) -> FeatureSet:
         locations = np.zeros((0, 2))
         descriptors = np.zeros((0, dim))
     r.done()
-    return FeatureSet(family=name, locations=locations, descriptors=descriptors)
+    try:
+        return FeatureSet(family=name, locations=locations, descriptors=descriptors)
+    except ValueError as exc:
+        raise DataFormatError(path, None, str(exc)) from None
 
 
 def write_global_descriptor(path, desc: np.ndarray) -> None:

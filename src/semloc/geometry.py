@@ -34,6 +34,8 @@ __all__ = [
     "PoseError",
     "project",
     "project_points",
+    "pixel_rays",
+    "nearest_pixel",
     "back_project",
     "back_project_pixels",
     "rotation_error_deg",
@@ -77,12 +79,6 @@ class CameraIntrinsics:
                 f"principal point ({self.cx}, {self.cy}) outside "
                 f"{self.width}x{self.height} image"
             )
-
-    def matrix(self) -> np.ndarray:
-        """3x3 calibration matrix K."""
-        return np.array(
-            [[self.fx, 0.0, self.cx], [0.0, self.fy, self.cy], [0.0, 0.0, 1.0]]
-        )
 
     def contains(self, pixels: np.ndarray) -> np.ndarray:
         """Boolean mask of pixel coordinates inside the image rectangle."""
@@ -145,59 +141,78 @@ class PoseError:
 
 
 # ── Projection ───────────────────────────────────────────────────────────
-
-
-def project(point: np.ndarray, pose: RigidPose, K: CameraIntrinsics) -> Optional[np.ndarray]:
-    """Project a world point; returns pixel (x, y) or None if it lies at or
-    behind the camera plane (z <= 0).  No image-bounds clipping here."""
-    p = pose.rotation @ (np.asarray(point, dtype=np.float64) - pose.center)
-    if p[2] <= 0.0:
-        return None
-    return np.array([K.fx * p[0] / p[2] + K.cx, K.fy * p[1] / p[2] + K.cy])
+#
+# The one copy of the pinhole model: every other module maps world points
+# to pixels through project_points, pixels to rays through pixel_rays, and
+# continuous pixels to array indices through nearest_pixel.
 
 
 def project_points(
-    points: np.ndarray, pose: RigidPose, K: CameraIntrinsics
+    points: np.ndarray, rotation: np.ndarray, center: np.ndarray, K: CameraIntrinsics
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorized projection of an (N, 3) array.
+    """World-to-pixel projection of (N, 3) points under one or many poses.
 
-    Returns (pixels, in_front); pixel rows where in_front is False are NaN.
+    rotation is (..., 3, 3) world-to-camera and center (..., 3); the result
+    is (pixels (..., N, 2), depth (..., N)), depth being the camera-frame z.
+    Pixel rows with depth <= 0 are NaN.  No image-bounds clipping here.
     """
-    pts = np.asarray(points, dtype=np.float64).reshape(-1, 3)
-    p = (pts - pose.center) @ pose.rotation.T
-    in_front = p[:, 2] > 0.0
-    pixels = np.full((len(pts), 2), np.nan)
-    z = p[in_front, 2]
-    pixels[in_front, 0] = K.fx * p[in_front, 0] / z + K.cx
-    pixels[in_front, 1] = K.fy * p[in_front, 1] / z + K.cy
-    return pixels, in_front
+    center = np.asarray(center, dtype=np.float64)
+    cam = (np.asarray(points, dtype=np.float64) - center[..., None, :]) @ np.swapaxes(
+        rotation, -1, -2
+    )
+    depth = cam[..., 2]
+    # A NaN divisor behind the camera makes those pixel rows NaN.
+    z = np.where(depth > 0.0, depth, np.nan)
+    pixels = np.empty(depth.shape + (2,))
+    pixels[..., 0] = K.fx * cam[..., 0] / z + K.cx
+    pixels[..., 1] = K.fy * cam[..., 1] / z + K.cy
+    return pixels, depth
 
 
-def back_project(
-    pixel: np.ndarray, depth: float, pose: RigidPose, K: CameraIntrinsics
-) -> np.ndarray:
-    """Inverse of project for a given z-depth: returns the world point on the
-    ray through ``pixel`` whose camera-frame z equals ``depth``."""
-    if not (np.isfinite(depth) and depth > 0.0):
-        raise ValueError(f"depth must be finite and positive, got {depth}")
-    x, y = float(pixel[0]), float(pixel[1])
-    p = np.array([(x - K.cx) / K.fx * depth, (y - K.cy) / K.fy * depth, depth])
-    return pose.rotation.T @ p + pose.center
+def project(point: np.ndarray, pose: RigidPose, K: CameraIntrinsics) -> Optional[np.ndarray]:
+    """Project one world point; returns pixel (x, y) or None if it lies at or
+    behind the camera plane (z <= 0).  No image-bounds clipping here."""
+    pixels, depth = project_points(np.reshape(point, (1, 3)), pose.rotation, pose.center, K)
+    return pixels[0] if depth[0] > 0.0 else None
+
+
+def pixel_rays(pixels: np.ndarray, K: CameraIntrinsics) -> np.ndarray:
+    """Camera-frame rays [(x - cx) / fx, (y - cy) / fy, 1] through (N, 2)
+    pixels; a ray scaled by a z-depth is the camera-frame point."""
+    px = np.asarray(pixels, dtype=np.float64).reshape(-1, 2)
+    rays = np.ones((len(px), 3))
+    rays[:, 0] = (px[:, 0] - K.cx) / K.fx
+    rays[:, 1] = (px[:, 1] - K.cy) / K.fy
+    return rays
+
+
+def nearest_pixel(pixels: np.ndarray, K: CameraIntrinsics) -> tuple[np.ndarray, np.ndarray]:
+    """Integer (x, y) indices of the nearest pixels (round half up) to (N, 2)
+    continuous coordinates, and the mask of rows inside the image.
+
+    Non-finite rows are outside; indices of outside rows are 0.
+    """
+    r = np.floor(np.asarray(pixels, dtype=np.float64).reshape(-1, 2) + 0.5)
+    inside = (r[:, 0] >= 0) & (r[:, 0] < K.width) & (r[:, 1] >= 0) & (r[:, 1] < K.height)
+    return np.where(inside[:, None], r, 0.0).astype(np.int64), inside
 
 
 def back_project_pixels(
     pixels: np.ndarray, depths: np.ndarray, pose: RigidPose, K: CameraIntrinsics
 ) -> np.ndarray:
-    """Vectorized back_project: (N, 2) pixels + (N,) depths -> (N, 3) points."""
-    px = np.asarray(pixels, dtype=np.float64).reshape(-1, 2)
+    """Inverse of project_points for given z-depths: (N, 2) pixels + (N,)
+    depths -> (N, 3) world points whose camera-frame z equals the depth."""
     d = np.asarray(depths, dtype=np.float64).reshape(-1)
     if not np.all(np.isfinite(d)) or np.any(d <= 0.0):
         raise ValueError("all depths must be finite and positive")
-    cam = np.empty((len(d), 3))
-    cam[:, 0] = (px[:, 0] - K.cx) / K.fx * d
-    cam[:, 1] = (px[:, 1] - K.cy) / K.fy * d
-    cam[:, 2] = d
-    return cam @ pose.rotation + pose.center
+    return (pixel_rays(pixels, K) * d[:, None]) @ pose.rotation + pose.center
+
+
+def back_project(
+    pixel: np.ndarray, depth: float, pose: RigidPose, K: CameraIntrinsics
+) -> np.ndarray:
+    """back_project_pixels for one pixel and depth."""
+    return back_project_pixels(np.reshape(pixel, (1, 2)), [depth], pose, K)[0]
 
 
 # ── Error metrics ────────────────────────────────────────────────────────

@@ -15,8 +15,8 @@ from typing import Optional, Sequence
 import numpy as np
 from scipy.spatial.distance import cdist
 
-from .geometry import back_project_pixels
-from .semantic_map import DatabaseImageRecord, nearest_pixel
+from .geometry import back_project_pixels, nearest_pixel
+from .semantic_map import DatabaseImageRecord
 
 __all__ = [
     "FeatureFamily",
@@ -53,7 +53,7 @@ class FeatureFamily:
 @dataclass(frozen=True)
 class FeatureSet:
     """Keypoints of one family in one image: (N, 2) pixel locations and
-    (N, dim) descriptors."""
+    (N, dim) descriptors, all finite."""
 
     family: str
     locations: np.ndarray
@@ -66,6 +66,8 @@ class FeatureSet:
             desc = desc.reshape(len(loc), -1) if desc.size else desc.reshape(0, 0)
         if len(loc) != len(desc):
             raise ValueError("locations and descriptors disagree in length")
+        if not (np.all(np.isfinite(loc)) and np.all(np.isfinite(desc))):
+            raise ValueError(f"{self.family}: non-finite keypoint location or descriptor")
         object.__setattr__(self, "locations", loc)
         object.__setattr__(self, "descriptors", desc)
 
@@ -195,9 +197,7 @@ def lift_to_3d(
     """
     n = len(matches)
     locs = np.array([db.features[m.family].locations[m.db_index] for m in matches]).reshape(n, 2)
-    pix = nearest_pixel(locs)
-    h, w = db.depth.shape
-    inside = (pix[:, 0] >= 0) & (pix[:, 0] < w) & (pix[:, 1] >= 0) & (pix[:, 1] < h)
+    pix, inside = nearest_pixel(locs, db.intrinsics)
     depth = np.zeros(n)
     depth[inside] = db.depth[pix[inside, 1], pix[inside, 0]]
     # Non-finite depths pass on to back-projection, which rejects them.

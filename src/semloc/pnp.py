@@ -30,14 +30,13 @@ from typing import Optional
 
 import numpy as np
 
-from .geometry import CameraIntrinsics, RigidPose
+from .geometry import CameraIntrinsics, RigidPose, pixel_rays, project_points
 from .matching import CorrespondenceBatch
 
 __all__ = [
     "RansacConfig",
     "PnPSolution",
     "solve_p3p",
-    "solve_pnp_dlt",
     "estimate_temporary_pose",
     "weighted_ransac_pnp",
     "refine_pose",
@@ -195,11 +194,7 @@ class PnPSolution:
 
 def _bearings_from_pixels(pixels: np.ndarray, K: CameraIntrinsics) -> np.ndarray:
     """Unit camera-frame rays for (N, 2) pixel coordinates."""
-    px = np.asarray(pixels, dtype=np.float64).reshape(-1, 2)
-    f = np.empty((len(px), 3))
-    f[:, 0] = (px[:, 0] - K.cx) / K.fx
-    f[:, 1] = (px[:, 1] - K.cy) / K.fy
-    f[:, 2] = 1.0
+    f = pixel_rays(pixels, K)
     return f / np.linalg.norm(f, axis=1, keepdims=True)
 
 
@@ -360,25 +355,21 @@ def _p3p_batch(
 
 def _reprojection_residuals(
     R: np.ndarray, C: np.ndarray, points: np.ndarray, pixels: np.ndarray, K: CameraIntrinsics
-) -> tuple[np.ndarray, np.ndarray]:
-    """Residual vector (2N,) and per-point camera coordinates; residuals of
-    points at or behind the camera are set to inf."""
-    cam = (points - C) @ R.T
-    res = np.full(2 * len(points), np.inf)
-    front = cam[:, 2] > 0.0
-    z = cam[front, 2]
-    res.reshape(-1, 2)[front, 0] = K.fx * cam[front, 0] / z + K.cx - pixels[front, 0]
-    res.reshape(-1, 2)[front, 1] = K.fy * cam[front, 1] / z + K.cy - pixels[front, 1]
-    return res, cam
+) -> np.ndarray:
+    """Residual vector (2N,); residuals of points at or behind the camera
+    are set to inf."""
+    projected, depth = project_points(points, R, C, K)
+    return np.where((depth > 0.0)[:, None], projected - pixels, np.inf).reshape(-1)
 
 
 def _pose_jacobian(
-    R: np.ndarray, C: np.ndarray, points: np.ndarray, cam: np.ndarray, K: CameraIntrinsics
+    R: np.ndarray, C: np.ndarray, points: np.ndarray, K: CameraIntrinsics
 ) -> np.ndarray:
     """Jacobian (2N, 6) of reprojection residuals wrt the local pose update
     [omega, dC]: R <- Exp(omega) @ R, C <- C + dC.  Rows of points behind
     the camera are zero."""
     n = len(points)
+    cam = (points - C) @ R.T
     J = np.zeros((2 * n, 6))
     front = cam[:, 2] > 0.0
     z = cam[front, 2]
@@ -428,10 +419,10 @@ def _polish_pose(
     residuals and 6 parameters this converges to machine precision from any
     reasonable candidate."""
     for _ in range(iterations):
-        res, cam = _reprojection_residuals(R, C, points, pixels, K)
+        res = _reprojection_residuals(R, C, points, pixels, K)
         if not np.all(np.isfinite(res)):
             return R, C
-        J = _pose_jacobian(R, C, points, cam, K)
+        J = _pose_jacobian(R, C, points, K)
         try:
             delta = np.linalg.lstsq(J, -res, rcond=None)[0]
         except np.linalg.LinAlgError:
@@ -462,7 +453,7 @@ def solve_p3p(points: np.ndarray, K: CameraIntrinsics, pixels: np.ndarray) -> li
     out: list[RigidPose] = []
     for R, C in zip(R_all[0][valid[0]], C_all[0][valid[0]]):
         R, C = _polish_pose(R, C, points, pix, K)
-        res, _ = _reprojection_residuals(R, C, points, pix, K)
+        res = _reprojection_residuals(R, C, points, pix, K)
         if not np.all(np.isfinite(res)):
             continue
         err = np.linalg.norm(res.reshape(-1, 2), axis=1)
@@ -478,61 +469,6 @@ def solve_p3p(points: np.ndarray, K: CameraIntrinsics, pixels: np.ndarray) -> li
         ):
             out.append(pose)
     return out
-
-
-def solve_pnp_dlt(batch: CorrespondenceBatch, K: CameraIntrinsics) -> Optional[RigidPose]:
-    """Direct linear transform pose from >= 6 correspondences.
-
-    Fallback for when minimal sampling keeps degenerating.  Fails (returns
-    None) for coplanar point sets, which the DLT cannot handle.
-    """
-    if len(batch) < 6:
-        return None
-    points, pixels = batch.points, batch.pixels
-    # Normalized camera coordinates remove K from the system.
-    xn = (pixels[:, 0] - K.cx) / K.fx
-    yn = (pixels[:, 1] - K.cy) / K.fy
-
-    mean = points.mean(axis=0)
-    scale = np.sqrt(3.0) / max(np.mean(np.linalg.norm(points - mean, axis=1)), 1e-12)
-    Pn = (points - mean) * scale
-
-    n = len(batch)
-    A = np.zeros((2 * n, 12))
-    Ph = np.concatenate([Pn, np.ones((n, 1))], axis=1)
-    A[0::2, 0:4] = Ph
-    A[0::2, 8:12] = -xn[:, None] * Ph
-    A[1::2, 4:8] = Ph
-    A[1::2, 8:12] = -yn[:, None] * Ph
-    try:
-        _, s, Vt = np.linalg.svd(A)
-    except np.linalg.LinAlgError:
-        return None
-    if s[-2] < 1e-9 * s[0]:
-        return None  # rank-deficient (coplanar or otherwise degenerate)
-    Pmat = Vt[-1].reshape(3, 4)
-    M = Pmat[:, :3]
-    if np.linalg.det(M) < 0:
-        Pmat = -Pmat
-        M = -M
-    # Orthonormalize M into a rotation and recover the translation scale.
-    U, sv, Vt2 = np.linalg.svd(M)
-    R = U @ Vt2
-    if np.linalg.det(R) < 0:
-        U[:, -1] *= -1
-        R = U @ Vt2
-    sigma = sv.mean()
-    t = Pmat[:, 3] / sigma
-    C_norm = -R.T @ t
-    C = C_norm / scale + mean
-    try:
-        pose = RigidPose(R, C)
-    except ValueError:
-        return None
-    res, _ = _reprojection_residuals(R, C, points, pixels, K)
-    if not np.all(np.isfinite(res)):
-        return None
-    return pose
 
 
 # ── RANSAC ───────────────────────────────────────────────────────────────
@@ -567,11 +503,6 @@ def _draw_minimal_samples(rng: np.random.Generator, weights: np.ndarray, m: int)
         picks[:, k] = np.minimum(i, n - 1)
         W[rows, picks[:, k]] = 0.0
     return picks
-
-
-def _draw_minimal_sample(rng: np.random.Generator, weights: np.ndarray) -> np.ndarray:
-    """One minimal sample of _draw_minimal_samples."""
-    return _draw_minimal_samples(rng, weights, 1)[0]
 
 
 def _degenerate_samples(points: np.ndarray, pixels: np.ndarray, cfg: RansacConfig) -> np.ndarray:
@@ -632,13 +563,9 @@ def _score_hypotheses(
     """Unweighted inlier count and mean inlier error of M pose hypotheses
     (R (M, 3, 3), C (M, 3)) over all N correspondences, from one (M, N)
     reprojection; points at or behind a camera are never inliers."""
-    cam = (points[None] - C[:, None]) @ R.transpose(0, 2, 1)
-    z = cam[..., 2]
-    front = z > 0.0
-    with np.errstate(divide="ignore", invalid="ignore"):
-        dx = K.fx * cam[..., 0] / z + K.cx - pixels[:, 0]
-        dy = K.fy * cam[..., 1] / z + K.cy - pixels[:, 1]
-        err = np.where(front, np.hypot(dx, dy), np.inf)
+    projected, _ = project_points(points, R, C, K)
+    d = projected - pixels
+    err = np.hypot(d[..., 0], d[..., 1])  # NaN, so never an inlier, behind a camera
     inl = err < threshold
     count = inl.sum(axis=1)
     mean_err = np.where(inl, err, 0.0).sum(axis=1) / np.maximum(count, 1)
@@ -726,15 +653,10 @@ def _ransac_pnp(
                                 max(it, int(math.ceil(math.log(1.0 - cfg.confidence) / denom))),
                             )
 
-    if best_pose is None and n >= 6:
-        dlt = solve_pnp_dlt(batch, K)
-        if dlt is not None:
-            best_pose = dlt
-
     if best_pose is None:
         return None
     # Re-verification pass: the returned solution restates its own inliers.
-    res, _ = _reprojection_residuals(best_pose.rotation, best_pose.center, points, pixels, K)
+    res = _reprojection_residuals(best_pose.rotation, best_pose.center, points, pixels, K)
     err = np.linalg.norm(res.reshape(-1, 2), axis=1)
     err = np.where(np.isfinite(err), err, np.inf)
     inl = err < cfg.inlier_threshold_px
@@ -810,7 +732,7 @@ def refine_pose(
     R = np.array(initial.pose.rotation)
     C = np.array(initial.pose.center)
 
-    res, cam = _reprojection_residuals(R, C, points, pixels, K)
+    res = _reprojection_residuals(R, C, points, pixels, K)
     if not np.all(np.isfinite(res)):
         return initial.pose
     cost = float(res @ res)
@@ -819,7 +741,7 @@ def refine_pose(
 
     lam = 1e-6
     for _ in range(max_iterations):
-        J = _pose_jacobian(R, C, points, cam, K)
+        J = _pose_jacobian(R, C, points, K)
         H = J.T @ J
         g = J.T @ res
         try:
@@ -829,14 +751,14 @@ def refine_pose(
             continue
         R_new = _exp_so3(delta[:3]) @ R
         C_new = C + delta[3:]
-        res_new, cam_new = _reprojection_residuals(R_new, C_new, points, pixels, K)
+        res_new = _reprojection_residuals(R_new, C_new, points, pixels, K)
         if np.all(np.isfinite(res_new)):
             cost_new = float(res_new @ res_new)
         else:
             cost_new = np.inf
         if cost_new < cost:
             rel = (cost - cost_new) / cost
-            R, C, res, cam, cost = R_new, C_new, res_new, cam_new, cost_new
+            R, C, res, cost = R_new, C_new, res_new, cost_new
             lam = max(lam / 3.0, 1e-12)
             if rel < relative_tolerance or cost == 0.0:
                 break

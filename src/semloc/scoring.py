@@ -20,7 +20,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .geometry import CameraIntrinsics, RigidPose
+from .geometry import CameraIntrinsics, RigidPose, nearest_pixel, project_points
 from .matching import CorrespondenceBatch
 from .semantic_map import UNLABELED, DenseMap
 
@@ -108,18 +108,11 @@ def semantic_consistency_score(
     voids should not penalize a pose.  The score is the raw consistent
     count.
     """
-    cam = (points.positions - pose.center) @ pose.rotation.T
-    front = cam[:, 2] > 0.0
-    x = np.full(len(points), -1.0)
-    y = np.full(len(points), -1.0)
-    x[front] = K.fx * cam[front, 0] / cam[front, 2] + K.cx
-    y[front] = K.fy * cam[front, 1] / cam[front, 2] + K.cy
-    px = np.floor(x + 0.5).astype(np.int64)
-    py = np.floor(y + 0.5).astype(np.int64)
-    inb = front & (px >= 0) & (px < K.width) & (py >= 0) & (py < K.height)
+    projected, _ = project_points(points.positions, pose.rotation, pose.center, K)
+    ij, inb = nearest_pixel(projected, K)
     if not np.any(inb):
         return SemanticScore(image_id=image_id, consistent=0, projected=0)
-    pixel_labels = query_labels[py[inb], px[inb]].astype(np.int64)
+    pixel_labels = query_labels[ij[inb, 1], ij[inb, 0]].astype(np.int64)
     counted = pixel_labels != UNLABELED
     consistent = int(np.sum(pixel_labels[counted] == points.labels[inb][counted]))
     return SemanticScore(image_id=image_id, consistent=consistent, projected=int(counted.sum()))

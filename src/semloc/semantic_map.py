@@ -3,7 +3,8 @@
 Stages: depth-map filtering against neighbor views, voxel-grid fusion of the
 filtered depth maps into a point cloud, per-point semantic label voting,
 removal of unstable classes, and per-point visibility cones (distance range,
-extreme viewing directions, visible angle).
+extreme viewing directions, visible angle).  Each stage runs on columns of
+all points at once; the map itself is the columnar DenseMap.
 
 Depth maps are (H, W) float arrays holding z-depth in meters; values <= 0
 mark invalid pixels.  Label images are (H, W) uint8 arrays of Cityscapes
@@ -14,17 +15,17 @@ pixel (round half up); labels are categorical so no interpolation.
 from __future__ import annotations
 
 import logging
-import math
 from dataclasses import dataclass, field
-from typing import Iterator, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
 from .geometry import (
     CameraIntrinsics,
     RigidPose,
-    angle_between,
     back_project_pixels,
+    nearest_pixel,
+    project_points,
 )
 
 logger = logging.getLogger(__name__)
@@ -34,8 +35,6 @@ __all__ = [
     "UNLABELED",
     "DEFAULT_UNSTABLE_CLASS_IDS",
     "DepthFilterConfig",
-    "VisibilityCone",
-    "DensePoint",
     "DenseMap",
     "DatabaseImageRecord",
     "QueryImage",
@@ -43,12 +42,8 @@ __all__ = [
     "BuildStats",
     "filter_depth_map",
     "fuse_depth_maps",
-    "vote_semantic_label",
-    "remove_unstable_classes",
-    "compute_visibility_cone",
     "select_filter_neighbors",
     "build_dense_map",
-    "nearest_pixel",
 ]
 
 # Cityscapes train ids.
@@ -62,11 +57,6 @@ UNLABELED = 255
 
 # Dynamic objects plus sky: noise sources for localization, removed from maps.
 DEFAULT_UNSTABLE_CLASS_IDS = frozenset({10, 11, 12, 13, 14, 15, 16, 17, 18})
-
-
-def nearest_pixel(xy: np.ndarray) -> np.ndarray:
-    """Round continuous pixel coordinates half-up to integer indices."""
-    return np.floor(np.asarray(xy, dtype=np.float64) + 0.5).astype(np.int64)
 
 
 # ── Record types ─────────────────────────────────────────────────────────
@@ -148,62 +138,15 @@ class DepthFilterConfig:
             raise ValueError("min_consistent_neighbors must be >= 1")
 
 
-@dataclass(frozen=True)
-class VisibilityCone:
-    """Summary of the database cameras that observed a point.
-
-    d_min/d_max are the extreme Euclidean distances to observing camera
-    centers, v_l/v_u the unit point-to-camera directions of the widest pair,
-    v_m the unit bisector, and theta the angle between v_l and v_u.
-    """
-
-    d_min: float
-    d_max: float
-    v_l: np.ndarray
-    v_u: np.ndarray
-    v_m: np.ndarray
-    theta: float
-
-    def validate(self, tol: float = 1e-9) -> None:
-        """Check cone invariants.
-
-        Maps loaded from disk hold float32-quantized vectors; pass a looser
-        tol (1e-6) for those.
-        """
-        if not (0 < self.d_min <= self.d_max):
-            raise ValueError(f"invalid distance range [{self.d_min}, {self.d_max}]")
-        for name, v in (("v_l", self.v_l), ("v_u", self.v_u), ("v_m", self.v_m)):
-            if abs(np.linalg.norm(v) - 1.0) > tol:
-                raise ValueError(f"{name} is not unit length")
-        if not (0.0 <= self.theta <= math.pi):
-            raise ValueError(f"theta {self.theta} outside [0, pi]")
-        if abs(angle_between(self.v_l, self.v_u) - self.theta) > max(tol, 1e-9):
-            raise ValueError("theta does not match the angle between v_l and v_u")
-
-
-@dataclass(frozen=True)
-class DensePoint:
-    """One fused map point: position, semantic label, visibility cone, and
-    the number of database images that contributed to it."""
-
-    position: np.ndarray
-    label: int
-    cone: VisibilityCone
-    support: int
-
-    def __post_init__(self) -> None:
-        if not (0 <= self.label <= 18):
-            raise ValueError(f"label {self.label} outside 0..18")
-        if self.support < 1:
-            raise ValueError("support must be >= 1")
-
-
 class DenseMap:
-    """Columnar container for DensePoints.
+    """The fused map points as parallel columns.
 
-    Keeps the per-point fields as parallel numpy arrays so gating and
-    scoring can run vectorized; indexing with an int yields a DensePoint,
-    indexing with a mask/array yields a sub-map.
+    Row i is one point: position, semantic label, number of contributing
+    database images (support), and its visibility cone: d_min/d_max, the
+    extreme Euclidean distances to observing camera centers; v_l/v_u, the
+    unit point-to-camera directions of the widest pair; v_m, their unit
+    bisector; theta, the angle between v_l and v_u.  Indexing with a mask
+    or an index array yields the sub-map of those rows.
     """
 
     def __init__(
@@ -232,58 +175,15 @@ class DenseMap:
         safe = norms > 1e-12
         self.v_m = np.where(safe[:, None], s / np.where(safe, norms, 1.0)[:, None], self.v_l)
 
-    @classmethod
-    def from_points(cls, points: Sequence[DensePoint]) -> "DenseMap":
-        if len(points) == 0:
-            return cls(
-                np.zeros((0, 3)), np.zeros(0), np.zeros((0, 3)), np.zeros((0, 3)),
-                np.zeros(0), np.zeros(0), np.zeros(0), np.zeros(0),
-            )
-        return cls(
-            np.stack([p.position for p in points]),
-            np.array([p.label for p in points]),
-            np.stack([p.cone.v_l for p in points]),
-            np.stack([p.cone.v_u for p in points]),
-            np.array([p.cone.theta for p in points]),
-            np.array([p.cone.d_min for p in points]),
-            np.array([p.cone.d_max for p in points]),
-            np.array([p.support for p in points]),
-        )
-
     def __len__(self) -> int:
         return len(self.labels)
 
-    def point(self, i: int) -> DensePoint:
-        cone = VisibilityCone(
-            d_min=float(self.d_min[i]),
-            d_max=float(self.d_max[i]),
-            v_l=self.v_l[i].copy(),
-            v_u=self.v_u[i].copy(),
-            v_m=self.v_m[i].copy(),
-            theta=float(self.theta[i]),
-        )
-        return DensePoint(
-            position=self.positions[i].copy(),
-            label=int(self.labels[i]),
-            cone=cone,
-            support=int(self.support[i]),
-        )
-
-    def __getitem__(self, index):
-        if isinstance(index, (int, np.integer)):
-            return self.point(int(index))
+    def __getitem__(self, index) -> "DenseMap":
         idx = np.asarray(index)
         return DenseMap(
             self.positions[idx], self.labels[idx], self.v_l[idx], self.v_u[idx],
             self.theta[idx], self.d_min[idx], self.d_max[idx], self.support[idx],
         )
-
-    def __iter__(self) -> Iterator[DensePoint]:
-        return (self.point(i) for i in range(len(self)))
-
-    def validate(self, tol: float = 1e-9) -> None:
-        for i in range(len(self)):
-            self.point(i).cone.validate(tol=tol)
 
 
 @dataclass(frozen=True)
@@ -333,7 +233,6 @@ def filter_depth_map(
                 f"configured neighbor ids {expected}"
             )
 
-    h, w = target.depth.shape
     valid = target.depth > 0.0
     vy, vx = np.nonzero(valid)
     if len(vy) == 0:
@@ -344,15 +243,8 @@ def filter_depth_map(
 
     support = np.zeros(len(world), dtype=np.int64)
     for nb in neighbors:
-        cam = (world - nb.pose.center) @ nb.pose.rotation.T
-        d_r = cam[:, 2]
-        front = d_r > 0.0
-        px = np.full((len(world), 2), -1.0)
-        px[front, 0] = nb.intrinsics.fx * cam[front, 0] / d_r[front] + nb.intrinsics.cx
-        px[front, 1] = nb.intrinsics.fy * cam[front, 1] / d_r[front] + nb.intrinsics.cy
-        ij = nearest_pixel(px)
-        nh, nw = nb.depth.shape
-        inb = front & (ij[:, 0] >= 0) & (ij[:, 0] < nw) & (ij[:, 1] >= 0) & (ij[:, 1] < nh)
+        px, d_r = project_points(world, nb.pose.rotation, nb.pose.center, nb.intrinsics)
+        ij, inb = nearest_pixel(px, nb.intrinsics)
         d_n = np.zeros(len(world))
         d_n[inb] = nb.depth[ij[inb, 1], ij[inb, 0]]
         ok = inb & (d_n > 0.0)
@@ -410,85 +302,6 @@ def fuse_depth_maps(
     return out
 
 
-def vote_semantic_label(
-    point: np.ndarray, contributing: Sequence[DatabaseImageRecord]
-) -> int:
-    """Modal label over the point's reprojections into its contributing
-    images; ties go to the smallest class id; 255 when no vote exists."""
-    if len(contributing) == 0:
-        raise ValueError("contributing list must be non-empty")
-    votes = np.zeros(19, dtype=np.int64)
-    for rec in contributing:
-        cam = rec.pose.rotation @ (np.asarray(point, dtype=np.float64) - rec.pose.center)
-        if cam[2] <= 0.0:
-            continue
-        x = rec.intrinsics.fx * cam[0] / cam[2] + rec.intrinsics.cx
-        y = rec.intrinsics.fy * cam[1] / cam[2] + rec.intrinsics.cy
-        px, py = int(math.floor(x + 0.5)), int(math.floor(y + 0.5))
-        if not (0 <= px < rec.intrinsics.width and 0 <= py < rec.intrinsics.height):
-            continue
-        label = int(rec.labels[py, px])
-        if label != UNLABELED:
-            votes[label] += 1
-    if votes.sum() == 0:
-        return UNLABELED
-    return int(np.argmax(votes))
-
-
-def remove_unstable_classes(
-    points: Sequence[DensePoint], unstable: frozenset | set = DEFAULT_UNSTABLE_CLASS_IDS
-) -> list[DensePoint]:
-    """Drop points whose label is unstable or unlabeled; order preserved."""
-    return [p for p in points if p.label != UNLABELED and p.label not in unstable]
-
-
-def compute_visibility_cone(
-    point: np.ndarray, contributing: Sequence[DatabaseImageRecord]
-) -> VisibilityCone:
-    """Distance range and widest direction pair over the contributing
-    camera centers.  With a single (distinct) center the cone degenerates to
-    a ray: v_l = v_u = v_m and theta = 0."""
-    if len(contributing) == 0:
-        raise ValueError("contributing list must be non-empty")
-    X = np.asarray(point, dtype=np.float64)
-    centers = np.stack([rec.pose.center for rec in contributing])
-    diff = centers - X
-    dist = np.linalg.norm(diff, axis=1)
-    if np.any(dist < 1e-9):
-        raise ValueError("point coincides with a contributing camera center")
-    dirs = diff / dist[:, None]
-
-    best = (0, 0)
-    best_angle = 0.0
-    for i in range(len(dirs)):
-        for j in range(i + 1, len(dirs)):
-            a = angle_between(dirs[i], dirs[j])
-            if a > best_angle:
-                best_angle = a
-                best = (i, j)
-    v_l = dirs[best[0]]
-    v_u = dirs[best[1]]
-    s = v_l + v_u
-    n = np.linalg.norm(s)
-    # Antipodal extremes have no unique bisector; fall back to any
-    # perpendicular direction (theta = pi still gates on the angle bound).
-    v_m = s / n if n > 1e-12 else _any_perpendicular(v_l)
-    return VisibilityCone(
-        d_min=float(dist.min()),
-        d_max=float(dist.max()),
-        v_l=v_l,
-        v_u=v_u,
-        v_m=v_m,
-        theta=best_angle,
-    )
-
-
-def _any_perpendicular(v: np.ndarray) -> np.ndarray:
-    helper = np.array([1.0, 0.0, 0.0]) if abs(v[0]) < 0.9 else np.array([0.0, 1.0, 0.0])
-    p = np.cross(v, helper)
-    return p / np.linalg.norm(p)
-
-
 # ── Map building ─────────────────────────────────────────────────────────
 
 
@@ -513,11 +326,9 @@ def _vote_labels_bulk(
     contrib_indices: list,
     records: Sequence[DatabaseImageRecord],
 ) -> np.ndarray:
-    """Vectorized label voting for all fused points at once.
-
-    Same rule as vote_semantic_label: modal label over contributing-image
-    reprojections, argmax ties resolving to the smallest class id.
-    """
+    """Label of every fused point: the modal label over its reprojections
+    into its contributing images, ties going to the smallest class id, and
+    255 when no reprojection lands on a labeled pixel."""
     n = len(positions)
     votes = np.zeros((n, 19), dtype=np.int64)
     point_rows: dict[int, list] = {}
@@ -527,18 +338,11 @@ def _vote_labels_bulk(
     for ri, rows in point_rows.items():
         rec = records[ri]
         rows = np.asarray(rows)
-        cam = (positions[rows] - rec.pose.center) @ rec.pose.rotation.T
-        front = cam[:, 2] > 0.0
-        x = np.full(len(rows), -1.0)
-        y = np.full(len(rows), -1.0)
-        x[front] = rec.intrinsics.fx * cam[front, 0] / cam[front, 2] + rec.intrinsics.cx
-        y[front] = rec.intrinsics.fy * cam[front, 1] / cam[front, 2] + rec.intrinsics.cy
-        px = np.floor(x + 0.5).astype(np.int64)
-        py = np.floor(y + 0.5).astype(np.int64)
-        ok = front & (px >= 0) & (px < rec.intrinsics.width) & (py >= 0) & (py < rec.intrinsics.height)
+        px, _ = project_points(positions[rows], rec.pose.rotation, rec.pose.center, rec.intrinsics)
+        ij, ok = nearest_pixel(px, rec.intrinsics)
         if not np.any(ok):
             continue
-        labels = rec.labels[py[ok], px[ok]].astype(np.int64)
+        labels = rec.labels[ij[ok, 1], ij[ok, 0]].astype(np.int64)
         keep = labels != UNLABELED
         np.add.at(votes, (rows[ok][keep], labels[keep]), 1)
     out = np.full(n, UNLABELED, dtype=np.int64)
@@ -552,8 +356,10 @@ def _cones_bulk(
     contrib_indices: list,
     records: Sequence[DatabaseImageRecord],
 ) -> tuple[np.ndarray, ...]:
-    """Vectorized visibility cones; same selection rule (first strictly
-    widest pair in (i, j) order) as compute_visibility_cone."""
+    """Visibility cone columns (d_min, d_max, v_l, v_u, theta) of every
+    fused point over its contributing camera centers.  The extreme pair is
+    the first strictly widest (i, j) pair in contributor order; with a
+    single distinct center the cone is a ray: v_l = v_u and theta = 0."""
     n = len(positions)
     max_s = max(len(ix) for ix in contrib_indices)
     centers = np.stack([r.pose.center for r in records])
@@ -644,7 +450,7 @@ def build_dense_map(
     stats.fused_points = len(fused)
     logger.info("fused %d points at voxel size %.3g m", len(fused), voxel_size)
     if len(fused) == 0:
-        return DenseMap.from_points([]), stats
+        return DenseMap(*[np.zeros(0)] * 8), stats
 
     id_to_idx = {r.image_id: i for i, r in enumerate(records)}
     positions = np.stack([f.position for f in fused])
@@ -655,8 +461,7 @@ def build_dense_map(
     stats.labeled_points = int(labeled.sum())
     logger.info("voted labels: %d / %d points labeled", stats.labeled_points, len(fused))
 
-    # Same rule as remove_unstable_classes, applied on the label array
-    # before cones are computed for the survivors.
+    # Unstable and unlabeled points go before cones are computed.
     stable = labeled & ~np.isin(labels, np.array(sorted(unstable), dtype=np.int64))
     stats.stable_points = int(stable.sum())
     logger.info(
@@ -666,7 +471,7 @@ def build_dense_map(
     )
     if stats.stable_points == 0:
         logger.warning("dense map is empty after unstable-class removal")
-        return DenseMap.from_points([]), stats
+        return DenseMap(*[np.zeros(0)] * 8), stats
 
     positions = positions[stable]
     labels = labels[stable]

@@ -29,7 +29,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .geometry import CameraIntrinsics, RigidPose, rotation_about_axis
+from .geometry import CameraIntrinsics, RigidPose, pixel_rays, project_points, rotation_about_axis
 from .matching import FeatureFamily, FeatureSet
 from .semantic_map import UNLABELED, DatabaseImageRecord, QueryImage
 
@@ -158,13 +158,8 @@ def trace_rays(
     parameter for a direction with unit camera-frame z), 0 where nothing is
     hit, with plane_index -1 there.
     """
-    px = np.asarray(pixels, dtype=np.float64).reshape(-1, 2)
-    n = len(px)
-    dirs_cam = np.empty((n, 3))
-    dirs_cam[:, 0] = (px[:, 0] - K.cx) / K.fx
-    dirs_cam[:, 1] = (px[:, 1] - K.cy) / K.fy
-    dirs_cam[:, 2] = 1.0
-    dirs_world = dirs_cam @ pose.rotation  # row-wise R^T @ dir
+    dirs_world = pixel_rays(pixels, K) @ pose.rotation  # row-wise R^T @ dir
+    n = len(dirs_world)
     origin = pose.center
 
     best_t = np.full(n, np.inf)
@@ -246,23 +241,12 @@ def _visible_anchor_mask(
     """(visible mask, projected pixels).  An anchor is visible when it
     projects inside the image and no plane hit lies strictly closer along
     its exact viewing ray."""
-    cam = (anchors - pose.center) @ pose.rotation.T
-    front = cam[:, 2] > 1e-9
-    pixels = np.zeros((len(anchors), 2))
-    z = cam[front, 2]
-    pixels[front, 0] = K.fx * cam[front, 0] / z + K.cx
-    pixels[front, 1] = K.fy * cam[front, 1] / z + K.cy
-    inb = front.copy()
-    inb[front] &= (
-        (pixels[front, 0] >= 0.0)
-        & (pixels[front, 0] <= K.width - 1)
-        & (pixels[front, 1] >= 0.0)
-        & (pixels[front, 1] <= K.height - 1)
-    )
+    pixels, depth = project_points(anchors, pose.rotation, pose.center, K)
+    inb = (depth > 1e-9) & K.contains(pixels)
     visible = inb.copy()
     if np.any(inb):
         t_hit, _ = trace_rays(planes, pose, K, pixels[inb])
-        visible[inb] &= t_hit >= cam[inb, 2] - 1e-9
+        visible[inb] &= t_hit >= depth[inb] - 1e-9
     return visible, pixels
 
 
@@ -288,12 +272,7 @@ def _make_feature_sets(
         desc_noise = rng.normal(size=(n, fam.dim))
         keep = visible & (drop >= fam.dropout.get(condition, 0.0))
         locs = pixels[keep] + fam.location_sigma.get(condition, 0.0) * loc_noise[keep]
-        inb = (
-            (locs[:, 0] >= 0.0)
-            & (locs[:, 0] <= K.width - 1)
-            & (locs[:, 1] >= 0.0)
-            & (locs[:, 1] <= K.height - 1)
-        )
+        inb = K.contains(locs)
         descs = latents[fam.name][keep] + fam.sigma.get(condition, 0.0) * desc_noise[keep]
         out[fam.name] = FeatureSet(
             family=fam.name, locations=locs[inb], descriptors=descs[inb]

@@ -23,6 +23,22 @@ def rodrigues(axis, angle):
     return np.eye(3) + math.sin(angle) * K + (1 - math.cos(angle)) * (K @ K)
 
 
+def pinhole_project(point, pose, K):
+    """Scalar pinhole projection used as the test-side oracle; None at or
+    behind the camera plane."""
+    cam = pose.rotation @ (np.asarray(point, dtype=np.float64) - pose.center)
+    if cam[2] <= 0.0:
+        return None
+    return np.array([K.fx * cam[0] / cam[2] + K.cx, K.fy * cam[1] / cam[2] + K.cy])
+
+
+def pinhole_back_project(pixel, depth, pose, K):
+    """Scalar inverse of pinhole_project for a z-depth (test-side oracle)."""
+    x, y = float(pixel[0]), float(pixel[1])
+    cam = np.array([(x - K.cx) / K.fx * depth, (y - K.cy) / K.fy * depth, depth])
+    return pose.rotation.T @ cam + pose.center
+
+
 def random_pose(rng, scale=2.0):
     axis = rng.normal(size=3)
     angle = rng.uniform(0.0, math.pi)

@@ -6,10 +6,12 @@ test oracles: the batched code must give the same draws, the same
 degeneracy decisions, the same P3P candidates in the same order, and the
 same RANSAC results.
 
-The one deliberate difference from the loop as it first shipped: a quartic
+Two deliberate differences from the loop as it first shipped: a quartic
 with non-finite coefficients (two identical bearings put f3 in the plane of
 the first two rays) yields no roots instead of raising LinAlgError out of
-np.roots, which is the behaviour the batched solver specifies.
+np.roots, which is the behaviour the batched solver specifies; and a run in
+which every drawn sample is degenerate returns None, as the production loop
+does, instead of falling back to a DLT pose.
 """
 
 from __future__ import annotations
@@ -27,7 +29,6 @@ from semloc.pnp import (
     _bearings_from_pixels,
     _orthonormalized,
     _reprojection_residuals,
-    solve_pnp_dlt,
 )
 
 _COLLINEAR_AREA_TOL = 1e-12
@@ -348,14 +349,9 @@ def ransac_pnp(
                             max(it, int(math.ceil(math.log(1.0 - cfg.confidence) / denom))),
                         )
 
-    if best_pose is None and n >= 6:
-        dlt = solve_pnp_dlt(batch, K)
-        if dlt is not None:
-            best_pose = dlt
-
     if best_pose is None:
         return None
-    res, _ = _reprojection_residuals(best_pose.rotation, best_pose.center, points, pixels, K)
+    res = _reprojection_residuals(best_pose.rotation, best_pose.center, points, pixels, K)
     err = np.linalg.norm(res.reshape(-1, 2), axis=1)
     err = np.where(np.isfinite(err), err, np.inf)
     inl = err < cfg.inlier_threshold_px

@@ -113,6 +113,17 @@ class TestFeatureSet:
         write_feature_set(p, fs)
         assert read_feature_set(p).family == "famille-é"
 
+    def test_nan_location_rejected(self, tmp_path):
+        fs = FeatureSet(family="fam", locations=[[3.0, 4.0], [5.0, 6.0]], descriptors=np.ones((2, 3)))
+        p = tmp_path / "f.bin"
+        write_feature_set(p, fs)
+        data = bytearray(p.read_bytes())
+        first_x = 4 + 4 + len(b"fam") + 8
+        data[first_x: first_x + 4] = np.float32(np.nan).tobytes()
+        p.write_bytes(bytes(data))
+        with pytest.raises(DataFormatError, match="f.bin.*non-finite"):
+            read_feature_set(p)
+
 
 class TestGlobalDescriptor:
     def test_roundtrip_random(self, tmp_path):

@@ -23,7 +23,7 @@ from semloc.geometry import (
     rotation_error_deg,
 )
 
-from conftest import default_intrinsics, random_pose, rodrigues
+from conftest import default_intrinsics, pinhole_project, random_pose, rodrigues
 
 
 def _simple_K():
@@ -51,15 +51,33 @@ class TestProject:
         K = default_intrinsics()
         pose = random_pose(rng)
         pts = rng.normal(scale=4.0, size=(100, 3))
-        pixels, front = project_points(pts, pose, K)
+        pixels, depth = project_points(pts, pose.rotation, pose.center, K)
         for i in range(len(pts)):
-            single = project(pts[i], pose, K)
+            single = pinhole_project(pts[i], pose, K)
+            assert depth[i] == pytest.approx((pose.rotation @ (pts[i] - pose.center))[2])
             if single is None:
-                assert not front[i]
+                assert depth[i] <= 0 and np.isnan(pixels[i]).all()
+                assert project(pts[i], pose, K) is None
             else:
-                assert front[i]
+                assert depth[i] > 0
                 # matmul and scalar dot may differ in the last ulp
                 np.testing.assert_allclose(pixels[i], single, rtol=1e-12, atol=1e-9)
+                np.testing.assert_allclose(project(pts[i], pose, K), single, rtol=1e-12, atol=1e-9)
+
+    def test_stacked_poses_match_one_pose_at_a_time(self):
+        # M poses against N points in one call: bitwise the per-pose rows
+        rng = np.random.default_rng(8)
+        K = default_intrinsics()
+        poses = [random_pose(rng) for _ in range(5)]
+        pts = rng.normal(scale=4.0, size=(60, 3))
+        R = np.stack([p.rotation for p in poses])
+        C = np.stack([p.center for p in poses])
+        pixels, depth = project_points(pts, R, C, K)
+        assert pixels.shape == (5, 60, 2) and depth.shape == (5, 60)
+        for m, pose in enumerate(poses):
+            one_pixels, one_depth = project_points(pts, pose.rotation, pose.center, K)
+            assert np.array_equal(pixels[m], one_pixels, equal_nan=True)
+            assert np.array_equal(depth[m], one_depth)
 
 
 class TestBackProject:
@@ -98,8 +116,8 @@ class TestBackProject:
             pix = np.stack([rng.uniform(0, K.width, 500), rng.uniform(0, K.height, 500)], axis=1)
             d = rng.uniform(0.1, 50.0, 500)
             world = back_project_pixels(pix, d, pose, K)
-            out, front = project_points(world, pose, K)
-            assert front.all()
+            out, depth = project_points(world, pose.rotation, pose.center, K)
+            assert (depth > 0).all()
             assert np.max(np.linalg.norm(out - pix, axis=1)) < 1e-9
 
 

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from semloc.config import PipelineConfig
-from semloc.geometry import CameraIntrinsics, RigidPose, back_project, project
+from semloc.geometry import CameraIntrinsics, RigidPose, project
 from semloc.matching import (
     CorrespondenceBatch,
     FeatureFamily,
@@ -21,7 +21,9 @@ from semloc.matching import (
     lift_to_3d,
     match_family,
 )
-from semloc.semantic_map import DatabaseImageRecord, nearest_pixel
+from semloc.semantic_map import DatabaseImageRecord
+
+from conftest import pinhole_back_project
 
 
 def _set(family, descs, locs=None):
@@ -48,6 +50,17 @@ def _match_oracle(qd, dd, mutual, ratio):
                 continue
         out.append((i, j))
     return out
+
+
+class TestFeatureSet:
+    def test_non_finite_location_rejected(self):
+        for bad in (np.inf, -np.inf, np.nan):
+            with pytest.raises(ValueError, match="non-finite"):
+                FeatureSet(family="f", locations=[[1.0, 2.0], [bad, 3.0]], descriptors=np.ones((2, 4)))
+
+    def test_non_finite_descriptor_rejected(self):
+        with pytest.raises(ValueError, match="non-finite"):
+            FeatureSet(family="f", locations=np.zeros((1, 2)), descriptors=[[0.0, np.nan]])
 
 
 class TestMatchFamily:
@@ -201,7 +214,7 @@ class TestLiftTo3D:
         # every query against every database image, as rendered and with
         # every other depth column invalidated: same kept rows, same dropped
         # counts and bitwise the same points as lifting one match at a time
-        # through back_project
+        # through a scalar round-half-up lookup and pinhole back-projection
         ds = zero_noise_dataset
         cfg = PipelineConfig()
         rows = 0
@@ -221,7 +234,7 @@ class TestLiftTo3D:
                     h, w = db.depth.shape
                     for m in matches:
                         loc = db.features[name].locations[m.db_index]
-                        px, py = nearest_pixel(loc)
+                        px, py = (int(math.floor(v + 0.5)) for v in loc)
                         if not (0 <= px < w and 0 <= py < h):
                             oob += 1
                             continue
@@ -230,7 +243,7 @@ class TestLiftTo3D:
                             bad += 1
                             continue
                         pixels.append(q_set.locations[m.query_index])
-                        points.append(back_project(loc, depth, db.pose, db.intrinsics))
+                        points.append(pinhole_back_project(loc, depth, db.pose, db.intrinsics))
                     assert (res.dropped_out_of_bounds, res.dropped_invalid_depth) == (oob, bad)
                     assert np.array_equal(res.correspondences.points,
                                           np.array(points).reshape(-1, 3))

@@ -25,7 +25,6 @@ from semloc.pnp import (
     RansacConfig,
     _bearings_from_pixels,
     _degenerate_samples,
-    _draw_minimal_sample,
     _draw_minimal_samples,
     _exp_so3,
     _p3p_batch,
@@ -35,7 +34,6 @@ from semloc.pnp import (
     estimate_temporary_pose,
     refine_pose,
     solve_p3p,
-    solve_pnp_dlt,
     weighted_ransac_pnp,
 )
 
@@ -210,25 +208,6 @@ class TestP3PBatch:
         assert solve_p3p(P, K, pixels=pix) == []
 
 
-class TestDLT:
-    def test_recovers_pose_from_exact_data(self):
-        rng = np.random.default_rng(4)
-        K = default_intrinsics()
-        for _ in range(30):
-            pose = random_pose(rng)
-            corrs = synthetic_correspondences(rng, K, pose, 12)
-            sol = solve_pnp_dlt(corrs, K)
-            assert sol is not None
-            assert np.linalg.norm(sol.center - pose.center) < 1e-6
-            assert rotation_error_deg(sol.rotation, pose.rotation) < 1e-5
-
-    def test_too_few_points(self):
-        rng = np.random.default_rng(5)
-        K = default_intrinsics()
-        corrs = synthetic_correspondences(rng, K, random_pose(rng), 5)
-        assert solve_pnp_dlt(corrs, K) is None
-
-
 class TestTemporaryPose:
     def test_exact_correspondences(self):
         rng = np.random.default_rng(6)
@@ -354,21 +333,16 @@ class TestWeightedRansac:
         n = 40
         weights = np.full(n, 0.01 / (n - 1))
         weights[17] = 0.99
-        hits = 0
         draws = 10_000
-        for _ in range(draws):
-            picks = _draw_minimal_sample(rng, weights)
-            hits += 17 in picks
+        hits = (_draw_minimal_samples(rng, weights, draws) == 17).any(axis=1).sum()
         assert hits / draws >= 0.95
 
     def test_first_draw_marginals_match_weights(self):
         # the first draw of each minimal sample is exactly multinomial
         rng = np.random.default_rng(16)
         w = np.array([0.5, 0.25, 0.15, 0.06, 0.04])
-        counts = np.zeros(5)
         draws = 20_000
-        for _ in range(draws):
-            counts[_draw_minimal_sample(rng, w)[0]] += 1
+        counts = np.bincount(_draw_minimal_samples(rng, w, draws)[:, 0], minlength=5)
         freq = counts / draws
         sigma = np.sqrt(w * (1 - w) / draws)
         assert np.all(np.abs(freq - w) <= 3.5 * sigma)
@@ -376,16 +350,14 @@ class TestWeightedRansac:
     def test_samples_are_distinct(self):
         rng = np.random.default_rng(17)
         w = np.array([0.97, 0.01, 0.01, 0.01])
-        for _ in range(500):
-            picks = _draw_minimal_sample(rng, w)
+        for picks in _draw_minimal_samples(rng, w, 500):
             assert len(set(picks.tolist())) == 3
 
     def test_zero_weights_never_sampled(self):
         rng = np.random.default_rng(18)
         w = np.array([0.5, 0.0, 0.3, 0.0, 0.2, 0.0, 0.0])
-        for _ in range(2000):
-            picks = set(_draw_minimal_sample(rng, w).tolist())
-            assert picks <= {0, 2, 4}
+        picks = set(_draw_minimal_samples(rng, w, 2000).ravel().tolist())
+        assert picks <= {0, 2, 4}
 
 
 _DRAW_WEIGHTS = {
@@ -415,7 +387,7 @@ class TestBatchedDrawer:
         a = np.random.default_rng(61)
         b = np.random.default_rng(61)
         for row in _draw_minimal_samples(a, w, 50):
-            assert np.array_equal(_draw_minimal_sample(b, w), row)
+            assert np.array_equal(_draw_minimal_samples(b, w, 1)[0], row)
 
     def test_degeneracy_matches_scalar_oracle(self):
         # random triples, a third of them near-collinear in the world and a
@@ -504,18 +476,15 @@ class TestChunkedRansacMatchesSequential:
         cfg = RansacConfig(min_inliers=6, seed=5, max_iterations=150, adaptive_stopping=False)
         assert self._compare(corrs, cfg).iterations_used == 150
 
-    def test_every_attempt_degenerate_falls_back_to_dlt(self):
+    def test_every_attempt_degenerate_returns_none(self):
         # no sample spans the required pixel distance: each iteration spends
         # its 20 redraws (runs of 20 straddle the 64-draw chunks) and finds
-        # nothing, so the pose comes from the DLT fallback
+        # nothing, so no model exists
         rng = np.random.default_rng(73)
         K = default_intrinsics()
-        pose = random_pose(rng)
-        corrs = synthetic_correspondences(rng, K, pose, 20)
+        corrs = synthetic_correspondences(rng, K, random_pose(rng), 20)
         cfg = RansacConfig(min_inliers=6, seed=6, max_iterations=50, min_pixel_span_px=1e9)
-        sol = self._compare(corrs, cfg)
-        assert sol.iterations_used == 50
-        assert np.linalg.norm(sol.pose.center - pose.center) < 1e-6
+        assert self._compare(corrs, cfg) is None
 
     def test_partly_degenerate_draws_carry_across_chunks(self):
         # about half of all samples are degenerate, so iterations consume
@@ -547,7 +516,7 @@ class TestRefinePose:
         corrs = synthetic_correspondences(rng, K, pose, 40)
         sol = estimate_temporary_pose(corrs, K, RansacConfig(min_inliers=6, seed=0))
         refined = refine_pose(sol, corrs, K)
-        res, _ = _reprojection_residuals(refined.rotation, refined.center,
+        res = _reprojection_residuals(refined.rotation, refined.center,
                                          corrs.points, corrs.pixels, K)
         rms = math.sqrt(float(res @ res) / len(res))
         assert rms <= 1e-10
@@ -563,11 +532,10 @@ class TestRefinePose:
         def residual(delta):
             R = _exp_so3(delta[:3]) @ R0
             C = C0 + delta[3:]
-            r, _ = _reprojection_residuals(R, C, points, pixels, K)
+            r = _reprojection_residuals(R, C, points, pixels, K)
             return r
 
-        _, cam = _reprojection_residuals(R0, C0, points, pixels, K)
-        J = _pose_jacobian(R0, C0, points, cam, K)
+        J = _pose_jacobian(R0, C0, points, K)
         h = 1e-6
         worst = 0.0
         for k in range(6):
@@ -603,9 +571,9 @@ class TestRefinePose:
             sol = estimate_temporary_pose(corrs, K, RansacConfig(min_inliers=6, seed=t))
             pts = corrs.points[sol.inlier_indices]
             pix = corrs.pixels[sol.inlier_indices]
-            r0, _ = _reprojection_residuals(sol.pose.rotation, sol.pose.center, pts, pix, K)
+            r0 = _reprojection_residuals(sol.pose.rotation, sol.pose.center, pts, pix, K)
             refined = refine_pose(sol, corrs, K)
-            r1, _ = _reprojection_residuals(refined.rotation, refined.center, pts, pix, K)
+            r1 = _reprojection_residuals(refined.rotation, refined.center, pts, pix, K)
             assert float(r1 @ r1) <= float(r0 @ r0) + 1e-12
 
 

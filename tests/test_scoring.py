@@ -23,6 +23,7 @@ from semloc.scoring import (
 )
 from semloc.semantic_map import build_dense_map
 from conftest import random_pose, rodrigues
+from map_oracle import map_point
 
 
 def _gate_oracle(point, pose, cfg):
@@ -42,7 +43,7 @@ def _score_oracle(dense_map, pose, K, labels):
     consistent = 0
     projected = 0
     for i in range(len(dense_map)):
-        pt = dense_map.point(i)
+        pt = map_point(dense_map, i)
         cam = pose.rotation @ (pt.position - pose.center)
         if cam[2] <= 0.0:
             continue
@@ -77,7 +78,7 @@ class TestGateVisible:
         assert len(gated) > 0
         # points contributed by this camera pass; verify on a sampled subset
         mask = gate_visible_mask(built_map, rec.pose, cfg)
-        oracle = [_gate_oracle(built_map.point(i), rec.pose, cfg) for i in range(0, len(built_map), 37)]
+        oracle = [_gate_oracle(map_point(built_map, i), rec.pose, cfg) for i in range(0, len(built_map), 37)]
         assert [bool(mask[i]) for i in range(0, len(built_map), 37)] == oracle
 
     def test_far_away_query_rejected(self, built_map):
@@ -95,7 +96,7 @@ class TestGateVisible:
                 np.array([rng.uniform(-3, 3), rng.uniform(-3, 0), rng.uniform(0, 18)]),
             )
             mask = gate_visible_mask(sub, pose, cfg)
-            oracle = np.array([_gate_oracle(sub.point(i), pose, cfg) for i in range(len(sub))])
+            oracle = np.array([_gate_oracle(map_point(sub, i), pose, cfg) for i in range(len(sub))])
             assert np.array_equal(mask, oracle)
 
     def test_subset_and_margin_monotonicity(self, built_map):

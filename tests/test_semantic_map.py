@@ -1,32 +1,42 @@
 """Map construction tests: depth filtering, fusion, voting, cones.
 
 Every DERIVED expectation is recomputed here by an independent brute-force
-oracle (per-pixel loops, voxel-hash recount, exhaustive pair search).
+oracle (per-pixel loops, voxel-hash recount, exhaustive pair search).  The
+columnar label vote, cones and unstable-class removal are checked against
+the per-point oracles in map_oracle.
 """
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
-from semloc.geometry import CameraIntrinsics, RigidPose, back_project, project
+from semloc.geometry import CameraIntrinsics, RigidPose
 from semloc.semantic_map import (
     DEFAULT_UNSTABLE_CLASS_IDS,
     DatabaseImageRecord,
     DenseMap,
-    DensePoint,
     DepthFilterConfig,
-    VisibilityCone,
+    _cones_bulk,
+    _vote_labels_bulk,
     build_dense_map,
-    compute_visibility_cone,
     filter_depth_map,
     fuse_depth_maps,
-    remove_unstable_classes,
     select_filter_neighbors,
-    vote_semantic_label,
 )
 
+from conftest import pinhole_back_project as back_project
 from conftest import rodrigues
+from map_oracle import (
+    compute_visibility_cone,
+    map_from_points,
+    map_point,
+    map_points,
+    remove_unstable_classes,
+    validate_map,
+    vote_semantic_label,
+)
 
 
 def _K(w=16, h=12, f=20.0):
@@ -245,6 +255,30 @@ class TestFuseDepthMaps:
             fuse_depth_maps([rec], 0.0)
 
 
+def _vote(point, recs):
+    """The production vote for one point, checked against the scalar oracle."""
+    label = int(_vote_labels_bulk(np.asarray(point, dtype=np.float64)[None],
+                                  [tuple(range(len(recs)))], recs)[0])
+    assert label == vote_semantic_label(point, recs)
+    return label
+
+
+def _cone(point, recs):
+    """The production cone for one point as a map_oracle VisibilityCone,
+    checked against the scalar oracle."""
+    X = np.asarray(point, dtype=np.float64)
+    d_min, d_max, v_l, v_u, theta = _cones_bulk(X[None], [tuple(range(len(recs)))], recs)
+    cone = map_point(DenseMap(X[None], [2], v_l, v_u, theta, d_min, d_max, [len(recs)]), 0).cone
+    ref = compute_visibility_cone(X, recs)
+    assert cone.theta == pytest.approx(ref.theta, abs=1e-12)
+    assert cone.d_min == pytest.approx(ref.d_min, abs=1e-12)
+    assert cone.d_max == pytest.approx(ref.d_max, abs=1e-12)
+    if ref.theta > 0:
+        np.testing.assert_allclose(cone.v_l, ref.v_l, atol=1e-12)
+        np.testing.assert_allclose(cone.v_u, ref.v_u, atol=1e-12)
+    return cone
+
+
 class TestVoteSemanticLabel:
     def _looking_at_origin_record(self, image_id, center, label):
         K = _K(8, 8, f=10.0)
@@ -266,18 +300,18 @@ class TestVoteSemanticLabel:
             self._looking_at_origin_record("b", [0.5, 0, -3], 2),
             self._looking_at_origin_record("c", [0, 0.5, -3], 13),
         ]
-        assert vote_semantic_label(np.zeros(3), recs) == 2
+        assert _vote(np.zeros(3), recs) == 2
 
     def test_tie_breaks_to_smaller_id(self):
         recs = [
             self._looking_at_origin_record("a", [0, 0, -3], 0),
             self._looking_at_origin_record("b", [0.5, 0, -3], 2),
         ]
-        assert vote_semantic_label(np.zeros(3), recs) == 0
+        assert _vote(np.zeros(3), recs) == 0
 
     def test_out_of_bounds_gives_unlabeled(self):
         recs = [self._looking_at_origin_record("a", [0, 0, -3], 2)]
-        assert vote_semantic_label(np.array([100.0, 0.0, 0.0]), recs) == 255
+        assert _vote(np.array([100.0, 0.0, 0.0]), recs) == 255
 
     def test_permutation_invariance(self):
         rng = np.random.default_rng(9)
@@ -287,43 +321,55 @@ class TestVoteSemanticLabel:
             self._looking_at_origin_record("c", [0, 0.4, -3], 2),
             self._looking_at_origin_record("d", [0.4, 0.4, -3], 8),
         ]
-        base = vote_semantic_label(np.zeros(3), recs)
+        base = _vote(np.zeros(3), recs)
         for _ in range(5):
             perm = list(rng.permutation(len(recs)))
-            assert vote_semantic_label(np.zeros(3), [recs[i] for i in perm]) == base
+            assert _vote(np.zeros(3), [recs[i] for i in perm]) == base
 
 
-def _unit_cone(d_min=1.0, d_max=2.0):
-    v = np.array([0.0, 0.0, -1.0])
-    return VisibilityCone(d_min=d_min, d_max=d_max, v_l=v, v_u=v, v_m=v, theta=0.0)
+@pytest.fixture(scope="module")
+def relabeled_records(zero_noise_dataset):
+    """Four canyon records with every vegetation (8) pixel relabeled car (13)."""
+    return [
+        dataclasses.replace(rec, labels=np.where(rec.labels == 8, 13, rec.labels).astype(np.uint8))
+        for rec in zero_noise_dataset.db_records[:4]
+    ]
+
+
+def _same_map(a, b):
+    return len(a) == len(b) and all(
+        np.array_equal(getattr(a, col), getattr(b, col))
+        for col in ("positions", "labels", "v_l", "v_u", "theta", "d_min", "d_max", "support")
+    )
 
 
 class TestRemoveUnstable:
-    def _points(self, labels):
-        return [
-            DensePoint(position=np.array([float(i), 0.0, 0.0]), label=lab,
-                       cone=_unit_cone(), support=1)
-            for i, lab in enumerate(labels)
-        ]
+    """build_dense_map's unstable-class mask against the per-point oracle."""
 
     def test_default_set_is_dynamic_plus_sky(self):
         assert DEFAULT_UNSTABLE_CLASS_IDS == frozenset({10, 11, 12, 13, 14, 15, 16, 17, 18})
 
-    def test_keeps_stable_only(self):
-        pts = self._points([2, 13, 2, 13, 13, 0, 13, 8, 3, 1])  # 4 cars
-        out = remove_unstable_classes(pts, {13})
-        assert len(out) == 6
-        assert [p.label for p in out] == [2, 2, 0, 8, 3, 1]
+    def test_keeps_stable_only(self, relabeled_records):
+        full, _ = build_dense_map(relabeled_records, voxel_size=0.3, unstable=set())
+        kept, stats = build_dense_map(relabeled_records, voxel_size=0.3, unstable={13})
+        assert 13 in full.labels and 13 not in kept.labels
+        assert 0 < len(kept) == stats.stable_points < len(full)
+        expected = map_from_points(remove_unstable_classes(map_points(full), {13}))
+        assert _same_map(kept, expected)
 
-    def test_no_unstable_means_identity(self):
-        pts = self._points([2, 2, 2])
-        out = remove_unstable_classes(pts, {13})
-        assert [p.label for p in out] == [2, 2, 2]
+    def test_no_unstable_means_identity(self, zero_noise_dataset):
+        records = zero_noise_dataset.db_records[:4]
+        assert not np.any(np.concatenate([r.labels.ravel() for r in records]) == 13)
+        full, _ = build_dense_map(records, voxel_size=0.3, unstable=set())
+        kept, _ = build_dense_map(records, voxel_size=0.3, unstable={13})
+        assert _same_map(kept, full)
+        assert len(remove_unstable_classes(map_points(full), {13})) == len(full)
 
-    def test_empty_set_keeps_all_and_idempotent(self):
-        pts = self._points([0, 5, 18])
-        out = remove_unstable_classes(pts, set())
-        assert len(out) == 3
+    def test_empty_set_keeps_all_and_idempotent(self, relabeled_records):
+        full, stats = build_dense_map(relabeled_records, voxel_size=0.3, unstable=set())
+        assert len(full) == stats.stable_points == stats.labeled_points
+        out = remove_unstable_classes(map_points(full), set())
+        assert len(out) == len(full)
         assert remove_unstable_classes(out, set()) == out
 
 
@@ -334,7 +380,7 @@ class TestVisibilityCone:
                        np.full((4, 4), 1.0))
 
     def test_single_camera(self):
-        cone = compute_visibility_cone(np.zeros(3), [self._rec_at("a", [0, 0, -5])])
+        cone = _cone(np.zeros(3), [self._rec_at("a", [0, 0, -5])])
         assert cone.d_min == cone.d_max == pytest.approx(5.0)
         assert cone.theta == 0.0
         np.testing.assert_allclose(cone.v_m, [0, 0, -1], atol=1e-12)
@@ -343,7 +389,7 @@ class TestVisibilityCone:
         # cameras at +-45 degrees about the -z direction
         a = [math.sin(math.radians(45)) * 5, 0, -math.cos(math.radians(45)) * 5]
         b = [-math.sin(math.radians(45)) * 5, 0, -math.cos(math.radians(45)) * 5]
-        cone = compute_visibility_cone(np.zeros(3), [self._rec_at("a", a), self._rec_at("b", b)])
+        cone = _cone(np.zeros(3), [self._rec_at("a", a), self._rec_at("b", b)])
         assert math.degrees(cone.theta) == pytest.approx(90.0, abs=1e-9)
         np.testing.assert_allclose(cone.v_m, [0, 0, -1], atol=1e-12)
 
@@ -357,7 +403,7 @@ class TestVisibilityCone:
             if len(centers) < 2:
                 continue
             recs = [self._rec_at(f"c{i}", c) for i, c in enumerate(centers)]
-            cone = compute_visibility_cone(X, recs)
+            cone = _cone(X, recs)
             # brute-force oracle
             dirs = [(c - X) / np.linalg.norm(c - X) for c in centers]
             dist = [np.linalg.norm(c - X) for c in centers]
@@ -380,6 +426,8 @@ class TestVisibilityCone:
     def test_coincident_center_rejected(self):
         rec = self._rec_at("a", [0, 0, 0])
         with pytest.raises(ValueError, match="coincides"):
+            _cones_bulk(np.zeros((1, 3)), [(0,)], [rec])
+        with pytest.raises(ValueError, match="coincides"):
             compute_visibility_cone(np.zeros(3), [rec])
 
 
@@ -389,7 +437,7 @@ class TestBuildDenseMap:
         dense_map, stats = build_dense_map(ds.db_records, voxel_size=0.15)
         assert stats.fused_points >= stats.labeled_points >= stats.stable_points
         assert len(dense_map) == stats.stable_points > 0
-        dense_map.validate(tol=1e-9)
+        validate_map(dense_map, tol=1e-9)
         # theta == 0 exactly when a single distinct camera center contributed
         single = dense_map.support == 1
         assert np.all(dense_map.theta[single] == 0.0)
@@ -399,9 +447,7 @@ class TestBuildDenseMap:
         assert np.all(dense_map.labels <= 18)
 
     def test_bulk_vote_and_cone_match_scalar_ops(self, zero_noise_dataset):
-        # replicate the build stages with the public per-point operations
-        import dataclasses
-
+        # replicate the build stages with the per-point oracles
         ds = zero_noise_dataset
         records = ds.db_records[:4]
         by_id = {r.image_id: r for r in records}
@@ -418,7 +464,7 @@ class TestBuildDenseMap:
         dense_map, _ = build_dense_map(records, voxel_size=0.3, filter_cfg=cfg)
         sample = np.linspace(0, len(dense_map) - 1, 40).astype(int)
         for i in sample:
-            pt = dense_map.point(int(i))
+            pt = map_point(dense_map, int(i))
             contributing = [
                 f for f in fused
                 if np.linalg.norm(np.asarray(f.position) - pt.position) < 1e-9
