@@ -35,7 +35,6 @@ from .matching import (
     CorrespondenceBatch,
     FeatureFamily,
     FeatureSet,
-    Match2D2D,
     lift_to_3d,
     match_family,
 )

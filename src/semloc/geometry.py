@@ -44,7 +44,6 @@ __all__ = [
     "rotation_about_axis",
     "quaternion_to_matrix",
     "matrix_to_quaternion",
-    "angle_between",
 ]
 
 _ORTHONORMAL_TOL = 1e-9
@@ -117,13 +116,6 @@ class RigidPose:
     @staticmethod
     def identity() -> "RigidPose":
         return RigidPose(np.eye(3), np.zeros(3))
-
-    def compose(self, other: "RigidPose") -> "RigidPose":
-        """Chain two frame transforms: ``other`` maps world -> frame1 and
-        ``self`` maps frame1 -> frame2; the result maps world -> frame2."""
-        R = self.rotation @ other.rotation
-        C = other.center + other.rotation.T @ self.center
-        return RigidPose(R, C)
 
 
 @dataclass(frozen=True)
@@ -264,16 +256,6 @@ def rotation_about_axis(axis: np.ndarray, angle_rad: float) -> np.ndarray:
     a = a / n
     K = np.array([[0.0, -a[2], a[1]], [a[2], 0.0, -a[0]], [-a[1], a[0], 0.0]])
     return np.eye(3) + math.sin(angle_rad) * K + (1.0 - math.cos(angle_rad)) * (K @ K)
-
-
-def angle_between(u: np.ndarray, v: np.ndarray) -> float:
-    """Angle in radians between two non-zero vectors, in [0, pi]."""
-    nu = np.linalg.norm(u)
-    nv = np.linalg.norm(v)
-    if nu < 1e-15 or nv < 1e-15:
-        raise ValueError("angle undefined for zero-length vector")
-    c = float(np.dot(u, v) / (nu * nv))
-    return math.acos(min(1.0, max(-1.0, c)))
 
 
 def quaternion_to_matrix(q: np.ndarray) -> np.ndarray:

@@ -21,7 +21,6 @@ from .semantic_map import DatabaseImageRecord
 __all__ = [
     "FeatureFamily",
     "FeatureSet",
-    "Match2D2D",
     "CorrespondenceBatch",
     "LiftResult",
     "match_family",
@@ -73,14 +72,6 @@ class FeatureSet:
 
     def __len__(self) -> int:
         return len(self.locations)
-
-
-@dataclass(frozen=True)
-class Match2D2D:
-    query_index: int
-    db_index: int
-    family: str
-    distance: float
 
 
 @dataclass(frozen=True)
@@ -143,8 +134,9 @@ class LiftResult:
 
 def match_family(
     query_set: FeatureSet, db_set: FeatureSet, family: FeatureFamily
-) -> list[Match2D2D]:
-    """Nearest-neighbor matches under the family's validation rules.
+) -> np.ndarray:
+    """Nearest-neighbor matches under the family's validation rules, as an
+    (M, 2) int64 array of [query_index, db_index] rows in query order.
 
     Each query index appears at most once; with mutual validation each
     database index does too.
@@ -159,7 +151,7 @@ def match_family(
             )
     nq, nd = len(query_set), len(db_set)
     if nq == 0 or nd == 0:
-        return []
+        return np.zeros((0, 2), dtype=np.int64)
 
     d = cdist(query_set.descriptors, db_set.descriptors)
     nn = np.argmin(d, axis=1)
@@ -175,39 +167,35 @@ def match_family(
         nn_back = np.argmin(d, axis=0)
         keep &= nn_back[nn] == np.arange(nq)
 
-    return [
-        Match2D2D(query_index=int(i), db_index=int(nn[i]), family=family.name,
-                  distance=float(best[i]))
-        for i in np.nonzero(keep)[0]
-    ]
+    rows = np.nonzero(keep)[0]
+    return np.stack([rows, nn[rows]], axis=1)
 
 
 def lift_to_3d(
-    matches: Sequence[Match2D2D],
+    matches: np.ndarray,
     query_set: FeatureSet,
     db: DatabaseImageRecord,
 ) -> LiftResult:
-    """Turn 2D-2D matches into 2D-3D correspondences via the database depth
-    map.
+    """Turn 2D-2D matches ([query_index, db_index] rows, as match_family
+    returns them) into 2D-3D correspondences via the database depth map.
 
-    The database keypoints come from db.features[match.family].  The depth
-    is read at the nearest pixel to the database keypoint; the keypoint's
-    continuous location is then back-projected with that depth.  Matches
-    over invalid depth or outside the image are dropped and counted.
+    The database keypoints come from db.features[query_set.family].  The
+    depth is read at the nearest pixel to the database keypoint; the
+    keypoint's continuous location is then back-projected with that depth.
+    Matches over invalid depth or outside the image are dropped and counted.
     """
     n = len(matches)
-    locs = np.array([db.features[m.family].locations[m.db_index] for m in matches]).reshape(n, 2)
+    locs = db.features[query_set.family].locations[matches[:, 1]]
     pix, inside = nearest_pixel(locs, db.intrinsics)
     depth = np.zeros(n)
     depth[inside] = db.depth[pix[inside, 1], pix[inside, 0]]
     # Non-finite depths pass on to back-projection, which rejects them.
     kept = np.nonzero(inside & ~(depth <= 0.0))[0]
-    query_rows = np.array([matches[i].query_index for i in kept], dtype=np.int64)
     batch = CorrespondenceBatch(
-        pixels=query_set.locations[query_rows],
+        pixels=query_set.locations[matches[kept, 0]],
         points=back_project_pixels(locs[kept], depth[kept], db.pose, db.intrinsics),
         image_ids=[db.image_id] * len(kept),
-        families=[matches[i].family for i in kept],
+        families=[query_set.family] * len(kept),
     )
     n_inside = int(inside.sum())
     return LiftResult(batch, dropped_out_of_bounds=n - n_inside,

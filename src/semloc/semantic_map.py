@@ -4,7 +4,9 @@ Stages: depth-map filtering against neighbor views, voxel-grid fusion of the
 filtered depth maps into a point cloud, per-point semantic label voting,
 removal of unstable classes, and per-point visibility cones (distance range,
 extreme viewing directions, visible angle).  Each stage runs on columns of
-all points at once; the map itself is the columnar DenseMap.
+all points at once: fusion yields a FusedCloud, whose table of (point,
+image) contributor pairs feeds both the vote and the cones, and the map
+itself is the columnar DenseMap.
 
 Depth maps are (H, W) float arrays holding z-depth in meters; values <= 0
 mark invalid pixels.  Label images are (H, W) uint8 arrays of Cityscapes
@@ -14,6 +16,7 @@ pixel (round half up); labels are categorical so no interpolation.
 
 from __future__ import annotations
 
+import dataclasses
 import logging
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
@@ -38,7 +41,7 @@ __all__ = [
     "DenseMap",
     "DatabaseImageRecord",
     "QueryImage",
-    "FusedPoint",
+    "FusedCloud",
     "BuildStats",
     "filter_depth_map",
     "fuse_depth_maps",
@@ -122,14 +125,10 @@ class DepthFilterConfig:
     back-projected point seen from the neighbor and d_n the neighbor's own
     stored depth at that pixel.  The absolute value makes the test symmetric;
     the one-sided form would accept arbitrarily occluded points.
-
-    neighbor_ids, when given, maps image id -> expected neighbor id list and
-    is checked against the records actually supplied.
     """
 
     tau: float = 0.01
     min_consistent_neighbors: int = 1
-    neighbor_ids: Optional[dict] = None
 
     def __post_init__(self) -> None:
         if not self.tau > 0:
@@ -187,12 +186,20 @@ class DenseMap:
 
 
 @dataclass(frozen=True)
-class FusedPoint:
-    """Voxel-merged point with the ids of the images whose pixels fell in
-    the voxel (in database list order)."""
+class FusedCloud:
+    """Voxel-fused points as columns.
 
-    position: np.ndarray
-    image_ids: tuple
+    positions (N, 3) holds one point per occupied voxel.  pairs (P, 2) holds
+    every distinct [point, record index] contributor pair: the point's voxel
+    received a pixel of that record.  Pairs are sorted by point and then by
+    record, so each point's contributors are in database list order.
+    """
+
+    positions: np.ndarray
+    pairs: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.positions)
 
 
 @dataclass
@@ -207,6 +214,15 @@ class BuildStats:
 
 
 # ── Operations ───────────────────────────────────────────────────────────
+
+
+def _valid_world_points(rec: DatabaseImageRecord) -> tuple[np.ndarray, ...]:
+    """Rows, columns and back-projected world points of the record's valid
+    depth pixels, row-major."""
+    vy, vx = np.nonzero(rec.depth > 0.0)
+    pixels = np.stack([vx, vy], axis=1).astype(np.float64)
+    depths = rec.depth[vy, vx].astype(np.float64)
+    return vy, vx, back_project_pixels(pixels, depths, rec.pose, rec.intrinsics)
 
 
 def filter_depth_map(
@@ -224,22 +240,7 @@ def filter_depth_map(
     """
     if len(neighbors) == 0:
         raise ValueError("neighbor list must be non-empty")
-    if cfg.neighbor_ids is not None:
-        expected = list(cfg.neighbor_ids.get(target.image_id, []))
-        got = [n.image_id for n in neighbors]
-        if expected != got:
-            raise ValueError(
-                f"{target.image_id}: neighbor records {got} do not match "
-                f"configured neighbor ids {expected}"
-            )
-
-    valid = target.depth > 0.0
-    vy, vx = np.nonzero(valid)
-    if len(vy) == 0:
-        return np.zeros_like(target.depth)
-    pixels = np.stack([vx, vy], axis=1).astype(np.float64)
-    depths = target.depth[vy, vx].astype(np.float64)
-    world = back_project_pixels(pixels, depths, target.pose, target.intrinsics)
+    vy, vx, world = _valid_world_points(target)
 
     support = np.zeros(len(world), dtype=np.int64)
     for nb in neighbors:
@@ -259,47 +260,54 @@ def filter_depth_map(
 
 def fuse_depth_maps(
     records: Sequence[DatabaseImageRecord], voxel_size: float
-) -> list[FusedPoint]:
+) -> FusedCloud:
     """Merge back-projected depth pixels on a voxel grid.
 
-    One point per occupied voxel, at the centroid of its members;
-    contributing ids are the union of the member source images.  Voxels are
-    emitted in first-touch order (records in list order, pixels row-major),
-    so the result is deterministic for a given input order.
+    One point per occupied voxel, at the centroid of its members; its
+    contributors are the records whose pixels fell in the voxel.  Points
+    are numbered in first-touch order (records in list order, pixels
+    row-major), so the result is deterministic for a given input order.
+    Raises ValueError when the occupied grid is too large for int64 voxel
+    keys.
     """
     if len(records) == 0:
         raise ValueError("record list must be non-empty")
     if not voxel_size > 0:
         raise ValueError("voxel size must be positive")
 
-    sums: dict[tuple, np.ndarray] = {}
-    counts: dict[tuple, int] = {}
-    contrib: dict[tuple, dict] = {}
-    for rec_idx, rec in enumerate(records):
-        valid = rec.depth > 0.0
-        vy, vx = np.nonzero(valid)
-        if len(vy) == 0:
-            continue
-        pixels = np.stack([vx, vy], axis=1).astype(np.float64)
-        depths = rec.depth[vy, vx].astype(np.float64)
-        world = back_project_pixels(pixels, depths, rec.pose, rec.intrinsics)
-        cells = np.floor(world / voxel_size).astype(np.int64).tolist()
-        for k, cell in enumerate(cells):
-            key = tuple(cell)
-            if key in sums:
-                sums[key] += world[k]
-                counts[key] += 1
-                contrib[key][rec_idx] = None
-            else:
-                sums[key] = world[k].copy()
-                counts[key] = 1
-                contrib[key] = {rec_idx: None}
+    # Pass one keeps only each pixel's integer cell; pass two recomputes
+    # the world points record by record, so the float64 points of all
+    # records are never held at once.
+    counts = [int((rec.depth > 0.0).sum()) for rec in records]
+    bounds = np.concatenate([[0], np.cumsum(counts)])
+    if bounds[-1] == 0:
+        return FusedCloud(np.zeros((0, 3)), np.zeros((0, 2), dtype=np.int64))
+    cells = np.empty((bounds[-1], 3), dtype=np.int64)
+    for i, rec in enumerate(records):
+        cells[bounds[i]:bounds[i + 1]] = np.floor(_valid_world_points(rec)[2] / voxel_size)
+    cells -= cells.min(axis=0)
+    try:
+        keys = np.ravel_multi_index(tuple(cells.T), tuple(cells.max(axis=0) + 1))
+    except ValueError:
+        raise ValueError(f"voxel size {voxel_size} is too fine for int64 voxel keys") from None
+    del cells
+    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+    del keys
+    rank = np.empty(len(first), dtype=np.int64)
+    rank[np.argsort(first)] = np.arange(len(first))
+    point = rank[inverse]
 
-    out = []
-    for key in sums:
-        ids = tuple(records[i].image_id for i in sorted(contrib[key]))
-        out.append(FusedPoint(position=sums[key] / counts[key], image_ids=ids))
-    return out
+    # np.add.at adds rows in index order.  Seeded with -0.0, the identity of
+    # float addition (0.0 would turn a -0.0 member into +0.0), each sum is
+    # bitwise its members added one at a time in pixel order.
+    sums = np.full((len(first), 3), -0.0)
+    for i, rec in enumerate(records):
+        np.add.at(sums, point[bounds[i]:bounds[i + 1]], _valid_world_points(rec)[2])
+    positions = sums / np.bincount(point)[:, None]
+
+    pair_keys = np.unique(point * len(records) + np.repeat(np.arange(len(records)), counts))
+    pairs = np.stack([pair_keys // len(records), pair_keys % len(records)], axis=1)
+    return FusedCloud(positions, pairs)
 
 
 # ── Map building ─────────────────────────────────────────────────────────
@@ -323,21 +331,19 @@ def select_filter_neighbors(
 
 def _vote_labels_bulk(
     positions: np.ndarray,
-    contrib_indices: list,
+    pairs: np.ndarray,
     records: Sequence[DatabaseImageRecord],
 ) -> np.ndarray:
     """Label of every fused point: the modal label over its reprojections
-    into its contributing images, ties going to the smallest class id, and
-    255 when no reprojection lands on a labeled pixel."""
+    into its contributing images (pairs as in FusedCloud), ties going to the
+    smallest class id, and 255 when no reprojection lands on a labeled
+    pixel."""
     n = len(positions)
     votes = np.zeros((n, 19), dtype=np.int64)
-    point_rows: dict[int, list] = {}
-    for row, idxs in enumerate(contrib_indices):
-        for ri in idxs:
-            point_rows.setdefault(ri, []).append(row)
-    for ri, rows in point_rows.items():
+    by_image = pairs[np.argsort(pairs[:, 1], kind="stable")]
+    images, starts = np.unique(by_image[:, 1], return_index=True)
+    for ri, rows in zip(images, np.split(by_image[:, 0], starts[1:])):
         rec = records[ri]
-        rows = np.asarray(rows)
         px, _ = project_points(positions[rows], rec.pose.rotation, rec.pose.center, rec.intrinsics)
         ij, ok = nearest_pixel(px, rec.intrinsics)
         if not np.any(ok):
@@ -353,22 +359,24 @@ def _vote_labels_bulk(
 
 def _cones_bulk(
     positions: np.ndarray,
-    contrib_indices: list,
+    pairs: np.ndarray,
     records: Sequence[DatabaseImageRecord],
 ) -> tuple[np.ndarray, ...]:
     """Visibility cone columns (d_min, d_max, v_l, v_u, theta) of every
-    fused point over its contributing camera centers.  The extreme pair is
-    the first strictly widest (i, j) pair in contributor order; with a
-    single distinct center the cone is a ray: v_l = v_u and theta = 0."""
+    fused point over its contributing camera centers (pairs as in
+    FusedCloud).  The extreme pair is the first strictly widest (i, j) pair
+    in contributor order; with a single distinct center the cone is a ray:
+    v_l = v_u and theta = 0."""
     n = len(positions)
-    max_s = max(len(ix) for ix in contrib_indices)
+    points = pairs[:, 0]
+    support = np.bincount(points, minlength=n)
+    slot = np.arange(len(pairs)) - (np.cumsum(support) - support)[points]
+    max_s = int(support.max())
     centers = np.stack([r.pose.center for r in records])
     cam = np.zeros((n, max_s, 3))
     mask = np.zeros((n, max_s), dtype=bool)
-    for row, idxs in enumerate(contrib_indices):
-        cam[row, : len(idxs)] = centers[list(idxs)]
-        mask[row, : len(idxs)] = True
-
+    cam[points, slot] = centers[pairs[:, 1]]
+    mask[points, slot] = True
     diff = cam - positions[:, None, :]
     dist = np.linalg.norm(diff, axis=2)
     if np.any(dist[mask] < 1e-9):
@@ -417,28 +425,13 @@ def build_dense_map(
     stats = BuildStats()
     stats.valid_pixels_before_filter = int(sum((r.depth > 0).sum() for r in records))
 
-    neighbor_ids = filter_cfg.neighbor_ids or select_filter_neighbors(records, neighbor_count)
+    neighbor_ids = select_filter_neighbors(records, neighbor_count)
     by_id = {r.image_id: r for r in records}
-    cfg = DepthFilterConfig(
-        tau=filter_cfg.tau,
-        min_consistent_neighbors=filter_cfg.min_consistent_neighbors,
-        neighbor_ids=neighbor_ids,
-    )
-    filtered = []
-    for rec in records:
-        nbs = [by_id[i] for i in neighbor_ids[rec.image_id]]
-        new_depth = filter_depth_map(rec, nbs, cfg)
-        filtered.append(
-            DatabaseImageRecord(
-                image_id=rec.image_id,
-                intrinsics=rec.intrinsics,
-                pose=rec.pose,
-                depth=new_depth,
-                labels=rec.labels,
-                global_descriptor=rec.global_descriptor,
-                features=rec.features,
-            )
-        )
+    filtered = [
+        dataclasses.replace(rec, depth=filter_depth_map(
+            rec, [by_id[i] for i in neighbor_ids[rec.image_id]], filter_cfg))
+        for rec in records
+    ]
     stats.valid_pixels_after_filter = int(sum((r.depth > 0).sum() for r in filtered))
     logger.info(
         "depth filter kept %d / %d pixels",
@@ -452,11 +445,7 @@ def build_dense_map(
     if len(fused) == 0:
         return DenseMap(*[np.zeros(0)] * 8), stats
 
-    id_to_idx = {r.image_id: i for i, r in enumerate(records)}
-    positions = np.stack([f.position for f in fused])
-    contrib = [tuple(id_to_idx[i] for i in f.image_ids) for f in fused]
-
-    labels = _vote_labels_bulk(positions, contrib, filtered)
+    labels = _vote_labels_bulk(fused.positions, fused.pairs, filtered)
     labeled = labels != UNLABELED
     stats.labeled_points = int(labeled.sum())
     logger.info("voted labels: %d / %d points labeled", stats.labeled_points, len(fused))
@@ -473,9 +462,9 @@ def build_dense_map(
         logger.warning("dense map is empty after unstable-class removal")
         return DenseMap(*[np.zeros(0)] * 8), stats
 
-    positions = positions[stable]
-    labels = labels[stable]
-    contrib = [c for c, keep in zip(contrib, stable) if keep]
-    supports = np.array([len(c) for c in contrib], dtype=np.int64)
-    d_min, d_max, v_l, v_u, theta = _cones_bulk(positions, contrib, records)
-    return DenseMap(positions, labels, v_l, v_u, theta, d_min, d_max, supports), stats
+    positions = fused.positions[stable]
+    pairs = fused.pairs[stable[fused.pairs[:, 0]]]
+    pairs[:, 0] = (np.cumsum(stable) - 1)[pairs[:, 0]]
+    supports = np.bincount(pairs[:, 0], minlength=len(positions))
+    d_min, d_max, v_l, v_u, theta = _cones_bulk(positions, pairs, records)
+    return DenseMap(positions, labels[stable], v_l, v_u, theta, d_min, d_max, supports), stats

@@ -1,10 +1,11 @@
 """Scalar reference implementations of the dense-map stages.
 
 semloc.semantic_map builds the map on columns of all fused points at once.
-These are the per-point versions it replaced, kept as test oracles: label
-voting for one point, one point's visibility cone, unstable-class removal on
-a list of points, and the per-point DensePoint/VisibilityCone view of a
-DenseMap with its invariant check.
+These are the per-pixel and per-point versions it replaced, kept as test
+oracles: voxel fusion by a dict keyed on cell tuples, label voting for one
+point, one point's visibility cone, unstable-class removal on a list of
+points, and the per-point DensePoint/VisibilityCone view of a DenseMap with
+its invariant check.
 """
 
 from __future__ import annotations
@@ -15,13 +16,58 @@ from typing import Sequence
 
 import numpy as np
 
-from semloc.geometry import angle_between
+from semloc.geometry import back_project_pixels
 from semloc.semantic_map import (
     DEFAULT_UNSTABLE_CLASS_IDS,
     UNLABELED,
     DatabaseImageRecord,
     DenseMap,
 )
+
+
+def angle_between(u: np.ndarray, v: np.ndarray) -> float:
+    """Angle in radians between two non-zero vectors, in [0, pi]."""
+    nu = np.linalg.norm(u)
+    nv = np.linalg.norm(v)
+    if nu < 1e-15 or nv < 1e-15:
+        raise ValueError("angle undefined for zero-length vector")
+    c = float(np.dot(u, v) / (nu * nv))
+    return math.acos(min(1.0, max(-1.0, c)))
+
+
+def fuse_depth_maps(
+    records: Sequence[DatabaseImageRecord], voxel_size: float
+) -> list[tuple[np.ndarray, tuple]]:
+    """Voxel fusion one pixel at a time: (centroid, contributing record
+    indices in list order) per occupied voxel, in first-touch order."""
+    if len(records) == 0:
+        raise ValueError("record list must be non-empty")
+    if not voxel_size > 0:
+        raise ValueError("voxel size must be positive")
+
+    sums: dict[tuple, np.ndarray] = {}
+    counts: dict[tuple, int] = {}
+    contrib: dict[tuple, dict] = {}
+    for rec_idx, rec in enumerate(records):
+        valid = rec.depth > 0.0
+        vy, vx = np.nonzero(valid)
+        if len(vy) == 0:
+            continue
+        pixels = np.stack([vx, vy], axis=1).astype(np.float64)
+        depths = rec.depth[vy, vx].astype(np.float64)
+        world = back_project_pixels(pixels, depths, rec.pose, rec.intrinsics)
+        cells = np.floor(world / voxel_size).astype(np.int64).tolist()
+        for k, cell in enumerate(cells):
+            key = tuple(cell)
+            if key in sums:
+                sums[key] += world[k]
+                counts[key] += 1
+                contrib[key][rec_idx] = None
+            else:
+                sums[key] = world[k].copy()
+                counts[key] = 1
+                contrib[key] = {rec_idx: None}
+    return [(sums[key] / counts[key], tuple(sorted(contrib[key]))) for key in sums]
 
 
 @dataclass(frozen=True)

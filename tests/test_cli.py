@@ -77,6 +77,14 @@ class TestBuildMap:
                      str(tmp_path / "m.bin")])
         assert code == 2
 
+    def test_voxel_too_fine_for_int64_keys_is_data_error(self, workspace, tmp_path):
+        config = tmp_path / "fine.txt"
+        config.write_text(CONFIG.replace("fusion.voxel_size = 0.12", "fusion.voxel_size = 1e-09"))
+        assert config.read_text() != CONFIG
+        code = main(["build-map", str(workspace / "data"), str(config), str(tmp_path / "m.bin")])
+        assert code == 2
+        assert not (tmp_path / "m.bin").exists()
+
 
 @pytest.fixture(scope="module")
 def artifacts(workspace, tmp_path_factory):

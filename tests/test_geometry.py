@@ -206,21 +206,6 @@ class TestPoseTypes:
         with pytest.raises(ValueError):
             PoseError(position_error=0.0, orientation_error=181.0)
 
-    def test_compose_identity_bitwise(self):
-        rng = np.random.default_rng(13)
-        K = default_intrinsics()
-        identity = RigidPose.identity()
-        for _ in range(20):
-            pose = random_pose(rng)
-            X = rng.normal(scale=3.0, size=3) + pose.rotation.T @ np.array([0, 0, 5.0]) + pose.center
-            base = project(X, pose, K)
-            for composed in (pose.compose(identity), identity.compose(pose)):
-                out = project(X, composed, K)
-                if base is None:
-                    assert out is None
-                else:
-                    assert np.array_equal(out, base)
-
     def test_intrinsics_validation(self):
         with pytest.raises(ValueError):
             CameraIntrinsics(fx=0.0, fy=1.0, cx=0.0, cy=0.0, width=10, height=10)

@@ -17,7 +17,6 @@ from semloc.matching import (
     CorrespondenceBatch,
     FeatureFamily,
     FeatureSet,
-    Match2D2D,
     lift_to_3d,
     match_family,
 )
@@ -69,14 +68,14 @@ class TestMatchFamily:
         rng = np.random.default_rng(0)
         d = rng.normal(size=(10, 4))
         matches = match_family(_set("f", d), _set("f", d.copy()), fam)
-        assert sorted((m.query_index, m.db_index) for m in matches) == [(i, i) for i in range(10)]
-        assert all(m.distance == 0.0 for m in matches)
+        assert matches.dtype == np.int64
+        assert matches.tolist() == [[i, i] for i in range(10)]
 
     def test_equidistant_rejected_by_ratio(self):
         fam = FeatureFamily("f", 2, use_mutual_nn=False, ratio=0.9)
         q = _set("f", [[0.0, 0.0]])
         db = _set("f", [[1.0, 0.0], [-1.0, 0.0]])
-        assert match_family(q, db, fam) == []
+        assert len(match_family(q, db, fam)) == 0
 
     def test_ratio_kept_when_single_candidate(self):
         fam = FeatureFamily("f", 2, use_mutual_nn=False, ratio=0.5)
@@ -90,7 +89,7 @@ class TestMatchFamily:
         fam = FeatureFamily("f", 8, use_mutual_nn=mutual, ratio=ratio)
         q = rng.normal(size=(50, 8))
         d = rng.normal(size=(50, 8))
-        got = sorted((m.query_index, m.db_index) for m in match_family(_set("f", q), _set("f", d), fam))
+        got = sorted(map(tuple, match_family(_set("f", q), _set("f", d), fam).tolist()))
         assert got == sorted(_match_oracle(q, d, mutual, ratio))
 
     def test_injective_on_query_and_db(self):
@@ -99,8 +98,8 @@ class TestMatchFamily:
         q = rng.normal(size=(40, 4))
         d = rng.normal(size=(25, 4))
         matches = match_family(_set("f", q), _set("f", d), fam)
-        qi = [m.query_index for m in matches]
-        di = [m.db_index for m in matches]
+        qi = matches[:, 0].tolist()
+        di = matches[:, 1].tolist()
         assert len(set(qi)) == len(qi)
         assert len(set(di)) == len(di)
 
@@ -109,8 +108,8 @@ class TestMatchFamily:
         fam = FeatureFamily("f", 6)
         a = rng.normal(size=(30, 6))
         b = rng.normal(size=(30, 6))
-        fwd = {(m.query_index, m.db_index) for m in match_family(_set("f", a), _set("f", b), fam)}
-        rev = {(m.db_index, m.query_index) for m in match_family(_set("f", b), _set("f", a), fam)}
+        fwd = set(map(tuple, match_family(_set("f", a), _set("f", b), fam).tolist()))
+        rev = set(map(tuple, match_family(_set("f", b), _set("f", a), fam)[:, ::-1].tolist()))
         assert fwd == rev
 
     def test_family_mismatch_rejected(self):
@@ -126,7 +125,7 @@ class TestMatchFamily:
     def test_empty_sets(self):
         fam = FeatureFamily("f", 2)
         empty = FeatureSet("f", np.zeros((0, 2)), np.zeros((0, 2)))
-        assert match_family(empty, _set("f", [[0.0, 1.0]]), fam) == []
+        assert match_family(empty, _set("f", [[0.0, 1.0]]), fam).shape == (0, 2)
 
 
 def _db_record(K, pose, depth):
@@ -148,7 +147,7 @@ class TestLiftTo3D:
         db = _db_record(K, RigidPose.identity(), depth)
         db.features["f"] = _set("f", [[1.0, 1.0]], locs=np.array([[70.0, 50.0]]))
         q_set = _set("f", [[1.0, 1.0]], locs=np.array([[33.0, 44.0]]))
-        res = lift_to_3d([Match2D2D(0, 0, "f", 0.0)], q_set, db)
+        res = lift_to_3d(np.array([[0, 0]]), q_set, db)
         c = res.correspondences
         assert len(c) == 1
         np.testing.assert_allclose(c.points[0], [1.0, 0.0, 5.0], atol=1e-12)
@@ -162,7 +161,7 @@ class TestLiftTo3D:
         db = _db_record(K, RigidPose.identity(), np.zeros((100, 100)))
         db.features["f"] = _set("f", [[0.0, 0.0]], locs=np.array([[70.0, 50.0]]))
         q_set = _set("f", [[0.0, 0.0]], locs=np.array([[1.0, 1.0]]))
-        res = lift_to_3d([Match2D2D(0, 0, "f", 0.0)], q_set, db)
+        res = lift_to_3d(np.array([[0, 0]]), q_set, db)
         assert len(res.correspondences) == 0
         assert res.dropped_invalid_depth == 1
 
@@ -171,7 +170,7 @@ class TestLiftTo3D:
         db = _db_record(K, RigidPose.identity(), np.ones((100, 100)))
         db.features["f"] = _set("f", [[0.0, 0.0]], locs=np.array([[99.9, 50.0]]))
         q_set = _set("f", [[0.0, 0.0]], locs=np.array([[1.0, 1.0]]))
-        res = lift_to_3d([Match2D2D(0, 0, "f", 0.0)], q_set, db)
+        res = lift_to_3d(np.array([[0, 0]]), q_set, db)
         # 99.9 rounds to pixel 100, outside the image
         assert len(res.correspondences) == 0
         assert res.dropped_out_of_bounds == 1
@@ -188,7 +187,7 @@ class TestLiftTo3D:
         locs = rng.uniform(2, 97, size=(40, 2))
         db.features["f"] = _set("f", rng.normal(size=(40, 3)), locs=locs)
         q_set = _set("f", rng.normal(size=(40, 3)), locs=locs)
-        matches = [Match2D2D(i, i, "f", 0.0) for i in range(40)]
+        matches = np.stack([np.arange(40)] * 2, axis=1)
         res = lift_to_3d(matches, q_set, db)
         assert len(res.correspondences) == 40
         assert np.all(np.abs(res.correspondences.points[:, 2] - plane_z) < 1e-6)
@@ -200,7 +199,7 @@ class TestLiftTo3D:
         fs = db.features["corner"]
         lifted = 0
         for i in range(len(fs)):
-            res = lift_to_3d([Match2D2D(i, i, "corner", 0.0)], fs, db)
+            res = lift_to_3d(np.array([[i, i]]), fs, db)
             if not len(res.correspondences):
                 continue
             lifted += 1
@@ -232,8 +231,8 @@ class TestLiftTo3D:
                     res = lift_to_3d(matches, q_set, db)
                     pixels, points, oob, bad = [], [], 0, 0
                     h, w = db.depth.shape
-                    for m in matches:
-                        loc = db.features[name].locations[m.db_index]
+                    for qi, di in matches:
+                        loc = db.features[name].locations[di]
                         px, py = (int(math.floor(v + 0.5)) for v in loc)
                         if not (0 <= px < w and 0 <= py < h):
                             oob += 1
@@ -242,7 +241,7 @@ class TestLiftTo3D:
                         if depth <= 0.0:
                             bad += 1
                             continue
-                        pixels.append(q_set.locations[m.query_index])
+                        pixels.append(q_set.locations[qi])
                         points.append(pinhole_back_project(loc, depth, db.pose, db.intrinsics))
                     assert (res.dropped_out_of_bounds, res.dropped_invalid_depth) == (oob, bad)
                     assert np.array_equal(res.correspondences.points,

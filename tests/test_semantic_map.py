@@ -2,8 +2,8 @@
 
 Every DERIVED expectation is recomputed here by an independent brute-force
 oracle (per-pixel loops, voxel-hash recount, exhaustive pair search).  The
-columnar label vote, cones and unstable-class removal are checked against
-the per-point oracles in map_oracle.
+columnar fusion, label vote, cones and unstable-class removal are checked
+against the per-pixel and per-point oracles in map_oracle.
 """
 
 import dataclasses
@@ -37,6 +37,7 @@ from map_oracle import (
     validate_map,
     vote_semantic_label,
 )
+from map_oracle import fuse_depth_maps as fuse_oracle
 
 
 def _K(w=16, h=12, f=20.0):
@@ -175,15 +176,6 @@ class TestFilterDepthMap:
         out = filter_depth_map(target, [nb], DepthFilterConfig(tau=1e18, min_consistent_neighbors=2))
         assert np.all(out == 0.0)
 
-    def test_neighbor_id_mismatch_rejected(self):
-        K = _K()
-        p = RigidPose.identity()
-        target = _record("t", K, p, _plane_depth(K, p))
-        nb = _record("other", K, p, _plane_depth(K, p))
-        cfg = DepthFilterConfig(neighbor_ids={"t": ["expected"]})
-        with pytest.raises(ValueError, match="neighbor"):
-            filter_depth_map(target, [nb], cfg)
-
     def test_empty_neighbors_rejected(self):
         K = _K()
         target = _record("t", K, RigidPose.identity(), _plane_depth(K, RigidPose.identity()))
@@ -200,8 +192,8 @@ class TestFuseDepthMaps:
         fused = fuse_depth_maps([rec], voxel_size=0.5)
         assert len(fused) == 1
         expected = back_project(np.array([2.0, 1.0]), 5.0, rec.pose, K)
-        np.testing.assert_allclose(fused[0].position, expected, atol=1e-12)
-        assert fused[0].image_ids == ("a",)
+        np.testing.assert_allclose(fused.positions[0], expected, atol=1e-12)
+        assert fused.pairs.tolist() == [[0, 0]]
 
     def test_two_cameras_merge_in_one_voxel(self):
         K = _K(4, 4, f=10.0)
@@ -213,7 +205,7 @@ class TestFuseDepthMaps:
         r1 = _record("b", K, RigidPose(np.eye(3), np.array([1e-4, 0, 0])), d1)
         fused = fuse_depth_maps([r0, r1], voxel_size=0.5)
         assert len(fused) == 1
-        assert fused[0].image_ids == ("a", "b")
+        assert fused.pairs.tolist() == [[0, 0], [0, 1]]
 
     def test_count_matches_hash_oracle(self):
         rng = np.random.default_rng(7)
@@ -246,6 +238,50 @@ class TestFuseDepthMaps:
         counts = [len(fuse_depth_maps(records, s)) for s in (0.025, 0.05, 0.1, 0.2, 0.4)]
         assert all(a >= b for a, b in zip(counts, counts[1:]))
 
+    def test_matches_dict_oracle_on_random_scenes(self):
+        # positions bitwise and contributors exactly as the per-pixel dict
+        # loop, on scenes with negative world coordinates, voxels shared
+        # across records and a record with no valid depth
+        rng = np.random.default_rng(11)
+        K = _K(10, 8, f=12.0)
+        shared = 0
+        for trial in range(12):
+            base = rng.normal(loc=-4.0, scale=2.0, size=3)
+            records = []
+            for i in range(4):
+                pose = RigidPose(rodrigues(rng.normal(size=3), rng.uniform(0, 0.3)),
+                                 base + rng.normal(scale=0.2, size=3))
+                depth = rng.uniform(0.5, 3.0, size=(K.height, K.width))
+                depth[rng.random(depth.shape) < 0.3] = 0.0
+                records.append(_record(f"im{i}", K, pose, depth))
+            records[trial % 4] = dataclasses.replace(
+                records[trial % 4], depth=np.zeros((K.height, K.width), dtype=np.float32))
+            voxel = (0.05, 0.2, 0.5)[trial % 3]
+            fused = fuse_depth_maps(records, voxel)
+            oracle = fuse_oracle(records, voxel)
+            assert len(fused) == len(oracle)
+            assert fused.positions.tobytes() == np.stack([p for p, _ in oracle]).tobytes()
+            assert np.any(fused.positions < 0.0)
+            got = [[] for _ in range(len(fused))]
+            for point, rec in fused.pairs.tolist():
+                got[point].append(rec)
+            assert [tuple(g) for g in got] == [c for _, c in oracle]
+            shared += sum(len(c) > 1 for _, c in oracle)
+        assert shared > 0
+
+    def test_no_valid_depth_gives_empty_cloud(self):
+        K = _K()
+        rec = _record("a", K, RigidPose.identity(), np.zeros((K.height, K.width)))
+        fused = fuse_depth_maps([rec, rec], 0.1)
+        assert len(fused) == 0
+        assert fused.positions.shape == (0, 3) and fused.pairs.shape == (0, 2)
+
+    def test_grid_too_fine_for_int64_keys_rejected(self):
+        K = _K()
+        rec = _record("a", K, RigidPose.identity(), _plane_depth(K, RigidPose.identity()))
+        with pytest.raises(ValueError, match="too fine"):
+            fuse_depth_maps([rec], 1e-9)
+
     def test_rejects_empty_and_bad_voxel(self):
         with pytest.raises(ValueError):
             fuse_depth_maps([], 0.1)
@@ -255,10 +291,15 @@ class TestFuseDepthMaps:
             fuse_depth_maps([rec], 0.0)
 
 
+def _one_point_pairs(recs):
+    """Pair table of one point seen by every record."""
+    return np.stack([np.zeros(len(recs), dtype=np.int64), np.arange(len(recs))], axis=1)
+
+
 def _vote(point, recs):
     """The production vote for one point, checked against the scalar oracle."""
     label = int(_vote_labels_bulk(np.asarray(point, dtype=np.float64)[None],
-                                  [tuple(range(len(recs)))], recs)[0])
+                                  _one_point_pairs(recs), recs)[0])
     assert label == vote_semantic_label(point, recs)
     return label
 
@@ -267,7 +308,7 @@ def _cone(point, recs):
     """The production cone for one point as a map_oracle VisibilityCone,
     checked against the scalar oracle."""
     X = np.asarray(point, dtype=np.float64)
-    d_min, d_max, v_l, v_u, theta = _cones_bulk(X[None], [tuple(range(len(recs)))], recs)
+    d_min, d_max, v_l, v_u, theta = _cones_bulk(X[None], _one_point_pairs(recs), recs)
     cone = map_point(DenseMap(X[None], [2], v_l, v_u, theta, d_min, d_max, [len(recs)]), 0).cone
     ref = compute_visibility_cone(X, recs)
     assert cone.theta == pytest.approx(ref.theta, abs=1e-12)
@@ -426,7 +467,7 @@ class TestVisibilityCone:
     def test_coincident_center_rejected(self):
         rec = self._rec_at("a", [0, 0, 0])
         with pytest.raises(ValueError, match="coincides"):
-            _cones_bulk(np.zeros((1, 3)), [(0,)], [rec])
+            _cones_bulk(np.zeros((1, 3)), _one_point_pairs([rec]), [rec])
         with pytest.raises(ValueError, match="coincides"):
             compute_visibility_cone(np.zeros(3), [rec])
 
@@ -465,12 +506,9 @@ class TestBuildDenseMap:
         sample = np.linspace(0, len(dense_map) - 1, 40).astype(int)
         for i in sample:
             pt = map_point(dense_map, int(i))
-            contributing = [
-                f for f in fused
-                if np.linalg.norm(np.asarray(f.position) - pt.position) < 1e-9
-            ]
-            assert contributing, "fused point not found"
-            recs = [by_id[j] for j in contributing[0].image_ids]
+            found = np.nonzero(np.linalg.norm(fused.positions - pt.position, axis=1) < 1e-9)[0]
+            assert len(found), "fused point not found"
+            recs = [records[j] for j in fused.pairs[fused.pairs[:, 0] == found[0], 1]]
             assert vote_semantic_label(pt.position, recs) == pt.label
             assert len(recs) == pt.support
             cone = compute_visibility_cone(pt.position, recs)
@@ -492,6 +530,18 @@ class TestBuildDenseMap:
         assert len(dense_map) == 0
         assert stats.stable_points == 0
         assert any("empty" in rec.message for rec in caplog.records)
+
+    def test_filter_removing_every_pixel_yields_empty_map(self):
+        K = _K(6, 6, f=8.0)
+        p0 = RigidPose.identity()
+        p1 = RigidPose(np.eye(3), np.array([0.2, 0, 0]))
+        records = [_record("a", K, p0, _plane_depth(K, p0)), _record("b", K, p1, _plane_depth(K, p1))]
+        # each record has one filter neighbor, so two confirmations never happen
+        cfg = DepthFilterConfig(min_consistent_neighbors=2)
+        dense_map, stats = build_dense_map(records, filter_cfg=cfg, voxel_size=0.1)
+        assert len(dense_map) == 0
+        assert stats.valid_pixels_before_filter > 0
+        assert stats.valid_pixels_after_filter == stats.fused_points == 0
 
     def test_neighbor_selection_nearest(self):
         K = _K()

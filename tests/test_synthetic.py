@@ -169,11 +169,11 @@ class TestGenerateScene:
                 for rec in ds.db_records[:3]:
                     matches = match_family(q.features[fam_name], rec.features[fam_name], fam)
                     total += len(matches)
-                    for m in matches:
-                        ql = q.features[fam_name].locations[m.query_index]
+                    for qi, di in matches:
+                        ql = q.features[fam_name].locations[qi]
                         # a correct match pairs observations of one anchor:
                         # project that anchor into the query and compare
-                        db_loc = rec.features[fam_name].locations[m.db_index]
+                        db_loc = rec.features[fam_name].locations[di]
                         cam = (ds.anchor_positions - rec.pose.center) @ rec.pose.rotation.T
                         front = cam[:, 2] > 0
                         proj = np.full((len(cam), 2), np.inf)
