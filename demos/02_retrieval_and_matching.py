@@ -9,6 +9,7 @@ correspondences.
 
 import numpy as np
 
+from semloc.config import PipelineConfig
 from semloc.matching import CorrespondenceBatch, lift_to_3d, match_family
 from semloc.retrieval import GlobalDescriptor, RetrievalConfig, build_index, query_top_k
 from semloc.synthetic import generate_scene, street_canyon_spec
@@ -32,8 +33,9 @@ for image_id, dist in hits:
 db = by_id[hits[0][0]]
 print(f"\nmatching against {db.image_id}:")
 per_family = []
-for name, fam_spec in (("corner", spec.families[0]), ("blob", spec.families[1])):
-    family = fam_spec.family()
+for fam_spec in spec.families:
+    name = fam_spec.name
+    family = PipelineConfig().family_rules(name, fam_spec.dim)
     matches = match_family(query.features[name], db.features[name], family)
     lifted = lift_to_3d(matches, query.features[name], db)
     per_family.append(lifted.correspondences)

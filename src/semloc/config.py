@@ -13,9 +13,9 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field, replace
-from pathlib import Path
 from typing import Optional
 
+from .formats import DataFormatError, text_lines
 from .matching import FeatureFamily
 from .pnp import RansacConfig
 from .scoring import VisibilityGateConfig
@@ -104,12 +104,22 @@ class PipelineConfig:
         )
 
 
+def _class_ids(value: str) -> frozenset:
+    ids = frozenset(int(v) for v in value.split(",") if v.strip() != "")
+    if any(not (0 <= i <= 18) for i in ids):
+        raise ValueError("class ids must lie in 0..18")
+    return ids
+
+
+# config key -> (PipelineConfig field, parser of the value text), in the
+# order render_config writes them
 _SCALAR_KEYS = {
     "seed": ("seed", int),
     "depth_filter.tau": ("depth_filter_tau", float),
     "depth_filter.min_consistent_neighbors": ("depth_filter_min_neighbors", int),
     "depth_filter.neighbor_count": ("depth_filter_neighbor_count", int),
     "fusion.voxel_size": ("fusion_voxel_size", float),
+    "map.unstable_classes": ("unstable_classes", _class_ids),
     "gate.distance_margin": ("gate_distance_margin", float),
     "gate.angle_margin": ("gate_angle_margin", float),
     "retrieval.top_k_day": ("top_k_day", int),
@@ -129,81 +139,55 @@ _SCALAR_KEYS = {
 _FAMILY_KEY = re.compile(r"^family\.([A-Za-z0-9_\-]+)\.(mutual_nn|ratio)$")
 
 
-def _parse_bool(value: str, key: str) -> bool:
+def _parse_bool(value: str) -> bool:
     low = value.lower()
     if low in ("true", "yes", "on", "1"):
         return True
     if low in ("false", "no", "off", "0"):
         return False
-    raise ValueError(f"{key}: expected a boolean, got {value!r}")
+    raise ValueError(f"expected a boolean, got {value!r}")
 
 
 def parse_config_file(path) -> PipelineConfig:
     cfg = PipelineConfig()
     families: dict = {}
-    text = Path(path).read_text(encoding="utf-8")
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
+    for lineno, line in text_lines(path):
         if "=" not in line:
-            raise ValueError(f"{path}:{lineno}: expected 'key = value'")
+            raise DataFormatError(path, None, "expected 'key = value'", lineno)
         key, value = (part.strip() for part in line.split("=", 1))
-        if key in _SCALAR_KEYS:
-            attr, cast = _SCALAR_KEYS[key]
-            try:
-                setattr(cfg, attr, cast(value))
-            except ValueError:
-                raise ValueError(f"{path}:{lineno}: bad value for {key}: {value!r}") from None
-            continue
-        if key == "map.unstable_classes":
-            ids = frozenset(int(v) for v in value.split(",") if v.strip() != "")
-            if any(not (0 <= i <= 18) for i in ids):
-                raise ValueError(f"{path}:{lineno}: class ids must lie in 0..18")
-            cfg.unstable_classes = ids
-            continue
-        m = _FAMILY_KEY.match(key)
-        if m:
-            name, attr = m.group(1), m.group(2)
-            rules = families.get(name, FamilyMatchConfig())
-            if attr == "mutual_nn":
-                rules = FamilyMatchConfig(
-                    mutual_nn=_parse_bool(value, key), ratio=rules.ratio
-                )
+        family = _FAMILY_KEY.match(key)
+        if key not in _SCALAR_KEYS and not family:
+            raise DataFormatError(path, None, f"unknown config key {key!r}", lineno)
+        try:
+            if family:
+                name, attr = family.groups()
+                if attr == "mutual_nn":
+                    rule = _parse_bool(value)
+                else:
+                    rule = None if value.lower() in ("off", "none") else float(value)
+                families[name] = replace(families.get(name, FamilyMatchConfig()), **{attr: rule})
             else:
-                ratio = None if value.lower() in ("off", "none") else float(value)
-                rules = FamilyMatchConfig(mutual_nn=rules.mutual_nn, ratio=ratio)
-            families[name] = rules
-            continue
-        raise ValueError(f"{path}:{lineno}: unknown config key {key!r}")
+                attr, cast = _SCALAR_KEYS[key]
+                setattr(cfg, attr, cast(value))
+        except ValueError as exc:
+            raise DataFormatError(
+                path, None, f"bad value for {key}: {value!r} ({exc})", lineno
+            ) from None
     cfg.families = families
     return cfg
 
 
+def _render_value(cast, value) -> str:
+    if cast is _class_ids:
+        return ",".join(str(i) for i in sorted(value))
+    return repr(cast(value))
+
+
 def render_config(cfg: PipelineConfig) -> str:
     """Config file text reproducing the given configuration."""
-    lines = [
-        "# semloc pipeline configuration",
-        f"seed = {cfg.seed}",
-        f"depth_filter.tau = {cfg.depth_filter_tau!r}",
-        f"depth_filter.min_consistent_neighbors = {cfg.depth_filter_min_neighbors}",
-        f"depth_filter.neighbor_count = {cfg.depth_filter_neighbor_count}",
-        f"fusion.voxel_size = {cfg.fusion_voxel_size!r}",
-        "map.unstable_classes = " + ",".join(str(i) for i in sorted(cfg.unstable_classes)),
-        f"gate.distance_margin = {cfg.gate_distance_margin!r}",
-        f"gate.angle_margin = {cfg.gate_angle_margin!r}",
-        f"retrieval.top_k_day = {cfg.top_k_day}",
-        f"retrieval.top_k_night = {cfg.top_k_night}",
-        f"ransac.inlier_threshold_px = {cfg.ransac_inlier_threshold_px!r}",
-        f"ransac.confidence = {cfg.ransac_confidence!r}",
-        f"ransac.max_iterations = {cfg.ransac_max_iterations}",
-        f"ransac.min_inliers = {cfg.ransac_min_inliers}",
-        f"ransac.temp_min_inliers = {cfg.temp_ransac_min_inliers}",
-        f"ransac.temp_max_iterations = {cfg.temp_ransac_max_iterations}",
-        f"ransac.min_pixel_span_px = {cfg.ransac_min_pixel_span_px!r}",
-        f"ransac.score_floor = {cfg.score_floor!r}",
-        f"refine.max_iterations = {cfg.refine_max_iterations}",
-        f"refine.relative_tolerance = {cfg.refine_relative_tolerance!r}",
+    lines = ["# semloc pipeline configuration"] + [
+        f"{key} = {_render_value(cast, getattr(cfg, attr))}"
+        for key, (attr, cast) in _SCALAR_KEYS.items()
     ]
     for name in sorted(cfg.families):
         rules = cfg.families[name]

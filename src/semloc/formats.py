@@ -31,21 +31,17 @@ import json
 import struct
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
-from .geometry import (
-    CameraIntrinsics,
-    RigidPose,
-    matrix_to_quaternion,
-    quaternion_to_matrix,
-)
+from .geometry import CameraIntrinsics, RigidPose, matrix_to_quaternion, quaternion_to_matrix
 from .matching import FeatureSet
 from .semantic_map import DatabaseImageRecord, DenseMap, QueryImage
 
 __all__ = [
     "DataFormatError",
+    "text_lines",
     "write_depth_map", "read_depth_map",
     "write_label_image", "read_label_image",
     "write_feature_set", "read_feature_set",
@@ -62,13 +58,37 @@ __all__ = [
 
 
 class DataFormatError(ValueError):
-    """A file failed validation; message carries path and byte offset."""
+    """A file failed validation.  The message starts with the path, then the
+    byte offset of a binary file (``path @ byte N``) or the line number of a
+    text file (``path:N``), where known."""
 
-    def __init__(self, path, offset: Optional[int], message: str) -> None:
-        where = f"{path}" if offset is None else f"{path} @ byte {offset}"
+    def __init__(self, path, offset: Optional[int], message: str,
+                 line: Optional[int] = None) -> None:
+        if line is not None:
+            where = f"{path}:{line}"
+        else:
+            where = f"{path}" if offset is None else f"{path} @ byte {offset}"
         super().__init__(f"{where}: {message}")
         self.path = str(path)
         self.offset = offset
+        self.line = line
+
+
+def text_lines(path) -> Iterator[tuple[int, str]]:
+    """(line number, text) for each line of a UTF-8 text file, with the text
+    after a ``#`` and surrounding whitespace removed; empty results are
+    skipped.  Every text file semloc reads goes through here: cameras,
+    manifest, estimates, pipeline config and scene spec."""
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except FileNotFoundError:
+        raise DataFormatError(path, None, "file not found") from None
+    except UnicodeDecodeError:
+        raise DataFormatError(path, None, "not UTF-8 text") from None
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if line:
+            yield lineno, line
 
 
 class _Reader:
@@ -108,68 +128,67 @@ class _Reader:
             self.fail(f"{len(self.data) - self.pos} trailing bytes")
 
 
+def _write_binary(path, magic: bytes, header: Sequence[int], payload: bytes) -> None:
+    """The layout every binary format shares: magic, u32 header, payload."""
+    Path(path).write_bytes(magic + struct.pack(f"<{len(header)}I", *header) + payload)
+
+
 # ── Binary image formats ─────────────────────────────────────────────────
 
 
+def _write_grid(path, magic: bytes, array: np.ndarray) -> None:
+    """One image grid: magic, u32 width, u32 height, row-major values."""
+    h, w = array.shape
+    _write_binary(path, magic, (w, h), array.tobytes())
+
+
+def _read_grid(path, magic: bytes, dtype) -> np.ndarray:
+    r = _Reader(path)
+    r.magic(magic)
+    w = r.u32()
+    h = r.u32()
+    values = r.array(dtype, w * h).reshape(h, w)
+    r.done()
+    return values.copy()
+
+
 def write_depth_map(path, depth: np.ndarray) -> None:
-    d = np.ascontiguousarray(depth, dtype="<f4")
-    h, w = d.shape
-    with open(path, "wb") as fh:
-        fh.write(b"DMP1")
-        fh.write(struct.pack("<II", w, h))
-        fh.write(d.tobytes())
+    _write_grid(path, b"DMP1", np.ascontiguousarray(depth, dtype="<f4"))
 
 
 def read_depth_map(path) -> np.ndarray:
-    r = _Reader(path)
-    r.magic(b"DMP1")
-    w = r.u32()
-    h = r.u32()
-    values = r.array("<f4", w * h).reshape(h, w)
-    r.done()
+    values = _read_grid(path, b"DMP1", "<f4")
     if not np.all(np.isfinite(values)):
         raise DataFormatError(path, None, "depth map contains non-finite values")
-    return values.copy()
+    return values
 
 
 def write_label_image(path, labels: np.ndarray) -> None:
-    lab = np.ascontiguousarray(labels, dtype=np.uint8)
-    h, w = lab.shape
-    with open(path, "wb") as fh:
-        fh.write(b"LBL1")
-        fh.write(struct.pack("<II", w, h))
-        fh.write(lab.tobytes())
+    _write_grid(path, b"LBL1", np.ascontiguousarray(labels, dtype=np.uint8))
 
 
 def read_label_image(path) -> np.ndarray:
-    r = _Reader(path)
-    r.magic(b"LBL1")
-    w = r.u32()
-    h = r.u32()
-    values = r.array(np.uint8, w * h).reshape(h, w)
-    r.done()
+    values = _read_grid(path, b"LBL1", np.uint8)
     bad = ~((values <= 18) | (values == 255))
     if np.any(bad):
         raise DataFormatError(path, None, "label ids outside 0..18 / 255")
-    return values.copy()
+    return values
+
+
+def _feature_dtype(dim: int) -> np.dtype:
+    return np.dtype([("x", "<f4"), ("y", "<f4"), ("descriptor", "<f4", (dim,))])
 
 
 def write_feature_set(path, features: FeatureSet) -> None:
     name = features.family.encode("utf-8")
-    count = len(features)
-    dim = features.descriptors.shape[1] if count else 0
-    dt = np.dtype([("x", "<f4"), ("y", "<f4"), ("descriptor", "<f4", (max(dim, 1),))])
-    with open(path, "wb") as fh:
-        fh.write(b"FEA1")
-        fh.write(struct.pack("<I", len(name)))
-        fh.write(name)
-        fh.write(struct.pack("<II", count, dim))
-        if count:
-            rec = np.empty(count, dtype=dt)
-            rec["x"] = features.locations[:, 0].astype("<f4")
-            rec["y"] = features.locations[:, 1].astype("<f4")
-            rec["descriptor"] = features.descriptors.astype("<f4")
-            fh.write(rec.tobytes())
+    count, dim = features.descriptors.shape
+    rec = np.empty(count, dtype=_feature_dtype(dim))
+    rec["x"] = features.locations[:, 0]
+    rec["y"] = features.locations[:, 1]
+    rec["descriptor"] = features.descriptors
+    # an empty set is stored with dim 0
+    payload = name + struct.pack("<II", count, dim if count else 0) + rec.tobytes()
+    _write_binary(path, b"FEA1", (len(name),), payload)
 
 
 def read_feature_set(path) -> FeatureSet:
@@ -180,8 +199,7 @@ def read_feature_set(path) -> FeatureSet:
     count = r.u32()
     dim = r.u32()
     if count:
-        dt = np.dtype([("x", "<f4"), ("y", "<f4"), ("descriptor", "<f4", (dim,))])
-        rec = r.array(dt, count)
+        rec = r.array(_feature_dtype(dim), count)
         locations = np.stack([rec["x"], rec["y"]], axis=1).astype(np.float64)
         descriptors = rec["descriptor"].astype(np.float64).reshape(count, dim)
     else:
@@ -196,10 +214,7 @@ def read_feature_set(path) -> FeatureSet:
 
 def write_global_descriptor(path, desc: np.ndarray) -> None:
     v = np.ascontiguousarray(desc, dtype="<f4").reshape(-1)
-    with open(path, "wb") as fh:
-        fh.write(b"GDS1")
-        fh.write(struct.pack("<I", len(v)))
-        fh.write(v.tobytes())
+    _write_binary(path, b"GDS1", (len(v),), v.tobytes())
 
 
 def read_global_descriptor(path) -> np.ndarray:
@@ -211,10 +226,11 @@ def read_global_descriptor(path) -> np.ndarray:
     return values
 
 
+# One MAP1 point record; the field names are the DenseMap columns.
 _MAP_DTYPE = np.dtype(
     [
-        ("position", "<f4", (3,)),
-        ("label", "u1"),
+        ("positions", "<f4", (3,)),
+        ("labels", "u1"),
         ("v_l", "<f4", (3,)),
         ("v_u", "<f4", (3,)),
         ("theta", "<f4"),
@@ -230,18 +246,9 @@ def write_dense_map(path, dense_map: DenseMap) -> None:
     if n and int(dense_map.support.max()) > 0xFFFF:
         raise ValueError("support exceeds the uint16 range of the map format")
     rec = np.empty(n, dtype=_MAP_DTYPE)
-    rec["position"] = dense_map.positions.astype("<f4")
-    rec["label"] = dense_map.labels.astype(np.uint8)
-    rec["v_l"] = dense_map.v_l.astype("<f4")
-    rec["v_u"] = dense_map.v_u.astype("<f4")
-    rec["theta"] = dense_map.theta.astype("<f4")
-    rec["d_min"] = dense_map.d_min.astype("<f4")
-    rec["d_max"] = dense_map.d_max.astype("<f4")
-    rec["support"] = dense_map.support.astype(np.uint16)
-    with open(path, "wb") as fh:
-        fh.write(b"MAP1")
-        fh.write(struct.pack("<I", n))
-        fh.write(rec.tobytes())
+    for name in _MAP_DTYPE.names:
+        rec[name] = getattr(dense_map, name)
+    _write_binary(path, b"MAP1", (n,), rec.tobytes())
 
 
 def read_dense_map(path) -> DenseMap:
@@ -250,38 +257,36 @@ def read_dense_map(path) -> DenseMap:
     n = r.u32()
     rec = r.array(_MAP_DTYPE, n)
     r.done()
-    dense_map = DenseMap(
-        positions=rec["position"].astype(np.float64).reshape(n, 3),
-        labels=rec["label"].astype(np.int64),
-        v_l=rec["v_l"].astype(np.float64).reshape(n, 3),
-        v_u=rec["v_u"].astype(np.float64).reshape(n, 3),
-        theta=rec["theta"].astype(np.float64),
-        d_min=rec["d_min"].astype(np.float64),
-        d_max=rec["d_max"].astype(np.float64),
-        support=rec["support"].astype(np.int64),
-    )
-    if n:
-        finite = all(
-            np.all(np.isfinite(a))
-            for a in (dense_map.positions, dense_map.v_l, dense_map.v_u,
-                      dense_map.theta, dense_map.d_min, dense_map.d_max)
-        )
-        if not finite:
-            raise DataFormatError(path, None, "map contains non-finite values")
-        if np.any(dense_map.labels > 18):
-            raise DataFormatError(path, None, "map labels outside 0..18")
-        if np.any(dense_map.support < 1):
-            raise DataFormatError(path, None, "map support must be >= 1")
-        bad_range = (dense_map.d_min <= 0) | (dense_map.d_min > dense_map.d_max)
-        if np.any(bad_range):
-            raise DataFormatError(path, None, "invalid visibility distance range")
-        # stored values are float32-quantized; allow that much slack
-        if np.any((dense_map.theta < 0) | (dense_map.theta > np.pi + 1e-6)):
-            raise DataFormatError(path, None, "visible angle outside [0, pi]")
+    if not all(np.all(np.isfinite(rec[name])) for name in _MAP_DTYPE.names):
+        raise DataFormatError(path, None, "map contains non-finite values")
+    dense_map = DenseMap(**{name: rec[name] for name in _MAP_DTYPE.names})
+    if np.any(dense_map.labels > 18):
+        raise DataFormatError(path, None, "map labels outside 0..18")
+    if np.any(dense_map.support < 1):
+        raise DataFormatError(path, None, "map support must be >= 1")
+    bad_range = (dense_map.d_min <= 0) | (dense_map.d_min > dense_map.d_max)
+    if np.any(bad_range):
+        raise DataFormatError(path, None, "invalid visibility distance range")
+    # stored values are float32-quantized; allow that much slack
+    if np.any((dense_map.theta < 0) | (dense_map.theta > np.pi + 1e-6)):
+        raise DataFormatError(path, None, "visible angle outside [0, pi]")
     return dense_map
 
 
-# ── Camera text files ────────────────────────────────────────────────────
+# ── Text files ───────────────────────────────────────────────────────────
+
+
+def _pose_fields(pose: RigidPose) -> list[str]:
+    """``qw qx qy qz cx cy cz``: world-to-camera quaternion and center."""
+    q = matrix_to_quaternion(pose.rotation)
+    return [repr(float(v)) for v in (*q, *pose.center)]
+
+
+def _parse_pose(fields: Sequence[str]) -> RigidPose:
+    """Inverse of _pose_fields; raises ValueError on a malformed pose."""
+    q = np.array([float(v) for v in fields[:4]])
+    c = np.array([float(v) for v in fields[4:]])
+    return RigidPose(quaternion_to_matrix(q), c)
 
 
 @dataclass(frozen=True)
@@ -295,48 +300,31 @@ def write_cameras(path, records: Sequence[CameraRecord]) -> None:
     lines = ["# id fx fy cx cy width height qw qx qy qz cx_w cy_w cz_w"]
     for rec in records:
         k = rec.intrinsics
-        q = matrix_to_quaternion(rec.pose.rotation)
-        c = rec.pose.center
-        parts = [rec.image_id] + [
-            repr(float(v))
-            for v in (k.fx, k.fy, k.cx, k.cy)
-        ] + [str(k.width), str(k.height)] + [repr(float(v)) for v in (*q, *c)]
-        lines.append(" ".join(parts))
+        intr = [repr(float(v)) for v in (k.fx, k.fy, k.cx, k.cy)] + [str(k.width), str(k.height)]
+        lines.append(" ".join([rec.image_id, *intr, *_pose_fields(rec.pose)]))
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
 def read_cameras(path) -> list[CameraRecord]:
     out = []
     seen = set()
-    try:
-        text = Path(path).read_text(encoding="utf-8")
-    except FileNotFoundError:
-        raise DataFormatError(path, None, "file not found") from None
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
+    for lineno, line in text_lines(path):
         parts = line.split()
         if len(parts) != 14:
-            raise DataFormatError(path, lineno, f"expected 14 fields, got {len(parts)}")
+            raise DataFormatError(path, None, f"expected 14 fields, got {len(parts)}", lineno)
         image_id = parts[0]
         if image_id in seen:
-            raise DataFormatError(path, lineno, f"duplicate image id {image_id!r}")
+            raise DataFormatError(path, None, f"duplicate image id {image_id!r}", lineno)
         seen.add(image_id)
         try:
             fx, fy, cx, cy = (float(v) for v in parts[1:5])
             width, height = int(parts[5]), int(parts[6])
-            q = np.array([float(v) for v in parts[7:11]])
-            c = np.array([float(v) for v in parts[11:14]])
             intr = CameraIntrinsics(fx=fx, fy=fy, cx=cx, cy=cy, width=width, height=height)
-            pose = RigidPose(quaternion_to_matrix(q), c)
+            pose = _parse_pose(parts[7:])
         except ValueError as exc:
-            raise DataFormatError(path, lineno, str(exc)) from None
+            raise DataFormatError(path, None, str(exc), lineno) from None
         out.append(CameraRecord(image_id=image_id, intrinsics=intr, pose=pose))
     return out
-
-
-# ── Manifest ─────────────────────────────────────────────────────────────
 
 
 @dataclass
@@ -366,80 +354,83 @@ def write_manifest(path, manifest: DatasetManifest) -> None:
 
 
 def read_manifest(root) -> DatasetManifest:
+    """Parse ``root/manifest.txt``; load_dataset reads the files it names."""
     root = Path(root)
     path = root / "manifest.txt"
-    try:
-        text = path.read_text(encoding="utf-8")
-    except FileNotFoundError:
-        raise DataFormatError(path, None, "file not found") from None
     families: list = []
     db_ids: list = []
     query_ids: list = []
     conditions: dict = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
+    for lineno, line in text_lines(path):
         if "=" not in line:
-            raise DataFormatError(path, lineno, "expected 'key = value'")
+            raise DataFormatError(path, None, "expected 'key = value'", lineno)
         key, val = (part.strip() for part in line.split("=", 1))
+        parts = val.split()
         if key == "family":
-            parts = val.split()
-            if len(parts) != 2:
-                raise DataFormatError(path, lineno, "family needs 'name dim'")
+            if len(parts) != 2 or not parts[1].isdecimal():
+                raise DataFormatError(path, None, "family needs 'name dim'", lineno)
             families.append((parts[0], int(parts[1])))
         elif key == "db":
             db_ids.append(val)
         elif key == "query":
-            parts = val.split()
             if len(parts) != 2 or parts[1] not in ("day", "night"):
-                raise DataFormatError(path, lineno, "query needs 'id day|night'")
+                raise DataFormatError(path, None, "query needs 'id day|night'", lineno)
             query_ids.append(parts[0])
             conditions[parts[0]] = parts[1]
         else:
-            raise DataFormatError(path, lineno, f"unknown manifest key {key!r}")
+            raise DataFormatError(path, None, f"unknown manifest key {key!r}", lineno)
     ids = db_ids + query_ids
     if len(set(ids)) != len(ids):
         raise DataFormatError(path, None, "image ids are not unique")
-    manifest = DatasetManifest(
+    return DatasetManifest(
         root=root, families=families, db_ids=db_ids, query_ids=query_ids,
         conditions=conditions,
     )
-    _validate_manifest_files(manifest)
-    return manifest
 
 
-def _dataset_paths(manifest: DatasetManifest, image_id: str, is_query: bool) -> dict:
-    base = manifest.query_dir() if is_query else manifest.db_dir()
-    paths = {
-        "labels": base / f"{image_id}.labels.bin",
-        "gdesc": base / f"{image_id}.gdesc.bin",
-    }
-    if not is_query:
-        paths["depth"] = base / f"{image_id}.depth.bin"
-    for name, _dim in manifest.families:
-        paths[f"feat:{name}"] = base / f"{image_id}.{name}.feat.bin"
-    return paths
+def write_estimates(path, results: Sequence) -> None:
+    """One line per query: pose as quaternion + center, or a failure reason.
+
+    ``results`` holds pipeline.LocalizationResult objects.
+    """
+    lines = ["# semloc estimates v1"]
+    for res in results:
+        if res.pose is not None:
+            vals = " ".join(_pose_fields(res.pose))
+            lines.append(f"{res.query_id} {res.condition} pose {vals}")
+        else:
+            reason = (res.failure_reason or "unknown").replace(" ", "_")
+            lines.append(f"{res.query_id} {res.condition} failed {reason}")
+    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
-def _validate_manifest_files(manifest: DatasetManifest) -> None:
-    missing = []
-    for d in (manifest.db_dir() / "cameras.txt", manifest.query_dir() / "cameras.txt"):
-        if not d.exists():
-            missing.append(str(d))
-    for image_id in manifest.db_ids:
-        for p in _dataset_paths(manifest, image_id, is_query=False).values():
-            if not p.exists():
-                missing.append(str(p))
-    for image_id in manifest.query_ids:
-        for p in _dataset_paths(manifest, image_id, is_query=True).values():
-            if not p.exists():
-                missing.append(str(p))
-    if missing:
-        raise DataFormatError(
-            manifest.root / "manifest.txt", None,
-            f"missing referenced files: {missing[:5]}{'...' if len(missing) > 5 else ''}",
-        )
+def read_estimates(path) -> tuple[dict, dict]:
+    """Returns (estimates, conditions): query id -> RigidPose | None and
+    query id -> condition tag."""
+    estimates: dict = {}
+    conditions: dict = {}
+    for lineno, line in text_lines(path):
+        parts = line.split()
+        if len(parts) < 4:
+            raise DataFormatError(path, None, "short estimate line", lineno)
+        qid, condition, kind = parts[0], parts[1], parts[2]
+        if condition not in ("day", "night"):
+            raise DataFormatError(path, None, f"unknown condition {condition!r}", lineno)
+        if qid in estimates:
+            raise DataFormatError(path, None, f"duplicate query id {qid!r}", lineno)
+        conditions[qid] = condition
+        if kind == "pose":
+            if len(parts) != 10:
+                raise DataFormatError(path, None, "pose line needs 7 numbers", lineno)
+            try:
+                estimates[qid] = _parse_pose(parts[3:])
+            except ValueError as exc:
+                raise DataFormatError(path, None, str(exc), lineno) from None
+        elif kind == "failed":
+            estimates[qid] = None
+        else:
+            raise DataFormatError(path, None, f"unknown record kind {kind!r}", lineno)
+    return estimates, conditions
 
 
 # ── Whole-dataset save / load ────────────────────────────────────────────
@@ -453,179 +444,107 @@ class LoadedDataset:
     gt_poses: dict
 
 
+def _write_image_files(base: Path, image) -> None:
+    """Labels, global descriptor and per-family features of one image."""
+    write_label_image(base / f"{image.image_id}.labels.bin", image.labels)
+    write_global_descriptor(base / f"{image.image_id}.gdesc.bin", image.global_descriptor)
+    for fam, fs in image.features.items():
+        write_feature_set(base / f"{image.image_id}.{fam}.feat.bin", fs)
+
+
 def save_dataset(dataset, root) -> None:
     """Write a generated synthetic dataset in the standard layout."""
     root = Path(root)
-    (root / "database").mkdir(parents=True, exist_ok=True)
-    (root / "queries").mkdir(parents=True, exist_ok=True)
-
-    fams = [(f.name, f.dim) for f in dataset.spec.families]
-    manifest = DatasetManifest(
-        root=root,
-        families=fams,
-        db_ids=[r.image_id for r in dataset.db_records],
-        query_ids=[q.image_id for q in dataset.queries],
-        conditions={q.image_id: q.condition for q in dataset.queries},
-    )
+    db_dir, query_dir = root / "database", root / "queries"
+    db_dir.mkdir(parents=True, exist_ok=True)
+    query_dir.mkdir(parents=True, exist_ok=True)
 
     write_cameras(
-        root / "database" / "cameras.txt",
+        db_dir / "cameras.txt",
         [CameraRecord(r.image_id, r.intrinsics, r.pose) for r in dataset.db_records],
     )
     write_cameras(
-        root / "queries" / "cameras.txt",
+        query_dir / "cameras.txt",
         [
             CameraRecord(q.image_id, q.intrinsics, dataset.gt_poses[q.image_id])
             for q in dataset.queries
         ],
     )
     for rec in dataset.db_records:
-        base = root / "database"
-        write_depth_map(base / f"{rec.image_id}.depth.bin", rec.depth)
-        write_label_image(base / f"{rec.image_id}.labels.bin", rec.labels)
-        write_global_descriptor(base / f"{rec.image_id}.gdesc.bin", rec.global_descriptor)
-        for fam, fs in rec.features.items():
-            write_feature_set(base / f"{rec.image_id}.{fam}.feat.bin", fs)
+        write_depth_map(db_dir / f"{rec.image_id}.depth.bin", rec.depth)
+        _write_image_files(db_dir, rec)
     for q in dataset.queries:
-        base = root / "queries"
-        write_label_image(base / f"{q.image_id}.labels.bin", q.labels)
-        write_global_descriptor(base / f"{q.image_id}.gdesc.bin", q.global_descriptor)
-        for fam, fs in q.features.items():
-            write_feature_set(base / f"{q.image_id}.{fam}.feat.bin", fs)
-    write_manifest(root / "manifest.txt", manifest)
+        _write_image_files(query_dir, q)
+    write_manifest(root / "manifest.txt", DatasetManifest(
+        root=root,
+        families=[(f.name, f.dim) for f in dataset.spec.families],
+        db_ids=[r.image_id for r in dataset.db_records],
+        query_ids=[q.image_id for q in dataset.queries],
+        conditions={q.image_id: q.condition for q in dataset.queries},
+    ))
 
 
-def load_dataset(root) -> LoadedDataset:
-    """Load a dataset directory, validating dimensions and family names."""
-    manifest = read_manifest(root)
-    db_cams = {c.image_id: c for c in read_cameras(manifest.db_dir() / "cameras.txt")}
-    q_cams = {c.image_id: c for c in read_cameras(manifest.query_dir() / "cameras.txt")}
+def _cameras_for(path: Path, image_ids: Sequence[str]) -> list[CameraRecord]:
+    """The camera lines of ``image_ids``, in that order."""
+    cams = {c.image_id: c for c in read_cameras(path)}
+    for image_id in image_ids:
+        if image_id not in cams:
+            raise DataFormatError(path, None, f"no camera line for {image_id!r}")
+    return [cams[i] for i in image_ids]
 
-    db_records = []
-    for image_id in manifest.db_ids:
-        if image_id not in db_cams:
-            raise DataFormatError(
-                manifest.db_dir() / "cameras.txt", None, f"no camera line for {image_id!r}"
-            )
-        cam = db_cams[image_id]
-        paths = _dataset_paths(manifest, image_id, is_query=False)
-        features = {}
-        for name, dim in manifest.families:
-            fs = read_feature_set(paths[f"feat:{name}"])
-            if fs.family != name:
-                raise DataFormatError(
-                    paths[f"feat:{name}"], None,
-                    f"family {fs.family!r} does not match manifest entry {name!r}",
-                )
-            if len(fs) and fs.descriptors.shape[1] != dim:
-                raise DataFormatError(
-                    paths[f"feat:{name}"], None,
-                    f"descriptor dim {fs.descriptors.shape[1]} != manifest dim {dim}",
-                )
-            features[name] = fs
-        db_records.append(
-            DatabaseImageRecord(
-                image_id=image_id,
-                intrinsics=cam.intrinsics,
-                pose=cam.pose,
-                depth=read_depth_map(paths["depth"]),
-                labels=read_label_image(paths["labels"]),
-                global_descriptor=read_global_descriptor(paths["gdesc"]),
-                features=features,
-            )
-        )
 
-    queries = []
-    gt_poses = {}
-    for image_id in manifest.query_ids:
-        if image_id not in q_cams:
-            raise DataFormatError(
-                manifest.query_dir() / "cameras.txt", None, f"no camera line for {image_id!r}"
-            )
-        cam = q_cams[image_id]
-        paths = _dataset_paths(manifest, image_id, is_query=True)
-        features = {}
-        for name, dim in manifest.families:
-            fs = read_feature_set(paths[f"feat:{name}"])
-            if fs.family != name:
-                raise DataFormatError(
-                    paths[f"feat:{name}"], None,
-                    f"family {fs.family!r} does not match manifest entry {name!r}",
-                )
-            features[name] = fs
-        queries.append(
-            QueryImage(
-                image_id=image_id,
-                intrinsics=cam.intrinsics,
-                labels=read_label_image(paths["labels"]),
-                global_descriptor=read_global_descriptor(paths["gdesc"]),
-                features=features,
-                condition=manifest.conditions[image_id],
-            )
-        )
-        gt_poses[image_id] = cam.pose
-    return LoadedDataset(
-        manifest=manifest, db_records=db_records, queries=queries, gt_poses=gt_poses
+def _read_image_files(manifest: DatasetManifest, base: Path, image_id: str) -> dict:
+    """Labels, global descriptor and per-family features of one image, as
+    keyword arguments of DatabaseImageRecord and QueryImage.  Each feature
+    file must hold the family and descriptor dim the manifest declares."""
+    features = {}
+    for name, dim in manifest.families:
+        path = base / f"{image_id}.{name}.feat.bin"
+        fs = read_feature_set(path)
+        if fs.family != name:
+            raise DataFormatError(path, None, f"family {fs.family!r} != manifest entry {name!r}")
+        if len(fs) and fs.descriptors.shape[1] != dim:
+            got = fs.descriptors.shape[1]
+            raise DataFormatError(path, None, f"descriptor dim {got} != manifest dim {dim}")
+        features[name] = fs
+    return dict(
+        labels=read_label_image(base / f"{image_id}.labels.bin"),
+        global_descriptor=read_global_descriptor(base / f"{image_id}.gdesc.bin"),
+        features=features,
     )
 
 
-# ── Estimates and reports ────────────────────────────────────────────────
-
-
-def write_estimates(path, results: Sequence) -> None:
-    """One line per query: pose as quaternion + center, or a failure reason.
-
-    ``results`` holds pipeline.LocalizationResult objects.
-    """
-    lines = ["# semloc estimates v1"]
-    for res in results:
-        if res.pose is not None:
-            q = matrix_to_quaternion(res.pose.rotation)
-            c = res.pose.center
-            vals = " ".join(repr(float(v)) for v in (*q, *c))
-            lines.append(f"{res.query_id} {res.condition} pose {vals}")
-        else:
-            reason = (res.failure_reason or "unknown").replace(" ", "_")
-            lines.append(f"{res.query_id} {res.condition} failed {reason}")
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
-
-
-def read_estimates(path) -> tuple[dict, dict]:
-    """Returns (estimates, conditions): query id -> RigidPose | None and
-    query id -> condition tag."""
-    estimates: dict = {}
-    conditions: dict = {}
-    try:
-        text = Path(path).read_text(encoding="utf-8")
-    except FileNotFoundError:
-        raise DataFormatError(path, None, "file not found") from None
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        parts = line.split()
-        if len(parts) < 4:
-            raise DataFormatError(path, lineno, "short estimate line")
-        qid, condition, kind = parts[0], parts[1], parts[2]
-        if condition not in ("day", "night"):
-            raise DataFormatError(path, lineno, f"unknown condition {condition!r}")
-        if qid in estimates:
-            raise DataFormatError(path, lineno, f"duplicate query id {qid!r}")
-        conditions[qid] = condition
-        if kind == "pose":
-            if len(parts) != 10:
-                raise DataFormatError(path, lineno, "pose line needs 7 numbers")
-            try:
-                q = np.array([float(v) for v in parts[3:7]])
-                c = np.array([float(v) for v in parts[7:10]])
-                estimates[qid] = RigidPose(quaternion_to_matrix(q), c)
-            except ValueError as exc:
-                raise DataFormatError(path, lineno, str(exc)) from None
-        elif kind == "failed":
-            estimates[qid] = None
-        else:
-            raise DataFormatError(path, lineno, f"unknown record kind {kind!r}")
-    return estimates, conditions
+def load_dataset(root) -> LoadedDataset:
+    """Load a dataset directory, validating dimensions and family names.
+    A missing or malformed file raises DataFormatError naming it."""
+    manifest = read_manifest(root)
+    db_dir, query_dir = manifest.db_dir(), manifest.query_dir()
+    db_records = [
+        DatabaseImageRecord(
+            image_id=cam.image_id,
+            intrinsics=cam.intrinsics,
+            pose=cam.pose,
+            depth=read_depth_map(db_dir / f"{cam.image_id}.depth.bin"),
+            **_read_image_files(manifest, db_dir, cam.image_id),
+        )
+        for cam in _cameras_for(db_dir / "cameras.txt", manifest.db_ids)
+    ]
+    query_cams = _cameras_for(query_dir / "cameras.txt", manifest.query_ids)
+    queries = [
+        QueryImage(
+            image_id=cam.image_id,
+            intrinsics=cam.intrinsics,
+            condition=manifest.conditions[cam.image_id],
+            **_read_image_files(manifest, query_dir, cam.image_id),
+        )
+        for cam in query_cams
+    ]
+    return LoadedDataset(
+        manifest=manifest,
+        db_records=db_records,
+        queries=queries,
+        gt_poses={cam.image_id: cam.pose for cam in query_cams},
+    )
 
 
 def write_report_files(out_prefix, report, rendered: str) -> tuple[Path, Path]:

@@ -49,6 +49,11 @@ _COLLINEAR_AREA_TOL = 1e-12
 # is; a chunk may solve up to _CHUNK - 1 hypotheses past the adaptive stop.
 _CHUNK = 64
 
+# Draws per RANSAC iteration before it gives up on finding a non-degenerate
+# minimal sample; at most _CHUNK, so a chunk's pool always covers one
+# iteration.
+_MAX_SAMPLE_ATTEMPTS = 20
+
 # Why _p3p_batch rejects a row (index 0: no rejection).
 _P3P_ERRORS = (None, "world points are collinear", "degenerate bearing vectors (parallel rays)")
 
@@ -160,7 +165,6 @@ class RansacConfig:
     min_inliers: int = 12
     seed: int = 0
     min_pixel_span_px: float = 10.0
-    max_sample_attempts: int = 20
     adaptive_stopping: bool = True  # False runs exactly max_iterations
 
     def __post_init__(self) -> None:
@@ -527,10 +531,10 @@ def _degenerate_samples(points: np.ndarray, pixels: np.ndarray, cfg: RansacConfi
     )
 
 
-def _schedule(ok: np.ndarray, iterations: int, attempts_per_iteration: int) -> tuple[list, int]:
+def _schedule(ok: np.ndarray, iterations: int) -> tuple[list, int]:
     """Assign drawn samples (ok marks the non-degenerate ones) to up to
     `iterations` RANSAC iterations in draw order.  An iteration takes the
-    first non-degenerate sample among its next attempts_per_iteration
+    first non-degenerate sample among its next _MAX_SAMPLE_ATTEMPTS
     draws, or none when all of them are degenerate; scheduling stops at an
     iteration whose draws run past the end of `ok`.  Returns each
     iteration's sample index (-1 for none) and the number of draws used."""
@@ -539,7 +543,7 @@ def _schedule(ok: np.ndarray, iterations: int, attempts_per_iteration: int) -> t
     p = 0  # next unused draw
     k = 0  # good[k] is the first non-degenerate draw at or after p
     while len(sched) < iterations:
-        end = p + attempts_per_iteration
+        end = p + _MAX_SAMPLE_ATTEMPTS
         if k < len(good) and good[k] < end:
             p = good[k] + 1
             sched.append(good[k])
@@ -583,7 +587,7 @@ def _ransac_pnp(
     Each chunk tops up a pool of drawn minimal samples to _CHUNK (draws the
     previous chunk did not use stay at its head, in order), flags the
     degenerate ones, assigns samples to iterations exactly as a one-sample
-    loop would (first non-degenerate of up to max_sample_attempts draws),
+    loop would (first non-degenerate of up to _MAX_SAMPLE_ATTEMPTS draws),
     solves P3P and scores every candidate for the whole chunk at once, then
     replays the iterations in order with the best-selection rule and the
     adaptive stopping bound.  Results are those of the sequential loop up
@@ -601,16 +605,13 @@ def _ransac_pnp(
     best_pose: Optional[RigidPose] = None
     needed = cfg.max_iterations
     it = 0
-    # At least one iteration's worth of draws in hand, so that every chunk
-    # schedules at least one iteration.
-    pool_size = max(_CHUNK, cfg.max_sample_attempts)
     drawn = np.empty((0, 3), dtype=np.int64)
     ok = np.empty(0, dtype=bool)
     while it < needed:
-        fresh = _draw_minimal_samples(rng, w, pool_size - len(drawn))
+        fresh = _draw_minimal_samples(rng, w, _CHUNK - len(drawn))
         drawn = np.concatenate([drawn, fresh])
         ok = np.concatenate([ok, ~_degenerate_samples(points[fresh], pixels[fresh], cfg)])
-        sched, used = _schedule(ok, min(_CHUNK, needed - it), cfg.max_sample_attempts)
+        sched, used = _schedule(ok, min(_CHUNK, needed - it))
         samples = drawn[[j for j in sched if j >= 0]]
         drawn, ok = drawn[used:], ok[used:]
 

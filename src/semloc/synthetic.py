@@ -23,6 +23,7 @@ axis, matching the depth-map convention of the rest of the package.
 
 from __future__ import annotations
 
+import inspect
 import math
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
@@ -30,7 +31,8 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .geometry import CameraIntrinsics, RigidPose, pixel_rays, project_points, rotation_about_axis
-from .matching import FeatureFamily, FeatureSet
+from .formats import DataFormatError, text_lines
+from .matching import FeatureSet
 from .semantic_map import UNLABELED, DatabaseImageRecord, QueryImage
 
 __all__ = [
@@ -85,16 +87,6 @@ class FamilySpec:
     sigma: dict = field(default_factory=lambda: {"day": 0.0, "night": 0.0})
     dropout: dict = field(default_factory=lambda: {"day": 0.0, "night": 0.0})
     location_sigma: dict = field(default_factory=lambda: {"day": 0.0, "night": 0.0})
-    use_mutual_nn: bool = True
-    ratio: Optional[float] = None
-
-    def family(self) -> FeatureFamily:
-        return FeatureFamily(
-            name=self.name,
-            descriptor_dim=self.dim,
-            use_mutual_nn=self.use_mutual_nn,
-            ratio=self.ratio,
-        )
 
 
 @dataclass
@@ -138,9 +130,6 @@ class SyntheticDataset:
     anchor_plane: np.ndarray
     latents: dict  # family name -> (A, dim)
     global_latents: np.ndarray
-
-    def families(self) -> list:
-        return [f.family() for f in self.spec.families]
 
 
 # ── Analytic rendering ───────────────────────────────────────────────────
@@ -545,51 +534,47 @@ def symmetric_canyon_spec(
 
 # ── Scene spec files ─────────────────────────────────────────────────────
 
+_PRESETS = {"canyon": street_canyon_spec, "symmetric": symmetric_canyon_spec}
+
+# scene spec key -> type of its value; every key but ``preset`` (canyon |
+# symmetric, default canyon) is a keyword argument of the preset function,
+# except that image_width and image_height together make its image_size
 _SPEC_KEYS = {
-    "preset", "seed", "n_db", "n_queries", "image_width", "image_height",
-    "noise_profile", "night_fraction", "anchors_per_plane", "length",
+    "preset": str, "seed": int, "n_db": int, "n_queries": int, "image_width": int,
+    "image_height": int, "noise_profile": str, "night_fraction": float,
+    "anchors_per_plane": int, "length": float,
 }
 
 
-def parse_scene_spec_file(path: str) -> SceneSpec:
+def parse_scene_spec_file(path) -> SceneSpec:
     """Build a SceneSpec from a small key-value preset file.
 
-    Recognized keys: preset (canyon | symmetric), seed, n_db, n_queries,
-    image_width, image_height, noise_profile (zero | day_night),
-    night_fraction, anchors_per_plane, length.  Unknown keys are rejected.
+    Keys left out take the preset function's defaults.  Unknown keys and
+    keys the chosen preset does not take are rejected.
     """
-    values: dict[str, str] = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise ValueError(f"{path}:{lineno}: expected 'key = value'")
-            key, val = (part.strip() for part in line.split("=", 1))
-            if key not in _SPEC_KEYS:
-                raise ValueError(f"{path}:{lineno}: unknown scene spec key {key!r}")
-            values[key] = val
+    values: dict = {}
+    lines: dict = {}
+    for lineno, line in text_lines(path):
+        if "=" not in line:
+            raise DataFormatError(path, None, "expected 'key = value'", lineno)
+        key, val = (part.strip() for part in line.split("=", 1))
+        if key not in _SPEC_KEYS:
+            raise DataFormatError(path, None, f"unknown scene spec key {key!r}", lineno)
+        try:
+            values[key] = _SPEC_KEYS[key](val)
+        except ValueError:
+            raise DataFormatError(path, None, f"bad value for {key}: {val!r}", lineno) from None
+        lines[key] = lineno
 
-    preset = values.get("preset", "canyon")
-    seed = int(values.get("seed", "0"))
-    size = (int(values.get("image_width", "160")), int(values.get("image_height", "120")))
-    if preset == "canyon":
-        return street_canyon_spec(
-            seed=seed,
-            n_db=int(values.get("n_db", "20")),
-            n_queries=int(values.get("n_queries", "50")),
-            image_size=size,
-            noise_profile=values.get("noise_profile", "zero"),
-            night_fraction=float(values.get("night_fraction", "0.0")),
-            anchors_per_plane=int(values.get("anchors_per_plane", "30")),
-            length=float(values.get("length", "40.0")),
-        )
-    if preset == "symmetric":
-        return symmetric_canyon_spec(
-            seed=seed,
-            n_db=int(values.get("n_db", "16")),
-            image_size=size,
-            length=float(values.get("length", "40.0")),
-        )
-    raise ValueError(f"unknown scene preset {preset!r}")
+    preset = values.pop("preset", "canyon")
+    if preset not in _PRESETS:
+        raise DataFormatError(path, None, f"unknown scene preset {preset!r}", lines["preset"])
+    make = _PRESETS[preset]
+    params = inspect.signature(make).parameters
+    if "image_width" in values or "image_height" in values:
+        w, h = params["image_size"].default
+        values["image_size"] = (values.pop("image_width", w), values.pop("image_height", h))
+    for key in values:
+        if key not in params:
+            raise DataFormatError(path, None, f"preset {preset!r} takes no {key!r}", lines[key])
+    return make(**values)

@@ -25,6 +25,7 @@ from semloc.geometry import CameraIntrinsics, RigidPose
 from semloc.matching import CorrespondenceBatch
 from semloc.pnp import (
     PnPSolution,
+    _MAX_SAMPLE_ATTEMPTS,
     RansacConfig,
     _bearings_from_pixels,
     _orthonormalized,
@@ -292,7 +293,7 @@ def ransac_pnp(
     weights: Optional[np.ndarray],
 ) -> Optional[PnPSolution]:
     """One hypothesis per iteration: draw (redrawing degenerate samples up to
-    max_sample_attempts times), solve, score, keep the best, update the
+    _MAX_SAMPLE_ATTEMPTS times), solve, score, keep the best, update the
     adaptive bound."""
     n = len(batch)
     points, pixels = batch.points, batch.pixels
@@ -307,7 +308,7 @@ def ransac_pnp(
     while it < needed:
         it += 1
         sample = None
-        for _ in range(cfg.max_sample_attempts):
+        for _ in range(_MAX_SAMPLE_ATTEMPTS):
             cand = draw_minimal_sample(rng, w)
             if not sample_is_degenerate(points[cand], pixels[cand], cfg):
                 sample = cand

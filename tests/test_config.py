@@ -1,8 +1,11 @@
 """Configuration file parsing tests."""
 
+import re
+
 import pytest
 
 from semloc.config import FamilyMatchConfig, PipelineConfig, parse_config_file, render_config
+from semloc.formats import DataFormatError
 
 
 def _write(tmp_path, text):
@@ -73,3 +76,30 @@ class TestParseConfig:
         default = cfg.family_rules("unseen", 8)
         assert default.use_mutual_nn is True
         assert default.ratio is None
+
+
+def test_every_scalar_field_has_exactly_one_key():
+    from dataclasses import fields
+
+    from semloc.config import _SCALAR_KEYS
+
+    keyed = sorted(attr for attr, _cast in _SCALAR_KEYS.values())
+    scalar = sorted(f.name for f in fields(PipelineConfig) if f.name != "families")
+    assert keyed == scalar
+
+
+def test_errors_name_file_and_line(tmp_path):
+    p = _write(tmp_path, "seed = 1\n\nmap.unstable_classes = 10,99\n")
+    with pytest.raises(DataFormatError, match=re.escape(f"{p}:3: bad value for map.unstable_")):
+        parse_config_file(p)
+    p = _write(tmp_path, "family.corner.ratio = most\n")
+    with pytest.raises(DataFormatError, match=re.escape(f"{p}:1: bad value for family.corner")):
+        parse_config_file(p)
+
+
+def test_render_prints_numpy_scalars_as_numbers():
+    import numpy as np
+
+    text = render_config(PipelineConfig(seed=np.int64(4), fusion_voxel_size=np.float64(0.25)))
+    assert "seed = 4\n" in text
+    assert "fusion.voxel_size = 0.25\n" in text

@@ -4,9 +4,12 @@ Random instances are generated with float32-representable payloads so
 Load(Store(x)) compares exactly equal.
 """
 
+import re
+
 import numpy as np
 import pytest
 
+from semloc.config import parse_config_file
 from semloc.formats import (
     CameraRecord,
     DataFormatError,
@@ -18,6 +21,7 @@ from semloc.formats import (
     read_global_descriptor,
     read_label_image,
     read_manifest,
+    text_lines,
     write_cameras,
     write_dense_map,
     write_depth_map,
@@ -294,11 +298,112 @@ class TestDatasetLayout:
             assert np.max(np.abs(gt.rotation - back.rotation)) < 1e-12
 
     def test_missing_file_detected(self, tmp_path, zero_noise_dataset):
-        from semloc.formats import save_dataset
+        from semloc.formats import load_dataset, save_dataset
 
         root = tmp_path / "data"
         save_dataset(zero_noise_dataset, root)
         victim = next(root.glob("database/*.depth.bin"))
         victim.unlink()
-        with pytest.raises(DataFormatError, match="missing referenced files"):
-            read_manifest(root)
+        with pytest.raises(DataFormatError, match=re.escape(f"{victim}: file not found")):
+            load_dataset(root)
+
+    def test_non_integer_family_dim_rejected(self, tmp_path, zero_noise_dataset):
+        from semloc.formats import load_dataset, save_dataset
+
+        root = tmp_path / "data"
+        save_dataset(zero_noise_dataset, root)
+        path = root / "manifest.txt"
+        path.write_text(path.read_text().replace("family = corner 16", "family = corner x"))
+        with pytest.raises(DataFormatError, match=re.escape(f"{path}:2: family needs")):
+            load_dataset(root)
+
+    def test_query_descriptor_dim_checked(self, tmp_path, zero_noise_dataset):
+        # a query feature file must hold the manifest's descriptor dim, as a
+        # database one must
+        from semloc.formats import load_dataset, save_dataset
+
+        root = tmp_path / "data"
+        save_dataset(zero_noise_dataset, root)
+        path = root / "queries" / "q003.corner.feat.bin"
+        fs = read_feature_set(path)
+        write_feature_set(path, FeatureSet("corner", fs.locations, fs.descriptors[:, :8]))
+        message = f"{path}: descriptor dim 8 != manifest dim 16"
+        with pytest.raises(DataFormatError, match=re.escape(message)):
+            load_dataset(root)
+
+
+class TestTextFiles:
+    def test_error_names_line_not_byte(self, tmp_path):
+        (tmp_path / "manifest.txt").write_text("family = corner 16\nframes = 3\n")
+        with pytest.raises(DataFormatError) as info:
+            read_manifest(tmp_path)
+        assert str(info.value) == f"{tmp_path / 'manifest.txt'}:2: unknown manifest key 'frames'"
+        assert (info.value.line, info.value.offset) == (2, None)
+
+    def test_missing_file(self, tmp_path):
+        with pytest.raises(DataFormatError, match="nowhere.txt: file not found"):
+            list(text_lines(tmp_path / "nowhere.txt"))
+
+    def test_non_utf8_rejected(self, tmp_path):
+        p = tmp_path / "cameras.txt"
+        p.write_bytes(b"a \xff\xfe 1\n")
+        with pytest.raises(DataFormatError, match="not UTF-8"):
+            read_cameras(p)
+
+
+def _camera_text(tmp_path):
+    rng = np.random.default_rng(10)
+    K = CameraIntrinsics(100.0, 90.0, 50.0, 40.0, 100, 80)
+    p = tmp_path / "write.txt"
+    write_cameras(p, [CameraRecord(i, K, random_pose(rng)) for i in ("a", "b")])
+    return p.read_text()
+
+
+def _estimates_text(tmp_path):
+    from semloc.pipeline import LocalizationResult
+
+    rng = np.random.default_rng(11)
+    p = tmp_path / "write.txt"
+    write_estimates(p, [LocalizationResult("q0", "day", random_pose(rng)),
+                        LocalizationResult("q1", "night", None, failure_reason="no consensus")])
+    return p.read_text()
+
+
+def _poses(poses: dict):
+    return {k: None if v is None else (v.rotation.tolist(), v.center.tolist())
+            for k, v in poses.items()}
+
+
+def _scene(path):
+    from semloc.synthetic import parse_scene_spec_file
+
+    spec = parse_scene_spec_file(path)
+    return (spec.seed, spec.intrinsics, len(spec.db_poses), spec.query_conditions)
+
+
+# reader name -> (file name, clean text, read to a comparable value)
+_TEXT_READERS = {
+    "cameras": ("cameras.txt", _camera_text, lambda p: [
+        (c.image_id, c.intrinsics, c.pose.rotation.tolist(), c.pose.center.tolist())
+        for c in read_cameras(p)]),
+    "manifest": ("manifest.txt", lambda _: "family = corner 16\ndb = db000\nquery = q000 night\n",
+                 lambda p: {**vars(read_manifest(p.parent)), "root": None}),
+    "estimates": ("est.txt", _estimates_text,
+                  lambda p: (_poses(read_estimates(p)[0]), read_estimates(p)[1])),
+    "config": ("config.txt", lambda _: "seed = 3\nmap.unstable_classes = 10,13\nfamily.b.ratio = 0.9\n",
+               parse_config_file),
+    "scene spec": ("scene.txt", lambda _: "preset = canyon\nn_db = 4\nn_queries = 2\nseed = 5\n",
+                   _scene),
+}
+
+
+@pytest.mark.parametrize("reader", sorted(_TEXT_READERS))
+def test_text_readers_skip_blank_lines_and_comments(tmp_path, reader):
+    name, text, read = _TEXT_READERS[reader]
+    clean = text(tmp_path)
+    noisy = "".join(f"\n   \n# note\n{line}\t# trailing = comment\n" for line in clean.splitlines())
+    (tmp_path / "clean").mkdir()
+    (tmp_path / "noisy").mkdir()
+    (tmp_path / "clean" / name).write_text(clean)
+    (tmp_path / "noisy" / name).write_text(noisy)
+    assert read(tmp_path / "noisy" / name) == read(tmp_path / "clean" / name)

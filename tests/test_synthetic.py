@@ -4,6 +4,7 @@ model, and deterministic regeneration."""
 import numpy as np
 import pytest
 
+from semloc.config import PipelineConfig
 from semloc.geometry import CameraIntrinsics, RigidPose, back_project
 from semloc.synthetic import (
     FacadePlane,
@@ -161,7 +162,8 @@ class TestGenerateScene:
         ds = generate_scene(spec)
 
         def correct_fraction(fam_name):
-            fam = next(f for f in ds.families() if f.name == fam_name)
+            dim = next(f.dim for f in spec.families if f.name == fam_name)
+            fam = PipelineConfig().family_rules(fam_name, dim)
             good = 0
             total = 0
             for q in ds.queries:
@@ -216,3 +218,59 @@ class TestGenerateScene:
         for rec in ds.db_records:
             assert np.any(rec.depth > 0)
             assert rec.global_descriptor is not None
+
+
+def _same_spec(a, b) -> bool:
+    def poses(spec):
+        return [(p.rotation.tolist(), p.center.tolist()) for p in spec.db_poses + spec.query_poses]
+
+    return (
+        (a.seed, a.intrinsics, a.query_conditions, a.families, a.anchors_per_plane)
+        == (b.seed, b.intrinsics, b.query_conditions, b.families, b.anchors_per_plane)
+        and (a.anchor_plane_indices, a.global_dim, a.global_sigma)
+        == (b.anchor_plane_indices, b.global_dim, b.global_sigma)
+        and [p.corner.tolist() for p in a.planes] == [p.corner.tolist() for p in b.planes]
+        and poses(a) == poses(b)
+    )
+
+
+class TestSceneSpecFile:
+    def _parse(self, tmp_path, text):
+        from semloc.synthetic import parse_scene_spec_file
+
+        p = tmp_path / "scene.txt"
+        p.write_text(text)
+        return parse_scene_spec_file(p)
+
+    def test_defaults_are_the_preset_functions(self, tmp_path):
+        assert _same_spec(self._parse(tmp_path, ""), street_canyon_spec())
+        assert _same_spec(self._parse(tmp_path, "preset = canyon\n"), street_canyon_spec())
+        assert _same_spec(self._parse(tmp_path, "preset = symmetric\n"), symmetric_canyon_spec())
+
+    def test_values_reach_the_preset(self, tmp_path):
+        spec = self._parse(tmp_path, "n_db = 6\nimage_width = 80\nnoise_profile = day_night\n"
+                                     "night_fraction = 0.5\nn_queries = 4\nseed = 3\n")
+        expected = street_canyon_spec(seed=3, n_db=6, n_queries=4, image_size=(80, 120),
+                                      noise_profile="day_night", night_fraction=0.5)
+        assert _same_spec(spec, expected)
+
+    def test_symmetric_preset(self, tmp_path):
+        spec = self._parse(tmp_path, "n_db = 8\nimage_height = 40\nlength = 32.0\n"
+                                     "preset = symmetric\n")
+        assert _same_spec(spec, symmetric_canyon_spec(n_db=8, image_size=(64, 40), length=32.0))
+
+    def test_unknown_key_rejected(self, tmp_path):
+        from semloc.formats import DataFormatError
+
+        with pytest.raises(DataFormatError, match=r"scene.txt:2: unknown scene spec key 'warp'"):
+            self._parse(tmp_path, "preset = canyon\nwarp = 9\n")
+
+    def test_foreign_key_bad_preset_and_bad_value_rejected(self, tmp_path):
+        from semloc.formats import DataFormatError
+
+        with pytest.raises(DataFormatError, match=r"scene.txt:1: preset 'symmetric' takes no 'n_q"):
+            self._parse(tmp_path, "n_queries = 5\npreset = symmetric\n")
+        with pytest.raises(DataFormatError, match=r"scene.txt:1: unknown scene preset 'round'"):
+            self._parse(tmp_path, "preset = round\n")
+        with pytest.raises(DataFormatError, match=r"scene.txt:1: bad value for n_db: 'many'"):
+            self._parse(tmp_path, "n_db = many\n")
