@@ -35,8 +35,8 @@ print(f"\nmatching against {db.image_id}:")
 per_family = []
 for fam_spec in spec.families:
     name = fam_spec.name
-    family = PipelineConfig().family_rules(name, fam_spec.dim)
-    matches = match_family(query.features[name], db.features[name], family)
+    matches = match_family(query.features[name], db.features[name],
+                           PipelineConfig().family_rules(name))
     lifted = lift_to_3d(matches, query.features[name], db)
     per_family.append(lifted.correspondences)
     print(f"  {name:7s}: {len(query.features[name])} query kps x "

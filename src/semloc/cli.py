@@ -21,6 +21,7 @@ import argparse
 import json
 import logging
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 from . import formats
@@ -78,14 +79,9 @@ def _build_parser() -> _Parser:
 
 
 def _load_config(path, args) -> PipelineConfig:
-    cfg = parse_config_file(path)
-    if args.seed is not None:
-        cfg.seed = args.seed
-    if args.top_k_day is not None:
-        cfg.top_k_day = args.top_k_day
-    if args.top_k_night is not None:
-        cfg.top_k_night = args.top_k_night
-    return cfg
+    overrides = {"seed": args.seed, "top_k_day": args.top_k_day, "top_k_night": args.top_k_night}
+    return replace(parse_config_file(path),
+                   **{k: v for k, v in overrides.items() if v is not None})
 
 
 def cmd_synth(args) -> int:
@@ -181,9 +177,6 @@ def main(argv=None) -> int:
     }
     try:
         return handlers[args.command](args)
-    except DataFormatError as exc:
-        logger.error("%s", exc)
-        return EXIT_DATA
     except FileNotFoundError as exc:
         logger.error("missing file: %s", exc)
         return EXIT_DATA

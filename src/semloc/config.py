@@ -2,7 +2,8 @@
 
 The config file is plain ``key = value`` lines with ``#`` comments.  Every
 tunable constant of the pipeline lives here; unknown keys are rejected so
-typos fail loudly.  Per-family matching rules use dotted keys, e.g.::
+typos fail loudly, and every value is range-checked as its line is read.
+Per-family matching rules use dotted keys, e.g.::
 
     family.corner.mutual_nn = true
     family.corner.ratio = off
@@ -13,26 +14,25 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field, replace
-from typing import Optional
 
 from .formats import DataFormatError, text_lines
 from .matching import FeatureFamily
 from .pnp import RansacConfig
+from .retrieval import RetrievalConfig
 from .scoring import VisibilityGateConfig
 from .semantic_map import DEFAULT_UNSTABLE_CLASS_IDS, DepthFilterConfig
 
-__all__ = ["FamilyMatchConfig", "PipelineConfig", "parse_config_file", "render_config"]
+__all__ = ["PipelineConfig", "parse_config_file", "render_config"]
 
 
 @dataclass(frozen=True)
-class FamilyMatchConfig:
-    mutual_nn: bool = True
-    ratio: Optional[float] = None
-
-
-@dataclass
 class PipelineConfig:
-    """Every constant the pipeline consumes, with library defaults."""
+    """Every constant the pipeline consumes, with library defaults.
+
+    Building a config builds each stage type once, so the checks those
+    types own fail here rather than on the first query.  Derive a changed
+    config with dataclasses.replace.
+    """
 
     seed: int = 0
     # depth filtering
@@ -63,16 +63,21 @@ class PipelineConfig:
     refine_max_iterations: int = 100
     refine_relative_tolerance: float = 1e-10
     # per-family matching rules
-    families: dict = field(default_factory=dict)  # name -> FamilyMatchConfig
+    families: dict = field(default_factory=dict)  # name -> FeatureFamily
 
-    def family_rules(self, name: str, descriptor_dim: int) -> FeatureFamily:
-        rules = self.families.get(name, FamilyMatchConfig())
-        return FeatureFamily(
-            name=name,
-            descriptor_dim=descriptor_dim,
-            use_mutual_nn=rules.mutual_nn,
-            ratio=rules.ratio,
-        )
+    def __post_init__(self) -> None:
+        self.depth_filter()
+        self.gate()
+        self.final_ransac(0)
+        self.temp_ransac(0)
+        self.retrieval("day")
+        self.retrieval("night")
+
+    def family_rules(self, name: str) -> FeatureFamily:
+        return self.families.get(name, FeatureFamily(name))
+
+    def retrieval(self, condition: str) -> RetrievalConfig:
+        return RetrievalConfig(top_k=self.top_k_night if condition == "night" else self.top_k_day)
 
     def depth_filter(self) -> DepthFilterConfig:
         return DepthFilterConfig(
@@ -150,7 +155,6 @@ def _parse_bool(value: str) -> bool:
 
 def parse_config_file(path) -> PipelineConfig:
     cfg = PipelineConfig()
-    families: dict = {}
     for lineno, line in text_lines(path):
         if "=" not in line:
             raise DataFormatError(path, None, "expected 'key = value'", lineno)
@@ -162,18 +166,18 @@ def parse_config_file(path) -> PipelineConfig:
             if family:
                 name, attr = family.groups()
                 if attr == "mutual_nn":
-                    rule = _parse_bool(value)
+                    rule = {"use_mutual_nn": _parse_bool(value)}
                 else:
-                    rule = None if value.lower() in ("off", "none") else float(value)
-                families[name] = replace(families.get(name, FamilyMatchConfig()), **{attr: rule})
+                    rule = {"ratio": None if value.lower() in ("off", "none") else float(value)}
+                family_rule = replace(cfg.family_rules(name), **rule)
+                cfg = replace(cfg, families={**cfg.families, name: family_rule})
             else:
                 attr, cast = _SCALAR_KEYS[key]
-                setattr(cfg, attr, cast(value))
+                cfg = replace(cfg, **{attr: cast(value)})
         except ValueError as exc:
             raise DataFormatError(
                 path, None, f"bad value for {key}: {value!r} ({exc})", lineno
             ) from None
-    cfg.families = families
     return cfg
 
 
@@ -191,7 +195,7 @@ def render_config(cfg: PipelineConfig) -> str:
     ]
     for name in sorted(cfg.families):
         rules = cfg.families[name]
-        lines.append(f"family.{name}.mutual_nn = {'true' if rules.mutual_nn else 'false'}")
+        lines.append(f"family.{name}.mutual_nn = {'true' if rules.use_mutual_nn else 'false'}")
         lines.append(
             f"family.{name}.ratio = "
             + ("off" if rules.ratio is None else repr(rules.ratio))

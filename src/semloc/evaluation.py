@@ -22,8 +22,6 @@ __all__ = [
     "RecallReport",
     "evaluate",
     "render_report",
-    "report_to_dict",
-    "report_from_dict",
 ]
 
 
@@ -172,60 +170,3 @@ def render_report(report: RecallReport) -> str:
         if g.failure_ids:
             lines.append(f"{g.condition} failures: {' '.join(g.failure_ids)}")
     return "\n".join(lines) + "\n"
-
-
-def report_to_dict(report: RecallReport) -> dict:
-    """JSON-ready structure carrying per-query errors so the report can be
-    recomputed from its own serialization."""
-    return {
-        "groups": [
-            {
-                "condition": g.condition,
-                "buckets": [
-                    {
-                        "max_position_m": b.max_position_m,
-                        "max_orientation_deg": b.max_orientation_deg,
-                        "label": b.label,
-                    }
-                    for b in g.buckets
-                ],
-                "percentages": list(g.percentages),
-                "total": g.total,
-                "failure_ids": list(g.failure_ids),
-                "errors": {
-                    qid: (
-                        None
-                        if e is None
-                        else {
-                            "position_error": e.position_error,
-                            "orientation_error": e.orientation_error,
-                        }
-                    )
-                    for qid, e in g.errors.items()
-                },
-            }
-            for g in report.groups
-        ]
-    }
-
-
-def report_from_dict(data: dict) -> RecallReport:
-    groups = []
-    for g in data["groups"]:
-        groups.append(
-            ConditionRecall(
-                condition=g["condition"],
-                buckets=tuple(
-                    ThresholdBucket(b["max_position_m"], b["max_orientation_deg"], b["label"])
-                    for b in g["buckets"]
-                ),
-                percentages=tuple(g["percentages"]),
-                total=g["total"],
-                failure_ids=tuple(g["failure_ids"]),
-                errors={
-                    qid: (None if e is None else PoseError(e["position_error"], e["orientation_error"]))
-                    for qid, e in g["errors"].items()
-                },
-            )
-        )
-    return RecallReport(groups=groups)

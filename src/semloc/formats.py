@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import json
 import struct
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Iterator, Optional, Sequence
 
@@ -199,7 +199,9 @@ def read_feature_set(path) -> FeatureSet:
     count = r.u32()
     dim = r.u32()
     if count:
-        rec = r.array(_feature_dtype(dim), count)
+        # The byte count is checked before a huge dim reaches np.dtype.
+        raw = r.take(count * 4 * (2 + dim))
+        rec = np.frombuffer(raw, dtype=_feature_dtype(dim), count=count)
         locations = np.stack([rec["x"], rec["y"]], axis=1).astype(np.float64)
         descriptors = rec["descriptor"].astype(np.float64).reshape(count, dim)
     else:
@@ -493,13 +495,22 @@ def _cameras_for(path: Path, image_ids: Sequence[str]) -> list[CameraRecord]:
     return [cams[i] for i in image_ids]
 
 
-def _read_image_files(manifest: DatasetManifest, base: Path, image_id: str) -> dict:
+def _read_sized_grid(read, path: Path, cam: CameraRecord) -> np.ndarray:
+    """A depth or label grid, which must have its camera line's size."""
+    grid = read(path)
+    size = (cam.intrinsics.height, cam.intrinsics.width)
+    if grid.shape != size:
+        raise DataFormatError(path, None, f"grid shape {grid.shape} != camera size {size}")
+    return grid
+
+
+def _read_image_files(manifest: DatasetManifest, base: Path, cam: CameraRecord) -> dict:
     """Labels, global descriptor and per-family features of one image, as
     keyword arguments of DatabaseImageRecord and QueryImage.  Each feature
     file must hold the family and descriptor dim the manifest declares."""
     features = {}
     for name, dim in manifest.families:
-        path = base / f"{image_id}.{name}.feat.bin"
+        path = base / f"{cam.image_id}.{name}.feat.bin"
         fs = read_feature_set(path)
         if fs.family != name:
             raise DataFormatError(path, None, f"family {fs.family!r} != manifest entry {name!r}")
@@ -508,8 +519,8 @@ def _read_image_files(manifest: DatasetManifest, base: Path, image_id: str) -> d
             raise DataFormatError(path, None, f"descriptor dim {got} != manifest dim {dim}")
         features[name] = fs
     return dict(
-        labels=read_label_image(base / f"{image_id}.labels.bin"),
-        global_descriptor=read_global_descriptor(base / f"{image_id}.gdesc.bin"),
+        labels=_read_sized_grid(read_label_image, base / f"{cam.image_id}.labels.bin", cam),
+        global_descriptor=read_global_descriptor(base / f"{cam.image_id}.gdesc.bin"),
         features=features,
     )
 
@@ -524,8 +535,8 @@ def load_dataset(root) -> LoadedDataset:
             image_id=cam.image_id,
             intrinsics=cam.intrinsics,
             pose=cam.pose,
-            depth=read_depth_map(db_dir / f"{cam.image_id}.depth.bin"),
-            **_read_image_files(manifest, db_dir, cam.image_id),
+            depth=_read_sized_grid(read_depth_map, db_dir / f"{cam.image_id}.depth.bin", cam),
+            **_read_image_files(manifest, db_dir, cam),
         )
         for cam in _cameras_for(db_dir / "cameras.txt", manifest.db_ids)
     ]
@@ -535,7 +546,7 @@ def load_dataset(root) -> LoadedDataset:
             image_id=cam.image_id,
             intrinsics=cam.intrinsics,
             condition=manifest.conditions[cam.image_id],
-            **_read_image_files(manifest, query_dir, cam.image_id),
+            **_read_image_files(manifest, query_dir, cam),
         )
         for cam in query_cams
     ]
@@ -548,13 +559,11 @@ def load_dataset(root) -> LoadedDataset:
 
 
 def write_report_files(out_prefix, report, rendered: str) -> tuple[Path, Path]:
-    from .evaluation import report_to_dict
-
     text_path = Path(str(out_prefix) + ".txt")
     json_path = Path(str(out_prefix) + ".json")
     text_path.write_text(rendered, encoding="utf-8")
     json_path.write_text(
-        json.dumps(report_to_dict(report), indent=2, sort_keys=True) + "\n",
+        json.dumps(asdict(report), indent=2, sort_keys=True) + "\n",
         encoding="utf-8",
     )
     return text_path, json_path

@@ -38,13 +38,10 @@ class FeatureFamily:
     """
 
     name: str
-    descriptor_dim: int
     use_mutual_nn: bool = True
     ratio: Optional[float] = None
 
     def __post_init__(self) -> None:
-        if self.descriptor_dim < 1:
-            raise ValueError("descriptor dimension must be >= 1")
         if self.ratio is not None and not (0.0 < self.ratio <= 1.0):
             raise ValueError(f"ratio must lie in (0, 1], got {self.ratio}")
 
@@ -144,14 +141,14 @@ def match_family(
     for s, side in ((query_set, "query"), (db_set, "database")):
         if s.family != family.name:
             raise ValueError(f"{side} set belongs to family {s.family!r}, not {family.name!r}")
-        if len(s) and s.descriptors.shape[1] != family.descriptor_dim:
-            raise ValueError(
-                f"{side} descriptors have dim {s.descriptors.shape[1]}, "
-                f"family expects {family.descriptor_dim}"
-            )
     nq, nd = len(query_set), len(db_set)
     if nq == 0 or nd == 0:
         return np.zeros((0, 2), dtype=np.int64)
+    if query_set.descriptors.shape[1] != db_set.descriptors.shape[1]:
+        raise ValueError(
+            f"query descriptors have dim {query_set.descriptors.shape[1]}, "
+            f"database descriptors {db_set.descriptors.shape[1]}"
+        )
 
     d = cdist(query_set.descriptors, db_set.descriptors)
     nn = np.argmin(d, axis=1)

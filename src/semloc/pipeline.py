@@ -30,7 +30,7 @@ from .config import PipelineConfig
 from .geometry import RigidPose
 from .matching import CorrespondenceBatch, lift_to_3d, match_family
 from .pnp import estimate_temporary_pose, refine_pose, weighted_ransac_pnp
-from .retrieval import GlobalDescriptor, RetrievalConfig, RetrievalIndex, build_index, query_top_k
+from .retrieval import GlobalDescriptor, RetrievalIndex, build_index, query_top_k
 from .scoring import SemanticScore, gate_visible, normalize_weights, semantic_consistency_score
 from .semantic_map import BuildStats, DatabaseImageRecord, DenseMap, QueryImage, build_dense_map
 
@@ -82,11 +82,9 @@ def localize_query(
     wrong-dimension global descriptor fails this query alone with
     FAILURE_BAD_DESCRIPTOR."""
     by_id = {r.image_id: r for r in db_records}
-    top_k = cfg.top_k_night if query.condition == "night" else cfg.top_k_day
-    retrieval_cfg = RetrievalConfig(top_k=top_k)
     try:
         descriptor = GlobalDescriptor(query.image_id, query.global_descriptor)
-        retrieved = query_top_k(index, descriptor, retrieval_cfg)
+        retrieved = query_top_k(index, descriptor, cfg.retrieval(query.condition))
     except ValueError as exc:
         logger.warning("query %s: %s", query.image_id, exc)
         return LocalizationResult(
@@ -111,13 +109,7 @@ def localize_query(
         for name, query_set in query.features.items():
             if name not in db.features:
                 continue
-            db_set = db.features[name]
-            if len(query_set) == 0 or len(db_set) == 0:
-                match_counts[name] = {"matches": 0, "lifted": 0,
-                                      "dropped_oob": 0, "dropped_invalid_depth": 0}
-                continue
-            family = cfg.family_rules(name, query_set.descriptors.shape[1])
-            matches = match_family(query_set, db_set, family)
+            matches = match_family(query_set, db.features[name], cfg.family_rules(name))
             lifted = lift_to_3d(matches, query_set, db)
             per_family.append(lifted.correspondences)
             match_counts[name] = {

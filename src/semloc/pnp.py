@@ -30,7 +30,7 @@ from typing import Optional
 
 import numpy as np
 
-from .geometry import CameraIntrinsics, RigidPose, pixel_rays, project_points
+from .geometry import CameraIntrinsics, RigidPose, pixel_rays, project_points, rotation_about_axis
 from .matching import CorrespondenceBatch
 
 __all__ = [
@@ -406,9 +406,7 @@ def _exp_so3(w: np.ndarray) -> np.ndarray:
     theta = np.linalg.norm(w)
     if theta < 1e-12:
         return np.eye(3)
-    a = w / theta
-    K = np.array([[0, -a[2], a[1]], [a[2], 0, -a[0]], [-a[1], a[0], 0]], dtype=np.float64)
-    return np.eye(3) + math.sin(theta) * K + (1.0 - math.cos(theta)) * (K @ K)
+    return rotation_about_axis(w, theta)
 
 
 def _polish_pose(

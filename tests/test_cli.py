@@ -8,6 +8,7 @@ import pytest
 
 from semloc.cli import main
 from semloc.config import PipelineConfig, render_config
+from test_config import OUT_OF_RANGE_LINES
 
 
 SCENE_SPEC = """
@@ -85,6 +86,15 @@ class TestBuildMap:
         assert code == 2
         assert not (tmp_path / "m.bin").exists()
 
+    @pytest.mark.parametrize("bad_line", OUT_OF_RANGE_LINES)
+    def test_out_of_range_config_is_data_error(self, workspace, tmp_path, caplog, bad_line):
+        config = tmp_path / "config.txt"
+        config.write_text(CONFIG + bad_line + "\n")
+        code = main(["build-map", str(workspace / "data"), str(config), str(tmp_path / "m.bin")])
+        assert code == 2
+        assert not (tmp_path / "m.bin").exists()
+        assert f"{config}:{CONFIG.count(chr(10)) + 1}: bad value" in caplog.text
+
 
 @pytest.fixture(scope="module")
 def artifacts(workspace, tmp_path_factory):
@@ -156,6 +166,14 @@ class TestLocalizeAndEvaluate:
 
 
 class TestFlags:
+    def test_zero_top_k_flag_is_data_error(self, workspace, artifacts, tmp_path):
+        out, map_path, _ = artifacts
+        est = tmp_path / "estimates.txt"
+        code = main(["--top-k-day", "0", "localize", str(workspace / "data"), str(map_path),
+                     str(workspace / "config.txt"), str(est)])
+        assert code == 2
+        assert not est.exists()
+
     def test_seed_flag_overrides_scene_seed(self, workspace, tmp_path):
         assert main(["--seed", "12345", "synth", str(workspace / "scene.txt"),
                      str(tmp_path / "reseeded")]) == 0

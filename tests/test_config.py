@@ -4,8 +4,9 @@ import re
 
 import pytest
 
-from semloc.config import FamilyMatchConfig, PipelineConfig, parse_config_file, render_config
+from semloc.config import PipelineConfig, parse_config_file, render_config
 from semloc.formats import DataFormatError
+from semloc.matching import FeatureFamily
 
 
 def _write(tmp_path, text):
@@ -45,7 +46,7 @@ class TestParseConfig:
         assert cfg.depth_filter_tau == 0.02
         assert cfg.top_k_day == 5
         assert cfg.unstable_classes == frozenset({10, 13})
-        assert cfg.families["corner"] == FamilyMatchConfig(mutual_nn=True, ratio=None)
+        assert cfg.families["corner"] == FeatureFamily("corner", use_mutual_nn=True, ratio=None)
         assert cfg.families["blob"].ratio == 0.9
 
     def test_unknown_key_rejected(self, tmp_path):
@@ -62,18 +63,19 @@ class TestParseConfig:
 
     def test_render_parse_roundtrip(self, tmp_path):
         cfg = PipelineConfig(seed=9, depth_filter_tau=0.03, top_k_day=4,
-                             families={"corner": FamilyMatchConfig(True, None),
-                                       "blob": FamilyMatchConfig(False, 0.8)})
+                             families={"corner": FeatureFamily("corner", True, None),
+                                       "blob": FeatureFamily("blob", False, 0.8)})
         text = render_config(cfg)
         back = parse_config_file(_write(tmp_path, text))
         assert back == cfg
 
     def test_family_helpers(self):
-        cfg = PipelineConfig(families={"f": FamilyMatchConfig(mutual_nn=False, ratio=0.7)})
-        fam = cfg.family_rules("f", 16)
+        cfg = PipelineConfig(families={"f": FeatureFamily("f", use_mutual_nn=False, ratio=0.7)})
+        fam = cfg.family_rules("f")
         assert fam.use_mutual_nn is False
         assert fam.ratio == 0.7
-        default = cfg.family_rules("unseen", 8)
+        default = cfg.family_rules("unseen")
+        assert default == FeatureFamily("unseen")
         assert default.use_mutual_nn is True
         assert default.ratio is None
 
@@ -95,6 +97,45 @@ def test_errors_name_file_and_line(tmp_path):
     p = _write(tmp_path, "family.corner.ratio = most\n")
     with pytest.raises(DataFormatError, match=re.escape(f"{p}:1: bad value for family.corner")):
         parse_config_file(p)
+
+
+# One value outside the range its stage type accepts, per stage check.
+OUT_OF_RANGE_LINES = [
+    "gate.distance_margin = 0.5",
+    "gate.angle_margin = -1",
+    "ransac.confidence = 1.5",
+    "ransac.inlier_threshold_px = 0",
+    "ransac.temp_max_iterations = 0",
+    "retrieval.top_k_day = 0",
+    "depth_filter.tau = 0",
+    "family.corner.ratio = 5",
+]
+
+
+@pytest.mark.parametrize("bad_line", OUT_OF_RANGE_LINES)
+def test_out_of_range_value_fails_at_its_line(tmp_path, bad_line):
+    p = _write(tmp_path, f"seed = 1\n{bad_line}\nretrieval.top_k_night = 4\n")
+    key = bad_line.split(" = ")[0]
+    with pytest.raises(DataFormatError, match=re.escape(f"{p}:2: bad value for {key}")):
+        parse_config_file(p)
+
+
+def test_config_checked_when_built():
+    with pytest.raises(ValueError, match="confidence"):
+        PipelineConfig(ransac_confidence=1.5)
+    with pytest.raises(ValueError, match="top_k"):
+        PipelineConfig(top_k_night=0)
+
+
+def test_config_is_frozen():
+    from dataclasses import FrozenInstanceError, replace
+
+    cfg = PipelineConfig()
+    with pytest.raises(FrozenInstanceError):
+        cfg.seed = 3
+    assert replace(cfg, seed=3).seed == 3
+    with pytest.raises(ValueError, match="distance_margin"):
+        replace(cfg, gate_distance_margin=0.5)
 
 
 def test_render_prints_numpy_scalars_as_numbers():

@@ -1,5 +1,7 @@
 """Recall report tests, including a hand-computed 12-case table."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -9,9 +11,8 @@ from semloc.evaluation import (
     ThresholdBucket,
     evaluate,
     render_report,
-    report_from_dict,
-    report_to_dict,
 )
+from semloc.formats import write_report_files
 from semloc.geometry import RigidPose
 
 from conftest import random_pose, rodrigues
@@ -160,26 +161,27 @@ class TestRenderAndSerialize:
         assert text.count("100.0 / 100.0 / 100.0") == 2
         assert "day (" in text and "night (" in text
 
-    def test_report_roundtrip_reproduces_exactly(self):
+    def test_report_roundtrip_reproduces_exactly(self, tmp_path):
         rng = np.random.default_rng(11)
         gt = {f"q{i}": random_pose(rng) for i in range(10)}
         est = {}
         for i, (q, p) in enumerate(gt.items()):
             est[q] = None if i % 4 == 0 else _pose_with_error(p, rng.uniform(0, 1), rng.uniform(0, 8), rng)
         report = evaluate(est, gt, DAY_BUCKETS)
-        clone = report_from_dict(report_to_dict(report))
-        assert clone.groups[0].percentages == report.groups[0].percentages
-        assert clone.groups[0].failure_ids == report.groups[0].failure_ids
+        _, json_path = write_report_files(tmp_path / "report", report, render_report(report))
+        g = json.loads(json_path.read_text())["groups"][0]
+        assert tuple(g["percentages"]) == report.groups[0].percentages
+        assert tuple(g["failure_ids"]) == report.groups[0].failure_ids
         # recompute percentages from serialized per-query errors
-        g = clone.groups[0]
-        counts = [0] * len(g.buckets)
-        for err in g.errors.values():
+        counts = [0] * len(g["buckets"])
+        for err in g["errors"].values():
             if err is None:
                 continue
-            for k, b in enumerate(g.buckets):
-                if err.position_error <= b.max_position_m and err.orientation_error <= b.max_orientation_deg:
+            for k, b in enumerate(g["buckets"]):
+                if (err["position_error"] <= b["max_position_m"]
+                        and err["orientation_error"] <= b["max_orientation_deg"]):
                     counts[k] += 1
-        recomputed = tuple(100.0 * c / g.total for c in counts)
+        recomputed = tuple(100.0 * c / g["total"] for c in counts)
         assert recomputed == report.groups[0].percentages
 
     def test_bucket_bounds_validated(self):

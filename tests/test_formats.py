@@ -5,6 +5,7 @@ Load(Store(x)) compares exactly equal.
 """
 
 import re
+import struct
 
 import numpy as np
 import pytest
@@ -126,6 +127,16 @@ class TestFeatureSet:
         data[first_x: first_x + 4] = np.float32(np.nan).tobytes()
         p.write_bytes(bytes(data))
         with pytest.raises(DataFormatError, match="f.bin.*non-finite"):
+            read_feature_set(p)
+
+    def test_oversized_dim_rejected_before_dtype(self, tmp_path):
+        # count 1, dim 2^29: a record dtype that large is invalid, so the
+        # length check must come first
+        p = tmp_path / "f.bin"
+        p.write_bytes(b"FEA1" + struct.pack("<I", 1) + b"f" + struct.pack("<II", 1, 2**29)
+                      + bytes(8))
+        assert p.stat().st_size == 25
+        with pytest.raises(DataFormatError, match="unexpected end of file"):
             read_feature_set(p)
 
 
@@ -330,6 +341,21 @@ class TestDatasetLayout:
         message = f"{path}: descriptor dim 8 != manifest dim 16"
         with pytest.raises(DataFormatError, match=re.escape(message)):
             load_dataset(root)
+
+
+@pytest.mark.parametrize("rel_path,write", [
+    ("database/db003.labels.bin", lambda p: write_label_image(p, np.zeros((10, 10), np.uint8))),
+    ("database/db001.depth.bin", lambda p: write_depth_map(p, np.ones((7, 9), np.float32))),
+    ("queries/q002.labels.bin", lambda p: write_label_image(p, np.zeros((12, 5), np.uint8))),
+])
+def test_grid_size_checked_against_camera(tmp_path, zero_noise_dataset, rel_path, write):
+    from semloc.formats import load_dataset, save_dataset
+
+    root = tmp_path / "data"
+    save_dataset(zero_noise_dataset, root)
+    write(root / rel_path)
+    with pytest.raises(DataFormatError, match=re.escape(f"{root / rel_path}: grid shape")):
+        load_dataset(root)
 
 
 class TestTextFiles:

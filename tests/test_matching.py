@@ -64,7 +64,7 @@ class TestFeatureSet:
 
 class TestMatchFamily:
     def test_identity_sets_match_identically(self):
-        fam = FeatureFamily("f", 4)
+        fam = FeatureFamily("f")
         rng = np.random.default_rng(0)
         d = rng.normal(size=(10, 4))
         matches = match_family(_set("f", d), _set("f", d.copy()), fam)
@@ -72,13 +72,13 @@ class TestMatchFamily:
         assert matches.tolist() == [[i, i] for i in range(10)]
 
     def test_equidistant_rejected_by_ratio(self):
-        fam = FeatureFamily("f", 2, use_mutual_nn=False, ratio=0.9)
+        fam = FeatureFamily("f", use_mutual_nn=False, ratio=0.9)
         q = _set("f", [[0.0, 0.0]])
         db = _set("f", [[1.0, 0.0], [-1.0, 0.0]])
         assert len(match_family(q, db, fam)) == 0
 
     def test_ratio_kept_when_single_candidate(self):
-        fam = FeatureFamily("f", 2, use_mutual_nn=False, ratio=0.5)
+        fam = FeatureFamily("f", use_mutual_nn=False, ratio=0.5)
         q = _set("f", [[0.0, 0.0]])
         db = _set("f", [[1.0, 0.0]])
         assert len(match_family(q, db, fam)) == 1
@@ -86,7 +86,7 @@ class TestMatchFamily:
     @pytest.mark.parametrize("mutual,ratio", [(True, None), (False, None), (True, 0.8), (False, 0.8)])
     def test_matches_bruteforce_oracle(self, mutual, ratio):
         rng = np.random.default_rng(1)
-        fam = FeatureFamily("f", 8, use_mutual_nn=mutual, ratio=ratio)
+        fam = FeatureFamily("f", use_mutual_nn=mutual, ratio=ratio)
         q = rng.normal(size=(50, 8))
         d = rng.normal(size=(50, 8))
         got = sorted(map(tuple, match_family(_set("f", q), _set("f", d), fam).tolist()))
@@ -94,7 +94,7 @@ class TestMatchFamily:
 
     def test_injective_on_query_and_db(self):
         rng = np.random.default_rng(2)
-        fam = FeatureFamily("f", 4)
+        fam = FeatureFamily("f")
         q = rng.normal(size=(40, 4))
         d = rng.normal(size=(25, 4))
         matches = match_family(_set("f", q), _set("f", d), fam)
@@ -105,7 +105,7 @@ class TestMatchFamily:
 
     def test_swap_symmetry_under_mutual(self):
         rng = np.random.default_rng(3)
-        fam = FeatureFamily("f", 6)
+        fam = FeatureFamily("f")
         a = rng.normal(size=(30, 6))
         b = rng.normal(size=(30, 6))
         fwd = set(map(tuple, match_family(_set("f", a), _set("f", b), fam).tolist()))
@@ -113,17 +113,17 @@ class TestMatchFamily:
         assert fwd == rev
 
     def test_family_mismatch_rejected(self):
-        fam = FeatureFamily("f", 2)
+        fam = FeatureFamily("f")
         with pytest.raises(ValueError, match="family"):
             match_family(_set("g", [[0.0, 0.0]]), _set("f", [[0.0, 0.0]]), fam)
 
     def test_dimension_mismatch_rejected(self):
-        fam = FeatureFamily("f", 3)
+        fam = FeatureFamily("f")
         with pytest.raises(ValueError, match="dim"):
-            match_family(_set("f", [[0.0, 0.0]]), _set("f", [[0.0, 0.0]]), fam)
+            match_family(_set("f", [[0.0, 0.0]]), _set("f", [[0.0, 0.0, 0.0]]), fam)
 
     def test_empty_sets(self):
-        fam = FeatureFamily("f", 2)
+        fam = FeatureFamily("f")
         empty = FeatureSet("f", np.zeros((0, 2)), np.zeros((0, 2)))
         assert match_family(empty, _set("f", [[0.0, 1.0]]), fam).shape == (0, 2)
 
@@ -226,8 +226,7 @@ class TestLiftTo3D:
         for q in ds.queries:
             for db in list(ds.db_records) + holed:
                 for name, q_set in q.features.items():
-                    family = cfg.family_rules(name, q_set.descriptors.shape[1])
-                    matches = match_family(q_set, db.features[name], family)
+                    matches = match_family(q_set, db.features[name], cfg.family_rules(name))
                     res = lift_to_3d(matches, q_set, db)
                     pixels, points, oob, bad = [], [], 0, 0
                     h, w = db.depth.shape

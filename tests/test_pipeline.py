@@ -76,6 +76,26 @@ class TestLocalization:
         assert res.pose is None
         assert res.failure_reason == FAILURE_NO_CORRESPONDENCES
 
+    def test_empty_family_counts_zero_and_other_family_localizes(self, zero_noise_dataset,
+                                                                 small_cfg):
+        ds = zero_noise_dataset
+        dense_map, _ = build_map(ds.db_records, small_cfg)
+        names = sorted(ds.queries[0].features)
+        emptied, kept = names[0], names[1:]
+        # an empty set has no descriptor width
+        empty = dataclasses.replace(ds.queries[0].features[emptied],
+                                    locations=np.zeros((0, 2)), descriptors=np.zeros((0, 0)))
+        q = dataclasses.replace(ds.queries[0], features={**ds.queries[0].features, emptied: empty})
+        index = build_index([GlobalDescriptor(r.image_id, r.global_descriptor)
+                             for r in ds.db_records])
+        res = localize_query(q, 0, ds.db_records, dense_map, index, small_cfg)
+        images = res.diagnostics["images"].values()
+        zero = {"matches": 0, "lifted": 0, "dropped_oob": 0, "dropped_invalid_depth": 0}
+        assert all(img[emptied] == zero for img in images)
+        assert sum(img[name]["lifted"] for img in images for name in kept) > 0
+        assert res.pose is not None, res.failure_reason
+        assert pose_error(ds.gt_poses[q.image_id], res.pose).position_error < 0.05
+
     def test_determinism_across_runs_and_threads(self, zero_noise_dataset, small_cfg):
         ds = zero_noise_dataset
         dense_map, _ = build_map(ds.db_records, small_cfg)

@@ -162,8 +162,7 @@ class TestGenerateScene:
         ds = generate_scene(spec)
 
         def correct_fraction(fam_name):
-            dim = next(f.dim for f in spec.families if f.name == fam_name)
-            fam = PipelineConfig().family_rules(fam_name, dim)
+            fam = PipelineConfig().family_rules(fam_name)
             good = 0
             total = 0
             for q in ds.queries:
