@@ -20,7 +20,7 @@ from .matching import FeatureFamily
 from .pnp import RansacConfig
 from .retrieval import RetrievalConfig
 from .scoring import VisibilityGateConfig
-from .semantic_map import DEFAULT_UNSTABLE_CLASS_IDS, DepthFilterConfig
+from .semantic_map import DEFAULT_UNSTABLE_CLASS_IDS, MAX_CLASS_ID, DepthFilterConfig
 
 __all__ = ["PipelineConfig", "parse_config_file", "render_config"]
 
@@ -29,9 +29,10 @@ __all__ = ["PipelineConfig", "parse_config_file", "render_config"]
 class PipelineConfig:
     """Every constant the pipeline consumes, with library defaults.
 
-    Building a config builds each stage type once, so the checks those
-    types own fail here rather than on the first query.  Derive a changed
-    config with dataclasses.replace.
+    Building a config checks the settings no stage type owns and builds
+    each stage type once, so every range check fails here rather than in
+    build_map or on the first query.  Derive a changed config with
+    dataclasses.replace.
     """
 
     seed: int = 0
@@ -66,6 +67,14 @@ class PipelineConfig:
     families: dict = field(default_factory=dict)  # name -> FeatureFamily
 
     def __post_init__(self) -> None:
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
+        if not self.fusion_voxel_size > 0:
+            raise ValueError("fusion voxel_size must be positive")
+        if self.depth_filter_neighbor_count < 1:
+            raise ValueError("depth filter neighbor_count must be >= 1")
+        if any(not (0 <= i <= MAX_CLASS_ID) for i in self.unstable_classes):
+            raise ValueError(f"unstable class ids must lie in 0..{MAX_CLASS_ID}")
         self.depth_filter()
         self.gate()
         self.final_ransac(0)
@@ -110,10 +119,7 @@ class PipelineConfig:
 
 
 def _class_ids(value: str) -> frozenset:
-    ids = frozenset(int(v) for v in value.split(",") if v.strip() != "")
-    if any(not (0 <= i <= 18) for i in ids):
-        raise ValueError("class ids must lie in 0..18")
-    return ids
+    return frozenset(int(v) for v in value.split(",") if v.strip() != "")
 
 
 # config key -> (PipelineConfig field, parser of the value text), in the

@@ -37,7 +37,7 @@ import numpy as np
 
 from .geometry import CameraIntrinsics, RigidPose, matrix_to_quaternion, quaternion_to_matrix
 from .matching import FeatureSet
-from .semantic_map import DatabaseImageRecord, DenseMap, QueryImage
+from .semantic_map import MAX_CLASS_ID, UNLABELED, DatabaseImageRecord, DenseMap, QueryImage
 
 __all__ = [
     "DataFormatError",
@@ -51,7 +51,7 @@ __all__ = [
     "write_cameras", "read_cameras",
     "write_manifest", "read_manifest",
     "DatasetManifest",
-    "save_dataset", "load_dataset", "LoadedDataset",
+    "Dataset", "save_dataset", "load_dataset",
     "write_estimates", "read_estimates",
     "write_report_files",
 ]
@@ -169,9 +169,9 @@ def write_label_image(path, labels: np.ndarray) -> None:
 
 def read_label_image(path) -> np.ndarray:
     values = _read_grid(path, b"LBL1", np.uint8)
-    bad = ~((values <= 18) | (values == 255))
+    bad = ~((values <= MAX_CLASS_ID) | (values == UNLABELED))
     if np.any(bad):
-        raise DataFormatError(path, None, "label ids outside 0..18 / 255")
+        raise DataFormatError(path, None, f"label ids outside 0..{MAX_CLASS_ID} / {UNLABELED}")
     return values
 
 
@@ -262,8 +262,8 @@ def read_dense_map(path) -> DenseMap:
     if not all(np.all(np.isfinite(rec[name])) for name in _MAP_DTYPE.names):
         raise DataFormatError(path, None, "map contains non-finite values")
     dense_map = DenseMap(**{name: rec[name] for name in _MAP_DTYPE.names})
-    if np.any(dense_map.labels > 18):
-        raise DataFormatError(path, None, "map labels outside 0..18")
+    if np.any(dense_map.labels > MAX_CLASS_ID):
+        raise DataFormatError(path, None, f"map labels outside 0..{MAX_CLASS_ID}")
     if np.any(dense_map.support < 1):
         raise DataFormatError(path, None, "map support must be >= 1")
     bad_range = (dense_map.d_min <= 0) | (dense_map.d_min > dense_map.d_max)
@@ -331,17 +331,10 @@ def read_cameras(path) -> list[CameraRecord]:
 
 @dataclass
 class DatasetManifest:
-    root: Path
     families: list  # (name, dim)
     db_ids: list
     query_ids: list
     conditions: dict  # query id -> day|night
-
-    def db_dir(self) -> Path:
-        return self.root / "database"
-
-    def query_dir(self) -> Path:
-        return self.root / "queries"
 
 
 def write_manifest(path, manifest: DatasetManifest) -> None:
@@ -357,8 +350,7 @@ def write_manifest(path, manifest: DatasetManifest) -> None:
 
 def read_manifest(root) -> DatasetManifest:
     """Parse ``root/manifest.txt``; load_dataset reads the files it names."""
-    root = Path(root)
-    path = root / "manifest.txt"
+    path = Path(root) / "manifest.txt"
     families: list = []
     db_ids: list = []
     query_ids: list = []
@@ -385,8 +377,7 @@ def read_manifest(root) -> DatasetManifest:
     if len(set(ids)) != len(ids):
         raise DataFormatError(path, None, "image ids are not unique")
     return DatasetManifest(
-        root=root, families=families, db_ids=db_ids, query_ids=query_ids,
-        conditions=conditions,
+        families=families, db_ids=db_ids, query_ids=query_ids, conditions=conditions,
     )
 
 
@@ -439,11 +430,12 @@ def read_estimates(path) -> tuple[dict, dict]:
 
 
 @dataclass
-class LoadedDataset:
-    manifest: DatasetManifest
-    db_records: list
-    queries: list
-    gt_poses: dict
+class Dataset:
+    """Database records, queries, and each query's ground-truth pose."""
+
+    db_records: list  # DatabaseImageRecord
+    queries: list  # QueryImage
+    gt_poses: dict  # query id -> RigidPose
 
 
 def _write_image_files(base: Path, image) -> None:
@@ -478,7 +470,6 @@ def save_dataset(dataset, root) -> None:
     for q in dataset.queries:
         _write_image_files(query_dir, q)
     write_manifest(root / "manifest.txt", DatasetManifest(
-        root=root,
         families=[(f.name, f.dim) for f in dataset.spec.families],
         db_ids=[r.image_id for r in dataset.db_records],
         query_ids=[q.image_id for q in dataset.queries],
@@ -525,11 +516,12 @@ def _read_image_files(manifest: DatasetManifest, base: Path, cam: CameraRecord) 
     )
 
 
-def load_dataset(root) -> LoadedDataset:
+def load_dataset(root) -> Dataset:
     """Load a dataset directory, validating dimensions and family names.
     A missing or malformed file raises DataFormatError naming it."""
+    root = Path(root)
     manifest = read_manifest(root)
-    db_dir, query_dir = manifest.db_dir(), manifest.query_dir()
+    db_dir, query_dir = root / "database", root / "queries"
     db_records = [
         DatabaseImageRecord(
             image_id=cam.image_id,
@@ -550,8 +542,7 @@ def load_dataset(root) -> LoadedDataset:
         )
         for cam in query_cams
     ]
-    return LoadedDataset(
-        manifest=manifest,
+    return Dataset(
         db_records=db_records,
         queries=queries,
         gt_poses={cam.image_id: cam.pose for cam in query_cams},

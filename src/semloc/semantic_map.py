@@ -35,6 +35,7 @@ logger = logging.getLogger(__name__)
 
 __all__ = [
     "CITYSCAPES_CLASS_NAMES",
+    "MAX_CLASS_ID",
     "UNLABELED",
     "DEFAULT_UNSTABLE_CLASS_IDS",
     "DepthFilterConfig",
@@ -56,6 +57,7 @@ CITYSCAPES_CLASS_NAMES = (
     "person", "rider", "car", "truck", "bus", "train", "motorcycle",
     "bicycle",
 )
+MAX_CLASS_ID = len(CITYSCAPES_CLASS_NAMES) - 1  # valid class ids are 0..MAX_CLASS_ID
 UNLABELED = 255
 
 # Dynamic objects plus sky: noise sources for localization, removed from maps.
@@ -89,9 +91,9 @@ class DatabaseImageRecord:
             )
         if not np.all(np.isfinite(self.depth)):
             raise ValueError(f"{self.image_id}: depth map contains non-finite values")
-        bad = ~((self.labels <= 18) | (self.labels == UNLABELED))
+        bad = ~((self.labels <= MAX_CLASS_ID) | (self.labels == UNLABELED))
         if np.any(bad):
-            raise ValueError(f"{self.image_id}: label ids outside 0..18 / 255")
+            raise ValueError(f"{self.image_id}: label ids outside 0..{MAX_CLASS_ID} / {UNLABELED}")
 
 
 @dataclass
@@ -339,7 +341,7 @@ def _vote_labels_bulk(
     smallest class id, and 255 when no reprojection lands on a labeled
     pixel."""
     n = len(positions)
-    votes = np.zeros((n, 19), dtype=np.int64)
+    votes = np.zeros((n, MAX_CLASS_ID + 1), dtype=np.int64)
     by_image = pairs[np.argsort(pairs[:, 1], kind="stable")]
     images, starts = np.unique(by_image[:, 1], return_index=True)
     for ri, rows in zip(images, np.split(by_image[:, 0], starts[1:])):

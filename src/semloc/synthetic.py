@@ -31,9 +31,9 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .geometry import CameraIntrinsics, RigidPose, pixel_rays, project_points, rotation_about_axis
-from .formats import DataFormatError, text_lines
+from .formats import DataFormatError, Dataset, text_lines
 from .matching import FeatureSet
-from .semantic_map import UNLABELED, DatabaseImageRecord, QueryImage
+from .semantic_map import MAX_CLASS_ID, UNLABELED, DatabaseImageRecord, QueryImage
 
 __all__ = [
     "FacadePlane",
@@ -67,8 +67,8 @@ class FacadePlane:
         v = np.asarray(self.edge_v, dtype=np.float64).reshape(3)
         if np.linalg.norm(np.cross(u, v)) < 1e-12:
             raise ValueError("plane edges are parallel")
-        if not (0 <= self.label <= 18):
-            raise ValueError(f"label {self.label} outside Cityscapes ids 0..18")
+        if not (0 <= self.label <= MAX_CLASS_ID):
+            raise ValueError(f"label {self.label} outside Cityscapes ids 0..{MAX_CLASS_ID}")
         object.__setattr__(self, "corner", c)
         object.__setattr__(self, "edge_u", u)
         object.__setattr__(self, "edge_v", v)
@@ -121,15 +121,12 @@ class SceneSpec:
 
 
 @dataclass
-class SyntheticDataset:
+class SyntheticDataset(Dataset):
+    """A generated Dataset with the spec that made it and its anchors."""
+
     spec: SceneSpec
-    db_records: list
-    queries: list
-    gt_poses: dict  # query id -> RigidPose
-    anchor_positions: np.ndarray
-    anchor_plane: np.ndarray
-    latents: dict  # family name -> (A, dim)
-    global_latents: np.ndarray
+    anchor_positions: np.ndarray  # (A, 3)
+    anchor_plane: np.ndarray  # (A,) index of each anchor's plane
 
 
 # ── Analytic rendering ───────────────────────────────────────────────────
@@ -244,7 +241,7 @@ def _make_feature_sets(
     condition: str,
     visible: np.ndarray,
     pixels: np.ndarray,
-    latents: dict,
+    codes: dict,
     K: CameraIntrinsics,
     rng: np.random.Generator,
 ) -> dict:
@@ -262,7 +259,7 @@ def _make_feature_sets(
         keep = visible & (drop >= fam.dropout.get(condition, 0.0))
         locs = pixels[keep] + fam.location_sigma.get(condition, 0.0) * loc_noise[keep]
         inb = K.contains(locs)
-        descs = latents[fam.name][keep] + fam.sigma.get(condition, 0.0) * desc_noise[keep]
+        descs = codes[fam.name][keep] + fam.sigma.get(condition, 0.0) * desc_noise[keep]
         out[fam.name] = FeatureSet(
             family=fam.name, locations=locs[inb], descriptors=descs[inb]
         )
@@ -271,11 +268,10 @@ def _make_feature_sets(
 
 def generate_scene(spec: SceneSpec) -> SyntheticDataset:
     """Render the full dataset: database records, query bundles, ground
-    truth poses, anchors and latent descriptors.  Deterministic given the
-    spec (one seeded generator, fixed draw order)."""
+    truth poses and anchors.  Deterministic given the spec (one seeded
+    generator, fixed draw order)."""
     spec.validate()
     rng = np.random.default_rng(np.random.SeedSequence(spec.seed))
-    K = spec.intrinsics
 
     anchor_planes = (
         list(range(len(spec.planes)))
@@ -291,70 +287,42 @@ def generate_scene(spec: SceneSpec) -> SyntheticDataset:
     anchors = np.concatenate(positions, axis=0)
     anchor_plane = np.array(plane_of, dtype=np.int64)
 
-    latents = {f.name: rng.normal(size=(len(anchors), f.dim)) for f in spec.families}
-    global_latents = rng.normal(size=(len(anchors), spec.global_dim))
+    # each anchor's latent descriptor per family, and its global one
+    codes = {f.name: rng.normal(size=(len(anchors), f.dim)) for f in spec.families}
+    global_codes = rng.normal(size=(len(anchors), spec.global_dim))
+
+    def render_view(kind: str, image_id: str, pose: RigidPose, condition: str):
+        """One camera view: its depth map, and the keyword arguments that
+        DatabaseImageRecord and QueryImage share.  Database and query views
+        both come from here, so every view draws from ``rng`` in one order."""
+        K = spec.intrinsics
+        depth, labels = render_depth_and_labels(spec.planes, pose, K)
+        if not np.any(depth > 0):
+            raise ValueError(f"{kind} camera {image_id} sees no scene geometry")
+        visible, pixels = _visible_anchor_mask(anchors, spec.planes, pose, K)
+        features = _make_feature_sets(spec, condition, visible, pixels, codes, K, rng)
+        gnoise = rng.normal(size=spec.global_dim)
+        if not np.any(visible):
+            raise ValueError(f"{kind} camera {image_id} sees no anchors")
+        gdesc = global_codes[visible].mean(axis=0) + spec.global_sigma.get(condition, 0.0) * gnoise
+        return depth, dict(image_id=image_id, intrinsics=K, labels=labels,
+                           global_descriptor=gdesc.astype(np.float64), features=features)
 
     db_records = []
     for i, pose in enumerate(spec.db_poses):
-        image_id = f"db{i:03d}"
-        depth, labels = render_depth_and_labels(spec.planes, pose, K)
-        if not np.any(depth > 0):
-            raise ValueError(f"database camera {image_id} sees no scene geometry")
-        visible, pixels = _visible_anchor_mask(anchors, spec.planes, pose, K)
-        feats = _make_feature_sets(spec, "day", visible, pixels, latents, K, rng)
-        gnoise = rng.normal(size=spec.global_dim)
-        if not np.any(visible):
-            raise ValueError(f"database camera {image_id} sees no anchors")
-        gdesc = global_latents[visible].mean(axis=0) + spec.global_sigma.get("day", 0.0) * gnoise
-        db_records.append(
-            DatabaseImageRecord(
-                image_id=image_id,
-                intrinsics=K,
-                pose=pose,
-                depth=depth,
-                labels=labels,
-                global_descriptor=gdesc.astype(np.float64),
-                features=feats,
-            )
-        )
-
-    queries = []
-    gt_poses = {}
-    for i, (pose, condition) in enumerate(zip(spec.query_poses, spec.query_conditions)):
-        image_id = f"q{i:03d}"
-        depth, labels = render_depth_and_labels(spec.planes, pose, K)
-        if not np.any(depth > 0):
-            raise ValueError(f"query camera {image_id} sees no scene geometry")
-        visible, pixels = _visible_anchor_mask(anchors, spec.planes, pose, K)
-        feats = _make_feature_sets(spec, condition, visible, pixels, latents, K, rng)
-        gnoise = rng.normal(size=spec.global_dim)
-        if not np.any(visible):
-            raise ValueError(f"query camera {image_id} sees no anchors")
-        gdesc = (
-            global_latents[visible].mean(axis=0)
-            + spec.global_sigma.get(condition, 0.0) * gnoise
-        )
-        queries.append(
-            QueryImage(
-                image_id=image_id,
-                intrinsics=K,
-                labels=labels,
-                global_descriptor=gdesc.astype(np.float64),
-                features=feats,
-                condition=condition,
-            )
-        )
-        gt_poses[image_id] = pose
-
+        depth, fields = render_view("database", f"db{i:03d}", pose, "day")
+        db_records.append(DatabaseImageRecord(pose=pose, depth=depth, **fields))
+    queries = [
+        QueryImage(condition=condition, **render_view("query", f"q{i:03d}", pose, condition)[1])
+        for i, (pose, condition) in enumerate(zip(spec.query_poses, spec.query_conditions))
+    ]
     return SyntheticDataset(
-        spec=spec,
         db_records=db_records,
         queries=queries,
-        gt_poses=gt_poses,
+        gt_poses={q.image_id: pose for q, pose in zip(queries, spec.query_poses)},
+        spec=spec,
         anchor_positions=anchors,
         anchor_plane=anchor_plane,
-        latents=latents,
-        global_latents=global_latents,
     )
 
 
@@ -408,14 +376,9 @@ def _canyon_pose(x: float, y: float, z: float, yaw_deg: float, pitch_deg: float 
 
 
 _PROFILES = {
-    # sigma / dropout / location_sigma per condition, per family kind.
-    "zero": {
-        "corner": dict(sigma={"day": 0.0, "night": 0.0}, dropout={"day": 0.0, "night": 0.0},
-                       location_sigma={"day": 0.0, "night": 0.0}),
-        "blob": dict(sigma={"day": 0.0, "night": 0.0}, dropout={"day": 0.0, "night": 0.0},
-                     location_sigma={"day": 0.0, "night": 0.0}),
-        "global_sigma": {"day": 0.0, "night": 0.0},
-    },
+    # FamilySpec keywords per family kind and SceneSpec keywords; what a
+    # profile leaves out keeps its all-zero default.
+    "zero": {"corner": {}, "blob": {}, "scene": {}},
     # Handcrafted-like family collapses at night; learned-like family is a
     # little noisy and sparse everywhere but keeps working at night.
     "day_night": {
@@ -423,7 +386,7 @@ _PROFILES = {
                        location_sigma={"day": 0.0, "night": 0.0}),
         "blob": dict(sigma={"day": 0.25, "night": 0.35}, dropout={"day": 0.25, "night": 0.45},
                      location_sigma={"day": 0.5, "night": 0.6}),
-        "global_sigma": {"day": 0.01, "night": 0.03},
+        "scene": dict(global_sigma={"day": 0.01, "night": 0.03}),
     },
 }
 
@@ -487,7 +450,7 @@ def street_canyon_spec(
         anchors_per_plane=anchors_per_plane,
         anchor_plane_indices=wall_planes,
         global_dim=64,
-        global_sigma=prof["global_sigma"],
+        **prof["scene"],
     )
 
 
@@ -546,11 +509,12 @@ _SPEC_KEYS = {
 }
 
 
-def parse_scene_spec_file(path) -> SceneSpec:
+def parse_scene_spec_file(path, seed: Optional[int] = None) -> SceneSpec:
     """Build a SceneSpec from a small key-value preset file.
 
     Keys left out take the preset function's defaults.  Unknown keys and
-    keys the chosen preset does not take are rejected.
+    keys the chosen preset does not take are rejected.  A ``seed`` given
+    here replaces the file's before the preset draws any pose.
     """
     values: dict = {}
     lines: dict = {}
@@ -566,6 +530,8 @@ def parse_scene_spec_file(path) -> SceneSpec:
             raise DataFormatError(path, None, f"bad value for {key}: {val!r}", lineno) from None
         lines[key] = lineno
 
+    if seed is not None:
+        values["seed"] = seed
     preset = values.pop("preset", "canyon")
     if preset not in _PRESETS:
         raise DataFormatError(path, None, f"unknown scene preset {preset!r}", lines["preset"])

@@ -28,6 +28,14 @@ CONFIG = render_config(PipelineConfig(
 ))
 
 
+def _assert_same_tree(base, other):
+    files = sorted(p.relative_to(base) for p in base.rglob("*") if p.is_file())
+    assert files
+    assert files == sorted(p.relative_to(other) for p in other.rglob("*") if p.is_file())
+    for rel in files:
+        assert (base / rel).read_bytes() == (other / rel).read_bytes(), rel
+
+
 @pytest.fixture(scope="module")
 def workspace(tmp_path_factory):
     root = tmp_path_factory.mktemp("cli")
@@ -47,12 +55,7 @@ class TestSynth:
 
     def test_regeneration_byte_identical(self, workspace, tmp_path):
         assert main(["synth", str(workspace / "scene.txt"), str(tmp_path / "data2")]) == 0
-        base = workspace / "data"
-        other = tmp_path / "data2"
-        files = sorted(p.relative_to(base) for p in base.rglob("*") if p.is_file())
-        assert files
-        for rel in files:
-            assert (base / rel).read_bytes() == (other / rel).read_bytes(), rel
+        _assert_same_tree(workspace / "data", tmp_path / "data2")
 
     def test_unknown_spec_key_is_data_error(self, workspace, tmp_path):
         bad = tmp_path / "bad.txt"
@@ -175,8 +178,13 @@ class TestFlags:
         assert not est.exists()
 
     def test_seed_flag_overrides_scene_seed(self, workspace, tmp_path):
+        # the flag reaches the preset, so the query poses follow it as well
+        scene = tmp_path / "scene.txt"
+        scene.write_text(SCENE_SPEC.replace("seed = 77", "seed = 12345"))
+        assert main(["synth", str(scene), str(tmp_path / "direct")]) == 0
         assert main(["--seed", "12345", "synth", str(workspace / "scene.txt"),
                      str(tmp_path / "reseeded")]) == 0
+        _assert_same_tree(tmp_path / "direct", tmp_path / "reseeded")
         base = (workspace / "data" / "database" / "db000.gdesc.bin").read_bytes()
         other = (tmp_path / "reseeded" / "database" / "db000.gdesc.bin").read_bytes()
         assert base != other

@@ -109,6 +109,9 @@ OUT_OF_RANGE_LINES = [
     "retrieval.top_k_day = 0",
     "depth_filter.tau = 0",
     "family.corner.ratio = 5",
+    "seed = -1",
+    "fusion.voxel_size = 0",
+    "depth_filter.neighbor_count = 0",
 ]
 
 
@@ -125,6 +128,8 @@ def test_config_checked_when_built():
         PipelineConfig(ransac_confidence=1.5)
     with pytest.raises(ValueError, match="top_k"):
         PipelineConfig(top_k_night=0)
+    with pytest.raises(ValueError, match="unstable class ids"):
+        PipelineConfig(unstable_classes=frozenset({99}))
 
 
 def test_config_is_frozen():

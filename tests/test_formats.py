@@ -413,7 +413,7 @@ _TEXT_READERS = {
         (c.image_id, c.intrinsics, c.pose.rotation.tolist(), c.pose.center.tolist())
         for c in read_cameras(p)]),
     "manifest": ("manifest.txt", lambda _: "family = corner 16\ndb = db000\nquery = q000 night\n",
-                 lambda p: {**vars(read_manifest(p.parent)), "root": None}),
+                 lambda p: vars(read_manifest(p.parent))),
     "estimates": ("est.txt", _estimates_text,
                   lambda p: (_poses(read_estimates(p)[0]), read_estimates(p)[1])),
     "config": ("config.txt", lambda _: "seed = 3\nmap.unstable_classes = 10,13\nfamily.b.ratio = 0.9\n",

@@ -1,6 +1,8 @@
 """Synthetic harness tests: exact rendering, anchor visibility, corruption
 model, and deterministic regeneration."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -217,6 +219,26 @@ class TestGenerateScene:
         for rec in ds.db_records:
             assert np.any(rec.depth > 0)
             assert rec.global_descriptor is not None
+
+
+# At z < 0 looking along -z, away from the canyon: no plane in view.
+_FACING_AWAY = RigidPose(np.diag([-1.0, 1.0, -1.0]), np.array([0.0, -1.5, -1.0]))
+# Mid-street looking straight down: only the road, and anchors sit only on walls.
+_ROAD_ONLY = RigidPose(np.array([[1.0, 0.0, 0.0], [0.0, 0.0, -1.0], [0.0, 1.0, 0.0]]),
+                       np.array([0.0, -1.5, 20.0]))
+
+
+@pytest.mark.parametrize("poses, index, pose, message", [
+    ("query_poses", 0, _FACING_AWAY, "query camera q000 sees no scene geometry"),
+    ("db_poses", 1, _FACING_AWAY, "database camera db001 sees no scene geometry"),
+    ("db_poses", 2, _ROAD_ONLY, "database camera db002 sees no anchors"),
+    ("query_poses", 1, _ROAD_ONLY, "query camera q001 sees no anchors"),
+], ids=["query-facing-away", "database-facing-away", "database-road-only", "query-road-only"])
+def test_blind_camera_is_named(poses, index, pose, message):
+    spec = street_canyon_spec(seed=1, n_db=4, n_queries=2, image_size=(48, 36))
+    getattr(spec, poses)[index] = pose
+    with pytest.raises(ValueError, match=re.escape(message)):
+        generate_scene(spec)
 
 
 def _same_spec(a, b) -> bool:
