@@ -58,8 +58,6 @@ class PipelineConfig:
     temp_ransac_min_inliers: int = 6
     temp_ransac_max_iterations: int = 10000
     ransac_min_pixel_span_px: float = 10.0
-    # correspondences from images scoring below this are dropped (0 = off)
-    score_floor: float = 0.0
     # refinement
     refine_max_iterations: int = 100
     refine_relative_tolerance: float = 1e-10
@@ -142,7 +140,6 @@ _SCALAR_KEYS = {
     "ransac.temp_min_inliers": ("temp_ransac_min_inliers", int),
     "ransac.temp_max_iterations": ("temp_ransac_max_iterations", int),
     "ransac.min_pixel_span_px": ("ransac_min_pixel_span_px", float),
-    "ransac.score_floor": ("score_floor", float),
     "refine.max_iterations": ("refine_max_iterations", int),
     "refine.relative_tolerance": ("refine_relative_tolerance", float),
 }

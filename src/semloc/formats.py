@@ -431,11 +431,13 @@ def read_estimates(path) -> tuple[dict, dict]:
 
 @dataclass
 class Dataset:
-    """Database records, queries, and each query's ground-truth pose."""
+    """Database records, queries, each query's ground-truth pose, and the
+    feature families every image holds."""
 
     db_records: list  # DatabaseImageRecord
     queries: list  # QueryImage
     gt_poses: dict  # query id -> RigidPose
+    families: list  # (name, dim)
 
 
 def _write_image_files(base: Path, image) -> None:
@@ -446,8 +448,8 @@ def _write_image_files(base: Path, image) -> None:
         write_feature_set(base / f"{image.image_id}.{fam}.feat.bin", fs)
 
 
-def save_dataset(dataset, root) -> None:
-    """Write a generated synthetic dataset in the standard layout."""
+def save_dataset(dataset: Dataset, root) -> None:
+    """Write a dataset, generated or loaded, in the standard layout."""
     root = Path(root)
     db_dir, query_dir = root / "database", root / "queries"
     db_dir.mkdir(parents=True, exist_ok=True)
@@ -470,7 +472,7 @@ def save_dataset(dataset, root) -> None:
     for q in dataset.queries:
         _write_image_files(query_dir, q)
     write_manifest(root / "manifest.txt", DatasetManifest(
-        families=[(f.name, f.dim) for f in dataset.spec.families],
+        families=dataset.families,
         db_ids=[r.image_id for r in dataset.db_records],
         query_ids=[q.image_id for q in dataset.queries],
         conditions={q.image_id: q.condition for q in dataset.queries},
@@ -546,6 +548,7 @@ def load_dataset(root) -> Dataset:
         db_records=db_records,
         queries=queries,
         gt_poses={cam.image_id: cam.pose for cam in query_cams},
+        families=manifest.families,
     )
 
 

@@ -142,11 +142,6 @@ def localize_query(
         image_batches.append(image_corrs)
 
     pooled = CorrespondenceBatch.concat(image_batches)
-    if cfg.score_floor > 0.0:
-        passing = [s.image_id for s in scores if s.consistent >= cfg.score_floor]
-        pooled = pooled[np.isin(pooled.image_ids, passing)]
-        diagnostics["score_floor_kept"] = len(pooled)
-
     if len(pooled) < 4:
         return LocalizationResult(
             query_id=query.image_id,

@@ -12,14 +12,15 @@ runs with uniform weights), so equal weights reproduce plain RANSAC draw
 for draw under the same seed.  Inlier counting is never weighted; weights
 only bias hypothesis sampling.
 
-Hypotheses are evaluated in chunks: a chunk's minimal samples are drawn,
-checked for degeneracy, solved by one vectorized P3P and scored by one
-reprojection of every candidate against every correspondence.  Draws and
-selection stay sequential: samples come from the generator in the same
-order as one draw per iteration would take them, and the iterations are
-replayed in order with the same best-selection rule and adaptive stopping
-bound, so a run returns what the one-hypothesis-per-iteration loop returns
-up to rounding in the solver.
+A RANSAC iteration is one non-degenerate minimal sample, solved and
+scored; degenerate draws are redrawn and do not count.  Hypotheses are
+evaluated in chunks: a chunk's minimal samples are drawn, checked for
+degeneracy, solved by one vectorized P3P and scored by one reprojection of
+every candidate against every correspondence.  Draws and selection stay
+sequential: samples come from the generator in the order one draw at a
+time would take them, and the iterations are replayed in order with the
+same best-selection rule and adaptive stopping bound, so a run returns
+what the one-hypothesis-per-iteration loop returns up to rounding.
 """
 
 from __future__ import annotations
@@ -49,9 +50,8 @@ _COLLINEAR_AREA_TOL = 1e-12
 # is; a chunk may solve up to _CHUNK - 1 hypotheses past the adaptive stop.
 _CHUNK = 64
 
-# Draws per RANSAC iteration before it gives up on finding a non-degenerate
-# minimal sample; at most _CHUNK, so a chunk's pool always covers one
-# iteration.
+# A RANSAC run draws at most _MAX_SAMPLE_ATTEMPTS * max_iterations minimal
+# samples, degenerate ones included, before it gives up.
 _MAX_SAMPLE_ATTEMPTS = 20
 
 # Why _p3p_batch rejects a row (index 0: no rejection).
@@ -181,7 +181,7 @@ class PnPSolution:
     pose: RigidPose
     inlier_indices: np.ndarray
     mean_reprojection_error_px: float
-    iterations_used: int = 0
+    iterations_used: int = 0  # hypotheses (non-degenerate minimal samples) evaluated
 
     def __post_init__(self) -> None:
         idx = np.asarray(self.inlier_indices, dtype=np.int64).reshape(-1)
@@ -529,31 +529,6 @@ def _degenerate_samples(points: np.ndarray, pixels: np.ndarray, cfg: RansacConfi
     )
 
 
-def _schedule(ok: np.ndarray, iterations: int) -> tuple[list, int]:
-    """Assign drawn samples (ok marks the non-degenerate ones) to up to
-    `iterations` RANSAC iterations in draw order.  An iteration takes the
-    first non-degenerate sample among its next _MAX_SAMPLE_ATTEMPTS
-    draws, or none when all of them are degenerate; scheduling stops at an
-    iteration whose draws run past the end of `ok`.  Returns each
-    iteration's sample index (-1 for none) and the number of draws used."""
-    good = np.flatnonzero(ok).tolist()
-    sched = []
-    p = 0  # next unused draw
-    k = 0  # good[k] is the first non-degenerate draw at or after p
-    while len(sched) < iterations:
-        end = p + _MAX_SAMPLE_ATTEMPTS
-        if k < len(good) and good[k] < end:
-            p = good[k] + 1
-            sched.append(good[k])
-            k += 1
-        elif end <= len(ok):
-            sched.append(-1)
-            p = end
-        else:
-            break
-    return sched, p
-
-
 def _score_hypotheses(
     R: np.ndarray,
     C: np.ndarray,
@@ -582,15 +557,14 @@ def _ransac_pnp(
 ) -> Optional[PnPSolution]:
     """RANSAC-PnP evaluated in chunks, decided one draw at a time.
 
-    Each chunk tops up a pool of drawn minimal samples to _CHUNK (draws the
-    previous chunk did not use stay at its head, in order), flags the
-    degenerate ones, assigns samples to iterations exactly as a one-sample
-    loop would (first non-degenerate of up to _MAX_SAMPLE_ATTEMPTS draws),
-    solves P3P and scores every candidate for the whole chunk at once, then
-    replays the iterations in order with the best-selection rule and the
-    adaptive stopping bound.  Results are those of the sequential loop up
-    to rounding in the solver; work done for iterations past the stop is
-    discarded.
+    An iteration is one non-degenerate minimal sample, solved and scored; a
+    degenerate draw is redrawn and does not count, and a run gives up after
+    _MAX_SAMPLE_ATTEMPTS * max_iterations draws.  Each chunk draws up to
+    _CHUNK samples, drops the degenerate ones, solves P3P and scores every
+    candidate of the first needed - it at once, then replays them in draw
+    order with the best-selection rule and the adaptive stopping bound.
+    Results are those of the sequential loop up to rounding in the solver;
+    work done for iterations past the stop is discarded.
     """
     n = len(batch)
     points, pixels = batch.points, batch.pixels
@@ -603,15 +577,11 @@ def _ransac_pnp(
     best_pose: Optional[RigidPose] = None
     needed = cfg.max_iterations
     it = 0
-    drawn = np.empty((0, 3), dtype=np.int64)
-    ok = np.empty(0, dtype=bool)
-    while it < needed:
-        fresh = _draw_minimal_samples(rng, w, _CHUNK - len(drawn))
-        drawn = np.concatenate([drawn, fresh])
-        ok = np.concatenate([ok, ~_degenerate_samples(points[fresh], pixels[fresh], cfg)])
-        sched, used = _schedule(ok, min(_CHUNK, needed - it))
-        samples = drawn[[j for j in sched if j >= 0]]
-        drawn, ok = drawn[used:], ok[used:]
+    draws_left = _MAX_SAMPLE_ATTEMPTS * cfg.max_iterations
+    while it < needed and draws_left:
+        drawn = _draw_minimal_samples(rng, w, min(_CHUNK, draws_left))
+        draws_left -= len(drawn)
+        samples = drawn[~_degenerate_samples(points[drawn], pixels[drawn], cfg)][: needed - it]
 
         R, C, valid, _ = _p3p_batch(points[samples], bearings[samples])
         per_sample = valid.sum(axis=1).tolist()
@@ -620,15 +590,12 @@ def _ransac_pnp(
         counts, mean_errs = counts.tolist(), mean_errs.tolist()
 
         cand = 0
-        solved = iter(per_sample)
-        for j in sched:
+        for solved in per_sample:
             if it >= needed:
                 break
             it += 1
-            if j < 0:
-                continue
             first = cand
-            cand += next(solved)
+            cand += solved
             for c in range(first, cand):
                 count = counts[c]
                 if count == 0:
@@ -642,22 +609,18 @@ def _ransac_pnp(
                     best_count = count
                     best_err = mean_err
                     if cfg.adaptive_stopping:
-                        ratio = count / n
-                        if ratio >= 1.0:
-                            needed = min(needed, it)
-                        else:
-                            denom = math.log(max(1e-300, 1.0 - ratio**3))
-                            needed = min(
-                                cfg.max_iterations,
-                                max(it, int(math.ceil(math.log(1.0 - cfg.confidence) / denom))),
-                            )
+                        # At inlier ratio 1 the bound is 1, so the run stops here.
+                        denom = math.log(max(1e-300, 1.0 - (count / n) ** 3))
+                        needed = min(
+                            needed,
+                            max(it, int(math.ceil(math.log(1.0 - cfg.confidence) / denom))),
+                        )
 
     if best_pose is None:
         return None
     # Re-verification pass: the returned solution restates its own inliers.
     res = _reprojection_residuals(best_pose.rotation, best_pose.center, points, pixels, K)
     err = np.linalg.norm(res.reshape(-1, 2), axis=1)
-    err = np.where(np.isfinite(err), err, np.inf)
     inl = err < cfg.inlier_threshold_px
     if int(inl.sum()) < cfg.min_inliers:
         return None

@@ -320,6 +320,7 @@ def generate_scene(spec: SceneSpec) -> SyntheticDataset:
         db_records=db_records,
         queries=queries,
         gt_poses={q.image_id: pose for q, pose in zip(queries, spec.query_poses)},
+        families=[(f.name, f.dim) for f in spec.families],
         spec=spec,
         anchor_positions=anchors,
         anchor_plane=anchor_plane,

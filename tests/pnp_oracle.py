@@ -6,12 +6,15 @@ test oracles: the batched code must give the same draws, the same
 degeneracy decisions, the same P3P candidates in the same order, and the
 same RANSAC results.
 
-Two deliberate differences from the loop as it first shipped: a quartic
+Three deliberate differences from the loop as it first shipped: a quartic
 with non-finite coefficients (two identical bearings put f3 in the plane of
 the first two rays) yields no roots instead of raising LinAlgError out of
-np.roots, which is the behaviour the batched solver specifies; and a run in
+np.roots, which is the behaviour the batched solver specifies; a run in
 which every drawn sample is degenerate returns None, as the production loop
-does, instead of falling back to a DLT pose.
+does, instead of falling back to a DLT pose; and an iteration is one
+non-degenerate sample, with degenerate draws redrawn without counting and
+the run capped at _MAX_SAMPLE_ATTEMPTS * max_iterations draws, instead of
+an iteration that gives up after 20 degenerate draws in a row.
 """
 
 from __future__ import annotations
@@ -292,9 +295,10 @@ def ransac_pnp(
     cfg: RansacConfig,
     weights: Optional[np.ndarray],
 ) -> Optional[PnPSolution]:
-    """One hypothesis per iteration: draw (redrawing degenerate samples up to
-    _MAX_SAMPLE_ATTEMPTS times), solve, score, keep the best, update the
-    adaptive bound."""
+    """One hypothesis per iteration: draw a non-degenerate sample (a
+    degenerate draw is redrawn and does not count), solve, score, keep the
+    best, update the adaptive bound.  A run gives up after
+    _MAX_SAMPLE_ATTEMPTS * max_iterations draws."""
     n = len(batch)
     points, pixels = batch.points, batch.pixels
     w = np.full(n, 1.0 / n) if weights is None else np.asarray(weights, dtype=np.float64)
@@ -305,16 +309,13 @@ def ransac_pnp(
     best_pose: Optional[RigidPose] = None
     needed = cfg.max_iterations
     it = 0
-    while it < needed:
-        it += 1
-        sample = None
-        for _ in range(_MAX_SAMPLE_ATTEMPTS):
-            cand = draw_minimal_sample(rng, w)
-            if not sample_is_degenerate(points[cand], pixels[cand], cfg):
-                sample = cand
-                break
-        if sample is None:
+    draws_left = _MAX_SAMPLE_ATTEMPTS * cfg.max_iterations
+    while it < needed and draws_left:
+        draws_left -= 1
+        sample = draw_minimal_sample(rng, w)
+        if sample_is_degenerate(points[sample], pixels[sample], cfg):
             continue
+        it += 1
         try:
             candidates = p3p_candidates(points[sample], _bearings_from_pixels(pixels[sample], K))
         except ValueError:
@@ -340,21 +341,15 @@ def ransac_pnp(
                 best_count = count
                 best_err = mean_err
                 if cfg.adaptive_stopping:
-                    ratio = count / n
-                    if ratio >= 1.0:
-                        needed = min(needed, it)
-                    else:
-                        denom = math.log(max(1e-300, 1.0 - ratio**3))
-                        needed = min(
-                            cfg.max_iterations,
-                            max(it, int(math.ceil(math.log(1.0 - cfg.confidence) / denom))),
-                        )
+                    denom = math.log(max(1e-300, 1.0 - (count / n) ** 3))
+                    needed = min(
+                        needed, max(it, int(math.ceil(math.log(1.0 - cfg.confidence) / denom)))
+                    )
 
     if best_pose is None:
         return None
     res = _reprojection_residuals(best_pose.rotation, best_pose.center, points, pixels, K)
     err = np.linalg.norm(res.reshape(-1, 2), axis=1)
-    err = np.where(np.isfinite(err), err, np.inf)
     inl = err < cfg.inlier_threshold_px
     if int(inl.sum()) < cfg.min_inliers:
         return None

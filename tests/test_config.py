@@ -30,7 +30,6 @@ class TestParseConfig:
         assert cfg.gate_distance_margin == 1.2
         assert cfg.gate_angle_margin == 0.1
         assert cfg.fusion_voxel_size == 0.05
-        assert cfg.score_floor == 0.0
         assert cfg.unstable_classes == frozenset({10, 11, 12, 13, 14, 15, 16, 17, 18})
 
     def test_overrides_and_comments(self, tmp_path):

@@ -308,6 +308,23 @@ class TestDatasetLayout:
             assert np.array_equal(gt.center, back.center)
             assert np.max(np.abs(gt.rotation - back.rotation)) < 1e-12
 
+        # a loaded dataset saves again: every file but the camera lines
+        # (whose quaternions may move in the last bit) is byte-identical
+        again = tmp_path / "again"
+        save_dataset(loaded, again)
+        files = sorted(p.relative_to(root) for p in root.rglob("*") if p.is_file())
+        assert files == sorted(p.relative_to(again) for p in again.rglob("*") if p.is_file())
+        for rel in files:
+            if rel.name != "cameras.txt":
+                assert (root / rel).read_bytes() == (again / rel).read_bytes(), rel
+        reloaded = load_dataset(again)
+        pairs = [(a.pose, b.pose) for a, b in zip(loaded.db_records, reloaded.db_records)]
+        pairs += [(loaded.gt_poses[q], reloaded.gt_poses[q]) for q in loaded.gt_poses]
+        assert len(pairs) == len(ds.db_records) + len(ds.queries)
+        for a, b in pairs:
+            assert np.array_equal(a.center, b.center)
+            assert np.max(np.abs(a.rotation - b.rotation)) < 1e-12
+
     def test_missing_file_detected(self, tmp_path, zero_noise_dataset):
         from semloc.formats import load_dataset, save_dataset
 

@@ -119,19 +119,6 @@ class TestLocalization:
                 "score_projected"} <= set(img_diag)
         assert r.diagnostics["final_inliers"] >= 12
 
-    def test_score_floor_filters_sources(self, zero_noise_dataset, small_cfg):
-        ds = zero_noise_dataset
-        dense_map, _ = build_map(ds.db_records, small_cfg)
-        index = build_index([GlobalDescriptor(r.image_id, r.global_descriptor)
-                             for r in ds.db_records])
-        cfg = dataclasses.replace(small_cfg, score_floor=5.0)
-        res = localize_query(ds.queries[0], 0, ds.db_records, dense_map, index, cfg)
-        assert res.pose is not None
-        images = res.diagnostics["images"].values()
-        assert res.diagnostics["score_floor_kept"] == sum(
-            d["correspondences"] for d in images if d["score_consistent"] >= 5.0)
-        assert any(d["score_consistent"] < 5.0 and d["correspondences"] for d in images)
-
     def test_zeroed_descriptor_fails_only_that_query(self, zero_noise_dataset, small_cfg,
                                                      small_run):
         ds = zero_noise_dataset

@@ -18,6 +18,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from semloc import pnp
 from semloc.geometry import RigidPose, project, rotation_error_deg
 from semloc.matching import CorrespondenceBatch
 from semloc.pnp import (
@@ -477,18 +478,18 @@ class TestChunkedRansacMatchesSequential:
         assert self._compare(corrs, cfg).iterations_used == 150
 
     def test_every_attempt_degenerate_returns_none(self):
-        # no sample spans the required pixel distance: each iteration spends
-        # its 20 redraws (runs of 20 straddle the 64-draw chunks) and finds
-        # nothing, so no model exists
+        # no sample spans the required pixel distance: every draw is
+        # redrawn, nothing is solved, and the run ends at its draw cap with
+        # no model
         rng = np.random.default_rng(73)
         K = default_intrinsics()
         corrs = synthetic_correspondences(rng, K, random_pose(rng), 20)
         cfg = RansacConfig(min_inliers=6, seed=6, max_iterations=50, min_pixel_span_px=1e9)
         assert self._compare(corrs, cfg) is None
 
-    def test_partly_degenerate_draws_carry_across_chunks(self):
-        # about half of all samples are degenerate, so iterations consume
-        # uneven runs of draws and some runs cross a chunk boundary
+    def test_partly_degenerate_draws_span_chunks(self):
+        # about half of all samples are degenerate, so each 64-draw chunk
+        # yields an uneven number of iterations and the run spans chunks
         rng = np.random.default_rng(74)
         K = default_intrinsics()
         corrs = synthetic_correspondences(rng, K, random_pose(rng), 30, outlier_frac=0.9)
@@ -506,6 +507,56 @@ class TestChunkedRansacMatchesSequential:
                                           pixel_noise=1.0)
         self._compare(corrs, RansacConfig(min_inliers=6, seed=8), np.full(60, 1 / 60))
         self._compare(corrs, RansacConfig(min_inliers=6, seed=8))
+
+
+class TestIterationRule:
+    """An iteration is one non-degenerate minimal sample, solved and scored;
+    degenerate draws do not count, and a run stops after
+    _MAX_SAMPLE_ATTEMPTS * max_iterations draws."""
+
+    @staticmethod
+    def _run(monkeypatch, span, max_iterations):
+        """Library result, oracle result, P3P rows solved and samples drawn
+        for 30 exact correspondences at the given pixel-span threshold."""
+        rng = np.random.default_rng(76)
+        K = default_intrinsics()
+        corrs = synthetic_correspondences(rng, K, random_pose(rng), 30)
+        cfg = RansacConfig(min_inliers=3, seed=8, max_iterations=max_iterations,
+                           min_pixel_span_px=span, adaptive_stopping=False)
+        counted = {"rows": 0, "draws": 0}
+
+        def p3p_batch(P, f):
+            counted["rows"] += len(P)
+            return _p3p_batch(P, f)
+
+        def draw(rng, weights, m):
+            counted["draws"] += m
+            return _draw_minimal_samples(rng, weights, m)
+
+        with monkeypatch.context() as m:
+            m.setattr(pnp, "_p3p_batch", p3p_batch)
+            m.setattr(pnp, "_draw_minimal_samples", draw)
+            a = _ransac_pnp(corrs, K, cfg, None)
+        b = pnp_oracle.ransac_pnp(corrs, K, cfg, None)
+        _assert_same_result(a, b)
+        return a, counted
+
+    def test_degenerate_draws_do_not_count(self, monkeypatch):
+        # about 92% of the draws are degenerate; every iteration still
+        # solves one sample
+        sol, counted = self._run(monkeypatch, 550.0, 60)
+        assert sol.iterations_used == 60 == counted["rows"]
+        assert counted["draws"] < 20 * 60
+
+    def test_draw_cap_ends_the_run(self, monkeypatch):
+        sol, counted = self._run(monkeypatch, 600.0, 60)
+        assert counted["draws"] == 20 * 60
+        assert sol.iterations_used == 16 == counted["rows"]
+
+    def test_all_degenerate_run_stops_at_the_draw_cap(self, monkeypatch):
+        sol, counted = self._run(monkeypatch, 1e9, 50)
+        assert sol is None
+        assert counted == {"rows": 0, "draws": 20 * 50}
 
 
 class TestRefinePose:
