@@ -5,15 +5,14 @@ Subcommands::
     semloc synth      <scene-spec> <out-dir>              generate a dataset
     semloc build-map  <dataset> <config> <out-map>        build the dense map
     semloc localize   <dataset> <map> <config> <out>      localize all queries
-    semloc evaluate   <estimates> <gt-cameras> <config> <out-prefix>
+    semloc evaluate   <estimates> <gt-cameras> <out-prefix>   score the estimates
+
+Global flags: ``--seed N`` overrides the config file's seed and replaces the
+scene spec's seed for ``synth``; ``--verbose`` logs at debug level.
 
 Exit codes: 0 success, 1 usage error, 2 data error.  Logs go to stderr;
-results only ever go to files.  The ``--seed``, ``--top-k-day``,
-``--top-k-night`` flags override the config file; ``--seed`` also replaces
-the scene spec's seed for ``synth``.  ``--threads`` localizes
-queries on that many threads with byte-identical output; it measured about
-2x slower on a 2-core machine, because the per-query work is many small
-numpy calls that contend for the GIL.
+results only ever go to files.  ``evaluate`` needs one estimate line per
+ground-truth query.
 """
 
 from __future__ import annotations
@@ -50,10 +49,7 @@ def _build_parser() -> _Parser:
     parser = _Parser(prog="semloc", description=__doc__,
                      formatter_class=argparse.RawDescriptionHelpFormatter)
     parser.add_argument("--seed", type=int, default=None, help="override config and scene seed")
-    parser.add_argument("--top-k-day", type=int, default=None)
-    parser.add_argument("--top-k-night", type=int, default=None)
-    parser.add_argument("--threads", type=int, default=1)
-    parser.add_argument("--verbose", action="store_true")
+    parser.add_argument("--verbose", action="store_true", help="log at debug level")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("synth", help="generate a synthetic dataset")
@@ -74,15 +70,13 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("evaluate", help="score estimates against ground truth")
     p.add_argument("estimates")
     p.add_argument("ground_truth")
-    p.add_argument("config")
     p.add_argument("out_prefix")
     return parser
 
 
 def _load_config(path, args) -> PipelineConfig:
-    overrides = {"seed": args.seed, "top_k_day": args.top_k_day, "top_k_night": args.top_k_night}
-    return replace(parse_config_file(path),
-                   **{k: v for k, v in overrides.items() if v is not None})
+    cfg = parse_config_file(path)
+    return cfg if args.seed is None else replace(cfg, seed=args.seed)
 
 
 def cmd_synth(args) -> int:
@@ -114,9 +108,7 @@ def cmd_localize(args) -> int:
     cfg = _load_config(args.config, args)
     loaded = formats.load_dataset(args.dataset)
     dense_map = formats.read_dense_map(args.map)
-    results = localize_all(
-        loaded.queries, loaded.db_records, dense_map, cfg, threads=args.threads
-    )
+    results = localize_all(loaded.queries, loaded.db_records, dense_map, cfg)
     formats.write_estimates(args.out, results)
     diag = {
         r.query_id: {
@@ -135,17 +127,17 @@ def cmd_localize(args) -> int:
 
 
 def cmd_evaluate(args) -> int:
-    _load_config(args.config, args)  # validates the file; buckets are fixed sets
     estimates, conditions = formats.read_estimates(args.estimates)
     gt_records = formats.read_cameras(args.ground_truth)
     ground_truth = {rec.image_id: rec.pose for rec in gt_records}
-    missing = set(estimates) - set(ground_truth)
+    unknown = set(estimates) - set(ground_truth)
+    if unknown:
+        raise DataFormatError(args.estimates, None,
+                              f"estimates for unknown query ids: {sorted(unknown)}")
+    missing = set(ground_truth) - set(estimates)
     if missing:
         raise DataFormatError(args.estimates, None,
-                              f"estimates for unknown query ids: {sorted(missing)}")
-    for qid in ground_truth:
-        estimates.setdefault(qid, None)
-        conditions.setdefault(qid, "day")
+                              f"no estimates for query ids: {sorted(missing)}")
     report = evaluate(
         estimates, ground_truth,
         buckets={"day": DAY_BUCKETS, "night": NIGHT_BUCKETS},

@@ -1,8 +1,11 @@
 """Pipeline configuration and its key-value file format.
 
-The config file is plain ``key = value`` lines with ``#`` comments.  Every
-tunable constant of the pipeline lives here; unknown keys are rejected so
-typos fail loudly, and every value is range-checked as its line is read.
+The config file is plain ``key = value`` lines with ``#`` comments.  It
+holds the settings a run varies: the paper's depth filter, fusion, visibility
+gate, retrieval and RANSAC parameters, the seed, and the per-family match
+rules.  Constants no run varies stay with the code that uses them.  Unknown
+keys are rejected so typos fail loudly, and every value is range-checked as
+its line is read.
 Per-family matching rules use dotted keys, e.g.::
 
     family.corner.mutual_nn = true
@@ -27,7 +30,7 @@ __all__ = ["PipelineConfig", "parse_config_file", "render_config"]
 
 @dataclass(frozen=True)
 class PipelineConfig:
-    """Every constant the pipeline consumes, with library defaults.
+    """Every setting a pipeline run varies, with library defaults.
 
     Building a config checks the settings no stage type owns and builds
     each stage type once, so every range check fails here rather than in
@@ -57,10 +60,6 @@ class PipelineConfig:
     # RANSAC (temporary per-retrieved-image stage)
     temp_ransac_min_inliers: int = 6
     temp_ransac_max_iterations: int = 10000
-    ransac_min_pixel_span_px: float = 10.0
-    # refinement
-    refine_max_iterations: int = 100
-    refine_relative_tolerance: float = 1e-10
     # per-family matching rules
     families: dict = field(default_factory=dict)  # name -> FeatureFamily
 
@@ -105,7 +104,6 @@ class PipelineConfig:
             confidence=self.ransac_confidence,
             min_inliers=self.ransac_min_inliers,
             seed=seed,
-            min_pixel_span_px=self.ransac_min_pixel_span_px,
         )
 
     def temp_ransac(self, seed: int) -> RansacConfig:
@@ -139,9 +137,6 @@ _SCALAR_KEYS = {
     "ransac.min_inliers": ("ransac_min_inliers", int),
     "ransac.temp_min_inliers": ("temp_ransac_min_inliers", int),
     "ransac.temp_max_iterations": ("temp_ransac_max_iterations", int),
-    "ransac.min_pixel_span_px": ("ransac_min_pixel_span_px", float),
-    "refine.max_iterations": ("refine_max_iterations", int),
-    "refine.relative_tolerance": ("refine_relative_tolerance", float),
 }
 
 _FAMILY_KEY = re.compile(r"^family\.([A-Za-z0-9_\-]+)\.(mutual_nn|ratio)$")

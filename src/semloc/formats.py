@@ -37,7 +37,8 @@ import numpy as np
 
 from .geometry import CameraIntrinsics, RigidPose, matrix_to_quaternion, quaternion_to_matrix
 from .matching import FeatureSet
-from .semantic_map import MAX_CLASS_ID, UNLABELED, DatabaseImageRecord, DenseMap, QueryImage
+from .semantic_map import (MAX_CLASS_ID, UNLABELED, DatabaseImageRecord, DenseMap, QueryImage,
+                           label_ids_valid)
 
 __all__ = [
     "DataFormatError",
@@ -169,8 +170,7 @@ def write_label_image(path, labels: np.ndarray) -> None:
 
 def read_label_image(path) -> np.ndarray:
     values = _read_grid(path, b"LBL1", np.uint8)
-    bad = ~((values <= MAX_CLASS_ID) | (values == UNLABELED))
-    if np.any(bad):
+    if not label_ids_valid(values):
         raise DataFormatError(path, None, f"label ids outside 0..{MAX_CLASS_ID} / {UNLABELED}")
     return values
 

@@ -162,13 +162,7 @@ def localize_query(
             failure_reason=FAILURE_NO_CONSENSUS,
             diagnostics=diagnostics,
         )
-    refined = refine_pose(
-        solution,
-        weighted,
-        query.intrinsics,
-        max_iterations=cfg.refine_max_iterations,
-        relative_tolerance=cfg.refine_relative_tolerance,
-    )
+    refined = refine_pose(solution, weighted, query.intrinsics)
     diagnostics["final_inliers"] = solution.num_inliers
     diagnostics["final_mean_error_px"] = solution.mean_reprojection_error_px
     diagnostics["final_iterations"] = solution.iterations_used

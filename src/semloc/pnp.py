@@ -54,6 +54,12 @@ _CHUNK = 64
 # samples, degenerate ones included, before it gives up.
 _MAX_SAMPLE_ATTEMPTS = 20
 
+# Gauss-Newton steps that polish each P3P candidate, and refine_pose's
+# Levenberg-Marquardt step cap and relative cost-decrease stop.
+_POLISH_STEPS = 3
+_REFINE_MAX_STEPS = 100
+_REFINE_RELATIVE_TOL = 1e-10
+
 # Why _p3p_batch rejects a row (index 0: no rejection).
 _P3P_ERRORS = (None, "world points are collinear", "degenerate bearing vectors (parallel rays)")
 
@@ -415,12 +421,11 @@ def _polish_pose(
     points: np.ndarray,
     pixels: np.ndarray,
     K: CameraIntrinsics,
-    iterations: int = 3,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Few Gauss-Newton steps on the reprojection of a minimal set; with 6
-    residuals and 6 parameters this converges to machine precision from any
-    reasonable candidate."""
-    for _ in range(iterations):
+    """_POLISH_STEPS Gauss-Newton steps on the reprojection of a minimal set;
+    with 6 residuals and 6 parameters this converges to machine precision
+    from any reasonable candidate."""
+    for _ in range(_POLISH_STEPS):
         res = _reprojection_residuals(R, C, points, pixels, K)
         if not np.all(np.isfinite(res)):
             return R, C
@@ -678,11 +683,13 @@ def refine_pose(
     initial: PnPSolution,
     batch: CorrespondenceBatch,
     K: CameraIntrinsics,
-    max_iterations: int = 100,
-    relative_tolerance: float = 1e-10,
 ) -> RigidPose:
     """Levenberg-Marquardt minimization of the summed squared reprojection
     error over the solution's inliers.
+
+    It takes at most _REFINE_MAX_STEPS (100) steps and stops early once an
+    accepted step lowers the cost by a relative amount below
+    _REFINE_RELATIVE_TOL (1e-10).
 
     The rotation is updated multiplicatively through the exponential map (3
     local parameters), so iterates stay on the rotation manifold.  The cost
@@ -702,7 +709,7 @@ def refine_pose(
         return initial.pose
 
     lam = 1e-6
-    for _ in range(max_iterations):
+    for _ in range(_REFINE_MAX_STEPS):
         J = _pose_jacobian(R, C, points, K)
         H = J.T @ J
         g = J.T @ res
@@ -722,7 +729,7 @@ def refine_pose(
             rel = (cost - cost_new) / cost
             R, C, res, cost = R_new, C_new, res_new, cost_new
             lam = max(lam / 3.0, 1e-12)
-            if rel < relative_tolerance or cost == 0.0:
+            if rel < _REFINE_RELATIVE_TOL or cost == 0.0:
                 break
         else:
             lam *= 10.0

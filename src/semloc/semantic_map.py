@@ -38,6 +38,7 @@ __all__ = [
     "MAX_CLASS_ID",
     "UNLABELED",
     "DEFAULT_UNSTABLE_CLASS_IDS",
+    "label_ids_valid",
     "DepthFilterConfig",
     "DenseMap",
     "DatabaseImageRecord",
@@ -62,6 +63,11 @@ UNLABELED = 255
 
 # Dynamic objects plus sky: noise sources for localization, removed from maps.
 DEFAULT_UNSTABLE_CLASS_IDS = frozenset({10, 11, 12, 13, 14, 15, 16, 17, 18})
+
+
+def label_ids_valid(labels: np.ndarray) -> bool:
+    """Whether every label is a class id 0..MAX_CLASS_ID or UNLABELED."""
+    return bool(np.all((labels <= MAX_CLASS_ID) | (labels == UNLABELED)))
 
 
 # ── Record types ─────────────────────────────────────────────────────────
@@ -91,8 +97,7 @@ class DatabaseImageRecord:
             )
         if not np.all(np.isfinite(self.depth)):
             raise ValueError(f"{self.image_id}: depth map contains non-finite values")
-        bad = ~((self.labels <= MAX_CLASS_ID) | (self.labels == UNLABELED))
-        if np.any(bad):
+        if not label_ids_valid(self.labels):
             raise ValueError(f"{self.image_id}: label ids outside 0..{MAX_CLASS_ID} / {UNLABELED}")
 
 
@@ -116,6 +121,8 @@ class QueryImage:
             raise ValueError(
                 f"{self.image_id}: label shape {self.labels.shape} != image size {shape}"
             )
+        if not label_ids_valid(self.labels):
+            raise ValueError(f"{self.image_id}: label ids outside 0..{MAX_CLASS_ID} / {UNLABELED}")
 
 
 @dataclass(frozen=True)

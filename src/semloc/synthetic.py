@@ -98,8 +98,8 @@ class SceneSpec:
     query_poses: list
     query_conditions: list
     families: list
+    anchor_plane_indices: list  # planes that carry feature anchors
     anchors_per_plane: int = 40
-    anchor_plane_indices: Optional[list] = None  # None = anchors on every plane
     global_dim: int = 64
     global_sigma: dict = field(default_factory=lambda: {"day": 0.0, "night": 0.0})
 
@@ -196,11 +196,12 @@ def render_depth_and_labels(
     )
 
 
-def sample_plane_points(
-    plane: FacadePlane, count: int, rng: np.random.Generator, margin: float = 0.05
-) -> np.ndarray:
-    """Jittered grid of points on a plane, inset by ``margin`` (fraction of
-    each edge) from the borders."""
+_PLANE_MARGIN = 0.05  # inset of sampled plane points, as a fraction of each edge
+
+
+def sample_plane_points(plane: FacadePlane, count: int, rng: np.random.Generator) -> np.ndarray:
+    """Jittered grid of points on a plane, inset by _PLANE_MARGIN from the
+    borders."""
     lu = np.linalg.norm(plane.edge_u)
     lv = np.linalg.norm(plane.edge_v)
     nu = max(1, int(round(math.sqrt(count * lu / max(lv, 1e-9)))))
@@ -211,7 +212,7 @@ def sample_plane_points(
     )
     uv = np.stack([us.ravel(), vs.ravel()], axis=1)[:count]
     jitter = rng.uniform(-0.4, 0.4, size=uv.shape) / np.array([nu, nv])
-    uv = np.clip(uv + jitter, margin, 1.0 - margin)
+    uv = np.clip(uv + jitter, _PLANE_MARGIN, 1.0 - _PLANE_MARGIN)
     return plane.corner + uv[:, :1] * plane.edge_u + uv[:, 1:] * plane.edge_v
 
 
@@ -273,14 +274,9 @@ def generate_scene(spec: SceneSpec) -> SyntheticDataset:
     spec.validate()
     rng = np.random.default_rng(np.random.SeedSequence(spec.seed))
 
-    anchor_planes = (
-        list(range(len(spec.planes)))
-        if spec.anchor_plane_indices is None
-        else list(spec.anchor_plane_indices)
-    )
     positions = []
     plane_of = []
-    for pi in anchor_planes:
+    for pi in spec.anchor_plane_indices:
         pts = sample_plane_points(spec.planes[pi], spec.anchors_per_plane, rng)
         positions.append(pts)
         plane_of.extend([pi] * len(pts))
@@ -367,12 +363,10 @@ def _canyon_planes(
     return planes
 
 
-def _canyon_pose(x: float, y: float, z: float, yaw_deg: float, pitch_deg: float = 0.0) -> RigidPose:
+def _canyon_pose(x: float, y: float, z: float, yaw_deg: float) -> RigidPose:
     """Camera at (x, y, z) looking down-street (+z) rotated by yaw about the
     vertical (world y) axis; positive yaw turns toward the +x wall."""
-    R = rotation_about_axis(np.array([1.0, 0.0, 0.0]), math.radians(pitch_deg)) @ (
-        rotation_about_axis(np.array([0.0, 1.0, 0.0]), math.radians(yaw_deg))
-    )
+    R = rotation_about_axis(np.array([0.0, 1.0, 0.0]), math.radians(yaw_deg))
     return RigidPose(R.T, np.array([x, y, z]))
 
 
@@ -392,6 +386,9 @@ _PROFILES = {
 }
 
 
+_CANYON_YAW_DEG = 62.0  # street_canyon_spec's camera yaw off the street axis
+
+
 def street_canyon_spec(
     seed: int = 0,
     n_db: int = 20,
@@ -401,13 +398,12 @@ def street_canyon_spec(
     night_fraction: float = 0.0,
     anchors_per_plane: int = 30,
     length: float = 40.0,
-    yaw_deg: float = 62.0,
 ) -> SceneSpec:
     """Striped two-wall street canyon with a zig-zag camera trajectory.
 
     Cameras alternate between facing the left and right wall at a fairly
-    frontal angle; grazing views would blow up the half-pixel depth-lookup
-    error of lifted correspondences.
+    frontal angle (_CANYON_YAW_DEG); grazing views would blow up the
+    half-pixel depth-lookup error of lifted correspondences.
     """
     if noise_profile not in _PROFILES:
         raise ValueError(f"unknown noise profile {noise_profile!r}")
@@ -420,7 +416,7 @@ def street_canyon_spec(
     db_poses = []
     for i in range(n_db):
         z = 2.0 + (length - 6.0) * i / max(n_db - 1, 1)
-        yaw = yaw_deg if i % 2 == 0 else -yaw_deg
+        yaw = _CANYON_YAW_DEG if i % 2 == 0 else -_CANYON_YAW_DEG
         x = 0.4 if i % 2 == 0 else -0.4
         db_poses.append(_canyon_pose(x, -1.5, z, yaw))
 
@@ -429,7 +425,8 @@ def street_canyon_spec(
     n_night = int(round(night_fraction * n_queries))
     for i in range(n_queries):
         z = float(rng.uniform(3.0, length - 5.0))
-        yaw = float(rng.uniform(yaw_deg - 7.0, yaw_deg + 7.0)) * (1 if i % 2 == 0 else -1)
+        yaw = float(rng.uniform(_CANYON_YAW_DEG - 7.0, _CANYON_YAW_DEG + 7.0))
+        yaw *= 1 if i % 2 == 0 else -1
         x = float(rng.uniform(-0.8, 0.8))
         y = float(-1.5 + rng.uniform(-0.2, 0.2))
         query_poses.append(_canyon_pose(x, y, z, yaw))

@@ -1,12 +1,13 @@
 """Command-line interface tests: subcommands, exit codes, determinism."""
 
 import json
+import re
 import shutil
 
 import numpy as np
 import pytest
 
-from semloc.cli import main
+from semloc.cli import _build_parser, main
 from semloc.config import PipelineConfig, render_config
 from test_config import OUT_OF_RANGE_LINES
 
@@ -126,13 +127,6 @@ class TestLocalizeAndEvaluate:
                      str(workspace / "config.txt"), str(est2)]) == 0
         assert est_path.read_bytes() == est2.read_bytes()
 
-    def test_threads_do_not_change_output(self, workspace, artifacts, tmp_path):
-        out, map_path, est_path = artifacts
-        est3 = tmp_path / "estimates3.txt"
-        assert main(["--threads", "3", "localize", str(workspace / "data"), str(map_path),
-                     str(workspace / "config.txt"), str(est3)]) == 0
-        assert est_path.read_bytes() == est3.read_bytes()
-
     def test_bad_query_descriptor_fails_only_that_query(self, workspace, artifacts, tmp_path):
         from semloc.formats import read_global_descriptor, write_global_descriptor
 
@@ -153,7 +147,7 @@ class TestLocalizeAndEvaluate:
         out, _, est_path = artifacts
         prefix = tmp_path / "report"
         assert main(["evaluate", str(est_path), str(workspace / "data" / "queries" / "cameras.txt"),
-                     str(workspace / "config.txt"), str(prefix)]) == 0
+                     str(prefix)]) == 0
         text = (tmp_path / "report.txt").read_text()
         assert "100.0 / 100.0 / 100.0" in text
         data = json.loads((tmp_path / "report.json").read_text())
@@ -164,19 +158,23 @@ class TestLocalizeAndEvaluate:
         bad = tmp_path / "bad_est.txt"
         bad.write_text(est_path.read_text().replace("q000", "q999"))
         code = main(["evaluate", str(bad), str(workspace / "data" / "queries" / "cameras.txt"),
-                     str(workspace / "config.txt"), str(tmp_path / "r")])
+                     str(tmp_path / "r")])
         assert code == 2
+
+    def test_evaluate_missing_estimate_is_data_error(self, workspace, artifacts, tmp_path, caplog):
+        # a query left out of the estimates is an error, not a failed day query
+        out, _, est_path = artifacts
+        short = tmp_path / "short_est.txt"
+        short.write_text("".join(line for line in est_path.read_text().splitlines(True)
+                                 if not line.startswith("q001 ")))
+        code = main(["evaluate", str(short), str(workspace / "data" / "queries" / "cameras.txt"),
+                     str(tmp_path / "r")])
+        assert code == 2
+        assert f"{short}: no estimates for query ids: ['q001']" in caplog.text
+        assert list(tmp_path.glob("r*")) == []
 
 
 class TestFlags:
-    def test_zero_top_k_flag_is_data_error(self, workspace, artifacts, tmp_path):
-        out, map_path, _ = artifacts
-        est = tmp_path / "estimates.txt"
-        code = main(["--top-k-day", "0", "localize", str(workspace / "data"), str(map_path),
-                     str(workspace / "config.txt"), str(est)])
-        assert code == 2
-        assert not est.exists()
-
     def test_seed_flag_overrides_scene_seed(self, workspace, tmp_path):
         # the flag reaches the preset, so the query poses follow it as well
         scene = tmp_path / "scene.txt"
@@ -203,3 +201,23 @@ class TestUsageErrors:
 
     def test_missing_argument_is_usage_error(self):
         assert main(["build-map", "only-one-arg"]) == 1
+
+    @pytest.mark.parametrize("argv", [
+        ["--threads", "2", "synth", "scene.txt", "out"],
+        ["--top-k-day", "3", "synth", "scene.txt", "out"],
+        ["--top-k-night", "3", "synth", "scene.txt", "out"],
+        ["evaluate", "estimates.txt", "cameras.txt", "config.txt", "report"],
+    ])
+    def test_removed_flags_and_arguments_are_usage_errors(self, argv):
+        assert main(argv) == 1
+
+
+def test_help_text_documents_exactly_the_parser_options():
+    from semloc import cli
+
+    parser = _build_parser()
+    parsers = [parser] + list(next(a for a in parser._actions if a.choices).choices.values())
+    options = {opt for p in parsers for a in p._actions for opt in a.option_strings}
+    options -= {"-h", "--help"}
+    assert parser.description == cli.__doc__
+    assert set(re.findall(r"--[a-z][a-z-]*", cli.__doc__)) == options

@@ -98,6 +98,17 @@ def test_errors_name_file_and_line(tmp_path):
         parse_config_file(p)
 
 
+@pytest.mark.parametrize("line", ["ransac.min_pixel_span_px = 10.0",
+                                  "refine.max_iterations = 100",
+                                  "refine.relative_tolerance = 1e-10"])
+def test_removed_keys_are_unknown_at_their_line(tmp_path, line):
+    # constants no run varies are not config keys
+    p = _write(tmp_path, f"seed = 1\n{line}\n")
+    key = line.split(" = ")[0]
+    with pytest.raises(DataFormatError, match=re.escape(f"{p}:2: unknown config key {key!r}")):
+        parse_config_file(p)
+
+
 # One value outside the range its stage type accepts, per stage check.
 OUT_OF_RANGE_LINES = [
     "gate.distance_margin = 0.5",

@@ -18,6 +18,7 @@ from semloc.semantic_map import (
     DatabaseImageRecord,
     DenseMap,
     DepthFilterConfig,
+    QueryImage,
     _cones_bulk,
     _vote_labels_bulk,
     build_dense_map,
@@ -51,6 +52,20 @@ def _record(image_id, K, pose, depth, labels=None):
         image_id=image_id, intrinsics=K, pose=pose,
         depth=np.asarray(depth, dtype=np.float32), labels=labels,
     )
+
+
+@pytest.mark.parametrize("value, valid", [(0, True), (18, True), (255, True), (19, False),
+                                          (42, False), (254, False)])
+def test_both_record_types_share_the_label_id_rule(value, valid):
+    K = _K(4, 3)
+    labels = np.full((3, 4), value, dtype=np.uint8)
+    for make in (lambda: _record("db", K, RigidPose.identity(), np.ones((3, 4)), labels),
+                 lambda: QueryImage(image_id="q", intrinsics=K, labels=labels)):
+        if valid:
+            make()
+        else:
+            with pytest.raises(ValueError, match="label ids outside 0..18 / 255"):
+                make()
 
 
 def _plane_depth(K, pose, plane_z=6.0):
