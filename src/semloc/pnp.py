@@ -21,6 +21,16 @@ sequential: samples come from the generator in the order one draw at a
 time would take them, and the iterations are replayed in order with the
 same best-selection rule and adaptive stopping bound, so a run returns
 what the one-hypothesis-per-iteration loop returns up to rounding.
+
+Two bounds stop a run early, both the standard RANSAC bound of Fischler &
+Bolles (1981) at the configured confidence.  The adaptive bound is taken
+at the inlier ratio of the best model so far: the run stops once it has
+probably drawn an all-inlier sample of that model.  The min-inliers bound
+is taken from the start at the smallest acceptable ratio, min_inliers / n:
+the run stops once it has probably shown that no model reaches
+min_inliers.  A run given fewer than min_inliers correspondences draws
+nothing and returns no model.  The winning candidate becomes a RigidPose
+once, when the run ends.
 """
 
 from __future__ import annotations
@@ -158,11 +168,15 @@ def _newton_polish_roots(x: np.ndarray, A: np.ndarray) -> np.ndarray:
 class RansacConfig:
     """RANSAC constants; all logged with results.
 
-    confidence drives the adaptive iteration bound; max_iterations caps it.
-    min_inliers rejects weak consensus (12 for final poses, 6 is a sensible
-    choice for temporary per-retrieved-image poses).  Samples are rejected
-    and redrawn when the 3 world points are near-collinear or the 3 pixels
-    span less than min_pixel_span_px.
+    confidence drives two iteration bounds and max_iterations caps both:
+    the adaptive bound at the inlier ratio of the best model so far, and
+    the min-inliers bound, set from the start at the ratio min_inliers / n.
+    adaptive_stopping=False turns both off.  min_inliers rejects weak
+    consensus (12 for final poses, 6 is a sensible choice for temporary
+    per-retrieved-image poses); a run given fewer than min_inliers
+    correspondences draws nothing.  Samples are rejected and redrawn when
+    the 3 world points are near-collinear or the 3 pixels span less than
+    min_pixel_span_px.
     """
 
     inlier_threshold_px: float = 8.0
@@ -554,6 +568,17 @@ def _score_hypotheses(
     return count, mean_err
 
 
+def _iterations_needed(inliers: int, n: int, cfg: RansacConfig) -> int:
+    """Fischler & Bolles' RANSAC bound at inlier ratio inliers / n: the
+    iterations after which an all-inlier minimal sample has been drawn with
+    probability cfg.confidence, capped at cfg.max_iterations.  It is 1 at
+    ratio 1, and the cap when no positive ratio moves 1 - ratio**3 off 1."""
+    denom = math.log(max(1e-300, 1.0 - (inliers / n) ** 3))
+    if denom >= 0.0:
+        return cfg.max_iterations
+    return min(cfg.max_iterations, int(math.ceil(math.log(1.0 - cfg.confidence) / denom)))
+
+
 def _ransac_pnp(
     batch: CorrespondenceBatch,
     K: CameraIntrinsics,
@@ -567,11 +592,20 @@ def _ransac_pnp(
     _MAX_SAMPLE_ATTEMPTS * max_iterations draws.  Each chunk draws up to
     _CHUNK samples, drops the degenerate ones, solves P3P and scores every
     candidate of the first needed - it at once, then replays them in draw
-    order with the best-selection rule and the adaptive stopping bound.
-    Results are those of the sequential loop up to rounding in the solver;
-    work done for iterations past the stop is discarded.
+    order with the best-selection rule.  Results are those of the
+    sequential loop up to rounding in the solver; work done for iterations
+    past the stop is discarded.
+
+    With adaptive stopping, needed starts at the min-inliers bound (at
+    least 1) and drops to the adaptive bound of each new best model, never
+    below the iterations already run; both come from _iterations_needed.
+    Fewer than min_inliers correspondences return None before any draw.
+    The replay keeps the best candidate's raw R and C, and the one
+    RigidPose is built from them after the loop.
     """
     n = len(batch)
+    if n < cfg.min_inliers:
+        return None
     points, pixels = batch.points, batch.pixels
     bearings = _bearings_from_pixels(pixels, K)
     w = np.full(n, 1.0 / n) if weights is None else np.asarray(weights, dtype=np.float64)
@@ -579,8 +613,12 @@ def _ransac_pnp(
     rng = np.random.default_rng(cfg.seed)
     best_count = 0
     best_err = np.inf
-    best_pose: Optional[RigidPose] = None
-    needed = cfg.max_iterations
+    best_R: Optional[np.ndarray] = None
+    best_C: Optional[np.ndarray] = None
+    if cfg.adaptive_stopping:
+        needed = max(1, _iterations_needed(cfg.min_inliers, n, cfg))
+    else:
+        needed = cfg.max_iterations
     it = 0
     draws_left = _MAX_SAMPLE_ATTEMPTS * cfg.max_iterations
     while it < needed and draws_left:
@@ -607,22 +645,17 @@ def _ransac_pnp(
                     continue
                 mean_err = mean_errs[c]
                 if count > best_count or (count == best_count and mean_err < best_err):
-                    try:
-                        best_pose = RigidPose(*_orthonormalized(R[c], C[c]))
-                    except ValueError:
-                        continue
+                    best_R, best_C = R[c], C[c]
                     best_count = count
                     best_err = mean_err
                     if cfg.adaptive_stopping:
-                        # At inlier ratio 1 the bound is 1, so the run stops here.
-                        denom = math.log(max(1e-300, 1.0 - (count / n) ** 3))
-                        needed = min(
-                            needed,
-                            max(it, int(math.ceil(math.log(1.0 - cfg.confidence) / denom))),
-                        )
+                        needed = min(needed, max(it, _iterations_needed(count, n, cfg)))
 
-    if best_pose is None:
+    if best_R is None:
         return None
+    # Valid candidates are finite, and any finite matrix orthonormalizes to
+    # a rotation RigidPose accepts.
+    best_pose = RigidPose(*_orthonormalized(best_R, best_C))
     # Re-verification pass: the returned solution restates its own inliers.
     res = _reprojection_residuals(best_pose.rotation, best_pose.center, points, pixels, K)
     err = np.linalg.norm(res.reshape(-1, 2), axis=1)

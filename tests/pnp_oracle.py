@@ -15,6 +15,12 @@ does, instead of falling back to a DLT pose; and an iteration is one
 non-degenerate sample, with degenerate draws redrawn without counting and
 the run capped at _MAX_SAMPLE_ATTEMPTS * max_iterations draws, instead of
 an iteration that gives up after 20 degenerate draws in a row.
+
+Like the production loop, a run given fewer than min_inliers
+correspondences returns None before drawing, and with adaptive stopping
+the iteration budget starts at the min-inliers bound, the RANSAC bound at
+inlier ratio min_inliers / n.  Unlike it, the oracle builds a RigidPose at
+every improvement.
 """
 
 from __future__ import annotations
@@ -289,6 +295,16 @@ def sample_is_degenerate(points: np.ndarray, pixels: np.ndarray, cfg: RansacConf
     return span < cfg.min_pixel_span_px
 
 
+def ransac_bound(inliers: int, n: int, confidence: float) -> float:
+    """Uncapped RANSAC bound: iterations that draw an all-inlier sample with
+    the given confidence at inlier ratio inliers / n (inf when the ratio
+    cannot move 1 - ratio**3 off 1)."""
+    denom = math.log(max(1e-300, 1.0 - (inliers / n) ** 3))
+    if denom >= 0.0:
+        return math.inf
+    return math.ceil(math.log(1.0 - confidence) / denom)
+
+
 def ransac_pnp(
     batch: CorrespondenceBatch,
     K: CameraIntrinsics,
@@ -297,9 +313,12 @@ def ransac_pnp(
 ) -> Optional[PnPSolution]:
     """One hypothesis per iteration: draw a non-degenerate sample (a
     degenerate draw is redrawn and does not count), solve, score, keep the
-    best, update the adaptive bound.  A run gives up after
-    _MAX_SAMPLE_ATTEMPTS * max_iterations draws."""
+    best, update the adaptive bound.  The budget starts at the min-inliers
+    bound, and a run gives up after _MAX_SAMPLE_ATTEMPTS * max_iterations
+    draws."""
     n = len(batch)
+    if n < cfg.min_inliers:
+        return None
     points, pixels = batch.points, batch.pixels
     w = np.full(n, 1.0 / n) if weights is None else np.asarray(weights, dtype=np.float64)
 
@@ -308,6 +327,8 @@ def ransac_pnp(
     best_err = np.inf
     best_pose: Optional[RigidPose] = None
     needed = cfg.max_iterations
+    if cfg.adaptive_stopping:
+        needed = max(1, min(needed, ransac_bound(cfg.min_inliers, n, cfg.confidence)))
     it = 0
     draws_left = _MAX_SAMPLE_ATTEMPTS * cfg.max_iterations
     while it < needed and draws_left:
@@ -341,10 +362,7 @@ def ransac_pnp(
                 best_count = count
                 best_err = mean_err
                 if cfg.adaptive_stopping:
-                    denom = math.log(max(1e-300, 1.0 - (count / n) ** 3))
-                    needed = min(
-                        needed, max(it, int(math.ceil(math.log(1.0 - cfg.confidence) / denom)))
-                    )
+                    needed = min(needed, max(it, ransac_bound(count, n, cfg.confidence)))
 
     if best_pose is None:
         return None

@@ -15,7 +15,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from semloc import pnp
@@ -509,6 +509,29 @@ class TestChunkedRansacMatchesSequential:
         self._compare(corrs, RansacConfig(min_inliers=6, seed=8))
 
 
+def _counted_run(monkeypatch, corrs, cfg):
+    """Unweighted library result, checked against the oracle's, with the
+    P3P rows it solved and the minimal samples it drew."""
+    K = default_intrinsics()
+    counted = {"rows": 0, "draws": 0}
+
+    def p3p_batch(P, f):
+        counted["rows"] += len(P)
+        return _p3p_batch(P, f)
+
+    def draw(rng, weights, m):
+        counted["draws"] += m
+        return _draw_minimal_samples(rng, weights, m)
+
+    with monkeypatch.context() as m:
+        m.setattr(pnp, "_p3p_batch", p3p_batch)
+        m.setattr(pnp, "_draw_minimal_samples", draw)
+        a = _ransac_pnp(corrs, K, cfg, None)
+    b = pnp_oracle.ransac_pnp(corrs, K, cfg, None)
+    _assert_same_result(a, b)
+    return a, counted
+
+
 class TestIterationRule:
     """An iteration is one non-degenerate minimal sample, solved and scored;
     degenerate draws do not count, and a run stops after
@@ -516,30 +539,13 @@ class TestIterationRule:
 
     @staticmethod
     def _run(monkeypatch, span, max_iterations):
-        """Library result, oracle result, P3P rows solved and samples drawn
-        for 30 exact correspondences at the given pixel-span threshold."""
+        """Result, P3P rows solved and samples drawn for 30 exact
+        correspondences at the given pixel-span threshold."""
         rng = np.random.default_rng(76)
-        K = default_intrinsics()
-        corrs = synthetic_correspondences(rng, K, random_pose(rng), 30)
+        corrs = synthetic_correspondences(rng, default_intrinsics(), random_pose(rng), 30)
         cfg = RansacConfig(min_inliers=3, seed=8, max_iterations=max_iterations,
                            min_pixel_span_px=span, adaptive_stopping=False)
-        counted = {"rows": 0, "draws": 0}
-
-        def p3p_batch(P, f):
-            counted["rows"] += len(P)
-            return _p3p_batch(P, f)
-
-        def draw(rng, weights, m):
-            counted["draws"] += m
-            return _draw_minimal_samples(rng, weights, m)
-
-        with monkeypatch.context() as m:
-            m.setattr(pnp, "_p3p_batch", p3p_batch)
-            m.setattr(pnp, "_draw_minimal_samples", draw)
-            a = _ransac_pnp(corrs, K, cfg, None)
-        b = pnp_oracle.ransac_pnp(corrs, K, cfg, None)
-        _assert_same_result(a, b)
-        return a, counted
+        return _counted_run(monkeypatch, corrs, cfg)
 
     def test_degenerate_draws_do_not_count(self, monkeypatch):
         # about 92% of the draws are degenerate; every iteration still
@@ -557,6 +563,106 @@ class TestIterationRule:
         sol, counted = self._run(monkeypatch, 1e9, 50)
         assert sol is None
         assert counted == {"rows": 0, "draws": 20 * 50}
+
+
+def _bound(min_inliers, n, confidence=0.999):
+    """The RANSAC bound at inlier ratio min_inliers / n, from its formula."""
+    return math.ceil(math.log(1.0 - confidence) / math.log(1.0 - (min_inliers / n) ** 3))
+
+
+class TestMinInliersBound:
+    """With adaptive stopping, a run stops once it has probably shown that
+    no model reaches min_inliers: after the RANSAC bound at inlier ratio
+    min_inliers / n.  A run below min_inliers correspondences draws
+    nothing."""
+
+    @staticmethod
+    def _doomed():
+        # 10 true inliers of 40: the true pose is the best model, but it
+        # stays below min_inliers = 20
+        rng = np.random.default_rng(78)
+        return synthetic_correspondences(rng, default_intrinsics(), random_pose(rng), 40,
+                                         outlier_frac=0.75)
+
+    def test_doomed_run_stops_at_the_bound(self, monkeypatch):
+        cfg = RansacConfig(min_inliers=20, seed=9, max_iterations=300)
+        sol, counted = _counted_run(monkeypatch, self._doomed(), cfg)
+        assert sol is None
+        assert _bound(20, 40) == 52
+        assert counted["rows"] == 52 and counted["draws"] == 64
+
+    def test_without_adaptive_stopping_runs_max_iterations(self, monkeypatch):
+        cfg = RansacConfig(min_inliers=20, seed=9, max_iterations=300, adaptive_stopping=False)
+        sol, counted = _counted_run(monkeypatch, self._doomed(), cfg)
+        assert sol is None
+        assert counted["rows"] == 300
+
+    def test_too_few_correspondences_draw_nothing(self, monkeypatch):
+        rng = np.random.default_rng(79)
+        corrs = synthetic_correspondences(rng, default_intrinsics(), random_pose(rng), 11)
+        sol, counted = _counted_run(monkeypatch, corrs, RansacConfig(min_inliers=12, seed=0))
+        assert sol is None
+        assert counted == {"rows": 0, "draws": 0}
+
+    def test_consensus_past_the_bound_is_given_up(self, monkeypatch):
+        # 6 true inliers of 20 and min_inliers = 6: under seed 50 no
+        # all-inlier sample comes within the bound's 253 iterations, and
+        # one comes before 4 times as many
+        rng = np.random.default_rng(77)
+        pose = random_pose(rng)
+        corrs = synthetic_correspondences(rng, default_intrinsics(), pose, 20, outlier_frac=0.7)
+        bound = _bound(6, 20)
+        assert bound == 253
+
+        def run(max_iterations, adaptive):
+            return _counted_run(monkeypatch, corrs, RansacConfig(
+                min_inliers=6, seed=50, max_iterations=max_iterations,
+                adaptive_stopping=adaptive))
+
+        assert run(bound, False)[0] is None
+        late = run(4 * bound, False)[0]
+        assert late is not None and late.num_inliers == 6
+        assert np.linalg.norm(late.pose.center - pose.center) < 1e-6
+        sol, counted = run(4 * bound, True)
+        assert sol is None
+        assert counted["rows"] == bound
+
+
+_finite = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def finite_matrices(draw):
+    """Finite 3x3 matrices: full, rank 2, rank 1, zero, or reflected to a
+    negative determinant."""
+    R = np.array([draw(_finite) for _ in range(9)]).reshape(3, 3)
+    kind = draw(st.sampled_from(["full", "rank2", "rank1", "zero", "reflected"]))
+    with np.errstate(all="ignore"):
+        if kind == "rank2":
+            R[2] = draw(_finite) * R[0] + draw(_finite) * R[1]
+        elif kind == "rank1":
+            R = np.outer(R[0], R[1])
+        elif kind == "zero":
+            R = np.zeros((3, 3))
+        elif kind == "reflected":
+            R = R @ np.diag([1.0, 1.0, -1.0])
+    assume(np.isfinite(R).all())
+    return R
+
+
+class TestOrthonormalized:
+    # _ransac_pnp builds its one RigidPose from a finite P3P candidate with
+    # no fallback, so this construction must never raise
+    @settings(max_examples=500, deadline=None, derandomize=True, database=None)
+    @given(finite_matrices(), st.lists(_finite, min_size=3, max_size=3))
+    @example(np.zeros((3, 3)), [0.0, 0.0, 0.0])
+    @example(np.outer([1.0, 2.0, 3.0], [4.0, 5.0, 6.0]), [1.0, 2.0, 3.0])
+    @example(np.array([[1.0, 2.0, 3.0], [4.0, 5.0, 6.0], [5.0, 7.0, 9.0]]), [0.0, 0.0, 0.0])
+    @example(np.diag([1.0, 1.0, -1.0]), [0.0, 0.0, 0.0])
+    @example(-np.eye(3), [0.0, 0.0, 0.0])
+    def test_any_finite_matrix_gives_a_valid_pose(self, R, centre):
+        pose = RigidPose(*pnp._orthonormalized(R, np.array(centre)))
+        assert np.array_equal(pose.center, centre)
 
 
 class TestRefinePose:
