@@ -9,7 +9,6 @@ correspondences.
 
 import numpy as np
 
-from semloc.config import PipelineConfig
 from semloc.matching import CorrespondenceBatch, lift_to_3d, match_family
 from semloc.retrieval import GlobalDescriptor, RetrievalConfig, build_index, query_top_k
 from semloc.synthetic import generate_scene, street_canyon_spec
@@ -35,8 +34,7 @@ print(f"\nmatching against {db.image_id}:")
 per_family = []
 for fam_spec in spec.families:
     name = fam_spec.name
-    matches = match_family(query.features[name], db.features[name],
-                           PipelineConfig().family_rules(name))
+    matches = match_family(query.features[name], db.features[name])
     lifted = lift_to_3d(matches, query.features[name], db)
     per_family.append(lifted.correspondences)
     print(f"  {name:7s}: {len(query.features[name])} query kps x "

@@ -11,7 +11,7 @@ The same flow is available from the shell:
     semloc synth scene.txt data/
     semloc build-map data/ config.txt map.bin
     semloc localize data/ map.bin config.txt estimates.txt
-    semloc evaluate estimates.txt data/queries/cameras.txt config.txt report
+    semloc evaluate estimates.txt data/queries/cameras.txt report
 """
 
 import time

@@ -33,7 +33,6 @@ from .semantic_map import (
 from .retrieval import GlobalDescriptor, RetrievalConfig, build_index, query_top_k
 from .matching import (
     CorrespondenceBatch,
-    FeatureFamily,
     FeatureSet,
     lift_to_3d,
     match_family,

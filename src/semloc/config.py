@@ -2,24 +2,17 @@
 
 The config file is plain ``key = value`` lines with ``#`` comments.  It
 holds the settings a run varies: the paper's depth filter, fusion, visibility
-gate, retrieval and RANSAC parameters, the seed, and the per-family match
-rules.  Constants no run varies stay with the code that uses them.  Unknown
-keys are rejected so typos fail loudly, and every value is range-checked as
-its line is read.
-Per-family matching rules use dotted keys, e.g.::
-
-    family.corner.mutual_nn = true
-    family.corner.ratio = off
-    family.blob.ratio = 0.9
+gate, retrieval and RANSAC parameters, and the seed.  Constants no run
+varies stay with the code that uses them.  Unknown and repeated keys are
+rejected so typos fail loudly, and every value is range-checked as its line
+is read.
 """
 
 from __future__ import annotations
 
-import re
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
-from .formats import DataFormatError, text_lines
-from .matching import FeatureFamily
+from .formats import DataFormatError, key_value_lines
 from .pnp import RansacConfig
 from .retrieval import RetrievalConfig
 from .scoring import VisibilityGateConfig
@@ -60,8 +53,6 @@ class PipelineConfig:
     # RANSAC (temporary per-retrieved-image stage)
     temp_ransac_min_inliers: int = 6
     temp_ransac_max_iterations: int = 10000
-    # per-family matching rules
-    families: dict = field(default_factory=dict)  # name -> FeatureFamily
 
     def __post_init__(self) -> None:
         if self.seed < 0:
@@ -78,9 +69,6 @@ class PipelineConfig:
         self.temp_ransac(0)
         self.retrieval("day")
         self.retrieval("night")
-
-    def family_rules(self, name: str) -> FeatureFamily:
-        return self.families.get(name, FeatureFamily(name))
 
     def retrieval(self, condition: str) -> RetrievalConfig:
         return RetrievalConfig(top_k=self.top_k_night if condition == "night" else self.top_k_day)
@@ -139,39 +127,15 @@ _SCALAR_KEYS = {
     "ransac.temp_max_iterations": ("temp_ransac_max_iterations", int),
 }
 
-_FAMILY_KEY = re.compile(r"^family\.([A-Za-z0-9_\-]+)\.(mutual_nn|ratio)$")
-
-
-def _parse_bool(value: str) -> bool:
-    low = value.lower()
-    if low in ("true", "yes", "on", "1"):
-        return True
-    if low in ("false", "no", "off", "0"):
-        return False
-    raise ValueError(f"expected a boolean, got {value!r}")
-
 
 def parse_config_file(path) -> PipelineConfig:
     cfg = PipelineConfig()
-    for lineno, line in text_lines(path):
-        if "=" not in line:
-            raise DataFormatError(path, None, "expected 'key = value'", lineno)
-        key, value = (part.strip() for part in line.split("=", 1))
-        family = _FAMILY_KEY.match(key)
-        if key not in _SCALAR_KEYS and not family:
+    for lineno, key, value in key_value_lines(path):
+        if key not in _SCALAR_KEYS:
             raise DataFormatError(path, None, f"unknown config key {key!r}", lineno)
+        attr, cast = _SCALAR_KEYS[key]
         try:
-            if family:
-                name, attr = family.groups()
-                if attr == "mutual_nn":
-                    rule = {"use_mutual_nn": _parse_bool(value)}
-                else:
-                    rule = {"ratio": None if value.lower() in ("off", "none") else float(value)}
-                family_rule = replace(cfg.family_rules(name), **rule)
-                cfg = replace(cfg, families={**cfg.families, name: family_rule})
-            else:
-                attr, cast = _SCALAR_KEYS[key]
-                cfg = replace(cfg, **{attr: cast(value)})
+            cfg = replace(cfg, **{attr: cast(value)})
         except ValueError as exc:
             raise DataFormatError(
                 path, None, f"bad value for {key}: {value!r} ({exc})", lineno
@@ -191,11 +155,4 @@ def render_config(cfg: PipelineConfig) -> str:
         f"{key} = {_render_value(cast, getattr(cfg, attr))}"
         for key, (attr, cast) in _SCALAR_KEYS.items()
     ]
-    for name in sorted(cfg.families):
-        rules = cfg.families[name]
-        lines.append(f"family.{name}.mutual_nn = {'true' if rules.use_mutual_nn else 'false'}")
-        lines.append(
-            f"family.{name}.ratio = "
-            + ("off" if rules.ratio is None else repr(rules.ratio))
-        )
     return "\n".join(lines) + "\n"

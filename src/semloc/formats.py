@@ -37,12 +37,13 @@ import numpy as np
 
 from .geometry import CameraIntrinsics, RigidPose, matrix_to_quaternion, quaternion_to_matrix
 from .matching import FeatureSet
-from .semantic_map import (MAX_CLASS_ID, UNLABELED, DatabaseImageRecord, DenseMap, QueryImage,
-                           label_ids_valid)
+from .semantic_map import (CONDITIONS, MAX_CLASS_ID, UNLABELED, DatabaseImageRecord, DenseMap,
+                           QueryImage, label_ids_valid)
 
 __all__ = [
     "DataFormatError",
     "text_lines",
+    "key_value_lines",
     "write_depth_map", "read_depth_map",
     "write_label_image", "read_label_image",
     "write_feature_set", "read_feature_set",
@@ -90,6 +91,22 @@ def text_lines(path) -> Iterator[tuple[int, str]]:
         line = raw.split("#", 1)[0].strip()
         if line:
             yield lineno, line
+
+
+def key_value_lines(path, unique: bool = True) -> Iterator[tuple[int, str, str]]:
+    """(line number, key, value) for each ``key = value`` line of a text
+    file, both sides stripped; the manifest, pipeline config and scene spec
+    are read through here.  With unique, a key given twice fails at its
+    second line."""
+    seen = set()
+    for lineno, line in text_lines(path):
+        if "=" not in line:
+            raise DataFormatError(path, None, "expected 'key = value'", lineno)
+        key, value = (part.strip() for part in line.split("=", 1))
+        if unique and key in seen:
+            raise DataFormatError(path, None, f"repeated key {key!r}", lineno)
+        seen.add(key)
+        yield lineno, key, value
 
 
 class _Reader:
@@ -355,10 +372,8 @@ def read_manifest(root) -> DatasetManifest:
     db_ids: list = []
     query_ids: list = []
     conditions: dict = {}
-    for lineno, line in text_lines(path):
-        if "=" not in line:
-            raise DataFormatError(path, None, "expected 'key = value'", lineno)
-        key, val = (part.strip() for part in line.split("=", 1))
+    # family, db and query lines each name one item, so their keys repeat
+    for lineno, key, val in key_value_lines(path, unique=False):
         parts = val.split()
         if key == "family":
             if len(parts) != 2 or not parts[1].isdecimal():
@@ -367,7 +382,7 @@ def read_manifest(root) -> DatasetManifest:
         elif key == "db":
             db_ids.append(val)
         elif key == "query":
-            if len(parts) != 2 or parts[1] not in ("day", "night"):
+            if len(parts) != 2 or parts[1] not in CONDITIONS:
                 raise DataFormatError(path, None, "query needs 'id day|night'", lineno)
             query_ids.append(parts[0])
             conditions[parts[0]] = parts[1]
@@ -407,7 +422,7 @@ def read_estimates(path) -> tuple[dict, dict]:
         if len(parts) < 4:
             raise DataFormatError(path, None, "short estimate line", lineno)
         qid, condition, kind = parts[0], parts[1], parts[2]
-        if condition not in ("day", "night"):
+        if condition not in CONDITIONS:
             raise DataFormatError(path, None, f"unknown condition {condition!r}", lineno)
         if qid in estimates:
             raise DataFormatError(path, None, f"duplicate query id {qid!r}", lineno)

@@ -2,8 +2,9 @@
 correspondences through database depth maps.
 
 A feature family is a named keypoint+descriptor type (e.g. a handcrafted
-corner detector or a learned detector) with its own matching rules.  Hybrid
-operation simply pools correspondences from several families; families with
+corner detector or a learned detector).  Every family is matched by one
+rule, mutual nearest neighbors in descriptor space.  Hybrid operation
+simply pools correspondences from several families; families with
 complementary strengths cover for each other across imaging conditions.
 """
 
@@ -19,31 +20,12 @@ from .geometry import back_project_pixels, nearest_pixel
 from .semantic_map import DatabaseImageRecord
 
 __all__ = [
-    "FeatureFamily",
     "FeatureSet",
     "CorrespondenceBatch",
     "LiftResult",
     "match_family",
     "lift_to_3d",
 ]
-
-
-@dataclass(frozen=True)
-class FeatureFamily:
-    """Matching rules for one feature family.
-
-    ratio, when set, applies Lowe's test: keep a match only when
-    best/second-best distance < ratio (kept when fewer than 2 candidates
-    exist).  Mutual nearest-neighbor validation is on by default.
-    """
-
-    name: str
-    use_mutual_nn: bool = True
-    ratio: Optional[float] = None
-
-    def __post_init__(self) -> None:
-        if self.ratio is not None and not (0.0 < self.ratio <= 1.0):
-            raise ValueError(f"ratio must lie in (0, 1], got {self.ratio}")
 
 
 @dataclass(frozen=True)
@@ -129,18 +111,17 @@ class LiftResult:
     dropped_invalid_depth: int = 0
 
 
-def match_family(
-    query_set: FeatureSet, db_set: FeatureSet, family: FeatureFamily
-) -> np.ndarray:
-    """Nearest-neighbor matches under the family's validation rules, as an
-    (M, 2) int64 array of [query_index, db_index] rows in query order.
+def match_family(query_set: FeatureSet, db_set: FeatureSet) -> np.ndarray:
+    """Mutual nearest-neighbor matches between two sets of one family, as
+    an (M, 2) int64 array of [query_index, db_index] rows in query order.
 
-    Each query index appears at most once; with mutual validation each
-    database index does too.
+    A pair matches when each descriptor is the other's nearest by L2
+    distance, so each query index and each database index appears at most
+    once.
     """
-    for s, side in ((query_set, "query"), (db_set, "database")):
-        if s.family != family.name:
-            raise ValueError(f"{side} set belongs to family {s.family!r}, not {family.name!r}")
+    if query_set.family != db_set.family:
+        raise ValueError(f"query set belongs to family {query_set.family!r}, "
+                         f"database set to family {db_set.family!r}")
     nq, nd = len(query_set), len(db_set)
     if nq == 0 or nd == 0:
         return np.zeros((0, 2), dtype=np.int64)
@@ -152,19 +133,8 @@ def match_family(
 
     d = cdist(query_set.descriptors, db_set.descriptors)
     nn = np.argmin(d, axis=1)
-    best = d[np.arange(nq), nn]
-
-    keep = np.ones(nq, dtype=bool)
-    if family.ratio is not None and nd >= 2:
-        part = np.partition(d, 1, axis=1)
-        second = part[:, 1]
-        # best < ratio * second also rejects the ambiguous 0/0 case.
-        keep &= best < family.ratio * second
-    if family.use_mutual_nn:
-        nn_back = np.argmin(d, axis=0)
-        keep &= nn_back[nn] == np.arange(nq)
-
-    rows = np.nonzero(keep)[0]
+    mutual = np.argmin(d, axis=0)[nn] == np.arange(nq)
+    rows = np.nonzero(mutual)[0]
     return np.stack([rows, nn[rows]], axis=1)
 
 

@@ -109,7 +109,7 @@ def localize_query(
         for name, query_set in query.features.items():
             if name not in db.features:
                 continue
-            matches = match_family(query_set, db.features[name], cfg.family_rules(name))
+            matches = match_family(query_set, db.features[name])
             lifted = lift_to_3d(matches, query_set, db)
             per_family.append(lifted.correspondences)
             match_counts[name] = {

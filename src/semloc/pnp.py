@@ -173,7 +173,8 @@ class RansacConfig:
     the min-inliers bound, set from the start at the ratio min_inliers / n.
     adaptive_stopping=False turns both off.  min_inliers rejects weak
     consensus (12 for final poses, 6 is a sensible choice for temporary
-    per-retrieved-image poses); a run given fewer than min_inliers
+    per-retrieved-image poses); it is at least 3, as a P3P model fits its
+    own three sample points.  A run given fewer than min_inliers
     correspondences draws nothing.  Samples are rejected and redrawn when
     the 3 world points are near-collinear or the 3 pixels span less than
     min_pixel_span_px.
@@ -194,6 +195,8 @@ class RansacConfig:
             raise ValueError("confidence must lie in (0, 1)")
         if self.max_iterations < 1:
             raise ValueError("max_iterations must be >= 1")
+        if self.min_inliers < 3:
+            raise ValueError("min_inliers must be >= 3")
 
 
 @dataclass(frozen=True)

@@ -37,6 +37,7 @@ __all__ = [
     "CITYSCAPES_CLASS_NAMES",
     "MAX_CLASS_ID",
     "UNLABELED",
+    "CONDITIONS",
     "DEFAULT_UNSTABLE_CLASS_IDS",
     "label_ids_valid",
     "DepthFilterConfig",
@@ -60,6 +61,9 @@ CITYSCAPES_CLASS_NAMES = (
 )
 MAX_CLASS_ID = len(CITYSCAPES_CLASS_NAMES) - 1  # valid class ids are 0..MAX_CLASS_ID
 UNLABELED = 255
+
+# Condition tags a query image carries.
+CONDITIONS = ("day", "night")
 
 # Dynamic objects plus sky: noise sources for localization, removed from maps.
 DEFAULT_UNSTABLE_CLASS_IDS = frozenset({10, 11, 12, 13, 14, 15, 16, 17, 18})
@@ -114,7 +118,7 @@ class QueryImage:
     condition: str = "day"
 
     def __post_init__(self) -> None:
-        if self.condition not in ("day", "night"):
+        if self.condition not in CONDITIONS:
             raise ValueError(f"unknown condition tag {self.condition!r}")
         shape = (self.intrinsics.height, self.intrinsics.width)
         if self.labels.shape != shape:

@@ -31,9 +31,9 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .geometry import CameraIntrinsics, RigidPose, pixel_rays, project_points, rotation_about_axis
-from .formats import DataFormatError, Dataset, text_lines
+from .formats import DataFormatError, Dataset, key_value_lines
 from .matching import FeatureSet
-from .semantic_map import MAX_CLASS_ID, UNLABELED, DatabaseImageRecord, QueryImage
+from .semantic_map import CONDITIONS, MAX_CLASS_ID, UNLABELED, DatabaseImageRecord, QueryImage
 
 __all__ = [
     "FacadePlane",
@@ -48,8 +48,6 @@ __all__ = [
     "symmetric_canyon_spec",
     "parse_scene_spec_file",
 ]
-
-_CONDITIONS = ("day", "night")
 
 
 @dataclass(frozen=True)
@@ -109,7 +107,7 @@ class SceneSpec:
         if len(self.query_poses) != len(self.query_conditions):
             raise ValueError("query poses and condition tags disagree in length")
         for c in self.query_conditions:
-            if c not in _CONDITIONS:
+            if c not in CONDITIONS:
                 raise ValueError(f"unknown condition tag {c!r}")
         if len(self.planes) == 0:
             raise ValueError("scene has no geometry")
@@ -516,10 +514,7 @@ def parse_scene_spec_file(path, seed: Optional[int] = None) -> SceneSpec:
     """
     values: dict = {}
     lines: dict = {}
-    for lineno, line in text_lines(path):
-        if "=" not in line:
-            raise DataFormatError(path, None, "expected 'key = value'", lineno)
-        key, val = (part.strip() for part in line.split("=", 1))
+    for lineno, key, val in key_value_lines(path):
         if key not in _SPEC_KEYS:
             raise DataFormatError(path, None, f"unknown scene spec key {key!r}", lineno)
         try:

@@ -1,15 +1,17 @@
 """Command-line interface tests: subcommands, exit codes, determinism."""
 
+import ast
 import json
 import re
 import shutil
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from semloc.cli import _build_parser, main
 from semloc.config import PipelineConfig, render_config
-from test_config import OUT_OF_RANGE_LINES
+from test_config import OUT_OF_RANGE_LINES, REMOVED_KEY_LINES
 
 
 SCENE_SPEC = """
@@ -92,12 +94,16 @@ class TestBuildMap:
 
     @pytest.mark.parametrize("bad_line", OUT_OF_RANGE_LINES)
     def test_out_of_range_config_is_data_error(self, workspace, tmp_path, caplog, bad_line):
+        # the bad line replaces the template's line for its key, which may
+        # appear only once
+        key = bad_line.split(" = ")[0]
+        lines = [line for line in CONFIG.splitlines() if not line.startswith(f"{key} = ")]
         config = tmp_path / "config.txt"
-        config.write_text(CONFIG + bad_line + "\n")
+        config.write_text("\n".join(lines + [bad_line]) + "\n")
         code = main(["build-map", str(workspace / "data"), str(config), str(tmp_path / "m.bin")])
         assert code == 2
         assert not (tmp_path / "m.bin").exists()
-        assert f"{config}:{CONFIG.count(chr(10)) + 1}: bad value" in caplog.text
+        assert f"{config}:{len(lines) + 1}: bad value" in caplog.text
 
 
 @pytest.fixture(scope="module")
@@ -126,6 +132,17 @@ class TestLocalizeAndEvaluate:
         assert main(["localize", str(workspace / "data"), str(map_path),
                      str(workspace / "config.txt"), str(est2)]) == 0
         assert est_path.read_bytes() == est2.read_bytes()
+
+    @pytest.mark.parametrize("line", REMOVED_KEY_LINES)
+    def test_removed_config_key_is_data_error(self, workspace, artifacts, tmp_path, caplog, line):
+        _, map_path, _ = artifacts
+        config = tmp_path / "config.txt"
+        config.write_text(CONFIG + line + "\n")
+        est = tmp_path / "estimates.txt"
+        assert main(["localize", str(workspace / "data"), str(map_path), str(config),
+                     str(est)]) == 2
+        assert not est.exists()
+        assert f"{config}:{CONFIG.count(chr(10)) + 1}: unknown config key" in caplog.text
 
     def test_bad_query_descriptor_fails_only_that_query(self, workspace, artifacts, tmp_path):
         from semloc.formats import read_global_descriptor, write_global_descriptor
@@ -221,3 +238,26 @@ def test_help_text_documents_exactly_the_parser_options():
     options -= {"-h", "--help"}
     assert parser.description == cli.__doc__
     assert set(re.findall(r"--[a-z][a-z-]*", cli.__doc__)) == options
+
+
+def _documented_command_lines():
+    """Every ``semloc ...`` line of README's CLI block and of the demos'
+    docstrings, comments removed."""
+    root = Path(__file__).resolve().parent.parent
+    readme = (root / "README.md").read_text()
+    texts = [re.search(r"## CLI\n\n```bash\n(.*?)```", readme, re.S).group(1)]
+    texts += [ast.get_docstring(ast.parse(p.read_text())) or ""
+              for p in sorted((root / "demos").glob("*.py"))]
+    lines = [line.split("#", 1)[0].strip() for text in texts for line in text.splitlines()]
+    return [line for line in lines if line.startswith("semloc ")]
+
+
+def test_documented_command_lines_parse():
+    lines = _documented_command_lines()
+    assert {line.split()[1] for line in lines} == {"synth", "build-map", "localize", "evaluate"}
+    parser = _build_parser()
+    for line in lines:
+        try:
+            parser.parse_args(line.split()[1:])
+        except SystemExit:
+            pytest.fail(f"documented command does not parse: {line}")

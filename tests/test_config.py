@@ -6,7 +6,6 @@ import pytest
 
 from semloc.config import PipelineConfig, parse_config_file, render_config
 from semloc.formats import DataFormatError
-from semloc.matching import FeatureFamily
 
 
 def _write(tmp_path, text):
@@ -38,15 +37,10 @@ class TestParseConfig:
             depth_filter.tau = 0.02
             retrieval.top_k_day = 5   # small database
             map.unstable_classes = 10,13
-            family.corner.mutual_nn = true
-            family.corner.ratio = off
-            family.blob.ratio = 0.9
         """))
         assert cfg.depth_filter_tau == 0.02
         assert cfg.top_k_day == 5
         assert cfg.unstable_classes == frozenset({10, 13})
-        assert cfg.families["corner"] == FeatureFamily("corner", use_mutual_nn=True, ratio=None)
-        assert cfg.families["blob"].ratio == 0.9
 
     def test_unknown_key_rejected(self, tmp_path):
         with pytest.raises(ValueError, match="unknown config key"):
@@ -61,22 +55,15 @@ class TestParseConfig:
             parse_config_file(_write(tmp_path, "just words\n"))
 
     def test_render_parse_roundtrip(self, tmp_path):
-        cfg = PipelineConfig(seed=9, depth_filter_tau=0.03, top_k_day=4,
-                             families={"corner": FeatureFamily("corner", True, None),
-                                       "blob": FeatureFamily("blob", False, 0.8)})
+        cfg = PipelineConfig(seed=9, depth_filter_tau=0.03, top_k_day=4)
         text = render_config(cfg)
         back = parse_config_file(_write(tmp_path, text))
         assert back == cfg
 
-    def test_family_helpers(self):
-        cfg = PipelineConfig(families={"f": FeatureFamily("f", use_mutual_nn=False, ratio=0.7)})
-        fam = cfg.family_rules("f")
-        assert fam.use_mutual_nn is False
-        assert fam.ratio == 0.7
-        default = cfg.family_rules("unseen")
-        assert default == FeatureFamily("unseen")
-        assert default.use_mutual_nn is True
-        assert default.ratio is None
+    def test_repeated_key_fails_at_its_second_line(self, tmp_path):
+        p = _write(tmp_path, "seed = 1\nretrieval.top_k_day = 5\n\nseed = 2\n")
+        with pytest.raises(DataFormatError, match=re.escape(f"{p}:4: repeated key 'seed'")):
+            parse_config_file(p)
 
 
 def test_every_scalar_field_has_exactly_one_key():
@@ -85,7 +72,7 @@ def test_every_scalar_field_has_exactly_one_key():
     from semloc.config import _SCALAR_KEYS
 
     keyed = sorted(attr for attr, _cast in _SCALAR_KEYS.values())
-    scalar = sorted(f.name for f in fields(PipelineConfig) if f.name != "families")
+    scalar = sorted(f.name for f in fields(PipelineConfig))
     assert keyed == scalar
 
 
@@ -93,16 +80,21 @@ def test_errors_name_file_and_line(tmp_path):
     p = _write(tmp_path, "seed = 1\n\nmap.unstable_classes = 10,99\n")
     with pytest.raises(DataFormatError, match=re.escape(f"{p}:3: bad value for map.unstable_")):
         parse_config_file(p)
-    p = _write(tmp_path, "family.corner.ratio = most\n")
-    with pytest.raises(DataFormatError, match=re.escape(f"{p}:1: bad value for family.corner")):
-        parse_config_file(p)
 
 
-@pytest.mark.parametrize("line", ["ransac.min_pixel_span_px = 10.0",
-                                  "refine.max_iterations = 100",
-                                  "refine.relative_tolerance = 1e-10"])
+# Keys of settings no run varies: constants in the code, or the per-family
+# match rules (every family is matched by mutual nearest neighbors).
+REMOVED_KEY_LINES = [
+    "ransac.min_pixel_span_px = 10.0",
+    "refine.max_iterations = 100",
+    "refine.relative_tolerance = 1e-10",
+    "family.corner.ratio = 0.9",
+    "family.blob.mutual_nn = false",
+]
+
+
+@pytest.mark.parametrize("line", REMOVED_KEY_LINES)
 def test_removed_keys_are_unknown_at_their_line(tmp_path, line):
-    # constants no run varies are not config keys
     p = _write(tmp_path, f"seed = 1\n{line}\n")
     key = line.split(" = ")[0]
     with pytest.raises(DataFormatError, match=re.escape(f"{p}:2: unknown config key {key!r}")):
@@ -118,7 +110,8 @@ OUT_OF_RANGE_LINES = [
     "ransac.temp_max_iterations = 0",
     "retrieval.top_k_day = 0",
     "depth_filter.tau = 0",
-    "family.corner.ratio = 5",
+    "ransac.min_inliers = 0",
+    "ransac.temp_min_inliers = -5",
     "seed = -1",
     "fusion.voxel_size = 0",
     "depth_filter.neighbor_count = 0",
@@ -127,7 +120,7 @@ OUT_OF_RANGE_LINES = [
 
 @pytest.mark.parametrize("bad_line", OUT_OF_RANGE_LINES)
 def test_out_of_range_value_fails_at_its_line(tmp_path, bad_line):
-    p = _write(tmp_path, f"seed = 1\n{bad_line}\nretrieval.top_k_night = 4\n")
+    p = _write(tmp_path, f"ransac.max_iterations = 500\n{bad_line}\nretrieval.top_k_night = 4\n")
     key = bad_line.split(" = ")[0]
     with pytest.raises(DataFormatError, match=re.escape(f"{p}:2: bad value for {key}")):
         parse_config_file(p)

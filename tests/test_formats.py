@@ -435,8 +435,7 @@ _TEXT_READERS = {
                  lambda p: vars(read_manifest(p.parent))),
     "estimates": ("est.txt", _estimates_text,
                   lambda p: (_poses(read_estimates(p)[0]), read_estimates(p)[1])),
-    "config": ("config.txt", lambda _: "seed = 3\nmap.unstable_classes = 10,13\nfamily.b.ratio = 0.9\n",
-               parse_config_file),
+    "config": ("config.txt", lambda _: "seed = 3\nmap.unstable_classes = 10,13\n", parse_config_file),
     "scene spec": ("scene.txt", lambda _: "preset = canyon\nn_db = 4\nn_queries = 2\nseed = 5\n",
                    _scene),
 }

@@ -1,7 +1,7 @@
 """Feature matching and 2D-3D lifting tests.
 
 The matcher is checked against an exhaustive double-loop oracle applying
-the same mutual-NN / ratio rules; lifted points are checked against the
+the same mutual-NN rule; lifted points are checked against the
 analytic surface they were rendered from.
 """
 
@@ -11,11 +11,9 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from semloc.config import PipelineConfig
 from semloc.geometry import CameraIntrinsics, RigidPose, project
 from semloc.matching import (
     CorrespondenceBatch,
-    FeatureFamily,
     FeatureSet,
     lift_to_3d,
     match_family,
@@ -32,22 +30,14 @@ def _set(family, descs, locs=None):
     return FeatureSet(family=family, locations=locs, descriptors=descs)
 
 
-def _match_oracle(qd, dd, mutual, ratio):
-    """Brute-force reimplementation of the matching rules."""
+def _match_oracle(qd, dd):
+    """Brute-force reimplementation of the mutual nearest-neighbor rule."""
     out = []
     nq, nd = len(qd), len(dd)
     for i in range(nq):
-        dists = [math.dist(qd[i], dd[j]) for j in range(nd)]
-        j = int(np.argmin(dists))
-        if ratio is not None and nd >= 2:
-            second = sorted(dists)[1]
-            if not dists[j] < ratio * second:
-                continue
-        if mutual:
-            back = [math.dist(qd[k], dd[j]) for k in range(nq)]
-            if int(np.argmin(back)) != i:
-                continue
-        out.append((i, j))
+        j = int(np.argmin([math.dist(qd[i], dd[k]) for k in range(nd)]))
+        if int(np.argmin([math.dist(qd[k], dd[j]) for k in range(nq)])) == i:
+            out.append((i, j))
     return out
 
 
@@ -64,40 +54,24 @@ class TestFeatureSet:
 
 class TestMatchFamily:
     def test_identity_sets_match_identically(self):
-        fam = FeatureFamily("f")
         rng = np.random.default_rng(0)
         d = rng.normal(size=(10, 4))
-        matches = match_family(_set("f", d), _set("f", d.copy()), fam)
+        matches = match_family(_set("f", d), _set("f", d.copy()))
         assert matches.dtype == np.int64
         assert matches.tolist() == [[i, i] for i in range(10)]
 
-    def test_equidistant_rejected_by_ratio(self):
-        fam = FeatureFamily("f", use_mutual_nn=False, ratio=0.9)
-        q = _set("f", [[0.0, 0.0]])
-        db = _set("f", [[1.0, 0.0], [-1.0, 0.0]])
-        assert len(match_family(q, db, fam)) == 0
-
-    def test_ratio_kept_when_single_candidate(self):
-        fam = FeatureFamily("f", use_mutual_nn=False, ratio=0.5)
-        q = _set("f", [[0.0, 0.0]])
-        db = _set("f", [[1.0, 0.0]])
-        assert len(match_family(q, db, fam)) == 1
-
-    @pytest.mark.parametrize("mutual,ratio", [(True, None), (False, None), (True, 0.8), (False, 0.8)])
-    def test_matches_bruteforce_oracle(self, mutual, ratio):
+    def test_matches_bruteforce_oracle(self):
         rng = np.random.default_rng(1)
-        fam = FeatureFamily("f", use_mutual_nn=mutual, ratio=ratio)
         q = rng.normal(size=(50, 8))
         d = rng.normal(size=(50, 8))
-        got = sorted(map(tuple, match_family(_set("f", q), _set("f", d), fam).tolist()))
-        assert got == sorted(_match_oracle(q, d, mutual, ratio))
+        got = sorted(map(tuple, match_family(_set("f", q), _set("f", d)).tolist()))
+        assert got == sorted(_match_oracle(q, d))
 
     def test_injective_on_query_and_db(self):
         rng = np.random.default_rng(2)
-        fam = FeatureFamily("f")
         q = rng.normal(size=(40, 4))
         d = rng.normal(size=(25, 4))
-        matches = match_family(_set("f", q), _set("f", d), fam)
+        matches = match_family(_set("f", q), _set("f", d))
         qi = matches[:, 0].tolist()
         di = matches[:, 1].tolist()
         assert len(set(qi)) == len(qi)
@@ -105,27 +79,23 @@ class TestMatchFamily:
 
     def test_swap_symmetry_under_mutual(self):
         rng = np.random.default_rng(3)
-        fam = FeatureFamily("f")
         a = rng.normal(size=(30, 6))
         b = rng.normal(size=(30, 6))
-        fwd = set(map(tuple, match_family(_set("f", a), _set("f", b), fam).tolist()))
-        rev = set(map(tuple, match_family(_set("f", b), _set("f", a), fam)[:, ::-1].tolist()))
+        fwd = set(map(tuple, match_family(_set("f", a), _set("f", b)).tolist()))
+        rev = set(map(tuple, match_family(_set("f", b), _set("f", a))[:, ::-1].tolist()))
         assert fwd == rev
 
     def test_family_mismatch_rejected(self):
-        fam = FeatureFamily("f")
         with pytest.raises(ValueError, match="family"):
-            match_family(_set("g", [[0.0, 0.0]]), _set("f", [[0.0, 0.0]]), fam)
+            match_family(_set("g", [[0.0, 0.0]]), _set("f", [[0.0, 0.0]]))
 
     def test_dimension_mismatch_rejected(self):
-        fam = FeatureFamily("f")
         with pytest.raises(ValueError, match="dim"):
-            match_family(_set("f", [[0.0, 0.0]]), _set("f", [[0.0, 0.0, 0.0]]), fam)
+            match_family(_set("f", [[0.0, 0.0]]), _set("f", [[0.0, 0.0, 0.0]]))
 
     def test_empty_sets(self):
-        fam = FeatureFamily("f")
         empty = FeatureSet("f", np.zeros((0, 2)), np.zeros((0, 2)))
-        assert match_family(empty, _set("f", [[0.0, 1.0]]), fam).shape == (0, 2)
+        assert match_family(empty, _set("f", [[0.0, 1.0]])).shape == (0, 2)
 
 
 def _db_record(K, pose, depth):
@@ -215,7 +185,6 @@ class TestLiftTo3D:
         # counts and bitwise the same points as lifting one match at a time
         # through a scalar round-half-up lookup and pinhole back-projection
         ds = zero_noise_dataset
-        cfg = PipelineConfig()
         rows = 0
         dropped = 0
         holed = []
@@ -226,7 +195,7 @@ class TestLiftTo3D:
         for q in ds.queries:
             for db in list(ds.db_records) + holed:
                 for name, q_set in q.features.items():
-                    matches = match_family(q_set, db.features[name], cfg.family_rules(name))
+                    matches = match_family(q_set, db.features[name])
                     res = lift_to_3d(matches, q_set, db)
                     pixels, points, oob, bad = [], [], 0, 0
                     h, w = db.depth.shape

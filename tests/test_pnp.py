@@ -773,3 +773,6 @@ class TestRansacConfigValidation:
             RansacConfig(confidence=1.0)
         with pytest.raises(ValueError):
             RansacConfig(max_iterations=0)
+        with pytest.raises(ValueError, match="min_inliers"):
+            RansacConfig(min_inliers=2)
+        assert RansacConfig(min_inliers=3).min_inliers == 3

@@ -6,7 +6,6 @@ import re
 import numpy as np
 import pytest
 
-from semloc.config import PipelineConfig
 from semloc.geometry import CameraIntrinsics, RigidPose, back_project
 from semloc.synthetic import (
     FacadePlane,
@@ -164,13 +163,12 @@ class TestGenerateScene:
         ds = generate_scene(spec)
 
         def correct_fraction(fam_name):
-            fam = PipelineConfig().family_rules(fam_name)
             good = 0
             total = 0
             for q in ds.queries:
                 # compare against the companion day rendering of the same pose
                 for rec in ds.db_records[:3]:
-                    matches = match_family(q.features[fam_name], rec.features[fam_name], fam)
+                    matches = match_family(q.features[fam_name], rec.features[fam_name])
                     total += len(matches)
                     for qi, di in matches:
                         ql = q.features[fam_name].locations[qi]
@@ -285,6 +283,12 @@ class TestSceneSpecFile:
 
         with pytest.raises(DataFormatError, match=r"scene.txt:2: unknown scene spec key 'warp'"):
             self._parse(tmp_path, "preset = canyon\nwarp = 9\n")
+
+    def test_repeated_key_fails_at_its_second_line(self, tmp_path):
+        from semloc.formats import DataFormatError
+
+        with pytest.raises(DataFormatError, match=r"scene.txt:3: repeated key 'seed'"):
+            self._parse(tmp_path, "seed = 1\nn_db = 6\nseed = 2\n")
 
     def test_foreign_key_bad_preset_and_bad_value_rejected(self, tmp_path):
         from semloc.formats import DataFormatError
