@@ -92,8 +92,15 @@ class TestBuildMap:
         assert code == 2
         assert not (tmp_path / "m.bin").exists()
 
-    @pytest.mark.parametrize("bad_line", OUT_OF_RANGE_LINES)
-    def test_out_of_range_config_is_data_error(self, workspace, tmp_path, caplog, bad_line):
+    # A line build-map must refuse at its own line: a value out of range, or a
+    # value for a per-family match rule, which the config no longer has.
+    BAD_LINES = [(line, "bad value") for line in OUT_OF_RANGE_LINES] + [
+        ("family.corner.ratio = 5", "unknown config key")]
+
+    @pytest.mark.parametrize("bad_line, message", BAD_LINES,
+                             ids=[line for line, _ in BAD_LINES])
+    def test_out_of_range_config_is_data_error(self, workspace, tmp_path, caplog, bad_line,
+                                               message):
         # the bad line replaces the template's line for its key, which may
         # appear only once
         key = bad_line.split(" = ")[0]
@@ -103,7 +110,7 @@ class TestBuildMap:
         code = main(["build-map", str(workspace / "data"), str(config), str(tmp_path / "m.bin")])
         assert code == 2
         assert not (tmp_path / "m.bin").exists()
-        assert f"{config}:{len(lines) + 1}: bad value" in caplog.text
+        assert f"{config}:{len(lines) + 1}: {message}" in caplog.text
 
 
 @pytest.fixture(scope="module")
