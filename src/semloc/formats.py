@@ -378,6 +378,8 @@ def read_manifest(root) -> DatasetManifest:
         if key == "family":
             if len(parts) != 2 or not parts[1].isdecimal():
                 raise DataFormatError(path, None, "family needs 'name dim'", lineno)
+            if any(name == parts[0] for name, _ in families):
+                raise DataFormatError(path, None, f"repeated family {parts[0]!r}", lineno)
             families.append((parts[0], int(parts[1])))
         elif key == "db":
             db_ids.append(val)

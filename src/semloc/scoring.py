@@ -8,6 +8,13 @@ segmentation and label agreement is counted; the consistent count is the
 semantic consistency score of the retrieved image that produced the
 temporary pose.  Scores then become per-correspondence sampling weights.
 
+No point farther than max(d_max) * distance_margin from the query centre
+passes the distance range, so the gate tests only the rows that a radius
+search of the map's k-d tree returns.  The tree is built once per map and
+cached on it.  The radius is padded, the exact tests still decide and the
+rows come sorted, so the gated sub-map equals a scan of every point, row
+for row.
+
 Occlusion is handled only through the cone gating (no z-buffer): a point
 observed from similar distance and direction by the database cameras is
 assumed visible to the query as well.
@@ -69,6 +76,12 @@ class SemanticScore:
             )
 
 
+# Relative padding of the search radius.  The tree compares its own rounded
+# distance with the radius, so without it a row just inside d_max * margin
+# could miss the ball although the exact distance test admits it.
+_RADIUS_PAD = 1e-9
+
+
 def gate_visible(
     dense_map: DenseMap, query_pose: RigidPose, cfg: VisibilityGateConfig
 ) -> DenseMap:
@@ -76,22 +89,28 @@ def gate_visible(
 
     A point passes when d_min/m < ||v|| < d_max*m and the angle between
     v = C_query - X and the cone bisector v_m is below theta + margin.
+
+    Rows farther than max(d_max) * m from the query centre fail the
+    distance test, so only the rows inside that ball, padded by a relative
+    1e-9, are tested.  They come sorted from ``dense_map.position_tree``,
+    the k-d tree built once per map on its first gate call.  The exact
+    tests then decide, so the sub-map holds the same rows in the same order
+    as a scan of the whole map.
     """
-    return dense_map[gate_visible_mask(dense_map, query_pose, cfg)]
-
-
-def gate_visible_mask(
-    dense_map: DenseMap, query_pose: RigidPose, cfg: VisibilityGateConfig
-) -> np.ndarray:
-    v = query_pose.center - dense_map.positions
-    dist = np.linalg.norm(v, axis=1)
     m = cfg.distance_margin
-    ok = (dense_map.d_min / m < dist) & (dist < dense_map.d_max * m)
+    radius = np.max(dense_map.d_max, initial=0.0) * m * (1.0 + _RADIUS_PAD)
+    rows = np.array(
+        dense_map.position_tree.query_ball_point(query_pose.center, radius, return_sorted=True),
+        dtype=np.intp,
+    )
+    v = query_pose.center - dense_map.positions[rows]
+    dist = np.linalg.norm(v, axis=1)
+    ok = (dense_map.d_min[rows] / m < dist) & (dist < dense_map.d_max[rows] * m)
     safe = dist > 0.0
-    cos = np.zeros(len(dense_map))
-    cos[safe] = np.einsum("ij,ij->i", v[safe], dense_map.v_m[safe]) / dist[safe]
+    cos = np.zeros(len(rows))
+    cos[safe] = np.einsum("ij,ij->i", v[safe], dense_map.v_m[rows[safe]]) / dist[safe]
     ang = np.arccos(np.clip(cos, -1.0, 1.0))
-    return ok & safe & (ang < dense_map.theta + cfg.angle_margin)
+    return dense_map[rows[ok & safe & (ang < dense_map.theta[rows] + cfg.angle_margin)]]
 
 
 def semantic_consistency_score(

@@ -17,11 +17,13 @@ pixel (round half up); labels are categorical so no interpolation.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import logging
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 import numpy as np
+from scipy.spatial import cKDTree
 
 from .geometry import (
     CameraIntrinsics,
@@ -158,7 +160,9 @@ class DenseMap:
     extreme Euclidean distances to observing camera centers; v_l/v_u, the
     unit point-to-camera directions of the widest pair; v_m, their unit
     bisector; theta, the angle between v_l and v_u.  Indexing with a mask
-    or an index array yields the sub-map of those rows.
+    or an index array yields the sub-map of those rows.  Treat the columns
+    as read-only: a k-d tree over the positions is built on first use and
+    cached on the map.
     """
 
     def __init__(
@@ -189,6 +193,12 @@ class DenseMap:
 
     def __len__(self) -> int:
         return len(self.labels)
+
+    @functools.cached_property
+    def position_tree(self) -> cKDTree:
+        """k-d tree over the positions, built on first access rather than
+        in ``__init__``, so that sub-maps never searched build none."""
+        return cKDTree(self.positions)
 
     def __getitem__(self, index) -> "DenseMap":
         idx = np.asarray(index)

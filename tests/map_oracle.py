@@ -5,7 +5,7 @@ These are the per-pixel and per-point versions it replaced, kept as test
 oracles: voxel fusion by a dict keyed on cell tuples, label voting for one
 point, one point's visibility cone, unstable-class removal on a list of
 points, and the per-point DensePoint/VisibilityCone view of a DenseMap with
-its invariant check.
+its invariant check and a column-by-column map comparison.
 """
 
 from __future__ import annotations
@@ -154,6 +154,14 @@ def map_from_points(points: Sequence[DensePoint]) -> DenseMap:
         np.array([p.cone.d_min for p in points]),
         np.array([p.cone.d_max for p in points]),
         np.array([p.support for p in points]),
+    )
+
+
+def same_map(a: DenseMap, b: DenseMap) -> bool:
+    """True when every stored column of the two maps is equal."""
+    return len(a) == len(b) and all(
+        np.array_equal(getattr(a, col), getattr(b, col))
+        for col in ("positions", "labels", "v_l", "v_u", "theta", "d_min", "d_max", "support")
     )
 
 

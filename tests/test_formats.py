@@ -385,6 +385,15 @@ class TestTextFiles:
         assert str(info.value) == f"{tmp_path / 'manifest.txt'}:2: unknown manifest key 'frames'"
         assert (info.value.line, info.value.offset) == (2, None)
 
+    def test_repeated_family_fails_at_its_second_line(self, tmp_path):
+        # a second declaration would read every file of that family twice
+        (tmp_path / "manifest.txt").write_text(
+            "family = corner 16\nfamily = line 8\ndb = db000\nfamily = corner 16\n"
+        )
+        with pytest.raises(DataFormatError) as info:
+            read_manifest(tmp_path)
+        assert str(info.value) == f"{tmp_path / 'manifest.txt'}:4: repeated family 'corner'"
+
     def test_missing_file(self, tmp_path):
         with pytest.raises(DataFormatError, match="nowhere.txt: file not found"):
             list(text_lines(tmp_path / "nowhere.txt"))

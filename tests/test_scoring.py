@@ -3,13 +3,19 @@ normalization tests.
 
 The gate and the score are both re-evaluated per point by a scalar oracle
 that reimplements the two visibility inequalities and the projection rule
-independently of the vectorized code.
+independently of the vectorized code.  The oracle scans every point, so it
+also checks that the gate's k-d tree ball search drops no row that passes.
 """
 
 import math
+import sys
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from semloc.geometry import RigidPose
 from semloc.matching import CorrespondenceBatch
@@ -17,13 +23,12 @@ from semloc.scoring import (
     SemanticScore,
     VisibilityGateConfig,
     gate_visible,
-    gate_visible_mask,
     normalize_weights,
     semantic_consistency_score,
 )
-from semloc.semantic_map import build_dense_map
+from semloc.semantic_map import DenseMap, build_dense_map
 from conftest import random_pose, rodrigues
-from map_oracle import map_point
+from map_oracle import map_point, same_map
 
 
 def _gate_oracle(point, pose, cfg):
@@ -62,6 +67,62 @@ def _score_oracle(dense_map, pose, K, labels):
     return consistent, projected
 
 
+def _oracle_mask(dense_map, pose, cfg):
+    return np.array(
+        [_gate_oracle(map_point(dense_map, i), pose, cfg) for i in range(len(dense_map))],
+        dtype=bool,
+    )
+
+
+def _gated_mask(dense_map, pose, cfg):
+    """Rows of dense_map that gate_visible keeps, as a mask.
+
+    The gate never reads the support column, so a copy carrying each row's
+    index there gives the kept rows back from the gated sub-map.
+    """
+    tagged = DenseMap(
+        dense_map.positions, dense_map.labels, dense_map.v_l, dense_map.v_u,
+        dense_map.theta, dense_map.d_min, dense_map.d_max, np.arange(len(dense_map)),
+    )
+    mask = np.zeros(len(dense_map), dtype=bool)
+    mask[gate_visible(tagged, pose, cfg).support] = True
+    return mask
+
+
+def _map_with_cones(positions, d_min, d_max, v_l, v_u):
+    """Map of unit-direction cones; theta is the angle between v_l and v_u."""
+    v_l = v_l / np.linalg.norm(v_l, axis=1, keepdims=True)
+    v_u = v_u / np.linalg.norm(v_u, axis=1, keepdims=True)
+    theta = np.arccos(np.clip(np.einsum("ij,ij->i", v_l, v_u), -1.0, 1.0))
+    n = len(positions)
+    return DenseMap(positions, np.zeros(n), v_l, v_u, theta, d_min, d_max, np.ones(n))
+
+
+def _at(center):
+    return RigidPose(np.eye(3), np.asarray(center, dtype=np.float64))
+
+
+@st.composite
+def gate_cases(draw):
+    """A map of up to 12 random cones, a query centre that may sit on one
+    of its points, and random margins."""
+    n = draw(st.integers(0, 12))
+    coord = st.floats(-4.0, 4.0)
+    direction = st.floats(-1.0, 1.0).filter(lambda x: abs(x) > 1e-3)
+    positions = draw(arrays(np.float64, (n, 3), elements=coord))
+    d_min = draw(arrays(np.float64, n, elements=st.floats(0.05, 3.0)))
+    stretch = draw(arrays(np.float64, n, elements=st.floats(1.0, 3.0)))
+    v_l = draw(arrays(np.float64, (n, 3), elements=direction))
+    v_u = draw(arrays(np.float64, (n, 3), elements=direction))
+    dense_map = _map_with_cones(positions, d_min, d_min * stretch, v_l, v_u)
+    if n and draw(st.booleans()):
+        center = positions[draw(st.integers(0, n - 1))]
+    else:
+        center = np.array([draw(coord) for _ in range(3)])
+    cfg = VisibilityGateConfig(draw(st.floats(1.0, 2.0)), draw(st.floats(0.0, 0.5)))
+    return dense_map, _at(center), cfg
+
+
 @pytest.fixture(scope="module")
 def built_map(zero_noise_dataset):
     dense_map, _ = build_dense_map(zero_noise_dataset.db_records, voxel_size=0.12)
@@ -77,7 +138,7 @@ class TestGateVisible:
         gated = gate_visible(built_map, rec.pose, cfg)
         assert len(gated) > 0
         # points contributed by this camera pass; verify on a sampled subset
-        mask = gate_visible_mask(built_map, rec.pose, cfg)
+        mask = _gated_mask(built_map, rec.pose, cfg)
         oracle = [_gate_oracle(map_point(built_map, i), rec.pose, cfg) for i in range(0, len(built_map), 37)]
         assert [bool(mask[i]) for i in range(0, len(built_map), 37)] == oracle
 
@@ -95,17 +156,99 @@ class TestGateVisible:
                 rodrigues(rng.normal(size=3), rng.uniform(0, math.pi)),
                 np.array([rng.uniform(-3, 3), rng.uniform(-3, 0), rng.uniform(0, 18)]),
             )
-            mask = gate_visible_mask(sub, pose, cfg)
-            oracle = np.array([_gate_oracle(map_point(sub, i), pose, cfg) for i in range(len(sub))])
+            mask = _gated_mask(sub, pose, cfg)
+            oracle = _oracle_mask(sub, pose, cfg)
             assert np.array_equal(mask, oracle)
 
     def test_subset_and_margin_monotonicity(self, built_map):
-        rng = np.random.default_rng(22)
         pose = RigidPose(np.eye(3), np.array([0.3, -1.5, 5.0]))
-        small = gate_visible_mask(built_map, pose, VisibilityGateConfig(1.05, 0.02))
-        big = gate_visible_mask(built_map, pose, VisibilityGateConfig(1.5, 0.3))
+        small = _gated_mask(built_map, pose, VisibilityGateConfig(1.05, 0.02))
+        big = _gated_mask(built_map, pose, VisibilityGateConfig(1.5, 0.3))
         assert not np.any(small & ~big)  # larger margins never remove points
         assert small.sum() <= big.sum() <= len(built_map)
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(gate_cases())
+    def test_random_maps_match_oracle(self, case):
+        dense_map, pose, cfg = case
+        expected = dense_map[_oracle_mask(dense_map, pose, cfg)]
+        assert same_map(gate_visible(dense_map, pose, cfg), expected)
+
+    def test_empty_map(self):
+        empty = DenseMap(*[np.zeros(0)] * 8)
+        assert len(gate_visible(empty, _at([1.0, 2.0, 3.0]), VisibilityGateConfig())) == 0
+
+    def test_one_point_map(self):
+        # the cone looks along -x from the point, 2 to 4 m out
+        one = _map_with_cones(np.zeros((1, 3)), [2.0], [4.0], -np.eye(3)[:1], -np.eye(3)[:1])
+        cfg = VisibilityGateConfig()
+        assert same_map(gate_visible(one, _at([-3.0, 0.0, 0.0]), cfg), one)
+        assert len(gate_visible(one, _at([3.0, 0.0, 0.0]), cfg)) == 0  # behind the cone
+        assert len(gate_visible(one, _at([-6.0, 0.0, 0.0]), cfg)) == 0  # beyond d_max * m
+
+    def test_query_centre_on_map_point(self, built_map):
+        # distance 0 has no direction and is rejected; the other rows still
+        # gate as the oracle says
+        sub = built_map[np.arange(0, len(built_map), 7)]
+        pose = _at(sub.positions[5])
+        mask = _gated_mask(sub, pose, VisibilityGateConfig(1.5, 0.5))
+        assert not mask[5]
+        assert mask.any()
+        assert np.array_equal(mask, _oracle_mask(sub, pose, VisibilityGateConfig(1.5, 0.5)))
+
+    @pytest.mark.parametrize("m", [1.0, 1.2, 1.7])
+    def test_distance_bound_to_the_ulp(self, m):
+        # the point with the largest d_max sits on an axis through the query
+        # centre, so its distance is exact: one ulp inside d_max * m passes,
+        # one ulp outside fails
+        cfg = VisibilityGateConfig(distance_margin=m)
+        reach = 9.7 * m
+        for step, passes in ((-np.inf, True), (np.inf, False)):
+            x = np.nextafter(reach, step)
+            positions = np.array([[x, 0.0, 0.0], [1.0, 1.0, 0.0], [0.0, -2.0, 1.0]])
+            dense_map = _map_with_cones(
+                positions, [0.5, 0.5, 0.5], [9.7, 3.0, 3.0], -positions, -positions,
+            )
+            mask = _gated_mask(dense_map, _at(np.zeros(3)), cfg)
+            assert mask.tolist() == [passes, True, True]
+            assert np.array_equal(mask, _oracle_mask(dense_map, _at(np.zeros(3)), cfg))
+
+    def test_threads_share_the_lazily_built_tree(self, zero_noise_dataset, built_map):
+        # localize_all(threads > 1) gates one map from several threads, and
+        # their first calls race to build the map's cached tree
+        cfg = VisibilityGateConfig()
+        poses = [rec.pose for rec in zero_noise_dataset.db_records] * 2
+        expected = [gate_visible(built_map, pose, cfg) for pose in poses]
+        fresh = built_map[np.arange(len(built_map))]  # a copy with no tree yet
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=4) as pool:
+                gated = list(pool.map(lambda pose: gate_visible(fresh, pose, cfg), poses))
+        finally:
+            sys.setswitchinterval(interval)
+        assert all(same_map(g, e) for g, e in zip(gated, expected))
+
+    def test_distant_copy_changes_nothing(self, zero_noise_dataset, built_map):
+        # a second canyon farther off than the search radius: the work and
+        # the result of a gate stay those of the map the query is in
+        cfg = VisibilityGateConfig()
+        reach = built_map.d_max.max() * cfg.distance_margin
+        extent = np.ptp(built_map.positions, axis=0).max()
+        offset = np.array([3.0 * (reach + extent), 0.0, 0.0])
+        doubled = DenseMap(
+            np.concatenate([built_map.positions, built_map.positions + offset]),
+            *(np.concatenate([col, col]) for col in (
+                built_map.labels, built_map.v_l, built_map.v_u, built_map.theta,
+                built_map.d_min, built_map.d_max, built_map.support,
+            )),
+        )
+        poses = [rec.pose for rec in zero_noise_dataset.db_records[::3]]
+        poses += list(zero_noise_dataset.gt_poses.values())[:3]
+        for pose in poses:
+            original = gate_visible(built_map, pose, cfg)
+            assert len(original) > 0
+            assert same_map(gate_visible(doubled, pose, cfg), original)
 
 
 class TestSemanticConsistencyScore:

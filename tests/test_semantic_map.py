@@ -35,6 +35,7 @@ from map_oracle import (
     map_point,
     map_points,
     remove_unstable_classes,
+    same_map,
     validate_map,
     vote_semantic_label,
 )
@@ -392,13 +393,6 @@ def relabeled_records(zero_noise_dataset):
     ]
 
 
-def _same_map(a, b):
-    return len(a) == len(b) and all(
-        np.array_equal(getattr(a, col), getattr(b, col))
-        for col in ("positions", "labels", "v_l", "v_u", "theta", "d_min", "d_max", "support")
-    )
-
-
 class TestRemoveUnstable:
     """build_dense_map's unstable-class mask against the per-point oracle."""
 
@@ -411,14 +405,14 @@ class TestRemoveUnstable:
         assert 13 in full.labels and 13 not in kept.labels
         assert 0 < len(kept) == stats.stable_points < len(full)
         expected = map_from_points(remove_unstable_classes(map_points(full), {13}))
-        assert _same_map(kept, expected)
+        assert same_map(kept, expected)
 
     def test_no_unstable_means_identity(self, zero_noise_dataset):
         records = zero_noise_dataset.db_records[:4]
         assert not np.any(np.concatenate([r.labels.ravel() for r in records]) == 13)
         full, _ = build_dense_map(records, voxel_size=0.3, unstable=set())
         kept, _ = build_dense_map(records, voxel_size=0.3, unstable={13})
-        assert _same_map(kept, full)
+        assert same_map(kept, full)
         assert len(remove_unstable_classes(map_points(full), {13})) == len(full)
 
     def test_empty_set_keeps_all_and_idempotent(self, relabeled_records):
