@@ -90,7 +90,7 @@ for trial in range(trials):
     weighted = normalize_weights(scores, corrs)
     uniform = replace(corrs, weights=np.full(len(corrs), 1.0 / len(corrs)))
     cfg = RansacConfig(inlier_threshold_px=2.0, min_inliers=12, seed=trial * 13 + 5,
-                       max_iterations=200, adaptive_stopping=False)
+                       max_iterations=200)
     sw = weighted_ransac_pnp(weighted, K, cfg)
     su = weighted_ransac_pnp(uniform, K, cfg)
     weighted_ok += sw is not None and np.linalg.norm(sw.pose.center - q_pose.center) < 0.05

@@ -16,14 +16,16 @@ from .formats import DataFormatError, key_value_lines
 from .pnp import RansacConfig
 from .retrieval import RetrievalConfig
 from .scoring import VisibilityGateConfig
-from .semantic_map import DEFAULT_UNSTABLE_CLASS_IDS, MAX_CLASS_ID, DepthFilterConfig
+from .semantic_map import (DEFAULT_FILTER_NEIGHBOR_COUNT, DEFAULT_UNSTABLE_CLASS_IDS,
+                           DEFAULT_VOXEL_SIZE, MAX_CLASS_ID, DepthFilterConfig)
 
 __all__ = ["PipelineConfig", "parse_config_file", "render_config"]
 
 
 @dataclass(frozen=True)
 class PipelineConfig:
-    """Every setting a pipeline run varies, with library defaults.
+    """Every setting a pipeline run varies, each defaulting to its owner's
+    value: a stage type's field or a module constant.
 
     Building a config checks the settings no stage type owns and builds
     each stage type once, so every range check fails here rather than in
@@ -33,26 +35,26 @@ class PipelineConfig:
 
     seed: int = 0
     # depth filtering
-    depth_filter_tau: float = 0.01
-    depth_filter_min_neighbors: int = 1
-    depth_filter_neighbor_count: int = 4
+    depth_filter_tau: float = DepthFilterConfig.tau
+    depth_filter_min_neighbors: int = DepthFilterConfig.min_consistent_neighbors
+    depth_filter_neighbor_count: int = DEFAULT_FILTER_NEIGHBOR_COUNT
     # fusion
-    fusion_voxel_size: float = 0.05
+    fusion_voxel_size: float = DEFAULT_VOXEL_SIZE
     unstable_classes: frozenset = DEFAULT_UNSTABLE_CLASS_IDS
     # visibility gate
-    gate_distance_margin: float = 1.2
-    gate_angle_margin: float = 0.1
+    gate_distance_margin: float = VisibilityGateConfig.distance_margin
+    gate_angle_margin: float = VisibilityGateConfig.angle_margin
     # retrieval
-    top_k_day: int = 20
+    top_k_day: int = RetrievalConfig.top_k
     top_k_night: int = 30
     # RANSAC (final weighted stage)
-    ransac_inlier_threshold_px: float = 8.0
-    ransac_confidence: float = 0.999
-    ransac_max_iterations: int = 10000
-    ransac_min_inliers: int = 12
+    ransac_inlier_threshold_px: float = RansacConfig.inlier_threshold_px
+    ransac_confidence: float = RansacConfig.confidence
+    ransac_max_iterations: int = RansacConfig.max_iterations
+    ransac_min_inliers: int = RansacConfig.min_inliers
     # RANSAC (temporary per-retrieved-image stage)
     temp_ransac_min_inliers: int = 6
-    temp_ransac_max_iterations: int = 10000
+    temp_ransac_max_iterations: int = RansacConfig.max_iterations
 
     def __post_init__(self) -> None:
         if self.seed < 0:

@@ -22,15 +22,15 @@ time would take them, and the iterations are replayed in order with the
 same best-selection rule and adaptive stopping bound, so a run returns
 what the one-hypothesis-per-iteration loop returns up to rounding.
 
-Two bounds stop a run early, both the standard RANSAC bound of Fischler &
-Bolles (1981) at the configured confidence.  The adaptive bound is taken
-at the inlier ratio of the best model so far: the run stops once it has
-probably drawn an all-inlier sample of that model.  The min-inliers bound
-is taken from the start at the smallest acceptable ratio, min_inliers / n:
-the run stops once it has probably shown that no model reaches
-min_inliers.  A run given fewer than min_inliers correspondences draws
-nothing and returns no model.  The winning candidate becomes a RigidPose
-once, when the run ends.
+Every run applies two bounds, both the RANSAC bound of Fischler & Bolles
+(1981) at the configured confidence.  The adaptive bound is taken at the
+inlier ratio of the best model so far: the run stops once it has probably
+drawn an all-inlier sample of that model.  The min-inliers bound is taken
+from the start at the smallest acceptable ratio, min_inliers / n: the run
+stops once it has probably shown that no model reaches min_inliers.  A run
+given fewer than min_inliers correspondences draws nothing and returns no
+model.  A sample spanning less than a fixed 10 px is degenerate.  The
+winning candidate becomes a RigidPose once, when the run ends.
 """
 
 from __future__ import annotations
@@ -63,6 +63,9 @@ _CHUNK = 64
 # A RANSAC run draws at most _MAX_SAMPLE_ATTEMPTS * max_iterations minimal
 # samples, degenerate ones included, before it gives up.
 _MAX_SAMPLE_ATTEMPTS = 20
+
+# A minimal sample whose pixels span less than this is degenerate.
+_MIN_PIXEL_SPAN_PX = 10.0
 
 # Gauss-Newton steps that polish each P3P candidate, and refine_pose's
 # Levenberg-Marquardt step cap and relative cost-decrease stop.
@@ -168,16 +171,12 @@ def _newton_polish_roots(x: np.ndarray, A: np.ndarray) -> np.ndarray:
 class RansacConfig:
     """RANSAC constants; all logged with results.
 
-    confidence drives two iteration bounds and max_iterations caps both:
-    the adaptive bound at the inlier ratio of the best model so far, and
-    the min-inliers bound, set from the start at the ratio min_inliers / n.
-    adaptive_stopping=False turns both off.  min_inliers rejects weak
+    Every run applies both stopping bounds (module docstring) at
+    confidence, and max_iterations caps both.  min_inliers rejects weak
     consensus (12 for final poses, 6 is a sensible choice for temporary
     per-retrieved-image poses); it is at least 3, as a P3P model fits its
-    own three sample points.  A run given fewer than min_inliers
-    correspondences draws nothing.  Samples are rejected and redrawn when
-    the 3 world points are near-collinear or the 3 pixels span less than
-    min_pixel_span_px.
+    own three sample points.  The 10 px pixel span below which a sample is
+    degenerate is the constant _MIN_PIXEL_SPAN_PX, not a setting.
     """
 
     inlier_threshold_px: float = 8.0
@@ -185,8 +184,6 @@ class RansacConfig:
     confidence: float = 0.999
     min_inliers: int = 12
     seed: int = 0
-    min_pixel_span_px: float = 10.0
-    adaptive_stopping: bool = True  # False runs exactly max_iterations
 
     def __post_init__(self) -> None:
         if not self.inlier_threshold_px > 0:
@@ -529,10 +526,10 @@ def _draw_minimal_samples(rng: np.random.Generator, weights: np.ndarray, m: int)
     return picks
 
 
-def _degenerate_samples(points: np.ndarray, pixels: np.ndarray, cfg: RansacConfig) -> np.ndarray:
+def _degenerate_samples(points: np.ndarray, pixels: np.ndarray) -> np.ndarray:
     """(m,) mask of minimal samples, given as (m, 3, 3) world points and
     (m, 3, 2) pixels, whose points are near-collinear or whose pixels span
-    less than cfg.min_pixel_span_px."""
+    less than _MIN_PIXEL_SPAN_PX."""
     v1 = points[:, 1] - points[:, 0]
     v2 = points[:, 2] - points[:, 0]
     area2 = _norm(_cross(v1, v2))
@@ -547,7 +544,7 @@ def _degenerate_samples(points: np.ndarray, pixels: np.ndarray, cfg: RansacConfi
         | (n2 < 1e-12)
         | (area2 <= 2.0 * _COLLINEAR_AREA_TOL)
         | (sin_angle < 1e-3)
-        | (span < cfg.min_pixel_span_px)
+        | (span < _MIN_PIXEL_SPAN_PX)
     )
 
 
@@ -599,9 +596,9 @@ def _ransac_pnp(
     sequential loop up to rounding in the solver; work done for iterations
     past the stop is discarded.
 
-    With adaptive stopping, needed starts at the min-inliers bound (at
-    least 1) and drops to the adaptive bound of each new best model, never
-    below the iterations already run; both come from _iterations_needed.
+    needed starts at the min-inliers bound (at least 1) and drops to the
+    adaptive bound of each new best model, never below the iterations
+    already run; both come from _iterations_needed.
     Fewer than min_inliers correspondences return None before any draw.
     The replay keeps the best candidate's raw R and C, and the one
     RigidPose is built from them after the loop.
@@ -618,16 +615,13 @@ def _ransac_pnp(
     best_err = np.inf
     best_R: Optional[np.ndarray] = None
     best_C: Optional[np.ndarray] = None
-    if cfg.adaptive_stopping:
-        needed = max(1, _iterations_needed(cfg.min_inliers, n, cfg))
-    else:
-        needed = cfg.max_iterations
+    needed = max(1, _iterations_needed(cfg.min_inliers, n, cfg))
     it = 0
     draws_left = _MAX_SAMPLE_ATTEMPTS * cfg.max_iterations
     while it < needed and draws_left:
         drawn = _draw_minimal_samples(rng, w, min(_CHUNK, draws_left))
         draws_left -= len(drawn)
-        samples = drawn[~_degenerate_samples(points[drawn], pixels[drawn], cfg)][: needed - it]
+        samples = drawn[~_degenerate_samples(points[drawn], pixels[drawn])][: needed - it]
 
         R, C, valid, _ = _p3p_batch(points[samples], bearings[samples])
         per_sample = valid.sum(axis=1).tolist()
@@ -651,8 +645,7 @@ def _ransac_pnp(
                     best_R, best_C = R[c], C[c]
                     best_count = count
                     best_err = mean_err
-                    if cfg.adaptive_stopping:
-                        needed = min(needed, max(it, _iterations_needed(count, n, cfg)))
+                    needed = min(needed, max(it, _iterations_needed(count, n, cfg)))
 
     if best_R is None:
         return None

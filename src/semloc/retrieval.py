@@ -13,15 +13,12 @@ from dataclasses import dataclass
 import numpy as np
 
 __all__ = [
-    "DEFAULT_GLOBAL_DESCRIPTOR_DIM",
     "GlobalDescriptor",
     "RetrievalConfig",
     "RetrievalIndex",
     "build_index",
     "query_top_k",
 ]
-
-DEFAULT_GLOBAL_DESCRIPTOR_DIM = 4096
 
 
 @dataclass(frozen=True)

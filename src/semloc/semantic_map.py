@@ -41,6 +41,8 @@ __all__ = [
     "UNLABELED",
     "CONDITIONS",
     "DEFAULT_UNSTABLE_CLASS_IDS",
+    "DEFAULT_VOXEL_SIZE",
+    "DEFAULT_FILTER_NEIGHBOR_COUNT",
     "label_ids_valid",
     "DepthFilterConfig",
     "DenseMap",
@@ -69,6 +71,10 @@ CONDITIONS = ("day", "night")
 
 # Dynamic objects plus sky: noise sources for localization, removed from maps.
 DEFAULT_UNSTABLE_CLASS_IDS = frozenset({10, 11, 12, 13, 14, 15, 16, 17, 18})
+
+# Fusion voxel edge (m) and nearest database views each depth map is checked on.
+DEFAULT_VOXEL_SIZE = 0.05
+DEFAULT_FILTER_NEIGHBOR_COUNT = 4
 
 
 def label_ids_valid(labels: np.ndarray) -> bool:
@@ -160,8 +166,8 @@ class DenseMap:
     extreme Euclidean distances to observing camera centers; v_l/v_u, the
     unit point-to-camera directions of the widest pair; v_m, their unit
     bisector; theta, the angle between v_l and v_u.  Indexing with a mask
-    or an index array yields the sub-map of those rows.  Treat the columns
-    as read-only: a k-d tree over the positions is built on first use and
+    or an index array yields the sub-map of those rows.  The columns are
+    read-only views: a k-d tree over the positions is built on first use and
     cached on the map.
     """
 
@@ -190,6 +196,9 @@ class DenseMap:
         norms = np.linalg.norm(s, axis=1)
         safe = norms > 1e-12
         self.v_m = np.where(safe[:, None], s / np.where(safe, norms, 1.0)[:, None], self.v_l)
+        # reshape returns a new view, so the caller's arrays stay writeable.
+        for column in vars(self).values():
+            column.flags.writeable = False
 
     def __len__(self) -> int:
         return len(self.labels)
@@ -337,7 +346,7 @@ def fuse_depth_maps(
 
 
 def select_filter_neighbors(
-    records: Sequence[DatabaseImageRecord], count: int = 4
+    records: Sequence[DatabaseImageRecord], count: int = DEFAULT_FILTER_NEIGHBOR_COUNT
 ) -> dict:
     """Nearest-camera-center neighbor lists (excluding self) for filtering."""
     if len(records) < 2:
@@ -434,17 +443,15 @@ def _cones_bulk(
 
 def build_dense_map(
     records: Sequence[DatabaseImageRecord],
-    filter_cfg: DepthFilterConfig | None = None,
-    voxel_size: float = 0.05,
+    filter_cfg: DepthFilterConfig = DepthFilterConfig(),
+    voxel_size: float = DEFAULT_VOXEL_SIZE,
     unstable: frozenset | set = DEFAULT_UNSTABLE_CLASS_IDS,
-    neighbor_count: int = 4,
+    neighbor_count: int = DEFAULT_FILTER_NEIGHBOR_COUNT,
 ) -> tuple[DenseMap, BuildStats]:
     """Full map build: filter -> fuse -> vote -> cones -> drop unstable.
 
     Per-stage point counts are logged and returned in BuildStats.
     """
-    if filter_cfg is None:
-        filter_cfg = DepthFilterConfig()
     stats = BuildStats()
     stats.valid_pixels_before_filter = int(sum((r.depth > 0).sum() for r in records))
 

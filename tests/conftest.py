@@ -6,11 +6,13 @@ the suite is fully deterministic.
 
 from __future__ import annotations
 
+import contextlib
 import math
 
 import numpy as np
 import pytest
 
+from semloc import pnp
 from semloc.geometry import CameraIntrinsics, RigidPose
 from semloc.matching import CorrespondenceBatch
 
@@ -73,6 +75,21 @@ def synthetic_correspondences(rng, K, pose, n, outlier_frac=0.0, pixel_noise=0.0
         pixels.append(pixel)
         points.append(world)
     return CorrespondenceBatch(np.array(pixels), np.array(points), [source_id] * n, [family] * n)
+
+
+@contextlib.contextmanager
+def patched_ransac_rule(fixed_budget=False, span_px=None):
+    """Within the block, semloc.pnp runs RANSAC by another rule than the
+    production one: with fixed_budget every run solves exactly
+    cfg.max_iterations minimal samples (both stopping bounds return the
+    cap), and span_px replaces the minimum pixel span of a non-degenerate
+    sample."""
+    with pytest.MonkeyPatch.context() as m:
+        if fixed_budget:
+            m.setattr(pnp, "_iterations_needed", lambda inliers, n, cfg: cfg.max_iterations)
+        if span_px is not None:
+            m.setattr(pnp, "_MIN_PIXEL_SPAN_PX", span_px)
+        yield
 
 
 @pytest.fixture(scope="session")

@@ -17,10 +17,13 @@ the run capped at _MAX_SAMPLE_ATTEMPTS * max_iterations draws, instead of
 an iteration that gives up after 20 degenerate draws in a row.
 
 Like the production loop, a run given fewer than min_inliers
-correspondences returns None before drawing, and with adaptive stopping
-the iteration budget starts at the min-inliers bound, the RANSAC bound at
-inlier ratio min_inliers / n.  Unlike it, the oracle builds a RigidPose at
-every improvement.
+correspondences returns None before drawing, and with adaptive=True (the
+production rule) the iteration budget starts at the min-inliers bound, the
+RANSAC bound at inlier ratio min_inliers / n.  Unlike it, the oracle builds
+a RigidPose at every improvement, and takes the stopping rule and the
+minimum pixel span as arguments: adaptive=False runs exactly
+max_iterations, which the library does when its _iterations_needed is
+patched to return the cap.
 """
 
 from __future__ import annotations
@@ -35,6 +38,7 @@ from semloc.matching import CorrespondenceBatch
 from semloc.pnp import (
     PnPSolution,
     _MAX_SAMPLE_ATTEMPTS,
+    _MIN_PIXEL_SPAN_PX,
     RansacConfig,
     _bearings_from_pixels,
     _orthonormalized,
@@ -277,7 +281,7 @@ def draw_minimal_sample(rng: np.random.Generator, weights: np.ndarray) -> np.nda
     return picks
 
 
-def sample_is_degenerate(points: np.ndarray, pixels: np.ndarray, cfg: RansacConfig) -> bool:
+def sample_is_degenerate(points: np.ndarray, pixels: np.ndarray, span_px: float) -> bool:
     v1 = points[1] - points[0]
     v2 = points[2] - points[0]
     area2 = _norm3(_cross3(v1, v2))
@@ -292,7 +296,7 @@ def sample_is_degenerate(points: np.ndarray, pixels: np.ndarray, cfg: RansacConf
         math.hypot(pixels[0, 0] - pixels[2, 0], pixels[0, 1] - pixels[2, 1]),
         math.hypot(pixels[1, 0] - pixels[2, 0], pixels[1, 1] - pixels[2, 1]),
     )
-    return span < cfg.min_pixel_span_px
+    return span < span_px
 
 
 def ransac_bound(inliers: int, n: int, confidence: float) -> float:
@@ -310,12 +314,16 @@ def ransac_pnp(
     K: CameraIntrinsics,
     cfg: RansacConfig,
     weights: Optional[np.ndarray],
+    *,
+    adaptive: bool = True,
+    span_px: float = _MIN_PIXEL_SPAN_PX,
 ) -> Optional[PnPSolution]:
     """One hypothesis per iteration: draw a non-degenerate sample (a
     degenerate draw is redrawn and does not count), solve, score, keep the
     best, update the adaptive bound.  The budget starts at the min-inliers
     bound, and a run gives up after _MAX_SAMPLE_ATTEMPTS * max_iterations
-    draws."""
+    draws.  adaptive=False runs exactly max_iterations; a sample whose
+    pixels span less than span_px is degenerate."""
     n = len(batch)
     if n < cfg.min_inliers:
         return None
@@ -327,14 +335,14 @@ def ransac_pnp(
     best_err = np.inf
     best_pose: Optional[RigidPose] = None
     needed = cfg.max_iterations
-    if cfg.adaptive_stopping:
+    if adaptive:
         needed = max(1, min(needed, ransac_bound(cfg.min_inliers, n, cfg.confidence)))
     it = 0
     draws_left = _MAX_SAMPLE_ATTEMPTS * cfg.max_iterations
     while it < needed and draws_left:
         draws_left -= 1
         sample = draw_minimal_sample(rng, w)
-        if sample_is_degenerate(points[sample], pixels[sample], cfg):
+        if sample_is_degenerate(points[sample], pixels[sample], span_px):
             continue
         it += 1
         try:
@@ -361,7 +369,7 @@ def ransac_pnp(
                     continue
                 best_count = count
                 best_err = mean_err
-                if cfg.adaptive_stopping:
+                if adaptive:
                     needed = min(needed, max(it, ransac_bound(count, n, cfg.confidence)))
 
     if best_pose is None:

@@ -58,7 +58,13 @@ from semloc.synthetic import (
     _canyon_pose,
 )
 
-from conftest import default_intrinsics, random_pose, rodrigues, synthetic_correspondences
+from conftest import (
+    default_intrinsics,
+    patched_ransac_rule,
+    random_pose,
+    rodrigues,
+    synthetic_correspondences,
+)
 from test_semantic_map import _K, _filter_oracle, _plane_depth, _record
 from test_scoring import _score_oracle
 
@@ -225,11 +231,11 @@ def _contamination_trial(spec, dense_map, trial_seed, n_total=80, wrong_frac=0.6
     weighted = normalize_weights(scores, corrs)
     uniform = dataclasses.replace(corrs, weights=np.full(len(corrs), 1.0 / len(corrs)))
     final_cfg = RansacConfig(inlier_threshold_px=thr, min_inliers=12,
-                             seed=trial_seed * 13 + 5, max_iterations=iterations,
-                             adaptive_stopping=False)
+                             seed=trial_seed * 13 + 5, max_iterations=iterations)
     errors = {}
     for label, cs in (("weighted", weighted), ("uniform", uniform)):
-        sol = weighted_ransac_pnp(cs, K, final_cfg)
+        with patched_ransac_rule(fixed_budget=True):
+            sol = weighted_ransac_pnp(cs, K, final_cfg)
         errors[label] = (np.inf if sol is None
                          else float(np.linalg.norm(sol.pose.center - q_pose.center)))
     return errors, scores

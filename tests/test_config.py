@@ -1,11 +1,17 @@
 """Configuration file parsing tests."""
 
+import inspect
 import re
+from pathlib import Path
 
 import pytest
 
 from semloc.config import PipelineConfig, parse_config_file, render_config
 from semloc.formats import DataFormatError
+from semloc.pnp import RansacConfig
+from semloc.retrieval import RetrievalConfig
+from semloc.scoring import VisibilityGateConfig
+from semloc.semantic_map import DepthFilterConfig, build_dense_map, select_filter_neighbors
 
 
 def _write(tmp_path, text):
@@ -74,6 +80,33 @@ def test_every_scalar_field_has_exactly_one_key():
     keyed = sorted(attr for attr, _cast in _SCALAR_KEYS.values())
     scalar = sorted(f.name for f in fields(PipelineConfig))
     assert keyed == scalar
+
+
+def test_stage_defaults_have_one_owner():
+    # PipelineConfig's defaults are those of the stage types and functions
+    # a direct library call uses
+    cfg = PipelineConfig()
+    assert cfg.depth_filter() == DepthFilterConfig()
+    assert cfg.gate() == VisibilityGateConfig()
+    assert cfg.retrieval("day") == RetrievalConfig()
+    for seed in (0, 7):
+        assert cfg.final_ransac(seed) == RansacConfig(seed=seed)
+    build = inspect.signature(build_dense_map).parameters
+    assert build["filter_cfg"].default == cfg.depth_filter()
+    assert build["voxel_size"].default == cfg.fusion_voxel_size
+    assert build["unstable"].default == cfg.unstable_classes
+    assert build["neighbor_count"].default == cfg.depth_filter_neighbor_count
+    neighbors = inspect.signature(select_filter_neighbors).parameters
+    assert neighbors["count"].default == cfg.depth_filter_neighbor_count
+
+
+def test_readme_defaults_are_rendered_lines():
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    paragraph = readme.split("complete template with the defaults:", 1)[1].split("\n\n", 1)[0]
+    quoted = re.findall(r"`([a-z_.]+ = [^`]+)`", paragraph)
+    assert len(quoted) == 9
+    rendered = render_config(PipelineConfig()).splitlines()
+    assert [line for line in quoted if line not in rendered] == []
 
 
 def test_errors_name_file_and_line(tmp_path):

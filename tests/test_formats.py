@@ -4,6 +4,7 @@ Random instances are generated with float32-representable payloads so
 Load(Store(x)) compares exactly equal.
 """
 
+import inspect
 import re
 import struct
 
@@ -169,6 +170,16 @@ def _random_dense_map(rng, n):
     )
 
 
+_DENSE_MAP_COLUMNS = tuple(inspect.signature(DenseMap).parameters)
+
+
+def _corrupted(dm, column, index, value):
+    """A DenseMap equal to dm but for column[index] = value."""
+    columns = {name: getattr(dm, name).copy() for name in _DENSE_MAP_COLUMNS}
+    columns[column][index] = value
+    return DenseMap(**columns)
+
+
 class TestDenseMapFormat:
     def test_roundtrip_random(self, tmp_path):
         rng = np.random.default_rng(4)
@@ -188,25 +199,30 @@ class TestDenseMapFormat:
 
     def test_support_range_guard(self, tmp_path):
         rng = np.random.default_rng(5)
-        dm = _random_dense_map(rng, 2)
-        dm.support[0] = 70000
+        dm = _corrupted(_random_dense_map(rng, 2), "support", 0, 70000)
         with pytest.raises(ValueError, match="uint16"):
             write_dense_map(tmp_path / "m.bin", dm)
 
     def test_corrupt_map_rejected_on_load(self, tmp_path):
         rng = np.random.default_rng(6)
-        dm = _random_dense_map(rng, 3)
-        dm.labels[1] = 99
+        dm = _corrupted(_random_dense_map(rng, 3), "labels", 1, 99)
         p = tmp_path / "m.bin"
         write_dense_map(p, dm)
         with pytest.raises(DataFormatError, match="labels"):
             read_dense_map(p)
-        dm2 = _random_dense_map(rng, 3)
-        dm2.d_min[0] = 5.0
-        dm2.d_max[0] = 1.0
+        dm2 = _corrupted(_corrupted(_random_dense_map(rng, 3), "d_min", 0, 5.0), "d_max", 0, 1.0)
         write_dense_map(p, dm2)
         with pytest.raises(DataFormatError, match="distance range"):
             read_dense_map(p)
+
+    def test_columns_are_read_only(self):
+        # the map caches a k-d tree over its positions, so a column written
+        # in place would leave the tree stale
+        dm = _random_dense_map(np.random.default_rng(7), 3)
+        for name in _DENSE_MAP_COLUMNS + ("v_m",):
+            with pytest.raises(ValueError, match="read-only"):
+                getattr(dm, name)[0] = 0
+        assert dm.position_tree.query_ball_point(dm.positions[1], 1e-9) == [1]
 
 
 class TestCameraFiles:

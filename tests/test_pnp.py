@@ -11,7 +11,7 @@ the same P3P candidates in the same order, and the same RANSAC results.
 """
 
 import math
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -39,7 +39,13 @@ from semloc.pnp import (
 )
 
 import pnp_oracle
-from conftest import default_intrinsics, random_pose, rodrigues, synthetic_correspondences
+from conftest import (
+    default_intrinsics,
+    patched_ransac_rule,
+    random_pose,
+    rodrigues,
+    synthetic_correspondences,
+)
 
 
 def _pose_matches(sol, pose, tol_m=1e-6, tol_deg=1e-6):
@@ -394,7 +400,6 @@ class TestBatchedDrawer:
         # random triples, a third of them near-collinear in the world and a
         # third with pixels close to the minimum span
         rng = np.random.default_rng(62)
-        cfg = RansacConfig()
         m = 3000
         points = rng.normal(size=(m, 3, 3))
         t = rng.uniform(-1, 1, size=(m // 3, 1))
@@ -403,8 +408,9 @@ class TestBatchedDrawer:
         pixels = rng.uniform(0, 640, size=(m, 3, 2))
         pixels[m // 3: 2 * m // 3] = pixels[m // 3: 2 * m // 3, :1] + rng.uniform(
             -6, 6, size=(m // 3, 3, 2))
-        got = _degenerate_samples(points, pixels, cfg)
-        expected = [pnp_oracle.sample_is_degenerate(points[i], pixels[i], cfg) for i in range(m)]
+        got = _degenerate_samples(points, pixels)
+        expected = [pnp_oracle.sample_is_degenerate(points[i], pixels[i], pnp._MIN_PIXEL_SPAN_PX)
+                    for i in range(m)]
         assert got.tolist() == expected
         assert 0.2 < got.mean() < 0.8
 
@@ -423,10 +429,11 @@ def _assert_same_result(a, b):
 class TestChunkedRansacMatchesSequential:
     """The chunked loop against the one-hypothesis-per-iteration oracle."""
 
-    def _compare(self, corrs, cfg, weights=None):
+    def _compare(self, corrs, cfg, weights=None, adaptive=True, span_px=pnp._MIN_PIXEL_SPAN_PX):
         K = default_intrinsics()
-        a = _ransac_pnp(corrs, K, cfg, weights)
-        b = pnp_oracle.ransac_pnp(corrs, K, cfg, weights)
+        with patched_ransac_rule(fixed_budget=not adaptive, span_px=span_px):
+            a = _ransac_pnp(corrs, K, cfg, weights)
+        b = pnp_oracle.ransac_pnp(corrs, K, cfg, weights, adaptive=adaptive, span_px=span_px)
         _assert_same_result(a, b)
         return a
 
@@ -474,8 +481,8 @@ class TestChunkedRansacMatchesSequential:
         K = default_intrinsics()
         corrs = synthetic_correspondences(rng, K, random_pose(rng), 40, outlier_frac=0.3,
                                           pixel_noise=0.5)
-        cfg = RansacConfig(min_inliers=6, seed=5, max_iterations=150, adaptive_stopping=False)
-        assert self._compare(corrs, cfg).iterations_used == 150
+        cfg = RansacConfig(min_inliers=6, seed=5, max_iterations=150)
+        assert self._compare(corrs, cfg, adaptive=False).iterations_used == 150
 
     def test_every_attempt_degenerate_returns_none(self):
         # no sample spans the required pixel distance: every draw is
@@ -484,8 +491,8 @@ class TestChunkedRansacMatchesSequential:
         rng = np.random.default_rng(73)
         K = default_intrinsics()
         corrs = synthetic_correspondences(rng, K, random_pose(rng), 20)
-        cfg = RansacConfig(min_inliers=6, seed=6, max_iterations=50, min_pixel_span_px=1e9)
-        assert self._compare(corrs, cfg) is None
+        cfg = RansacConfig(min_inliers=6, seed=6, max_iterations=50)
+        assert self._compare(corrs, cfg, span_px=1e9) is None
 
     def test_partly_degenerate_draws_span_chunks(self):
         # about half of all samples are degenerate, so each 64-draw chunk
@@ -493,12 +500,13 @@ class TestChunkedRansacMatchesSequential:
         rng = np.random.default_rng(74)
         K = default_intrinsics()
         corrs = synthetic_correspondences(rng, K, random_pose(rng), 30, outlier_frac=0.9)
-        cfg = RansacConfig(min_inliers=3, seed=7, max_iterations=400, min_pixel_span_px=400.0)
+        cfg = RansacConfig(min_inliers=3, seed=7, max_iterations=400)
         points, pixels = corrs.points, corrs.pixels
         draws = _draw_minimal_samples(np.random.default_rng(7), np.full(30, 1 / 30), 400)
-        share = _degenerate_samples(points[draws], pixels[draws], cfg).mean()
+        with patched_ransac_rule(span_px=400.0):
+            share = _degenerate_samples(points[draws], pixels[draws]).mean()
         assert 0.3 < share < 0.7
-        self._compare(corrs, cfg)
+        self._compare(corrs, cfg, span_px=400.0)
 
     def test_uniform_weights_match_unweighted_oracle(self):
         rng = np.random.default_rng(75)
@@ -509,9 +517,11 @@ class TestChunkedRansacMatchesSequential:
         self._compare(corrs, RansacConfig(min_inliers=6, seed=8))
 
 
-def _counted_run(monkeypatch, corrs, cfg):
+def _counted_run(monkeypatch, corrs, cfg, adaptive=True, span_px=pnp._MIN_PIXEL_SPAN_PX):
     """Unweighted library result, checked against the oracle's, with the
-    P3P rows it solved and the minimal samples it drew."""
+    P3P rows it solved and the minimal samples it drew; adaptive=False
+    runs a fixed budget of max_iterations, and span_px is the minimum pixel
+    span of a non-degenerate sample."""
     K = default_intrinsics()
     counted = {"rows": 0, "draws": 0}
 
@@ -523,11 +533,12 @@ def _counted_run(monkeypatch, corrs, cfg):
         counted["draws"] += m
         return _draw_minimal_samples(rng, weights, m)
 
-    with monkeypatch.context() as m:
+    rule = patched_ransac_rule(fixed_budget=not adaptive, span_px=span_px)
+    with monkeypatch.context() as m, rule:
         m.setattr(pnp, "_p3p_batch", p3p_batch)
         m.setattr(pnp, "_draw_minimal_samples", draw)
         a = _ransac_pnp(corrs, K, cfg, None)
-    b = pnp_oracle.ransac_pnp(corrs, K, cfg, None)
+    b = pnp_oracle.ransac_pnp(corrs, K, cfg, None, adaptive=adaptive, span_px=span_px)
     _assert_same_result(a, b)
     return a, counted
 
@@ -543,9 +554,8 @@ class TestIterationRule:
         correspondences at the given pixel-span threshold."""
         rng = np.random.default_rng(76)
         corrs = synthetic_correspondences(rng, default_intrinsics(), random_pose(rng), 30)
-        cfg = RansacConfig(min_inliers=3, seed=8, max_iterations=max_iterations,
-                           min_pixel_span_px=span, adaptive_stopping=False)
-        return _counted_run(monkeypatch, corrs, cfg)
+        cfg = RansacConfig(min_inliers=3, seed=8, max_iterations=max_iterations)
+        return _counted_run(monkeypatch, corrs, cfg, adaptive=False, span_px=span)
 
     def test_degenerate_draws_do_not_count(self, monkeypatch):
         # about 92% of the draws are degenerate; every iteration still
@@ -592,8 +602,8 @@ class TestMinInliersBound:
         assert counted["rows"] == 52 and counted["draws"] == 64
 
     def test_without_adaptive_stopping_runs_max_iterations(self, monkeypatch):
-        cfg = RansacConfig(min_inliers=20, seed=9, max_iterations=300, adaptive_stopping=False)
-        sol, counted = _counted_run(monkeypatch, self._doomed(), cfg)
+        cfg = RansacConfig(min_inliers=20, seed=9, max_iterations=300)
+        sol, counted = _counted_run(monkeypatch, self._doomed(), cfg, adaptive=False)
         assert sol is None
         assert counted["rows"] == 300
 
@@ -616,8 +626,7 @@ class TestMinInliersBound:
 
         def run(max_iterations, adaptive):
             return _counted_run(monkeypatch, corrs, RansacConfig(
-                min_inliers=6, seed=50, max_iterations=max_iterations,
-                adaptive_stopping=adaptive))
+                min_inliers=6, seed=50, max_iterations=max_iterations), adaptive=adaptive)
 
         assert run(bound, False)[0] is None
         late = run(4 * bound, False)[0]
@@ -756,9 +765,10 @@ class TestContaminationMini:
             weighted = replace(corrs, weights=weights)
             uniform = replace(corrs, weights=np.full(len(corrs), 1.0 / len(corrs)))
             cfg = RansacConfig(min_inliers=12, seed=900 + t, max_iterations=200,
-                               adaptive_stopping=False, inlier_threshold_px=2.0)
-            sw = weighted_ransac_pnp(weighted, K, cfg)
-            su = weighted_ransac_pnp(uniform, K, cfg)
+                               inlier_threshold_px=2.0)
+            with patched_ransac_rule(fixed_budget=True):
+                sw = weighted_ransac_pnp(weighted, K, cfg)
+                su = weighted_ransac_pnp(uniform, K, cfg)
             w_ok += sw is not None and np.linalg.norm(sw.pose.center - pose.center) < 0.05
             u_ok += su is not None and np.linalg.norm(su.pose.center - pose.center) < 0.05
         assert w_ok > u_ok
@@ -776,3 +786,12 @@ class TestRansacConfigValidation:
         with pytest.raises(ValueError, match="min_inliers"):
             RansacConfig(min_inliers=2)
         assert RansacConfig(min_inliers=3).min_inliers == 3
+
+    def test_stopping_rule_and_pixel_span_are_not_options(self):
+        # every run uses both stopping bounds and the module's 10 px span
+        assert [f.name for f in fields(RansacConfig)] == [
+            "inlier_threshold_px", "max_iterations", "confidence", "min_inliers", "seed"]
+        with pytest.raises(TypeError):
+            RansacConfig(adaptive_stopping=False)
+        with pytest.raises(TypeError):
+            RansacConfig(min_pixel_span_px=1.0)
