@@ -24,11 +24,11 @@ print(f"scene: {len(spec.planes)} planes, {len(ds.db_records)} database cameras,
       f"{spec.intrinsics.width}x{spec.intrinsics.height} px")
 
 # ── depth filtering on one image ─────────────────────────────────────────
-neighbors = select_filter_neighbors(ds.db_records, count=4)
+neighbors = select_filter_neighbors(ds.db_records)  # the 4 nearest camera centers
 rec = ds.db_records[5]
 by_id = {r.image_id: r for r in ds.db_records}
 nbs = [by_id[i] for i in neighbors[rec.image_id]]
-cfg = DepthFilterConfig(tau=0.01, min_consistent_neighbors=1)
+cfg = DepthFilterConfig(tau=0.01)  # a depth survives when one neighbor confirms it
 filtered = filter_depth_map(rec, nbs, cfg)
 print(f"\n{rec.image_id}: neighbors {neighbors[rec.image_id]}")
 print(f"  valid depths {int((rec.depth > 0).sum())} -> {int((filtered > 0).sum())} "

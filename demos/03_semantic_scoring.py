@@ -14,7 +14,7 @@ import numpy as np
 from semloc.config import PipelineConfig
 from semloc.geometry import RigidPose
 from semloc.pipeline import build_map
-from semloc.scoring import VisibilityGateConfig, gate_visible, semantic_consistency_score
+from semloc.scoring import gate_visible, semantic_consistency_score
 from semloc.synthetic import generate_scene, street_canyon_spec
 
 spec = street_canyon_spec(seed=5, n_db=12, n_queries=1, image_size=(96, 72),
@@ -25,7 +25,6 @@ print(f"dense map: {len(dense_map)} labeled points")
 
 query = ds.queries[0]
 gt = ds.gt_poses[query.image_id]
-gate = VisibilityGateConfig(distance_margin=1.2, angle_margin=0.1)
 
 for axis, name in ((np.array([0.0, 0.0, 1.0]), "down-street (z)"),
                    (np.array([1.0, 0.0, 0.0]), "across-street (x)")):
@@ -33,7 +32,7 @@ for axis, name in ((np.array([0.0, 0.0, 1.0]), "down-street (z)"),
     print(f"{'offset (m)':>12s} {'gated':>7s} {'projected':>10s} {'consistent':>11s}")
     for offset in (0.0, 0.3, 0.6, 1.0, 1.5, 2.0):
         pose = RigidPose(gt.rotation, gt.center + offset * axis)
-        gated = gate_visible(dense_map, pose, gate)
+        gated = gate_visible(dense_map, pose)  # cones widened by 1.2x and 0.1 rad
         s = semantic_consistency_score(gated, pose, query.intrinsics, query.labels)
         print(f"{offset:12.1f} {len(gated):7d} {s.projected:10d} {s.consistent:11d}")
 

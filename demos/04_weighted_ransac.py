@@ -21,7 +21,6 @@ from semloc.pipeline import build_map
 from semloc.pnp import RansacConfig, estimate_temporary_pose, weighted_ransac_pnp
 from semloc.scoring import (
     SemanticScore,
-    VisibilityGateConfig,
     gate_visible,
     normalize_weights,
     semantic_consistency_score,
@@ -81,7 +80,7 @@ for trial in range(trials):
         if temp is None:
             scores.append(SemanticScore(img, 0, 0))
             continue
-        gated = gate_visible(dense_map, temp.pose, VisibilityGateConfig())
+        gated = gate_visible(dense_map, temp.pose)
         scores.append(semantic_consistency_score(gated, temp.pose, K, q_labels, image_id=img))
     if trial == 0:
         for s in scores:

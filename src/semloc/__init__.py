@@ -39,7 +39,6 @@ from .matching import (
 )
 from .scoring import (
     SemanticScore,
-    VisibilityGateConfig,
     gate_visible,
     normalize_weights,
     semantic_consistency_score,

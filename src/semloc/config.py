@@ -1,11 +1,14 @@
 """Pipeline configuration and its key-value file format.
 
 The config file is plain ``key = value`` lines with ``#`` comments.  It
-holds the settings a run varies: the paper's depth filter, fusion, visibility
-gate, retrieval and RANSAC parameters, and the seed.  Constants no run
-varies stay with the code that uses them.  Unknown and repeated keys are
-rejected so typos fail loudly, and every value is range-checked as its line
-is read.
+holds the settings a run varies: the depth filter tolerance, the fusion
+voxel size and unstable classes, the retrieval top-k per condition, the
+RANSAC inlier threshold and iteration caps, and the seed.  Constants no
+run varies stay with the code that uses them: the visibility gate margins,
+the depth filter's neighbor count and required confirmations, the RANSAC
+confidence and both RANSAC stages' min-inliers bounds.  Unknown and
+repeated keys are rejected so typos fail loudly, and every value is
+range-checked as its line is read.
 """
 
 from __future__ import annotations
@@ -15,11 +18,14 @@ from dataclasses import dataclass, replace
 from .formats import DataFormatError, key_value_lines
 from .pnp import RansacConfig
 from .retrieval import RetrievalConfig
-from .scoring import VisibilityGateConfig
-from .semantic_map import (DEFAULT_FILTER_NEIGHBOR_COUNT, DEFAULT_UNSTABLE_CLASS_IDS,
-                           DEFAULT_VOXEL_SIZE, MAX_CLASS_ID, DepthFilterConfig)
+from .semantic_map import (DEFAULT_UNSTABLE_CLASS_IDS, DEFAULT_VOXEL_SIZE, MAX_CLASS_ID,
+                           DepthFilterConfig)
 
 __all__ = ["PipelineConfig", "parse_config_file", "render_config"]
+
+# Inliers a temporary per-retrieved-image pose needs; the final pose needs
+# RansacConfig's own min_inliers.
+_TEMP_MIN_INLIERS = 6
 
 
 @dataclass(frozen=True)
@@ -36,24 +42,16 @@ class PipelineConfig:
     seed: int = 0
     # depth filtering
     depth_filter_tau: float = DepthFilterConfig.tau
-    depth_filter_min_neighbors: int = DepthFilterConfig.min_consistent_neighbors
-    depth_filter_neighbor_count: int = DEFAULT_FILTER_NEIGHBOR_COUNT
     # fusion
     fusion_voxel_size: float = DEFAULT_VOXEL_SIZE
     unstable_classes: frozenset = DEFAULT_UNSTABLE_CLASS_IDS
-    # visibility gate
-    gate_distance_margin: float = VisibilityGateConfig.distance_margin
-    gate_angle_margin: float = VisibilityGateConfig.angle_margin
     # retrieval
     top_k_day: int = RetrievalConfig.top_k
     top_k_night: int = 30
     # RANSAC (final weighted stage)
     ransac_inlier_threshold_px: float = RansacConfig.inlier_threshold_px
-    ransac_confidence: float = RansacConfig.confidence
     ransac_max_iterations: int = RansacConfig.max_iterations
-    ransac_min_inliers: int = RansacConfig.min_inliers
     # RANSAC (temporary per-retrieved-image stage)
-    temp_ransac_min_inliers: int = 6
     temp_ransac_max_iterations: int = RansacConfig.max_iterations
 
     def __post_init__(self) -> None:
@@ -61,12 +59,9 @@ class PipelineConfig:
             raise ValueError("seed must be >= 0")
         if not self.fusion_voxel_size > 0:
             raise ValueError("fusion voxel_size must be positive")
-        if self.depth_filter_neighbor_count < 1:
-            raise ValueError("depth filter neighbor_count must be >= 1")
         if any(not (0 <= i <= MAX_CLASS_ID) for i in self.unstable_classes):
             raise ValueError(f"unstable class ids must lie in 0..{MAX_CLASS_ID}")
         self.depth_filter()
-        self.gate()
         self.final_ransac(0)
         self.temp_ransac(0)
         self.retrieval("day")
@@ -76,31 +71,21 @@ class PipelineConfig:
         return RetrievalConfig(top_k=self.top_k_night if condition == "night" else self.top_k_day)
 
     def depth_filter(self) -> DepthFilterConfig:
-        return DepthFilterConfig(
-            tau=self.depth_filter_tau,
-            min_consistent_neighbors=self.depth_filter_min_neighbors,
-        )
-
-    def gate(self) -> VisibilityGateConfig:
-        return VisibilityGateConfig(
-            distance_margin=self.gate_distance_margin,
-            angle_margin=self.gate_angle_margin,
-        )
+        return DepthFilterConfig(tau=self.depth_filter_tau)
 
     def final_ransac(self, seed: int) -> RansacConfig:
         return RansacConfig(
             inlier_threshold_px=self.ransac_inlier_threshold_px,
             max_iterations=self.ransac_max_iterations,
-            confidence=self.ransac_confidence,
-            min_inliers=self.ransac_min_inliers,
             seed=seed,
         )
 
     def temp_ransac(self, seed: int) -> RansacConfig:
-        return replace(
-            self.final_ransac(seed),
-            min_inliers=self.temp_ransac_min_inliers,
+        return RansacConfig(
+            inlier_threshold_px=self.ransac_inlier_threshold_px,
             max_iterations=self.temp_ransac_max_iterations,
+            min_inliers=_TEMP_MIN_INLIERS,
+            seed=seed,
         )
 
 
@@ -113,19 +98,12 @@ def _class_ids(value: str) -> frozenset:
 _SCALAR_KEYS = {
     "seed": ("seed", int),
     "depth_filter.tau": ("depth_filter_tau", float),
-    "depth_filter.min_consistent_neighbors": ("depth_filter_min_neighbors", int),
-    "depth_filter.neighbor_count": ("depth_filter_neighbor_count", int),
     "fusion.voxel_size": ("fusion_voxel_size", float),
     "map.unstable_classes": ("unstable_classes", _class_ids),
-    "gate.distance_margin": ("gate_distance_margin", float),
-    "gate.angle_margin": ("gate_angle_margin", float),
     "retrieval.top_k_day": ("top_k_day", int),
     "retrieval.top_k_night": ("top_k_night", int),
     "ransac.inlier_threshold_px": ("ransac_inlier_threshold_px", float),
-    "ransac.confidence": ("ransac_confidence", float),
     "ransac.max_iterations": ("ransac_max_iterations", int),
-    "ransac.min_inliers": ("ransac_min_inliers", int),
-    "ransac.temp_min_inliers": ("temp_ransac_min_inliers", int),
     "ransac.temp_max_iterations": ("temp_ransac_max_iterations", int),
 }
 

@@ -93,15 +93,15 @@ class RecallReport:
 def evaluate(
     estimates: Mapping[str, Optional[RigidPose]],
     ground_truth: Mapping[str, RigidPose],
-    buckets: Sequence[ThresholdBucket] | Mapping[str, Sequence[ThresholdBucket]],
-    conditions: Optional[Mapping[str, str]] = None,
+    buckets: Mapping[str, Sequence[ThresholdBucket]],
+    conditions: Mapping[str, str],
 ) -> RecallReport:
     """Pose errors against ground truth, bucketed per condition.
 
-    Every ground-truth query must be listed; estimates may be missing or
-    None (counted as failures).  An estimate for an unknown query id is an
-    error.  ``buckets`` is either one list applied to all conditions or a
-    mapping from condition tag to its bucket list.
+    Every ground-truth query must be listed, in the estimates (which may
+    be missing or None, counted as failures) and in ``conditions``, which
+    maps each query id to its condition tag.  ``buckets`` maps each tag to
+    its bucket list.  An estimate for an unknown query id is an error.
     """
     if len(ground_truth) == 0:
         raise ValueError("ground truth is empty")
@@ -109,23 +109,19 @@ def evaluate(
     if unknown:
         raise ValueError(f"estimates for unknown query ids: {sorted(unknown)}")
 
-    cond = dict(conditions) if conditions is not None else {q: "all" for q in ground_truth}
-    missing_cond = set(ground_truth) - set(cond)
+    missing_cond = set(ground_truth) - set(conditions)
     if missing_cond:
         raise ValueError(f"missing condition tags for: {sorted(missing_cond)}")
 
     by_condition: dict[str, list] = {}
     for qid in ground_truth:
-        by_condition.setdefault(cond[qid], []).append(qid)
+        by_condition.setdefault(conditions[qid], []).append(qid)
 
     groups = []
     for tag in sorted(by_condition):
-        if isinstance(buckets, Mapping):
-            if tag not in buckets:
-                raise ValueError(f"no bucket set for condition {tag!r}")
-            bset = tuple(buckets[tag])
-        else:
-            bset = tuple(buckets)
+        if tag not in buckets:
+            raise ValueError(f"no bucket set for condition {tag!r}")
+        bset = tuple(buckets[tag])
         _check_nested(bset)
 
         qids = sorted(by_condition[tag])

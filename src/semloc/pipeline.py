@@ -61,7 +61,6 @@ def build_map(
         filter_cfg=cfg.depth_filter(),
         voxel_size=cfg.fusion_voxel_size,
         unstable=cfg.unstable_classes,
-        neighbor_count=cfg.depth_filter_neighbor_count,
     )
 
 
@@ -101,7 +100,6 @@ def localize_query(
 
     image_batches = []
     scores = []
-    gate_cfg = cfg.gate()
     for rank, (image_id, _dist) in enumerate(retrieved):
         db = by_id[image_id]
         per_family = []
@@ -125,7 +123,7 @@ def localize_query(
         if temp is None:
             score = SemanticScore(image_id=image_id, consistent=0, projected=0)
         else:
-            gated = gate_visible(dense_map, temp.pose, gate_cfg)
+            gated = gate_visible(dense_map, temp.pose)
             score = semantic_consistency_score(
                 gated, temp.pose, query.intrinsics, query.labels, image_id=image_id
             )

@@ -23,7 +23,7 @@ same best-selection rule and adaptive stopping bound, so a run returns
 what the one-hypothesis-per-iteration loop returns up to rounding.
 
 Every run applies two bounds, both the RANSAC bound of Fischler & Bolles
-(1981) at the configured confidence.  The adaptive bound is taken at the
+(1981) at a fixed confidence of 0.999.  The adaptive bound is taken at the
 inlier ratio of the best model so far: the run stops once it has probably
 drawn an all-inlier sample of that model.  The min-inliers bound is taken
 from the start at the smallest acceptable ratio, min_inliers / n: the run
@@ -66,6 +66,9 @@ _MAX_SAMPLE_ATTEMPTS = 20
 
 # A minimal sample whose pixels span less than this is degenerate.
 _MIN_PIXEL_SPAN_PX = 10.0
+
+# Probability with which both stopping bounds have drawn an all-inlier sample.
+_CONFIDENCE = 0.999
 
 # Gauss-Newton steps that polish each P3P candidate, and refine_pose's
 # Levenberg-Marquardt step cap and relative cost-decrease stop.
@@ -169,27 +172,25 @@ def _newton_polish_roots(x: np.ndarray, A: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class RansacConfig:
-    """RANSAC constants; all logged with results.
+    """RANSAC settings; all logged with results.
 
-    Every run applies both stopping bounds (module docstring) at
-    confidence, and max_iterations caps both.  min_inliers rejects weak
-    consensus (12 for final poses, 6 is a sensible choice for temporary
-    per-retrieved-image poses); it is at least 3, as a P3P model fits its
-    own three sample points.  The 10 px pixel span below which a sample is
-    degenerate is the constant _MIN_PIXEL_SPAN_PX, not a setting.
+    Every run applies both stopping bounds (module docstring), and
+    max_iterations caps both.  min_inliers rejects weak consensus (12 for
+    final poses; the pipeline asks 6 of temporary per-retrieved-image
+    poses); it is at least 3, as a P3P model fits its own three sample
+    points.  The bounds' 0.999 confidence and the 10 px pixel span below
+    which a sample is degenerate are the constants _CONFIDENCE and
+    _MIN_PIXEL_SPAN_PX, not settings.
     """
 
     inlier_threshold_px: float = 8.0
     max_iterations: int = 10000
-    confidence: float = 0.999
     min_inliers: int = 12
     seed: int = 0
 
     def __post_init__(self) -> None:
         if not self.inlier_threshold_px > 0:
             raise ValueError("inlier threshold must be positive")
-        if not (0.0 < self.confidence < 1.0):
-            raise ValueError("confidence must lie in (0, 1)")
         if self.max_iterations < 1:
             raise ValueError("max_iterations must be >= 1")
         if self.min_inliers < 3:
@@ -571,12 +572,12 @@ def _score_hypotheses(
 def _iterations_needed(inliers: int, n: int, cfg: RansacConfig) -> int:
     """Fischler & Bolles' RANSAC bound at inlier ratio inliers / n: the
     iterations after which an all-inlier minimal sample has been drawn with
-    probability cfg.confidence, capped at cfg.max_iterations.  It is 1 at
+    probability _CONFIDENCE, capped at cfg.max_iterations.  It is 1 at
     ratio 1, and the cap when no positive ratio moves 1 - ratio**3 off 1."""
     denom = math.log(max(1e-300, 1.0 - (inliers / n) ** 3))
     if denom >= 0.0:
         return cfg.max_iterations
-    return min(cfg.max_iterations, int(math.ceil(math.log(1.0 - cfg.confidence) / denom)))
+    return min(cfg.max_iterations, int(math.ceil(math.log(1.0 - _CONFIDENCE) / denom)))
 
 
 def _ransac_pnp(

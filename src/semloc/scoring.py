@@ -2,13 +2,13 @@
 
 Given a temporary query pose, map points are first gated by their
 visibility cones: the point must be seen from a distance inside its
-observed range and from a direction inside its observed angle, both with
-configurable margins.  The surviving points are projected into the query
-segmentation and label agreement is counted; the consistent count is the
-semantic consistency score of the retrieved image that produced the
+observed range and from a direction inside its observed angle, both
+widened by fixed margins.  The surviving points are projected into the
+query segmentation and label agreement is counted; the consistent count is
+the semantic consistency score of the retrieved image that produced the
 temporary pose.  Scores then become per-correspondence sampling weights.
 
-No point farther than max(d_max) * distance_margin from the query centre
+No point farther than max(d_max) * _DISTANCE_MARGIN from the query centre
 passes the distance range, so the gate tests only the rows that a radius
 search of the map's k-d tree returns.  The tree is built once per map and
 cached on it.  The radius is padded, the exact tests still decide and the
@@ -32,7 +32,6 @@ from .matching import CorrespondenceBatch
 from .semantic_map import UNLABELED, DenseMap
 
 __all__ = [
-    "VisibilityGateConfig",
     "SemanticScore",
     "gate_visible",
     "semantic_consistency_score",
@@ -40,24 +39,13 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class VisibilityGateConfig:
-    """Margins applied to the per-point visibility cone.
-
-    The distance range becomes [d_min / distance_margin, d_max *
-    distance_margin] and the angle bound theta + angle_margin.  Margins are
-    necessary in practice: fused points seen by a single camera have a
-    zero-angle cone and would otherwise reject every query direction.
-    """
-
-    distance_margin: float = 1.2
-    angle_margin: float = 0.1
-
-    def __post_init__(self) -> None:
-        if self.distance_margin < 1.0:
-            raise ValueError("distance_margin must be >= 1")
-        if self.angle_margin < 0.0:
-            raise ValueError("angle_margin must be >= 0")
+# Margins applied to every visibility cone: the distance range becomes
+# (d_min / _DISTANCE_MARGIN, d_max * _DISTANCE_MARGIN) and the angle bound
+# theta + _ANGLE_MARGIN radians.  Margins are necessary in practice: fused
+# points seen by a single camera have a zero-angle cone and would otherwise
+# reject every query direction.
+_DISTANCE_MARGIN = 1.2
+_ANGLE_MARGIN = 0.1
 
 
 @dataclass(frozen=True)
@@ -82,13 +70,12 @@ class SemanticScore:
 _RADIUS_PAD = 1e-9
 
 
-def gate_visible(
-    dense_map: DenseMap, query_pose: RigidPose, cfg: VisibilityGateConfig
-) -> DenseMap:
+def gate_visible(dense_map: DenseMap, query_pose: RigidPose) -> DenseMap:
     """Sub-map of points whose cones admit the query viewpoint.
 
-    A point passes when d_min/m < ||v|| < d_max*m and the angle between
-    v = C_query - X and the cone bisector v_m is below theta + margin.
+    With m = _DISTANCE_MARGIN, a point passes when d_min/m < ||v|| <
+    d_max*m and the angle between v = C_query - X and the cone bisector v_m
+    is below theta + _ANGLE_MARGIN.
 
     Rows farther than max(d_max) * m from the query centre fail the
     distance test, so only the rows inside that ball, padded by a relative
@@ -97,7 +84,7 @@ def gate_visible(
     tests then decide, so the sub-map holds the same rows in the same order
     as a scan of the whole map.
     """
-    m = cfg.distance_margin
+    m = _DISTANCE_MARGIN
     radius = np.max(dense_map.d_max, initial=0.0) * m * (1.0 + _RADIUS_PAD)
     rows = np.array(
         dense_map.position_tree.query_ball_point(query_pose.center, radius, return_sorted=True),
@@ -110,7 +97,7 @@ def gate_visible(
     cos = np.zeros(len(rows))
     cos[safe] = np.einsum("ij,ij->i", v[safe], dense_map.v_m[rows[safe]]) / dist[safe]
     ang = np.arccos(np.clip(cos, -1.0, 1.0))
-    return dense_map[rows[ok & safe & (ang < dense_map.theta[rows] + cfg.angle_margin)]]
+    return dense_map[rows[ok & safe & (ang < dense_map.theta[rows] + _ANGLE_MARGIN)]]
 
 
 def semantic_consistency_score(

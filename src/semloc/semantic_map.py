@@ -76,6 +76,9 @@ DEFAULT_UNSTABLE_CLASS_IDS = frozenset({10, 11, 12, 13, 14, 15, 16, 17, 18})
 DEFAULT_VOXEL_SIZE = 0.05
 DEFAULT_FILTER_NEIGHBOR_COUNT = 4
 
+# Neighbor views that must confirm a depth for it to survive the filter.
+_MIN_CONSISTENT_NEIGHBORS = 1
+
 
 def label_ids_valid(labels: np.ndarray) -> bool:
     """Whether every label is a class id 0..MAX_CLASS_ID or UNLABELED."""
@@ -142,20 +145,17 @@ class DepthFilterConfig:
     """Relative-tolerance depth consistency check.
 
     A depth survives when |d_r - d_n| / d_n < tau on at least
-    min_consistent_neighbors neighbor views, where d_r is the depth of the
-    back-projected point seen from the neighbor and d_n the neighbor's own
-    stored depth at that pixel.  The absolute value makes the test symmetric;
-    the one-sided form would accept arbitrarily occluded points.
+    _MIN_CONSISTENT_NEIGHBORS (one) neighbor view, where d_r is the depth of
+    the back-projected point seen from the neighbor and d_n the neighbor's
+    own stored depth at that pixel.  The absolute value makes the test
+    symmetric; the one-sided form would accept arbitrarily occluded points.
     """
 
     tau: float = 0.01
-    min_consistent_neighbors: int = 1
 
     def __post_init__(self) -> None:
         if not self.tau > 0:
             raise ValueError("tau must be positive")
-        if self.min_consistent_neighbors < 1:
-            raise ValueError("min_consistent_neighbors must be >= 1")
 
 
 class DenseMap:
@@ -285,7 +285,7 @@ def filter_depth_map(
         support += ok.astype(np.int64)
 
     out = np.zeros_like(target.depth)
-    keep = support >= cfg.min_consistent_neighbors
+    keep = support >= _MIN_CONSISTENT_NEIGHBORS
     out[vy[keep], vx[keep]] = target.depth[vy[keep], vx[keep]]
     return out
 
@@ -345,10 +345,9 @@ def fuse_depth_maps(
 # ── Map building ─────────────────────────────────────────────────────────
 
 
-def select_filter_neighbors(
-    records: Sequence[DatabaseImageRecord], count: int = DEFAULT_FILTER_NEIGHBOR_COUNT
-) -> dict:
-    """Nearest-camera-center neighbor lists (excluding self) for filtering."""
+def select_filter_neighbors(records: Sequence[DatabaseImageRecord]) -> dict:
+    """Nearest-camera-center neighbor lists (excluding self) for filtering,
+    DEFAULT_FILTER_NEIGHBOR_COUNT long or all other records if fewer."""
     if len(records) < 2:
         raise ValueError("need at least 2 database images to select neighbors")
     centers = np.stack([r.pose.center for r in records])
@@ -356,7 +355,7 @@ def select_filter_neighbors(
     for i, rec in enumerate(records):
         d = np.linalg.norm(centers - centers[i], axis=1)
         order = np.argsort(d, kind="stable")
-        picked = [j for j in order if j != i][: min(count, len(records) - 1)]
+        picked = [j for j in order if j != i][:DEFAULT_FILTER_NEIGHBOR_COUNT]
         out[rec.image_id] = [records[j].image_id for j in picked]
     return out
 
@@ -446,7 +445,6 @@ def build_dense_map(
     filter_cfg: DepthFilterConfig = DepthFilterConfig(),
     voxel_size: float = DEFAULT_VOXEL_SIZE,
     unstable: frozenset | set = DEFAULT_UNSTABLE_CLASS_IDS,
-    neighbor_count: int = DEFAULT_FILTER_NEIGHBOR_COUNT,
 ) -> tuple[DenseMap, BuildStats]:
     """Full map build: filter -> fuse -> vote -> cones -> drop unstable.
 
@@ -455,7 +453,7 @@ def build_dense_map(
     stats = BuildStats()
     stats.valid_pixels_before_filter = int(sum((r.depth > 0).sum() for r in records))
 
-    neighbor_ids = select_filter_neighbors(records, neighbor_count)
+    neighbor_ids = select_filter_neighbors(records)
     by_id = {r.image_id: r for r in records}
     filtered = [
         dataclasses.replace(rec, depth=filter_depth_map(

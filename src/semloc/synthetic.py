@@ -405,6 +405,8 @@ def street_canyon_spec(
     """
     if noise_profile not in _PROFILES:
         raise ValueError(f"unknown noise profile {noise_profile!r}")
+    if not 0.0 <= night_fraction <= 1.0:
+        raise ValueError(f"night_fraction must lie in [0, 1], got {night_fraction}")
     prof = _PROFILES[noise_profile]
     w, h = image_size
     K = CameraIntrinsics(fx=1.05 * w, fy=1.05 * w, cx=w / 2.0, cy=h / 2.0, width=w, height=h)
@@ -509,8 +511,9 @@ def parse_scene_spec_file(path, seed: Optional[int] = None) -> SceneSpec:
     """Build a SceneSpec from a small key-value preset file.
 
     Keys left out take the preset function's defaults.  Unknown keys and
-    keys the chosen preset does not take are rejected.  A ``seed`` given
-    here replaces the file's before the preset draws any pose.
+    keys the chosen preset does not take are rejected, and a value the
+    preset refuses fails as a DataFormatError naming the file.  A ``seed``
+    given here replaces the file's before the preset draws any pose.
     """
     values: dict = {}
     lines: dict = {}
@@ -536,4 +539,7 @@ def parse_scene_spec_file(path, seed: Optional[int] = None) -> SceneSpec:
     for key in values:
         if key not in params:
             raise DataFormatError(path, None, f"preset {preset!r} takes no {key!r}", lines[key])
-    return make(**values)
+    try:
+        return make(**values)
+    except ValueError as exc:
+        raise DataFormatError(path, None, f"preset {preset!r}: {exc}") from None

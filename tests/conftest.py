@@ -12,7 +12,7 @@ import math
 import numpy as np
 import pytest
 
-from semloc import pnp
+from semloc import pnp, scoring, semantic_map
 from semloc.geometry import CameraIntrinsics, RigidPose
 from semloc.matching import CorrespondenceBatch
 
@@ -89,6 +89,31 @@ def patched_ransac_rule(fixed_budget=False, span_px=None):
             m.setattr(pnp, "_iterations_needed", lambda inliers, n, cfg: cfg.max_iterations)
         if span_px is not None:
             m.setattr(pnp, "_MIN_PIXEL_SPAN_PX", span_px)
+        yield
+
+
+@contextlib.contextmanager
+def patched_gate_margins(distance=None, angle=None):
+    """Within the block, semloc.scoring gates with the given distance and
+    angle margins in place of the production ones (None keeps one)."""
+    with pytest.MonkeyPatch.context() as m:
+        if distance is not None:
+            m.setattr(scoring, "_DISTANCE_MARGIN", distance)
+        if angle is not None:
+            m.setattr(scoring, "_ANGLE_MARGIN", angle)
+        yield
+
+
+@contextlib.contextmanager
+def patched_depth_filter(neighbor_count=None, min_consistent=None):
+    """Within the block, semloc.semantic_map selects neighbor_count filter
+    neighbors per record and keeps a depth confirmed by min_consistent of
+    them, in place of the production counts (None keeps one)."""
+    with pytest.MonkeyPatch.context() as m:
+        if neighbor_count is not None:
+            m.setattr(semantic_map, "DEFAULT_FILTER_NEIGHBOR_COUNT", neighbor_count)
+        if min_consistent is not None:
+            m.setattr(semantic_map, "_MIN_CONSISTENT_NEIGHBORS", min_consistent)
         yield
 
 

@@ -37,6 +37,7 @@ from semloc.geometry import CameraIntrinsics, RigidPose
 from semloc.matching import CorrespondenceBatch
 from semloc.pnp import (
     PnPSolution,
+    _CONFIDENCE,
     _MAX_SAMPLE_ATTEMPTS,
     _MIN_PIXEL_SPAN_PX,
     RansacConfig,
@@ -317,13 +318,15 @@ def ransac_pnp(
     *,
     adaptive: bool = True,
     span_px: float = _MIN_PIXEL_SPAN_PX,
+    confidence: float = _CONFIDENCE,
 ) -> Optional[PnPSolution]:
     """One hypothesis per iteration: draw a non-degenerate sample (a
     degenerate draw is redrawn and does not count), solve, score, keep the
     best, update the adaptive bound.  The budget starts at the min-inliers
     bound, and a run gives up after _MAX_SAMPLE_ATTEMPTS * max_iterations
     draws.  adaptive=False runs exactly max_iterations; a sample whose
-    pixels span less than span_px is degenerate."""
+    pixels span less than span_px is degenerate; both bounds are taken at
+    the given confidence."""
     n = len(batch)
     if n < cfg.min_inliers:
         return None
@@ -336,7 +339,7 @@ def ransac_pnp(
     best_pose: Optional[RigidPose] = None
     needed = cfg.max_iterations
     if adaptive:
-        needed = max(1, min(needed, ransac_bound(cfg.min_inliers, n, cfg.confidence)))
+        needed = max(1, min(needed, ransac_bound(cfg.min_inliers, n, confidence)))
     it = 0
     draws_left = _MAX_SAMPLE_ATTEMPTS * cfg.max_iterations
     while it < needed and draws_left:
@@ -370,7 +373,7 @@ def ransac_pnp(
                 best_count = count
                 best_err = mean_err
                 if adaptive:
-                    needed = min(needed, max(it, ransac_bound(count, n, cfg.confidence)))
+                    needed = min(needed, max(it, ransac_bound(count, n, confidence)))
 
     if best_pose is None:
         return None

@@ -43,12 +43,12 @@ from semloc.pnp import (
 )
 from semloc.scoring import (
     SemanticScore,
-    VisibilityGateConfig,
     gate_visible,
     normalize_weights,
     semantic_consistency_score,
 )
-from semloc.semantic_map import DenseMap, DepthFilterConfig, filter_depth_map
+from semloc.semantic_map import (_MIN_CONSISTENT_NEIGHBORS, DenseMap, DepthFilterConfig,
+                                 filter_depth_map)
 from semloc.synthetic import (
     generate_scene,
     render_depth_and_labels,
@@ -124,7 +124,7 @@ def test_acceptance_02_rotation_metric_oracle():
 
 def test_acceptance_03_depth_filter_oracle():
     defaults = DepthFilterConfig()
-    assert defaults.tau == 0.01 and defaults.min_consistent_neighbors == 1
+    assert defaults.tau == 0.01 and _MIN_CONSISTENT_NEIGHBORS == 1
     rng = np.random.default_rng(303)
     K = _K(8, 6, f=9.0)
     scenes = 0
@@ -140,7 +140,7 @@ def test_acceptance_03_depth_filter_oracle():
             records.append(_record(f"im{i}", K, pose, depth * noise))
         out = filter_depth_map(records[0], records[1:], defaults)
         oracle = _filter_oracle(records[0], records[1:], defaults.tau,
-                                defaults.min_consistent_neighbors)
+                                _MIN_CONSISTENT_NEIGHBORS)
         assert np.array_equal(out > 0, oracle > 0)
         scenes += 1
     _report(3, "depth-filter oracle equivalence", scenes == 20,
@@ -160,13 +160,12 @@ def test_acceptance_04_semantic_score_oracle():
         dense_map, _ = build_map(ds.db_records, PipelineConfig(fusion_voxel_size=0.2))
         q = ds.queries[0]
         rng = np.random.default_rng(1000 + scene_seed)
-        gate = VisibilityGateConfig()
         for _ in range(20):
             pose = RigidPose(
                 rodrigues(rng.normal(size=3), rng.uniform(0, math.pi)),
                 np.array([rng.uniform(-3, 3), rng.uniform(-4, 0), rng.uniform(0, 16)]),
             )
-            gated = gate_visible(dense_map, pose, gate)
+            gated = gate_visible(dense_map, pose)
             score = semantic_consistency_score(gated, pose, q.intrinsics, q.labels)
             c, p = _score_oracle(gated, pose, q.intrinsics, q.labels)
             exact &= (score.consistent, score.projected) == (c, p)
@@ -225,7 +224,7 @@ def _contamination_trial(spec, dense_map, trial_seed, n_total=80, wrong_frac=0.6
         if temp is None:
             scores.append(SemanticScore(img, 0, 0))
             continue
-        gated = gate_visible(dense_map, temp.pose, VisibilityGateConfig())
+        gated = gate_visible(dense_map, temp.pose)
         scores.append(semantic_consistency_score(gated, temp.pose, K, q_labels, image_id=img))
 
     weighted = normalize_weights(scores, corrs)

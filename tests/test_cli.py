@@ -65,6 +65,14 @@ class TestSynth:
         bad.write_text("preset = canyon\nwarp_factor = 9\n")
         assert main(["synth", str(bad), str(tmp_path / "out")]) == 2
 
+    @pytest.mark.parametrize("bad_line", ["night_fraction = nan", "image_width = 0"])
+    def test_value_the_preset_refuses_names_the_file(self, tmp_path, caplog, bad_line):
+        bad = tmp_path / "scene.txt"
+        bad.write_text(SCENE_SPEC.replace("image_width = 96\n", "") + bad_line + "\n")
+        assert main(["synth", str(bad), str(tmp_path / "out")]) == 2
+        assert f"{bad}: preset 'canyon': " in caplog.text
+        assert not (tmp_path / "out").exists()
+
 
 class TestBuildMap:
     def test_build_and_rerun_identical(self, workspace, tmp_path):
@@ -93,9 +101,13 @@ class TestBuildMap:
         assert not (tmp_path / "m.bin").exists()
 
     # A line build-map must refuse at its own line: a value out of range, or a
-    # value for a per-family match rule, which the config no longer has.
+    # value for a key the config no longer has (a per-family match rule, or a
+    # setting that became a constant, whatever its value).
     BAD_LINES = [(line, "bad value") for line in OUT_OF_RANGE_LINES] + [
-        ("family.corner.ratio = 5", "unknown config key")]
+        (line, "unknown config key") for line in (
+            "family.corner.ratio = 5", "gate.distance_margin = 0.5", "gate.angle_margin = -1",
+            "ransac.confidence = 1.5", "ransac.min_inliers = 0", "ransac.temp_min_inliers = -5",
+            "depth_filter.neighbor_count = 0")]
 
     @pytest.mark.parametrize("bad_line, message", BAD_LINES,
                              ids=[line for line, _ in BAD_LINES])

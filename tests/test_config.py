@@ -2,15 +2,16 @@
 
 import inspect
 import re
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
 
+from semloc import config, pnp, scoring, semantic_map
 from semloc.config import PipelineConfig, parse_config_file, render_config
 from semloc.formats import DataFormatError
 from semloc.pnp import RansacConfig
 from semloc.retrieval import RetrievalConfig
-from semloc.scoring import VisibilityGateConfig
 from semloc.semantic_map import DepthFilterConfig, build_dense_map, select_filter_neighbors
 
 
@@ -24,16 +25,10 @@ class TestParseConfig:
     def test_defaults_without_keys(self, tmp_path):
         cfg = parse_config_file(_write(tmp_path, "# empty\n"))
         assert cfg.depth_filter_tau == 0.01
-        assert cfg.depth_filter_min_neighbors == 1
         assert cfg.top_k_day == 20
         assert cfg.top_k_night == 30
         assert cfg.ransac_inlier_threshold_px == 8.0
-        assert cfg.ransac_confidence == 0.999
         assert cfg.ransac_max_iterations == 10000
-        assert cfg.ransac_min_inliers == 12
-        assert cfg.temp_ransac_min_inliers == 6
-        assert cfg.gate_distance_margin == 1.2
-        assert cfg.gate_angle_margin == 0.1
         assert cfg.fusion_voxel_size == 0.05
         assert cfg.unstable_classes == frozenset({10, 11, 12, 13, 14, 15, 16, 17, 18})
 
@@ -73,8 +68,6 @@ class TestParseConfig:
 
 
 def test_every_scalar_field_has_exactly_one_key():
-    from dataclasses import fields
-
     from semloc.config import _SCALAR_KEYS
 
     keyed = sorted(attr for attr, _cast in _SCALAR_KEYS.values())
@@ -84,29 +77,52 @@ def test_every_scalar_field_has_exactly_one_key():
 
 def test_stage_defaults_have_one_owner():
     # PipelineConfig's defaults are those of the stage types and functions
-    # a direct library call uses
+    # a direct library call uses; the temporary stage differs from the final
+    # one only in its min-inliers constant and its own iteration cap
     cfg = PipelineConfig()
     assert cfg.depth_filter() == DepthFilterConfig()
-    assert cfg.gate() == VisibilityGateConfig()
     assert cfg.retrieval("day") == RetrievalConfig()
     for seed in (0, 7):
         assert cfg.final_ransac(seed) == RansacConfig(seed=seed)
+        assert cfg.temp_ransac(seed) == RansacConfig(min_inliers=config._TEMP_MIN_INLIERS,
+                                                     seed=seed)
     build = inspect.signature(build_dense_map).parameters
+    assert list(build) == ["records", "filter_cfg", "voxel_size", "unstable"]
     assert build["filter_cfg"].default == cfg.depth_filter()
     assert build["voxel_size"].default == cfg.fusion_voxel_size
     assert build["unstable"].default == cfg.unstable_classes
-    assert build["neighbor_count"].default == cfg.depth_filter_neighbor_count
-    neighbors = inspect.signature(select_filter_neighbors).parameters
-    assert neighbors["count"].default == cfg.depth_filter_neighbor_count
+    assert list(inspect.signature(select_filter_neighbors).parameters) == ["records"]
+
+
+def test_constants_keep_the_values_of_the_removed_keys():
+    # settings no run varied are constants where they are used, each with
+    # the default its config key had
+    assert (scoring._DISTANCE_MARGIN, scoring._ANGLE_MARGIN) == (1.2, 0.1)
+    assert semantic_map.DEFAULT_FILTER_NEIGHBOR_COUNT == 4
+    assert semantic_map._MIN_CONSISTENT_NEIGHBORS == 1
+    assert pnp._CONFIDENCE == 0.999
+    assert RansacConfig().min_inliers == 12
+    assert config._TEMP_MIN_INLIERS == 6
+
+
+def test_removed_settings_are_not_fields():
+    assert len(fields(PipelineConfig)) == 9
+    assert len(fields(RansacConfig)) == 4
+    assert [f.name for f in fields(DepthFilterConfig)] == ["tau"]
+    assert not hasattr(scoring, "VisibilityGateConfig")
+    with pytest.raises(TypeError):
+        RansacConfig(confidence=0.999)
+    with pytest.raises(TypeError):
+        DepthFilterConfig(min_consistent_neighbors=1)
 
 
 def test_readme_defaults_are_rendered_lines():
+    # the README's template quotes every rendered setting line, and nothing else
     readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
     paragraph = readme.split("complete template with the defaults:", 1)[1].split("\n\n", 1)[0]
     quoted = re.findall(r"`([a-z_.]+ = [^`]+)`", paragraph)
-    assert len(quoted) == 9
-    rendered = render_config(PipelineConfig()).splitlines()
-    assert [line for line in quoted if line not in rendered] == []
+    rendered = render_config(PipelineConfig()).splitlines()[1:]
+    assert sorted(quoted) == sorted(rendered)
 
 
 def test_errors_name_file_and_line(tmp_path):
@@ -116,13 +132,23 @@ def test_errors_name_file_and_line(tmp_path):
 
 
 # Keys of settings no run varies: constants in the code, or the per-family
-# match rules (every family is matched by mutual nearest neighbors).
+# match rules (every family is matched by mutual nearest neighbors).  A line
+# that once held an out-of-range value, or a NaN that slipped past a range
+# check, now fails as an unknown key at its line like any other.
 REMOVED_KEY_LINES = [
     "ransac.min_pixel_span_px = 10.0",
     "refine.max_iterations = 100",
     "refine.relative_tolerance = 1e-10",
     "family.corner.ratio = 0.9",
     "family.blob.mutual_nn = false",
+    "gate.distance_margin = 0.5",
+    "gate.distance_margin = nan",
+    "gate.angle_margin = -1",
+    "depth_filter.min_consistent_neighbors = 1",
+    "depth_filter.neighbor_count = 0",
+    "ransac.confidence = 1.5",
+    "ransac.min_inliers = 0",
+    "ransac.temp_min_inliers = -5",
 ]
 
 
@@ -136,18 +162,12 @@ def test_removed_keys_are_unknown_at_their_line(tmp_path, line):
 
 # One value outside the range its stage type accepts, per stage check.
 OUT_OF_RANGE_LINES = [
-    "gate.distance_margin = 0.5",
-    "gate.angle_margin = -1",
-    "ransac.confidence = 1.5",
     "ransac.inlier_threshold_px = 0",
     "ransac.temp_max_iterations = 0",
     "retrieval.top_k_day = 0",
     "depth_filter.tau = 0",
-    "ransac.min_inliers = 0",
-    "ransac.temp_min_inliers = -5",
     "seed = -1",
     "fusion.voxel_size = 0",
-    "depth_filter.neighbor_count = 0",
 ]
 
 
@@ -160,8 +180,8 @@ def test_out_of_range_value_fails_at_its_line(tmp_path, bad_line):
 
 
 def test_config_checked_when_built():
-    with pytest.raises(ValueError, match="confidence"):
-        PipelineConfig(ransac_confidence=1.5)
+    with pytest.raises(ValueError, match="inlier threshold"):
+        PipelineConfig(ransac_inlier_threshold_px=0.0)
     with pytest.raises(ValueError, match="top_k"):
         PipelineConfig(top_k_night=0)
     with pytest.raises(ValueError, match="unstable class ids"):
@@ -175,8 +195,8 @@ def test_config_is_frozen():
     with pytest.raises(FrozenInstanceError):
         cfg.seed = 3
     assert replace(cfg, seed=3).seed == 3
-    with pytest.raises(ValueError, match="distance_margin"):
-        replace(cfg, gate_distance_margin=0.5)
+    with pytest.raises(ValueError, match="tau"):
+        replace(cfg, depth_filter_tau=0.0)
 
 
 def test_render_prints_numpy_scalars_as_numbers():

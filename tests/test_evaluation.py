@@ -18,6 +18,12 @@ from semloc.geometry import RigidPose
 from conftest import random_pose, rodrigues
 
 
+def _evaluate_day(estimates, gt, buckets=DAY_BUCKETS):
+    """evaluate with every ground-truth query tagged day and scored on the
+    given buckets."""
+    return evaluate(estimates, gt, {"day": buckets}, conditions={q: "day" for q in gt})
+
+
 def _pose_with_error(gt, pos_err, rot_err_deg, rng):
     axis = rng.normal(size=3)
     direction = rng.normal(size=3)
@@ -30,7 +36,7 @@ class TestEvaluate:
     def test_perfect_estimates(self):
         rng = np.random.default_rng(0)
         gt = {f"q{i}": random_pose(rng) for i in range(5)}
-        report = evaluate(dict(gt), gt, DAY_BUCKETS)
+        report = _evaluate_day(dict(gt), gt)
         assert report.groups[0].percentages == (100.0, 100.0, 100.0)
         assert report.groups[0].failure_ids == ()
 
@@ -39,7 +45,7 @@ class TestEvaluate:
         rng = np.random.default_rng(1)
         gt = {"q0": random_pose(rng)}
         est = {"q0": _pose_with_error(gt["q0"], 0.3, 1.0, rng)}
-        report = evaluate(est, gt, DAY_BUCKETS)
+        report = _evaluate_day(est, gt)
         assert report.groups[0].percentages == (0.0, 100.0, 100.0)
 
     def test_handcrafted_twelve_case_table(self):
@@ -63,7 +69,7 @@ class TestEvaluate:
         gt["q10"] = random_pose(rng)
         est["q10"] = None
         gt["q11"] = random_pose(rng)  # absent from estimates entirely
-        report = evaluate(est, gt, DAY_BUCKETS)
+        report = _evaluate_day(est, gt)
         g = report.groups[0]
         assert g.total == 12
         # hand-computed: 4/12, 6/12, 8/12
@@ -75,20 +81,20 @@ class TestEvaluate:
         gt = {"a": random_pose(rng)}
         # axis-aligned offset: position error is exactly 0.25
         est = {"a": RigidPose(gt["a"].rotation, gt["a"].center + np.array([0.25, 0.0, 0.0]))}
-        report = evaluate(est, gt, DAY_BUCKETS)
+        report = _evaluate_day(est, gt)
         assert report.groups[0].percentages[0] == 100.0
         # orientation boundary: bucket bound set to the exact computed error
         from semloc.geometry import rotation_error_deg
         est2 = {"a": _pose_with_error(gt["a"], 0.0, 2.0, rng)}
         err = rotation_error_deg(gt["a"].rotation, est2["a"].rotation)
         bucket = (ThresholdBucket(0.25, err),)
-        report2 = evaluate(est2, gt, bucket)
+        report2 = _evaluate_day(est2, gt, bucket)
         assert report2.groups[0].percentages[0] == 100.0
 
     def test_missing_estimate_fails_all_buckets(self):
         rng = np.random.default_rng(3)
         gt = {"a": random_pose(rng), "b": random_pose(rng)}
-        report = evaluate({"a": gt["a"]}, gt, DAY_BUCKETS)
+        report = _evaluate_day({"a": gt["a"]}, gt)
         assert report.groups[0].percentages == (50.0, 50.0, 50.0)
         assert report.groups[0].failure_ids == ("b",)
 
@@ -96,20 +102,20 @@ class TestEvaluate:
         rng = np.random.default_rng(4)
         gt = {"a": random_pose(rng)}
         with pytest.raises(ValueError, match="unknown query"):
-            evaluate({"a": gt["a"], "zz": gt["a"]}, gt, DAY_BUCKETS)
+            _evaluate_day({"a": gt["a"], "zz": gt["a"]}, gt)
 
     def test_empty_ground_truth_rejected(self):
         with pytest.raises(ValueError):
-            evaluate({}, {}, DAY_BUCKETS)
+            _evaluate_day({}, {})
 
     def test_permutation_invariance(self):
         rng = np.random.default_rng(5)
         gt = {f"q{i}": random_pose(rng) for i in range(8)}
         est = {q: _pose_with_error(p, rng.uniform(0, 1), rng.uniform(0, 6), rng)
                for q, p in gt.items()}
-        a = evaluate(est, gt, DAY_BUCKETS)
+        a = _evaluate_day(est, gt)
         items = list(est.items())[::-1]
-        b = evaluate(dict(items), dict(list(gt.items())[::-1]), DAY_BUCKETS)
+        b = _evaluate_day(dict(items), dict(list(gt.items())[::-1]))
         assert a.groups[0].percentages == b.groups[0].percentages
 
     def test_condition_grouping(self):
@@ -130,14 +136,14 @@ class TestEvaluate:
         gt = {"a": random_pose(rng)}
         bad = (ThresholdBucket(1.0, 2.0), ThresholdBucket(0.5, 5.0))
         with pytest.raises(ValueError, match="nested"):
-            evaluate(dict(gt), gt, bad)
+            _evaluate_day(dict(gt), gt, bad)
 
     def test_monotone_percentages(self):
         rng = np.random.default_rng(8)
         gt = {f"q{i}": random_pose(rng) for i in range(30)}
         est = {q: _pose_with_error(p, rng.uniform(0, 2), rng.uniform(0, 12), rng)
                for q, p in gt.items()}
-        report = evaluate(est, gt, DAY_BUCKETS)
+        report = _evaluate_day(est, gt)
         p = report.groups[0].percentages
         assert p[0] <= p[1] <= p[2]
 
@@ -146,7 +152,7 @@ class TestRenderAndSerialize:
     def test_render_all_pass(self):
         rng = np.random.default_rng(9)
         gt = {f"q{i}": random_pose(rng) for i in range(4)}
-        text = render_report(evaluate(dict(gt), gt, DAY_BUCKETS))
+        text = render_report(_evaluate_day(dict(gt), gt))
         assert "100.0 / 100.0 / 100.0" in text
 
     def test_render_two_condition_rows(self):
@@ -167,7 +173,7 @@ class TestRenderAndSerialize:
         est = {}
         for i, (q, p) in enumerate(gt.items()):
             est[q] = None if i % 4 == 0 else _pose_with_error(p, rng.uniform(0, 1), rng.uniform(0, 8), rng)
-        report = evaluate(est, gt, DAY_BUCKETS)
+        report = _evaluate_day(est, gt)
         _, json_path = write_report_files(tmp_path / "report", report, render_report(report))
         g = json.loads(json_path.read_text())["groups"][0]
         assert tuple(g["percentages"]) == report.groups[0].percentages

@@ -780,18 +780,19 @@ class TestRansacConfigValidation:
         with pytest.raises(ValueError):
             RansacConfig(inlier_threshold_px=0.0)
         with pytest.raises(ValueError):
-            RansacConfig(confidence=1.0)
-        with pytest.raises(ValueError):
             RansacConfig(max_iterations=0)
         with pytest.raises(ValueError, match="min_inliers"):
             RansacConfig(min_inliers=2)
         assert RansacConfig(min_inliers=3).min_inliers == 3
 
     def test_stopping_rule_and_pixel_span_are_not_options(self):
-        # every run uses both stopping bounds and the module's 10 px span
+        # every run uses both stopping bounds at the module's 0.999
+        # confidence and the module's 10 px span
         assert [f.name for f in fields(RansacConfig)] == [
-            "inlier_threshold_px", "max_iterations", "confidence", "min_inliers", "seed"]
+            "inlier_threshold_px", "max_iterations", "min_inliers", "seed"]
         with pytest.raises(TypeError):
             RansacConfig(adaptive_stopping=False)
         with pytest.raises(TypeError):
             RansacConfig(min_pixel_span_px=1.0)
+        with pytest.raises(TypeError):
+            RansacConfig(confidence=0.99)

@@ -21,27 +21,29 @@ from semloc.geometry import RigidPose
 from semloc.matching import CorrespondenceBatch
 from semloc.scoring import (
     SemanticScore,
-    VisibilityGateConfig,
     gate_visible,
     normalize_weights,
     semantic_consistency_score,
 )
 from semloc.semantic_map import DenseMap, build_dense_map
-from conftest import random_pose, rodrigues
+from conftest import patched_gate_margins, random_pose, rodrigues
 from map_oracle import map_point, same_map
 
+# The gate's distance and angle margins (test_config pins the constants).
+MARGINS = (1.2, 0.1)
 
-def _gate_oracle(point, pose, cfg):
+
+def _gate_oracle(point, pose, distance_margin, angle_margin):
     """Scalar reimplementation of the distance and angle inequalities."""
     v = pose.center - point.position
     norm = math.sqrt(float(v @ v))
     if norm <= 0.0:
         return False
-    if not (point.cone.d_min / cfg.distance_margin < norm < point.cone.d_max * cfg.distance_margin):
+    if not (point.cone.d_min / distance_margin < norm < point.cone.d_max * distance_margin):
         return False
     c = float(v @ point.cone.v_m) / norm
     ang = math.acos(max(-1.0, min(1.0, c)))
-    return ang < point.cone.theta + cfg.angle_margin
+    return ang < point.cone.theta + angle_margin
 
 
 def _score_oracle(dense_map, pose, K, labels):
@@ -67,14 +69,15 @@ def _score_oracle(dense_map, pose, K, labels):
     return consistent, projected
 
 
-def _oracle_mask(dense_map, pose, cfg):
+def _oracle_mask(dense_map, pose, distance_margin, angle_margin):
     return np.array(
-        [_gate_oracle(map_point(dense_map, i), pose, cfg) for i in range(len(dense_map))],
+        [_gate_oracle(map_point(dense_map, i), pose, distance_margin, angle_margin)
+         for i in range(len(dense_map))],
         dtype=bool,
     )
 
 
-def _gated_mask(dense_map, pose, cfg):
+def _gated_mask(dense_map, pose):
     """Rows of dense_map that gate_visible keeps, as a mask.
 
     The gate never reads the support column, so a copy carrying each row's
@@ -85,7 +88,7 @@ def _gated_mask(dense_map, pose, cfg):
         dense_map.theta, dense_map.d_min, dense_map.d_max, np.arange(len(dense_map)),
     )
     mask = np.zeros(len(dense_map), dtype=bool)
-    mask[gate_visible(tagged, pose, cfg).support] = True
+    mask[gate_visible(tagged, pose).support] = True
     return mask
 
 
@@ -119,8 +122,8 @@ def gate_cases(draw):
         center = positions[draw(st.integers(0, n - 1))]
     else:
         center = np.array([draw(coord) for _ in range(3)])
-    cfg = VisibilityGateConfig(draw(st.floats(1.0, 2.0)), draw(st.floats(0.0, 0.5)))
-    return dense_map, _at(center), cfg
+    margins = (draw(st.floats(1.0, 2.0)), draw(st.floats(0.0, 0.5)))
+    return dense_map, _at(center), margins
 
 
 @pytest.fixture(scope="module")
@@ -133,75 +136,75 @@ class TestGateVisible:
     def test_query_at_contributing_camera_passes(self, zero_noise_dataset, built_map):
         # default margins admit the exact database viewpoints
         ds = zero_noise_dataset
-        cfg = VisibilityGateConfig()
         rec = ds.db_records[3]
-        gated = gate_visible(built_map, rec.pose, cfg)
+        gated = gate_visible(built_map, rec.pose)
         assert len(gated) > 0
         # points contributed by this camera pass; verify on a sampled subset
-        mask = _gated_mask(built_map, rec.pose, cfg)
-        oracle = [_gate_oracle(map_point(built_map, i), rec.pose, cfg) for i in range(0, len(built_map), 37)]
+        mask = _gated_mask(built_map, rec.pose)
+        oracle = [_gate_oracle(map_point(built_map, i), rec.pose, *MARGINS) for i in range(0, len(built_map), 37)]
         assert [bool(mask[i]) for i in range(0, len(built_map), 37)] == oracle
 
     def test_far_away_query_rejected(self, built_map):
         far = RigidPose(np.eye(3), np.array([0.0, 0.0, -500.0]))
-        gated = gate_visible(built_map, far, VisibilityGateConfig())
+        gated = gate_visible(built_map, far)
         assert len(gated) == 0
 
     def test_matches_oracle_random_poses(self, built_map):
         rng = np.random.default_rng(21)
-        cfg = VisibilityGateConfig()
         sub = built_map[np.arange(0, len(built_map), 11)]
         for _ in range(12):
             pose = RigidPose(
                 rodrigues(rng.normal(size=3), rng.uniform(0, math.pi)),
                 np.array([rng.uniform(-3, 3), rng.uniform(-3, 0), rng.uniform(0, 18)]),
             )
-            mask = _gated_mask(sub, pose, cfg)
-            oracle = _oracle_mask(sub, pose, cfg)
+            mask = _gated_mask(sub, pose)
+            oracle = _oracle_mask(sub, pose, *MARGINS)
             assert np.array_equal(mask, oracle)
 
     def test_subset_and_margin_monotonicity(self, built_map):
         pose = RigidPose(np.eye(3), np.array([0.3, -1.5, 5.0]))
-        small = _gated_mask(built_map, pose, VisibilityGateConfig(1.05, 0.02))
-        big = _gated_mask(built_map, pose, VisibilityGateConfig(1.5, 0.3))
+        with patched_gate_margins(1.05, 0.02):
+            small = _gated_mask(built_map, pose)
+        with patched_gate_margins(1.5, 0.3):
+            big = _gated_mask(built_map, pose)
         assert not np.any(small & ~big)  # larger margins never remove points
         assert small.sum() <= big.sum() <= len(built_map)
 
     @settings(max_examples=300, deadline=None, derandomize=True, database=None)
     @given(gate_cases())
     def test_random_maps_match_oracle(self, case):
-        dense_map, pose, cfg = case
-        expected = dense_map[_oracle_mask(dense_map, pose, cfg)]
-        assert same_map(gate_visible(dense_map, pose, cfg), expected)
+        dense_map, pose, margins = case
+        expected = dense_map[_oracle_mask(dense_map, pose, *margins)]
+        with patched_gate_margins(*margins):
+            assert same_map(gate_visible(dense_map, pose), expected)
 
     def test_empty_map(self):
         empty = DenseMap(*[np.zeros(0)] * 8)
-        assert len(gate_visible(empty, _at([1.0, 2.0, 3.0]), VisibilityGateConfig())) == 0
+        assert len(gate_visible(empty, _at([1.0, 2.0, 3.0]))) == 0
 
     def test_one_point_map(self):
         # the cone looks along -x from the point, 2 to 4 m out
         one = _map_with_cones(np.zeros((1, 3)), [2.0], [4.0], -np.eye(3)[:1], -np.eye(3)[:1])
-        cfg = VisibilityGateConfig()
-        assert same_map(gate_visible(one, _at([-3.0, 0.0, 0.0]), cfg), one)
-        assert len(gate_visible(one, _at([3.0, 0.0, 0.0]), cfg)) == 0  # behind the cone
-        assert len(gate_visible(one, _at([-6.0, 0.0, 0.0]), cfg)) == 0  # beyond d_max * m
+        assert same_map(gate_visible(one, _at([-3.0, 0.0, 0.0])), one)
+        assert len(gate_visible(one, _at([3.0, 0.0, 0.0]))) == 0  # behind the cone
+        assert len(gate_visible(one, _at([-6.0, 0.0, 0.0]))) == 0  # beyond d_max * m
 
     def test_query_centre_on_map_point(self, built_map):
         # distance 0 has no direction and is rejected; the other rows still
         # gate as the oracle says
         sub = built_map[np.arange(0, len(built_map), 7)]
         pose = _at(sub.positions[5])
-        mask = _gated_mask(sub, pose, VisibilityGateConfig(1.5, 0.5))
+        with patched_gate_margins(1.5, 0.5):
+            mask = _gated_mask(sub, pose)
         assert not mask[5]
         assert mask.any()
-        assert np.array_equal(mask, _oracle_mask(sub, pose, VisibilityGateConfig(1.5, 0.5)))
+        assert np.array_equal(mask, _oracle_mask(sub, pose, 1.5, 0.5))
 
     @pytest.mark.parametrize("m", [1.0, 1.2, 1.7])
     def test_distance_bound_to_the_ulp(self, m):
         # the point with the largest d_max sits on an axis through the query
         # centre, so its distance is exact: one ulp inside d_max * m passes,
         # one ulp outside fails
-        cfg = VisibilityGateConfig(distance_margin=m)
         reach = 9.7 * m
         for step, passes in ((-np.inf, True), (np.inf, False)):
             x = np.nextafter(reach, step)
@@ -209,22 +212,22 @@ class TestGateVisible:
             dense_map = _map_with_cones(
                 positions, [0.5, 0.5, 0.5], [9.7, 3.0, 3.0], -positions, -positions,
             )
-            mask = _gated_mask(dense_map, _at(np.zeros(3)), cfg)
+            with patched_gate_margins(distance=m):
+                mask = _gated_mask(dense_map, _at(np.zeros(3)))
             assert mask.tolist() == [passes, True, True]
-            assert np.array_equal(mask, _oracle_mask(dense_map, _at(np.zeros(3)), cfg))
+            assert np.array_equal(mask, _oracle_mask(dense_map, _at(np.zeros(3)), m, MARGINS[1]))
 
     def test_threads_share_the_lazily_built_tree(self, zero_noise_dataset, built_map):
         # localize_all(threads > 1) gates one map from several threads, and
         # their first calls race to build the map's cached tree
-        cfg = VisibilityGateConfig()
         poses = [rec.pose for rec in zero_noise_dataset.db_records] * 2
-        expected = [gate_visible(built_map, pose, cfg) for pose in poses]
+        expected = [gate_visible(built_map, pose) for pose in poses]
         fresh = built_map[np.arange(len(built_map))]  # a copy with no tree yet
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
             with ThreadPoolExecutor(max_workers=4) as pool:
-                gated = list(pool.map(lambda pose: gate_visible(fresh, pose, cfg), poses))
+                gated = list(pool.map(lambda pose: gate_visible(fresh, pose), poses))
         finally:
             sys.setswitchinterval(interval)
         assert all(same_map(g, e) for g, e in zip(gated, expected))
@@ -232,8 +235,7 @@ class TestGateVisible:
     def test_distant_copy_changes_nothing(self, zero_noise_dataset, built_map):
         # a second canyon farther off than the search radius: the work and
         # the result of a gate stay those of the map the query is in
-        cfg = VisibilityGateConfig()
-        reach = built_map.d_max.max() * cfg.distance_margin
+        reach = built_map.d_max.max() * MARGINS[0]
         extent = np.ptp(built_map.positions, axis=0).max()
         offset = np.array([3.0 * (reach + extent), 0.0, 0.0])
         doubled = DenseMap(
@@ -246,9 +248,9 @@ class TestGateVisible:
         poses = [rec.pose for rec in zero_noise_dataset.db_records[::3]]
         poses += list(zero_noise_dataset.gt_poses.values())[:3]
         for pose in poses:
-            original = gate_visible(built_map, pose, cfg)
+            original = gate_visible(built_map, pose)
             assert len(original) > 0
-            assert same_map(gate_visible(doubled, pose, cfg), original)
+            assert same_map(gate_visible(doubled, pose), original)
 
 
 class TestSemanticConsistencyScore:
@@ -256,7 +258,7 @@ class TestSemanticConsistencyScore:
         ds = zero_noise_dataset
         qid, pose = next(iter(ds.gt_poses.items()))
         q = next(q for q in ds.queries if q.image_id == qid)
-        gated = gate_visible(built_map, pose, VisibilityGateConfig())
+        gated = gate_visible(built_map, pose)
         score = semantic_consistency_score(gated, pose, q.intrinsics, q.labels, image_id="x")
         assert score.projected > 50
         # labels rendered from the same geometry: perfect agreement
@@ -266,7 +268,7 @@ class TestSemanticConsistencyScore:
         ds = zero_noise_dataset
         q = ds.queries[0]
         off = RigidPose(np.eye(3), np.array([0.0, 0.0, 1e5]))
-        gated = gate_visible(built_map, off, VisibilityGateConfig())
+        gated = gate_visible(built_map, off)
         score = semantic_consistency_score(gated, off, q.intrinsics, q.labels)
         assert score.consistent == score.projected == 0
 
@@ -280,7 +282,7 @@ class TestSemanticConsistencyScore:
                 rodrigues(rng.normal(size=3), rng.uniform(0, 0.15)) @ gt.rotation,
                 gt.center + rng.normal(scale=0.5, size=3),
             )
-            gated = gate_visible(built_map, pose, VisibilityGateConfig())
+            gated = gate_visible(built_map, pose)
             score = semantic_consistency_score(gated, pose, q.intrinsics, q.labels)
             c, p = _score_oracle(gated, pose, q.intrinsics, q.labels)
             assert (score.consistent, score.projected) == (c, p)
@@ -290,7 +292,7 @@ class TestSemanticConsistencyScore:
         ds = zero_noise_dataset
         q = ds.queries[0]
         pose = ds.gt_poses[q.image_id]
-        gated = gate_visible(built_map, pose, VisibilityGateConfig())
+        gated = gate_visible(built_map, pose)
         blank = np.full_like(q.labels, 255)
         score = semantic_consistency_score(gated, pose, q.intrinsics, blank)
         assert score.consistent == score.projected == 0
@@ -299,18 +301,17 @@ class TestSemanticConsistencyScore:
         # score at GT >= score displaced by >= 2 m, in at least 95% of trials
         ds = zero_noise_dataset
         rng = np.random.default_rng(24)
-        cfg = VisibilityGateConfig()
         wins = 0
         trials = 100
         for t in range(trials):
             q = ds.queries[t % len(ds.queries)]
             gt = ds.gt_poses[q.image_id]
-            gated = gate_visible(built_map, gt, cfg)
+            gated = gate_visible(built_map, gt)
             s_gt = semantic_consistency_score(gated, gt, q.intrinsics, q.labels).consistent
             offset = rng.normal(size=3)
             offset = offset / np.linalg.norm(offset) * rng.uniform(2.0, 4.0)
             disp = RigidPose(gt.rotation, gt.center + offset)
-            gated_d = gate_visible(built_map, disp, cfg)
+            gated_d = gate_visible(built_map, disp)
             s_d = semantic_consistency_score(gated_d, disp, q.intrinsics, q.labels).consistent
             if s_gt >= s_d:
                 wins += 1
@@ -366,12 +367,6 @@ class TestNormalizeWeights:
 
 
 class TestConfigValidation:
-    def test_margins_validated(self):
-        with pytest.raises(ValueError):
-            VisibilityGateConfig(distance_margin=0.9)
-        with pytest.raises(ValueError):
-            VisibilityGateConfig(angle_margin=-0.1)
-
     def test_score_invariant(self):
         with pytest.raises(ValueError):
             SemanticScore("a", consistent=3, projected=2)

@@ -28,7 +28,7 @@ from semloc.semantic_map import (
 )
 
 from conftest import pinhole_back_project as back_project
-from conftest import rodrigues
+from conftest import patched_depth_filter, rodrigues
 from map_oracle import (
     compute_visibility_cone,
     map_from_points,
@@ -167,7 +167,7 @@ class TestFilterDepthMap:
                 depth = _plane_depth(K, pose, plane_z=6.0)
                 noise = 1.0 + rng.uniform(-0.02, 0.02, size=depth.shape)
                 records.append(_record(f"im{i}", K, pose, depth * noise))
-            cfg = DepthFilterConfig(tau=0.01, min_consistent_neighbors=1)
+            cfg = DepthFilterConfig(tau=0.01)
             out = filter_depth_map(records[0], records[1:], cfg)
             oracle = _filter_oracle(records[0], records[1:], 0.01, 1)
             assert np.array_equal(out > 0, oracle > 0)
@@ -189,7 +189,8 @@ class TestFilterDepthMap:
         p1 = RigidPose(np.eye(3), np.array([0.1, 0.0, 0.0]))
         target = _record("t", K, p0, _plane_depth(K, p0))
         nb = _record("n", K, p1, _plane_depth(K, p1))
-        out = filter_depth_map(target, [nb], DepthFilterConfig(tau=1e18, min_consistent_neighbors=2))
+        with patched_depth_filter(min_consistent=2):
+            out = filter_depth_map(target, [nb], DepthFilterConfig(tau=1e18))
         assert np.all(out == 0.0)
 
     def test_empty_neighbors_rejected(self):
@@ -501,8 +502,8 @@ class TestBuildDenseMap:
         ds = zero_noise_dataset
         records = ds.db_records[:4]
         by_id = {r.image_id: r for r in records}
-        neighbor_ids = select_filter_neighbors(records, count=4)
-        cfg = DepthFilterConfig(tau=0.01, min_consistent_neighbors=1)
+        neighbor_ids = select_filter_neighbors(records)
+        cfg = DepthFilterConfig(tau=0.01)
         filtered = [
             dataclasses.replace(
                 rec,
@@ -546,8 +547,8 @@ class TestBuildDenseMap:
         p1 = RigidPose(np.eye(3), np.array([0.2, 0, 0]))
         records = [_record("a", K, p0, _plane_depth(K, p0)), _record("b", K, p1, _plane_depth(K, p1))]
         # each record has one filter neighbor, so two confirmations never happen
-        cfg = DepthFilterConfig(min_consistent_neighbors=2)
-        dense_map, stats = build_dense_map(records, filter_cfg=cfg, voxel_size=0.1)
+        with patched_depth_filter(min_consistent=2):
+            dense_map, stats = build_dense_map(records, voxel_size=0.1)
         assert len(dense_map) == 0
         assert stats.valid_pixels_before_filter > 0
         assert stats.valid_pixels_after_filter == stats.fused_points == 0
@@ -559,6 +560,7 @@ class TestBuildDenseMap:
                     np.full((K.height, K.width), 1.0))
             for i in range(5)
         ]
-        nbs = select_filter_neighbors(recs, count=2)
+        with patched_depth_filter(neighbor_count=2):
+            nbs = select_filter_neighbors(recs)
         assert nbs["i0"] == ["i1", "i2"]
         assert nbs["i2"] == ["i1", "i3"]

@@ -299,3 +299,17 @@ class TestSceneSpecFile:
             self._parse(tmp_path, "preset = round\n")
         with pytest.raises(DataFormatError, match=r"scene.txt:1: bad value for n_db: 'many'"):
             self._parse(tmp_path, "n_db = many\n")
+
+    @pytest.mark.parametrize("line, message", [
+        ("night_fraction = 1.5", "night_fraction must lie in [0, 1], got 1.5"),
+        ("night_fraction = -0.5", "night_fraction must lie in [0, 1], got -0.5"),
+        ("night_fraction = nan", "night_fraction must lie in [0, 1], got nan"),
+        ("image_width = 0", "focal lengths must be positive, got fx=0.0, fy=0.0"),
+    ])
+    def test_value_the_preset_refuses_names_the_file(self, tmp_path, line, message):
+        from semloc.formats import DataFormatError
+
+        with pytest.raises(DataFormatError) as exc:
+            self._parse(tmp_path, f"n_queries = 4\n{line}\n")
+        assert str(exc.value) == f"{tmp_path / 'scene.txt'}: preset 'canyon': {message}"
+
