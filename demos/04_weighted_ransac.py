@@ -73,10 +73,13 @@ for trial in range(trials):
     corrs = CorrespondenceBatch.concat([good, wrong])
 
     # score each "retrieved image" through its temporary pose
+    images = (("good_img", good), ("wrong_img", wrong))
+    temps = estimate_temporary_pose(
+        [sub for _, sub in images], K,
+        [RansacConfig(inlier_threshold_px=2.0, min_inliers=6, seed=trial * 7 + len(img))
+         for img, _ in images])
     scores = []
-    for img, sub in (("good_img", good), ("wrong_img", wrong)):
-        temp = estimate_temporary_pose(sub, K, RansacConfig(
-            inlier_threshold_px=2.0, min_inliers=6, seed=trial * 7 + len(img)))
+    for (img, _), temp in zip(images, temps):
         if temp is None:
             scores.append(SemanticScore(img, 0, 0))
             continue

@@ -4,12 +4,17 @@ temporary poses, semantic scoring, weighted RANSAC, and refinement.
 Per query the flow is:
 
   1. retrieve the top-k database images (k per condition tag),
-  2. per retrieved image and family, match descriptors and lift the
-     matches through the image's depth map to 2D-3D correspondences,
-  3. estimate a temporary pose per retrieved image (plain RANSAC) and
-     score it by semantic consistency against the query segmentation,
-  4. pool all correspondences, turn scores into sampling weights,
-  5. run the weighted RANSAC-PnP and refine the winner on its inliers.
+  2. score the retrieved images in three steps:
+     a. for every image and family, match descriptors and lift the
+        matches through the image's depth map to 2D-3D correspondences;
+     b. estimate every image's temporary pose (plain RANSAC) in one
+        estimate_temporary_pose call, whose per-image runs advance in
+        lockstep and each return what they would alone;
+     c. in rank order, gate the dense map by each image's temporary pose
+        and score it by semantic consistency against the query
+        segmentation,
+  3. pool all correspondences, turn scores into sampling weights,
+  4. run the weighted RANSAC-PnP and refine the winner on its inliers.
 
 Every stage is deterministic: per-query and per-retrieved-image RANSAC
 seeds are derived from the master seed with numpy SeedSequences, so a run
@@ -98,9 +103,9 @@ def localize_query(
         "images": {},
     }
 
+    # a. Match and lift every retrieved image.
     image_batches = []
-    scores = []
-    for rank, (image_id, _dist) in enumerate(retrieved):
+    for image_id, _dist in retrieved:
         db = by_id[image_id]
         per_family = []
         match_counts = {}
@@ -116,10 +121,17 @@ def localize_query(
                 "dropped_oob": lifted.dropped_out_of_bounds,
                 "dropped_invalid_depth": lifted.dropped_invalid_depth,
             }
-        image_corrs = CorrespondenceBatch.concat(per_family)
+        image_batches.append(CorrespondenceBatch.concat(per_family))
+        diagnostics["images"][image_id] = match_counts
 
-        temp_seed = _query_seed(cfg.seed, query_index, stage=1000 + rank)
-        temp = estimate_temporary_pose(image_corrs, query.intrinsics, cfg.temp_ransac(temp_seed))
+    # b. One temporary-pose call runs every image's RANSAC in lockstep.
+    temp_cfgs = [cfg.temp_ransac(_query_seed(cfg.seed, query_index, stage=1000 + rank))
+                 for rank in range(len(retrieved))]
+    temps = estimate_temporary_pose(image_batches, query.intrinsics, temp_cfgs)
+
+    # c. Gate and score each image in rank order.
+    scores = []
+    for (image_id, _dist), image_corrs, temp in zip(retrieved, image_batches, temps):
         if temp is None:
             score = SemanticScore(image_id=image_id, consistent=0, projected=0)
         else:
@@ -128,16 +140,14 @@ def localize_query(
                 gated, temp.pose, query.intrinsics, query.labels, image_id=image_id
             )
         scores.append(score)
-        diagnostics["images"][image_id] = {
-            **match_counts,
+        diagnostics["images"][image_id].update({
             "correspondences": len(image_corrs),
             "temporary_pose": temp is not None,
             "temp_inliers": 0 if temp is None else temp.num_inliers,
             "temp_iterations": 0 if temp is None else temp.iterations_used,
             "score_consistent": score.consistent,
             "score_projected": score.projected,
-        }
-        image_batches.append(image_corrs)
+        })
 
     pooled = CorrespondenceBatch.concat(image_batches)
     if len(pooled) < 4:

@@ -22,6 +22,14 @@ time would take them, and the iterations are replayed in order with the
 same best-selection rule and adaptive stopping bound, so a run returns
 what the one-hypothesis-per-iteration loop returns up to rounding.
 
+Independent runs advance in lockstep rounds: estimate_temporary_pose runs
+every retrieved image of a query together.  In a round each live run draws
+one chunk from its own generator, one degeneracy check and one P3P solve
+cover every run's samples, and each run scores and replays its own
+candidates.  A row of the P3P batch gets bitwise the candidates it gets
+alone, and no run's draws or scoring see another run, so each run returns
+bitwise what it returns when run alone.
+
 Every run applies two bounds, both the RANSAC bound of Fischler & Bolles
 (1981) at a fixed confidence of 0.999.  The adaptive bound is taken at the
 inlier ratio of the best model so far: the run stops once it has probably
@@ -37,7 +45,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -580,61 +588,55 @@ def _iterations_needed(inliers: int, n: int, cfg: RansacConfig) -> int:
     return min(cfg.max_iterations, int(math.ceil(math.log(1.0 - _CONFIDENCE) / denom)))
 
 
-def _ransac_pnp(
-    batch: CorrespondenceBatch,
-    K: CameraIntrinsics,
-    cfg: RansacConfig,
-    weights: Optional[np.ndarray],
-) -> Optional[PnPSolution]:
-    """RANSAC-PnP evaluated in chunks, decided one draw at a time.
-
-    An iteration is one non-degenerate minimal sample, solved and scored; a
-    degenerate draw is redrawn and does not count, and a run gives up after
-    _MAX_SAMPLE_ATTEMPTS * max_iterations draws.  Each chunk draws up to
-    _CHUNK samples, drops the degenerate ones, solves P3P and scores every
-    candidate of the first needed - it at once, then replays them in draw
-    order with the best-selection rule.  Results are those of the
-    sequential loop up to rounding in the solver; work done for iterations
-    past the stop is discarded.
+class _RansacRun:
+    """One RANSAC run's correspondences, generator, bounds and best model.
 
     needed starts at the min-inliers bound (at least 1) and drops to the
     adaptive bound of each new best model, never below the iterations
-    already run; both come from _iterations_needed.
-    Fewer than min_inliers correspondences return None before any draw.
-    The replay keeps the best candidate's raw R and C, and the one
-    RigidPose is built from them after the loop.
+    already run; both come from _iterations_needed.  The replay keeps the
+    best candidate's raw R and C, and the one RigidPose is built from them
+    when the run ends.
     """
-    n = len(batch)
-    if n < cfg.min_inliers:
-        return None
-    points, pixels = batch.points, batch.pixels
-    bearings = _bearings_from_pixels(pixels, K)
-    w = np.full(n, 1.0 / n) if weights is None else np.asarray(weights, dtype=np.float64)
 
-    rng = np.random.default_rng(cfg.seed)
-    best_count = 0
-    best_err = np.inf
-    best_R: Optional[np.ndarray] = None
-    best_C: Optional[np.ndarray] = None
-    needed = max(1, _iterations_needed(cfg.min_inliers, n, cfg))
-    it = 0
-    draws_left = _MAX_SAMPLE_ATTEMPTS * cfg.max_iterations
-    while it < needed and draws_left:
-        drawn = _draw_minimal_samples(rng, w, min(_CHUNK, draws_left))
-        draws_left -= len(drawn)
-        samples = drawn[~_degenerate_samples(points[drawn], pixels[drawn])][: needed - it]
+    def __init__(self, batch: CorrespondenceBatch, K: CameraIntrinsics, cfg: RansacConfig,
+                 weights: Optional[np.ndarray]) -> None:
+        n = len(batch)
+        self.n = n
+        self.cfg = cfg
+        self.points, self.pixels = batch.points, batch.pixels
+        self.bearings = _bearings_from_pixels(self.pixels, K)
+        self.weights = (np.full(n, 1.0 / n) if weights is None
+                        else np.asarray(weights, dtype=np.float64))
+        self.rng = np.random.default_rng(cfg.seed)
+        self.best_count = 0
+        self.best_err = np.inf
+        self.best_R: Optional[np.ndarray] = None
+        self.best_C: Optional[np.ndarray] = None
+        self.needed = max(1, _iterations_needed(cfg.min_inliers, n, cfg))
+        self.it = 0
+        self.draws_left = _MAX_SAMPLE_ATTEMPTS * cfg.max_iterations
 
-        R, C, valid, _ = _p3p_batch(points[samples], bearings[samples])
+    def draw(self) -> np.ndarray:
+        """This round's chunk of minimal samples, degenerate ones included."""
+        drawn = _draw_minimal_samples(self.rng, self.weights, min(_CHUNK, self.draws_left))
+        self.draws_left -= len(drawn)
+        return drawn
+
+    def replay(self, R: np.ndarray, C: np.ndarray, valid: np.ndarray, K: CameraIntrinsics) -> None:
+        """Score this run's P3P candidates (one row per kept sample, in draw
+        order) and take them one iteration at a time."""
+        cfg = self.cfg
         per_sample = valid.sum(axis=1).tolist()
         R, C = R[valid], C[valid]
-        counts, mean_errs = _score_hypotheses(R, C, points, pixels, K, cfg.inlier_threshold_px)
+        counts, mean_errs = _score_hypotheses(R, C, self.points, self.pixels, K,
+                                              cfg.inlier_threshold_px)
         counts, mean_errs = counts.tolist(), mean_errs.tolist()
 
         cand = 0
         for solved in per_sample:
-            if it >= needed:
+            if self.it >= self.needed:
                 break
-            it += 1
+            self.it += 1
             first = cand
             cand += solved
             for c in range(first, cand):
@@ -642,29 +644,77 @@ def _ransac_pnp(
                 if count == 0:
                     continue
                 mean_err = mean_errs[c]
-                if count > best_count or (count == best_count and mean_err < best_err):
-                    best_R, best_C = R[c], C[c]
-                    best_count = count
-                    best_err = mean_err
-                    needed = min(needed, max(it, _iterations_needed(count, n, cfg)))
+                if count > self.best_count or (count == self.best_count and mean_err < self.best_err):
+                    self.best_R, self.best_C = R[c], C[c]
+                    self.best_count = count
+                    self.best_err = mean_err
+                    self.needed = min(self.needed,
+                                      max(self.it, _iterations_needed(count, self.n, cfg)))
 
-    if best_R is None:
-        return None
-    # Valid candidates are finite, and any finite matrix orthonormalizes to
-    # a rotation RigidPose accepts.
-    best_pose = RigidPose(*_orthonormalized(best_R, best_C))
-    # Re-verification pass: the returned solution restates its own inliers.
-    res = _reprojection_residuals(best_pose.rotation, best_pose.center, points, pixels, K)
-    err = np.linalg.norm(res.reshape(-1, 2), axis=1)
-    inl = err < cfg.inlier_threshold_px
-    if int(inl.sum()) < cfg.min_inliers:
-        return None
-    return PnPSolution(
-        pose=best_pose,
-        inlier_indices=np.nonzero(inl)[0],
-        mean_reprojection_error_px=float(err[inl].mean()),
-        iterations_used=it,
-    )
+    def solution(self, K: CameraIntrinsics) -> Optional[PnPSolution]:
+        if self.best_R is None:
+            return None
+        # Valid candidates are finite, and any finite matrix orthonormalizes
+        # to a rotation RigidPose accepts.
+        best_pose = RigidPose(*_orthonormalized(self.best_R, self.best_C))
+        # Re-verification pass: the returned solution restates its own inliers.
+        res = _reprojection_residuals(best_pose.rotation, best_pose.center,
+                                      self.points, self.pixels, K)
+        err = np.linalg.norm(res.reshape(-1, 2), axis=1)
+        inl = err < self.cfg.inlier_threshold_px
+        if int(inl.sum()) < self.cfg.min_inliers:
+            return None
+        return PnPSolution(
+            pose=best_pose,
+            inlier_indices=np.nonzero(inl)[0],
+            mean_reprojection_error_px=float(err[inl].mean()),
+            iterations_used=self.it,
+        )
+
+
+def _ransac_pnp(
+    runs: Sequence[tuple[CorrespondenceBatch, RansacConfig, Optional[np.ndarray]]],
+    K: CameraIntrinsics,
+) -> list[Optional[PnPSolution]]:
+    """Independent RANSAC-PnP runs, given as (batch, cfg, weights) with
+    weights None for uniform sampling, advanced in lockstep rounds; one
+    result per run.
+
+    An iteration is one non-degenerate minimal sample, solved and scored; a
+    degenerate draw is redrawn and does not count, and a run gives up after
+    _MAX_SAMPLE_ATTEMPTS * max_iterations draws.  In each round every live
+    run draws up to _CHUNK samples from its own generator; one
+    _degenerate_samples call checks all of them, each run keeps the first
+    needed - it of its non-degenerate ones, and one _p3p_batch call solves
+    every run's kept samples.  Each run then scores its own candidates
+    against its own correspondences and replays them in draw order with the
+    best-selection rule.  A run's result is the one it gets alone, bitwise:
+    _p3p_batch gives a row the candidates it gets alone, and drawing and
+    scoring stay per run.  Work done for iterations past a run's stop is
+    discarded.  A run with fewer than min_inliers correspondences returns
+    None before any draw.
+    """
+    state = [None if len(batch) < cfg.min_inliers else _RansacRun(batch, K, cfg, weights)
+             for batch, cfg, weights in runs]
+    live = [run for run in state if run is not None]
+    while live := [run for run in live if run.it < run.needed and run.draws_left]:
+        drawn = [run.draw() for run in live]
+        degenerate = _degenerate_samples(
+            np.concatenate([run.points[d] for run, d in zip(live, drawn)]),
+            np.concatenate([run.pixels[d] for run, d in zip(live, drawn)]),
+        )
+        parts = np.split(degenerate, np.cumsum([len(d) for d in drawn[:-1]]))
+        kept = [d[~bad][: run.needed - run.it] for run, d, bad in zip(live, drawn, parts)]
+        R, C, valid, _ = _p3p_batch(
+            np.concatenate([run.points[s] for run, s in zip(live, kept)]),
+            np.concatenate([run.bearings[s] for run, s in zip(live, kept)]),
+        )
+        start = 0
+        for run, samples in zip(live, kept):
+            stop = start + len(samples)
+            run.replay(R[start:stop], C[start:stop], valid[start:stop], K)
+            start = stop
+    return [None if run is None else run.solution(K) for run in state]
 
 
 def _orthonormalized(R: np.ndarray, C: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -674,16 +724,20 @@ def _orthonormalized(R: np.ndarray, C: np.ndarray) -> tuple[np.ndarray, np.ndarr
 
 
 def estimate_temporary_pose(
-    batch: CorrespondenceBatch,
+    batches: Sequence[CorrespondenceBatch],
     K: CameraIntrinsics,
-    cfg: RansacConfig,
-) -> Optional[PnPSolution]:
-    """Plain (uniform-sampling) RANSAC + P3P over one retrieved image's
-    correspondences; None when fewer than 4 correspondences exist or no
-    model reaches min_inliers.  The batch's weights are ignored."""
-    if len(batch) < 4:
-        return None
-    return _ransac_pnp(batch, K, cfg, weights=None)
+    cfgs: Sequence[RansacConfig],
+) -> list[Optional[PnPSolution]]:
+    """Plain (uniform-sampling) RANSAC + P3P over each retrieved image's
+    correspondences, batches[i] under cfgs[i], all runs in one lockstep
+    loop; one result per batch.  A result is None when its batch has fewer
+    than 4 correspondences or no model reaches min_inliers, and equals what
+    the batch gets in a call of its own.  The batches' weights are
+    ignored."""
+    solved = iter(_ransac_pnp(
+        [(batch, cfg, None) for batch, cfg in zip(batches, cfgs, strict=True) if len(batch) >= 4],
+        K))
+    return [next(solved) if len(batch) >= 4 else None for batch in batches]
 
 
 def weighted_ransac_pnp(
@@ -703,7 +757,7 @@ def weighted_ransac_pnp(
     total = batch.weights.sum()
     if abs(total - 1.0) > 1e-6:
         raise ValueError(f"weights must sum to 1, got {total!r}")
-    return _ransac_pnp(batch, K, cfg, weights=batch.weights)
+    return _ransac_pnp([(batch, cfg, batch.weights)], K)[0]
 
 
 # ── Refinement ───────────────────────────────────────────────────────────

@@ -512,8 +512,9 @@ def parse_scene_spec_file(path, seed: Optional[int] = None) -> SceneSpec:
 
     Keys left out take the preset function's defaults.  Unknown keys and
     keys the chosen preset does not take are rejected, and a value the
-    preset refuses fails as a DataFormatError naming the file.  A ``seed``
-    given here replaces the file's before the preset draws any pose.
+    preset or SceneSpec.validate refuses fails as a DataFormatError naming
+    the file.  A ``seed`` given here replaces the file's before the preset
+    draws any pose.
     """
     values: dict = {}
     lines: dict = {}
@@ -540,6 +541,8 @@ def parse_scene_spec_file(path, seed: Optional[int] = None) -> SceneSpec:
         if key not in params:
             raise DataFormatError(path, None, f"preset {preset!r} takes no {key!r}", lines[key])
     try:
-        return make(**values)
+        spec = make(**values)
+        spec.validate()
     except ValueError as exc:
         raise DataFormatError(path, None, f"preset {preset!r}: {exc}") from None
+    return spec

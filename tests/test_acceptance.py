@@ -216,11 +216,13 @@ def _contamination_trial(spec, dense_map, trial_seed, n_total=80, wrong_frac=0.6
                                 ["wrong_img"] * n_wrong, ["corner"] * n_wrong)
     corrs = CorrespondenceBatch.concat([good, wrong])
 
+    images = (("good_img", good), ("wrong_img", wrong))
+    temps = estimate_temporary_pose(
+        [sub for _, sub in images], K,
+        [RansacConfig(inlier_threshold_px=thr, min_inliers=6, seed=trial_seed * 7 + len(img),
+                      max_iterations=500) for img, _ in images])
     scores = []
-    for img, sub in (("good_img", good), ("wrong_img", wrong)):
-        temp = estimate_temporary_pose(
-            sub, K, RansacConfig(inlier_threshold_px=thr, min_inliers=6,
-                                 seed=trial_seed * 7 + len(img), max_iterations=500))
+    for (img, _), temp in zip(images, temps):
         if temp is None:
             scores.append(SemanticScore(img, 0, 0))
             continue
@@ -370,7 +372,7 @@ def test_acceptance_08_refinement():
     for t in range(trials):
         gt = random_pose(rng)
         trial_corrs = synthetic_correspondences(rng, K, gt, 100, pixel_noise=1.0)
-        sol = estimate_temporary_pose(trial_corrs, K, RansacConfig(min_inliers=6, seed=t))
+        sol = estimate_temporary_pose([trial_corrs], K, [RansacConfig(min_inliers=6, seed=t)])[0]
         pts = trial_corrs.points[sol.inlier_indices]
         pix = trial_corrs.pixels[sol.inlier_indices]
         r0 = _reprojection_residuals(sol.pose.rotation, sol.pose.center, pts, pix, K)

@@ -73,6 +73,15 @@ class TestSynth:
         assert f"{bad}: preset 'canyon': " in caplog.text
         assert not (tmp_path / "out").exists()
 
+    def test_spec_generation_refuses_names_the_file(self, tmp_path, caplog):
+        # the canyon preset takes n_db = 1, but a scene needs two database
+        # cameras
+        bad = tmp_path / "scene.txt"
+        bad.write_text(SCENE_SPEC.replace("n_db = 8\n", "n_db = 1\n"))
+        assert main(["synth", str(bad), str(tmp_path / "out")]) == 2
+        assert f"{bad}: preset 'canyon': need at least 2 database cameras" in caplog.text
+        assert not (tmp_path / "out").exists()
+
 
 class TestBuildMap:
     def test_build_and_rerun_identical(self, workspace, tmp_path):

@@ -5,7 +5,9 @@ import dataclasses
 import numpy as np
 import pytest
 
+from semloc import pipeline, pnp
 from semloc.config import PipelineConfig
+from semloc.formats import write_estimates
 from semloc.geometry import pose_error
 from semloc.pipeline import (
     FAILURE_BAD_DESCRIPTOR,
@@ -157,3 +159,27 @@ class TestLocalization:
         _, stats, _ = small_run
         assert stats.valid_pixels_before_filter >= stats.valid_pixels_after_filter
         assert stats.fused_points >= stats.labeled_points >= stats.stable_points > 0
+
+
+class TestTemporaryPosesInLockstep:
+    def test_outputs_equal_one_call_per_image(self, zero_noise_dataset, small_cfg, small_run,
+                                              monkeypatch, tmp_path):
+        # localize_query makes one temporary-pose call per query; solving
+        # each retrieved image in a call of its own changes no byte
+        ds = zero_noise_dataset
+        dense_map, _, lockstep = small_run
+        calls = []
+
+        def one_call_per_image(batches, K, cfgs):
+            calls.append(len(batches))
+            return [pnp.estimate_temporary_pose([b], K, [c])[0] for b, c in zip(batches, cfgs)]
+
+        monkeypatch.setattr(pipeline, "estimate_temporary_pose", one_call_per_image)
+        separate = localize_all(ds.queries, ds.db_records, dense_map, small_cfg)
+        assert calls == [small_cfg.top_k_day] * len(ds.queries)
+        write_estimates(tmp_path / "lockstep.txt", lockstep)
+        write_estimates(tmp_path / "separate.txt", separate)
+        assert (tmp_path / "lockstep.txt").read_bytes() == (tmp_path / "separate.txt").read_bytes()
+        assert [r.diagnostics for r in lockstep] == [r.diagnostics for r in separate]
+        found = [img["temporary_pose"] for r in lockstep for img in r.diagnostics["images"].values()]
+        assert True in found and False in found

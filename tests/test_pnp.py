@@ -8,6 +8,7 @@ refinement Jacobian is validated against central finite differences.
 The chunked RANSAC is checked against the one-sample-at-a-time oracles in
 pnp_oracle: the same draws and RNG state, the same degeneracy decisions,
 the same P3P candidates in the same order, and the same RANSAC results.
+Runs advanced in lockstep are checked bitwise against each run alone.
 """
 
 import math
@@ -46,6 +47,16 @@ from conftest import (
     rodrigues,
     synthetic_correspondences,
 )
+
+
+def _temporary(corrs, K, cfg):
+    """estimate_temporary_pose on one batch."""
+    return estimate_temporary_pose([corrs], K, [cfg])[0]
+
+
+def _one_run(corrs, K, cfg, weights):
+    """_ransac_pnp with a single run."""
+    return _ransac_pnp([(corrs, cfg, weights)], K)[0]
 
 
 def _pose_matches(sol, pose, tol_m=1e-6, tol_deg=1e-6):
@@ -185,22 +196,27 @@ class TestP3PBatch:
         )
 
     def test_rows_are_independent(self):
-        # a batch gives each row the candidates it gets alone; rejected
-        # rows (collinear, parallel) yield none and do not disturb the rest
+        # a batch gives each row bitwise the candidates it gets alone, at
+        # the size of a lockstep round over a query's retrieved images;
+        # rejected rows (collinear, parallel) yield none and do not disturb
+        # the rest
         rng = np.random.default_rng(30)
         K = default_intrinsics()
         P, f = [], []
-        for _ in range(6):
+        for _ in range(520):
             corrs = synthetic_correspondences(rng, K, random_pose(rng), 3)
             P.append(corrs.points)
             f.append(_bearings_from_pixels(corrs.pixels, K))
         P[2] = np.array([[0.0, 0.0, 5.0], [1.0, 0.0, 5.0], [2.0, 0.0, 5.0]])
         f[4] = np.stack([f[4][0], f[4][0], f[4][2]])
         R, C, valid, status = _p3p_batch(np.array(P), np.array(f))
-        assert status.tolist() == [0, 0, 1, 0, 2, 0]
+        assert status[:6].tolist() == [0, 0, 1, 0, 2, 0]
+        assert np.count_nonzero(status) == 2
         assert not valid[2].any() and not valid[4].any()
-        for h in (0, 1, 3, 5):
-            R1, C1, v1, _ = _p3p_batch(P[h][None], f[h][None])
+        assert valid.any(axis=1).sum() == 518
+        for h in range(len(P)):
+            R1, C1, v1, s1 = _p3p_batch(P[h][None], f[h][None])
+            assert s1[0] == status[h]
             assert np.array_equal(valid[h], v1[0])
             assert np.array_equal(R[h][valid[h]], R1[0][v1[0]])
             assert np.array_equal(C[h][valid[h]], C1[0][v1[0]])
@@ -221,7 +237,7 @@ class TestTemporaryPose:
         K = default_intrinsics()
         pose = random_pose(rng)
         corrs = synthetic_correspondences(rng, K, pose, 20)
-        sol = estimate_temporary_pose(corrs, K, RansacConfig(min_inliers=6, seed=0))
+        sol = _temporary(corrs, K, RansacConfig(min_inliers=6, seed=0))
         assert sol is not None
         assert np.linalg.norm(sol.pose.center - pose.center) < 1e-6
         assert sol.num_inliers == 20
@@ -230,7 +246,7 @@ class TestTemporaryPose:
         rng = np.random.default_rng(7)
         K = default_intrinsics()
         corrs = synthetic_correspondences(rng, K, random_pose(rng), 3)
-        assert estimate_temporary_pose(corrs, K, RansacConfig(seed=0)) is None
+        assert _temporary(corrs, K, RansacConfig(seed=0)) is None
 
     def test_no_consensus_returns_none(self):
         rng = np.random.default_rng(8)
@@ -238,7 +254,7 @@ class TestTemporaryPose:
         pose = random_pose(rng)
         corrs = synthetic_correspondences(rng, K, pose, 30, outlier_frac=1.0)
         cfg = RansacConfig(min_inliers=6, seed=0, max_iterations=300, inlier_threshold_px=2.0)
-        assert estimate_temporary_pose(corrs, K, cfg) is None
+        assert _temporary(corrs, K, cfg) is None
 
     def test_half_outliers_monte_carlo(self):
         # 50% gross outliers, 500 iterations: recovery within 0.01 m in at
@@ -250,7 +266,7 @@ class TestTemporaryPose:
             pose = random_pose(rng)
             corrs = synthetic_correspondences(rng, K, pose, 40, outlier_frac=0.5)
             cfg = RansacConfig(min_inliers=6, seed=1000 + t, max_iterations=500)
-            sol = estimate_temporary_pose(corrs, K, cfg)
+            sol = _temporary(corrs, K, cfg)
             if sol is not None and np.linalg.norm(sol.pose.center - pose.center) < 0.01:
                 ok += 1
         assert ok >= 99
@@ -261,8 +277,8 @@ class TestTemporaryPose:
         pose = random_pose(rng)
         corrs = synthetic_correspondences(rng, K, pose, 30, outlier_frac=0.3, pixel_noise=0.5)
         cfg = RansacConfig(min_inliers=6, seed=77)
-        a = estimate_temporary_pose(corrs, K, cfg)
-        b = estimate_temporary_pose(corrs, K, cfg)
+        a = _temporary(corrs, K, cfg)
+        b = _temporary(corrs, K, cfg)
         assert np.array_equal(a.pose.rotation, b.pose.rotation)
         assert np.array_equal(a.pose.center, b.pose.center)
         assert np.array_equal(a.inlier_indices, b.inlier_indices)
@@ -273,7 +289,7 @@ class TestTemporaryPose:
         pose = random_pose(rng)
         corrs = synthetic_correspondences(rng, K, pose, 50, outlier_frac=0.4, pixel_noise=1.0)
         cfg = RansacConfig(min_inliers=6, seed=5)
-        sol = estimate_temporary_pose(corrs, K, cfg)
+        sol = _temporary(corrs, K, cfg)
         assert sol is not None
         assert sol.num_inliers >= cfg.min_inliers
         errs = []
@@ -300,8 +316,8 @@ class TestTemporaryPose:
             families=list("ccbcbcb"),
         )
         for seed in range(5):
-            sol = estimate_temporary_pose(corrs, K, RansacConfig(min_inliers=4, seed=seed,
-                                                                 max_iterations=100))
+            sol = _temporary(corrs, K, RansacConfig(min_inliers=4, seed=seed,
+                                                    max_iterations=100))
             assert sol is None or sol.num_inliers >= 4
 
 class TestWeightedRansac:
@@ -314,7 +330,7 @@ class TestWeightedRansac:
         corrs = synthetic_correspondences(rng, K, pose, 30, outlier_frac=0.3)
         uniform = replace(corrs, weights=np.full(30, 1 / 30))
         cfg = RansacConfig(min_inliers=6, seed=41)
-        a = estimate_temporary_pose(corrs, K, cfg)
+        a = _temporary(corrs, K, cfg)
         b = weighted_ransac_pnp(uniform, K, cfg)
         assert np.array_equal(a.pose.rotation, b.pose.rotation)
         assert np.array_equal(a.pose.center, b.pose.center)
@@ -432,7 +448,7 @@ class TestChunkedRansacMatchesSequential:
     def _compare(self, corrs, cfg, weights=None, adaptive=True, span_px=pnp._MIN_PIXEL_SPAN_PX):
         K = default_intrinsics()
         with patched_ransac_rule(fixed_budget=not adaptive, span_px=span_px):
-            a = _ransac_pnp(corrs, K, cfg, weights)
+            a = _one_run(corrs, K, cfg, weights)
         b = pnp_oracle.ransac_pnp(corrs, K, cfg, weights, adaptive=adaptive, span_px=span_px)
         _assert_same_result(a, b)
         return a
@@ -453,7 +469,7 @@ class TestChunkedRansacMatchesSequential:
             # ~1e-13 px, so the best-error tie-break between them is decided
             # by the last ulp: compare the count and the error, not the pick.
             cfg = RansacConfig(min_inliers=3, seed=t, max_iterations=300)
-            a = _ransac_pnp(corrs, K, cfg, None)
+            a = _one_run(corrs, K, cfg, None)
             b = pnp_oracle.ransac_pnp(corrs, K, cfg, None)
             assert a.iterations_used == b.iterations_used
             full_budget += b.iterations_used == 300
@@ -537,10 +553,100 @@ def _counted_run(monkeypatch, corrs, cfg, adaptive=True, span_px=pnp._MIN_PIXEL_
     with monkeypatch.context() as m, rule:
         m.setattr(pnp, "_p3p_batch", p3p_batch)
         m.setattr(pnp, "_draw_minimal_samples", draw)
-        a = _ransac_pnp(corrs, K, cfg, None)
+        a = _one_run(corrs, K, cfg, None)
     b = pnp_oracle.ransac_pnp(corrs, K, cfg, None, adaptive=adaptive, span_px=span_px)
     _assert_same_result(a, b)
     return a, counted
+
+
+def _assert_bitwise_equal(a, b):
+    if b is None:
+        assert a is None
+        return
+    assert a is not None
+    assert np.array_equal(a.pose.rotation, b.pose.rotation)
+    assert np.array_equal(a.pose.center, b.pose.center)
+    assert np.array_equal(a.inlier_indices, b.inlier_indices)
+    assert a.iterations_used == b.iterations_used
+    assert a.mean_reprojection_error_px == b.mean_reprojection_error_px
+
+
+def _lockstep_runs():
+    """(batch, cfg, weights) runs of every kind a query's lockstep call
+    meets: a success over two chunks, a doomed wrong-place image with 13
+    outliers, a batch below min_inliers, one below 4 correspondences, one
+    whose pixels all lie within 10 px so that every draw is degenerate
+    while the other runs' draws are not, and a weighted run."""
+    rng = np.random.default_rng(80)
+    K = default_intrinsics()
+    success = synthetic_correspondences(rng, K, random_pose(rng), 40, outlier_frac=0.6,
+                                        pixel_noise=0.5)
+    doomed = synthetic_correspondences(rng, K, random_pose(rng), 13, outlier_frac=1.0)
+    below_min = synthetic_correspondences(rng, K, random_pose(rng), 5)
+    three = synthetic_correspondences(rng, K, random_pose(rng), 3)
+    clustered = synthetic_correspondences(rng, K, random_pose(rng), 20)
+    clustered = replace(clustered, pixels=200.0 + 0.01 * clustered.pixels)  # 6.2 px wide
+    weighted = synthetic_correspondences(rng, K, random_pose(rng), 60, outlier_frac=0.5,
+                                         pixel_noise=0.5)
+    w = rng.uniform(0.0, 1.0, 60)
+    w /= w.sum()
+    temp = dict(min_inliers=6, max_iterations=300)
+    return [
+        (success, RansacConfig(seed=1, **temp), None),
+        (doomed, RansacConfig(seed=2, **temp), None),
+        (below_min, RansacConfig(seed=3, **temp), None),
+        (three, RansacConfig(seed=4, min_inliers=3), None),
+        (clustered, RansacConfig(seed=5, min_inliers=6, max_iterations=10), None),
+        (weighted, RansacConfig(seed=6, max_iterations=1000), w),
+    ]
+
+
+class TestLockstep:
+    """Runs advanced together return bitwise what each returns alone, and
+    every round solves all of its runs' samples in one P3P call."""
+
+    def test_each_run_equals_the_run_alone(self, monkeypatch):
+        K = default_intrinsics()
+        runs = _lockstep_runs()
+        calls = []
+
+        def p3p_batch(P, f):
+            calls.append(len(P))
+            return _p3p_batch(P, f)
+
+        monkeypatch.setattr(pnp, "_p3p_batch", p3p_batch)
+        alone, rounds_alone = [], []
+        for corrs, cfg, w in runs:
+            calls.clear()
+            alone.append(_one_run(corrs, K, cfg, w))
+            rounds_alone.append(len(calls))
+        calls.clear()
+        together = _ransac_pnp(runs, K)
+        assert len(together) == len(runs)
+        for a, b in zip(together, alone):
+            _assert_bitwise_equal(a, b)
+        # the success, the 3-point and the weighted run find models; the
+        # doomed and the clustered runs do not, and the 5-point run draws
+        # nothing
+        assert [s is not None for s in alone] == [True, False, False, True, False, True]
+        assert rounds_alone == [2, 2, 0, 1, 4, 1]
+        # one P3P call per round, each solving every live run's samples
+        assert calls == [64 + 64 + 1 + 0 + 64, 41 + 3, 0, 0]
+
+    def test_temporary_poses_equal_one_call_per_batch(self):
+        K = default_intrinsics()
+        runs = [(corrs, cfg) for corrs, cfg, w in _lockstep_runs() if w is None]
+        together = estimate_temporary_pose([c for c, _ in runs], K, [cfg for _, cfg in runs])
+        assert together[3] is None  # fewer than 4 correspondences
+        for a, (corrs, cfg) in zip(together, runs):
+            _assert_bitwise_equal(a, _temporary(corrs, K, cfg))
+
+    def test_batches_and_configs_must_pair_up(self):
+        K = default_intrinsics()
+        corrs = synthetic_correspondences(np.random.default_rng(81), K, random_pose(
+            np.random.default_rng(82)), 10)
+        with pytest.raises(ValueError, match="zip"):
+            estimate_temporary_pose([corrs, corrs], K, [RansacConfig()])
 
 
 class TestIterationRule:
@@ -680,7 +786,7 @@ class TestRefinePose:
         K = default_intrinsics()
         pose = random_pose(rng)
         corrs = synthetic_correspondences(rng, K, pose, 40)
-        sol = estimate_temporary_pose(corrs, K, RansacConfig(min_inliers=6, seed=0))
+        sol = _temporary(corrs, K, RansacConfig(min_inliers=6, seed=0))
         refined = refine_pose(sol, corrs, K)
         res = _reprojection_residuals(refined.rotation, refined.center,
                                          corrs.points, corrs.pixels, K)
@@ -721,7 +827,7 @@ class TestRefinePose:
         for t in range(trials):
             pose = random_pose(rng)
             corrs = synthetic_correspondences(rng, K, pose, 100, pixel_noise=1.0)
-            sol = estimate_temporary_pose(corrs, K, RansacConfig(min_inliers=6, seed=t))
+            sol = _temporary(corrs, K, RansacConfig(min_inliers=6, seed=t))
             refined = refine_pose(sol, corrs, K)
             before = np.linalg.norm(sol.pose.center - pose.center)
             after = np.linalg.norm(refined.center - pose.center)
@@ -734,7 +840,7 @@ class TestRefinePose:
         for t in range(20):
             pose = random_pose(rng)
             corrs = synthetic_correspondences(rng, K, pose, 50, pixel_noise=2.0)
-            sol = estimate_temporary_pose(corrs, K, RansacConfig(min_inliers=6, seed=t))
+            sol = _temporary(corrs, K, RansacConfig(min_inliers=6, seed=t))
             pts = corrs.points[sol.inlier_indices]
             pix = corrs.pixels[sol.inlier_indices]
             r0 = _reprojection_residuals(sol.pose.rotation, sol.pose.center, pts, pix, K)
