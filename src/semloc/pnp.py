@@ -1,11 +1,12 @@
 """Absolute camera pose from 2D-3D correspondences.
 
-Contents: a three-point minimal solver (direct quartic parametrization of
-the camera position along the feature rays), a plain RANSAC loop for
-per-retrieved-image temporary poses, a weighted RANSAC whose minimal
-samples are drawn with probability proportional to the semantic weights,
-and Levenberg-Marquardt reprojection refinement with the rotation updated
-on its manifold.
+Contents: a batched three-point minimal solver (direct quartic
+parametrization of the camera position along the feature rays) whose
+public form, solve_p3p, polishes every candidate of a stack together by
+Gauss-Newton; a plain RANSAC loop for per-retrieved-image temporary poses;
+a weighted RANSAC whose minimal samples are drawn with probability
+proportional to the semantic weights; and Levenberg-Marquardt reprojection
+refinement with the rotation updated on its manifold.
 
 Weighted and unweighted RANSAC share one code path (the unweighted case
 runs with uniform weights), so equal weights reproduce plain RANSAC draw
@@ -49,7 +50,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .geometry import CameraIntrinsics, RigidPose, pixel_rays, project_points, rotation_about_axis
+from .geometry import CameraIntrinsics, RigidPose, pixel_rays, project_points
 from .matching import CorrespondenceBatch
 
 __all__ = [
@@ -102,15 +103,6 @@ def _norm(v: np.ndarray) -> np.ndarray:
     return np.sqrt(v[..., 0] * v[..., 0] + v[..., 1] * v[..., 1] + v[..., 2] * v[..., 2])
 
 
-def _quartic_roots(coeffs: np.ndarray) -> np.ndarray:
-    """Eigenvalue roots of one quartic (a4..a0), NaN-padded to 4 entries;
-    used only for rows where the closed form in _quartic_roots_batch fails."""
-    roots = np.full(4, np.nan, dtype=complex)
-    found = np.roots(coeffs)
-    roots[: len(found)] = found
-    return roots
-
-
 def _quartic_roots_batch(A: np.ndarray) -> np.ndarray:
     """Closed-form (Ferrari) roots of the quartics in the rows of (H, 5)
     coefficients a4..a0, as (H, 4) complex.
@@ -158,7 +150,9 @@ def _quartic_roots_batch(A: np.ndarray) -> np.ndarray:
     finite = np.isfinite(A).all(axis=1)
     closed_ok = (a4 != 0.0) & (np.abs(w) >= 1e-12) & np.isfinite(roots.view(np.float64)).all(axis=1)
     for h in np.nonzero(finite & ~closed_ok)[0]:
-        roots[h] = _quartic_roots(A[h])
+        found = np.roots(A[h])
+        roots[h] = np.nan
+        roots[h, : len(found)] = found
     roots[~finite] = np.nan
     return roots
 
@@ -389,116 +383,117 @@ def _p3p_batch(
 def _reprojection_residuals(
     R: np.ndarray, C: np.ndarray, points: np.ndarray, pixels: np.ndarray, K: CameraIntrinsics
 ) -> np.ndarray:
-    """Residual vector (2N,); residuals of points at or behind the camera
-    are set to inf."""
+    """Residual vectors (..., 2N) of poses R (..., 3, 3), C (..., 3) over
+    points (..., N, 3) and pixels (..., N, 2); residuals of points at or
+    behind the camera are set to inf."""
     projected, depth = project_points(points, R, C, K)
-    return np.where((depth > 0.0)[:, None], projected - pixels, np.inf).reshape(-1)
+    residuals = np.where((depth > 0.0)[..., None], projected - pixels, np.inf)
+    return residuals.reshape(depth.shape[:-1] + (2 * depth.shape[-1],))
+
+
+def _skew(v: np.ndarray) -> np.ndarray:
+    """Cross-product matrices [v]x (..., 3, 3) of vectors v (..., 3)."""
+    S = np.zeros(v.shape + (3,))
+    S[..., 0, 1], S[..., 0, 2], S[..., 1, 0] = -v[..., 2], v[..., 1], v[..., 2]
+    S[..., 1, 2], S[..., 2, 0], S[..., 2, 1] = -v[..., 0], -v[..., 1], v[..., 0]
+    return S
 
 
 def _pose_jacobian(
     R: np.ndarray, C: np.ndarray, points: np.ndarray, K: CameraIntrinsics
 ) -> np.ndarray:
-    """Jacobian (2N, 6) of reprojection residuals wrt the local pose update
-    [omega, dC]: R <- Exp(omega) @ R, C <- C + dC.  Rows of points behind
-    the camera are zero."""
-    n = len(points)
-    cam = (points - C) @ R.T
-    J = np.zeros((2 * n, 6))
-    front = cam[:, 2] > 0.0
-    z = cam[front, 2]
-    x = cam[front, 0]
-    y = cam[front, 1]
-    # d(res)/d(cam): 2x3 per point.
-    du = np.zeros((front.sum(), 3))
-    dv = np.zeros((front.sum(), 3))
-    du[:, 0] = K.fx / z
-    du[:, 2] = -K.fx * x / (z * z)
-    dv[:, 1] = K.fy / z
-    dv[:, 2] = -K.fy * y / (z * z)
-    # d(cam)/d(omega) = -[cam]x, d(cam)/d(dC) = -R.
+    """Jacobians (..., 2N, 6) of the reprojection residuals of poses
+    R (..., 3, 3), C (..., 3) over points (..., N, 3) wrt the local pose
+    update [omega, dC]: R <- Exp(omega) @ R, C <- C + dC.  Rows of points
+    behind the camera are zero.  A pose's rows are bitwise those it gets alone."""
+    cam = (points - C[..., None, :]) @ np.swapaxes(R, -1, -2)
+    lead = cam.shape[:-1]
+    J = np.zeros(lead + (2, 6))
+    front = cam[..., 2] > 0.0
     p = cam[front]
-    skew = np.zeros((front.sum(), 3, 3))
-    skew[:, 0, 1] = -p[:, 2]
-    skew[:, 0, 2] = p[:, 1]
-    skew[:, 1, 0] = p[:, 2]
-    skew[:, 1, 2] = -p[:, 0]
-    skew[:, 2, 0] = -p[:, 1]
-    skew[:, 2, 1] = p[:, 0]
-    dcam = np.concatenate([-skew, -np.broadcast_to(R, (front.sum(), 3, 3))], axis=2)
-    rows = np.nonzero(front)[0]
-    J[2 * rows, :] = np.einsum("nk,nkj->nj", du, dcam)
-    J[2 * rows + 1, :] = np.einsum("nk,nkj->nj", dv, dcam)
-    return J
+    x, y, z = p[:, 0], p[:, 1], p[:, 2]
+    # d(res)/d(cam): 2x3 per point.
+    du, dv = np.zeros((2, len(p), 3))
+    du[:, 0], du[:, 2] = K.fx / z, -K.fx * x / (z * z)
+    dv[:, 1], dv[:, 2] = K.fy / z, -K.fy * y / (z * z)
+    # d(cam)/d(omega) = -[cam]x, d(cam)/d(dC) = -R.
+    R_rows = np.broadcast_to(R[..., None, :, :], lead + (3, 3))[front]
+    dcam = np.concatenate([-_skew(p), -R_rows], axis=2)
+    J[front, 0] = np.einsum("nk,nkj->nj", du, dcam)
+    J[front, 1] = np.einsum("nk,nkj->nj", dv, dcam)
+    return J.reshape(lead[:-1] + (2 * lead[-1], 6))
 
 
 def _exp_so3(w: np.ndarray) -> np.ndarray:
-    theta = np.linalg.norm(w)
-    if theta < 1e-12:
-        return np.eye(3)
-    return rotation_about_axis(w, theta)
+    """Rodrigues rotations (..., 3, 3) of rotation vectors w (..., 3); the
+    identity below 1e-12 rad."""
+    # As a stacked matmul the angle is bitwise np.linalg.norm of one vector.
+    theta = np.sqrt((w[..., None, :] @ w[..., :, None])[..., 0, 0])
+    small = theta < 1e-12
+    Kx = _skew(w / np.where(small, 1.0, theta)[..., None])
+    R = (np.eye(3) + np.sin(theta)[..., None, None] * Kx
+         + (1.0 - np.cos(theta))[..., None, None] * (Kx @ Kx))
+    R[small] = np.eye(3)
+    return R
 
 
-def _polish_pose(
-    R: np.ndarray,
-    C: np.ndarray,
-    points: np.ndarray,
-    pixels: np.ndarray,
-    K: CameraIntrinsics,
-) -> tuple[np.ndarray, np.ndarray]:
-    """_POLISH_STEPS Gauss-Newton steps on the reprojection of a minimal set;
-    with 6 residuals and 6 parameters this converges to machine precision
-    from any reasonable candidate."""
+def _polish_pose(R: np.ndarray, C: np.ndarray, points: np.ndarray, pixels: np.ndarray,
+                 K: CameraIntrinsics) -> tuple[np.ndarray, np.ndarray]:
+    """_POLISH_STEPS Gauss-Newton steps on the reprojections of M minimal
+    sets at once: R (M, 3, 3), C (M, 3), points (M, 3, 3), pixels (M, 3, 2).
+    A step is one stacked LU solve of the square systems J delta = -res.  A
+    candidate stops where it is once its residuals or Jacobian turn
+    non-finite or its Jacobian is singular (zero LU determinant)."""
+    R, C = R.copy(), C.copy()
+    active = np.ones(len(R), dtype=bool)
     for _ in range(_POLISH_STEPS):
         res = _reprojection_residuals(R, C, points, pixels, K)
-        if not np.all(np.isfinite(res)):
-            return R, C
         J = _pose_jacobian(R, C, points, K)
-        try:
-            delta = np.linalg.lstsq(J, -res, rcond=None)[0]
-        except np.linalg.LinAlgError:
-            return R, C
-        R = _exp_so3(delta[:3]) @ R
-        C = C + delta[3:]
+        active &= np.isfinite(res).all(axis=1) & np.isfinite(J).all(axis=(1, 2))
+        active[active] = np.linalg.det(J[active]) != 0.0
+        step = np.nonzero(active)[0]
+        delta = np.linalg.solve(J[step], -res[step, :, None])[..., 0]
+        R[step] = _exp_so3(delta[:, :3]) @ R[step]
+        C[step] = C[step] + delta[:, 3:]
     return R, C
 
 
-def solve_p3p(points: np.ndarray, K: CameraIntrinsics, pixels: np.ndarray) -> list[RigidPose]:
-    """Camera poses consistent with exactly 3 correspondences: an (3, 3)
-    array of world points and an (3, 2) array of pixels.
+def solve_p3p(points: np.ndarray, K: CameraIntrinsics,
+              pixels: np.ndarray) -> list[list[RigidPose]]:
+    """Camera poses consistent with each of H minimal sets: (H, 3, 3) world
+    points and (H, 3, 2) pixels, exactly 3 correspondences per row.
 
-    Returns 0 to 4 poses; every returned pose reprojects the three points
-    within 1e-6 px (candidates are polished by Gauss-Newton and filtered by
-    that bound).  Raises on collinear world points or parallel rays.
-    """
+    Returns one list of 0 to 4 poses per row, from one _p3p_batch call and
+    one stacked Gauss-Newton polish of every candidate.  A candidate is kept
+    when it reprojects its row's points within 1e-6 px and is not within
+    1e-9 of a pose its row kept before it; a row gets bitwise the poses it
+    gets alone.  Raises, naming the first such row, on collinear world
+    points or parallel rays."""
     points = np.asarray(points, dtype=np.float64)
     pix = np.asarray(pixels, dtype=np.float64)
-    if points.shape != (3, 3) or pix.shape != (3, 2):
-        raise ValueError(f"exactly 3 correspondences required, got points of shape "
+    if points.shape[1:] != (3, 3) or pix.shape != points.shape[:1] + (3, 2):
+        raise ValueError(f"exactly 3 correspondences per row required, got points of shape "
                          f"{points.shape} and pixels of shape {pix.shape}")
-
-    bearings = _bearings_from_pixels(pix, K)
-    R_all, C_all, valid, status = _p3p_batch(points[None], bearings[None])
-    if status[0]:
-        raise ValueError(_P3P_ERRORS[status[0]])
-    out: list[RigidPose] = []
-    for R, C in zip(R_all[0][valid[0]], C_all[0][valid[0]]):
-        R, C = _polish_pose(R, C, points, pix, K)
-        res = _reprojection_residuals(R, C, points, pix, K)
-        if not np.all(np.isfinite(res)):
-            continue
-        err = np.linalg.norm(res.reshape(-1, 2), axis=1)
-        if np.max(err) >= 1e-6:
-            continue
-        # Orthonormality can drift slightly through back-substitution; snap
-        # to the nearest rotation before constructing the pose.
-        pose = RigidPose(*_orthonormalized(R, C))
-        if not any(
-            np.linalg.norm(pose.center - p.center) < 1e-9
-            and np.max(np.abs(pose.rotation - p.rotation)) < 1e-9
-            for p in out
-        ):
-            out.append(pose)
-    return out
+    bearings = _bearings_from_pixels(pix.reshape(-1, 2), K).reshape(points.shape)
+    R, C, valid, status = _p3p_batch(points, bearings)
+    if status.any():
+        h = int(np.flatnonzero(status)[0])
+        raise ValueError(f"{_P3P_ERRORS[status[h]]} (row {h})")
+    row = np.nonzero(valid)[0]
+    R[valid], C[valid] = _polish_pose(R[valid], C[valid], points[row], pix[row], K)
+    res = _reprojection_residuals(R[valid], C[valid], points[row], pix[row], K)
+    kept = valid.copy()
+    kept[valid] = (np.linalg.norm(res.reshape(len(row), 3, 2), axis=2) < 1e-6).all(axis=1)
+    # Back-substitution lets orthonormality drift; snap to the nearest rotation.
+    R[kept] = _orthonormalized(R[kept], C[kept])[0]
+    # Slot by slot, all rows at once: a candidate meets only the poses kept before it.
+    with np.errstate(invalid="ignore"):  # slots not kept may hold inf
+        for i in range(1, R.shape[1]):
+            near = ((np.linalg.norm(C[:, :i] - C[:, i, None], axis=2) < 1e-9)
+                    & (np.abs(R[:, :i] - R[:, i, None]).max(axis=(2, 3)) < 1e-9))
+            kept[:, i] &= ~(near & kept[:, :i]).any(axis=1)
+    return [[RigidPose(R[h, i], C[h, i]) for i in np.flatnonzero(kept[h])]
+            for h in range(len(kept))]
 
 
 # ── RANSAC ───────────────────────────────────────────────────────────────
@@ -718,9 +713,13 @@ def _ransac_pnp(
 
 
 def _orthonormalized(R: np.ndarray, C: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Nearest rotations to finite R (..., 3, 3), through one stacked SVD;
+    C passes through."""
     U, _, Vt = np.linalg.svd(R)
-    Rn = U @ np.diag([1.0, 1.0, np.linalg.det(U @ Vt)]) @ Vt
-    return Rn, C
+    D = np.zeros(U.shape)
+    D[..., 0, 0] = D[..., 1, 1] = 1.0
+    D[..., 2, 2] = np.linalg.det(U @ Vt)
+    return U @ D @ Vt, C
 
 
 def estimate_temporary_pose(

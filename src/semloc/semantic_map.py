@@ -169,6 +169,13 @@ class DenseMap:
     or an index array yields the sub-map of those rows.  The columns are
     read-only views: a k-d tree over the positions is built on first use and
     cached on the map.
+
+    A column whose array already has its dtype is a view of the array passed
+    to the constructor, not a copy, so a caller must not write that array
+    after building the map: the map's points would move under the cached
+    tree.  read_dense_map and build_dense_map pass arrays that no one else
+    holds (a freshly read record array and freshly computed columns), and
+    indexing passes fancy-indexed copies.
     """
 
     def __init__(

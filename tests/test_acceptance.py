@@ -27,7 +27,7 @@ from semloc.formats import (
     write_label_image,
     save_dataset,
 )
-from semloc.geometry import RigidPose, project, rotation_error_deg
+from semloc.geometry import RigidPose, project_points, rotation_error_deg
 from semloc.matching import CorrespondenceBatch, FeatureSet
 from semloc.pipeline import build_map, localize_all
 from semloc.pnp import (
@@ -394,22 +394,24 @@ def test_acceptance_09_p3p_self_consistency():
     rng = np.random.default_rng(909)
     K = default_intrinsics()
     n = 10_000
-    recovered = 0
-    worst_reproj = 0.0
+    centers, points, pixels = [], [], []
     for _ in range(n):
         pose = random_pose(rng)
         corrs = synthetic_correspondences(rng, K, pose, 3)
-        pts, pix = corrs.points, corrs.pixels
-        sols = solve_p3p(pts, K, pixels=pix)
-        found = False
-        for s in sols:
-            for p, z in zip(pts, pix):
-                back = project(p, s, K)
-                assert back is not None
-                worst_reproj = max(worst_reproj, float(np.linalg.norm(back - z)))
-            if np.linalg.norm(s.center - pose.center) < 1e-6:
-                found = True
-        recovered += found
+        centers.append(pose.center)
+        points.append(corrs.points)
+        pixels.append(corrs.pixels)
+    points, pixels = np.array(points), np.array(pixels)
+    sols = solve_p3p(points, K, pixels=pixels)
+    # every returned pose, with the row it was solved for
+    row = np.repeat(np.arange(n), [len(s) for s in sols])
+    R = np.array([s.rotation for row_sols in sols for s in row_sols])
+    C = np.array([s.center for row_sols in sols for s in row_sols])
+    back, depth = project_points(points[row], R, C, K)
+    assert np.all(depth > 0.0)
+    worst_reproj = float(np.linalg.norm(back - pixels[row], axis=2).max())
+    found = np.linalg.norm(C - np.array(centers)[row], axis=1) < 1e-6
+    recovered = len(np.unique(row[found]))
     ok = worst_reproj < 1e-6 and recovered == n
     _report(9, "P3P self-consistency", ok,
             f"max reprojection {worst_reproj:.1e} px, ground truth recovered {recovered}/{n}")

@@ -20,7 +20,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from semloc import pnp
-from semloc.geometry import RigidPose, project, rotation_error_deg
+from semloc.geometry import RigidPose, project, rotation_about_axis, rotation_error_deg
 from semloc.matching import CorrespondenceBatch
 from semloc.pnp import (
     PnPSolution,
@@ -66,14 +66,20 @@ def _pose_matches(sol, pose, tol_m=1e-6, tol_deg=1e-6):
     )
 
 
+def _minimal_sets(rng, K, n):
+    """n random poses and, stacked, one exact 3-point set seen by each."""
+    poses, corrs = [], []
+    for _ in range(n):
+        poses.append(random_pose(rng))
+        corrs.append(synthetic_correspondences(rng, K, poses[-1], 3))
+    return poses, np.array([c.points for c in corrs]), np.array([c.pixels for c in corrs])
+
+
 class TestSolveP3P:
     def test_recovers_forward_synthesized_pose(self):
-        rng = np.random.default_rng(1)
         K = default_intrinsics()
-        for _ in range(100):
-            pose = random_pose(rng)
-            corrs = synthetic_correspondences(rng, K, pose, 3)
-            sols = solve_p3p(corrs.points, K, pixels=corrs.pixels)
+        poses, P, X = _minimal_sets(np.random.default_rng(1), K, 100)
+        for pose, sols in zip(poses, solve_p3p(P, K, pixels=X), strict=True):
             assert any(_pose_matches(s, pose) for s in sols)
 
     def test_collinear_points_rejected(self):
@@ -81,7 +87,20 @@ class TestSolveP3P:
         pts = np.array([[0.0, 0.0, 5.0], [1.0, 0.0, 5.0], [2.0, 0.0, 5.0]])
         pix = np.array([[100.0, 100.0], [200.0, 100.0], [300.0, 100.0]])
         with pytest.raises(ValueError, match="collinear"):
-            solve_p3p(pts, K, pixels=pix)
+            solve_p3p(pts[None], K, pixels=pix[None])
+
+    def test_rejected_row_is_named(self):
+        # a collinear or parallel row raises its rejection reason plus the index
+        # of the first such row
+        K = default_intrinsics()
+        _, P, X = _minimal_sets(np.random.default_rng(4), K, 6)
+        P[3] = [[0.0, 0.0, 5.0], [1.0, 0.0, 5.0], [2.0, 0.0, 5.0]]
+        with pytest.raises(ValueError, match=r"^world points are collinear \(row 3\)$"):
+            solve_p3p(P, K, pixels=X)
+        X[1, 1] = X[1, 0]
+        with pytest.raises(ValueError,
+                           match=r"^degenerate bearing vectors \(parallel rays\) \(row 1\)$"):
+            solve_p3p(P, K, pixels=X)
 
     def test_equilateral_head_on(self):
         # symmetric configuration straight ahead: verified purely by
@@ -94,7 +113,7 @@ class TestSolveP3P:
         ])
         pose = RigidPose.identity()
         pix = np.stack([project(p, pose, K) for p in pts])
-        sols = solve_p3p(pts, K, pixels=pix)
+        [sols] = solve_p3p(pts[None], K, pixels=pix[None])
         assert sols
         for s in sols:
             for p, z in zip(pts, pix):
@@ -103,24 +122,46 @@ class TestSolveP3P:
                 assert np.linalg.norm(back - z) < 1e-9
 
     def test_self_consistency_random(self):
-        rng = np.random.default_rng(2)
         K = default_intrinsics()
-        for _ in range(300):
-            pose = random_pose(rng)
-            corrs = synthetic_correspondences(rng, K, pose, 3)
-            pts, pix = corrs.points, corrs.pixels
-            for s in solve_p3p(pts, K, pixels=pix):
+        _, P, X = _minimal_sets(np.random.default_rng(2), K, 300)
+        for pts, pix, sols in zip(P, X, solve_p3p(P, K, pixels=X), strict=True):
+            for s in sols:
                 for p, z in zip(pts, pix):
                     back = project(p, s, K)
                     assert back is not None
                     assert np.linalg.norm(back - z) < 1e-6
 
+    def test_rows_equal_one_row_calls(self):
+        # the batch's one P3P solve and one stacked polish give each row
+        # bitwise the poses of its own call, the shared-pixel row none
+        K = default_intrinsics()
+        _, P, X = _minimal_sets(np.random.default_rng(5), K, 300)
+        X[7] = [[K.cx, K.cy], [K.cx + 0.75 * K.fx, K.cy], [K.cx + 0.75 * K.fx, K.cy]]
+        P[7] = [[0.0, 0.0, 5.0], [1.0, 0.0, 5.0], [0.0, 1.0, 5.0]]
+        batched = solve_p3p(P, K, pixels=X)
+        assert len(batched) == 300 and batched[7] == []
+        assert sum(map(len, batched)) > 300
+        for h, sols in enumerate(batched):
+            [alone] = solve_p3p(P[h : h + 1], K, pixels=X[h : h + 1])
+            assert len(sols) == len(alone)
+            for s, a in zip(sols, alone):
+                assert s.rotation.tobytes() == a.rotation.tobytes()
+                assert s.center.tobytes() == a.center.tobytes()
+
+    def test_empty_batch(self):
+        K = default_intrinsics()
+        assert solve_p3p(np.zeros((0, 3, 3)), K, pixels=np.zeros((0, 3, 2))) == []
+
     def test_wrong_arity(self):
         K = default_intrinsics()
-        rng = np.random.default_rng(3)
-        corrs = synthetic_correspondences(rng, K, random_pose(rng), 4)
-        with pytest.raises(ValueError, match="exactly 3"):
-            solve_p3p(corrs.points, K, pixels=corrs.pixels)
+        for points_shape, pixels_shape in [
+            ((4, 3), (4, 2)),  # four correspondences
+            ((1, 4, 3), (1, 4, 2)),  # four in a batch
+            ((3, 3), (3, 2)),  # one set without its batch axis
+            ((2, 3, 3), (1, 3, 2)),  # rows do not pair up
+        ]:
+            with pytest.raises(ValueError, match="exactly 3"):
+                solve_p3p(np.ones(points_shape), K, pixels=np.ones(pixels_shape))
 
 
 def _well_conditioned(P, f):
@@ -228,7 +269,35 @@ class TestP3PBatch:
         K = default_intrinsics()
         pix = np.array([[K.cx, K.cy], [K.cx + 0.75 * K.fx, K.cy], [K.cx + 0.75 * K.fx, K.cy]])
         P = np.array([[0.0, 0.0, 5.0], [1.0, 0.0, 5.0], [0.0, 1.0, 5.0]])
-        assert solve_p3p(P, K, pixels=pix) == []
+        assert solve_p3p(P[None], K, pixels=pix[None]) == [[]]
+
+
+class TestQuarticFallback:
+    def test_fallback_rows_equal_np_roots(self, monkeypatch):
+        # rows the closed form cannot take get np.roots, NaN-padded
+        A = np.array([
+            [2.0, -3.0, -3.0, 7.0, 1.0],  # closed form
+            [0.0, 1.0, -3.0, 2.0, 0.0],  # zero leading coefficient: a cubic
+            [1.0, 0.0, 0.0, 0.0, 0.0],  # x^4: the resolvent w vanishes
+            [np.nan] * 5,  # non-finite: no roots
+        ])
+        seen = []
+        roots_of = np.roots
+
+        def spy(coeffs):
+            seen.append(coeffs.tolist())
+            return roots_of(coeffs)
+
+        monkeypatch.setattr(np, "roots", spy)
+        roots = pnp._quartic_roots_batch(A)
+        monkeypatch.undo()
+        assert seen == [A[1].tolist(), A[2].tolist()]
+        for h in (1, 2):
+            found = np.roots(A[h])
+            assert np.array_equal(roots[h, : len(found)], found)
+            assert np.isnan(roots[h, len(found) :]).all()
+        assert np.isnan(roots[3]).all()
+        assert np.allclose(np.sort_complex(roots[0]), np.sort_complex(np.roots(A[0])))
 
 
 class TestTemporaryPose:
@@ -765,19 +834,72 @@ def finite_matrices(draw):
     return R
 
 
+# Singular, rank-deficient and reflected matrices the SVD snap must handle.
+_SPECIAL_MATRICES = [
+    np.zeros((3, 3)),
+    np.outer([1.0, 2.0, 3.0], [4.0, 5.0, 6.0]),
+    np.array([[1.0, 2.0, 3.0], [4.0, 5.0, 6.0], [5.0, 7.0, 9.0]]),
+    np.diag([1.0, 1.0, -1.0]),
+    -np.eye(3),
+]
+
+
 class TestOrthonormalized:
     # _ransac_pnp builds its one RigidPose from a finite P3P candidate with
     # no fallback, so this construction must never raise
     @settings(max_examples=500, deadline=None, derandomize=True, database=None)
     @given(finite_matrices(), st.lists(_finite, min_size=3, max_size=3))
-    @example(np.zeros((3, 3)), [0.0, 0.0, 0.0])
-    @example(np.outer([1.0, 2.0, 3.0], [4.0, 5.0, 6.0]), [1.0, 2.0, 3.0])
-    @example(np.array([[1.0, 2.0, 3.0], [4.0, 5.0, 6.0], [5.0, 7.0, 9.0]]), [0.0, 0.0, 0.0])
-    @example(np.diag([1.0, 1.0, -1.0]), [0.0, 0.0, 0.0])
-    @example(-np.eye(3), [0.0, 0.0, 0.0])
+    @example(_SPECIAL_MATRICES[0], [0.0, 0.0, 0.0])
+    @example(_SPECIAL_MATRICES[1], [1.0, 2.0, 3.0])
+    @example(_SPECIAL_MATRICES[2], [0.0, 0.0, 0.0])
+    @example(_SPECIAL_MATRICES[3], [0.0, 0.0, 0.0])
+    @example(_SPECIAL_MATRICES[4], [0.0, 0.0, 0.0])
     def test_any_finite_matrix_gives_a_valid_pose(self, R, centre):
         pose = RigidPose(*pnp._orthonormalized(R, np.array(centre)))
         assert np.array_equal(pose.center, centre)
+
+    # solve_p3p snaps all its kept candidates in one call
+    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @given(st.lists(finite_matrices(), min_size=1, max_size=8))
+    @example(_SPECIAL_MATRICES)
+    def test_a_stack_equals_each_matrix_alone(self, matrices):
+        stack, _ = pnp._orthonormalized(np.array(matrices), np.zeros((len(matrices), 3)))
+        for R, snapped in zip(matrices, stack, strict=True):
+            assert snapped.tobytes() == pnp._orthonormalized(R, np.zeros(3))[0].tobytes()
+            RigidPose(snapped, np.zeros(3))
+
+
+class TestStackedKernels:
+    # the polish stacks these over every P3P candidate, while refine_pose
+    # calls them at one pose: a stack's rows are bitwise the one-pose calls
+    def test_pose_jacobian(self):
+        rng = np.random.default_rng(40)
+        K = default_intrinsics()
+        R = np.array([random_pose(rng).rotation for _ in range(60)])
+        C = rng.normal(size=(60, 3))
+        P = C[:, None] + rng.normal(scale=4.0, size=(60, 5, 3))
+        J = _pose_jacobian(R, C, P, K)
+        assert J.shape == (60, 10, 6)
+        behind = ((P - C[:, None]) @ R.transpose(0, 2, 1))[..., 2] <= 0.0
+        assert 0 < behind.sum() < behind.size
+        assert np.all(J.reshape(60, 5, 2, 6)[behind] == 0.0)
+        for h in range(60):
+            assert J[h].tobytes() == _pose_jacobian(R[h], C[h], P[h], K).tobytes()
+
+    def test_exp_so3(self):
+        rng = np.random.default_rng(41)
+        w = rng.normal(size=(200, 3)) * 10.0 ** rng.uniform(-13.0, 0.5, size=(200, 1))
+        w[0] = 0.0
+        w[1] = [3e-13, 0.0, 0.0]  # below the 1e-12 rad identity branch
+        E = _exp_so3(w.reshape(4, 50, 3)).reshape(200, 3, 3)
+        assert np.array_equal(E[0], np.eye(3)) and np.array_equal(E[1], np.eye(3))
+        for h in range(200):
+            assert E[h].tobytes() == _exp_so3(w[h]).tobytes()
+        # and one vector's rotation is bitwise geometry's Rodrigues formula
+        for v in w[2:]:
+            theta = np.linalg.norm(v)
+            if theta >= 1e-12:
+                assert _exp_so3(v).tobytes() == rotation_about_axis(v, theta).tobytes()
 
 
 class TestRefinePose:
