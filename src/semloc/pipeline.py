@@ -14,7 +14,11 @@ Per query the flow is:
         and score it by semantic consistency against the query
         segmentation,
   3. pool all correspondences, turn scores into sampling weights,
-  4. run the weighted RANSAC-PnP and refine the winner on its inliers.
+  4. run the weighted RANSAC-PnP, whose samples are drawn by weight and
+     which stops once it has probably drawn an all-inlier sample at the
+     larger of the best model's inlier ratio and its inliers' weight mass,
+     then locally optimize the winner (its inliers re-collected at 2x and
+     1x the inlier threshold) and refine it on its settled inliers.
 
 Every stage is deterministic: per-query and per-retrieved-image RANSAC
 seeds are derived from the master seed with numpy SeedSequences, so a run
@@ -160,8 +164,8 @@ def localize_query(
         )
 
     weighted = normalize_weights(scores, pooled)
-    final_seed = _query_seed(cfg.seed, query_index, stage=1)
-    solution = weighted_ransac_pnp(weighted, query.intrinsics, cfg.final_ransac(final_seed))
+    final_cfg = cfg.final_ransac(_query_seed(cfg.seed, query_index, stage=1))
+    solution = weighted_ransac_pnp(weighted, query.intrinsics, final_cfg)
     if solution is None:
         return LocalizationResult(
             query_id=query.image_id,
@@ -170,7 +174,7 @@ def localize_query(
             failure_reason=FAILURE_NO_CONSENSUS,
             diagnostics=diagnostics,
         )
-    refined = refine_pose(solution, weighted, query.intrinsics)
+    refined = refine_pose(solution, weighted, query.intrinsics, final_cfg.inlier_threshold_px)
     diagnostics["final_inliers"] = solution.num_inliers
     diagnostics["final_mean_error_px"] = solution.mean_reprojection_error_px
     diagnostics["final_iterations"] = solution.iterations_used

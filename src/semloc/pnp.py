@@ -6,12 +6,14 @@ public form, solve_p3p, polishes every candidate of a stack together by
 Gauss-Newton; a plain RANSAC loop for per-retrieved-image temporary poses;
 a weighted RANSAC whose minimal samples are drawn with probability
 proportional to the semantic weights; and Levenberg-Marquardt reprojection
-refinement with the rotation updated on its manifold.
+refinement with the rotation updated on its manifold, after an optional
+local optimization of the RANSAC winner's inlier set.
 
 Weighted and unweighted RANSAC share one code path (the unweighted case
 runs with uniform weights), so equal weights reproduce plain RANSAC draw
 for draw under the same seed.  Inlier counting is never weighted; weights
-only bias hypothesis sampling.
+bias hypothesis sampling and, through the mass bound below, when a run
+stops.
 
 A RANSAC iteration is one non-degenerate minimal sample, solved and
 scored; degenerate draws are redrawn and do not count.  Hypotheses are
@@ -34,12 +36,25 @@ bitwise what it returns when run alone.
 Every run applies two bounds, both the RANSAC bound of Fischler & Bolles
 (1981) at a fixed confidence of 0.999.  The adaptive bound is taken at the
 inlier ratio of the best model so far: the run stops once it has probably
-drawn an all-inlier sample of that model.  The min-inliers bound is taken
-from the start at the smallest acceptable ratio, min_inliers / n: the run
-stops once it has probably shown that no model reaches min_inliers.  A run
-given fewer than min_inliers correspondences draws nothing and returns no
-model.  A sample spanning less than a fixed 10 px is degenerate.  The
-winning candidate becomes a RigidPose once, when the run ends.
+drawn an all-inlier sample of that model.  In a weighted run (weights not
+all equal) a best model with at least min_inliers inliers takes the bound
+at the larger of its inlier ratio and its inlier weight mass, the summed
+sampling weight of its inliers, since that mass, not the ratio, is the
+chance that one draw picks an inlier (guided sampling that stops on its
+prior, as in Tordoff & Murray's Guided-MLESAC, TPAMI 2005).  A model below
+min_inliers never stops a run, however heavy its inliers.  Uniform weights
+keep the count bound exactly.  The min-inliers bound is taken from the
+start at the smallest acceptable ratio, min_inliers / n: the run stops once
+it has probably shown that no model reaches min_inliers.  A run given fewer
+than min_inliers correspondences draws nothing and returns no model.  A
+sample spanning less than a fixed 10 px is degenerate.  The winning
+candidate becomes a RigidPose once, when the run ends.
+
+A run stopped that early may return a model fitted to a noisy sample and
+short of the full consensus.  refine_pose, given the run's inlier
+threshold, locally optimizes it first (LO-RANSAC, Chum, Matas & Kittler,
+DAGM 2003): Gauss-Newton steps on its inliers re-collected at 2x and 1x the
+threshold, none of which may lower the inlier count.
 """
 
 from __future__ import annotations
@@ -84,6 +99,12 @@ _CONFIDENCE = 0.999
 _POLISH_STEPS = 3
 _REFINE_MAX_STEPS = 100
 _REFINE_RELATIVE_TOL = 1e-10
+
+# refine_pose's local optimization of a RANSAC winner: the multiples of the
+# inlier threshold at which its inliers are re-collected, in order, and the
+# Gauss-Newton steps taken on each set.
+_LO_THRESHOLD_FACTORS = (2.0, 1.0)
+_LO_STEPS = 2
 
 # Why _p3p_batch rejects a row (index 0: no rejection).
 _P3P_ERRORS = (None, "world points are collinear", "degenerate bearing vectors (parallel rays)")
@@ -177,12 +198,14 @@ class RansacConfig:
     """RANSAC settings; all logged with results.
 
     Every run applies both stopping bounds (module docstring), and
-    max_iterations caps both.  min_inliers rejects weak consensus (12 for
-    final poses; the pipeline asks 6 of temporary per-retrieved-image
-    poses); it is at least 3, as a P3P model fits its own three sample
-    points.  The bounds' 0.999 confidence and the 10 px pixel span below
-    which a sample is degenerate are the constants _CONFIDENCE and
-    _MIN_PIXEL_SPAN_PX, not settings.
+    max_iterations caps both; a weighted run's adaptive bound follows its
+    best model's inlier weight mass once that model has min_inliers
+    inliers.  min_inliers rejects weak consensus (12 for final poses; the
+    pipeline asks 6 of temporary per-retrieved-image poses); it is at least
+    3, as a P3P model fits its own three sample points.  The bounds' 0.999
+    confidence and the 10 px pixel span below which a sample is degenerate
+    are the constants _CONFIDENCE and _MIN_PIXEL_SPAN_PX, not settings, as
+    are refine_pose's local-optimization factors and steps.
     """
 
     inlier_threshold_px: float = 8.0
@@ -391,6 +414,14 @@ def _reprojection_residuals(
     return residuals.reshape(depth.shape[:-1] + (2 * depth.shape[-1],))
 
 
+def _errors(R: np.ndarray, C: np.ndarray, points: np.ndarray, pixels: np.ndarray,
+            K: CameraIntrinsics) -> tuple[np.ndarray, np.ndarray]:
+    """Residual vector (2N,) of pose R, C over all correspondences and each
+    correspondence's reprojection error (N,), inf at or behind the camera."""
+    res = _reprojection_residuals(R, C, points, pixels, K)
+    return res, np.linalg.norm(res.reshape(-1, 2), axis=1)
+
+
 def _skew(v: np.ndarray) -> np.ndarray:
     """Cross-product matrices [v]x (..., 3, 3) of vectors v (..., 3)."""
     S = np.zeros(v.shape + (3,))
@@ -525,7 +556,11 @@ def _draw_minimal_samples(rng: np.random.Generator, weights: np.ndarray, m: int)
         cum = np.cumsum(W, axis=1)
         # Entries of cum not above r: searchsorted(cum, r, side="right").
         i = (cum <= (u[:, k] * total)[:, None]).sum(axis=1)
-        picks[:, k] = np.minimum(i, n - 1)
+        # r can round up to the last entry of cum (u near 1, or the pairwise
+        # total above the running sum): take the last item still weighted.
+        over = np.nonzero(i == n)[0]
+        i[over] = n - 1 - np.argmax(W[over, ::-1] > 0.0, axis=1)
+        picks[:, k] = i
         W[rows, picks[:, k]] = 0.0
     return picks
 
@@ -559,25 +594,29 @@ def _score_hypotheses(
     pixels: np.ndarray,
     K: CameraIntrinsics,
     threshold: float,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Unweighted inlier count and mean inlier error of M pose hypotheses
-    (R (M, 3, 3), C (M, 3)) over all N correspondences, from one (M, N)
-    reprojection; points at or behind a camera are never inliers."""
+    weights: Optional[np.ndarray],
+) -> tuple[np.ndarray, np.ndarray, Optional[np.ndarray]]:
+    """Unweighted inlier count, mean inlier error and inlier weight mass of
+    M pose hypotheses (R (M, 3, 3), C (M, 3)) over all N correspondences,
+    from one (M, N) reprojection; points at or behind a camera are never
+    inliers.  The mass sums the given (N,) weights over each hypothesis's
+    inliers; it is None when weights is None."""
     projected, _ = project_points(points, R, C, K)
     d = projected - pixels
     err = np.hypot(d[..., 0], d[..., 1])  # NaN, so never an inlier, behind a camera
     inl = err < threshold
     count = inl.sum(axis=1)
     mean_err = np.where(inl, err, 0.0).sum(axis=1) / np.maximum(count, 1)
-    return count, mean_err
+    mass = None if weights is None else np.where(inl, weights, 0.0).sum(axis=1)
+    return count, mean_err, mass
 
 
-def _iterations_needed(inliers: int, n: int, cfg: RansacConfig) -> int:
-    """Fischler & Bolles' RANSAC bound at inlier ratio inliers / n: the
+def _iterations_needed(ratio: float, cfg: RansacConfig) -> int:
+    """Fischler & Bolles' RANSAC bound at inlier ratio (or mass) ratio: the
     iterations after which an all-inlier minimal sample has been drawn with
     probability _CONFIDENCE, capped at cfg.max_iterations.  It is 1 at
     ratio 1, and the cap when no positive ratio moves 1 - ratio**3 off 1."""
-    denom = math.log(max(1e-300, 1.0 - (inliers / n) ** 3))
+    denom = math.log(max(1e-300, 1.0 - ratio ** 3))
     if denom >= 0.0:
         return cfg.max_iterations
     return min(cfg.max_iterations, int(math.ceil(math.log(1.0 - _CONFIDENCE) / denom)))
@@ -588,9 +627,11 @@ class _RansacRun:
 
     needed starts at the min-inliers bound (at least 1) and drops to the
     adaptive bound of each new best model, never below the iterations
-    already run; both come from _iterations_needed.  The replay keeps the
-    best candidate's raw R and C, and the one RigidPose is built from them
-    when the run ends.
+    already run; both come from _iterations_needed.  A run with a sampling
+    prior (weights that are not all equal) takes a new best model's bound
+    at the larger of its inlier ratio and its inlier weight mass, once the
+    model has min_inliers inliers.  The replay keeps the best candidate's
+    raw R and C, and the one RigidPose is built from them when the run ends.
     """
 
     def __init__(self, batch: CorrespondenceBatch, K: CameraIntrinsics, cfg: RansacConfig,
@@ -602,12 +643,14 @@ class _RansacRun:
         self.bearings = _bearings_from_pixels(self.pixels, K)
         self.weights = (np.full(n, 1.0 / n) if weights is None
                         else np.asarray(weights, dtype=np.float64))
+        # Under equal weights the mass is the inlier ratio: no prior.
+        self.prior = None if np.all(self.weights == self.weights[0]) else self.weights
         self.rng = np.random.default_rng(cfg.seed)
         self.best_count = 0
         self.best_err = np.inf
         self.best_R: Optional[np.ndarray] = None
         self.best_C: Optional[np.ndarray] = None
-        self.needed = max(1, _iterations_needed(cfg.min_inliers, n, cfg))
+        self.needed = max(1, _iterations_needed(cfg.min_inliers / n, cfg))
         self.it = 0
         self.draws_left = _MAX_SAMPLE_ATTEMPTS * cfg.max_iterations
 
@@ -619,12 +662,16 @@ class _RansacRun:
 
     def replay(self, R: np.ndarray, C: np.ndarray, valid: np.ndarray, K: CameraIntrinsics) -> None:
         """Score this run's P3P candidates (one row per kept sample, in draw
-        order) and take them one iteration at a time."""
+        order) and take them one iteration at a time.  A chunk with no valid
+        candidate only counts its iterations."""
         cfg = self.cfg
         per_sample = valid.sum(axis=1).tolist()
         R, C = R[valid], C[valid]
-        counts, mean_errs = _score_hypotheses(R, C, self.points, self.pixels, K,
-                                              cfg.inlier_threshold_px)
+        if not len(R):
+            self.it += len(per_sample)
+            return
+        counts, mean_errs, masses = _score_hypotheses(R, C, self.points, self.pixels, K,
+                                                      cfg.inlier_threshold_px, self.prior)
         counts, mean_errs = counts.tolist(), mean_errs.tolist()
 
         cand = 0
@@ -643,8 +690,11 @@ class _RansacRun:
                     self.best_R, self.best_C = R[c], C[c]
                     self.best_count = count
                     self.best_err = mean_err
+                    ratio = count / self.n
+                    if masses is not None and count >= cfg.min_inliers:
+                        ratio = max(ratio, float(masses[c]))
                     self.needed = min(self.needed,
-                                      max(self.it, _iterations_needed(count, self.n, cfg)))
+                                      max(self.it, _iterations_needed(ratio, cfg)))
 
     def solution(self, K: CameraIntrinsics) -> Optional[PnPSolution]:
         if self.best_R is None:
@@ -653,9 +703,7 @@ class _RansacRun:
         # to a rotation RigidPose accepts.
         best_pose = RigidPose(*_orthonormalized(self.best_R, self.best_C))
         # Re-verification pass: the returned solution restates its own inliers.
-        res = _reprojection_residuals(best_pose.rotation, best_pose.center,
-                                      self.points, self.pixels, K)
-        err = np.linalg.norm(res.reshape(-1, 2), axis=1)
+        _, err = _errors(best_pose.rotation, best_pose.center, self.points, self.pixels, K)
         inl = err < self.cfg.inlier_threshold_px
         if int(inl.sum()) < self.cfg.min_inliers:
             return None
@@ -681,9 +729,10 @@ def _ransac_pnp(
     run draws up to _CHUNK samples from its own generator; one
     _degenerate_samples call checks all of them, each run keeps the first
     needed - it of its non-degenerate ones, and one _p3p_batch call solves
-    every run's kept samples.  Each run then scores its own candidates
-    against its own correspondences and replays them in draw order with the
-    best-selection rule.  A run's result is the one it gets alone, bitwise:
+    every run's kept samples; a round in which no run keeps a sample solves
+    nothing.  Each run then scores its own candidates against its own
+    correspondences and replays them in draw order with the best-selection
+    rule.  A run's result is the one it gets alone, bitwise:
     _p3p_batch gives a row the candidates it gets alone, and drawing and
     scoring stay per run.  Work done for iterations past a run's stop is
     discarded.  A run with fewer than min_inliers correspondences returns
@@ -700,6 +749,8 @@ def _ransac_pnp(
         )
         parts = np.split(degenerate, np.cumsum([len(d) for d in drawn[:-1]]))
         kept = [d[~bad][: run.needed - run.it] for run, d, bad in zip(live, drawn, parts)]
+        if not any(len(s) for s in kept):
+            continue
         R, C, valid, _ = _p3p_batch(
             np.concatenate([run.points[s] for run, s in zip(live, kept)]),
             np.concatenate([run.bearings[s] for run, s in zip(live, kept)]),
@@ -762,13 +813,57 @@ def weighted_ransac_pnp(
 # ── Refinement ───────────────────────────────────────────────────────────
 
 
+def _local_optimization(R: np.ndarray, C: np.ndarray, points: np.ndarray, pixels: np.ndarray,
+                        K: CameraIntrinsics, threshold: float
+                        ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """LO-RANSAC's refit of a RANSAC winner R, C (Chum, Matas & Kittler,
+    DAGM 2003): for each factor of _LO_THRESHOLD_FACTORS in turn, the
+    inliers at factor * threshold are re-collected and take up to _LO_STEPS
+    Gauss-Newton steps.  A step is kept only if the inlier count at
+    threshold does not fall; the first step that it would lower, or whose
+    normal equations are singular, ends that set.  A set equal to the one
+    stepped on before is not stepped on again: its steps would repeat what
+    refine_pose's Levenberg-Marquardt does on it next.  Returns the settled
+    pose, its inlier mask at threshold and its residual vector (2N,)."""
+    res, err = _errors(R, C, points, pixels, K)
+    count = np.count_nonzero(err < threshold)
+    stepped = None
+    for factor in _LO_THRESHOLD_FACTORS:
+        inl = err < factor * threshold
+        if stepped is not None and np.array_equal(inl, stepped):
+            continue
+        stepped = inl
+        inl_points, rows = points[inl], np.repeat(inl, 2)
+        for _ in range(_LO_STEPS):
+            J = _pose_jacobian(R, C, inl_points, K)
+            try:
+                delta = np.linalg.solve(J.T @ J, -(J.T @ res[rows]))
+            except np.linalg.LinAlgError:
+                break
+            R_new, C_new = _exp_so3(delta[:3]) @ R, C + delta[3:]
+            res_new, err_new = _errors(R_new, C_new, points, pixels, K)
+            new_count = np.count_nonzero(err_new < threshold)
+            if new_count < count:
+                break
+            R, C, res, err, count = R_new, C_new, res_new, err_new, new_count
+    return R, C, err < threshold, res
+
+
 def refine_pose(
     initial: PnPSolution,
     batch: CorrespondenceBatch,
     K: CameraIntrinsics,
+    inlier_threshold_px: Optional[float] = None,
 ) -> RigidPose:
     """Levenberg-Marquardt minimization of the summed squared reprojection
-    error over the solution's inliers.
+    error over an inlier set.
+
+    Given the RANSAC run's inlier_threshold_px, the solution is first
+    locally optimized (_local_optimization: the inliers re-collected at 2x
+    and then 1x the threshold, up to two Gauss-Newton steps on each set,
+    none of which may lower the inlier count at the threshold), and the
+    inliers of the settled pose at the threshold are refined.  Without it,
+    the solution's own inliers are refined from its pose.
 
     It takes at most _REFINE_MAX_STEPS (100) steps and stops early once an
     accepted step lowers the cost by a relative amount below
@@ -776,20 +871,26 @@ def refine_pose(
 
     The rotation is updated multiplicatively through the exponential map (3
     local parameters), so iterates stay on the rotation manifold.  The cost
-    never increases across accepted steps; if no step improves, the initial
+    never increases across accepted steps; if no step improves, the starting
     pose is returned unchanged.
     """
-    idx = initial.inlier_indices
-    points, pixels = batch.points[idx], batch.pixels[idx]
     R = np.array(initial.pose.rotation)
     C = np.array(initial.pose.center)
+    if inlier_threshold_px is None:
+        idx = initial.inlier_indices
+        res = _reprojection_residuals(R, C, batch.points[idx], batch.pixels[idx], K)
+    else:
+        R, C, inl, res = _local_optimization(R, C, batch.points, batch.pixels, K,
+                                             inlier_threshold_px)
+        idx = np.flatnonzero(inl)
+        res = res[np.repeat(inl, 2)]
+    points, pixels = batch.points[idx], batch.pixels[idx]
 
-    res = _reprojection_residuals(R, C, points, pixels, K)
     if not np.all(np.isfinite(res)):
-        return initial.pose
+        return RigidPose(R, C)
     cost = float(res @ res)
     if cost == 0.0:
-        return initial.pose
+        return RigidPose(R, C)
 
     lam = 1e-6
     for _ in range(_REFINE_MAX_STEPS):

@@ -19,7 +19,9 @@ an iteration that gives up after 20 degenerate draws in a row.
 Like the production loop, a run given fewer than min_inliers
 correspondences returns None before drawing, and with adaptive=True (the
 production rule) the iteration budget starts at the min-inliers bound, the
-RANSAC bound at inlier ratio min_inliers / n.  Unlike it, the oracle builds
+RANSAC bound at inlier ratio min_inliers / n, and a weighted run stops at
+the weight mass of a best model's inliers once that model has min_inliers
+inliers.  Unlike it, the oracle builds
 a RigidPose at every improvement, and takes the stopping rule and the
 minimum pixel span as arguments: adaptive=False runs exactly
 max_iterations, which the library does when its _iterations_needed is
@@ -276,7 +278,8 @@ def draw_minimal_sample(rng: np.random.Generator, weights: np.ndarray) -> np.nda
         cum = np.cumsum(w)
         r = rng.random() * total
         i = int(np.searchsorted(cum, r, side="right"))
-        i = min(i, len(w) - 1)
+        if i == len(w):  # r rounded up to the total: the last item still weighted
+            i = int(np.flatnonzero(w)[-1])
         picks[k] = i
         w[i] = 0.0
     return picks
@@ -300,11 +303,11 @@ def sample_is_degenerate(points: np.ndarray, pixels: np.ndarray, span_px: float)
     return span < span_px
 
 
-def ransac_bound(inliers: int, n: int, confidence: float) -> float:
+def ransac_bound(ratio: float, confidence: float) -> float:
     """Uncapped RANSAC bound: iterations that draw an all-inlier sample with
-    the given confidence at inlier ratio inliers / n (inf when the ratio
-    cannot move 1 - ratio**3 off 1)."""
-    denom = math.log(max(1e-300, 1.0 - (inliers / n) ** 3))
+    the given confidence at inlier ratio (or mass) ratio (inf when the
+    ratio cannot move 1 - ratio**3 off 1)."""
+    denom = math.log(max(1e-300, 1.0 - ratio ** 3))
     if denom >= 0.0:
         return math.inf
     return math.ceil(math.log(1.0 - confidence) / denom)
@@ -324,7 +327,9 @@ def ransac_pnp(
     degenerate draw is redrawn and does not count), solve, score, keep the
     best, update the adaptive bound.  The budget starts at the min-inliers
     bound, and a run gives up after _MAX_SAMPLE_ATTEMPTS * max_iterations
-    draws.  adaptive=False runs exactly max_iterations; a sample whose
+    draws.  Under weights that are not all equal, a best model with at least
+    min_inliers inliers takes its bound at the larger of its inlier ratio
+    and the summed weight of its inliers.  adaptive=False runs exactly max_iterations; a sample whose
     pixels span less than span_px is degenerate; both bounds are taken at
     the given confidence."""
     n = len(batch)
@@ -332,6 +337,7 @@ def ransac_pnp(
         return None
     points, pixels = batch.points, batch.pixels
     w = np.full(n, 1.0 / n) if weights is None else np.asarray(weights, dtype=np.float64)
+    prior = not np.all(w == w[0])
 
     rng = np.random.default_rng(cfg.seed)
     best_count = 0
@@ -339,7 +345,7 @@ def ransac_pnp(
     best_pose: Optional[RigidPose] = None
     needed = cfg.max_iterations
     if adaptive:
-        needed = max(1, min(needed, ransac_bound(cfg.min_inliers, n, confidence)))
+        needed = max(1, min(needed, ransac_bound(cfg.min_inliers / n, confidence)))
     it = 0
     draws_left = _MAX_SAMPLE_ATTEMPTS * cfg.max_iterations
     while it < needed and draws_left:
@@ -373,7 +379,10 @@ def ransac_pnp(
                 best_count = count
                 best_err = mean_err
                 if adaptive:
-                    needed = min(needed, max(it, ransac_bound(count, n, confidence)))
+                    ratio = count / n
+                    if prior and count >= cfg.min_inliers:
+                        ratio = max(ratio, float(np.where(inl, w, 0.0).sum()))
+                    needed = min(needed, max(it, ransac_bound(ratio, confidence)))
 
     if best_pose is None:
         return None

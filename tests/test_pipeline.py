@@ -183,3 +183,30 @@ class TestTemporaryPosesInLockstep:
         assert [r.diagnostics for r in lockstep] == [r.diagnostics for r in separate]
         found = [img["temporary_pose"] for r in lockstep for img in r.diagnostics["images"].values()]
         assert True in found and False in found
+
+
+class TestFinalRefinement:
+    def test_winner_is_locally_optimized_at_the_final_threshold(self, zero_noise_dataset,
+                                                                small_cfg, small_run,
+                                                                monkeypatch):
+        # refine_pose gets the final run's threshold, and the refined pose
+        # keeps every inlier of the RANSAC winner
+        ds = zero_noise_dataset
+        dense_map, _, baseline = small_run
+        calls = []
+
+        def refine(solution, batch, K, threshold):
+            pose = pnp.refine_pose(solution, batch, K, threshold)
+            _, err = pnp._errors(pose.rotation, pose.center, batch.points, batch.pixels, K)
+            calls.append((threshold, solution.num_inliers, int((err < threshold).sum())))
+            return pose
+
+        monkeypatch.setattr(pipeline, "refine_pose", refine)
+        results = localize_all(ds.queries, ds.db_records, dense_map, small_cfg)
+        assert len(calls) == len(ds.queries)
+        for threshold, before, after in calls:
+            assert threshold == small_cfg.ransac_inlier_threshold_px
+            assert after >= before
+        for a, b in zip(results, baseline):
+            assert a.pose.rotation.tobytes() == b.pose.rotation.tobytes()
+            assert a.pose.center.tobytes() == b.pose.center.tobytes()

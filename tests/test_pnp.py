@@ -33,6 +33,7 @@ from semloc.pnp import (
     _pose_jacobian,
     _reprojection_residuals,
     _ransac_pnp,
+    _score_hypotheses,
     estimate_temporary_pose,
     refine_pose,
     solve_p3p,
@@ -451,6 +452,38 @@ class TestWeightedRansac:
         picks = set(_draw_minimal_samples(rng, w, 2000).ravel().tolist())
         assert picks <= {0, 2, 4}
 
+    # The mass stopping bound counts on zero-weight items never being drawn.
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(weights=st.lists(st.one_of(st.just(0.0), st.floats(1e-6, 1.0)), min_size=3,
+                            max_size=40).filter(lambda w: sum(x > 0 for x in w) >= 3),
+           seed=st.integers(0, 2**32 - 1), m=st.integers(1, 70))
+    def test_random_weights_draw_distinct_positive_items(self, weights, seed, m):
+        w = np.array(weights)
+        picks = _draw_minimal_samples(np.random.default_rng(seed), w, m)
+        self._assert_distinct_positive(w, picks)
+        # the largest double below 1 rounds u * total up to the total
+        top = _draw_minimal_samples(_TopOfUnitInterval(), w, m)
+        self._assert_distinct_positive(w, top)
+        expected = pnp_oracle.draw_minimal_sample(_TopOfUnitInterval(), w)
+        assert np.array_equal(top[0], expected)
+
+    @staticmethod
+    def _assert_distinct_positive(w, picks):
+        assert picks.shape[1] == 3
+        assert (w[picks] > 0.0).all()
+        assert (picks[:, 0] != picks[:, 1]).all()
+        assert (picks[:, 0] != picks[:, 2]).all()
+        assert (picks[:, 1] != picks[:, 2]).all()
+
+
+class _TopOfUnitInterval:
+    """A generator stub whose every random() value is the largest below 1."""
+
+    @staticmethod
+    def random(size=None):
+        top = np.nextafter(1.0, 0.0)
+        return top if size is None else np.full(size, top)
+
 
 _DRAW_WEIGHTS = {
     "uniform": np.full(30, 1.0 / 30),
@@ -677,18 +710,23 @@ class TestLockstep:
     def test_each_run_equals_the_run_alone(self, monkeypatch):
         K = default_intrinsics()
         runs = _lockstep_runs()
-        calls = []
+        calls, scored = [], []
 
         def p3p_batch(P, f):
             calls.append(len(P))
             return _p3p_batch(P, f)
 
+        def score_hypotheses(R, *args):
+            scored.append(len(R))
+            return _score_hypotheses(R, *args)
+
         monkeypatch.setattr(pnp, "_p3p_batch", p3p_batch)
-        alone, rounds_alone = [], []
+        monkeypatch.setattr(pnp, "_score_hypotheses", score_hypotheses)
+        alone, solves_alone = [], []
         for corrs, cfg, w in runs:
             calls.clear()
             alone.append(_one_run(corrs, K, cfg, w))
-            rounds_alone.append(len(calls))
+            solves_alone.append(len(calls))
         calls.clear()
         together = _ransac_pnp(runs, K)
         assert len(together) == len(runs)
@@ -698,9 +736,13 @@ class TestLockstep:
         # doomed and the clustered runs do not, and the 5-point run draws
         # nothing
         assert [s is not None for s in alone] == [True, False, False, True, False, True]
-        assert rounds_alone == [2, 2, 0, 1, 4, 1]
-        # one P3P call per round, each solving every live run's samples
-        assert calls == [64 + 64 + 1 + 0 + 64, 41 + 3, 0, 0]
+        # the clustered run draws four chunks, every sample degenerate, and
+        # solves none of them, alone or together
+        assert solves_alone == [2, 2, 0, 1, 0, 1]
+        # one P3P call per round that keeps a sample, each solving every
+        # live run's samples; no call solves or scores nothing
+        assert calls == [64 + 64 + 1 + 0 + 64, 41 + 3]
+        assert 0 not in scored
 
     def test_temporary_poses_equal_one_call_per_batch(self):
         K = default_intrinsics()
@@ -900,6 +942,120 @@ class TestStackedKernels:
             theta = np.linalg.norm(v)
             if theta >= 1e-12:
                 assert _exp_so3(v).tobytes() == rotation_about_axis(v, theta).tobytes()
+
+
+class TestMassBound:
+    """A weighted run stops at the RANSAC bound of the larger of its best
+    model's inlier ratio and inlier weight mass, once that model has
+    min_inliers inliers."""
+
+    @staticmethod
+    def _scene():
+        """40 exact correspondences of one pose holding 0.2 of the weight,
+        8 of another pose holding 0.75 and 12 gross outliers holding 0.05,
+        and the first pose."""
+        rng = np.random.default_rng(83)
+        K = default_intrinsics()
+        pose = random_pose(rng)
+        full = synthetic_correspondences(rng, K, pose, 40)
+        heavy = synthetic_correspondences(rng, K, random_pose(rng), 8)
+        junk = synthetic_correspondences(rng, K, random_pose(rng), 12, outlier_frac=1.0)
+        w = np.concatenate([np.full(40, 0.2 / 40), np.full(8, 0.75 / 8), np.full(12, 0.05 / 12)])
+        corrs = CorrespondenceBatch.concat([full, heavy, junk])
+        return replace(corrs, weights=w / w.sum()), pose
+
+    def test_heavy_model_below_min_inliers_does_not_stop_the_run(self):
+        # the 8 heavy items agree on a model with 0.75 of the mass, which
+        # would stop the run after 13 iterations; below min_inliers it must
+        # not, and the run goes on to the 40-inlier consensus
+        corrs, pose = self._scene()
+        K = default_intrinsics()
+        assert pnp._iterations_needed(0.75, RansacConfig()) == 13
+        for seed in range(5):
+            cfg = RansacConfig(inlier_threshold_px=2.0, seed=seed, max_iterations=1000)
+            sol = weighted_ransac_pnp(corrs, K, cfg)
+            assert sol is not None
+            assert sol.inlier_indices.tolist() == list(range(40))
+            assert np.linalg.norm(sol.pose.center - pose.center) < 1e-9
+
+    def test_mass_stops_before_the_count_bound(self):
+        # 40 inliers of 120 hold 0.95 of the weight: the count bound at
+        # ratio 1/3 asks 184 iterations, the mass bound 4
+        rng = np.random.default_rng(84)
+        K = default_intrinsics()
+        corrs = synthetic_correspondences(rng, K, random_pose(rng), 120, outlier_frac=2 / 3)
+        w = np.where(np.arange(120) >= 80, 0.95 / 40, 0.05 / 80)
+        cfg = RansacConfig(seed=3)
+        assert pnp._iterations_needed(40 / 120, cfg) == 184
+        assert pnp._iterations_needed(0.95, cfg) == 4
+        sol = weighted_ransac_pnp(replace(corrs, weights=w), K, cfg)
+        assert sol.inlier_indices.tolist() == list(range(80, 120))
+        assert sol.iterations_used <= 4
+        plain = _temporary(corrs, K, cfg)
+        assert plain.inlier_indices.tolist() == list(range(80, 120))
+        assert plain.iterations_used >= 40
+
+
+def _inlier_count(R, C, corrs, K, threshold):
+    return int((pnp._errors(R, C, corrs.points, corrs.pixels, K)[1] < threshold).sum())
+
+
+class TestLocalOptimization:
+    """refine_pose, given the run's threshold, re-collects the winner's
+    inliers at 2x and 1x the threshold and steps on them before the LM
+    refinement; no kept step lowers the inlier count."""
+
+    @staticmethod
+    def _short_winner(seed, short):
+        """30 correspondences with 0.3 px noise, a pose perturbed off the
+        true one, and a threshold at which that pose misses `short` of the
+        30 while the true pose and the 2x threshold keep all of them."""
+        rng = np.random.default_rng(seed)
+        K = default_intrinsics()
+        pose = random_pose(rng)
+        corrs = synthetic_correspondences(rng, K, pose, 30, pixel_noise=0.3)
+        R = _exp_so3(rng.normal(scale=0.004, size=3)) @ pose.rotation
+        C = pose.center + rng.normal(scale=0.01, size=3)
+        err = pnp._errors(R, C, corrs.points, corrs.pixels, K)[1]
+        ranked = np.sort(err)
+        threshold = 0.5 * (ranked[-short - 1] + ranked[-short])
+        assert ranked[-1] < 2.0 * threshold
+        assert _inlier_count(pose.rotation, pose.center, corrs, K, threshold) == 30
+        inliers = np.flatnonzero(err < threshold)
+        assert len(inliers) == 30 - short
+        winner = PnPSolution(RigidPose(*pnp._orthonormalized(R, C)), inliers, 0.0)
+        return corrs, winner, threshold
+
+    @pytest.mark.parametrize("short", [1, 2])
+    def test_winner_short_of_the_consensus_gets_all_of_it(self, short):
+        K = default_intrinsics()
+        for seed in range(5):
+            corrs, winner, threshold = self._short_winner(seed, short)
+            R, C, inl, _ = pnp._local_optimization(
+                np.array(winner.pose.rotation), np.array(winner.pose.center),
+                corrs.points, corrs.pixels, K, threshold)
+            assert inl.all()
+            refined = refine_pose(winner, corrs, K, threshold)
+            assert _inlier_count(refined.rotation, refined.center, corrs, K, threshold) == 30
+            # the LM step then runs on the full set
+            full = refine_pose(replace(winner, inlier_indices=np.arange(30)), corrs, K)
+            assert np.linalg.norm(refined.center - full.center) < 1e-6
+            assert rotation_error_deg(refined.rotation, full.rotation) < 1e-5
+
+    def test_inlier_count_never_falls(self):
+        # perturbed winners among gross outliers, some of which fall inside
+        # the 2x threshold and pull the steps off
+        rng = np.random.default_rng(85)
+        K = default_intrinsics()
+        for _ in range(40):
+            pose = random_pose(rng)
+            corrs = synthetic_correspondences(rng, K, pose, 40, outlier_frac=0.4,
+                                              pixel_noise=1.0)
+            R = _exp_so3(rng.normal(scale=0.01, size=3)) @ pose.rotation
+            C = pose.center + rng.normal(scale=0.03, size=3)
+            before = _inlier_count(R, C, corrs, K, 3.0)
+            R2, C2, inl, _ = pnp._local_optimization(R, C, corrs.points, corrs.pixels, K, 3.0)
+            assert inl.sum() == _inlier_count(R2, C2, corrs, K, 3.0) >= before
 
 
 class TestRefinePose:
