@@ -47,6 +47,7 @@ from .pnp import (
     PnPSolution,
     RansacConfig,
     estimate_temporary_pose,
+    local_optimization,
     refine_pose,
     solve_p3p,
     weighted_ransac_pnp,

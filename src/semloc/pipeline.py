@@ -15,10 +15,12 @@ Per query the flow is:
         segmentation,
   3. pool all correspondences, turn scores into sampling weights,
   4. run the weighted RANSAC-PnP, whose samples are drawn by weight and
-     which stops once it has probably drawn an all-inlier sample at the
-     larger of the best model's inlier ratio and its inliers' weight mass,
-     then locally optimize the winner (its inliers re-collected at 2x and
-     1x the inlier threshold) and refine it on its settled inliers.
+     which stops once it has probably drawn an all-inlier sample, judged
+     by the best model's inlier count or, once it has min_inliers
+     inliers, by their share of the sampling weight; locally optimize the
+     winner (local_optimization: its inliers re-collected at 2x and 1x the
+     inlier threshold) and refine it on its settled inliers.  The final
+     diagnostics describe the settled inlier set.
 
 Every stage is deterministic: per-query and per-retrieved-image RANSAC
 seeds are derived from the master seed with numpy SeedSequences, so a run
@@ -38,7 +40,7 @@ import numpy as np
 from .config import PipelineConfig
 from .geometry import RigidPose
 from .matching import CorrespondenceBatch, lift_to_3d, match_family
-from .pnp import estimate_temporary_pose, refine_pose, weighted_ransac_pnp
+from .pnp import estimate_temporary_pose, local_optimization, refine_pose, weighted_ransac_pnp
 from .retrieval import GlobalDescriptor, RetrievalIndex, build_index, query_top_k
 from .scoring import SemanticScore, gate_visible, normalize_weights, semantic_consistency_score
 from .semantic_map import BuildStats, DatabaseImageRecord, DenseMap, QueryImage, build_dense_map
@@ -174,10 +176,12 @@ def localize_query(
             failure_reason=FAILURE_NO_CONSENSUS,
             diagnostics=diagnostics,
         )
-    refined = refine_pose(solution, weighted, query.intrinsics, final_cfg.inlier_threshold_px)
-    diagnostics["final_inliers"] = solution.num_inliers
-    diagnostics["final_mean_error_px"] = solution.mean_reprojection_error_px
-    diagnostics["final_iterations"] = solution.iterations_used
+    settled = local_optimization(solution, weighted, query.intrinsics,
+                                 final_cfg.inlier_threshold_px)
+    refined = refine_pose(settled, weighted, query.intrinsics)
+    diagnostics["final_inliers"] = settled.num_inliers
+    diagnostics["final_mean_error_px"] = settled.mean_reprojection_error_px
+    diagnostics["final_iterations"] = settled.iterations_used
     return LocalizationResult(
         query_id=query.image_id,
         condition=query.condition,

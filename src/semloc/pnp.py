@@ -6,8 +6,8 @@ public form, solve_p3p, polishes every candidate of a stack together by
 Gauss-Newton; a plain RANSAC loop for per-retrieved-image temporary poses;
 a weighted RANSAC whose minimal samples are drawn with probability
 proportional to the semantic weights; and Levenberg-Marquardt reprojection
-refinement with the rotation updated on its manifold, after an optional
-local optimization of the RANSAC winner's inlier set.
+refinement with the rotation updated on its manifold, after a local
+optimization of the RANSAC winner's inlier set.
 
 Weighted and unweighted RANSAC share one code path (the unweighted case
 runs with uniform weights), so equal weights reproduce plain RANSAC draw
@@ -34,27 +34,32 @@ alone, and no run's draws or scoring see another run, so each run returns
 bitwise what it returns when run alone.
 
 Every run applies two bounds, both the RANSAC bound of Fischler & Bolles
-(1981) at a fixed confidence of 0.999.  The adaptive bound is taken at the
-inlier ratio of the best model so far: the run stops once it has probably
-drawn an all-inlier sample of that model.  In a weighted run (weights not
-all equal) a best model with at least min_inliers inliers takes the bound
-at the larger of its inlier ratio and its inlier weight mass, the summed
-sampling weight of its inliers, since that mass, not the ratio, is the
-chance that one draw picks an inlier (guided sampling that stops on its
-prior, as in Tordoff & Murray's Guided-MLESAC, TPAMI 2005).  A model below
-min_inliers never stops a run, however heavy its inliers.  Uniform weights
-keep the count bound exactly.  The min-inliers bound is taken from the
-start at the smallest acceptable ratio, min_inliers / n: the run stops once
-it has probably shown that no model reaches min_inliers.  A run given fewer
-than min_inliers correspondences draws nothing and returns no model.  A
-sample spanning less than a fixed 10 px is degenerate.  The winning
-candidate becomes a RigidPose once, when the run ends.
+(1981) at a fixed confidence of 0.999: the iterations after which a sample
+of three inliers has been drawn with that confidence, given the chance p
+that one sample is all inliers.  The adaptive bound takes p of the best
+model so far, as (inlier ratio)**3, the with-replacement approximation of
+the count.  In a weighted run (weights not all equal) a best model with at
+least min_inliers inliers takes the larger of that and a lower bound on p
+under weighted sampling, from its inlier weight mass M, the share of the
+sampling weight its inliers hold (guided sampling that stops on its prior,
+as in Tordoff & Murray's Guided-MLESAC, TPAMI 2005).  M is the chance that
+the first pick is an inlier; a sample's picks are distinct, so once heavy
+inliers are picked the rest hold less, and the bound is
+M (M - a) / (1 - a) (M - a - b) / (1 - a - b), with a and b the two
+largest inlier shares (_mass_chance).  A model below min_inliers never
+stops a run, however heavy its inliers.  Uniform weights keep the count
+bound exactly.  The min-inliers bound is taken from the start at the
+smallest acceptable ratio, min_inliers / n: the run stops once it has
+probably shown that no model reaches min_inliers.  A run given fewer than
+min_inliers correspondences draws nothing and returns no model.  A sample
+spanning less than a fixed 10 px is degenerate.  The winning candidate
+becomes a RigidPose once, when the run ends.
 
 A run stopped that early may return a model fitted to a noisy sample and
-short of the full consensus.  refine_pose, given the run's inlier
-threshold, locally optimizes it first (LO-RANSAC, Chum, Matas & Kittler,
-DAGM 2003): Gauss-Newton steps on its inliers re-collected at 2x and 1x the
-threshold, none of which may lower the inlier count.
+short of the full consensus.  local_optimization refits it (LO-RANSAC,
+Chum, Matas & Kittler, DAGM 2003) by Gauss-Newton steps on its inliers
+re-collected at 2x and 1x the threshold, none of which may lower the
+inlier count, before refine_pose refines it.
 """
 
 from __future__ import annotations
@@ -74,6 +79,7 @@ __all__ = [
     "solve_p3p",
     "estimate_temporary_pose",
     "weighted_ransac_pnp",
+    "local_optimization",
     "refine_pose",
 ]
 
@@ -100,11 +106,16 @@ _POLISH_STEPS = 3
 _REFINE_MAX_STEPS = 100
 _REFINE_RELATIVE_TOL = 1e-10
 
-# refine_pose's local optimization of a RANSAC winner: the multiples of the
-# inlier threshold at which its inliers are re-collected, in order, and the
+# local_optimization of a RANSAC winner: the multiples of the inlier
+# threshold at which its inliers are re-collected, in order, and the
 # Gauss-Newton steps taken on each set.
 _LO_THRESHOLD_FACTORS = (2.0, 1.0)
 _LO_STEPS = 2
+
+# Identities, made once rather than per refinement step.
+_EYE3, _EYE6 = np.eye(3), np.eye(6)
+_EYE3.setflags(write=False)
+_EYE6.setflags(write=False)
 
 # Why _p3p_batch rejects a row (index 0: no rejection).
 _P3P_ERRORS = (None, "world points are collinear", "degenerate bearing vectors (parallel rays)")
@@ -199,13 +210,13 @@ class RansacConfig:
 
     Every run applies both stopping bounds (module docstring), and
     max_iterations caps both; a weighted run's adaptive bound follows its
-    best model's inlier weight mass once that model has min_inliers
-    inliers.  min_inliers rejects weak consensus (12 for final poses; the
-    pipeline asks 6 of temporary per-retrieved-image poses); it is at least
-    3, as a P3P model fits its own three sample points.  The bounds' 0.999
+    best model's inlier weight mass (_mass_chance) once that model has
+    min_inliers inliers.  min_inliers rejects weak consensus (12 for final
+    poses; the pipeline asks 6 of temporary per-retrieved-image poses); it
+    is at least 3, as a P3P model fits its own three sample points.  The bounds' 0.999
     confidence and the 10 px pixel span below which a sample is degenerate
     are the constants _CONFIDENCE and _MIN_PIXEL_SPAN_PX, not settings, as
-    are refine_pose's local-optimization factors and steps.
+    are local_optimization's threshold factors and steps.
     """
 
     inlier_threshold_px: float = 8.0
@@ -416,18 +427,20 @@ def _reprojection_residuals(
 
 def _errors(R: np.ndarray, C: np.ndarray, points: np.ndarray, pixels: np.ndarray,
             K: CameraIntrinsics) -> tuple[np.ndarray, np.ndarray]:
-    """Residual vector (2N,) of pose R, C over all correspondences and each
+    """Residual vector (2N,) of pose R, C over N correspondences and each
     correspondence's reprojection error (N,), inf at or behind the camera."""
     res = _reprojection_residuals(R, C, points, pixels, K)
-    return res, np.linalg.norm(res.reshape(-1, 2), axis=1)
+    # np.linalg.norm(axis=1) of the residual pairs, bitwise, without its wrapper.
+    return res, np.sqrt(np.add.reduce((res * res).reshape(-1, 2), axis=1))
 
 
 def _skew(v: np.ndarray) -> np.ndarray:
     """Cross-product matrices [v]x (..., 3, 3) of vectors v (..., 3)."""
-    S = np.zeros(v.shape + (3,))
-    S[..., 0, 1], S[..., 0, 2], S[..., 1, 0] = -v[..., 2], v[..., 1], v[..., 2]
-    S[..., 1, 2], S[..., 2, 0], S[..., 2, 1] = -v[..., 0], -v[..., 1], v[..., 0]
-    return S
+    S = np.zeros(v.shape[:-1] + (9,))
+    # Row-major slots of -v0, -v1, -v2 and of v0, v1, v2.
+    S[..., [5, 6, 1]] = -v
+    S[..., [7, 2, 3]] = v
+    return S.reshape(v.shape + (3,))
 
 
 def _pose_jacobian(
@@ -438,20 +451,27 @@ def _pose_jacobian(
     update [omega, dC]: R <- Exp(omega) @ R, C <- C + dC.  Rows of points
     behind the camera are zero.  A pose's rows are bitwise those it gets alone."""
     cam = (points - C[..., None, :]) @ np.swapaxes(R, -1, -2)
-    lead = cam.shape[:-1]
-    J = np.zeros(lead + (2, 6))
+    x, y = cam[..., 0], cam[..., 1]
     front = cam[..., 2] > 0.0
-    p = cam[front]
-    x, y, z = p[:, 0], p[:, 1], p[:, 2]
-    # d(res)/d(cam): 2x3 per point.
-    du, dv = np.zeros((2, len(p), 3))
-    du[:, 0], du[:, 2] = K.fx / z, -K.fx * x / (z * z)
-    dv[:, 1], dv[:, 2] = K.fy / z, -K.fy * y / (z * z)
-    # d(cam)/d(omega) = -[cam]x, d(cam)/d(dC) = -R.
-    R_rows = np.broadcast_to(R[..., None, :, :], lead + (3, 3))[front]
-    dcam = np.concatenate([-_skew(p), -R_rows], axis=2)
-    J[front, 0] = np.einsum("nk,nkj->nj", du, dcam)
-    J[front, 1] = np.einsum("nk,nkj->nj", dv, dcam)
+    z = np.where(front, cam[..., 2], 1.0)
+    zz = z * z
+    # d(res)/d(cam) has rows (fx/z, 0, -fx x/z^2) and (0, fy/z, -fy y/z^2);
+    # d(cam)/d(omega) = -[cam]x and d(cam)/d(dC) = -R.  Products with the
+    # zero entries are left out.
+    du0, du2 = K.fx / z, -K.fx * x / zz
+    dv1, dv2 = K.fy / z, -K.fy * y / zz
+    mR = -R[..., None, :, :]
+    J = np.empty(cam.shape[:-1] + (2, 6))
+    J[..., 0, 0] = du2 * y
+    J[..., 0, 1] = du0 * z + du2 * -x
+    J[..., 0, 2] = du0 * -y
+    J[..., 0, 3:] = du0[..., None] * mR[..., 0, :] + du2[..., None] * mR[..., 2, :]
+    J[..., 1, 0] = dv1 * -z + dv2 * y
+    J[..., 1, 1] = dv2 * -x
+    J[..., 1, 2] = dv1 * x
+    J[..., 1, 3:] = dv1[..., None] * mR[..., 1, :] + dv2[..., None] * mR[..., 2, :]
+    J[~front] = 0.0
+    lead = cam.shape[:-1]
     return J.reshape(lead[:-1] + (2 * lead[-1], 6))
 
 
@@ -462,9 +482,9 @@ def _exp_so3(w: np.ndarray) -> np.ndarray:
     theta = np.sqrt((w[..., None, :] @ w[..., :, None])[..., 0, 0])
     small = theta < 1e-12
     Kx = _skew(w / np.where(small, 1.0, theta)[..., None])
-    R = (np.eye(3) + np.sin(theta)[..., None, None] * Kx
+    R = (_EYE3 + np.sin(theta)[..., None, None] * Kx
          + (1.0 - np.cos(theta))[..., None, None] * (Kx @ Kx))
-    R[small] = np.eye(3)
+    R[small] = _EYE3
     return R
 
 
@@ -594,29 +614,42 @@ def _score_hypotheses(
     pixels: np.ndarray,
     K: CameraIntrinsics,
     threshold: float,
-    weights: Optional[np.ndarray],
-) -> tuple[np.ndarray, np.ndarray, Optional[np.ndarray]]:
-    """Unweighted inlier count, mean inlier error and inlier weight mass of
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Unweighted inlier count, mean inlier error and (M, N) inlier mask of
     M pose hypotheses (R (M, 3, 3), C (M, 3)) over all N correspondences,
     from one (M, N) reprojection; points at or behind a camera are never
-    inliers.  The mass sums the given (N,) weights over each hypothesis's
-    inliers; it is None when weights is None."""
+    inliers."""
     projected, _ = project_points(points, R, C, K)
     d = projected - pixels
     err = np.hypot(d[..., 0], d[..., 1])  # NaN, so never an inlier, behind a camera
     inl = err < threshold
     count = inl.sum(axis=1)
     mean_err = np.where(inl, err, 0.0).sum(axis=1) / np.maximum(count, 1)
-    mass = None if weights is None else np.where(inl, weights, 0.0).sum(axis=1)
-    return count, mean_err, mass
+    return count, mean_err, inl
 
 
-def _iterations_needed(ratio: float, cfg: RansacConfig) -> int:
-    """Fischler & Bolles' RANSAC bound at inlier ratio (or mass) ratio: the
-    iterations after which an all-inlier minimal sample has been drawn with
-    probability _CONFIDENCE, capped at cfg.max_iterations.  It is 1 at
-    ratio 1, and the cap when no positive ratio moves 1 - ratio**3 off 1."""
-    denom = math.log(max(1e-300, 1.0 - ratio ** 3))
+def _mass_chance(shares: np.ndarray) -> float:
+    """Lower bound on the chance that one weighted minimal sample (three
+    distinct items, _draw_minimal_samples) is all inliers, given the
+    inliers' shares of the total sampling weight.  The first pick is an
+    inlier with chance M = sum(shares).  After inliers holding s of the
+    weight are picked, the next pick is one with chance (M - s) / (1 - s),
+    which falls as s grows; s is at most a after one pick and a + b after
+    two, a and b the two largest shares.  Exact when the inliers' shares are
+    equal; 0 when a and b hold all of M."""
+    M = float(shares.sum())
+    b, a = np.sort(shares)[-2:].tolist()
+    if M - a - b <= 0.0:
+        return 0.0
+    return M * (M - a) / (1.0 - a) * (M - a - b) / (1.0 - a - b)
+
+
+def _iterations_needed(p: float, cfg: RansacConfig) -> int:
+    """Fischler & Bolles' RANSAC bound at chance p that one minimal sample
+    is all inliers: the iterations after which such a sample has been drawn
+    with probability _CONFIDENCE, capped at cfg.max_iterations.  It is 1 at
+    p = 1, and the cap when no positive p moves 1 - p off 1."""
+    denom = math.log(max(1e-300, 1.0 - p))
     if denom >= 0.0:
         return cfg.max_iterations
     return min(cfg.max_iterations, int(math.ceil(math.log(1.0 - _CONFIDENCE) / denom)))
@@ -629,9 +662,10 @@ class _RansacRun:
     adaptive bound of each new best model, never below the iterations
     already run; both come from _iterations_needed.  A run with a sampling
     prior (weights that are not all equal) takes a new best model's bound
-    at the larger of its inlier ratio and its inlier weight mass, once the
-    model has min_inliers inliers.  The replay keeps the best candidate's
-    raw R and C, and the one RigidPose is built from them when the run ends.
+    at the larger of the count's chance and _mass_chance of its inliers'
+    weight shares, once the model has min_inliers inliers.  The replay
+    keeps the best candidate's raw R and C, and the one RigidPose is built
+    from them when the run ends.
     """
 
     def __init__(self, batch: CorrespondenceBatch, K: CameraIntrinsics, cfg: RansacConfig,
@@ -643,14 +677,16 @@ class _RansacRun:
         self.bearings = _bearings_from_pixels(self.pixels, K)
         self.weights = (np.full(n, 1.0 / n) if weights is None
                         else np.asarray(weights, dtype=np.float64))
-        # Under equal weights the mass is the inlier ratio: no prior.
-        self.prior = None if np.all(self.weights == self.weights[0]) else self.weights
+        # Each item's share of the sampling weight; under equal weights the
+        # mass is the inlier ratio: no prior.
+        self.prior = (None if np.all(self.weights == self.weights[0])
+                      else self.weights / self.weights.sum())
         self.rng = np.random.default_rng(cfg.seed)
         self.best_count = 0
         self.best_err = np.inf
         self.best_R: Optional[np.ndarray] = None
         self.best_C: Optional[np.ndarray] = None
-        self.needed = max(1, _iterations_needed(cfg.min_inliers / n, cfg))
+        self.needed = max(1, _iterations_needed((cfg.min_inliers / n) ** 3, cfg))
         self.it = 0
         self.draws_left = _MAX_SAMPLE_ATTEMPTS * cfg.max_iterations
 
@@ -670,8 +706,8 @@ class _RansacRun:
         if not len(R):
             self.it += len(per_sample)
             return
-        counts, mean_errs, masses = _score_hypotheses(R, C, self.points, self.pixels, K,
-                                                      cfg.inlier_threshold_px, self.prior)
+        counts, mean_errs, inl = _score_hypotheses(R, C, self.points, self.pixels, K,
+                                                   cfg.inlier_threshold_px)
         counts, mean_errs = counts.tolist(), mean_errs.tolist()
 
         cand = 0
@@ -690,11 +726,11 @@ class _RansacRun:
                     self.best_R, self.best_C = R[c], C[c]
                     self.best_count = count
                     self.best_err = mean_err
-                    ratio = count / self.n
-                    if masses is not None and count >= cfg.min_inliers:
-                        ratio = max(ratio, float(masses[c]))
+                    p = (count / self.n) ** 3
+                    if self.prior is not None and count >= cfg.min_inliers:
+                        p = max(p, _mass_chance(self.prior[inl[c]]))
                     self.needed = min(self.needed,
-                                      max(self.it, _iterations_needed(ratio, cfg)))
+                                      max(self.it, _iterations_needed(p, cfg)))
 
     def solution(self, K: CameraIntrinsics) -> Optional[PnPSolution]:
         if self.best_R is None:
@@ -813,29 +849,44 @@ def weighted_ransac_pnp(
 # ── Refinement ───────────────────────────────────────────────────────────
 
 
-def _local_optimization(R: np.ndarray, C: np.ndarray, points: np.ndarray, pixels: np.ndarray,
-                        K: CameraIntrinsics, threshold: float
-                        ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """LO-RANSAC's refit of a RANSAC winner R, C (Chum, Matas & Kittler,
-    DAGM 2003): for each factor of _LO_THRESHOLD_FACTORS in turn, the
-    inliers at factor * threshold are re-collected and take up to _LO_STEPS
-    Gauss-Newton steps.  A step is kept only if the inlier count at
-    threshold does not fall; the first step that it would lower, or whose
-    normal equations are singular, ends that set.  A set equal to the one
-    stepped on before is not stepped on again: its steps would repeat what
-    refine_pose's Levenberg-Marquardt does on it next.  Returns the settled
-    pose, its inlier mask at threshold and its residual vector (2N,)."""
+def local_optimization(
+    solution: PnPSolution,
+    batch: CorrespondenceBatch,
+    K: CameraIntrinsics,
+    inlier_threshold_px: float,
+) -> PnPSolution:
+    """LO-RANSAC's refit of a RANSAC winner (Chum, Matas & Kittler, DAGM
+    2003) on the run's correspondences and inlier threshold.
+
+    For each factor of _LO_THRESHOLD_FACTORS (2x, then 1x the threshold) in
+    turn, the inliers at factor * threshold are re-collected and take up to
+    _LO_STEPS (2) Gauss-Newton steps.  A step is kept only if the inlier
+    count at the threshold does not fall; the first step that would lower
+    it, or whose normal equations are singular, ends that set.  A set equal
+    to the last one stepped on, or at first to the winner's own inliers, is
+    not stepped on: its steps would repeat what refine_pose's
+    Levenberg-Marquardt does on it next.  So a winner with no
+    correspondence between 1x and 2x the threshold is returned as it is.
+
+    Returns the settled pose, its inliers at the threshold, their mean
+    error and the run's iterations; the solution itself when no step is
+    kept.
+    """
+    threshold = inlier_threshold_px
+    R, C = solution.pose.rotation, solution.pose.center
+    points, pixels = batch.points, batch.pixels
     res, err = _errors(R, C, points, pixels, K)
-    count = np.count_nonzero(err < threshold)
-    stepped = None
+    stepped = err < threshold
+    count = np.count_nonzero(stepped)
+    moved = False
     for factor in _LO_THRESHOLD_FACTORS:
         inl = err < factor * threshold
-        if stepped is not None and np.array_equal(inl, stepped):
+        if np.array_equal(inl, stepped):
             continue
         stepped = inl
-        inl_points, rows = points[inl], np.repeat(inl, 2)
+        set_points, rows = points[inl], np.repeat(inl, 2)
         for _ in range(_LO_STEPS):
-            J = _pose_jacobian(R, C, inl_points, K)
+            J = _pose_jacobian(R, C, set_points, K)
             try:
                 delta = np.linalg.solve(J.T @ J, -(J.T @ res[rows]))
             except np.linalg.LinAlgError:
@@ -845,52 +896,42 @@ def _local_optimization(R: np.ndarray, C: np.ndarray, points: np.ndarray, pixels
             new_count = np.count_nonzero(err_new < threshold)
             if new_count < count:
                 break
-            R, C, res, err, count = R_new, C_new, res_new, err_new, new_count
-    return R, C, err < threshold, res
+            R, C, res, err, count, moved = R_new, C_new, res_new, err_new, new_count, True
+    if not moved:
+        return solution
+    inl = err < threshold
+    return PnPSolution(RigidPose(R, C), np.flatnonzero(inl), float(err[inl].mean()),
+                       solution.iterations_used)
 
 
 def refine_pose(
     initial: PnPSolution,
     batch: CorrespondenceBatch,
     K: CameraIntrinsics,
-    inlier_threshold_px: Optional[float] = None,
 ) -> RigidPose:
     """Levenberg-Marquardt minimization of the summed squared reprojection
-    error over an inlier set.
+    error over the solution's inliers.
 
-    Given the RANSAC run's inlier_threshold_px, the solution is first
-    locally optimized (_local_optimization: the inliers re-collected at 2x
-    and then 1x the threshold, up to two Gauss-Newton steps on each set,
-    none of which may lower the inlier count at the threshold), and the
-    inliers of the settled pose at the threshold are refined.  Without it,
-    the solution's own inliers are refined from its pose.
-
-    It takes at most _REFINE_MAX_STEPS (100) steps and stops early once an
-    accepted step lowers the cost by a relative amount below
-    _REFINE_RELATIVE_TOL (1e-10).
+    It takes at most _REFINE_MAX_STEPS (100) steps and stops early once a
+    step changes the cost by a relative amount below _REFINE_RELATIVE_TOL
+    (1e-10), and keeps that step only if it lowers the cost.
 
     The rotation is updated multiplicatively through the exponential map (3
     local parameters), so iterates stay on the rotation manifold.  The cost
-    never increases across accepted steps; if no step improves, the starting
+    never increases across accepted steps; if no step improves, the initial
     pose is returned unchanged.
     """
+    idx = initial.inlier_indices
+    points, pixels = batch.points[idx], batch.pixels[idx]
     R = np.array(initial.pose.rotation)
     C = np.array(initial.pose.center)
-    if inlier_threshold_px is None:
-        idx = initial.inlier_indices
-        res = _reprojection_residuals(R, C, batch.points[idx], batch.pixels[idx], K)
-    else:
-        R, C, inl, res = _local_optimization(R, C, batch.points, batch.pixels, K,
-                                             inlier_threshold_px)
-        idx = np.flatnonzero(inl)
-        res = res[np.repeat(inl, 2)]
-    points, pixels = batch.points[idx], batch.pixels[idx]
 
-    if not np.all(np.isfinite(res)):
-        return RigidPose(R, C)
+    res = _reprojection_residuals(R, C, points, pixels, K)
+    if not np.isfinite(res).all():
+        return initial.pose
     cost = float(res @ res)
     if cost == 0.0:
-        return RigidPose(R, C)
+        return initial.pose
 
     lam = 1e-6
     for _ in range(_REFINE_MAX_STEPS):
@@ -898,14 +939,14 @@ def refine_pose(
         H = J.T @ J
         g = J.T @ res
         try:
-            delta = np.linalg.solve(H + lam * np.eye(6), -g)
+            delta = np.linalg.solve(H + lam * _EYE6, -g)
         except np.linalg.LinAlgError:
             lam *= 10.0
             continue
         R_new = _exp_so3(delta[:3]) @ R
         C_new = C + delta[3:]
         res_new = _reprojection_residuals(R_new, C_new, points, pixels, K)
-        if np.all(np.isfinite(res_new)):
+        if np.isfinite(res_new).all():
             cost_new = float(res_new @ res_new)
         else:
             cost_new = np.inf
@@ -915,6 +956,9 @@ def refine_pose(
             lam = max(lam / 3.0, 1e-12)
             if rel < _REFINE_RELATIVE_TOL or cost == 0.0:
                 break
+        elif cost_new - cost < _REFINE_RELATIVE_TOL * cost:
+            # Rounding at the minimum: raising lam would only shrink the step.
+            break
         else:
             lam *= 10.0
             if lam > 1e12:

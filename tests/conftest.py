@@ -86,7 +86,7 @@ def patched_ransac_rule(fixed_budget=False, span_px=None):
     sample."""
     with pytest.MonkeyPatch.context() as m:
         if fixed_budget:
-            m.setattr(pnp, "_iterations_needed", lambda ratio, cfg: cfg.max_iterations)
+            m.setattr(pnp, "_iterations_needed", lambda p, cfg: cfg.max_iterations)
         if span_px is not None:
             m.setattr(pnp, "_MIN_PIXEL_SPAN_PX", span_px)
         yield

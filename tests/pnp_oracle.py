@@ -20,12 +20,11 @@ Like the production loop, a run given fewer than min_inliers
 correspondences returns None before drawing, and with adaptive=True (the
 production rule) the iteration budget starts at the min-inliers bound, the
 RANSAC bound at inlier ratio min_inliers / n, and a weighted run stops at
-the weight mass of a best model's inliers once that model has min_inliers
-inliers.  Unlike it, the oracle builds
-a RigidPose at every improvement, and takes the stopping rule and the
-minimum pixel span as arguments: adaptive=False runs exactly
-max_iterations, which the library does when its _iterations_needed is
-patched to return the cap.
+the bound that a best model's inlier weight shares give once that model
+has min_inliers inliers.  Unlike it, the oracle builds a RigidPose at
+every improvement, and takes the stopping rule and the minimum pixel span
+as arguments: adaptive=False runs exactly max_iterations, which the
+library does when its _iterations_needed is patched to return the cap.
 """
 
 from __future__ import annotations
@@ -303,11 +302,24 @@ def sample_is_degenerate(points: np.ndarray, pixels: np.ndarray, span_px: float)
     return span < span_px
 
 
-def ransac_bound(ratio: float, confidence: float) -> float:
+def weighted_sample_chance(shares: np.ndarray) -> float:
+    """Lower bound on the chance that three distinct weighted picks are all
+    inliers, given the inliers' shares of the sampling weight: the first
+    pick holds M = sum(shares), and the second and third at least
+    (M - a) / (1 - a) and (M - a - b) / (1 - a - b) after the two heaviest
+    inliers a and b are gone."""
+    M = float(shares.sum())
+    b, a = np.sort(shares)[-2:].tolist()
+    if M - a - b <= 0.0:
+        return 0.0
+    return M * (M - a) / (1.0 - a) * (M - a - b) / (1.0 - a - b)
+
+
+def ransac_bound(p: float, confidence: float) -> float:
     """Uncapped RANSAC bound: iterations that draw an all-inlier sample with
-    the given confidence at inlier ratio (or mass) ratio (inf when the
-    ratio cannot move 1 - ratio**3 off 1)."""
-    denom = math.log(max(1e-300, 1.0 - ratio ** 3))
+    the given confidence when one sample is all inliers with chance p (inf
+    when p cannot move 1 - p off 1)."""
+    denom = math.log(max(1e-300, 1.0 - p))
     if denom >= 0.0:
         return math.inf
     return math.ceil(math.log(1.0 - confidence) / denom)
@@ -328,16 +340,17 @@ def ransac_pnp(
     best, update the adaptive bound.  The budget starts at the min-inliers
     bound, and a run gives up after _MAX_SAMPLE_ATTEMPTS * max_iterations
     draws.  Under weights that are not all equal, a best model with at least
-    min_inliers inliers takes its bound at the larger of its inlier ratio
-    and the summed weight of its inliers.  adaptive=False runs exactly max_iterations; a sample whose
-    pixels span less than span_px is degenerate; both bounds are taken at
-    the given confidence."""
+    min_inliers inliers takes its bound at the larger chance of an
+    all-inlier sample, by its inlier ratio cubed or by
+    weighted_sample_chance.  adaptive=False runs exactly max_iterations; a
+    sample whose pixels span less than span_px is degenerate; both bounds
+    are taken at the given confidence."""
     n = len(batch)
     if n < cfg.min_inliers:
         return None
     points, pixels = batch.points, batch.pixels
     w = np.full(n, 1.0 / n) if weights is None else np.asarray(weights, dtype=np.float64)
-    prior = not np.all(w == w[0])
+    shares = None if np.all(w == w[0]) else w / w.sum()
 
     rng = np.random.default_rng(cfg.seed)
     best_count = 0
@@ -345,7 +358,7 @@ def ransac_pnp(
     best_pose: Optional[RigidPose] = None
     needed = cfg.max_iterations
     if adaptive:
-        needed = max(1, min(needed, ransac_bound(cfg.min_inliers / n, confidence)))
+        needed = max(1, min(needed, ransac_bound((cfg.min_inliers / n) ** 3, confidence)))
     it = 0
     draws_left = _MAX_SAMPLE_ATTEMPTS * cfg.max_iterations
     while it < needed and draws_left:
@@ -379,10 +392,10 @@ def ransac_pnp(
                 best_count = count
                 best_err = mean_err
                 if adaptive:
-                    ratio = count / n
-                    if prior and count >= cfg.min_inliers:
-                        ratio = max(ratio, float(np.where(inl, w, 0.0).sum()))
-                    needed = min(needed, max(it, ransac_bound(ratio, confidence)))
+                    p = (count / n) ** 3
+                    if shares is not None and count >= cfg.min_inliers:
+                        p = max(p, weighted_sample_chance(shares[inl]))
+                    needed = min(needed, max(it, ransac_bound(p, confidence)))
 
     if best_pose is None:
         return None

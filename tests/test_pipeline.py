@@ -189,24 +189,33 @@ class TestFinalRefinement:
     def test_winner_is_locally_optimized_at_the_final_threshold(self, zero_noise_dataset,
                                                                 small_cfg, small_run,
                                                                 monkeypatch):
-        # refine_pose gets the final run's threshold, and the refined pose
-        # keeps every inlier of the RANSAC winner
+        # local_optimization gets the final run's winner and threshold,
+        # refine_pose gets its settled solution, and the diagnostics
+        # describe that settled solution
         ds = zero_noise_dataset
         dense_map, _, baseline = small_run
-        calls = []
+        calls, refined = [], []
 
-        def refine(solution, batch, K, threshold):
-            pose = pnp.refine_pose(solution, batch, K, threshold)
-            _, err = pnp._errors(pose.rotation, pose.center, batch.points, batch.pixels, K)
-            calls.append((threshold, solution.num_inliers, int((err < threshold).sum())))
-            return pose
+        def optimize(solution, batch, K, threshold):
+            settled = pnp.local_optimization(solution, batch, K, threshold)
+            calls.append((threshold, solution, settled))
+            return settled
 
+        def refine(solution, batch, K):
+            refined.append(solution)
+            return pnp.refine_pose(solution, batch, K)
+
+        monkeypatch.setattr(pipeline, "local_optimization", optimize)
         monkeypatch.setattr(pipeline, "refine_pose", refine)
         results = localize_all(ds.queries, ds.db_records, dense_map, small_cfg)
         assert len(calls) == len(ds.queries)
-        for threshold, before, after in calls:
+        for (threshold, winner, settled), given, r in zip(calls, refined, results):
             assert threshold == small_cfg.ransac_inlier_threshold_px
-            assert after >= before
+            assert given is settled
+            assert settled.num_inliers >= winner.num_inliers
+            assert r.diagnostics["final_inliers"] == settled.num_inliers
+            assert r.diagnostics["final_mean_error_px"] == settled.mean_reprojection_error_px
+            assert r.diagnostics["final_iterations"] == winner.iterations_used
         for a, b in zip(results, baseline):
             assert a.pose.rotation.tobytes() == b.pose.rotation.tobytes()
             assert a.pose.center.tobytes() == b.pose.center.tobytes()

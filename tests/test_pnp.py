@@ -35,6 +35,7 @@ from semloc.pnp import (
     _ransac_pnp,
     _score_hypotheses,
     estimate_temporary_pose,
+    local_optimization,
     refine_pose,
     solve_p3p,
     weighted_ransac_pnp,
@@ -944,10 +945,42 @@ class TestStackedKernels:
                 assert _exp_so3(v).tobytes() == rotation_about_axis(v, theta).tobytes()
 
 
+def _exact_sample_chance(shares, inliers):
+    """Chance that three distinct picks, each proportional to weight among
+    the items left, are all inliers: a sum over ordered inlier triples."""
+    return sum(shares[i] * shares[j] / (1.0 - shares[i])
+               * shares[k] / (1.0 - shares[i] - shares[j])
+               for i in inliers for j in inliers for k in inliers
+               if len({i, j, k}) == 3)
+
+
 class TestMassBound:
-    """A weighted run stops at the RANSAC bound of the larger of its best
-    model's inlier ratio and inlier weight mass, once that model has
-    min_inliers inliers."""
+    """A weighted run stops at the RANSAC bound of the larger chance of an
+    all-inlier sample, by its best model's inlier ratio or by _mass_chance
+    of its inliers' weight shares, once that model has min_inliers
+    inliers."""
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(weights=st.lists(st.floats(1e-3, 1.0), min_size=4, max_size=9),
+           data=st.data())
+    def test_mass_chance_bounds_the_exact_chance(self, weights, data):
+        shares = np.array(weights) / sum(weights)
+        inliers = data.draw(st.lists(st.integers(0, len(weights) - 1), min_size=3,
+                                     unique=True))
+        exact = _exact_sample_chance(shares, inliers)
+        bound = pnp._mass_chance(shares[inliers])
+        assert 0.0 <= bound <= exact * (1 + 1e-12)
+        # M**3 is not a bound: distinct picks leave less inlier weight
+        assert exact <= shares[inliers].sum() ** 3 * (1 + 1e-12)
+
+    def test_mass_chance_is_exact_for_equal_inlier_shares(self):
+        shares = np.array([0.1] * 6 + [0.4 / 3] * 3)
+        exact = _exact_sample_chance(shares, range(6))
+        assert pnp._mass_chance(shares[:6]) == pytest.approx(exact, rel=1e-12)
+        # two heavy inliers and a light one: below M**3 = 0.729
+        shares = np.array([0.4, 0.4, 0.1, 0.1])
+        assert pnp._mass_chance(shares[:3]) == 0.9 * (0.5 / 0.6) * (0.1 / 0.2)
+        assert _exact_sample_chance(shares, range(3)) < 0.9 ** 3
 
     @staticmethod
     def _scene():
@@ -966,11 +999,12 @@ class TestMassBound:
 
     def test_heavy_model_below_min_inliers_does_not_stop_the_run(self):
         # the 8 heavy items agree on a model with 0.75 of the mass, which
-        # would stop the run after 13 iterations; below min_inliers it must
+        # would stop the run after 15 iterations; below min_inliers it must
         # not, and the run goes on to the 40-inlier consensus
         corrs, pose = self._scene()
         K = default_intrinsics()
-        assert pnp._iterations_needed(0.75, RansacConfig()) == 13
+        heavy = pnp._mass_chance(corrs.weights[40:48])
+        assert pnp._iterations_needed(heavy, RansacConfig()) == 15
         for seed in range(5):
             cfg = RansacConfig(inlier_threshold_px=2.0, seed=seed, max_iterations=1000)
             sol = weighted_ransac_pnp(corrs, K, cfg)
@@ -986,8 +1020,8 @@ class TestMassBound:
         corrs = synthetic_correspondences(rng, K, random_pose(rng), 120, outlier_frac=2 / 3)
         w = np.where(np.arange(120) >= 80, 0.95 / 40, 0.05 / 80)
         cfg = RansacConfig(seed=3)
-        assert pnp._iterations_needed(40 / 120, cfg) == 184
-        assert pnp._iterations_needed(0.95, cfg) == 4
+        assert pnp._iterations_needed((40 / 120) ** 3, cfg) == 184
+        assert pnp._iterations_needed(pnp._mass_chance(w[80:] / w.sum()), cfg) == 4
         sol = weighted_ransac_pnp(replace(corrs, weights=w), K, cfg)
         assert sol.inlier_indices.tolist() == list(range(80, 120))
         assert sol.iterations_used <= 4
@@ -996,14 +1030,14 @@ class TestMassBound:
         assert plain.iterations_used >= 40
 
 
-def _inlier_count(R, C, corrs, K, threshold):
-    return int((pnp._errors(R, C, corrs.points, corrs.pixels, K)[1] < threshold).sum())
+def _errors_at(pose, corrs, K):
+    return pnp._errors(pose.rotation, pose.center, corrs.points, corrs.pixels, K)[1]
 
 
 class TestLocalOptimization:
-    """refine_pose, given the run's threshold, re-collects the winner's
-    inliers at 2x and 1x the threshold and steps on them before the LM
-    refinement; no kept step lowers the inlier count."""
+    """local_optimization re-collects a winner's inliers at 2x and 1x the
+    threshold and steps on them; no kept step lowers the inlier count, and
+    the settled solution restates its inliers over all correspondences."""
 
     @staticmethod
     def _short_winner(seed, short):
@@ -1016,14 +1050,15 @@ class TestLocalOptimization:
         corrs = synthetic_correspondences(rng, K, pose, 30, pixel_noise=0.3)
         R = _exp_so3(rng.normal(scale=0.004, size=3)) @ pose.rotation
         C = pose.center + rng.normal(scale=0.01, size=3)
-        err = pnp._errors(R, C, corrs.points, corrs.pixels, K)[1]
+        winner_pose = RigidPose(*pnp._orthonormalized(R, C))
+        err = _errors_at(winner_pose, corrs, K)
         ranked = np.sort(err)
         threshold = 0.5 * (ranked[-short - 1] + ranked[-short])
         assert ranked[-1] < 2.0 * threshold
-        assert _inlier_count(pose.rotation, pose.center, corrs, K, threshold) == 30
+        assert (_errors_at(pose, corrs, K) < threshold).all()
         inliers = np.flatnonzero(err < threshold)
         assert len(inliers) == 30 - short
-        winner = PnPSolution(RigidPose(*pnp._orthonormalized(R, C)), inliers, 0.0)
+        winner = PnPSolution(winner_pose, inliers, float(err[inliers].mean()), 17)
         return corrs, winner, threshold
 
     @pytest.mark.parametrize("short", [1, 2])
@@ -1031,13 +1066,13 @@ class TestLocalOptimization:
         K = default_intrinsics()
         for seed in range(5):
             corrs, winner, threshold = self._short_winner(seed, short)
-            R, C, inl, _ = pnp._local_optimization(
-                np.array(winner.pose.rotation), np.array(winner.pose.center),
-                corrs.points, corrs.pixels, K, threshold)
-            assert inl.all()
-            refined = refine_pose(winner, corrs, K, threshold)
-            assert _inlier_count(refined.rotation, refined.center, corrs, K, threshold) == 30
-            # the LM step then runs on the full set
+            settled = local_optimization(winner, corrs, K, threshold)
+            assert settled.inlier_indices.tolist() == list(range(30))
+            err = _errors_at(settled.pose, corrs, K)
+            assert settled.mean_reprojection_error_px == float(err.mean())
+            assert settled.iterations_used == 17
+            # the LM then runs on the full set
+            refined = refine_pose(settled, corrs, K)
             full = refine_pose(replace(winner, inlier_indices=np.arange(30)), corrs, K)
             assert np.linalg.norm(refined.center - full.center) < 1e-6
             assert rotation_error_deg(refined.rotation, full.rotation) < 1e-5
@@ -1047,15 +1082,55 @@ class TestLocalOptimization:
         # the 2x threshold and pull the steps off
         rng = np.random.default_rng(85)
         K = default_intrinsics()
+        kept = 0
         for _ in range(40):
             pose = random_pose(rng)
             corrs = synthetic_correspondences(rng, K, pose, 40, outlier_frac=0.4,
                                               pixel_noise=1.0)
             R = _exp_so3(rng.normal(scale=0.01, size=3)) @ pose.rotation
             C = pose.center + rng.normal(scale=0.03, size=3)
-            before = _inlier_count(R, C, corrs, K, 3.0)
-            R2, C2, inl, _ = pnp._local_optimization(R, C, corrs.points, corrs.pixels, K, 3.0)
-            assert inl.sum() == _inlier_count(R2, C2, corrs, K, 3.0) >= before
+            winner_pose = RigidPose(*pnp._orthonormalized(R, C))
+            err = _errors_at(winner_pose, corrs, K)
+            winner = PnPSolution(winner_pose, np.flatnonzero(err < 3.0), 0.0)
+            settled = local_optimization(winner, corrs, K, 3.0)
+            if settled is winner:
+                continue
+            kept += 1
+            after = _errors_at(settled.pose, corrs, K)
+            assert settled.inlier_indices.tolist() == np.flatnonzero(after < 3.0).tolist()
+            assert settled.mean_reprojection_error_px == float(after[after < 3.0].mean())
+            assert settled.num_inliers >= winner.num_inliers
+        assert kept >= 30
+
+    def test_winner_with_nothing_between_1x_and_2x_is_returned_as_is(self):
+        # exact inliers and gross outliers: the 2x set is the winner's own
+        # inlier set, which refine_pose refines next, so no step is taken
+        rng = np.random.default_rng(86)
+        K = default_intrinsics()
+        pose = random_pose(rng)
+        corrs = synthetic_correspondences(rng, K, pose, 30, outlier_frac=0.3)
+        err = _errors_at(pose, corrs, K)
+        assert not ((err >= 1.0) & (err < 2.0)).any()
+        winner = PnPSolution(pose, np.flatnonzero(err < 1.0), 0.0)
+        assert local_optimization(winner, corrs, K, 1.0) is winner
+
+    def test_a_step_pulls_in_points_beyond_twice_the_threshold(self):
+        # a rotated winner keeps 12 of 30 inliers and 27 within 2x; the
+        # steps on those 27 bring the other 3 within 1x, and the 1x set is
+        # re-collected from every correspondence, so all 30 are kept
+        rng = np.random.default_rng(1)
+        K = default_intrinsics()
+        pose = random_pose(rng)
+        corrs = synthetic_correspondences(rng, K, pose, 30, pixel_noise=0.3)
+        R = _exp_so3(rng.normal(scale=0.02, size=3)) @ pose.rotation
+        winner_pose = RigidPose(*pnp._orthonormalized(R, pose.center))
+        err = _errors_at(winner_pose, corrs, K)
+        threshold = float(np.sort(err)[12])
+        winner = PnPSolution(winner_pose, np.flatnonzero(err < threshold), 0.0)
+        assert winner.num_inliers == 12
+        assert (err < 2.0 * threshold).sum() == 27
+        settled = local_optimization(winner, corrs, K, threshold)
+        assert settled.inlier_indices.tolist() == list(range(30))
 
 
 class TestRefinePose:
@@ -1125,6 +1200,30 @@ class TestRefinePose:
             refined = refine_pose(sol, corrs, K)
             r1 = _reprojection_residuals(refined.rotation, refined.center, pts, pix, K)
             assert float(r1 @ r1) <= float(r0 @ r0) + 1e-12
+
+
+    def test_converged_pose_stops_after_one_step(self, monkeypatch):
+        # refining a refined pose: its one step changes the cost only by
+        # rounding, which ends the refinement instead of a run of rejected
+        # steps with growing damping
+        rng = np.random.default_rng(24)
+        K = default_intrinsics()
+        steps = []
+
+        def jacobian(*args):
+            steps.append(1)
+            return _pose_jacobian(*args)
+
+        monkeypatch.setattr(pnp, "_pose_jacobian", jacobian)
+        for t in range(10):
+            pose = random_pose(rng)
+            corrs = synthetic_correspondences(rng, K, pose, 40, pixel_noise=1.0)
+            sol = PnPSolution(pose, np.arange(40), 0.0)
+            once = refine_pose(sol, corrs, K)
+            steps.clear()
+            twice = refine_pose(replace(sol, pose=once), corrs, K)
+            assert len(steps) == 1
+            assert np.linalg.norm(twice.center - once.center) < 1e-9
 
 
 class TestContaminationMini:
