@@ -147,6 +147,11 @@ def project_points(
     rotation is (..., 3, 3) world-to-camera and center (..., 3); the result
     is (pixels (..., N, 2), depth (..., N)), depth being the camera-frame z.
     Pixel rows with depth <= 0 are NaN.  No image-bounds clipping here.
+
+    For N >= 2 a row is bitwise the same whatever N is and however many
+    poses are stacked, so a caller may pad or batch rows freely.  A one-row
+    call (N = 1, as in project) may differ from it in the last bit: the
+    matrix product takes another path for a single row.
     """
     center = np.asarray(center, dtype=np.float64)
     cam = (np.asarray(points, dtype=np.float64) - center[..., None, :]) @ np.swapaxes(

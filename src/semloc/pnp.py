@@ -17,21 +17,27 @@ stops.
 
 A RANSAC iteration is one non-degenerate minimal sample, solved and
 scored; degenerate draws are redrawn and do not count.  Hypotheses are
-evaluated in chunks: a chunk's minimal samples are drawn, checked for
+evaluated in rounds: a round's minimal samples are drawn, checked for
 degeneracy, solved by one vectorized P3P and scored by one reprojection of
-every candidate against every correspondence.  Draws and selection stay
+every candidate against every correspondence.  A round is fitted to what
+is left of the run's bound: a run that has at most 2 * _CHUNK iterations
+left draws all of them plus a quarter and 4 for degenerate draws, one with
+more left draws _CHUNK, and a run with a sampling prior first draws 16, as
+its weight mass usually stops it within them.  Draws and selection stay
 sequential: samples come from the generator in the order one draw at a
 time would take them, and the iterations are replayed in order with the
 same best-selection rule and adaptive stopping bound, so a run returns
-what the one-hypothesis-per-iteration loop returns up to rounding.
+what the one-hypothesis-per-iteration loop returns up to rounding, and
+bitwise the same whatever its rounds' sizes.
 
 Independent runs advance in lockstep rounds: estimate_temporary_pose runs
 every retrieved image of a query together.  In a round each live run draws
-one chunk from its own generator, one degeneracy check and one P3P solve
-cover every run's samples, and each run scores and replays its own
-candidates.  A row of the P3P batch gets bitwise the candidates it gets
-alone, and no run's draws or scoring see another run, so each run returns
-bitwise what it returns when run alone.
+from its own generator, one degeneracy check and one P3P solve cover every
+run's samples, and each run scores and replays its own candidates.  A row
+of the P3P batch gets bitwise the candidates it gets alone, and no run's
+draws or scoring see another run, so each run returns bitwise what it
+returns when run alone.  When every run has stopped, one stacked pass
+re-verifies every run's best model (_finish).
 
 Every run applies two bounds, both the RANSAC bound of Fischler & Bolles
 (1981) at a fixed confidence of 0.999: the iterations after which a sample
@@ -52,8 +58,9 @@ bound exactly.  The min-inliers bound is taken from the start at the
 smallest acceptable ratio, min_inliers / n: the run stops once it has
 probably shown that no model reaches min_inliers.  A run given fewer than
 min_inliers correspondences draws nothing and returns no model.  A sample
-spanning less than a fixed 10 px is degenerate.  The winning candidate
-becomes a RigidPose once, when the run ends.
+spanning less than a fixed 10 px is degenerate.  A winning candidate
+becomes a RigidPose once, when the run ends, and only if it keeps
+min_inliers inliers.
 
 A run stopped that early may return a model fitted to a noisy sample and
 short of the full consensus.  local_optimization refits it (LO-RANSAC,
@@ -85,10 +92,17 @@ __all__ = [
 
 _COLLINEAR_AREA_TOL = 1e-12
 
-# Minimal samples drawn, checked, solved and scored together per RANSAC
-# chunk.  Working memory per chunk is O(_CHUNK * N) whatever max_iterations
-# is; a chunk may solve up to _CHUNK - 1 hypotheses past the adaptive stop.
+# Minimal samples a RANSAC round draws while more than 2 * _CHUNK
+# iterations are left; with fewer left, a round draws what is left plus a
+# quarter and 4 (at most 2.5 * _CHUNK + 4 samples).  Working memory per
+# round is O(_CHUNK * N) whatever max_iterations is.  A round solves
+# samples past a stop only when a new best model lowers the bound
+# mid-round, up to the round's kept samples less one.
 _CHUNK = 64
+
+# Samples a run with a sampling prior draws per round until it has run an
+# iteration: its weight-mass bound usually stops it after about a dozen.
+_FIRST_WEIGHTED_ROUND = 16
 
 # A RANSAC run draws at most _MAX_SAMPLE_ATTEMPTS * max_iterations minimal
 # samples, degenerate ones included, before it gives up.
@@ -664,8 +678,8 @@ class _RansacRun:
     prior (weights that are not all equal) takes a new best model's bound
     at the larger of the count's chance and _mass_chance of its inliers'
     weight shares, once the model has min_inliers inliers.  The replay
-    keeps the best candidate's raw R and C, and the one RigidPose is built
-    from them when the run ends.
+    keeps the best candidate's raw R and C; _finish re-verifies them when
+    every run has stopped.
     """
 
     def __init__(self, batch: CorrespondenceBatch, K: CameraIntrinsics, cfg: RansacConfig,
@@ -690,15 +704,27 @@ class _RansacRun:
         self.it = 0
         self.draws_left = _MAX_SAMPLE_ATTEMPTS * cfg.max_iterations
 
+    def _round_size(self) -> int:
+        """Samples this round draws, degenerate ones included: what is left
+        of the bound plus a quarter and 4 once at most 2 * _CHUNK
+        iterations are left, else _CHUNK; at most _FIRST_WEIGHTED_ROUND
+        while a run with a prior has run no iteration; never past the draw
+        cap.  Any size gives the run the same samples in the same order."""
+        left = self.needed - self.it
+        size = _CHUNK if left > 2 * _CHUNK else left + left // 4 + 4
+        if self.prior is not None and self.it == 0:
+            size = min(size, _FIRST_WEIGHTED_ROUND)
+        return min(size, self.draws_left)
+
     def draw(self) -> np.ndarray:
-        """This round's chunk of minimal samples, degenerate ones included."""
-        drawn = _draw_minimal_samples(self.rng, self.weights, min(_CHUNK, self.draws_left))
+        """This round's minimal samples, degenerate ones included."""
+        drawn = _draw_minimal_samples(self.rng, self.weights, self._round_size())
         self.draws_left -= len(drawn)
         return drawn
 
     def replay(self, R: np.ndarray, C: np.ndarray, valid: np.ndarray, K: CameraIntrinsics) -> None:
         """Score this run's P3P candidates (one row per kept sample, in draw
-        order) and take them one iteration at a time.  A chunk with no valid
+        order) and take them one iteration at a time.  A round with no valid
         candidate only counts its iterations."""
         cfg = self.cfg
         per_sample = valid.sum(axis=1).tolist()
@@ -732,24 +758,6 @@ class _RansacRun:
                     self.needed = min(self.needed,
                                       max(self.it, _iterations_needed(p, cfg)))
 
-    def solution(self, K: CameraIntrinsics) -> Optional[PnPSolution]:
-        if self.best_R is None:
-            return None
-        # Valid candidates are finite, and any finite matrix orthonormalizes
-        # to a rotation RigidPose accepts.
-        best_pose = RigidPose(*_orthonormalized(self.best_R, self.best_C))
-        # Re-verification pass: the returned solution restates its own inliers.
-        _, err = _errors(best_pose.rotation, best_pose.center, self.points, self.pixels, K)
-        inl = err < self.cfg.inlier_threshold_px
-        if int(inl.sum()) < self.cfg.min_inliers:
-            return None
-        return PnPSolution(
-            pose=best_pose,
-            inlier_indices=np.nonzero(inl)[0],
-            mean_reprojection_error_px=float(err[inl].mean()),
-            iterations_used=self.it,
-        )
-
 
 def _ransac_pnp(
     runs: Sequence[tuple[CorrespondenceBatch, RansacConfig, Optional[np.ndarray]]],
@@ -762,17 +770,21 @@ def _ransac_pnp(
     An iteration is one non-degenerate minimal sample, solved and scored; a
     degenerate draw is redrawn and does not count, and a run gives up after
     _MAX_SAMPLE_ATTEMPTS * max_iterations draws.  In each round every live
-    run draws up to _CHUNK samples from its own generator; one
-    _degenerate_samples call checks all of them, each run keeps the first
-    needed - it of its non-degenerate ones, and one _p3p_batch call solves
-    every run's kept samples; a round in which no run keeps a sample solves
-    nothing.  Each run then scores its own candidates against its own
-    correspondences and replays them in draw order with the best-selection
-    rule.  A run's result is the one it gets alone, bitwise:
-    _p3p_batch gives a row the candidates it gets alone, and drawing and
-    scoring stay per run.  Work done for iterations past a run's stop is
-    discarded.  A run with fewer than min_inliers correspondences returns
-    None before any draw.
+    run draws from its own generator as many samples as its remaining
+    bound asks for (_RansacRun._round_size); one _degenerate_samples call
+    checks all of them, each run keeps the first needed - it of its
+    non-degenerate ones, and one _p3p_batch call solves every run's kept
+    samples; a round in which no run keeps a sample solves nothing.  Each
+    run then scores its own candidates against its own correspondences and
+    replays them in draw order with the best-selection rule.  A run's
+    result is the one it gets alone, bitwise, and the one it gets under any
+    round sizes: the generator yields the same samples however they are
+    split into rounds, _p3p_batch gives a row the candidates it gets alone,
+    _score_hypotheses gives a candidate the scores it gets alone, and
+    drawing and scoring stay per run.  Work done for iterations past a
+    run's stop is discarded.  A run with fewer than min_inliers
+    correspondences returns None before any draw.  One _finish call
+    re-verifies every run's best model.
     """
     state = [None if len(batch) < cfg.min_inliers else _RansacRun(batch, K, cfg, weights)
              for batch, cfg, weights in runs]
@@ -796,7 +808,44 @@ def _ransac_pnp(
             stop = start + len(samples)
             run.replay(R[start:stop], C[start:stop], valid[start:stop], K)
             start = stop
-    return [None if run is None else run.solution(K) for run in state]
+    return _finish(state, K)
+
+
+def _finish(state: Sequence[Optional[_RansacRun]],
+            K: CameraIntrinsics) -> list[Optional[PnPSolution]]:
+    """Each stopped run's solution, None for a None entry, a run with no
+    model, or a model that keeps fewer than min_inliers inliers.
+
+    One stacked pass re-verifies every best model: one _orthonormalized
+    call snaps them to rotations, and one _reprojection_residuals call
+    restates their inliers over their own correspondences, padded to the
+    longest run by repeating a real row.  A run's count and mean error come
+    from its own unpadded rows.  These are bitwise what a run gets alone:
+    the SVD runs per matrix, and a project_points row does not depend on
+    how many rows share the call once there are two or more, which every
+    run has (min_inliers >= 3).  A RigidPose is built only for an accepted
+    model; the orthonormalized matrices are rotations it accepts.
+    """
+    solved = [i for i, run in enumerate(state) if run is not None and run.best_R is not None]
+    results: list[Optional[PnPSolution]] = [None] * len(state)
+    if not solved:
+        return results
+    runs = [state[i] for i in solved]
+    R, C = _orthonormalized(np.stack([run.best_R for run in runs]),
+                            np.stack([run.best_C for run in runs]))
+    pad = np.arange(max(run.n for run in runs))
+    rows = [np.minimum(pad, run.n - 1) for run in runs]
+    res = _reprojection_residuals(R, C, np.stack([run.points[r] for run, r in zip(runs, rows)]),
+                                  np.stack([run.pixels[r] for run, r in zip(runs, rows)]), K)
+    # _errors' per-correspondence norm, over every run at once.
+    errs = np.sqrt(np.add.reduce((res * res).reshape(len(runs), len(pad), 2), axis=2))
+    for j, (i, run) in enumerate(zip(solved, runs)):
+        err = errs[j, : run.n]
+        inl = err < run.cfg.inlier_threshold_px
+        if np.count_nonzero(inl) >= run.cfg.min_inliers:
+            results[i] = PnPSolution(RigidPose(R[j], C[j]), np.flatnonzero(inl),
+                                     float(err[inl].mean()), run.it)
+    return results
 
 
 def _orthonormalized(R: np.ndarray, C: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

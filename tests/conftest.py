@@ -93,6 +93,16 @@ def patched_ransac_rule(fixed_budget=False, span_px=None):
 
 
 @contextlib.contextmanager
+def patched_round_size(size):
+    """Within the block, every semloc.pnp RANSAC round draws size minimal
+    samples (fewer at the run's draw cap) in place of the rounds fitted to
+    the run's remaining bound."""
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(pnp._RansacRun, "_round_size", lambda run: min(size, run.draws_left))
+        yield
+
+
+@contextlib.contextmanager
 def patched_gate_margins(distance=None, angle=None):
     """Within the block, semloc.scoring gates with the given distance and
     angle margins in place of the production ones (None keeps one)."""

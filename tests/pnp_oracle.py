@@ -1,6 +1,6 @@
 """Scalar reference implementations of the RANSAC-PnP hot path.
 
-semloc.pnp draws, checks, solves and scores minimal samples a chunk at a
+semloc.pnp draws, checks, solves and scores minimal samples a round at a
 time.  These are the one-sample-at-a-time versions it replaced, kept as
 test oracles: the batched code must give the same draws, the same
 degeneracy decisions, the same P3P candidates in the same order, and the

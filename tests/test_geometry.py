@@ -80,6 +80,30 @@ class TestProject:
             assert np.array_equal(depth[m], one_depth)
 
 
+    def test_rows_do_not_depend_on_the_row_count(self):
+        # a row is bitwise the same in every call of two or more rows, also
+        # when each of M stacked poses projects its own points; a one-row
+        # call (project) may differ from it in the last bit
+        rng = np.random.default_rng(9)
+        K = default_intrinsics()
+        pose = random_pose(rng)
+        pts = rng.normal(scale=4.0, size=(400, 3))
+        pixels, depth = project_points(pts, pose.rotation, pose.center, K)
+        for n in range(2, 401):
+            sub_pixels, sub_depth = project_points(pts[:n], pose.rotation, pose.center, K)
+            assert np.array_equal(sub_pixels, pixels[:n], equal_nan=True)
+            assert np.array_equal(sub_depth, depth[:n])
+        poses = [random_pose(rng) for _ in range(4)]
+        stacked = rng.normal(scale=4.0, size=(4, 50, 3))
+        pixels, depth = project_points(stacked, np.stack([p.rotation for p in poses]),
+                                       np.stack([p.center for p in poses]), K)
+        for m, one in enumerate(poses):
+            for n in (2, 3, 31, 50):
+                sub_pixels, sub_depth = project_points(stacked[m, :n], one.rotation, one.center, K)
+                assert np.array_equal(sub_pixels, pixels[m, :n], equal_nan=True)
+                assert np.array_equal(sub_depth, depth[m, :n])
+
+
 class TestBackProject:
     def test_principal_point(self):
         X = back_project(np.array([50.0, 50.0]), 5.0, RigidPose.identity(), _simple_K())

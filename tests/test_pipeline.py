@@ -17,7 +17,9 @@ from semloc.pipeline import (
     localize_query,
 )
 from semloc.retrieval import GlobalDescriptor, build_index
-from semloc.synthetic import generate_scene
+from semloc.synthetic import generate_scene, street_canyon_spec
+
+from conftest import patched_round_size
 
 
 @pytest.fixture(scope="module")
@@ -219,3 +221,30 @@ class TestFinalRefinement:
         for a, b in zip(results, baseline):
             assert a.pose.rotation.tobytes() == b.pose.rotation.tobytes()
             assert a.pose.center.tobytes() == b.pose.center.tobytes()
+
+
+class TestRoundSchedule:
+    def test_outputs_equal_fixed_64_sample_rounds(self, tmp_path):
+        # RANSAC rounds fitted to each run's remaining bound change no byte
+        # against fixed 64-sample rounds, on a reduced day/night canyon
+        # whose queries mix failed and successful temporary and final runs
+        spec = street_canyon_spec(seed=302, n_db=10, n_queries=8, image_size=(96, 72),
+                                  noise_profile="day_night", night_fraction=0.5,
+                                  anchors_per_plane=20, length=18.0)
+        ds = generate_scene(spec)
+        cfg = PipelineConfig(seed=17, ransac_inlier_threshold_px=2.5, fusion_voxel_size=0.12,
+                             top_k_day=6, top_k_night=6, temp_ransac_max_iterations=150,
+                             ransac_max_iterations=1000)
+        dense_map, _ = build_map(ds.db_records, cfg)
+        fitted = localize_all(ds.queries, ds.db_records, dense_map, cfg)
+        with patched_round_size(pnp._CHUNK):
+            fixed = localize_all(ds.queries, ds.db_records, dense_map, cfg)
+        write_estimates(tmp_path / "fitted.txt", fitted)
+        write_estimates(tmp_path / "fixed.txt", fixed)
+        assert (tmp_path / "fitted.txt").read_bytes() == (tmp_path / "fixed.txt").read_bytes()
+        assert [r.diagnostics for r in fitted] == [r.diagnostics for r in fixed]
+        temporary = [img["temporary_pose"] for r in fitted
+                     for img in r.diagnostics["images"].values()]
+        assert True in temporary and False in temporary
+        localized = [r.pose is not None for r in fitted]
+        assert True in localized and False in localized

@@ -8,7 +8,8 @@ refinement Jacobian is validated against central finite differences.
 The chunked RANSAC is checked against the one-sample-at-a-time oracles in
 pnp_oracle: the same draws and RNG state, the same degeneracy decisions,
 the same P3P candidates in the same order, and the same RANSAC results.
-Runs advanced in lockstep are checked bitwise against each run alone.
+Runs advanced in lockstep are checked bitwise against each run alone, and
+runs under any round sizes bitwise against the fitted rounds.
 """
 
 import math
@@ -20,7 +21,13 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from semloc import pnp
-from semloc.geometry import RigidPose, project, rotation_about_axis, rotation_error_deg
+from semloc.geometry import (
+    RigidPose,
+    project,
+    project_points,
+    rotation_about_axis,
+    rotation_error_deg,
+)
 from semloc.matching import CorrespondenceBatch
 from semloc.pnp import (
     PnPSolution,
@@ -45,6 +52,7 @@ import pnp_oracle
 from conftest import (
     default_intrinsics,
     patched_ransac_rule,
+    patched_round_size,
     random_pose,
     rodrigues,
     synthetic_correspondences,
@@ -614,8 +622,8 @@ class TestChunkedRansacMatchesSequential:
         assert self._compare(corrs, cfg, span_px=1e9) is None
 
     def test_partly_degenerate_draws_span_chunks(self):
-        # about half of all samples are degenerate, so each 64-draw chunk
-        # yields an uneven number of iterations and the run spans chunks
+        # about half of all samples are degenerate, so each round
+        # yields an uneven number of iterations and the run spans rounds
         rng = np.random.default_rng(74)
         K = default_intrinsics()
         corrs = synthetic_correspondences(rng, K, random_pose(rng), 30, outlier_frac=0.9)
@@ -676,7 +684,7 @@ def _assert_bitwise_equal(a, b):
 
 def _lockstep_runs():
     """(batch, cfg, weights) runs of every kind a query's lockstep call
-    meets: a success over two chunks, a doomed wrong-place image with 13
+    meets: a success over two rounds, a doomed wrong-place image with 13
     outliers, a batch below min_inliers, one below 4 correspondences, one
     whose pixels all lie within 10 px so that every draw is degenerate
     while the other runs' draws are not, and a weighted run."""
@@ -737,12 +745,14 @@ class TestLockstep:
         # doomed and the clustered runs do not, and the 5-point run draws
         # nothing
         assert [s is not None for s in alone] == [True, False, False, True, False, True]
-        # the clustered run draws four chunks, every sample degenerate, and
-        # solves none of them, alone or together
-        assert solves_alone == [2, 2, 0, 1, 0, 1]
+        # the clustered run draws up to its draw cap, every sample
+        # degenerate, and solves none of them, alone or together; the
+        # doomed run solves its whole bound in one round, and the weighted
+        # run starts with a small round
+        assert solves_alone == [2, 1, 0, 1, 0, 2]
         # one P3P call per round that keeps a sample, each solving every
         # live run's samples; no call solves or scores nothing
-        assert calls == [64 + 64 + 1 + 0 + 64, 41 + 3]
+        assert calls == [64 + 67 + 1 + 0 + 16, 41 + 64]
         assert 0 not in scored
 
     def test_temporary_poses_equal_one_call_per_batch(self):
@@ -817,7 +827,7 @@ class TestMinInliersBound:
         sol, counted = _counted_run(monkeypatch, self._doomed(), cfg)
         assert sol is None
         assert _bound(20, 40) == 52
-        assert counted["rows"] == 52 and counted["draws"] == 64
+        assert counted["rows"] == 52 and counted["draws"] == 69
 
     def test_without_adaptive_stopping_runs_max_iterations(self, monkeypatch):
         cfg = RansacConfig(min_inliers=20, seed=9, max_iterations=300)
@@ -853,6 +863,160 @@ class TestMinInliersBound:
         sol, counted = run(4 * bound, True)
         assert sol is None
         assert counted["rows"] == bound
+
+
+@st.composite
+def ransac_runs(draw):
+    """(batch, cfg, weights, span_px) of a uniform, a weighted or a partly
+    degenerate run (about half its draws span less than span_px)."""
+    kind = draw(st.sampled_from(["uniform", "weighted", "degenerate"]))
+    seed = draw(st.integers(0, 2**16))
+    n = draw(st.integers(8, 60))
+    rng = np.random.default_rng(seed)
+    corrs = synthetic_correspondences(rng, default_intrinsics(), random_pose(rng), n,
+                                      outlier_frac=draw(st.sampled_from([0.0, 0.4, 0.7])),
+                                      pixel_noise=0.5)
+    cfg = RansacConfig(min_inliers=draw(st.integers(4, 8)), seed=seed,
+                       max_iterations=draw(st.integers(20, 200)))
+    weights = None
+    if kind == "weighted":
+        w = rng.uniform(0.0, 1.0, n)
+        w[rng.random(n) < 0.2] = 0.0
+        weights = w / w.sum()
+    span = 400.0 if kind == "degenerate" else pnp._MIN_PIXEL_SPAN_PX
+    return corrs, cfg, weights, span
+
+
+class TestFittedRounds:
+    """A round draws what is left of its run's bound, with slack for
+    degenerate draws; round sizes change no run's draws, scoring or
+    winner."""
+
+    @settings(max_examples=30, deadline=None, derandomize=True, database=None)
+    @given(run=ransac_runs())
+    def test_any_round_sizes_give_the_same_result(self, run):
+        corrs, cfg, weights, span = run
+        K = default_intrinsics()
+        with patched_ransac_rule(span_px=span):
+            fitted = _one_run(corrs, K, cfg, weights)
+            with patched_round_size(pnp._CHUNK):
+                fixed = _one_run(corrs, K, cfg, weights)
+            with patched_round_size(1):
+                single = _one_run(corrs, K, cfg, weights)
+        _assert_bitwise_equal(fixed, fitted)
+        _assert_bitwise_equal(single, fitted)
+        _assert_same_result(fitted, pnp_oracle.ransac_pnp(corrs, K, cfg, weights, span_px=span))
+
+    def test_doomed_run_ends_in_one_round(self, monkeypatch):
+        # a wrong-place image: 13 gross outliers and min_inliers = 6, so the
+        # run solves the bound's 67 samples, all drawn in its first round
+        rng = np.random.default_rng(85)
+        K = default_intrinsics()
+        calls, scored = [], []
+
+        def p3p_batch(P, f):
+            calls.append(len(P))
+            return _p3p_batch(P, f)
+
+        def score_hypotheses(R, *args):
+            scored.append(len(R))
+            return _score_hypotheses(R, *args)
+
+        monkeypatch.setattr(pnp, "_p3p_batch", p3p_batch)
+        monkeypatch.setattr(pnp, "_score_hypotheses", score_hypotheses)
+        assert _bound(6, 13) == 67
+        for seed in range(5):
+            corrs = synthetic_correspondences(rng, K, random_pose(rng), 13, outlier_frac=1.0)
+            calls.clear()
+            scored.clear()
+            cfg = RansacConfig(min_inliers=6, seed=seed, max_iterations=300)
+            assert _temporary(corrs, K, cfg) is None
+            assert calls == [67]
+            assert len(scored) == 1
+
+    def test_weighted_run_starts_with_a_small_round(self, monkeypatch):
+        # the mass bound stops a run with a prior within its first round of
+        # 16 draws
+        rng = np.random.default_rng(84)
+        K = default_intrinsics()
+        corrs = synthetic_correspondences(rng, K, random_pose(rng), 120, outlier_frac=2 / 3)
+        w = np.where(np.arange(120) >= 80, 0.95 / 40, 0.05 / 80)
+        drawn = []
+
+        def draw(rng, weights, m):
+            drawn.append(m)
+            return _draw_minimal_samples(rng, weights, m)
+
+        monkeypatch.setattr(pnp, "_draw_minimal_samples", draw)
+        sol = weighted_ransac_pnp(replace(corrs, weights=w), K, RansacConfig(seed=3))
+        assert sol.iterations_used <= 4
+        assert drawn == [pnp._FIRST_WEIGHTED_ROUND]
+
+
+def _verified_alone(run, K):
+    """The per-run re-verification that _finish stacks: the best model
+    snapped to a rotation and its inliers restated over the run's own
+    correspondences."""
+    if run is None or run.best_R is None:
+        return None
+    pose = RigidPose(*pnp._orthonormalized(run.best_R, run.best_C))
+    _, err = pnp._errors(pose.rotation, pose.center, run.points, run.pixels, K)
+    inl = err < run.cfg.inlier_threshold_px
+    if inl.sum() < run.cfg.min_inliers:
+        return None
+    return PnPSolution(pose, np.flatnonzero(inl), float(err[inl].mean()), run.it)
+
+
+class TestFinish:
+    """One stacked re-verification of every run's best model gives each run
+    bitwise what re-verifying it alone gives."""
+
+    @staticmethod
+    def _run(corrs, cfg, R, C, it):
+        run = pnp._RansacRun(corrs, default_intrinsics(), cfg, None)
+        run.best_R, run.best_C, run.it = R, C, it
+        return run
+
+    def test_stacked_pass_equals_each_run_alone(self, monkeypatch):
+        rng = np.random.default_rng(86)
+        K = default_intrinsics()
+        state = []
+        for n in (3, 4, 5, 9, 17, 33, 64, 65, 120, 199, 200):
+            pose = random_pose(rng)
+            corrs = synthetic_correspondences(rng, K, pose, n, outlier_frac=0.3 if n > 3 else 0.0,
+                                              pixel_noise=1.0)
+            # a raw candidate is off orthonormality by rounding; _finish snaps it
+            R = pose.rotation + rng.normal(scale=1e-6, size=(3, 3))
+            state.append(self._run(corrs, RansacConfig(min_inliers=max(3, n // 3)), R,
+                                   pose.center.copy(), n))
+        # a model that fits every point until it is snapped to a rotation:
+        # a rotation stretched along the optical axis scales the focal length
+        pose = random_pose(rng)
+        corrs = synthetic_correspondences(rng, K, pose, 30)
+        stretched = np.diag([1.0, 1.0, 1.3]) @ pose.rotation
+        corrs = replace(corrs, pixels=project_points(corrs.points, stretched, pose.center, K)[0])
+        count, _, _ = _score_hypotheses(stretched[None], pose.center[None], corrs.points,
+                                        corrs.pixels, K, 8.0)
+        assert count.tolist() == [30]
+        state.insert(2, self._run(corrs, RansacConfig(), stretched, pose.center, 7))
+        # a run that found no model, and a batch below min_inliers (no run)
+        state.insert(5, self._run(corrs, RansacConfig(min_inliers=6), None, None, 40))
+        state.insert(8, None)
+        built = []
+
+        def rigid_pose(R, C):
+            built.append(R)
+            return RigidPose(R, C)
+
+        expected = [_verified_alone(run, K) for run in state]
+        monkeypatch.setattr(pnp, "RigidPose", rigid_pose)
+        finished = pnp._finish(state, K)
+        assert len(finished) == len(state)
+        for a, b in zip(finished, expected):
+            _assert_bitwise_equal(a, b)
+        assert [i for i, s in enumerate(finished) if s is None] == [2, 5, 8]
+        # a RigidPose only for each accepted model
+        assert len(built) == len(state) - 3
 
 
 _finite = st.floats(allow_nan=False, allow_infinity=False)
