@@ -80,6 +80,12 @@ def _query_seed(master_seed: int, query_index: int, stage: int) -> int:
     return int(ss.generate_state(1, dtype=np.uint64)[0] % (2**63))
 
 
+def _failed(query: QueryImage, reason: str, diagnostics: dict) -> LocalizationResult:
+    """The result of a query that gets no pose, for the given reason."""
+    return LocalizationResult(query_id=query.image_id, condition=query.condition, pose=None,
+                              failure_reason=reason, diagnostics=diagnostics)
+
+
 def localize_query(
     query: QueryImage,
     query_index: int,
@@ -97,12 +103,7 @@ def localize_query(
         retrieved = query_top_k(index, descriptor, cfg.retrieval(query.condition))
     except ValueError as exc:
         logger.warning("query %s: %s", query.image_id, exc)
-        return LocalizationResult(
-            query_id=query.image_id,
-            condition=query.condition,
-            pose=None,
-            failure_reason=FAILURE_BAD_DESCRIPTOR,
-        )
+        return _failed(query, FAILURE_BAD_DESCRIPTOR, {})
 
     diagnostics: dict = {
         "retrieved": [[i, d] for i, d in retrieved],
@@ -157,25 +158,13 @@ def localize_query(
 
     pooled = CorrespondenceBatch.concat(image_batches)
     if len(pooled) < 4:
-        return LocalizationResult(
-            query_id=query.image_id,
-            condition=query.condition,
-            pose=None,
-            failure_reason=FAILURE_NO_CORRESPONDENCES,
-            diagnostics=diagnostics,
-        )
+        return _failed(query, FAILURE_NO_CORRESPONDENCES, diagnostics)
 
     weighted = normalize_weights(scores, pooled)
     final_cfg = cfg.final_ransac(_query_seed(cfg.seed, query_index, stage=1))
     solution = weighted_ransac_pnp(weighted, query.intrinsics, final_cfg)
     if solution is None:
-        return LocalizationResult(
-            query_id=query.image_id,
-            condition=query.condition,
-            pose=None,
-            failure_reason=FAILURE_NO_CONSENSUS,
-            diagnostics=diagnostics,
-        )
+        return _failed(query, FAILURE_NO_CONSENSUS, diagnostics)
     settled = local_optimization(solution, weighted, query.intrinsics,
                                  final_cfg.inlier_threshold_px)
     refined = refine_pose(settled, weighted, query.intrinsics)

@@ -7,7 +7,13 @@ Gauss-Newton; a plain RANSAC loop for per-retrieved-image temporary poses;
 a weighted RANSAC whose minimal samples are drawn with probability
 proportional to the semantic weights; and Levenberg-Marquardt reprojection
 refinement with the rotation updated on its manifold, after a local
-optimization of the RANSAC winner's inlier set.
+optimization of the RANSAC winner's inlier set.  Each numeric job has one
+kernel, stacked over leading pose axes, and a pose's row of a stack is
+bitwise its one-pose call: _errors turns reprojection residuals into
+per-correspondence errors (scoring, re-verification, the solver's 1e-6 px
+check, local optimization); _pose_jacobian and _pose_step take one
+Gauss-Newton step, damped for Levenberg-Marquardt (the solver's polish,
+local optimization, refinement); _orthonormalized snaps to rotations.
 
 Weighted and unweighted RANSAC share one code path (the unweighted case
 runs with uniform weights), so equal weights reproduce plain RANSAC draw
@@ -16,28 +22,37 @@ bias hypothesis sampling and, through the mass bound below, when a run
 stops.
 
 A RANSAC iteration is one non-degenerate minimal sample, solved and
-scored; degenerate draws are redrawn and do not count.  Hypotheses are
+scored; a degenerate draw (near-collinear world points, or pixels spanning
+less than a fixed 10 px) is redrawn and does not count, and a run gives up
+after _MAX_SAMPLE_ATTEMPTS * max_iterations draws.  Hypotheses are
 evaluated in rounds: a round's minimal samples are drawn, checked for
 degeneracy, solved by one vectorized P3P and scored by one reprojection of
 every candidate against every correspondence.  A round is fitted to what
 is left of the run's bound: a run that has at most 2 * _CHUNK iterations
 left draws all of them plus a quarter and 4 for degenerate draws, one with
-more left draws _CHUNK, and a run with a sampling prior first draws 16, as
-its weight mass usually stops it within them.  Draws and selection stay
-sequential: samples come from the generator in the order one draw at a
-time would take them, and the iterations are replayed in order with the
-same best-selection rule and adaptive stopping bound, so a run returns
-what the one-hypothesis-per-iteration loop returns up to rounding, and
-bitwise the same whatever its rounds' sizes.
+more left draws _CHUNK, a run with a sampling prior draws at most 16
+until it has run an iteration, as its weight mass usually stops it within
+them, and no round passes the draw cap.  A round thus holds at most
+2.5 * _CHUNK + 4 samples, and its working memory is O(_CHUNK * N) whatever
+max_iterations is.  A run solves the first needed - it of a round's
+non-degenerate samples; it solves samples past its stop only when a new
+best model lowers its bound mid-round, and discards that work.  Draws and
+selection stay sequential: samples come from the generator in the order
+one draw at a time would take them, and the iterations are replayed in
+order with the same best-selection rule and adaptive stopping bound, so a
+run returns what the one-hypothesis-per-iteration loop returns up to
+rounding, and bitwise the same whatever its rounds' sizes.
 
 Independent runs advance in lockstep rounds: estimate_temporary_pose runs
 every retrieved image of a query together.  In a round each live run draws
 from its own generator, one degeneracy check and one P3P solve cover every
-run's samples, and each run scores and replays its own candidates.  A row
-of the P3P batch gets bitwise the candidates it gets alone, and no run's
-draws or scoring see another run, so each run returns bitwise what it
-returns when run alone.  When every run has stopped, one stacked pass
-re-verifies every run's best model (_finish).
+run's samples, and each run scores and replays its own candidates; a round
+in which no run keeps a sample solves nothing.  A row of the P3P batch
+gets bitwise the candidates it gets alone, a candidate gets bitwise the
+scores it gets alone, and no run's draws or scoring see another run, so
+each run returns bitwise what it returns when run alone.  When every run
+has stopped, one stacked pass re-verifies every run's best model
+(_finish).
 
 Every run applies two bounds, both the RANSAC bound of Fischler & Bolles
 (1981) at a fixed confidence of 0.999: the iterations after which a sample
@@ -49,18 +64,19 @@ least min_inliers inliers takes the larger of that and a lower bound on p
 under weighted sampling, from its inlier weight mass M, the share of the
 sampling weight its inliers hold (guided sampling that stops on its prior,
 as in Tordoff & Murray's Guided-MLESAC, TPAMI 2005).  M is the chance that
-the first pick is an inlier; a sample's picks are distinct, so once heavy
-inliers are picked the rest hold less, and the bound is
-M (M - a) / (1 - a) (M - a - b) / (1 - a - b), with a and b the two
-largest inlier shares (_mass_chance).  A model below min_inliers never
-stops a run, however heavy its inliers.  Uniform weights keep the count
-bound exactly.  The min-inliers bound is taken from the start at the
-smallest acceptable ratio, min_inliers / n: the run stops once it has
-probably shown that no model reaches min_inliers.  A run given fewer than
-min_inliers correspondences draws nothing and returns no model.  A sample
-spanning less than a fixed 10 px is degenerate.  A winning candidate
-becomes a RigidPose once, when the run ends, and only if it keeps
-min_inliers inliers.
+the first pick is an inlier.  A sample's picks are distinct: after
+inliers holding s of the weight are picked, the next pick is one with
+chance (M - s) / (1 - s), which falls as s grows, and s is at most a after
+one pick and a + b after two, with a and b the two largest inlier shares.
+So the bound is M (M - a) / (1 - a) (M - a - b) / (1 - a - b)
+(_mass_chance), exact when the inliers' shares are equal.  A model below
+min_inliers never stops a run, however heavy its inliers.  Uniform weights
+keep the count bound exactly.  The min-inliers bound is taken from the
+start at the smallest acceptable ratio, min_inliers / n: the run stops
+once it has probably shown that no model reaches min_inliers.  A run
+given fewer than min_inliers correspondences draws nothing and returns no
+model.  A winning candidate becomes a RigidPose once, when the run ends,
+and only if it keeps min_inliers inliers.
 
 A run stopped that early may return a model fitted to a noisy sample and
 short of the full consensus.  local_optimization refits it (LO-RANSAC,
@@ -92,16 +108,10 @@ __all__ = [
 
 _COLLINEAR_AREA_TOL = 1e-12
 
-# Minimal samples a RANSAC round draws while more than 2 * _CHUNK
-# iterations are left; with fewer left, a round draws what is left plus a
-# quarter and 4 (at most 2.5 * _CHUNK + 4 samples).  Working memory per
-# round is O(_CHUNK * N) whatever max_iterations is.  A round solves
-# samples past a stop only when a new best model lowers the bound
-# mid-round, up to the round's kept samples less one.
+# Samples in a RANSAC round while more than 2 * _CHUNK iterations are
+# left, and the most a run with a sampling prior draws in a round before
+# its first iteration (the round schedule: module docstring).
 _CHUNK = 64
-
-# Samples a run with a sampling prior draws per round until it has run an
-# iteration: its weight-mass bound usually stops it after about a dozen.
 _FIRST_WEIGHTED_ROUND = 16
 
 # A RANSAC run draws at most _MAX_SAMPLE_ATTEMPTS * max_iterations minimal
@@ -222,15 +232,12 @@ def _newton_polish_roots(x: np.ndarray, A: np.ndarray) -> np.ndarray:
 class RansacConfig:
     """RANSAC settings; all logged with results.
 
-    Every run applies both stopping bounds (module docstring), and
-    max_iterations caps both; a weighted run's adaptive bound follows its
-    best model's inlier weight mass (_mass_chance) once that model has
-    min_inliers inliers.  min_inliers rejects weak consensus (12 for final
-    poses; the pipeline asks 6 of temporary per-retrieved-image poses); it
-    is at least 3, as a P3P model fits its own three sample points.  The bounds' 0.999
-    confidence and the 10 px pixel span below which a sample is degenerate
-    are the constants _CONFIDENCE and _MIN_PIXEL_SPAN_PX, not settings, as
-    are local_optimization's threshold factors and steps.
+    max_iterations caps both stopping bounds (module docstring).
+    min_inliers rejects weak consensus (12 for final poses; the pipeline
+    asks 6 of temporary per-retrieved-image poses); it is at least 3, as a
+    P3P model fits its own three sample points.  The bounds' confidence,
+    the degenerate pixel span and local_optimization's threshold factors
+    and steps are module constants, not settings.
     """
 
     inlier_threshold_px: float = 8.0
@@ -441,11 +448,14 @@ def _reprojection_residuals(
 
 def _errors(R: np.ndarray, C: np.ndarray, points: np.ndarray, pixels: np.ndarray,
             K: CameraIntrinsics) -> tuple[np.ndarray, np.ndarray]:
-    """Residual vector (2N,) of pose R, C over N correspondences and each
-    correspondence's reprojection error (N,), inf at or behind the camera."""
+    """Residual vectors (..., 2N) of poses R (..., 3, 3), C (..., 3) over N
+    correspondences and each correspondence's reprojection error (..., N),
+    inf at or behind the camera.  A pose's row is bitwise the one it gets
+    alone for N >= 2 (project_points)."""
     res = _reprojection_residuals(R, C, points, pixels, K)
-    # np.linalg.norm(axis=1) of the residual pairs, bitwise, without its wrapper.
-    return res, np.sqrt(np.add.reduce((res * res).reshape(-1, 2), axis=1))
+    # np.linalg.norm of each residual pair, bitwise, without its wrapper.
+    sq = res * res
+    return res, np.sqrt(sq[..., 0::2] + sq[..., 1::2])
 
 
 def _skew(v: np.ndarray) -> np.ndarray:
@@ -502,13 +512,25 @@ def _exp_so3(w: np.ndarray) -> np.ndarray:
     return R
 
 
+def _pose_step(R: np.ndarray, C: np.ndarray, J: np.ndarray, res: np.ndarray,
+               lam: float = 0.0) -> tuple[np.ndarray, np.ndarray]:
+    """One Gauss-Newton step (Levenberg-Marquardt at damping lam > 0) of
+    poses R (..., 3, 3), C (..., 3) with residuals res (..., 2N) and their
+    Jacobians J (..., 2N, 6): solves (J^T J + lam I) delta = -J^T res and
+    returns Exp(delta_omega) @ R and C + delta_C.  A pose's step is bitwise
+    the one it gets alone.  Raises LinAlgError if any system is singular."""
+    Jt = np.swapaxes(J, -1, -2)
+    delta = np.linalg.solve(Jt @ J + lam * _EYE6, -(Jt @ res[..., None]))[..., 0]
+    return _exp_so3(delta[..., :3]) @ R, C + delta[..., 3:]
+
+
 def _polish_pose(R: np.ndarray, C: np.ndarray, points: np.ndarray, pixels: np.ndarray,
                  K: CameraIntrinsics) -> tuple[np.ndarray, np.ndarray]:
-    """_POLISH_STEPS Gauss-Newton steps on the reprojections of M minimal
-    sets at once: R (M, 3, 3), C (M, 3), points (M, 3, 3), pixels (M, 3, 2).
-    A step is one stacked LU solve of the square systems J delta = -res.  A
-    candidate stops where it is once its residuals or Jacobian turn
-    non-finite or its Jacobian is singular (zero LU determinant)."""
+    """_POLISH_STEPS Gauss-Newton steps (_pose_step) on the reprojections of
+    M minimal sets at once: R (M, 3, 3), C (M, 3), points (M, 3, 3), pixels
+    (M, 3, 2).  A candidate stops where it is once its residuals or
+    Jacobian turn non-finite or its square Jacobian is singular (zero
+    determinant)."""
     R, C = R.copy(), C.copy()
     active = np.ones(len(R), dtype=bool)
     for _ in range(_POLISH_STEPS):
@@ -517,9 +539,7 @@ def _polish_pose(R: np.ndarray, C: np.ndarray, points: np.ndarray, pixels: np.nd
         active &= np.isfinite(res).all(axis=1) & np.isfinite(J).all(axis=(1, 2))
         active[active] = np.linalg.det(J[active]) != 0.0
         step = np.nonzero(active)[0]
-        delta = np.linalg.solve(J[step], -res[step, :, None])[..., 0]
-        R[step] = _exp_so3(delta[:, :3]) @ R[step]
-        C[step] = C[step] + delta[:, 3:]
+        R[step], C[step] = _pose_step(R[step], C[step], J[step], res[step])
     return R, C
 
 
@@ -546,11 +566,10 @@ def solve_p3p(points: np.ndarray, K: CameraIntrinsics,
         raise ValueError(f"{_P3P_ERRORS[status[h]]} (row {h})")
     row = np.nonzero(valid)[0]
     R[valid], C[valid] = _polish_pose(R[valid], C[valid], points[row], pix[row], K)
-    res = _reprojection_residuals(R[valid], C[valid], points[row], pix[row], K)
     kept = valid.copy()
-    kept[valid] = (np.linalg.norm(res.reshape(len(row), 3, 2), axis=2) < 1e-6).all(axis=1)
+    kept[valid] = (_errors(R[valid], C[valid], points[row], pix[row], K)[1] < 1e-6).all(axis=1)
     # Back-substitution lets orthonormality drift; snap to the nearest rotation.
-    R[kept] = _orthonormalized(R[kept], C[kept])[0]
+    R[kept] = _orthonormalized(R[kept])
     # Slot by slot, all rows at once: a candidate meets only the poses kept before it.
     with np.errstate(invalid="ignore"):  # slots not kept may hold inf
         for i in range(1, R.shape[1]):
@@ -631,11 +650,9 @@ def _score_hypotheses(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Unweighted inlier count, mean inlier error and (M, N) inlier mask of
     M pose hypotheses (R (M, 3, 3), C (M, 3)) over all N correspondences,
-    from one (M, N) reprojection; points at or behind a camera are never
+    from one stacked _errors call; points at or behind a camera are never
     inliers."""
-    projected, _ = project_points(points, R, C, K)
-    d = projected - pixels
-    err = np.hypot(d[..., 0], d[..., 1])  # NaN, so never an inlier, behind a camera
+    err = _errors(R, C, points, pixels, K)[1]
     inl = err < threshold
     count = inl.sum(axis=1)
     mean_err = np.where(inl, err, 0.0).sum(axis=1) / np.maximum(count, 1)
@@ -645,12 +662,8 @@ def _score_hypotheses(
 def _mass_chance(shares: np.ndarray) -> float:
     """Lower bound on the chance that one weighted minimal sample (three
     distinct items, _draw_minimal_samples) is all inliers, given the
-    inliers' shares of the total sampling weight.  The first pick is an
-    inlier with chance M = sum(shares).  After inliers holding s of the
-    weight are picked, the next pick is one with chance (M - s) / (1 - s),
-    which falls as s grows; s is at most a after one pick and a + b after
-    two, a and b the two largest shares.  Exact when the inliers' shares are
-    equal; 0 when a and b hold all of M."""
+    inliers' shares of the total sampling weight: the mass bound of the
+    module docstring, 0 when the two largest shares hold all of it."""
     M = float(shares.sum())
     b, a = np.sort(shares)[-2:].tolist()
     if M - a - b <= 0.0:
@@ -670,16 +683,14 @@ def _iterations_needed(p: float, cfg: RansacConfig) -> int:
 
 
 class _RansacRun:
-    """One RANSAC run's correspondences, generator, bounds and best model.
+    """One RANSAC run's correspondences, generator, iterations run (it),
+    stopping bound (needed) and best model.
 
-    needed starts at the min-inliers bound (at least 1) and drops to the
-    adaptive bound of each new best model, never below the iterations
-    already run; both come from _iterations_needed.  A run with a sampling
-    prior (weights that are not all equal) takes a new best model's bound
-    at the larger of the count's chance and _mass_chance of its inliers'
-    weight shares, once the model has min_inliers inliers.  The replay
-    keeps the best candidate's raw R and C; _finish re-verifies them when
-    every run has stopped.
+    needed starts at the min-inliers bound (at least 1) and drops to each
+    new best model's adaptive bound (module docstring), never below the
+    iterations already run.
+    The replay keeps the best candidate's raw R and C; _finish re-verifies
+    them when every run has stopped.
     """
 
     def __init__(self, batch: CorrespondenceBatch, K: CameraIntrinsics, cfg: RansacConfig,
@@ -705,11 +716,8 @@ class _RansacRun:
         self.draws_left = _MAX_SAMPLE_ATTEMPTS * cfg.max_iterations
 
     def _round_size(self) -> int:
-        """Samples this round draws, degenerate ones included: what is left
-        of the bound plus a quarter and 4 once at most 2 * _CHUNK
-        iterations are left, else _CHUNK; at most _FIRST_WEIGHTED_ROUND
-        while a run with a prior has run no iteration; never past the draw
-        cap.  Any size gives the run the same samples in the same order."""
+        """Samples this round draws, degenerate ones included, by the round
+        schedule of the module docstring."""
         left = self.needed - self.it
         size = _CHUNK if left > 2 * _CHUNK else left + left // 4 + 4
         if self.prior is not None and self.it == 0:
@@ -764,27 +772,12 @@ def _ransac_pnp(
     K: CameraIntrinsics,
 ) -> list[Optional[PnPSolution]]:
     """Independent RANSAC-PnP runs, given as (batch, cfg, weights) with
-    weights None for uniform sampling, advanced in lockstep rounds; one
-    result per run.
-
-    An iteration is one non-degenerate minimal sample, solved and scored; a
-    degenerate draw is redrawn and does not count, and a run gives up after
-    _MAX_SAMPLE_ATTEMPTS * max_iterations draws.  In each round every live
-    run draws from its own generator as many samples as its remaining
-    bound asks for (_RansacRun._round_size); one _degenerate_samples call
-    checks all of them, each run keeps the first needed - it of its
-    non-degenerate ones, and one _p3p_batch call solves every run's kept
-    samples; a round in which no run keeps a sample solves nothing.  Each
-    run then scores its own candidates against its own correspondences and
-    replays them in draw order with the best-selection rule.  A run's
-    result is the one it gets alone, bitwise, and the one it gets under any
-    round sizes: the generator yields the same samples however they are
-    split into rounds, _p3p_batch gives a row the candidates it gets alone,
-    _score_hypotheses gives a candidate the scores it gets alone, and
-    drawing and scoring stay per run.  Work done for iterations past a
-    run's stop is discarded.  A run with fewer than min_inliers
-    correspondences returns None before any draw.  One _finish call
-    re-verifies every run's best model.
+    weights None for uniform sampling, advanced in lockstep rounds (module
+    docstring); one result per run, bitwise the one the run gets alone and
+    under any round sizes.  A run with fewer than min_inliers
+    correspondences returns None before any draw.  Per round, one
+    _degenerate_samples and one _p3p_batch call cover every live run's
+    samples; one _finish call re-verifies every run's best model.
     """
     state = [None if len(batch) < cfg.min_inliers else _RansacRun(batch, K, cfg, weights)
              for batch, cfg, weights in runs]
@@ -817,10 +810,10 @@ def _finish(state: Sequence[Optional[_RansacRun]],
     model, or a model that keeps fewer than min_inliers inliers.
 
     One stacked pass re-verifies every best model: one _orthonormalized
-    call snaps them to rotations, and one _reprojection_residuals call
-    restates their inliers over their own correspondences, padded to the
-    longest run by repeating a real row.  A run's count and mean error come
-    from its own unpadded rows.  These are bitwise what a run gets alone:
+    call snaps them to rotations, and one _errors call restates their
+    inliers over their own correspondences, padded to the longest run by
+    repeating a real row.  A run's count and mean error come from its own
+    unpadded rows.  These are bitwise what a run gets alone:
     the SVD runs per matrix, and a project_points row does not depend on
     how many rows share the call once there are two or more, which every
     run has (min_inliers >= 3).  A RigidPose is built only for an accepted
@@ -831,14 +824,12 @@ def _finish(state: Sequence[Optional[_RansacRun]],
     if not solved:
         return results
     runs = [state[i] for i in solved]
-    R, C = _orthonormalized(np.stack([run.best_R for run in runs]),
-                            np.stack([run.best_C for run in runs]))
+    R = _orthonormalized(np.stack([run.best_R for run in runs]))
+    C = np.stack([run.best_C for run in runs])
     pad = np.arange(max(run.n for run in runs))
     rows = [np.minimum(pad, run.n - 1) for run in runs]
-    res = _reprojection_residuals(R, C, np.stack([run.points[r] for run, r in zip(runs, rows)]),
-                                  np.stack([run.pixels[r] for run, r in zip(runs, rows)]), K)
-    # _errors' per-correspondence norm, over every run at once.
-    errs = np.sqrt(np.add.reduce((res * res).reshape(len(runs), len(pad), 2), axis=2))
+    _, errs = _errors(R, C, np.stack([run.points[r] for run, r in zip(runs, rows)]),
+                      np.stack([run.pixels[r] for run, r in zip(runs, rows)]), K)
     for j, (i, run) in enumerate(zip(solved, runs)):
         err = errs[j, : run.n]
         inl = err < run.cfg.inlier_threshold_px
@@ -848,14 +839,13 @@ def _finish(state: Sequence[Optional[_RansacRun]],
     return results
 
 
-def _orthonormalized(R: np.ndarray, C: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Nearest rotations to finite R (..., 3, 3), through one stacked SVD;
-    C passes through."""
+def _orthonormalized(R: np.ndarray) -> np.ndarray:
+    """Nearest rotations to finite R (..., 3, 3), through one stacked SVD."""
     U, _, Vt = np.linalg.svd(R)
     D = np.zeros(U.shape)
     D[..., 0, 0] = D[..., 1, 1] = 1.0
     D[..., 2, 2] = np.linalg.det(U @ Vt)
-    return U @ D @ Vt, C
+    return U @ D @ Vt
 
 
 def estimate_temporary_pose(
@@ -935,12 +925,10 @@ def local_optimization(
         stepped = inl
         set_points, rows = points[inl], np.repeat(inl, 2)
         for _ in range(_LO_STEPS):
-            J = _pose_jacobian(R, C, set_points, K)
             try:
-                delta = np.linalg.solve(J.T @ J, -(J.T @ res[rows]))
+                R_new, C_new = _pose_step(R, C, _pose_jacobian(R, C, set_points, K), res[rows])
             except np.linalg.LinAlgError:
                 break
-            R_new, C_new = _exp_so3(delta[:3]) @ R, C + delta[3:]
             res_new, err_new = _errors(R_new, C_new, points, pixels, K)
             new_count = np.count_nonzero(err_new < threshold)
             if new_count < count:
@@ -984,16 +972,11 @@ def refine_pose(
 
     lam = 1e-6
     for _ in range(_REFINE_MAX_STEPS):
-        J = _pose_jacobian(R, C, points, K)
-        H = J.T @ J
-        g = J.T @ res
         try:
-            delta = np.linalg.solve(H + lam * _EYE6, -g)
+            R_new, C_new = _pose_step(R, C, _pose_jacobian(R, C, points, K), res, lam)
         except np.linalg.LinAlgError:
             lam *= 10.0
             continue
-        R_new = _exp_so3(delta[:3]) @ R
-        C_new = C + delta[3:]
         res_new = _reprojection_residuals(R_new, C_new, points, pixels, K)
         if np.isfinite(res_new).all():
             cost_new = float(res_new @ res_new)

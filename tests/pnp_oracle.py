@@ -386,7 +386,7 @@ def ransac_pnp(
             mean_err = float(err[inl].mean())
             if count > best_count or (count == best_count and mean_err < best_err):
                 try:
-                    best_pose = RigidPose(*_orthonormalized(R, C))
+                    best_pose = RigidPose(_orthonormalized(R), C)
                 except ValueError:
                     continue
                 best_count = count

@@ -959,7 +959,7 @@ def _verified_alone(run, K):
     correspondences."""
     if run is None or run.best_R is None:
         return None
-    pose = RigidPose(*pnp._orthonormalized(run.best_R, run.best_C))
+    pose = RigidPose(pnp._orthonormalized(run.best_R), run.best_C)
     _, err = pnp._errors(pose.rotation, pose.center, run.points, run.pixels, K)
     inl = err < run.cfg.inlier_threshold_px
     if inl.sum() < run.cfg.min_inliers:
@@ -1062,7 +1062,7 @@ class TestOrthonormalized:
     @example(_SPECIAL_MATRICES[3], [0.0, 0.0, 0.0])
     @example(_SPECIAL_MATRICES[4], [0.0, 0.0, 0.0])
     def test_any_finite_matrix_gives_a_valid_pose(self, R, centre):
-        pose = RigidPose(*pnp._orthonormalized(R, np.array(centre)))
+        pose = RigidPose(pnp._orthonormalized(R), np.array(centre))
         assert np.array_equal(pose.center, centre)
 
     # solve_p3p snaps all its kept candidates in one call
@@ -1070,9 +1070,9 @@ class TestOrthonormalized:
     @given(st.lists(finite_matrices(), min_size=1, max_size=8))
     @example(_SPECIAL_MATRICES)
     def test_a_stack_equals_each_matrix_alone(self, matrices):
-        stack, _ = pnp._orthonormalized(np.array(matrices), np.zeros((len(matrices), 3)))
+        stack = pnp._orthonormalized(np.array(matrices))
         for R, snapped in zip(matrices, stack, strict=True):
-            assert snapped.tobytes() == pnp._orthonormalized(R, np.zeros(3))[0].tobytes()
+            assert snapped.tobytes() == pnp._orthonormalized(R).tobytes()
             RigidPose(snapped, np.zeros(3))
 
 
@@ -1092,6 +1092,70 @@ class TestStackedKernels:
         assert np.all(J.reshape(60, 5, 2, 6)[behind] == 0.0)
         for h in range(60):
             assert J[h].tobytes() == _pose_jacobian(R[h], C[h], P[h], K).tobytes()
+
+    @pytest.mark.parametrize("n", [2, 5, 13])
+    def test_errors(self, n):
+        rng = np.random.default_rng(42 + n)
+        K = default_intrinsics()
+        R = np.array([random_pose(rng).rotation for _ in range(60)])
+        C = rng.normal(size=(60, 3))
+        P = C[:, None] + rng.normal(scale=4.0, size=(60, n, 3))
+        pix = rng.uniform(0.0, 640.0, size=(60, n, 2))
+        res, err = pnp._errors(R, C, P, pix, K)
+        assert res.shape == (60, 2 * n) and err.shape == (60, n)
+        behind = ((P - C[:, None]) @ R.transpose(0, 2, 1))[..., 2] <= 0.0
+        assert 0 < behind.sum() < behind.size
+        assert np.all(np.isinf(err[behind])) and np.all(np.isfinite(err[~behind]))
+        for h in range(60):
+            res_h, err_h = pnp._errors(R[h], C[h], P[h], pix[h], K)
+            assert res_h.tobytes() == res[h].tobytes() and err_h.tobytes() == err[h].tobytes()
+        # solve_p3p passes an empty stack when no candidate is valid
+        res, err = pnp._errors(np.empty((0, 3, 3)), np.empty((0, 3)), np.empty((0, n, 3)),
+                               np.empty((0, n, 2)), K)
+        assert res.shape == (0, 2 * n) and err.shape == (0, n)
+
+    def test_pose_step(self):
+        rng = np.random.default_rng(43)
+        K = default_intrinsics()
+        poses = [random_pose(rng) for _ in range(300)]
+        R = np.array([p.rotation for p in poses])
+        C = np.array([p.center for p in poses])
+        corrs = [synthetic_correspondences(rng, K, p, 8, pixel_noise=2.0) for p in poses]
+        P = np.array([c.points for c in corrs])
+        C_off = C + rng.normal(scale=0.05, size=C.shape)
+        res = _reprojection_residuals(R, C_off, P, np.array([c.pixels for c in corrs]), K)
+        J = _pose_jacobian(R, C_off, P, K)
+        for lam in (0.0, 1e-3):
+            R_new, C_new = pnp._pose_step(R, C_off, J, res, lam)
+            for h in range(300):
+                R_h, C_h = pnp._pose_step(R[h], C_off[h], J[h], res[h], lam)
+                assert R_h.tobytes() == R_new[h].tobytes()
+                assert C_h.tobytes() == C_new[h].tobytes()
+                # local_optimization's plain step and refine_pose's damped one
+                if lam == 0.0:
+                    delta = np.linalg.solve(J[h].T @ J[h], -(J[h].T @ res[h]))
+                else:
+                    delta = np.linalg.solve(J[h].T @ J[h] + lam * np.eye(6), -(J[h].T @ res[h]))
+                assert R_h.tobytes() == (_exp_so3(delta[:3]) @ R[h]).tobytes()
+                assert C_h.tobytes() == (C_off[h] + delta[3:]).tobytes()
+        with pytest.raises(np.linalg.LinAlgError):
+            pnp._pose_step(R[0], C[0], np.zeros((16, 6)), res[0])
+
+    def test_score_hypotheses_counts_by_errors(self):
+        # scoring and _finish's re-verification share one definition of an
+        # inlier, even with the threshold at a correspondence's own error
+        rng = np.random.default_rng(44)
+        K = default_intrinsics()
+        pose = random_pose(rng)
+        corrs = synthetic_correspondences(rng, K, pose, 30, outlier_frac=0.3, pixel_noise=3.0)
+        R = np.array([pose.rotation] * 20) + rng.normal(scale=1e-3, size=(20, 3, 3))
+        C = pose.center + rng.normal(scale=0.02, size=(20, 3))
+        err = np.array([pnp._errors(R[h], C[h], corrs.points, corrs.pixels, K)[1]
+                        for h in range(20)])
+        for t in np.unique(err[err < 50.0]):
+            for threshold in (t, np.nextafter(t, np.inf)):
+                _, _, inl = _score_hypotheses(R, C, corrs.points, corrs.pixels, K, threshold)
+                assert np.array_equal(inl, err < threshold)
 
     def test_exp_so3(self):
         rng = np.random.default_rng(41)
@@ -1214,7 +1278,7 @@ class TestLocalOptimization:
         corrs = synthetic_correspondences(rng, K, pose, 30, pixel_noise=0.3)
         R = _exp_so3(rng.normal(scale=0.004, size=3)) @ pose.rotation
         C = pose.center + rng.normal(scale=0.01, size=3)
-        winner_pose = RigidPose(*pnp._orthonormalized(R, C))
+        winner_pose = RigidPose(pnp._orthonormalized(R), C)
         err = _errors_at(winner_pose, corrs, K)
         ranked = np.sort(err)
         threshold = 0.5 * (ranked[-short - 1] + ranked[-short])
@@ -1253,7 +1317,7 @@ class TestLocalOptimization:
                                               pixel_noise=1.0)
             R = _exp_so3(rng.normal(scale=0.01, size=3)) @ pose.rotation
             C = pose.center + rng.normal(scale=0.03, size=3)
-            winner_pose = RigidPose(*pnp._orthonormalized(R, C))
+            winner_pose = RigidPose(pnp._orthonormalized(R), C)
             err = _errors_at(winner_pose, corrs, K)
             winner = PnPSolution(winner_pose, np.flatnonzero(err < 3.0), 0.0)
             settled = local_optimization(winner, corrs, K, 3.0)
@@ -1287,7 +1351,7 @@ class TestLocalOptimization:
         pose = random_pose(rng)
         corrs = synthetic_correspondences(rng, K, pose, 30, pixel_noise=0.3)
         R = _exp_so3(rng.normal(scale=0.02, size=3)) @ pose.rotation
-        winner_pose = RigidPose(*pnp._orthonormalized(R, pose.center))
+        winner_pose = RigidPose(pnp._orthonormalized(R), pose.center)
         err = _errors_at(winner_pose, corrs, K)
         threshold = float(np.sort(err)[12])
         winner = PnPSolution(winner_pose, np.flatnonzero(err < threshold), 0.0)
