@@ -212,7 +212,10 @@ def read_feature_set(path) -> FeatureSet:
     r = _Reader(path)
     r.magic(b"FEA1")
     name_len = r.u32()
-    name = r.take(name_len).decode("utf-8")
+    try:
+        name = r.take(name_len).decode("utf-8")
+    except UnicodeDecodeError:
+        raise DataFormatError(path, r.pos - name_len, "family name is not UTF-8") from None
     count = r.u32()
     dim = r.u32()
     if count:

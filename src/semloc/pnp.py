@@ -39,9 +39,11 @@ non-degenerate samples; it solves samples past its stop only when a new
 best model lowers its bound mid-round, and discards that work.  Draws and
 selection stay sequential: samples come from the generator in the order
 one draw at a time would take them, and the iterations are replayed in
-order with the same best-selection rule and adaptive stopping bound, so a
-run returns what the one-hypothesis-per-iteration loop returns up to
-rounding, and bitwise the same whatever its rounds' sizes.
+order, so a run returns what the one-hypothesis-per-iteration loop
+returns up to rounding, and bitwise the same whatever its rounds' sizes.
+A candidate (in draw order, a sample's in root order) becomes the best
+model only with strictly more inliers than every one before it: equal
+counts keep the model drawn first, as their errors differ by rounding.
 
 Independent runs advance in lockstep rounds: estimate_temporary_pose runs
 every retrieved image of a query together.  In a round each live run draws
@@ -552,8 +554,10 @@ def solve_p3p(points: np.ndarray, K: CameraIntrinsics,
     one stacked Gauss-Newton polish of every candidate.  A candidate is kept
     when it reprojects its row's points within 1e-6 px and is not within
     1e-9 of a pose its row kept before it; a row gets bitwise the poses it
-    gets alone.  Raises, naming the first such row, on collinear world
-    points or parallel rays."""
+    gets alone.  RANSAC scores the raw _p3p_batch candidates: the polish,
+    the filter and the duplicate test run only here (README, step 5, gives
+    the measured gap).  Raises, naming the first such row, on collinear
+    world points or parallel rays."""
     points = np.asarray(points, dtype=np.float64)
     pix = np.asarray(pixels, dtype=np.float64)
     if points.shape[1:] != (3, 3) or pix.shape != points.shape[:1] + (3, 2):
@@ -647,16 +651,13 @@ def _score_hypotheses(
     pixels: np.ndarray,
     K: CameraIntrinsics,
     threshold: float,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Unweighted inlier count, mean inlier error and (M, N) inlier mask of
-    M pose hypotheses (R (M, 3, 3), C (M, 3)) over all N correspondences,
-    from one stacked _errors call; points at or behind a camera are never
-    inliers."""
-    err = _errors(R, C, points, pixels, K)[1]
-    inl = err < threshold
-    count = inl.sum(axis=1)
-    mean_err = np.where(inl, err, 0.0).sum(axis=1) / np.maximum(count, 1)
-    return count, mean_err, inl
+) -> tuple[np.ndarray, np.ndarray]:
+    """Unweighted inlier count and (M, N) inlier mask of M pose hypotheses
+    (R (M, 3, 3), C (M, 3)) over all N correspondences, from one stacked
+    _errors call; points at or behind a camera are never inliers.  The
+    count alone ranks hypotheses (module docstring)."""
+    inl = _errors(R, C, points, pixels, K)[1] < threshold
+    return inl.sum(axis=1), inl
 
 
 def _mass_chance(shares: np.ndarray) -> float:
@@ -708,7 +709,6 @@ class _RansacRun:
                       else self.weights / self.weights.sum())
         self.rng = np.random.default_rng(cfg.seed)
         self.best_count = 0
-        self.best_err = np.inf
         self.best_R: Optional[np.ndarray] = None
         self.best_C: Optional[np.ndarray] = None
         self.needed = max(1, _iterations_needed((cfg.min_inliers / n) ** 3, cfg))
@@ -740,9 +740,9 @@ class _RansacRun:
         if not len(R):
             self.it += len(per_sample)
             return
-        counts, mean_errs, inl = _score_hypotheses(R, C, self.points, self.pixels, K,
-                                                   cfg.inlier_threshold_px)
-        counts, mean_errs = counts.tolist(), mean_errs.tolist()
+        counts, inl = _score_hypotheses(R, C, self.points, self.pixels, K,
+                                        cfg.inlier_threshold_px)
+        counts = counts.tolist()
 
         cand = 0
         for solved in per_sample:
@@ -753,13 +753,9 @@ class _RansacRun:
             cand += solved
             for c in range(first, cand):
                 count = counts[c]
-                if count == 0:
-                    continue
-                mean_err = mean_errs[c]
-                if count > self.best_count or (count == self.best_count and mean_err < self.best_err):
+                if count > self.best_count:
                     self.best_R, self.best_C = R[c], C[c]
                     self.best_count = count
-                    self.best_err = mean_err
                     p = (count / self.n) ** 3
                     if self.prior is not None and count >= cfg.min_inliers:
                         p = max(p, _mass_chance(self.prior[inl[c]]))

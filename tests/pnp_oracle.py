@@ -6,7 +6,7 @@ test oracles: the batched code must give the same draws, the same
 degeneracy decisions, the same P3P candidates in the same order, and the
 same RANSAC results.
 
-Three deliberate differences from the loop as it first shipped: a quartic
+Four deliberate differences from the loop as it first shipped: a quartic
 with non-finite coefficients (two identical bearings put f3 in the plane of
 the first two rays) yields no roots instead of raising LinAlgError out of
 np.roots, which is the behaviour the batched solver specifies; a run in
@@ -14,7 +14,9 @@ which every drawn sample is degenerate returns None, as the production loop
 does, instead of falling back to a DLT pose; and an iteration is one
 non-degenerate sample, with degenerate draws redrawn without counting and
 the run capped at _MAX_SAMPLE_ATTEMPTS * max_iterations draws, instead of
-an iteration that gives up after 20 degenerate draws in a row.
+an iteration that gives up after 20 degenerate draws in a row; and equal
+inlier counts keep the model drawn first instead of the one of lower mean
+inlier error.
 
 Like the production loop, a run given fewer than min_inliers
 correspondences returns None before drawing, and with adaptive=True (the
@@ -336,13 +338,13 @@ def ransac_pnp(
     confidence: float = _CONFIDENCE,
 ) -> Optional[PnPSolution]:
     """One hypothesis per iteration: draw a non-degenerate sample (a
-    degenerate draw is redrawn and does not count), solve, score, keep the
-    best, update the adaptive bound.  The budget starts at the min-inliers
-    bound, and a run gives up after _MAX_SAMPLE_ATTEMPTS * max_iterations
-    draws.  Under weights that are not all equal, a best model with at least
-    min_inliers inliers takes its bound at the larger chance of an
-    all-inlier sample, by its inlier ratio cubed or by
-    weighted_sample_chance.  adaptive=False runs exactly max_iterations; a
+    degenerate draw is redrawn and does not count), solve, score, keep a
+    candidate with more inliers than every one before it, update the
+    adaptive bound.  The budget starts at the min-inliers bound, and a run
+    gives up after _MAX_SAMPLE_ATTEMPTS * max_iterations draws.  Under
+    weights that are not all equal, a best model with at least min_inliers
+    inliers takes its bound at the larger chance of an all-inlier sample,
+    by its inlier ratio cubed or by weighted_sample_chance.  adaptive=False runs exactly max_iterations; a
     sample whose pixels span less than span_px is degenerate; both bounds
     are taken at the given confidence."""
     n = len(batch)
@@ -354,7 +356,6 @@ def ransac_pnp(
 
     rng = np.random.default_rng(cfg.seed)
     best_count = 0
-    best_err = np.inf
     best_pose: Optional[RigidPose] = None
     needed = cfg.max_iterations
     if adaptive:
@@ -381,16 +382,12 @@ def ransac_pnp(
             err[front] = np.hypot(dx, dy)
             inl = err < cfg.inlier_threshold_px
             count = int(inl.sum())
-            if count == 0:
-                continue
-            mean_err = float(err[inl].mean())
-            if count > best_count or (count == best_count and mean_err < best_err):
+            if count > best_count:
                 try:
                     best_pose = RigidPose(_orthonormalized(R), C)
                 except ValueError:
                     continue
                 best_count = count
-                best_err = mean_err
                 if adaptive:
                     p = (count / n) ** 3
                     if shares is not None and count >= cfg.min_inliers:

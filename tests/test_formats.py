@@ -119,6 +119,12 @@ class TestFeatureSet:
         write_feature_set(p, fs)
         assert read_feature_set(p).family == "famille-é"
 
+    def test_non_utf8_family_name_rejected(self, tmp_path):
+        p = tmp_path / "f.bin"
+        p.write_bytes(b"FEA1" + struct.pack("<I", 2) + b"\xff\xfe" + struct.pack("<II", 0, 0))
+        with pytest.raises(DataFormatError, match="f.bin @ byte 8: family name is not UTF-8"):
+            read_feature_set(p)
+
     def test_nan_location_rejected(self, tmp_path):
         fs = FeatureSet(family="fam", locations=[[3.0, 4.0], [5.0, 6.0]], descriptors=np.ones((2, 3)))
         p = tmp_path / "f.bin"

@@ -576,18 +576,9 @@ class TestChunkedRansacMatchesSequential:
             assert self._compare(corrs, RansacConfig(min_inliers=6, seed=t,
                                                      max_iterations=300)) is None
             # min_inliers=3 returns the best outlier model, exposing the
-            # iteration count.  Each such model fits its own three points to
-            # ~1e-13 px, so the best-error tie-break between them is decided
-            # by the last ulp: compare the count and the error, not the pick.
+            # iteration count
             cfg = RansacConfig(min_inliers=3, seed=t, max_iterations=300)
-            a = _one_run(corrs, K, cfg, None)
-            b = pnp_oracle.ransac_pnp(corrs, K, cfg, None)
-            assert a.iterations_used == b.iterations_used
-            full_budget += b.iterations_used == 300
-            if b.num_inliers > 3:
-                _assert_same_result(a, b)
-            assert a.num_inliers == b.num_inliers
-            assert abs(a.mean_reprojection_error_px - b.mean_reprojection_error_px) < 1e-9
+            full_budget += self._compare(corrs, cfg).iterations_used == 300
         assert full_budget >= 3
 
     def test_weighted_final_run(self):
@@ -642,6 +633,52 @@ class TestChunkedRansacMatchesSequential:
                                           pixel_noise=1.0)
         self._compare(corrs, RansacConfig(min_inliers=6, seed=8), np.full(60, 1 / 60))
         self._compare(corrs, RansacConfig(min_inliers=6, seed=8))
+
+
+class TestEqualCountsKeepTheFirstModel:
+    """A candidate becomes a run's best model only with strictly more
+    inliers than every candidate before it: a later candidate that ties the
+    count at a lower mean error does not replace it, in the library and in
+    the oracle."""
+
+    @staticmethod
+    def _tie():
+        # 20 exact inliers and 10 gross outliers; the first model is the
+        # true pose moved by 1 cm, the second the true pose itself
+        rng = np.random.default_rng(87)
+        K = default_intrinsics()
+        pose = random_pose(rng)
+        corrs = synthetic_correspondences(rng, K, pose, 30, outlier_frac=1 / 3)
+        first = RigidPose(pose.rotation, pose.center + 0.01)
+        err = [pnp._errors(m.rotation, m.center, corrs.points, corrs.pixels, K)[1]
+               for m in (first, pose)]
+        inl = [e < RansacConfig().inlier_threshold_px for e in err]
+        assert np.array_equal(inl[0], inl[1]) and inl[0].sum() == 20
+        assert err[0][inl[0]].mean() > 0.5 > err[1][inl[1]].mean()
+        return corrs, first, pose
+
+    def test_library_replay(self):
+        corrs, first, second = self._tie()
+        K = default_intrinsics()
+        run = pnp._RansacRun(corrs, K, RansacConfig(), None)
+        # one candidate per sample, the first in draw order first
+        R = np.full((2, 4, 3, 3), np.nan)
+        C = np.full((2, 4, 3), np.nan)
+        R[:, 0] = [first.rotation, second.rotation]
+        C[:, 0] = [first.center, second.center]
+        valid = np.zeros((2, 4), dtype=bool)
+        valid[:, 0] = True
+        run.replay(R, C, valid, K)
+        assert run.it == 2 and run.best_count == 20
+        assert np.array_equal(run.best_C, first.center)
+
+    def test_oracle(self, monkeypatch):
+        corrs, first, second = self._tie()
+        solved = iter([[(first.rotation, first.center)], [(second.rotation, second.center)]])
+        monkeypatch.setattr(pnp_oracle, "p3p_candidates", lambda P, f: next(solved, []))
+        sol = pnp_oracle.ransac_pnp(corrs, default_intrinsics(), RansacConfig(), None)
+        assert sol.num_inliers == 20
+        assert np.array_equal(sol.pose.center, first.center)
 
 
 def _counted_run(monkeypatch, corrs, cfg, adaptive=True, span_px=pnp._MIN_PIXEL_SPAN_PX):
@@ -995,8 +1032,8 @@ class TestFinish:
         corrs = synthetic_correspondences(rng, K, pose, 30)
         stretched = np.diag([1.0, 1.0, 1.3]) @ pose.rotation
         corrs = replace(corrs, pixels=project_points(corrs.points, stretched, pose.center, K)[0])
-        count, _, _ = _score_hypotheses(stretched[None], pose.center[None], corrs.points,
-                                        corrs.pixels, K, 8.0)
+        count, _ = _score_hypotheses(stretched[None], pose.center[None], corrs.points,
+                                     corrs.pixels, K, 8.0)
         assert count.tolist() == [30]
         state.insert(2, self._run(corrs, RansacConfig(), stretched, pose.center, 7))
         # a run that found no model, and a batch below min_inliers (no run)
@@ -1154,7 +1191,7 @@ class TestStackedKernels:
                         for h in range(20)])
         for t in np.unique(err[err < 50.0]):
             for threshold in (t, np.nextafter(t, np.inf)):
-                _, _, inl = _score_hypotheses(R, C, corrs.points, corrs.pixels, K, threshold)
+                _, inl = _score_hypotheses(R, C, corrs.points, corrs.pixels, K, threshold)
                 assert np.array_equal(inl, err < threshold)
 
     def test_exp_so3(self):
