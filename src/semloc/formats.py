@@ -222,8 +222,10 @@ def read_feature_set(path) -> FeatureSet:
         # The byte count is checked before a huge dim reaches np.dtype.
         raw = r.take(count * 4 * (2 + dim))
         rec = np.frombuffer(raw, dtype=_feature_dtype(dim), count=count)
-        locations = np.stack([rec["x"], rec["y"]], axis=1).astype(np.float64)
-        descriptors = rec["descriptor"].astype(np.float64).reshape(count, dim)
+        # A signalling NaN warns when cast; FeatureSet rejects the NaN below.
+        with np.errstate(invalid="ignore"):
+            locations = np.stack([rec["x"], rec["y"]], axis=1).astype(np.float64)
+            descriptors = rec["descriptor"].astype(np.float64).reshape(count, dim)
     else:
         locations = np.zeros((0, 2))
         descriptors = np.zeros((0, dim))
@@ -243,7 +245,9 @@ def read_global_descriptor(path) -> np.ndarray:
     r = _Reader(path)
     r.magic(b"GDS1")
     dim = r.u32()
-    values = r.array("<f4", dim).astype(np.float64)
+    # A signalling NaN warns when cast; the NaN is returned for the caller to reject.
+    with np.errstate(invalid="ignore"):
+        values = r.array("<f4", dim).astype(np.float64)
     r.done()
     return values
 

@@ -9,7 +9,8 @@ same RANSAC results.
 Four deliberate differences from the loop as it first shipped: a quartic
 with non-finite coefficients (two identical bearings put f3 in the plane of
 the first two rays) yields no roots instead of raising LinAlgError out of
-np.roots, which is the behaviour the batched solver specifies; a run in
+np.roots, and one with a zero leading coefficient none instead of a cubic's,
+which is the behaviour the batched solver specifies; a run in
 which every drawn sample is degenerate returns None, as the production loop
 does, instead of falling back to a DLT pose; and an iteration is one
 non-degenerate sample, with degenerate draws redrawn without counting and
@@ -67,11 +68,10 @@ def _norm3(v) -> float:
 
 
 def quartic_roots(a4: float, a3: float, a2: float, a1: float, a0: float) -> np.ndarray:
-    """Closed-form (Ferrari) roots of one quartic, with eigenvalue fallback."""
-    if not np.isfinite([a4, a3, a2, a1, a0]).all():
+    """Closed-form (Ferrari) roots of one quartic, with eigenvalue fallback;
+    none for non-finite coefficients or a zero leading coefficient."""
+    if a4 == 0.0 or not np.isfinite([a4, a3, a2, a1, a0]).all():
         return np.empty(0, dtype=complex)
-    if a4 == 0.0:
-        return np.roots([a4, a3, a2, a1, a0]).astype(complex)
     b = a3 / a4
     c = a2 / a4
     d = a1 / a4

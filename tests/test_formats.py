@@ -7,9 +7,14 @@ Load(Store(x)) compares exactly equal.
 import inspect
 import re
 import struct
+import tempfile
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from semloc.config import parse_config_file
 from semloc.formats import (
@@ -41,6 +46,15 @@ from conftest import random_pose
 
 def _f32(rng, *shape, low=-10.0, high=10.0):
     return rng.uniform(low, high, size=shape).astype(np.float32).astype(np.float64)
+
+
+# A float32 signalling NaN: casting it to float64 raises numpy's "invalid"
+# floating-point flag, a RuntimeWarning.
+_SIGNALLING_NAN = struct.pack("<I", 0x7F800001)
+
+
+def _with_signalling_nan(data: bytes, offset: int) -> bytes:
+    return data[:offset] + _SIGNALLING_NAN + data[offset + 4:]
 
 
 class TestDepthMap:
@@ -136,6 +150,20 @@ class TestFeatureSet:
         with pytest.raises(DataFormatError, match="f.bin.*non-finite"):
             read_feature_set(p)
 
+    def test_signalling_nan_rejected(self, tmp_path):
+        fs = FeatureSet(family="fam", locations=[[3.0, 4.0], [5.0, 6.0]], descriptors=np.ones((2, 3)))
+        p = tmp_path / "f.bin"
+        write_feature_set(p, fs)
+        clean = p.read_bytes()
+        first_x = 4 + 4 + len(b"fam") + 8
+        # a location, then a descriptor value
+        for offset in (first_x, first_x + 8 + 4):
+            p.write_bytes(_with_signalling_nan(clean, offset))
+            with warnings.catch_warnings():
+                warnings.simplefilter("error", RuntimeWarning)
+                with pytest.raises(DataFormatError, match="f.bin.*non-finite"):
+                    read_feature_set(p)
+
     def test_oversized_dim_rejected_before_dtype(self, tmp_path):
         # count 1, dim 2^29: a record dtype that large is invalid, so the
         # length check must come first
@@ -156,6 +184,17 @@ class TestGlobalDescriptor:
             p = tmp_path / f"g{i}.bin"
             write_global_descriptor(p, v)
             assert np.array_equal(read_global_descriptor(p), v)
+
+    def test_signalling_nan_loads(self, tmp_path):
+        # the reader returns the NaN; GlobalDescriptor, and so the pipeline's
+        # per-query "bad global descriptor" failure, rejects it
+        p = tmp_path / "g.bin"
+        write_global_descriptor(p, np.ones(4))
+        p.write_bytes(_with_signalling_nan(p.read_bytes(), 8 + 4))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            values = read_global_descriptor(p)
+        assert np.array_equal(np.isnan(values), [False, True, False, False])
 
 
 def _random_dense_map(rng, n):
@@ -229,6 +268,75 @@ class TestDenseMapFormat:
             with pytest.raises(ValueError, match="read-only"):
                 getattr(dm, name)[0] = 0
         assert dm.position_tree.query_ball_point(dm.positions[1], 1e-9) == [1]
+
+
+def _writer_made_files() -> dict:
+    """One small file of each binary format as its writer makes it, by magic."""
+    rng = np.random.default_rng(9)
+    made = {
+        b"DMP1": (write_depth_map, rng.uniform(0.5, 9.0, (3, 4))),
+        b"LBL1": (write_label_image, rng.integers(0, 19, (3, 4))),
+        b"FEA1": (write_feature_set,
+                  FeatureSet("fam", _f32(rng, 3, 2, low=0, high=100), _f32(rng, 3, 4))),
+        b"GDS1": (write_global_descriptor, _f32(rng, 8)),
+        b"MAP1": (write_dense_map, _random_dense_map(rng, 3)),
+    }
+    files = {}
+    with tempfile.TemporaryDirectory() as d:
+        path = Path(d) / "f.bin"
+        for magic, (write, value) in made.items():
+            write(path, value)
+            files[magic] = path.read_bytes()
+    return files
+
+
+_WRITER_MADE = _writer_made_files()
+
+# Each format's reader, and the float arrays a loaded file holds that must
+# be finite; a GDS1 may hold non-finite values, which GlobalDescriptor rejects.
+_READERS = {
+    b"DMP1": (read_depth_map, lambda depth: [depth]),
+    b"LBL1": (read_label_image, lambda labels: []),
+    b"FEA1": (read_feature_set, lambda fs: [fs.locations, fs.descriptors]),
+    b"GDS1": (read_global_descriptor, lambda values: []),
+    b"MAP1": (read_dense_map, lambda m: [m.positions, m.v_l, m.v_u, m.theta, m.d_min, m.d_max]),
+}
+
+
+@st.composite
+def damaged_files(draw):
+    """(magic, bytes): a writer-made file cut short or with 1-3 bits flipped."""
+    magic = draw(st.sampled_from(sorted(_WRITER_MADE)))
+    data = bytearray(_WRITER_MADE[magic])
+    if draw(st.booleans()):
+        return magic, bytes(data[: draw(st.integers(0, len(data) - 1))])
+    for bit in draw(st.lists(st.integers(0, 8 * len(data) - 1), min_size=1, max_size=3,
+                             unique=True)):
+        data[bit // 8] ^= 1 << (bit % 8)
+    return magic, bytes(data)
+
+
+@pytest.fixture(scope="module")
+def damaged_path(tmp_path_factory):
+    return tmp_path_factory.mktemp("damaged") / "f.bin"
+
+
+@settings(max_examples=500, deadline=None, derandomize=True, database=None)
+@given(damaged_files())
+# the first location of the FEA1 file and the first value of the GDS1 file
+@example((b"FEA1", _with_signalling_nan(_WRITER_MADE[b"FEA1"], 4 + 4 + 3 + 8)))
+@example((b"GDS1", _with_signalling_nan(_WRITER_MADE[b"GDS1"], 8)))
+def test_damaged_binary_file_fails_cleanly_or_loads(damaged_path, damaged):
+    magic, data = damaged
+    damaged_path.write_bytes(data)
+    read, float_arrays = _READERS[magic]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            loaded = read(damaged_path)
+        except DataFormatError:
+            return
+    assert all(np.isfinite(a).all() for a in float_arrays(loaded))
 
 
 class TestCameraFiles:

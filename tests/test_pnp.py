@@ -282,32 +282,92 @@ class TestP3PBatch:
         assert solve_p3p(P[None], K, pixels=pix[None]) == [[]]
 
 
+def _shared_pixel_sets(rng, K, n):
+    """n minimal sets whose third pixel repeats the first or second, with
+    random world points: the rounding-level offset of the third ray from
+    the plane of the first two leaves a finite quartic whose resolvent
+    vanishes, as when one query keypoint matches two map points."""
+    P = rng.uniform(-5.0, 5.0, size=(n, 3, 3)) + [0.0, 0.0, 20.0]
+    pix = np.column_stack([rng.uniform(10, K.width - 10, 2 * n),
+                           rng.uniform(10, K.height - 10, 2 * n)]).reshape(n, 2, 2)
+    pix = np.concatenate([pix, pix[np.arange(n), rng.integers(0, 2, n)][:, None]], axis=1)
+    return P, _bearings_from_pixels(pix.reshape(-1, 2), K).reshape(n, 3, 3)
+
+
+def _quartics_of(monkeypatch, P, f):
+    """The coefficient rows _p3p_batch hands _quartic_roots_batch."""
+    seen = []
+    roots_of = pnp._quartic_roots_batch
+    monkeypatch.setattr(pnp, "_quartic_roots_batch", lambda A: (seen.append(A), roots_of(A))[1])
+    _, _, _, status = _p3p_batch(P, f)
+    monkeypatch.undo()
+    [A] = seen
+    assert len(A) == np.count_nonzero(status == 0)
+    return A
+
+
 class TestQuarticFallback:
     def test_fallback_rows_equal_np_roots(self, monkeypatch):
-        # rows the closed form cannot take get np.roots, NaN-padded
-        A = np.array([
-            [2.0, -3.0, -3.0, 7.0, 1.0],  # closed form
-            [0.0, 1.0, -3.0, 2.0, 0.0],  # zero leading coefficient: a cubic
-            [1.0, 0.0, 0.0, 0.0, 0.0],  # x^4: the resolvent w vanishes
-            [np.nan] * 5,  # non-finite: no roots
+        # the rows the closed form rejects get, from one stacked eigvals
+        # call, bitwise the roots np.roots gives each of them alone
+        K = default_intrinsics()
+        A = np.vstack([
+            [[2.0, -3.0, -3.0, 7.0, 1.0],  # closed form
+             [1.0, 0.0, 0.0, 0.0, 0.0]],  # x^4: the resolvent w vanishes
+            _quartics_of(monkeypatch, *_shared_pixel_sets(np.random.default_rng(61), K, 200)),
         ])
-        seen = []
-        roots_of = np.roots
-
-        def spy(coeffs):
-            seen.append(coeffs.tolist())
-            return roots_of(coeffs)
-
-        monkeypatch.setattr(np, "roots", spy)
+        companions = []
+        eigvals = np.linalg.eigvals
+        monkeypatch.setattr(np.linalg, "eigvals", lambda M: (companions.append(M), eigvals(M))[1])
         roots = pnp._quartic_roots_batch(A)
         monkeypatch.undo()
-        assert seen == [A[1].tolist(), A[2].tolist()]
-        for h in (1, 2):
-            found = np.roots(A[h])
-            assert np.array_equal(roots[h, : len(found)], found)
-            assert np.isnan(roots[h, len(found) :]).all()
-        assert np.isnan(roots[3]).all()
+        [M] = companions
+        # np.roots' companion matrix of a row has first row -A[1:] / A[0]
+        rejected = [int(np.flatnonzero((-A[:, 1:] / A[:, :1] == top).all(axis=1))[0])
+                    for top in M[:, 0]]
+        assert rejected[0] == 1 and len(rejected) > 20
+        # np.roots strips x^4's zero terms and returns +0.0 for its -0.0 root
+        assert np.array_equal(roots[1], np.roots(A[1])) and not roots[1].any()
+        for h in rejected[1:]:
+            assert roots[h].tobytes() == np.roots(A[h]).astype(complex).tobytes()
         assert np.allclose(np.sort_complex(roots[0]), np.sort_complex(np.roots(A[0])))
+
+    def test_rows_without_roots(self):
+        # non-finite coefficients, and a zero leading coefficient (no
+        # quartic: _p3p_batch never hands one over), give all NaN
+        A = np.array([
+            [np.nan] * 5,
+            [1.0, np.inf, 0.0, 0.0, 1.0],
+            [np.inf, 1.0, 1.0, 1.0, 1.0],
+            [0.0, 1.0, -3.0, 2.0, 0.0],
+            [0.0] * 5,
+        ])
+        assert np.isnan(pnp._quartic_roots_batch(A)).all()
+
+    def test_p3p_leading_coefficient_never_zero(self, monkeypatch):
+        # a4 = -p2^4 (1 + phi1^2 + phi2^2), and p2, the third point's offset
+        # from the line of the first two, is nonzero on every row that is
+        # not rejected as collinear, even just above the area tolerance
+        rng = np.random.default_rng(62)
+        K = default_intrinsics()
+        _, P, X = _minimal_sets(rng, K, 500)
+        f = _bearings_from_pixels(X.reshape(-1, 2), K).reshape(P.shape)
+        assert np.all(_quartics_of(monkeypatch, P, f)[:, 0] != 0.0)
+        # near-collinear: P3 off the line P1-P2 by an area of 1.5-3 tolerances
+        n = 500
+        P1 = rng.uniform(-5.0, 5.0, size=(n, 3))
+        u = rng.normal(size=(n, 3))
+        u /= np.linalg.norm(u, axis=1, keepdims=True)
+        v = np.cross(u, rng.normal(size=(n, 3)))
+        v /= np.linalg.norm(v, axis=1, keepdims=True)
+        length = rng.uniform(0.5, 5.0, n)[:, None]
+        area = rng.uniform(1.5, 3.0, n)[:, None] * pnp._COLLINEAR_AREA_TOL
+        P = np.stack([P1, P1 + length * u,
+                      P1 + rng.uniform(-2.0, 2.0, (n, 1)) * u + 2.0 * area / length * v], axis=1)
+        assert np.all(0.5 * np.linalg.norm(np.cross(P[:, 1] - P[:, 0], P[:, 2] - P[:, 0]),
+                                           axis=1) > pnp._COLLINEAR_AREA_TOL)
+        A = _quartics_of(monkeypatch, P, f)
+        assert len(A) == n and np.all(A[:, 0] != 0.0)
 
 
 class TestTemporaryPose:
@@ -991,9 +1051,8 @@ class TestFittedRounds:
 
 
 def _verified_alone(run, K):
-    """The per-run re-verification that _finish stacks: the best model
-    snapped to a rotation and its inliers restated over the run's own
-    correspondences."""
+    """One run's re-verification on its own: the best model snapped to a
+    rotation and its inliers restated over the run's own correspondences."""
     if run is None or run.best_R is None:
         return None
     pose = RigidPose(pnp._orthonormalized(run.best_R), run.best_C)
@@ -1005,8 +1064,9 @@ def _verified_alone(run, K):
 
 
 class TestFinish:
-    """One stacked re-verification of every run's best model gives each run
-    bitwise what re-verifying it alone gives."""
+    """_finish snaps every run's best model in one stacked call and
+    re-verifies each run on its own rows; each run gets bitwise what
+    re-verifying it alone gives, whatever the other runs' sizes."""
 
     @staticmethod
     def _run(corrs, cfg, R, C, it):
