@@ -117,6 +117,31 @@ class RigidPose:
     def identity() -> "RigidPose":
         return RigidPose(np.eye(3), np.zeros(3))
 
+    @staticmethod
+    def from_stack(rotations: np.ndarray, centers: np.ndarray) -> list["RigidPose"]:
+        """Poses of (n, 3, 3) rotations and (n, 3) centers, run through the
+        constructor's checks once over the whole stack rather than pose by
+        pose; the stacked products and determinants are bitwise the
+        per-pose ones, so a pose passes exactly when it would alone.  When
+        any pose fails, the poses are built one at a time, so the first
+        failing pose raises the constructor's own error."""
+        R = np.array(rotations, dtype=np.float64)
+        C = np.array(centers, dtype=np.float64)
+        if not (R.shape[1:] == (3, 3) and C.shape == R.shape[:1] + (3,)
+                and np.all(np.isfinite(R)) and np.all(np.isfinite(C))
+                and np.all(np.abs(np.swapaxes(R, -1, -2) @ R - np.eye(3)) <= _ORTHONORMAL_TOL)
+                and np.all(np.abs(np.linalg.det(R) - 1.0) <= _ORTHONORMAL_TOL)):
+            return [RigidPose(r, c) for r, c in zip(rotations, centers)]
+        R.flags.writeable = False
+        C.flags.writeable = False
+        poses = []
+        for r, c in zip(R, C):
+            pose = object.__new__(RigidPose)
+            object.__setattr__(pose, "rotation", r)
+            object.__setattr__(pose, "center", c)
+            poses.append(pose)
+        return poses
+
 
 @dataclass(frozen=True)
 class PoseError:

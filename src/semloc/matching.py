@@ -1,6 +1,10 @@
 """Per-family 2D-2D descriptor matching and lifting matches to 2D-3D
 correspondences through database depth maps.
 
+Lifting reads each database image's LiftTable, which holds every
+keypoint's world point and is built once per image and family
+(DatabaseImageRecord.lift_table), so a query's lift is a gather.
+
 A feature family is a named keypoint+descriptor type (e.g. a handcrafted
 corner detector or a learned detector).  Every family is matched by one
 rule, mutual nearest neighbors in descriptor space.  Hybrid operation
@@ -16,8 +20,7 @@ from typing import Optional, Sequence
 import numpy as np
 from scipy.spatial.distance import cdist
 
-from .geometry import back_project_pixels, nearest_pixel
-from .semantic_map import DatabaseImageRecord
+from .semantic_map import LIFTED, OUTSIDE_IMAGE, DatabaseImageRecord
 
 __all__ = [
     "FeatureSet",
@@ -64,6 +67,13 @@ class CorrespondenceBatch:
     and batches pooled with CorrespondenceBatch.concat; no deduplication
     happens, so a pixel matched by several families or retrieved images
     contributes several rows.
+
+    The constructor checks the columns once and makes them read-only.
+    Row selection, concat and lift_to_3d assemble their batches from
+    columns that were already checked, without checking them again.  A
+    column whose array already has its dtype and shape is a view of the
+    array passed in, so a caller must not write that array after building
+    the batch.
     """
 
     pixels: np.ndarray
@@ -86,22 +96,39 @@ class CorrespondenceBatch:
             raise ValueError("world points must be finite")
         if not np.all(weights >= 0.0):
             raise ValueError("weights must be non-negative")
-        for name, value in (("pixels", pixels), ("points", points), ("image_ids", image_ids),
-                            ("families", families), ("weights", weights)):
-            object.__setattr__(self, name, value)
+        _set_columns(self, (pixels, points, image_ids, families, weights))
+
+    @classmethod
+    def _of_checked(cls, *columns: np.ndarray) -> "CorrespondenceBatch":
+        """A batch of columns, in field order, that hold rows of checked
+        batches: each has its dtype and shape and no one else holds it."""
+        batch = object.__new__(cls)
+        _set_columns(batch, columns)
+        return batch
 
     def __len__(self) -> int:
         return len(self.points)
 
     def __getitem__(self, rows) -> "CorrespondenceBatch":
-        return CorrespondenceBatch(*(getattr(self, f.name)[rows] for f in fields(self)))
+        return self._of_checked(*(getattr(self, name)[rows] for name in _COLUMNS))
 
     @classmethod
     def concat(cls, batches: Sequence["CorrespondenceBatch"]) -> "CorrespondenceBatch":
         """Rows of every batch in order; an empty sequence gives an empty
         batch."""
-        columns = [[getattr(b, f.name) for b in batches] for f in fields(cls)]
-        return cls(*(np.concatenate(c) if c else [] for c in columns))
+        if not batches:
+            return cls([], [], [], [])
+        return cls._of_checked(*(np.concatenate([getattr(b, name) for b in batches])
+                                 for name in _COLUMNS))
+
+
+_COLUMNS = tuple(f.name for f in fields(CorrespondenceBatch))
+
+
+def _set_columns(batch: CorrespondenceBatch, columns) -> None:
+    for name, column in zip(_COLUMNS, columns):
+        column.flags.writeable = False
+        object.__setattr__(batch, name, column)
 
 
 @dataclass(frozen=True)
@@ -146,24 +173,23 @@ def lift_to_3d(
     """Turn 2D-2D matches ([query_index, db_index] rows, as match_family
     returns them) into 2D-3D correspondences via the database depth map.
 
-    The database keypoints come from db.features[query_set.family].  The
-    depth is read at the nearest pixel to the database keypoint; the
-    keypoint's continuous location is then back-projected with that depth.
-    Matches over invalid depth or outside the image are dropped and counted.
+    The world points are rows of db.lift_table(query_set.family), which
+    lifts every database keypoint once: the depth is read at the keypoint's
+    nearest pixel and its continuous location back-projected with that
+    depth.  Matches over invalid depth or outside the image are dropped and
+    counted.
     """
-    n = len(matches)
-    locs = db.features[query_set.family].locations[matches[:, 1]]
-    pix, inside = nearest_pixel(locs, db.intrinsics)
-    depth = np.zeros(n)
-    depth[inside] = db.depth[pix[inside, 1], pix[inside, 0]]
-    # Non-finite depths pass on to back-projection, which rejects them.
-    kept = np.nonzero(inside & ~(depth <= 0.0))[0]
-    batch = CorrespondenceBatch(
-        pixels=query_set.locations[matches[kept, 0]],
-        points=back_project_pixels(locs[kept], depth[kept], db.pose, db.intrinsics),
-        image_ids=[db.image_id] * len(kept),
-        families=[query_set.family] * len(kept),
+    table = db.lift_table(query_set.family)
+    status = table.status[matches[:, 1]]
+    kept = matches[status == LIFTED]
+    n = len(kept)
+    batch = CorrespondenceBatch._of_checked(
+        query_set.locations[kept[:, 0]],
+        table.points[kept[:, 1]],
+        np.full(n, db.image_id),
+        np.full(n, query_set.family),
+        np.ones(n),
     )
-    n_inside = int(inside.sum())
-    return LiftResult(batch, dropped_out_of_bounds=n - n_inside,
-                      dropped_invalid_depth=n_inside - len(kept))
+    out_of_bounds = int(np.count_nonzero(status == OUTSIDE_IMAGE))
+    return LiftResult(batch, dropped_out_of_bounds=out_of_bounds,
+                      dropped_invalid_depth=len(matches) - n - out_of_bounds)

@@ -6,7 +6,10 @@ Per query the flow is:
   1. retrieve the top-k database images (k per condition tag),
   2. score the retrieved images in three steps:
      a. for every image and family, match descriptors and lift the
-        matches through the image's depth map to 2D-3D correspondences;
+        matches to 2D-3D correspondences by reading the image's lift
+        table, which holds every database keypoint's world point and is
+        built from the image's depth map on the image's first lift
+        (DatabaseImageRecord.lift_table);
      b. estimate every image's temporary pose (plain RANSAC) in one
         estimate_temporary_pose call, whose per-image runs advance in
         lockstep and each return what they would alone;

@@ -450,21 +450,29 @@ def _reprojection_residuals(
     """Residual vectors (..., 2N) of poses R (..., 3, 3), C (..., 3) over
     points (..., N, 3) and pixels (..., N, 2); residuals of points at or
     behind the camera are set to inf."""
-    projected, depth = project_points(points, R, C, K)
-    residuals = np.where((depth > 0.0)[..., None], projected - pixels, np.inf)
-    return residuals.reshape(depth.shape[:-1] + (2 * depth.shape[-1],))
+    return _errors(R, C, points, pixels, K)[0]
 
 
 def _errors(R: np.ndarray, C: np.ndarray, points: np.ndarray, pixels: np.ndarray,
-            K: CameraIntrinsics) -> tuple[np.ndarray, np.ndarray]:
+            K: CameraIntrinsics, residuals: bool = True) -> tuple[Optional[np.ndarray], np.ndarray]:
     """Residual vectors (..., 2N) of poses R (..., 3, 3), C (..., 3) over N
     correspondences and each correspondence's reprojection error (..., N),
-    inf at or behind the camera.  A pose's row is bitwise the one it gets
-    alone for N >= 2 (project_points)."""
-    res = _reprojection_residuals(R, C, points, pixels, K)
+    both inf at or behind the camera.  With residuals=False the residual
+    array is not built and None stands in its place; the errors are the
+    same bits.  A pose's row is bitwise the one it gets alone for N >= 2
+    (project_points)."""
+    projected, depth = project_points(points, R, C, K)
+    behind = ~(depth > 0.0)
+    diff = projected - pixels
     # np.linalg.norm of each residual pair, bitwise, without its wrapper.
-    sq = res * res
-    return res, np.sqrt(sq[..., 0::2] + sq[..., 1::2])
+    sq = diff * diff
+    err = sq[..., 0] + sq[..., 1]
+    np.sqrt(err, out=err)
+    err[behind] = np.inf
+    if not residuals:
+        return None, err
+    diff[behind] = np.inf
+    return diff.reshape(depth.shape[:-1] + (2 * depth.shape[-1],)), err
 
 
 def _skew(v: np.ndarray) -> np.ndarray:
@@ -558,10 +566,11 @@ def solve_p3p(points: np.ndarray, K: CameraIntrinsics,
     points and (H, 3, 2) pixels, exactly 3 correspondences per row.
 
     Returns one list of 0 to 4 poses per row, in root order, from one
-    _p3p_batch call and one stacked Gauss-Newton polish of every
-    candidate.  A candidate is kept when it reprojects its row's points
-    within 1e-6 px, so a double root that survives the polish gives its
-    pose twice; a row gets bitwise the poses it gets alone.  RANSAC scores
+    _p3p_batch call, one stacked Gauss-Newton polish of every candidate and
+    one RigidPose.from_stack check of the kept poses.  A candidate is kept
+    when it reprojects its row's points within 1e-6 px, so a double root
+    that survives the polish gives its pose twice; a row gets bitwise the
+    poses it gets alone.  RANSAC scores
     the raw _p3p_batch candidates: the polish and the filter run only here
     (README, step 5, gives the measured gap).  Raises, naming the first
     such row, on collinear world points or parallel rays."""
@@ -581,8 +590,8 @@ def solve_p3p(points: np.ndarray, K: CameraIntrinsics,
     kept[valid] = (_errors(R[valid], C[valid], points[row], pix[row], K)[1] < 1e-6).all(axis=1)
     # Back-substitution lets orthonormality drift; snap to the nearest rotation.
     R[kept] = _orthonormalized(R[kept])
-    return [[RigidPose(R[h, i], C[h, i]) for i in np.flatnonzero(kept[h])]
-            for h in range(len(kept))]
+    poses = iter(RigidPose.from_stack(R[kept], C[kept]))
+    return [[next(poses) for _ in range(n)] for n in kept.sum(axis=1).tolist()]
 
 
 # ── RANSAC ───────────────────────────────────────────────────────────────
@@ -655,9 +664,10 @@ def _score_hypotheses(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Unweighted inlier count and (M, N) inlier mask of M pose hypotheses
     (R (M, 3, 3), C (M, 3)) over all N correspondences, from one stacked
-    _errors call; points at or behind a camera are never inliers.  The
-    count alone ranks hypotheses (module docstring)."""
-    inl = _errors(R, C, points, pixels, K)[1] < threshold
+    _errors call that builds no residual array; points at or behind a
+    camera are never inliers.  The count alone ranks hypotheses (module
+    docstring)."""
+    inl = _errors(R, C, points, pixels, K, residuals=False)[1] < threshold
     return inl.sum(axis=1), inl
 
 

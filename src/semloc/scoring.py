@@ -10,10 +10,11 @@ temporary pose.  Scores then become per-correspondence sampling weights.
 
 No point farther than max(d_max) * _DISTANCE_MARGIN from the query centre
 passes the distance range, so the gate tests only the rows that a radius
-search of the map's k-d tree returns.  The tree is built once per map and
-cached on it.  The radius is padded, the exact tests still decide and the
-rows come sorted, so the gated sub-map equals a scan of every point, row
-for row.
+search of the map's k-d tree returns, and tests the angle only on the rows
+that pass the distance range.  The tree is built once per map and cached
+on it.  The radius is padded, the exact tests still decide and the rows
+come sorted, so the gated sub-map equals a scan of every point, row for
+row.
 
 Occlusion is handled only through the cone gating (no z-buffer): a point
 observed from similar distance and direction by the database cameras is
@@ -81,8 +82,10 @@ def gate_visible(dense_map: DenseMap, query_pose: RigidPose) -> DenseMap:
     distance test, so only the rows inside that ball, padded by a relative
     1e-9, are tested.  They come sorted from ``dense_map.position_tree``,
     the k-d tree built once per map on its first gate call.  The exact
-    tests then decide, so the sub-map holds the same rows in the same order
-    as a scan of the whole map.
+    tests then decide, the distance test first and the angle test only on
+    the rows it passes, so the sub-map holds the same rows in the same
+    order as a scan of the whole map.  A row's angle does not depend on
+    which other rows are tested with it.
     """
     m = _DISTANCE_MARGIN
     radius = np.max(dense_map.d_max, initial=0.0) * m * (1.0 + _RADIUS_PAD)
@@ -92,12 +95,11 @@ def gate_visible(dense_map: DenseMap, query_pose: RigidPose) -> DenseMap:
     )
     v = query_pose.center - dense_map.positions[rows]
     dist = np.linalg.norm(v, axis=1)
-    ok = (dense_map.d_min[rows] / m < dist) & (dist < dense_map.d_max[rows] * m)
-    safe = dist > 0.0
-    cos = np.zeros(len(rows))
-    cos[safe] = np.einsum("ij,ij->i", v[safe], dense_map.v_m[rows[safe]]) / dist[safe]
+    near = (dense_map.d_min[rows] / m < dist) & (dist < dense_map.d_max[rows] * m) & (dist > 0.0)
+    rows, v, dist = rows[near], v[near], dist[near]
+    cos = np.einsum("ij,ij->i", v, dense_map.v_m[rows]) / dist
     ang = np.arccos(np.clip(cos, -1.0, 1.0))
-    return dense_map[rows[ok & safe & (ang < dense_map.theta[rows] + _ANGLE_MARGIN)]]
+    return dense_map[rows[ang < dense_map.theta[rows] + _ANGLE_MARGIN]]
 
 
 def semantic_consistency_score(

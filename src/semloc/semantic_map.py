@@ -47,6 +47,10 @@ __all__ = [
     "DepthFilterConfig",
     "DenseMap",
     "DatabaseImageRecord",
+    "LiftTable",
+    "LIFTED",
+    "OUTSIDE_IMAGE",
+    "INVALID_DEPTH",
     "QueryImage",
     "FusedCloud",
     "BuildStats",
@@ -88,9 +92,60 @@ def label_ids_valid(labels: np.ndarray) -> bool:
 # ── Record types ─────────────────────────────────────────────────────────
 
 
+# Status of a keypoint in a LiftTable.
+LIFTED, OUTSIDE_IMAGE, INVALID_DEPTH = 0, 1, 2
+
+
+@dataclass(frozen=True)
+class LiftTable:
+    """Every keypoint of one feature family in one database image, lifted
+    through the image's depth map.
+
+    status[i] is LIFTED, OUTSIDE_IMAGE (the keypoint's nearest pixel, round
+    half up, lies outside the image) or INVALID_DEPTH (the depth there is
+    <= 0).  points[i] is the world point of a LIFTED keypoint: its
+    continuous location back-projected with the depth at its nearest pixel.
+    Other rows are NaN.  Both columns are read-only, and a row is bitwise
+    the point that lifting its keypoint alone gives (back_project_pixels
+    does not depend on the row count).
+    """
+
+    points: np.ndarray
+    status: np.ndarray
+
+
+def _lift_keypoints(locations: np.ndarray, depth: np.ndarray, pose: RigidPose,
+                    K: CameraIntrinsics) -> LiftTable:
+    """LiftTable of keypoints at (N, 2) locations.  Raises ValueError when
+    a keypoint inside the image sits on a non-finite depth or lifts to a
+    non-finite point."""
+    pix, inside = nearest_pixel(locations, K)
+    d = np.zeros(len(pix))
+    d[inside] = depth[pix[inside, 1], pix[inside, 0]]
+    # Non-finite depths pass on to back-projection, which rejects them.
+    lifted = inside & ~(d <= 0.0)
+    points = np.full((len(pix), 3), np.nan)
+    points[lifted] = back_project_pixels(locations[lifted], d[lifted], pose, K)
+    if not np.all(np.isfinite(points[lifted])):
+        raise ValueError("world points must be finite")
+    status = np.where(lifted, LIFTED, np.where(inside, INVALID_DEPTH, OUTSIDE_IMAGE)).astype(np.int8)
+    points.flags.writeable = False
+    status.flags.writeable = False
+    return LiftTable(points, status)
+
+
 @dataclass
 class DatabaseImageRecord:
-    """A calibrated database image with its per-image map-building inputs."""
+    """A calibrated database image with its per-image map-building inputs.
+
+    lift_table(family) lifts every keypoint of features[family] once and
+    caches the table on the record.  The cache holds the depth, pose,
+    intrinsics and FeatureSet objects the table was built from and is
+    rebuilt when any of them is replaced (compared by identity), so assign
+    a new array or object rather than write into one in place: a depth map
+    edited in place after a lift leaves the cached table stale.
+    dataclasses.replace gives a record with an empty cache.
+    """
 
     image_id: str
     intrinsics: CameraIntrinsics
@@ -99,6 +154,8 @@ class DatabaseImageRecord:
     labels: np.ndarray
     global_descriptor: Optional[np.ndarray] = None
     features: dict = field(default_factory=dict)  # family name -> FeatureSet
+    # family name -> ((depth, pose, intrinsics, FeatureSet), LiftTable)
+    _lift_tables: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         shape = (self.intrinsics.height, self.intrinsics.width)
@@ -114,6 +171,19 @@ class DatabaseImageRecord:
             raise ValueError(f"{self.image_id}: depth map contains non-finite values")
         if not label_ids_valid(self.labels):
             raise ValueError(f"{self.image_id}: label ids outside 0..{MAX_CLASS_ID} / {UNLABELED}")
+
+    def lift_table(self, family: str) -> LiftTable:
+        """The LiftTable of features[family], built on first use and kept
+        until the record's depth, pose, intrinsics or that FeatureSet is
+        replaced."""
+        features = self.features[family]
+        sources = (self.depth, self.pose, self.intrinsics, features)
+        cached = self._lift_tables.get(family)
+        if cached is not None and all(a is b for a, b in zip(cached[0], sources)):
+            return cached[1]
+        table = _lift_keypoints(features.locations, self.depth, self.pose, self.intrinsics)
+        self._lift_tables[family] = (sources, table)
+        return table
 
 
 @dataclass
@@ -166,9 +236,10 @@ class DenseMap:
     extreme Euclidean distances to observing camera centers; v_l/v_u, the
     unit point-to-camera directions of the widest pair; v_m, their unit
     bisector; theta, the angle between v_l and v_u.  Indexing with a mask
-    or an index array yields the sub-map of those rows.  The columns are
-    read-only views: a k-d tree over the positions is built on first use and
-    cached on the map.
+    or an index array yields the sub-map of those rows; it carries their
+    v_m rather than recomputing it (v_m is computed row by row, so the bits
+    are the same).  The columns are read-only views: a k-d tree over the
+    positions is built on first use and cached on the map.
 
     A column whose array already has its dtype is a view of the array passed
     to the constructor, not a copy, so a caller must not write that array
@@ -218,10 +289,16 @@ class DenseMap:
 
     def __getitem__(self, index) -> "DenseMap":
         idx = np.asarray(index)
-        return DenseMap(
-            self.positions[idx], self.labels[idx], self.v_l[idx], self.v_u[idx],
-            self.theta[idx], self.d_min[idx], self.d_max[idx], self.support[idx],
-        )
+        sub = DenseMap.__new__(DenseMap)
+        for name in _DENSE_MAP_COLUMNS:
+            column = getattr(self, name)[idx]
+            column.flags.writeable = False
+            setattr(sub, name, column)
+        return sub
+
+
+_DENSE_MAP_COLUMNS = ("positions", "labels", "v_l", "v_u", "theta", "d_min", "d_max", "support",
+                      "v_m")
 
 
 @dataclass(frozen=True)

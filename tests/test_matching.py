@@ -6,19 +6,26 @@ analytic surface they were rendered from.
 """
 
 import math
+import sys
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from semloc.geometry import CameraIntrinsics, RigidPose, project
+from semloc.geometry import CameraIntrinsics, RigidPose, back_project_pixels, nearest_pixel, project
 from semloc.matching import (
     CorrespondenceBatch,
     FeatureSet,
     lift_to_3d,
     match_family,
 )
-from semloc.semantic_map import DatabaseImageRecord
+from semloc.semantic_map import (
+    INVALID_DEPTH,
+    LIFTED,
+    OUTSIDE_IMAGE,
+    DatabaseImageRecord,
+)
 
 from conftest import pinhole_back_project
 
@@ -221,6 +228,118 @@ class TestLiftTo3D:
         assert rows > 300 and dropped > 0
 
 
+def _lift_alone(fs, k, db):
+    """Status and world point of keypoint k lifted on its own: a one-row
+    nearest-pixel lookup and a one-row back-projection."""
+    loc = fs.locations[k:k + 1]
+    pix, inside = nearest_pixel(loc, db.intrinsics)
+    if not inside[0]:
+        return OUTSIDE_IMAGE, np.full(3, np.nan)
+    depth = float(db.depth[pix[0, 1], pix[0, 0]])
+    if depth <= 0.0:
+        return INVALID_DEPTH, np.full(3, np.nan)
+    return LIFTED, back_project_pixels(loc, [depth], db.pose, db.intrinsics)[0]
+
+
+def _holed(db):
+    depth = db.depth.copy()
+    depth[:, ::2] = 0.0
+    return replace(db, depth=depth)
+
+
+class TestLiftTable:
+    def test_rows_equal_lifting_each_keypoint_alone(self, zero_noise_dataset):
+        # every record of the dataset, as rendered and with every other
+        # depth column invalidated, every family, every keypoint
+        statuses = set()
+        for rec in zero_noise_dataset.db_records:
+            for db in (replace(rec), _holed(rec)):
+                for name, fs in db.features.items():
+                    table = db.lift_table(name)
+                    assert table.points.shape == (len(fs), 3) and table.status.shape == (len(fs),)
+                    for k in range(len(fs)):
+                        status, point = _lift_alone(fs, k, db)
+                        assert table.status[k] == status
+                        assert table.points[k].tobytes() == point.tobytes()
+                        one = lift_to_3d(np.array([[k, k]]), fs, db)
+                        assert len(one.correspondences) == (status == LIFTED)
+                        if status == LIFTED:
+                            assert one.correspondences.points[0].tobytes() == point.tobytes()
+                    statuses.update(table.status.tolist())
+        assert statuses >= {LIFTED, INVALID_DEPTH}
+
+    def test_outside_keypoint_status(self):
+        K = CameraIntrinsics(fx=100.0, fy=100.0, cx=50.0, cy=50.0, width=100, height=100)
+        db = _db_record(K, RigidPose.identity(), np.ones((100, 100)))
+        db.features["f"] = _set("f", np.zeros((3, 1)),
+                                locs=np.array([[99.9, 50.0], [-0.6, 3.0], [99.4, 99.4]]))
+        table = db.lift_table("f")
+        assert table.status.tolist() == [OUTSIDE_IMAGE, OUTSIDE_IMAGE, LIFTED]
+        assert np.isnan(table.points[:2]).all() and np.isfinite(table.points[2]).all()
+
+    def test_table_is_built_once_and_rebuilt_on_replaced_inputs(self, zero_noise_dataset):
+        shared = zero_noise_dataset.db_records[2]
+        # a record with no cached table, whose features dict it may replace entries of
+        rec = replace(shared, features=dict(shared.features))
+        name, fs = next(iter(rec.features.items()))
+        table = rec.lift_table(name)
+        assert rec.lift_table(name) is table
+
+        def assert_fresh(before, db):
+            after = db.lift_table(name)
+            assert after is not before
+            for k in range(len(db.features[name])):
+                status, point = _lift_alone(db.features[name], k, db)
+                assert after.status[k] == status
+                assert after.points[k].tobytes() == point.tobytes()
+            return after
+
+        # an equal but distinct object counts as replaced: identity decides
+        rec.depth = rec.depth.copy()
+        table = assert_fresh(table, rec)
+        rec.depth = _holed(rec).depth
+        table = assert_fresh(table, rec)
+        assert np.count_nonzero(table.status == INVALID_DEPTH) > 0
+        rec.pose = RigidPose(rec.pose.rotation, rec.pose.center + np.array([0.5, 0.0, 0.0]))
+        table = assert_fresh(table, rec)
+        rec.intrinsics = replace(rec.intrinsics)
+        table = assert_fresh(table, rec)
+        rec.features[name] = FeatureSet(name, fs.locations[::-1] + 0.25, fs.descriptors[::-1])
+        table = assert_fresh(table, rec)
+        assert rec.lift_table(name) is table
+        # a replaced record starts with no table
+        assert replace(rec).lift_table(name) is not table
+
+    def test_threads_share_the_lazily_built_tables(self, zero_noise_dataset):
+        # localize_all(threads > 1) lifts through shared records, and the
+        # first lifts of several threads race to build a record's tables
+        expected = {(r.image_id, name): r.lift_table(name)
+                    for r in zero_noise_dataset.db_records for name in r.features}
+        fresh = [replace(r) for r in zero_noise_dataset.db_records] * 3
+        jobs = [(r, name) for r in fresh for name in r.features]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=4) as pool:
+                futures = [pool.submit(r.lift_table, name) for r, name in jobs]
+                tables = [f.result(timeout=60) for f in futures]
+        finally:
+            sys.setswitchinterval(interval)
+        for (r, name), table in zip(jobs, tables):
+            reference = expected[(r.image_id, name)]
+            assert table.points.tobytes() == reference.points.tobytes()
+            assert table.status.tobytes() == reference.status.tobytes()
+            assert r.lift_table(name).points.tobytes() == reference.points.tobytes()
+
+    def test_table_columns_are_read_only(self, zero_noise_dataset):
+        rec = zero_noise_dataset.db_records[0]
+        table = rec.lift_table(next(iter(rec.features)))
+        for column in (table.points, table.status):
+            assert not column.flags.writeable
+            with pytest.raises(ValueError):
+                column[0] = 0
+
+
 def _batch(n, family="f", x=1.0, image_id="db0"):
     return CorrespondenceBatch(
         pixels=np.tile([x, 2.0], (n, 1)),
@@ -250,6 +369,36 @@ class TestCorrespondenceBatch:
                             ("weights", np.ones(2))):
             with pytest.raises(ValueError, match="row count"):
                 CorrespondenceBatch(**{**cols, name: short})
+
+    def test_columns_are_read_only(self, zero_noise_dataset):
+        pixels, points = np.zeros((3, 2)), np.ones((3, 3))
+        built = CorrespondenceBatch(pixels, points, ["a"] * 3, ["f"] * 3)
+        q = zero_noise_dataset.queries[0]
+        db = zero_noise_dataset.db_records[0]
+        name, q_set = next(iter(q.features.items()))
+        lifted = lift_to_3d(match_family(q_set, db.features[name]), q_set, db).correspondences
+        pooled = CorrespondenceBatch.concat([built, lifted])
+        for batch in (built, lifted, pooled, pooled[np.array([0, 2])], pooled[pooled.weights > 0],
+                      pooled[1:], replace(pooled, weights=np.full(len(pooled), 0.5))):
+            for col in ("pixels", "points", "image_ids", "families", "weights"):
+                column = getattr(batch, col)
+                assert not column.flags.writeable
+                with pytest.raises(ValueError):
+                    column[...] = column
+        # the caller's arrays stay writeable
+        assert pixels.flags.writeable and points.flags.writeable
+
+    def test_assembled_batches_keep_dtypes_and_shapes(self):
+        merged = CorrespondenceBatch.concat([_batch(2, "f"), _batch(3, "gg", image_id="db12")])
+        for batch in (merged, merged[np.array([4, 0])], merged[merged.families == "f"],
+                      CorrespondenceBatch.concat([])):
+            n = len(batch)
+            assert batch.pixels.shape == (n, 2) and batch.pixels.dtype == np.float64
+            assert batch.points.shape == (n, 3) and batch.points.dtype == np.float64
+            assert batch.weights.shape == (n,) and batch.weights.dtype == np.float64
+            assert batch.image_ids.shape == batch.families.shape == (n,)
+            assert batch.image_ids.dtype.kind == batch.families.dtype.kind == "U"
+        assert merged.image_ids.tolist() == ["db0"] * 2 + ["db12"] * 3
 
     def test_row_selection(self):
         b = CorrespondenceBatch.concat([_batch(2, "f", x=1.0), _batch(3, "g", x=9.0)])

@@ -1,6 +1,8 @@
 """End-to-end pipeline tests on small synthetic scenes."""
 
+import copy
 import dataclasses
+import json
 
 import numpy as np
 import pytest
@@ -248,3 +250,33 @@ class TestRoundSchedule:
         assert True in temporary and False in temporary
         localized = [r.pose is not None for r in fitted]
         assert True in localized and False in localized
+
+
+class TestLiftTables:
+    def test_cold_warm_and_copied_passes_agree(self, tmp_path):
+        # acceptance-01's scene and config, its first 20 queries: a pass that
+        # builds the lift tables, a pass that reads them, and a pass on deep
+        # copies of the records and the map write the same bytes
+        ds = generate_scene(street_canyon_spec(seed=2026, n_db=20, n_queries=50,
+                                               noise_profile="zero"))
+        cfg = PipelineConfig(seed=7, ransac_inlier_threshold_px=0.8, fusion_voxel_size=0.10,
+                             top_k_day=8, temp_ransac_max_iterations=300)
+        queries = ds.queries[:20]
+        records = ds.db_records
+        dense_map, _ = build_map(records, cfg)
+
+        def outputs(records, dense_map):
+            results = localize_all(queries, records, dense_map, cfg)
+            path = tmp_path / "estimates.txt"
+            write_estimates(path, results)
+            diagnostics = {r.query_id: [r.failure_reason, r.diagnostics] for r in results}
+            localized = sum(r.pose is not None for r in results)
+            return path.read_bytes(), json.dumps(diagnostics, sort_keys=True), localized
+
+        assert not any(rec._lift_tables for rec in records)
+        cold = outputs(records, dense_map)
+        assert any(rec._lift_tables for rec in records)
+        warm = outputs(records, dense_map)
+        copied = outputs(copy.deepcopy(records), copy.deepcopy(dense_map))
+        assert cold == warm == copied
+        assert cold[2] == 20

@@ -1206,6 +1206,15 @@ class TestStackedKernels:
         for h in range(60):
             res_h, err_h = pnp._errors(R[h], C[h], P[h], pix[h], K)
             assert res_h.tobytes() == res[h].tobytes() and err_h.tobytes() == err[h].tobytes()
+        # the errors are the norms of the residual pairs, and the errors-only
+        # path gives their bits without the residual array
+        sq = res * res
+        assert err.tobytes() == np.sqrt(sq[:, 0::2] + sq[:, 1::2]).tobytes()
+        none, err_only = pnp._errors(R, C, P, pix, K, residuals=False)
+        assert none is None and err_only.tobytes() == err.tobytes()
+        counts, inl = pnp._score_hypotheses(R, C, P[0], pix[0], K, 50.0)
+        expected = pnp._errors(R, C, P[0], pix[0], K)[1] < 50.0
+        assert np.array_equal(inl, expected) and counts.tolist() == expected.sum(axis=1).tolist()
         # solve_p3p passes an empty stack when no candidate is valid
         res, err = pnp._errors(np.empty((0, 3, 3)), np.empty((0, 3)), np.empty((0, n, 3)),
                                np.empty((0, n, 2)), K)

@@ -253,6 +253,38 @@ class TestGateVisible:
             assert same_map(gate_visible(doubled, pose), original)
 
 
+class TestSubMap:
+    """Rows of a DenseMap (indexing, and the gate's result) carry their
+    columns, v_m included, as read-only arrays."""
+
+    COLUMNS = ("positions", "labels", "v_l", "v_u", "v_m", "theta", "d_min", "d_max", "support")
+
+    def _sub_maps(self, zero_noise_dataset, built_map):
+        rng = np.random.default_rng(5)
+        yield built_map[np.arange(0, len(built_map), 3)]
+        yield built_map[rng.random(len(built_map)) < 0.5]
+        yield built_map[np.array([], dtype=np.intp)]
+        for rec in zero_noise_dataset.db_records[::2]:
+            yield gate_visible(built_map, rec.pose)
+
+    def test_v_m_is_the_recomputed_bisector(self, zero_noise_dataset, built_map):
+        for sub in self._sub_maps(zero_noise_dataset, built_map):
+            recomputed = DenseMap(sub.positions, sub.labels, sub.v_l, sub.v_u, sub.theta,
+                                  sub.d_min, sub.d_max, sub.support)
+            assert sub.v_m.shape == (len(sub), 3)
+            assert sub.v_m.tobytes() == recomputed.v_m.tobytes()
+
+    def test_columns_are_read_only(self, zero_noise_dataset, built_map):
+        for sub in self._sub_maps(zero_noise_dataset, built_map):
+            for col in self.COLUMNS:
+                column = getattr(sub, col)
+                assert not column.flags.writeable
+                with pytest.raises(ValueError):
+                    column[...] = column
+            # the parent's cached tree is not carried over
+            assert "position_tree" not in vars(sub)
+
+
 class TestSemanticConsistencyScore:
     def test_ground_truth_pose_fully_consistent(self, zero_noise_dataset, built_map):
         ds = zero_noise_dataset
