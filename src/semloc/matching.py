@@ -127,7 +127,7 @@ _COLUMNS = tuple(f.name for f in fields(CorrespondenceBatch))
 
 def _set_columns(batch: CorrespondenceBatch, columns) -> None:
     for name, column in zip(_COLUMNS, columns):
-        column.flags.writeable = False
+        column.setflags(write=False)
         object.__setattr__(batch, name, column)
 
 

@@ -292,7 +292,7 @@ class DenseMap:
         sub = DenseMap.__new__(DenseMap)
         for name in _DENSE_MAP_COLUMNS:
             column = getattr(self, name)[idx]
-            column.flags.writeable = False
+            column.setflags(write=False)
             setattr(sub, name, column)
         return sub
 
