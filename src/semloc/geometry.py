@@ -132,8 +132,8 @@ class RigidPose:
                 and np.all(np.abs(np.swapaxes(R, -1, -2) @ R - np.eye(3)) <= _ORTHONORMAL_TOL)
                 and np.all(np.abs(np.linalg.det(R) - 1.0) <= _ORTHONORMAL_TOL)):
             return [RigidPose(r, c) for r, c in zip(rotations, centers)]
-        R.flags.writeable = False
-        C.flags.writeable = False
+        R.setflags(write=False)
+        C.setflags(write=False)
         poses = []
         for r, c in zip(R, C):
             pose = object.__new__(RigidPose)

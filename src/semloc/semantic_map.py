@@ -129,8 +129,8 @@ def _lift_keypoints(locations: np.ndarray, depth: np.ndarray, pose: RigidPose,
     if not np.all(np.isfinite(points[lifted])):
         raise ValueError("world points must be finite")
     status = np.where(lifted, LIFTED, np.where(inside, INVALID_DEPTH, OUTSIDE_IMAGE)).astype(np.int8)
-    points.flags.writeable = False
-    status.flags.writeable = False
+    points.setflags(write=False)
+    status.setflags(write=False)
     return LiftTable(points, status)
 
 
@@ -175,7 +175,8 @@ class DatabaseImageRecord:
     def lift_table(self, family: str) -> LiftTable:
         """The LiftTable of features[family], built on first use and kept
         until the record's depth, pose, intrinsics or that FeatureSet is
-        replaced."""
+        replaced.  Threads whose first lifts race may each build the table;
+        the builds are equal and the last one stays."""
         features = self.features[family]
         sources = (self.depth, self.pose, self.intrinsics, features)
         cached = self._lift_tables.get(family)
