@@ -36,6 +36,7 @@ __all__ = [
     "project_points",
     "pixel_rays",
     "nearest_pixel",
+    "sample_grid",
     "back_project",
     "back_project_pixels",
     "rotation_error_deg",
@@ -161,7 +162,7 @@ class PoseError:
 #
 # The one copy of the pinhole model: every other module maps world points
 # to pixels through project_points, pixels to rays through pixel_rays, and
-# continuous pixels to array indices through nearest_pixel.
+# reads a depth map or label image at continuous pixels through sample_grid.
 
 
 def project_points(
@@ -217,6 +218,17 @@ def nearest_pixel(pixels: np.ndarray, K: CameraIntrinsics) -> tuple[np.ndarray, 
     r = np.floor(np.asarray(pixels, dtype=np.float64).reshape(-1, 2) + 0.5)
     inside = (r[:, 0] >= 0) & (r[:, 0] < K.width) & (r[:, 1] >= 0) & (r[:, 1] < K.height)
     return np.where(inside[:, None], r, 0.0).astype(np.int64), inside
+
+
+def sample_grid(grid: np.ndarray, pixels: np.ndarray, K: CameraIntrinsics,
+                fill) -> tuple[np.ndarray, np.ndarray]:
+    """Values of an (H, W) grid at the nearest pixels of (N, 2) continuous
+    coordinates (nearest_pixel), in the grid's dtype, and the mask of rows
+    inside the image.  Rows outside, non-finite rows included, read fill."""
+    ij, inside = nearest_pixel(pixels, K)
+    values = np.full(len(ij), fill, dtype=grid.dtype)
+    values[inside] = grid[ij[inside, 1], ij[inside, 0]]
+    return values, inside
 
 
 def back_project_pixels(

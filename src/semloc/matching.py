@@ -34,7 +34,8 @@ __all__ = [
 @dataclass(frozen=True)
 class FeatureSet:
     """Keypoints of one family in one image: (N, 2) pixel locations and
-    (N, dim) descriptors, all finite."""
+    (N, dim) descriptors, all finite, as read-only views (the caller's
+    arrays keep their flags)."""
 
     family: str
     locations: np.ndarray
@@ -49,8 +50,9 @@ class FeatureSet:
             raise ValueError("locations and descriptors disagree in length")
         if not (np.all(np.isfinite(loc)) and np.all(np.isfinite(desc))):
             raise ValueError(f"{self.family}: non-finite keypoint location or descriptor")
-        object.__setattr__(self, "locations", loc)
-        object.__setattr__(self, "descriptors", desc)
+        for name, column in (("locations", loc), ("descriptors", desc.view())):
+            column.flags.writeable = False
+            object.__setattr__(self, name, column)
 
     def __len__(self) -> int:
         return len(self.locations)

@@ -587,7 +587,8 @@ def solve_p3p(points: np.ndarray, K: CameraIntrinsics,
     row = np.nonzero(valid)[0]
     R[valid], C[valid] = _polish_pose(R[valid], C[valid], points[row], pix[row], K)
     kept = valid.copy()
-    kept[valid] = (_errors(R[valid], C[valid], points[row], pix[row], K)[1] < 1e-6).all(axis=1)
+    kept[valid] = (_errors(R[valid], C[valid], points[row], pix[row], K,
+                           residuals=False)[1] < 1e-6).all(axis=1)
     # Back-substitution lets orthonormality drift; snap to the nearest rotation.
     R[kept] = _orthonormalized(R[kept])
     poses = iter(RigidPose.from_stack(R[kept], C[kept]))
@@ -829,7 +830,7 @@ def _finish(state: Sequence[Optional[_RansacRun]],
     R = _orthonormalized(np.stack([state[i].best_R for i in solved]))
     for i, R_run in zip(solved, R):
         run = state[i]
-        _, err = _errors(R_run, run.best_C, run.points, run.pixels, K)
+        _, err = _errors(R_run, run.best_C, run.points, run.pixels, K, residuals=False)
         inl = err < run.cfg.inlier_threshold_px
         if np.count_nonzero(inl) >= run.cfg.min_inliers:
             results[i] = PnPSolution(RigidPose(R_run, run.best_C), np.flatnonzero(inl),

@@ -28,7 +28,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .geometry import CameraIntrinsics, RigidPose, nearest_pixel, project_points
+from .geometry import CameraIntrinsics, RigidPose, project_points, sample_grid
 from .matching import CorrespondenceBatch
 from .semantic_map import UNLABELED, DenseMap
 
@@ -117,12 +117,9 @@ def semantic_consistency_score(
     count.
     """
     projected, _ = project_points(points.positions, pose.rotation, pose.center, K)
-    ij, inb = nearest_pixel(projected, K)
-    if not np.any(inb):
-        return SemanticScore(image_id=image_id, consistent=0, projected=0)
-    pixel_labels = query_labels[ij[inb, 1], ij[inb, 0]].astype(np.int64)
+    pixel_labels, _ = sample_grid(query_labels, projected, K, UNLABELED)
     counted = pixel_labels != UNLABELED
-    consistent = int(np.sum(pixel_labels[counted] == points.labels[inb][counted]))
+    consistent = int(np.sum(pixel_labels[counted] == points.labels[counted]))
     return SemanticScore(image_id=image_id, consistent=consistent, projected=int(counted.sum()))
 
 

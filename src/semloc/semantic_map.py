@@ -10,8 +10,8 @@ itself is the columnar DenseMap.
 
 Depth maps are (H, W) float arrays holding z-depth in meters; values <= 0
 mark invalid pixels.  Label images are (H, W) uint8 arrays of Cityscapes
-train ids 0..18, with 255 meaning unlabeled.  Label lookups use the nearest
-pixel (round half up); labels are categorical so no interpolation.
+train ids 0..18, with 255 meaning unlabeled.  Both are read at the nearest
+pixel (geometry.sample_grid); a read outside the image gives depth 0 or 255.
 """
 
 from __future__ import annotations
@@ -29,8 +29,8 @@ from .geometry import (
     CameraIntrinsics,
     RigidPose,
     back_project_pixels,
-    nearest_pixel,
     project_points,
+    sample_grid,
 )
 
 logger = logging.getLogger(__name__)
@@ -119,12 +119,10 @@ def _lift_keypoints(locations: np.ndarray, depth: np.ndarray, pose: RigidPose,
     """LiftTable of keypoints at (N, 2) locations.  Raises ValueError when
     a keypoint inside the image sits on a non-finite depth or lifts to a
     non-finite point."""
-    pix, inside = nearest_pixel(locations, K)
-    d = np.zeros(len(pix))
-    d[inside] = depth[pix[inside, 1], pix[inside, 0]]
+    d, inside = sample_grid(depth, locations, K, 0.0)
     # Non-finite depths pass on to back-projection, which rejects them.
-    lifted = inside & ~(d <= 0.0)
-    points = np.full((len(pix), 3), np.nan)
+    lifted = ~(d <= 0.0)
+    points = np.full((len(d), 3), np.nan)
     points[lifted] = back_project_pixels(locations[lifted], d[lifted], pose, K)
     if not np.all(np.isfinite(points[lifted])):
         raise ValueError("world points must be finite")
@@ -134,16 +132,23 @@ def _lift_keypoints(locations: np.ndarray, depth: np.ndarray, pose: RigidPose,
     return LiftTable(points, status)
 
 
-@dataclass
+def _check_labels(image_id: str, K: CameraIntrinsics, labels: np.ndarray) -> None:
+    """Raise ValueError unless labels is an image-sized array of valid ids."""
+    shape = (K.height, K.width)
+    if labels.shape != shape:
+        raise ValueError(f"{image_id}: label shape {labels.shape} != image size {shape}")
+    if not label_ids_valid(labels):
+        raise ValueError(f"{image_id}: label ids outside 0..{MAX_CLASS_ID} / {UNLABELED}")
+
+
+@dataclass(frozen=True)
 class DatabaseImageRecord:
     """A calibrated database image with its per-image map-building inputs.
 
-    lift_table(family) lifts every keypoint of features[family] once and
-    caches the table on the record.  The cache holds the depth, pose,
-    intrinsics and FeatureSet objects the table was built from and is
-    rebuilt when any of them is replaced (compared by identity), so assign
-    a new array or object rather than write into one in place: a depth map
-    edited in place after a lift leaves the cached table stale.
+    The record is frozen; its depth is a read-only view (the caller's array
+    keeps its flags) and features a dict of its own.  lift_table(family)
+    lifts every keypoint of features[family] once and caches the table on
+    the record until that FeatureSet is replaced (compared by identity).
     dataclasses.replace gives a record with an empty cache.
     """
 
@@ -154,7 +159,7 @@ class DatabaseImageRecord:
     labels: np.ndarray
     global_descriptor: Optional[np.ndarray] = None
     features: dict = field(default_factory=dict)  # family name -> FeatureSet
-    # family name -> ((depth, pose, intrinsics, FeatureSet), LiftTable)
+    # family name -> (FeatureSet, LiftTable)
     _lift_tables: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
@@ -163,27 +168,25 @@ class DatabaseImageRecord:
             raise ValueError(
                 f"{self.image_id}: depth shape {self.depth.shape} != image size {shape}"
             )
-        if self.labels.shape != shape:
-            raise ValueError(
-                f"{self.image_id}: label shape {self.labels.shape} != image size {shape}"
-            )
         if not np.all(np.isfinite(self.depth)):
             raise ValueError(f"{self.image_id}: depth map contains non-finite values")
-        if not label_ids_valid(self.labels):
-            raise ValueError(f"{self.image_id}: label ids outside 0..{MAX_CLASS_ID} / {UNLABELED}")
+        _check_labels(self.image_id, self.intrinsics, self.labels)
+        depth = self.depth.view()
+        depth.flags.writeable = False
+        object.__setattr__(self, "depth", depth)
+        object.__setattr__(self, "features", dict(self.features))
 
     def lift_table(self, family: str) -> LiftTable:
         """The LiftTable of features[family], built on first use and kept
-        until the record's depth, pose, intrinsics or that FeatureSet is
-        replaced.  Threads whose first lifts race may each build the table;
-        the builds are equal and the last one stays."""
+        until that FeatureSet is replaced.  Threads whose first lifts race
+        may each build the table; the builds are equal and the last one
+        stays."""
         features = self.features[family]
-        sources = (self.depth, self.pose, self.intrinsics, features)
         cached = self._lift_tables.get(family)
-        if cached is not None and all(a is b for a, b in zip(cached[0], sources)):
+        if cached is not None and cached[0] is features:
             return cached[1]
         table = _lift_keypoints(features.locations, self.depth, self.pose, self.intrinsics)
-        self._lift_tables[family] = (sources, table)
+        self._lift_tables[family] = (features, table)
         return table
 
 
@@ -202,13 +205,7 @@ class QueryImage:
     def __post_init__(self) -> None:
         if self.condition not in CONDITIONS:
             raise ValueError(f"unknown condition tag {self.condition!r}")
-        shape = (self.intrinsics.height, self.intrinsics.width)
-        if self.labels.shape != shape:
-            raise ValueError(
-                f"{self.image_id}: label shape {self.labels.shape} != image size {shape}"
-            )
-        if not label_ids_valid(self.labels):
-            raise ValueError(f"{self.image_id}: label ids outside 0..{MAX_CLASS_ID} / {UNLABELED}")
+        _check_labels(self.image_id, self.intrinsics, self.labels)
 
 
 @dataclass(frozen=True)
@@ -362,10 +359,8 @@ def filter_depth_map(
     support = np.zeros(len(world), dtype=np.int64)
     for nb in neighbors:
         px, d_r = project_points(world, nb.pose.rotation, nb.pose.center, nb.intrinsics)
-        ij, inb = nearest_pixel(px, nb.intrinsics)
-        d_n = np.zeros(len(world))
-        d_n[inb] = nb.depth[ij[inb, 1], ij[inb, 0]]
-        ok = inb & (d_n > 0.0)
+        d_n, _ = sample_grid(nb.depth, px, nb.intrinsics, 0.0)
+        ok = d_n > 0.0
         ok[ok] &= np.abs(d_r[ok] - d_n[ok]) / d_n[ok] < cfg.tau
         support += ok.astype(np.int64)
 
@@ -461,12 +456,9 @@ def _vote_labels_bulk(
     for ri, rows in zip(images, np.split(by_image[:, 0], starts[1:])):
         rec = records[ri]
         px, _ = project_points(positions[rows], rec.pose.rotation, rec.pose.center, rec.intrinsics)
-        ij, ok = nearest_pixel(px, rec.intrinsics)
-        if not np.any(ok):
-            continue
-        labels = rec.labels[ij[ok, 1], ij[ok, 0]].astype(np.int64)
+        labels, _ = sample_grid(rec.labels, px, rec.intrinsics, UNLABELED)
         keep = labels != UNLABELED
-        np.add.at(votes, (rows[ok][keep], labels[keep]), 1)
+        np.add.at(votes, (rows[keep], labels[keep]), 1)
     out = np.full(n, UNLABELED, dtype=np.int64)
     voted = votes.sum(axis=1) > 0
     out[voted] = np.argmax(votes[voted], axis=1)
@@ -487,7 +479,7 @@ def _cones_bulk(
     points = pairs[:, 0]
     support = np.bincount(points, minlength=n)
     slot = np.arange(len(pairs)) - (np.cumsum(support) - support)[points]
-    max_s = int(support.max())
+    max_s = max(int(support.max()), 2)  # two slots at least: pairs are never empty
     centers = np.stack([r.pose.center for r in records])
     cam = np.zeros((n, max_s, 3))
     mask = np.zeros((n, max_s), dtype=bool)
@@ -508,20 +500,15 @@ def _cones_bulk(
     ang = np.arccos(cos)
     pair_mask = mask[:, :, None] & mask[:, None, :]
     iu, ju = np.triu_indices(max_s, k=1)
-    if len(iu) == 0:
-        theta = np.zeros(n)
-        v_l = dirs[:, 0, :]
-        v_u = dirs[:, 0, :]
-    else:
-        flat = np.where(pair_mask[:, iu, ju], ang[:, iu, ju], -1.0)
-        arg = np.argmax(flat, axis=1)
-        theta = flat[np.arange(n), arg]
-        no_pair = theta < 0.0
-        theta[no_pair] = 0.0
-        li = np.where(no_pair, 0, iu[arg])
-        ui = np.where(no_pair, 0, ju[arg])
-        v_l = dirs[np.arange(n), li, :]
-        v_u = dirs[np.arange(n), ui, :]
+    flat = np.where(pair_mask[:, iu, ju], ang[:, iu, ju], -1.0)
+    arg = np.argmax(flat, axis=1)
+    theta = flat[np.arange(n), arg]
+    no_pair = theta < 0.0
+    theta[no_pair] = 0.0
+    li = np.where(no_pair, 0, iu[arg])
+    ui = np.where(no_pair, 0, ju[arg])
+    v_l = dirs[np.arange(n), li, :]
+    v_u = dirs[np.arange(n), ui, :]
     return d_min, d_max, v_l, v_u, theta
 
 
@@ -555,8 +542,6 @@ def build_dense_map(
     fused = fuse_depth_maps(filtered, voxel_size)
     stats.fused_points = len(fused)
     logger.info("fused %d points at voxel size %.3g m", len(fused), voxel_size)
-    if len(fused) == 0:
-        return DenseMap(*[np.zeros(0)] * 8), stats
 
     labels = _vote_labels_bulk(fused.positions, fused.pairs, filtered)
     labeled = labels != UNLABELED

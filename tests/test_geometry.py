@@ -21,6 +21,7 @@ from semloc.geometry import (
     project_points,
     quaternion_to_matrix,
     rotation_error_deg,
+    sample_grid,
 )
 
 from conftest import default_intrinsics, pinhole_project, random_pose, rodrigues
@@ -143,6 +144,46 @@ class TestBackProject:
             out, depth = project_points(world, pose.rotation, pose.center, K)
             assert (depth > 0).all()
             assert np.max(np.linalg.norm(out - pix, axis=1)) < 1e-9
+
+
+def _sample_alone(grid, x, y, fill):
+    """Scalar round-half-up lookup of one continuous pixel."""
+    if not (math.isfinite(x) and math.isfinite(y)):
+        return fill, False
+    i, j = math.floor(x + 0.5), math.floor(y + 0.5)
+    h, w = grid.shape
+    if 0 <= i < w and 0 <= j < h:
+        return grid[j, i], True
+    return fill, False
+
+
+class TestSampleGrid:
+    @pytest.mark.parametrize("dtype, fill", [(np.float32, -7.0), (np.uint8, 255)])
+    def test_matches_a_scalar_round_half_up_loop(self, dtype, fill):
+        K = CameraIntrinsics(fx=50.0, fy=50.0, cx=20.0, cy=15.0, width=40, height=30)
+        rng = np.random.default_rng(14)
+        grid = rng.integers(0, 200, size=(30, 40)).astype(dtype)
+        random = rng.uniform(-3.0, 43.0, size=(500, 2))
+        halves = rng.integers(-2, 42, size=(300, 2)) + 0.5
+        edges = [[-0.5, 3.0], [3.0, -0.5], [39.5, 3.0], [3.0, 29.5], [39.4999, 29.4999],
+                 [-0.5000001, 3.0], [-0.5, -0.5]]
+        nonfinite = [[np.nan, 3.0], [3.0, np.nan], [np.inf, 3.0], [3.0, -np.inf]]
+        pixels = np.concatenate([random, halves, edges, nonfinite])
+        values, inside = sample_grid(grid, pixels, K, fill)
+        assert values.dtype == grid.dtype and values.shape == inside.shape == (len(pixels),)
+        expected = [_sample_alone(grid, x, y, fill) for x, y in pixels.tolist()]
+        assert values.tolist() == [v for v, _ in expected]
+        assert inside.tolist() == [ok for _, ok in expected]
+        assert np.all(values[~inside] == grid.dtype.type(fill))
+        # -0.5 rounds to pixel 0 and W - 0.5 to pixel W
+        assert inside[800:807].tolist() == [True, True, False, False, True, False, True]
+        assert not inside[807:].any()
+        assert 0 < inside.sum() < len(pixels)
+
+    def test_empty(self):
+        values, inside = sample_grid(np.zeros((3, 4), dtype=np.uint8), np.zeros((0, 2)),
+                                     CameraIntrinsics(10.0, 10.0, 2.0, 1.0, 4, 3), 255)
+        assert values.shape == inside.shape == (0,) and values.dtype == np.uint8
 
 
 class TestRotationError:

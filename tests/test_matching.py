@@ -8,7 +8,7 @@ analytic surface they were rendered from.
 import math
 import sys
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import replace
+from dataclasses import FrozenInstanceError, replace
 
 import numpy as np
 import pytest
@@ -57,6 +57,16 @@ class TestFeatureSet:
     def test_non_finite_descriptor_rejected(self):
         with pytest.raises(ValueError, match="non-finite"):
             FeatureSet(family="f", locations=np.zeros((1, 2)), descriptors=[[0.0, np.nan]])
+
+    def test_columns_are_read_only_views(self):
+        locs, descs = np.zeros((3, 2)), np.ones((3, 4))
+        fs = FeatureSet(family="f", locations=locs, descriptors=descs)
+        for column, given in ((fs.locations, locs), (fs.descriptors, descs)):
+            assert np.shares_memory(column, given)
+            with pytest.raises(ValueError, match="read-only"):
+                column[0] = 5.0
+        # the caller's arrays keep their flags
+        assert locs.flags.writeable and descs.flags.writeable
 
 
 class TestMatchFamily:
@@ -279,8 +289,8 @@ class TestLiftTable:
 
     def test_table_is_built_once_and_rebuilt_on_replaced_inputs(self, zero_noise_dataset):
         shared = zero_noise_dataset.db_records[2]
-        # a record with no cached table, whose features dict it may replace entries of
-        rec = replace(shared, features=dict(shared.features))
+        # a record with no cached table and a features dict of its own
+        rec = replace(shared)
         name, fs = next(iter(rec.features.items()))
         table = rec.lift_table(name)
         assert rec.lift_table(name) is table
@@ -294,21 +304,43 @@ class TestLiftTable:
                 assert after.points[k].tobytes() == point.tobytes()
             return after
 
-        # an equal but distinct object counts as replaced: identity decides
-        rec.depth = rec.depth.copy()
-        table = assert_fresh(table, rec)
-        rec.depth = _holed(rec).depth
-        table = assert_fresh(table, rec)
-        assert np.count_nonzero(table.status == INVALID_DEPTH) > 0
-        rec.pose = RigidPose(rec.pose.rotation, rec.pose.center + np.array([0.5, 0.0, 0.0]))
-        table = assert_fresh(table, rec)
-        rec.intrinsics = replace(rec.intrinsics)
+        # the record is frozen: its depth, pose and intrinsics cannot be replaced
+        with pytest.raises(FrozenInstanceError):
+            rec.depth = _holed(rec).depth
+        with pytest.raises(FrozenInstanceError):
+            rec.pose = RigidPose(rec.pose.rotation, rec.pose.center + np.array([0.5, 0.0, 0.0]))
+        with pytest.raises(FrozenInstanceError):
+            rec.intrinsics = replace(rec.intrinsics)
+        assert rec.lift_table(name) is table
+        # an equal but distinct FeatureSet counts as replaced: identity decides
+        rec.features[name] = replace(fs)
         table = assert_fresh(table, rec)
         rec.features[name] = FeatureSet(name, fs.locations[::-1] + 0.25, fs.descriptors[::-1])
         table = assert_fresh(table, rec)
         assert rec.lift_table(name) is table
+        assert shared.features[name] is fs
         # a replaced record starts with no table
         assert replace(rec).lift_table(name) is not table
+
+    def test_depth_cannot_be_edited_in_place_after_a_lift(self, zero_noise_dataset):
+        depth = zero_noise_dataset.db_records[0].depth.copy()
+        rec = replace(zero_noise_dataset.db_records[0], depth=depth)
+        name = next(iter(rec.features))
+        table = rec.lift_table(name)
+        with pytest.raises(ValueError, match="read-only"):
+            rec.depth[:] = 0.0
+        assert np.shares_memory(rec.depth, depth) and depth.flags.writeable
+        assert rec.lift_table(name) is table
+        assert np.count_nonzero(table.status == LIFTED) > 0
+
+    def test_a_replaced_copy_has_its_own_features_dict(self, zero_noise_dataset):
+        rec = replace(zero_noise_dataset.db_records[1])
+        name, fs = next(iter(rec.features.items()))
+        table = rec.lift_table(name)
+        copy = replace(rec)
+        copy.features[name] = FeatureSet(name, fs.locations[::-1], fs.descriptors[::-1])
+        assert copy.features is not rec.features
+        assert rec.features[name] is fs and rec.lift_table(name) is table
 
     def test_threads_share_the_lazily_built_tables(self, zero_noise_dataset):
         # localize_all(threads > 1) lifts through shared records, and the

@@ -435,6 +435,16 @@ class TestVisibilityCone:
         assert cone.d_min == cone.d_max == pytest.approx(5.0)
         assert cone.theta == 0.0
         np.testing.assert_allclose(cone.v_m, [0, 0, -1], atol=1e-12)
+        # every point with one contributor: its cone is the ray to that camera, bitwise
+        rng = np.random.default_rng(15)
+        recs = [self._rec_at(f"c{i}", c) for i, c in enumerate(rng.normal(scale=4.0, size=(5, 3)))]
+        points = rng.normal(size=(40, 3))
+        pairs = np.stack([np.arange(40), rng.integers(0, 5, 40)], axis=1)
+        d_min, d_max, v_l, v_u, theta = _cones_bulk(points, pairs, recs)
+        diff = np.stack([recs[r].pose.center for r in pairs[:, 1]]) - points
+        direction = diff / np.linalg.norm(diff, axis=1)[:, None]
+        assert v_l.tobytes() == v_u.tobytes() == direction.tobytes()
+        assert not theta.any() and np.array_equal(d_min, d_max)
 
     def test_symmetric_pair(self):
         # cameras at +-45 degrees about the -z direction
