@@ -22,9 +22,10 @@ Coordinate conventions used throughout the package:
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass
-from typing import Optional
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -50,10 +51,68 @@ __all__ = [
 _ORTHONORMAL_TOL = 1e-9
 
 
-def _readonly(a: np.ndarray) -> np.ndarray:
-    out = np.array(a, dtype=np.float64)
-    out.setflags(write=False)
-    return out
+# ── Frozen array records ─────────────────────────────────────────────────
+
+
+class _FrozenArrays:
+    """Base of the frozen dataclasses that hold numpy arrays.
+
+    A subclass's __post_init__ checks its inputs and passes the checked
+    values to _store, which keeps every array as a read-only view (the
+    caller's arrays keep their flags); a subclass without checks stores its
+    fields as given.  A copy, deep copy or unpickled object is rebuilt
+    through the constructor, so its arrays are read-only too and nothing
+    cached on the original (a k-d tree, lift tables) comes along.
+    """
+
+    def __post_init__(self) -> None:
+        self._store(**{name: getattr(self, name) for name in self.__dataclass_fields__})
+
+    def _store(self, **values) -> None:
+        for name, value in values.items():
+            if isinstance(value, np.ndarray):
+                value = value.view()
+                value.setflags(write=False)
+            object.__setattr__(self, name, value)
+
+    @classmethod
+    def _of_checked(cls, columns: Sequence[np.ndarray]):
+        """An instance of arrays, one per field in field order, that were
+        already checked: each has its dtype and shape and no one else holds
+        it, so it is made read-only in place rather than viewed."""
+        obj = object.__new__(cls)
+        for column in columns:
+            column.setflags(write=False)
+        obj.__dict__.update(zip(cls.__dataclass_fields__, columns))
+        return obj
+
+    def __reduce__(self):
+        return type(self), tuple(getattr(self, f.name) for f in dataclasses.fields(self) if f.init)
+
+
+class _RowTable(_FrozenArrays):
+    """A _FrozenArrays whose fields are all columns of one row count, in
+    the field order the dataclass records once per class.
+
+    table[mask_or_indices] is the table of those rows of every column, and
+    concat pools the rows of several tables in order; both assemble the
+    table from the selected rows without checking them again.
+    """
+
+    def __len__(self) -> int:
+        return len(getattr(self, next(iter(self.__dataclass_fields__))))
+
+    def __getitem__(self, rows):
+        return self._of_checked([getattr(self, name)[rows] for name in self.__dataclass_fields__])
+
+    @classmethod
+    def concat(cls, tables: Sequence["_RowTable"]):
+        """Rows of every table in order; an empty sequence gives an empty
+        table."""
+        if not tables:
+            return cls(*([[]] * sum(f.init for f in dataclasses.fields(cls))))
+        return cls._of_checked([np.concatenate([getattr(t, name) for t in tables])
+                                for name in cls.__dataclass_fields__])
 
 
 @dataclass(frozen=True)
@@ -92,15 +151,16 @@ class CameraIntrinsics:
 
 
 @dataclass(frozen=True)
-class RigidPose:
-    """World-to-camera rotation R plus camera center C in world coordinates."""
+class RigidPose(_FrozenArrays):
+    """World-to-camera rotation R plus camera center C in world coordinates,
+    held as read-only copies."""
 
     rotation: np.ndarray
     center: np.ndarray
 
     def __post_init__(self) -> None:
-        R = np.asarray(self.rotation, dtype=np.float64)
-        C = np.asarray(self.center, dtype=np.float64)
+        R = np.array(self.rotation, dtype=np.float64)
+        C = np.array(self.center, dtype=np.float64)
         if R.shape != (3, 3):
             raise ValueError(f"rotation must be 3x3, got {R.shape}")
         if C.shape != (3,):
@@ -111,8 +171,7 @@ class RigidPose:
             raise ValueError("rotation is not orthonormal within 1e-9")
         if abs(np.linalg.det(R) - 1.0) > _ORTHONORMAL_TOL:
             raise ValueError("rotation determinant is not +1 within 1e-9")
-        object.__setattr__(self, "rotation", _readonly(R))
-        object.__setattr__(self, "center", _readonly(C))
+        self._store(rotation=R, center=C)
 
     @staticmethod
     def identity() -> "RigidPose":
@@ -125,23 +184,19 @@ class RigidPose:
         pose; the stacked products and determinants are bitwise the
         per-pose ones, so a pose passes exactly when it would alone.  When
         any pose fails, the poses are built one at a time, so the first
-        failing pose raises the constructor's own error."""
+        failing pose raises the constructor's own error.  Raises ValueError
+        when the stacks hold different numbers of poses."""
         R = np.array(rotations, dtype=np.float64)
         C = np.array(centers, dtype=np.float64)
-        if not (R.shape[1:] == (3, 3) and C.shape == R.shape[:1] + (3,)
+        if R.shape[:1] != C.shape[:1]:
+            raise ValueError(f"rotations {R.shape} and centers {C.shape} "
+                             f"hold different numbers of poses")
+        if not (R.shape[1:] == (3, 3) and C.shape[1:] == (3,)
                 and np.all(np.isfinite(R)) and np.all(np.isfinite(C))
                 and np.all(np.abs(np.swapaxes(R, -1, -2) @ R - np.eye(3)) <= _ORTHONORMAL_TOL)
                 and np.all(np.abs(np.linalg.det(R) - 1.0) <= _ORTHONORMAL_TOL)):
             return [RigidPose(r, c) for r, c in zip(rotations, centers)]
-        R.setflags(write=False)
-        C.setflags(write=False)
-        poses = []
-        for r, c in zip(R, C):
-            pose = object.__new__(RigidPose)
-            object.__setattr__(pose, "rotation", r)
-            object.__setattr__(pose, "center", c)
-            poses.append(pose)
-        return poses
+        return [RigidPose._of_checked(pose) for pose in zip(R, C)]
 
 
 @dataclass(frozen=True)

@@ -14,12 +14,13 @@ complementary strengths cover for each other across imaging conditions.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
-from typing import Optional, Sequence
+from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 from scipy.spatial.distance import cdist
 
+from .geometry import _FrozenArrays, _RowTable
 from .semantic_map import LIFTED, OUTSIDE_IMAGE, DatabaseImageRecord
 
 __all__ = [
@@ -32,7 +33,7 @@ __all__ = [
 
 
 @dataclass(frozen=True)
-class FeatureSet:
+class FeatureSet(_FrozenArrays):
     """Keypoints of one family in one image: (N, 2) pixel locations and
     (N, dim) descriptors, all finite, as read-only views (the caller's
     arrays keep their flags)."""
@@ -50,16 +51,14 @@ class FeatureSet:
             raise ValueError("locations and descriptors disagree in length")
         if not (np.all(np.isfinite(loc)) and np.all(np.isfinite(desc))):
             raise ValueError(f"{self.family}: non-finite keypoint location or descriptor")
-        for name, column in (("locations", loc), ("descriptors", desc.view())):
-            column.flags.writeable = False
-            object.__setattr__(self, name, column)
+        self._store(locations=loc, descriptors=desc)
 
     def __len__(self) -> int:
         return len(self.locations)
 
 
 @dataclass(frozen=True)
-class CorrespondenceBatch:
+class CorrespondenceBatch(_RowTable):
     """2D-3D correspondences as columns, one row per correspondence.
 
     Row i pairs query pixel pixels[i] (N, 2) with world point points[i]
@@ -70,12 +69,9 @@ class CorrespondenceBatch:
     happens, so a pixel matched by several families or retrieved images
     contributes several rows.
 
-    The constructor checks the columns once and makes them read-only.
-    Row selection, concat and lift_to_3d assemble their batches from
-    columns that were already checked, without checking them again.  A
-    column whose array already has its dtype and shape is a view of the
-    array passed in, so a caller must not write that array after building
-    the batch.
+    The columns are read-only.  One whose array already has its dtype and
+    shape is a view of the array passed in, so a caller must not write
+    that array after building the batch.
     """
 
     pixels: np.ndarray
@@ -98,39 +94,8 @@ class CorrespondenceBatch:
             raise ValueError("world points must be finite")
         if not np.all(weights >= 0.0):
             raise ValueError("weights must be non-negative")
-        _set_columns(self, (pixels, points, image_ids, families, weights))
-
-    @classmethod
-    def _of_checked(cls, *columns: np.ndarray) -> "CorrespondenceBatch":
-        """A batch of columns, in field order, that hold rows of checked
-        batches: each has its dtype and shape and no one else holds it."""
-        batch = object.__new__(cls)
-        _set_columns(batch, columns)
-        return batch
-
-    def __len__(self) -> int:
-        return len(self.points)
-
-    def __getitem__(self, rows) -> "CorrespondenceBatch":
-        return self._of_checked(*(getattr(self, name)[rows] for name in _COLUMNS))
-
-    @classmethod
-    def concat(cls, batches: Sequence["CorrespondenceBatch"]) -> "CorrespondenceBatch":
-        """Rows of every batch in order; an empty sequence gives an empty
-        batch."""
-        if not batches:
-            return cls([], [], [], [])
-        return cls._of_checked(*(np.concatenate([getattr(b, name) for b in batches])
-                                 for name in _COLUMNS))
-
-
-_COLUMNS = tuple(f.name for f in fields(CorrespondenceBatch))
-
-
-def _set_columns(batch: CorrespondenceBatch, columns) -> None:
-    for name, column in zip(_COLUMNS, columns):
-        column.setflags(write=False)
-        object.__setattr__(batch, name, column)
+        self._store(pixels=pixels, points=points, image_ids=image_ids, families=families,
+                    weights=weights)
 
 
 @dataclass(frozen=True)
@@ -185,13 +150,13 @@ def lift_to_3d(
     status = table.status[matches[:, 1]]
     kept = matches[status == LIFTED]
     n = len(kept)
-    batch = CorrespondenceBatch._of_checked(
+    batch = CorrespondenceBatch._of_checked((
         query_set.locations[kept[:, 0]],
         table.points[kept[:, 1]],
         np.full(n, db.image_id),
         np.full(n, query_set.family),
         np.ones(n),
-    )
+    ))
     out_of_bounds = int(np.count_nonzero(status == OUTSIDE_IMAGE))
     return LiftResult(batch, dropped_out_of_bounds=out_of_bounds,
                       dropped_invalid_depth=len(matches) - n - out_of_bounds)

@@ -95,7 +95,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .geometry import CameraIntrinsics, RigidPose, pixel_rays, project_points
+from .geometry import CameraIntrinsics, RigidPose, _FrozenArrays, pixel_rays, project_points
 from .matching import CorrespondenceBatch
 
 __all__ = [
@@ -264,16 +264,14 @@ class RansacConfig:
 
 
 @dataclass(frozen=True)
-class PnPSolution:
+class PnPSolution(_FrozenArrays):
     pose: RigidPose
     inlier_indices: np.ndarray
     mean_reprojection_error_px: float
     iterations_used: int = 0  # hypotheses (non-degenerate minimal samples) evaluated
 
     def __post_init__(self) -> None:
-        idx = np.asarray(self.inlier_indices, dtype=np.int64).reshape(-1)
-        idx.setflags(write=False)
-        object.__setattr__(self, "inlier_indices", idx)
+        self._store(inlier_indices=np.asarray(self.inlier_indices, dtype=np.int64).reshape(-1))
 
     @property
     def num_inliers(self) -> int:
@@ -444,15 +442,6 @@ def _p3p_batch(
     return R, C, valid, status
 
 
-def _reprojection_residuals(
-    R: np.ndarray, C: np.ndarray, points: np.ndarray, pixels: np.ndarray, K: CameraIntrinsics
-) -> np.ndarray:
-    """Residual vectors (..., 2N) of poses R (..., 3, 3), C (..., 3) over
-    points (..., N, 3) and pixels (..., N, 2); residuals of points at or
-    behind the camera are set to inf."""
-    return _errors(R, C, points, pixels, K)[0]
-
-
 def _errors(R: np.ndarray, C: np.ndarray, points: np.ndarray, pixels: np.ndarray,
             K: CameraIntrinsics, residuals: bool = True) -> tuple[Optional[np.ndarray], np.ndarray]:
     """Residual vectors (..., 2N) of poses R (..., 3, 3), C (..., 3) over N
@@ -551,7 +540,7 @@ def _polish_pose(R: np.ndarray, C: np.ndarray, points: np.ndarray, pixels: np.nd
     R, C = R.copy(), C.copy()
     active = np.ones(len(R), dtype=bool)
     for _ in range(_POLISH_STEPS):
-        res = _reprojection_residuals(R, C, points, pixels, K)
+        res = _errors(R, C, points, pixels, K)[0]
         J = _pose_jacobian(R, C, points, K)
         active &= np.isfinite(res).all(axis=1) & np.isfinite(J).all(axis=(1, 2))
         active[active] = np.linalg.det(J[active]) != 0.0
@@ -962,7 +951,7 @@ def refine_pose(
     R = np.array(initial.pose.rotation)
     C = np.array(initial.pose.center)
 
-    res = _reprojection_residuals(R, C, points, pixels, K)
+    res = _errors(R, C, points, pixels, K)[0]
     if not np.isfinite(res).all():
         return initial.pose
     cost = float(res @ res)
@@ -976,7 +965,7 @@ def refine_pose(
         except np.linalg.LinAlgError:
             lam *= 10.0
             continue
-        res_new = _reprojection_residuals(R_new, C_new, points, pixels, K)
+        res_new = _errors(R_new, C_new, points, pixels, K)[0]
         if np.isfinite(res_new).all():
             cost_new = float(res_new @ res_new)
         else:

@@ -12,6 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .geometry import _FrozenArrays
+
 __all__ = [
     "GlobalDescriptor",
     "RetrievalConfig",
@@ -22,7 +24,7 @@ __all__ = [
 
 
 @dataclass(frozen=True)
-class GlobalDescriptor:
+class GlobalDescriptor(_FrozenArrays):
     image_id: str
     values: np.ndarray
 
@@ -30,7 +32,7 @@ class GlobalDescriptor:
         v = np.asarray(self.values, dtype=np.float64).reshape(-1)
         if not np.all(np.isfinite(v)):
             raise ValueError(f"{self.image_id}: descriptor contains non-finite values")
-        object.__setattr__(self, "values", v)
+        self._store(values=v)
 
 
 @dataclass(frozen=True)

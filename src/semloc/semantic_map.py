@@ -28,6 +28,8 @@ from scipy.spatial import cKDTree
 from .geometry import (
     CameraIntrinsics,
     RigidPose,
+    _FrozenArrays,
+    _RowTable,
     back_project_pixels,
     project_points,
     sample_grid,
@@ -97,7 +99,7 @@ LIFTED, OUTSIDE_IMAGE, INVALID_DEPTH = 0, 1, 2
 
 
 @dataclass(frozen=True)
-class LiftTable:
+class LiftTable(_RowTable):
     """Every keypoint of one feature family in one database image, lifted
     through the image's depth map.
 
@@ -127,8 +129,6 @@ def _lift_keypoints(locations: np.ndarray, depth: np.ndarray, pose: RigidPose,
     if not np.all(np.isfinite(points[lifted])):
         raise ValueError("world points must be finite")
     status = np.where(lifted, LIFTED, np.where(inside, INVALID_DEPTH, OUTSIDE_IMAGE)).astype(np.int8)
-    points.setflags(write=False)
-    status.setflags(write=False)
     return LiftTable(points, status)
 
 
@@ -142,14 +142,15 @@ def _check_labels(image_id: str, K: CameraIntrinsics, labels: np.ndarray) -> Non
 
 
 @dataclass(frozen=True)
-class DatabaseImageRecord:
+class DatabaseImageRecord(_FrozenArrays):
     """A calibrated database image with its per-image map-building inputs.
 
-    The record is frozen; its depth is a read-only view (the caller's array
-    keeps its flags) and features a dict of its own.  lift_table(family)
-    lifts every keypoint of features[family] once and caches the table on
-    the record until that FeatureSet is replaced (compared by identity).
-    dataclasses.replace gives a record with an empty cache.
+    The record is frozen; its depth, labels and global descriptor are
+    read-only views (the caller's arrays keep their flags) and features a
+    dict of its own.  lift_table(family) lifts every keypoint of
+    features[family] once and caches the table on the record until that
+    FeatureSet is replaced (compared by identity).  dataclasses.replace, a
+    copy and an unpickled record start with an empty cache.
     """
 
     image_id: str
@@ -171,10 +172,8 @@ class DatabaseImageRecord:
         if not np.all(np.isfinite(self.depth)):
             raise ValueError(f"{self.image_id}: depth map contains non-finite values")
         _check_labels(self.image_id, self.intrinsics, self.labels)
-        depth = self.depth.view()
-        depth.flags.writeable = False
-        object.__setattr__(self, "depth", depth)
-        object.__setattr__(self, "features", dict(self.features))
+        self._store(depth=self.depth, labels=self.labels,
+                    global_descriptor=self.global_descriptor, features=dict(self.features))
 
     def lift_table(self, family: str) -> LiftTable:
         """The LiftTable of features[family], built on first use and kept
@@ -226,7 +225,8 @@ class DepthFilterConfig:
             raise ValueError("tau must be positive")
 
 
-class DenseMap:
+@dataclass(frozen=True, eq=False)
+class DenseMap(_RowTable):
     """The fused map points as parallel columns.
 
     Row i is one point: position, semantic label, number of contributing
@@ -234,10 +234,10 @@ class DenseMap:
     extreme Euclidean distances to observing camera centers; v_l/v_u, the
     unit point-to-camera directions of the widest pair; v_m, their unit
     bisector; theta, the angle between v_l and v_u.  Indexing with a mask
-    or an index array yields the sub-map of those rows; it carries their
-    v_m rather than recomputing it (v_m is computed row by row, so the bits
-    are the same).  The columns are read-only views: a k-d tree over the
-    positions is built on first use and cached on the map.
+    or an index array yields the sub-map of those rows and their v_m (v_m
+    is computed row by row, so the bits are the same as recomputing it).
+    The columns are read-only views: a k-d tree over the positions is
+    built on first use and cached on the map.
 
     A column whose array already has its dtype is a view of the array passed
     to the constructor, not a copy, so a caller must not write that array
@@ -247,37 +247,33 @@ class DenseMap:
     indexing passes fancy-indexed copies.
     """
 
-    def __init__(
-        self,
-        positions: np.ndarray,
-        labels: np.ndarray,
-        v_l: np.ndarray,
-        v_u: np.ndarray,
-        theta: np.ndarray,
-        d_min: np.ndarray,
-        d_max: np.ndarray,
-        support: np.ndarray,
-    ) -> None:
-        n = len(positions)
-        self.positions = np.asarray(positions, dtype=np.float64).reshape(n, 3)
-        self.labels = np.asarray(labels, dtype=np.int64).reshape(n)
-        self.v_l = np.asarray(v_l, dtype=np.float64).reshape(n, 3)
-        self.v_u = np.asarray(v_u, dtype=np.float64).reshape(n, 3)
-        self.theta = np.asarray(theta, dtype=np.float64).reshape(n)
-        self.d_min = np.asarray(d_min, dtype=np.float64).reshape(n)
-        self.d_max = np.asarray(d_max, dtype=np.float64).reshape(n)
-        self.support = np.asarray(support, dtype=np.int64).reshape(n)
+    positions: np.ndarray
+    labels: np.ndarray
+    v_l: np.ndarray
+    v_u: np.ndarray
+    theta: np.ndarray
+    d_min: np.ndarray
+    d_max: np.ndarray
+    support: np.ndarray
+    v_m: np.ndarray = field(init=False)
+
+    def __post_init__(self) -> None:
+        n = len(self.positions)
+        self._store(
+            positions=np.asarray(self.positions, dtype=np.float64).reshape(n, 3),
+            labels=np.asarray(self.labels, dtype=np.int64).reshape(n),
+            v_l=np.asarray(self.v_l, dtype=np.float64).reshape(n, 3),
+            v_u=np.asarray(self.v_u, dtype=np.float64).reshape(n, 3),
+            theta=np.asarray(self.theta, dtype=np.float64).reshape(n),
+            d_min=np.asarray(self.d_min, dtype=np.float64).reshape(n),
+            d_max=np.asarray(self.d_max, dtype=np.float64).reshape(n),
+            support=np.asarray(self.support, dtype=np.int64).reshape(n),
+        )
         # Bisector of the extreme directions, recomputed rather than stored.
         s = self.v_l + self.v_u
         norms = np.linalg.norm(s, axis=1)
         safe = norms > 1e-12
-        self.v_m = np.where(safe[:, None], s / np.where(safe, norms, 1.0)[:, None], self.v_l)
-        # reshape returns a new view, so the caller's arrays stay writeable.
-        for column in vars(self).values():
-            column.flags.writeable = False
-
-    def __len__(self) -> int:
-        return len(self.labels)
+        self._store(v_m=np.where(safe[:, None], s / np.where(safe, norms, 1.0)[:, None], self.v_l))
 
     @functools.cached_property
     def position_tree(self) -> cKDTree:
@@ -285,22 +281,9 @@ class DenseMap:
         in ``__init__``, so that sub-maps never searched build none."""
         return cKDTree(self.positions)
 
-    def __getitem__(self, index) -> "DenseMap":
-        idx = np.asarray(index)
-        sub = DenseMap.__new__(DenseMap)
-        for name in _DENSE_MAP_COLUMNS:
-            column = getattr(self, name)[idx]
-            column.setflags(write=False)
-            setattr(sub, name, column)
-        return sub
-
-
-_DENSE_MAP_COLUMNS = ("positions", "labels", "v_l", "v_u", "theta", "d_min", "d_max", "support",
-                      "v_m")
-
 
 @dataclass(frozen=True)
-class FusedCloud:
+class FusedCloud(_FrozenArrays):
     """Voxel-fused points as columns.
 
     positions (N, 3) holds one point per occupied voxel.  pairs (P, 2) holds

@@ -30,7 +30,8 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .geometry import CameraIntrinsics, RigidPose, pixel_rays, project_points, rotation_about_axis
+from .geometry import (CameraIntrinsics, RigidPose, _FrozenArrays, pixel_rays, project_points,
+                       rotation_about_axis)
 from .formats import DataFormatError, Dataset, key_value_lines
 from .matching import FeatureSet
 from .semantic_map import CONDITIONS, MAX_CLASS_ID, UNLABELED, DatabaseImageRecord, QueryImage
@@ -51,7 +52,7 @@ __all__ = [
 
 
 @dataclass(frozen=True)
-class FacadePlane:
+class FacadePlane(_FrozenArrays):
     """Rectangle corner + two edge vectors spanning it, with a class label."""
 
     corner: np.ndarray
@@ -67,9 +68,7 @@ class FacadePlane:
             raise ValueError("plane edges are parallel")
         if not (0 <= self.label <= MAX_CLASS_ID):
             raise ValueError(f"label {self.label} outside Cityscapes ids 0..{MAX_CLASS_ID}")
-        object.__setattr__(self, "corner", c)
-        object.__setattr__(self, "edge_u", u)
-        object.__setattr__(self, "edge_v", v)
+        self._store(corner=c, edge_u=u, edge_v=v)
 
     def normal(self) -> np.ndarray:
         n = np.cross(self.edge_u, self.edge_v)

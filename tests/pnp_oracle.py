@@ -47,7 +47,7 @@ from semloc.pnp import (
     RansacConfig,
     _bearings_from_pixels,
     _orthonormalized,
-    _reprojection_residuals,
+    _errors,
 )
 
 _COLLINEAR_AREA_TOL = 1e-12
@@ -396,7 +396,7 @@ def ransac_pnp(
 
     if best_pose is None:
         return None
-    res = _reprojection_residuals(best_pose.rotation, best_pose.center, points, pixels, K)
+    res = _errors(best_pose.rotation, best_pose.center, points, pixels, K)[0]
     err = np.linalg.norm(res.reshape(-1, 2), axis=1)
     inl = err < cfg.inlier_threshold_px
     if int(inl.sum()) < cfg.min_inliers:

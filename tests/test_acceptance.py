@@ -35,7 +35,7 @@ from semloc.pnp import (
     _draw_minimal_samples,
     _exp_so3,
     _pose_jacobian,
-    _reprojection_residuals,
+    _errors,
     estimate_temporary_pose,
     refine_pose,
     solve_p3p,
@@ -358,8 +358,8 @@ def test_acceptance_08_refinement():
     for k in range(6):
         e = np.zeros(6)
         e[k] = h
-        rp = _reprojection_residuals(_exp_so3(e[:3]) @ R0, C0 + e[3:], points, pixels, K)
-        rm = _reprojection_residuals(_exp_so3(-e[:3]) @ R0, C0 - e[3:], points, pixels, K)
+        rp = _errors(_exp_so3(e[:3]) @ R0, C0 + e[3:], points, pixels, K)[0]
+        rm = _errors(_exp_so3(-e[:3]) @ R0, C0 - e[3:], points, pixels, K)[0]
         fd = (rp - rm) / (2 * h)
         worst_rel = max(worst_rel, float(np.max(np.abs(J[:, k] - fd) /
                                                 np.maximum(np.abs(J[:, k]), 1.0))))
@@ -375,9 +375,9 @@ def test_acceptance_08_refinement():
         sol = estimate_temporary_pose([trial_corrs], K, [RansacConfig(min_inliers=6, seed=t)])[0]
         pts = trial_corrs.points[sol.inlier_indices]
         pix = trial_corrs.pixels[sol.inlier_indices]
-        r0 = _reprojection_residuals(sol.pose.rotation, sol.pose.center, pts, pix, K)
+        r0 = _errors(sol.pose.rotation, sol.pose.center, pts, pix, K)[0]
         refined = refine_pose(sol, trial_corrs, K)
-        r1 = _reprojection_residuals(refined.rotation, refined.center, pts, pix, K)
+        r1 = _errors(refined.rotation, refined.center, pts, pix, K)[0]
         cost_ok &= float(r1 @ r1) <= float(r0 @ r0) + 1e-12
         improved += (np.linalg.norm(refined.center - gt.center)
                      < np.linalg.norm(sol.pose.center - gt.center))

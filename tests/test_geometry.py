@@ -343,6 +343,13 @@ class TestPoseStack:
             first = next(e for e in map(_construct_error, rotations, centers) if e is not None)
             assert str(exc.value) == first
 
+    def test_stacks_of_different_lengths_are_refused(self):
+        # valid poses, so only the count can fail
+        for n_rot, n_cen in ((3, 2), (2, 3), (0, 1)):
+            with pytest.raises(ValueError) as exc:
+                RigidPose.from_stack(np.tile(np.eye(3), (n_rot, 1, 1)), np.zeros((n_cen, 3)))
+            assert f"({n_rot}, 3, 3)" in str(exc.value) and f"({n_cen}, 3)" in str(exc.value)
+
 
 class TestQuaternions:
     def test_roundtrip(self):

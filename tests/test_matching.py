@@ -20,12 +20,15 @@ from semloc.matching import (
     lift_to_3d,
     match_family,
 )
+from semloc.retrieval import GlobalDescriptor
 from semloc.semantic_map import (
     INVALID_DEPTH,
     LIFTED,
     OUTSIDE_IMAGE,
     DatabaseImageRecord,
+    FusedCloud,
 )
+from semloc.synthetic import FacadePlane
 
 from conftest import pinhole_back_project
 
@@ -59,14 +62,31 @@ class TestFeatureSet:
             FeatureSet(family="f", locations=np.zeros((1, 2)), descriptors=[[0.0, np.nan]])
 
     def test_columns_are_read_only_views(self):
-        locs, descs = np.zeros((3, 2)), np.ones((3, 4))
-        fs = FeatureSet(family="f", locations=locs, descriptors=descs)
-        for column, given in ((fs.locations, locs), (fs.descriptors, descs)):
-            assert np.shares_memory(column, given)
-            with pytest.raises(ValueError, match="read-only"):
-                column[0] = 5.0
-        # the caller's arrays keep their flags
-        assert locs.flags.writeable and descs.flags.writeable
+        # a FeatureSet and the other frozen types whose arrays are kept as
+        # they are given: (build, given arrays, the fields that hold them)
+        K = CameraIntrinsics(fx=1.0, fy=1.0, cx=1.0, cy=1.0, width=3, height=2)
+        cases = [
+            (lambda a, b: FeatureSet("f", a, b), (np.zeros((3, 2)), np.ones((3, 4))),
+             ("locations", "descriptors")),
+            (FusedCloud, (np.zeros((3, 3)), np.zeros((4, 2), dtype=np.int64)),
+             ("positions", "pairs")),
+            (lambda v: GlobalDescriptor("g", v), (np.ones(5),), ("values",)),
+            (lambda c, u, v: FacadePlane(c, u, v, label=2),
+             (np.zeros(3), np.array([1.0, 0.0, 0.0]), np.array([0.0, 1.0, 0.0])),
+             ("corner", "edge_u", "edge_v")),
+            (lambda labels, g: DatabaseImageRecord("db0", K, RigidPose.identity(),
+                                                   np.ones((2, 3)), labels, g),
+             (np.zeros((2, 3), dtype=np.uint8), np.ones(4)), ("labels", "global_descriptor")),
+        ]
+        for build, given, names in cases:
+            built = build(*given)
+            for name, array in zip(names, given):
+                column = getattr(built, name)
+                assert np.shares_memory(column, array), name
+                with pytest.raises(ValueError, match="read-only"):
+                    column[0] = 5
+            # the caller's arrays keep their flags
+            assert all(array.flags.writeable for array in given)
 
 
 class TestMatchFamily:

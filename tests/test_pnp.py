@@ -38,7 +38,6 @@ from semloc.pnp import (
     _exp_so3,
     _p3p_batch,
     _pose_jacobian,
-    _reprojection_residuals,
     _ransac_pnp,
     _score_hypotheses,
     estimate_temporary_pose,
@@ -1229,7 +1228,7 @@ class TestStackedKernels:
         corrs = [synthetic_correspondences(rng, K, p, 8, pixel_noise=2.0) for p in poses]
         P = np.array([c.points for c in corrs])
         C_off = C + rng.normal(scale=0.05, size=C.shape)
-        res = _reprojection_residuals(R, C_off, P, np.array([c.pixels for c in corrs]), K)
+        res = pnp._errors(R, C_off, P, np.array([c.pixels for c in corrs]), K)[0]
         J = _pose_jacobian(R, C_off, P, K)
         for lam in (0.0, 1e-3):
             R_new, C_new = pnp._pose_step(R, C_off, J, res, lam)
@@ -1475,8 +1474,7 @@ class TestRefinePose:
         corrs = synthetic_correspondences(rng, K, pose, 40)
         sol = _temporary(corrs, K, RansacConfig(min_inliers=6, seed=0))
         refined = refine_pose(sol, corrs, K)
-        res = _reprojection_residuals(refined.rotation, refined.center,
-                                         corrs.points, corrs.pixels, K)
+        res = pnp._errors(refined.rotation, refined.center, corrs.points, corrs.pixels, K)[0]
         rms = math.sqrt(float(res @ res) / len(res))
         assert rms <= 1e-10
 
@@ -1491,7 +1489,7 @@ class TestRefinePose:
         def residual(delta):
             R = _exp_so3(delta[:3]) @ R0
             C = C0 + delta[3:]
-            r = _reprojection_residuals(R, C, points, pixels, K)
+            r = pnp._errors(R, C, points, pixels, K)[0]
             return r
 
         J = _pose_jacobian(R0, C0, points, K)
@@ -1530,9 +1528,9 @@ class TestRefinePose:
             sol = _temporary(corrs, K, RansacConfig(min_inliers=6, seed=t))
             pts = corrs.points[sol.inlier_indices]
             pix = corrs.pixels[sol.inlier_indices]
-            r0 = _reprojection_residuals(sol.pose.rotation, sol.pose.center, pts, pix, K)
+            r0 = pnp._errors(sol.pose.rotation, sol.pose.center, pts, pix, K)[0]
             refined = refine_pose(sol, corrs, K)
-            r1 = _reprojection_residuals(refined.rotation, refined.center, pts, pix, K)
+            r1 = pnp._errors(refined.rotation, refined.center, pts, pix, K)[0]
             assert float(r1 @ r1) <= float(r0 @ r0) + 1e-12
 
 
