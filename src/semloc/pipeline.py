@@ -12,7 +12,10 @@ Per query the flow is:
         (DatabaseImageRecord.lift_table);
      b. estimate every image's temporary pose (plain RANSAC) in one
         estimate_temporary_pose call, whose per-image runs advance in
-        lockstep and each return what they would alone;
+        lockstep; after a short first round, a run that the other runs'
+        winners contradict (they hold its query keypoints as inliers at
+        other world points) stops with no pose, and every other run
+        returns what it would alone;
      c. in rank order, gate the dense map by each image's temporary pose
         and score it by semantic consistency against the query
         segmentation,

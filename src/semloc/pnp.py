@@ -30,9 +30,11 @@ degeneracy, solved by one vectorized P3P and scored by one reprojection of
 every candidate against every correspondence.  A round is fitted to what
 is left of the run's bound: a run that has at most 2 * _CHUNK iterations
 left draws all of them plus a quarter and 4 for degenerate draws, one with
-more left draws _CHUNK, a run with a sampling prior draws at most 16
-until it has run an iteration, as its weight mass usually stops it within
-them, and no round passes the draw cap.  A round thus holds at most
+more left draws _CHUNK, and no round passes the draw cap.  A run draws at
+most _FIRST_ROUND (16) until it has run an iteration when it has a
+sampling prior, as its weight mass usually stops it within them, and when
+the cross-run verdict below judges it, so that the verdict comes before
+most of a wrong-place run's draws.  A round thus holds at most
 2.5 * _CHUNK + 4 samples, and its working memory is O(_CHUNK * N) whatever
 max_iterations is.  A run solves the first needed - it of a round's
 non-degenerate samples; it solves samples past its stop only when a new
@@ -55,6 +57,21 @@ scores it gets alone, and no run's draws or scoring see another run, so
 each run returns bitwise what it returns when run alone.  When every run
 has stopped, _finish snaps every run's best model to a rotation in one
 stacked call and re-verifies each over its own correspondences.
+
+The one exception is estimate_temporary_pose's cross-run verdict, the
+pairwise-consistency pruning of Enqvist, Josephson & Kahl (ICCV 2009) and
+the voting of Zeisl, Sattler & Pollefeys (ICCV 2015) applied across
+retrieved images.  It judges a call's runs when at least two of them draw.
+Rows of the call's batches with one family and a bitwise-equal query
+pixel are one query keypoint.  Before each round after the first, a run's
+best model is a winner when it has at least min_inliers inliers, and a row
+is contradicted when another run's winner holds the row's query keypoint
+as an inlier at a world point more than _CONTRADICTION_M (0.3 m) away.  A
+live run without a winner of its own and with fewer than min_inliers rows
+that are not contradicted stops and returns None: the paper scores a
+wrong-place image 0 whether or not its run finishes.  A run that is not
+stopped returns bitwise its result alone, as round sizes change no run's
+result.
 
 Every run applies two bounds, both the RANSAC bound of Fischler & Bolles
 (1981) at a fixed confidence of 0.999: the iterations after which a sample
@@ -111,10 +128,16 @@ __all__ = [
 _COLLINEAR_AREA_TOL = 1e-12
 
 # Samples in a RANSAC round while more than 2 * _CHUNK iterations are
-# left, and the most a run with a sampling prior draws in a round before
-# its first iteration (the round schedule: module docstring).
+# left, and the most a run with a sampling prior, or one judged by the
+# cross-run verdict, draws in a round before its first iteration (the
+# round schedule: module docstring).
 _CHUNK = 64
-_FIRST_WEIGHTED_ROUND = 16
+_FIRST_ROUND = 16
+
+# The cross-run verdict's radius: another run's winner contradicts a row
+# when it holds the row's query keypoint as an inlier at a world point
+# farther than this, in metres (three default fusion voxels).
+_CONTRADICTION_M = 0.3
 
 # A RANSAC run draws at most _MAX_SAMPLE_ATTEMPTS * max_iterations minimal
 # samples, degenerate ones included, before it gives up.
@@ -696,7 +719,7 @@ class _RansacRun:
     """
 
     def __init__(self, batch: CorrespondenceBatch, K: CameraIntrinsics, cfg: RansacConfig,
-                 weights: Optional[np.ndarray]) -> None:
+                 weights: Optional[np.ndarray], judged: bool = False) -> None:
         n = len(batch)
         self.n = n
         self.cfg = cfg
@@ -708,10 +731,12 @@ class _RansacRun:
         # mass is the inlier ratio: no prior.
         self.prior = (None if np.all(self.weights == self.weights[0])
                       else self.weights / self.weights.sum())
+        self.short_start = judged or self.prior is not None
         self.rng = np.random.default_rng(cfg.seed)
         self.best_count = 0
         self.best_R: Optional[np.ndarray] = None
         self.best_C: Optional[np.ndarray] = None
+        self.best_inliers: Optional[np.ndarray] = None
         self.needed = max(1, _iterations_needed((cfg.min_inliers / n) ** 3, cfg))
         self.it = 0
         self.draws_left = _MAX_SAMPLE_ATTEMPTS * cfg.max_iterations
@@ -721,8 +746,8 @@ class _RansacRun:
         schedule of the module docstring."""
         left = self.needed - self.it
         size = _CHUNK if left > 2 * _CHUNK else left + left // 4 + 4
-        if self.prior is not None and self.it == 0:
-            size = min(size, _FIRST_WEIGHTED_ROUND)
+        if self.short_start and self.it == 0:
+            size = min(size, _FIRST_ROUND)
         return min(size, self.draws_left)
 
     def draw(self) -> np.ndarray:
@@ -756,7 +781,7 @@ class _RansacRun:
                 count = counts[c]
                 if count > self.best_count:
                     self.best_R, self.best_C = R[c], C[c]
-                    self.best_count = count
+                    self.best_count, self.best_inliers = count, inl[c]
                     p = (count / self.n) ** 3
                     if self.prior is not None and count >= cfg.min_inliers:
                         p = max(p, _mass_chance(self.prior[inl[c]]))
@@ -764,9 +789,61 @@ class _RansacRun:
                                       max(self.it, _iterations_needed(p, cfg)))
 
 
+def _contradiction_pairs(batches: Sequence[CorrespondenceBatch]) -> tuple[np.ndarray, np.ndarray]:
+    """Pairs (a, b) of rows of the concatenated batches that place one
+    query keypoint (one family, bitwise one pixel) in two different batches
+    at world points more than _CONTRADICTION_M apart, in both orders."""
+    families = np.concatenate([batch.families for batch in batches])
+    bits = np.concatenate([batch.pixels for batch in batches]).view(np.int64)
+    points = np.concatenate([batch.points for batch in batches])
+    owner = np.repeat(np.arange(len(batches)), [len(batch) for batch in batches])
+    order = np.lexsort((bits[:, 1], bits[:, 0], families))
+    families, bits = families[order], bits[order]
+    new = np.ones(len(order), dtype=bool)
+    new[1:] = (families[1:] != families[:-1]) | (bits[1:] != bits[:-1]).any(axis=1)
+    start = np.flatnonzero(new)
+    size = np.diff(np.append(start, len(order)))
+    # Each row of a keypoint's group is paired with every row of the group.
+    g = np.repeat(size, size)
+    a = np.repeat(order, g)
+    b = order[np.repeat(np.repeat(start, size), g) + np.arange(len(a))
+              - np.repeat(np.cumsum(g) - g, g)]
+    far = (owner[a] != owner[b]) & (_norm(points[a] - points[b]) > _CONTRADICTION_M)
+    return a[far], b[far]
+
+
+class _Verdict:
+    """The cross-run verdict (module docstring) over the drawing runs of
+    one call, whose batches hold the query keypoints."""
+
+    def __init__(self, runs: Sequence[_RansacRun],
+                 batches: Sequence[CorrespondenceBatch]) -> None:
+        self.runs = runs
+        self.starts = np.cumsum([0] + [run.n for run in runs[:-1]])
+        self.a, self.b = _contradiction_pairs(batches)
+
+    def __call__(self, live: list[_RansacRun]) -> list[_RansacRun]:
+        """The live runs that go on.  A stopped run drops its model, so
+        _finish returns None for it."""
+        won = [run.best_count >= run.cfg.min_inliers for run in self.runs]
+        if not any(won):
+            return live
+        held = np.concatenate([run.best_inliers if w else np.zeros(run.n, dtype=bool)
+                               for run, w in zip(self.runs, won)])
+        contradicted = np.zeros(len(held), dtype=bool)
+        contradicted[self.a[held[self.b]]] = True
+        free = np.add.reduceat(~contradicted, self.starts, dtype=np.int64).tolist()
+        stopped = {run for run, w, k in zip(self.runs, won, free)
+                   if not w and k < run.cfg.min_inliers}
+        for run in stopped.intersection(live):
+            run.best_R = None
+        return [run for run in live if run not in stopped]
+
+
 def _ransac_pnp(
     runs: Sequence[tuple[CorrespondenceBatch, RansacConfig, Optional[np.ndarray]]],
     K: CameraIntrinsics,
+    verdict: bool = False,
 ) -> list[Optional[PnPSolution]]:
     """Independent RANSAC-PnP runs, given as (batch, cfg, weights) with
     weights None for uniform sampling, advanced in lockstep rounds (module
@@ -775,11 +852,21 @@ def _ransac_pnp(
     correspondences returns None before any draw.  Per round, one
     _degenerate_samples and one _p3p_batch call cover every live run's
     samples; one _finish call re-verifies every run's best model.
+
+    With verdict=True and at least two drawing runs, every run starts with
+    a short round and, before each later round, the cross-run verdict stops
+    the runs that the others' winners contradict; a stopped run returns
+    None, and every other run its result alone.
     """
-    state = [None if len(batch) < cfg.min_inliers else _RansacRun(batch, K, cfg, weights)
+    judged = verdict and sum(len(batch) >= cfg.min_inliers for batch, cfg, _ in runs) >= 2
+    state = [None if len(batch) < cfg.min_inliers else _RansacRun(batch, K, cfg, weights, judged)
              for batch, cfg, weights in runs]
     live = [run for run in state if run is not None]
+    judge = (_Verdict(live, [batch for (batch, _, _), run in zip(runs, state) if run is not None])
+             if judged else None)
     while live := [run for run in live if run.it < run.needed and run.draws_left]:
+        if judge is not None and not (live := judge(live)):
+            break
         drawn = [run.draw() for run in live]
         degenerate = _degenerate_samples(
             np.concatenate([run.points[d] for run, d in zip(live, drawn)]),
@@ -843,13 +930,15 @@ def estimate_temporary_pose(
 ) -> list[Optional[PnPSolution]]:
     """Plain (uniform-sampling) RANSAC + P3P over each retrieved image's
     correspondences, batches[i] under cfgs[i], all runs in one lockstep
-    loop; one result per batch.  A result is None when its batch has fewer
-    than 4 correspondences or no model reaches min_inliers, and equals what
-    the batch gets in a call of its own.  The batches' weights are
-    ignored."""
+    loop under the cross-run verdict (module docstring); one result per
+    batch.  A result is None when its batch has fewer than 4
+    correspondences, when no model reaches min_inliers, or when the verdict
+    stopped its run because the other batches' winners contradict it.
+    Otherwise it equals what the batch gets in a call of its own.  The
+    batches' weights are ignored."""
     solved = iter(_ransac_pnp(
         [(batch, cfg, None) for batch, cfg in zip(batches, cfgs, strict=True) if len(batch) >= 4],
-        K))
+        K, verdict=True))
     return [next(solved) if len(batch) >= 4 else None for batch in batches]
 
 

@@ -13,7 +13,7 @@ passes the distance range, so the gate tests only the rows that a radius
 search of the map's k-d tree returns, and tests the angle only on the rows
 that pass the distance range.  The tree is built once per map and cached
 on it.  The radius is padded, the exact tests still decide and the rows
-come sorted, so the gated sub-map equals a scan of every point, row for
+are sorted, so the gated sub-map equals a scan of every point, row for
 row.
 
 Occlusion is handled only through the cone gating (no z-buffer): a point
@@ -80,8 +80,9 @@ def gate_visible(dense_map: DenseMap, query_pose: RigidPose) -> DenseMap:
 
     Rows farther than max(d_max) * m from the query centre fail the
     distance test, so only the rows inside that ball, padded by a relative
-    1e-9, are tested.  They come sorted from ``dense_map.position_tree``,
-    the k-d tree built once per map on its first gate call.  The exact
+    1e-9, are tested.  ``dense_map.position_tree``, the k-d tree built once
+    per map on its first gate call, returns them unsorted, and they are
+    sorted once as an index array, which costs less.  The exact
     tests then decide, the distance test first and the angle test only on
     the rows it passes, so the sub-map holds the same rows in the same
     order as a scan of the whole map.  A row's angle does not depend on
@@ -89,10 +90,10 @@ def gate_visible(dense_map: DenseMap, query_pose: RigidPose) -> DenseMap:
     """
     m = _DISTANCE_MARGIN
     radius = np.max(dense_map.d_max, initial=0.0) * m * (1.0 + _RADIUS_PAD)
-    rows = np.array(
-        dense_map.position_tree.query_ball_point(query_pose.center, radius, return_sorted=True),
+    rows = np.sort(np.array(
+        dense_map.position_tree.query_ball_point(query_pose.center, radius, return_sorted=False),
         dtype=np.intp,
-    )
+    ))
     v = query_pose.center - dense_map.positions[rows]
     dist = np.linalg.norm(v, axis=1)
     near = (dense_map.d_min[rows] / m < dist) & (dist < dense_map.d_max[rows] * m) & (dist > 0.0)

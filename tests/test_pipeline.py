@@ -169,18 +169,31 @@ class TestTemporaryPosesInLockstep:
     def test_outputs_equal_one_call_per_image(self, zero_noise_dataset, small_cfg, small_run,
                                               monkeypatch, tmp_path):
         # localize_query makes one temporary-pose call per query; solving
-        # each retrieved image in a call of its own changes no byte
+        # each retrieved image in a call of its own changes no byte, while
+        # the grouped calls, with their short first rounds and cross-run
+        # verdict, solve fewer P3P rows
         ds = zero_noise_dataset
         dense_map, _, lockstep = small_run
         calls = []
+        rows = {"grouped": 0, "separate": 0}
+        counting = ["grouped"]
+        p3p_batch = pnp._p3p_batch
+
+        def counted_p3p_batch(P, f):
+            rows[counting[0]] += len(P)
+            return p3p_batch(P, f)
 
         def one_call_per_image(batches, K, cfgs):
             calls.append(len(batches))
             return [pnp.estimate_temporary_pose([b], K, [c])[0] for b, c in zip(batches, cfgs)]
 
+        monkeypatch.setattr(pnp, "_p3p_batch", counted_p3p_batch)
+        localize_all(ds.queries, ds.db_records, dense_map, small_cfg)
+        counting[0] = "separate"
         monkeypatch.setattr(pipeline, "estimate_temporary_pose", one_call_per_image)
         separate = localize_all(ds.queries, ds.db_records, dense_map, small_cfg)
         assert calls == [small_cfg.top_k_day] * len(ds.queries)
+        assert rows["grouped"] < rows["separate"]
         write_estimates(tmp_path / "lockstep.txt", lockstep)
         write_estimates(tmp_path / "separate.txt", separate)
         assert (tmp_path / "lockstep.txt").read_bytes() == (tmp_path / "separate.txt").read_bytes()

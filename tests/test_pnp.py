@@ -9,7 +9,10 @@ The chunked RANSAC is checked against the one-sample-at-a-time oracles in
 pnp_oracle: the same draws and RNG state, the same degeneracy decisions,
 the same P3P candidates in the same order, and the same RANSAC results.
 Runs advanced in lockstep are checked bitwise against each run alone, and
-runs under any round sizes bitwise against the fitted rounds.
+runs under any round sizes bitwise against the fitted rounds.  The
+cross-run verdict is checked to stop only runs that have no winner of
+their own, before their second round, and to leave every other run
+bitwise as alone.
 """
 
 import math
@@ -23,6 +26,7 @@ from hypothesis import strategies as st
 from semloc import pnp
 from semloc.geometry import (
     RigidPose,
+    pixel_rays,
     project,
     project_points,
     rotation_about_axis,
@@ -867,6 +871,87 @@ class TestLockstep:
             estimate_temporary_pose([corrs, corrs], K, [RansacConfig()])
 
 
+def _seen_elsewhere(rng, K, pixels, outliers=0):
+    """Correspondences of the same query pixels at another place: each pixel
+    back-projected from a random pose at a random depth, the first outliers
+    of them displaced as gross outliers."""
+    pose = random_pose(rng)
+    cam = pixel_rays(pixels, K) * rng.uniform(2.0, 10.0, (len(pixels), 1))
+    points = cam @ pose.rotation + pose.center
+    points[:outliers] += rng.normal(scale=3.0, size=(outliers, 3))
+    return CorrespondenceBatch(pixels, points, ["db1"] * len(pixels), ["fam"] * len(pixels))
+
+
+class TestCrossRunVerdict:
+    """estimate_temporary_pose stops a run before its second round when the
+    other runs' winners contradict all but fewer than min_inliers of its
+    rows and it has no winner of its own; every other run returns bitwise
+    its result alone."""
+
+    @staticmethod
+    def _solve(monkeypatch, batches, cfgs):
+        """Each batch's solo result, the call's results and the rows of each
+        of the call's P3P rounds."""
+        K = default_intrinsics()
+        calls = []
+
+        def p3p_batch(P, f):
+            calls.append(len(P))
+            return _p3p_batch(P, f)
+
+        monkeypatch.setattr(pnp, "_p3p_batch", p3p_batch)
+        alone = [_temporary(batch, K, cfg) for batch, cfg in zip(batches, cfgs)]
+        calls.clear()
+        return alone, estimate_temporary_pose(batches, K, cfgs), calls
+
+    def test_wrong_place_runs_stop_after_their_first_round(self, monkeypatch):
+        # one correct-place batch of 40 rows and three wrong-place batches,
+        # each 12 of its query keypoints 1-4 m from the correct points plus
+        # 3 rows of its own, below min_inliers = 6
+        rng = np.random.default_rng(90)
+        K = default_intrinsics()
+        correct = synthetic_correspondences(rng, K, random_pose(rng), 40, pixel_noise=0.5)
+        batches = [correct]
+        for _ in range(3):
+            rows = rng.choice(40, 12, replace=False)
+            shift = rng.normal(size=(12, 3))
+            shift *= rng.uniform(1.0, 4.0, (12, 1)) / np.linalg.norm(shift, axis=1, keepdims=True)
+            moved = CorrespondenceBatch(correct.pixels[rows], correct.points[rows] + shift,
+                                        ["db1"] * 12, ["fam"] * 12)
+            own = synthetic_correspondences(rng, K, random_pose(rng), 3, outlier_frac=1.0)
+            batches.append(CorrespondenceBatch.concat([moved, own]))
+        cfgs = [RansacConfig(min_inliers=6, seed=seed, max_iterations=300) for seed in range(4)]
+        alone, together, calls = self._solve(monkeypatch, batches, cfgs)
+        assert alone[0] is not None and alone[0].num_inliers == 40
+        assert alone[1:] == together[1:] == [None, None, None]
+        _assert_bitwise_equal(together[0], alone[0])
+        # one round of at most 16 samples a run: the correct run's winner
+        # stops the others before their second, while alone each solves
+        # the min-inliers bound of 15 rows, 105 samples
+        assert _bound(6, 15) == 105
+        assert len(calls) == 1 and calls[0] <= 4 * pnp._FIRST_ROUND
+
+    def test_a_run_with_its_own_winner_is_never_stopped(self, monkeypatch):
+        # two places seen through the same 30 query keypoints, every pair of
+        # points for one keypoint more than 1 m apart: the first batch is
+        # exact, the second has 18 inliers and 12 outliers, so each winner
+        # contradicts every row of the other run
+        rng = np.random.default_rng(91)
+        K = default_intrinsics()
+        here = synthetic_correspondences(rng, K, random_pose(rng), 30, pixel_noise=0.5)
+        there = _seen_elsewhere(rng, K, here.pixels, outliers=12)
+        assert np.all(np.linalg.norm(there.points - here.points, axis=1) > 1.0)
+        cfgs = [RansacConfig(min_inliers=6, seed=seed, max_iterations=300) for seed in (4, 5)]
+        alone, together, calls = self._solve(monkeypatch, [here, there], cfgs)
+        assert alone[0].num_inliers == 30
+        assert alone[1] is not None and alone[1].num_inliers == 18
+        for a, b in zip(together, alone):
+            _assert_bitwise_equal(a, b)
+        # a short first round, after which the second run, with a winner
+        # of its own, goes on to its adaptive bound
+        assert calls[0] <= 2 * pnp._FIRST_ROUND and len(calls) > 1
+
+
 class TestIterationRule:
     """An iteration is one non-degenerate minimal sample, solved and scored;
     degenerate draws do not count, and a run stops after
@@ -1046,7 +1131,7 @@ class TestFittedRounds:
         monkeypatch.setattr(pnp, "_draw_minimal_samples", draw)
         sol = weighted_ransac_pnp(replace(corrs, weights=w), K, RansacConfig(seed=3))
         assert sol.iterations_used <= 4
-        assert drawn == [pnp._FIRST_WEIGHTED_ROUND]
+        assert drawn == [pnp._FIRST_ROUND]
 
 
 def _verified_alone(run, K):
