@@ -12,10 +12,12 @@ Per query the flow is:
         (DatabaseImageRecord.lift_table);
      b. estimate every image's temporary pose (plain RANSAC) in one
         estimate_temporary_pose call, whose per-image runs advance in
-        lockstep; after a short first round, a run that the other runs'
-        winners contradict (they hold its query keypoints as inliers at
-        other world points) stops with no pose, and every other run
-        returns what it would alone;
+        lockstep; before any round after its short first one, a run
+        that the other runs' winners contradict (they hold its query
+        keypoints as inliers at other world points) stops with no pose,
+        so its image scores 0 of 0 even where the run alone would have
+        found a late pose, and every other run returns what it would
+        alone;
      c. in rank order, gate the dense map by each image's temporary pose
         and score it by semantic consistency against the query
         segmentation,

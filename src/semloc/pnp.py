@@ -58,20 +58,24 @@ each run returns bitwise what it returns when run alone.  When every run
 has stopped, _finish snaps every run's best model to a rotation in one
 stacked call and re-verifies each over its own correspondences.
 
-The one exception is estimate_temporary_pose's cross-run verdict, the
-pairwise-consistency pruning of Enqvist, Josephson & Kahl (ICCV 2009) and
-the voting of Zeisl, Sattler & Pollefeys (ICCV 2015) applied across
-retrieved images.  It judges a call's runs when at least two of them draw.
+The one exception is the cross-run verdict, the pairwise-consistency
+pruning of Enqvist, Josephson & Kahl (ICCV 2009) and the voting of Zeisl,
+Sattler & Pollefeys (ICCV 2015) applied across retrieved images.  It
+judges a call's runs whenever at least two of them draw, as in
+estimate_temporary_pose; weighted_ransac_pnp makes a single run.
 Rows of the call's batches with one family and a bitwise-equal query
 pixel are one query keypoint.  Before each round after the first, a run's
 best model is a winner when it has at least min_inliers inliers, and a row
 is contradicted when another run's winner holds the row's query keypoint
 as an inlier at a world point more than _CONTRADICTION_M (0.3 m) away.  A
 live run without a winner of its own and with fewer than min_inliers rows
-that are not contradicted stops and returns None: the paper scores a
-wrong-place image 0 whether or not its run finishes.  A run that is not
+that are not contradicted stops and returns None.  A run that is not
 stopped returns bitwise its result alone, as round sizes change no run's
-result.
+result.  A stopped run might still have found a pose later in its run,
+and its image then scores 0 of 0 where that pose could have scored more.
+This is measured, not proven: on the bench workloads and the
+acceptance-06 scenes, three stopped runs find a pose alone, each with 6
+inliers, and each such pose scores 0 of 0, so no weight moves there.
 
 Every run applies two bounds, both the RANSAC bound of Fischler & Bolles
 (1981) at a fixed confidence of 0.999: the iterations after which a sample
@@ -719,7 +723,7 @@ class _RansacRun:
     """
 
     def __init__(self, batch: CorrespondenceBatch, K: CameraIntrinsics, cfg: RansacConfig,
-                 weights: Optional[np.ndarray], judged: bool = False) -> None:
+                 weights: Optional[np.ndarray]) -> None:
         n = len(batch)
         self.n = n
         self.cfg = cfg
@@ -731,7 +735,8 @@ class _RansacRun:
         # mass is the inlier ratio: no prior.
         self.prior = (None if np.all(self.weights == self.weights[0])
                       else self.weights / self.weights.sum())
-        self.short_start = judged or self.prior is not None
+        # _ransac_pnp also sets it for the runs the cross-run verdict judges.
+        self.short_start = self.prior is not None
         self.rng = np.random.default_rng(cfg.seed)
         self.best_count = 0
         self.best_R: Optional[np.ndarray] = None
@@ -843,7 +848,6 @@ class _Verdict:
 def _ransac_pnp(
     runs: Sequence[tuple[CorrespondenceBatch, RansacConfig, Optional[np.ndarray]]],
     K: CameraIntrinsics,
-    verdict: bool = False,
 ) -> list[Optional[PnPSolution]]:
     """Independent RANSAC-PnP runs, given as (batch, cfg, weights) with
     weights None for uniform sampling, advanced in lockstep rounds (module
@@ -853,17 +857,19 @@ def _ransac_pnp(
     _degenerate_samples and one _p3p_batch call cover every live run's
     samples; one _finish call re-verifies every run's best model.
 
-    With verdict=True and at least two drawing runs, every run starts with
-    a short round and, before each later round, the cross-run verdict stops
-    the runs that the others' winners contradict; a stopped run returns
-    None, and every other run its result alone.
+    With at least two drawing runs, every run starts with a short round
+    and, before each later round, the cross-run verdict stops the runs that
+    the others' winners contradict; a stopped run returns None, and every
+    other run its result alone.
     """
-    judged = verdict and sum(len(batch) >= cfg.min_inliers for batch, cfg, _ in runs) >= 2
-    state = [None if len(batch) < cfg.min_inliers else _RansacRun(batch, K, cfg, weights, judged)
+    state = [None if len(batch) < cfg.min_inliers else _RansacRun(batch, K, cfg, weights)
              for batch, cfg, weights in runs]
     live = [run for run in state if run is not None]
-    judge = (_Verdict(live, [batch for (batch, _, _), run in zip(runs, state) if run is not None])
-             if judged else None)
+    judge = None
+    if len(live) >= 2:
+        for run in live:
+            run.short_start = True
+        judge = _Verdict(live, [batch for (batch, _, _), run in zip(runs, state) if run is not None])
     while live := [run for run in live if run.it < run.needed and run.draws_left]:
         if judge is not None and not (live := judge(live)):
             break
@@ -938,7 +944,7 @@ def estimate_temporary_pose(
     batches' weights are ignored."""
     solved = iter(_ransac_pnp(
         [(batch, cfg, None) for batch, cfg in zip(batches, cfgs, strict=True) if len(batch) >= 4],
-        K, verdict=True))
+        K))
     return [next(solved) if len(batch) >= 4 else None for batch in batches]
 
 

@@ -19,6 +19,7 @@ from semloc.pipeline import (
     localize_query,
 )
 from semloc.retrieval import GlobalDescriptor, build_index
+from semloc.scoring import gate_visible, semantic_consistency_score
 from semloc.synthetic import generate_scene, street_canyon_spec
 
 from conftest import patched_round_size
@@ -200,6 +201,42 @@ class TestTemporaryPosesInLockstep:
         assert [r.diagnostics for r in lockstep] == [r.diagnostics for r in separate]
         found = [img["temporary_pose"] for r in lockstep for img in r.diagnostics["images"].values()]
         assert True in found and False in found
+
+    def test_stopped_runs_that_pose_alone_score_nothing(self, monkeypatch):
+        # a stopped run's image scores 0 of 0; on acceptance-06's scene,
+        # queries 130-149, a run that the verdict stops but that finds a
+        # late pose alone (q140's rank-4 image) scores no consistent point
+        # with that pose either, so stopping it moves no weight
+        ds = generate_scene(street_canyon_spec(seed=31, n_db=20, n_queries=200,
+                                               image_size=(96, 72), anchors_per_plane=40,
+                                               noise_profile="day_night", night_fraction=0.5))
+        cfg = PipelineConfig(seed=17, ransac_inlier_threshold_px=2.5, fusion_voxel_size=0.10,
+                             top_k_day=6, top_k_night=6, temp_ransac_max_iterations=150,
+                             ransac_max_iterations=1000)
+        dense_map, _ = build_map(ds.db_records, cfg)
+        index = build_index([GlobalDescriptor(r.image_id, r.global_descriptor)
+                             for r in ds.db_records])
+        grouped = pipeline.estimate_temporary_pose
+        posed_alone = []
+
+        def with_solo_poses(batches, K, cfgs):
+            temps = grouped(batches, K, cfgs)
+            for batch, c, temp in zip(batches, cfgs, temps):
+                alone = grouped([batch], K, [c])[0]
+                if temp is None and alone is not None:
+                    posed_alone.append(alone)
+            return temps
+
+        monkeypatch.setattr(pipeline, "estimate_temporary_pose", with_solo_poses)
+        for i in range(130, 150):
+            query = ds.queries[i]
+            posed_alone.clear()
+            localize_query(query, i, ds.db_records, dense_map, index, cfg)
+            assert len(posed_alone) == (query.image_id == "q140")
+            for temp in posed_alone:
+                score = semantic_consistency_score(gate_visible(dense_map, temp.pose), temp.pose,
+                                                   query.intrinsics, query.labels)
+                assert score.consistent == 0
 
 
 class TestFinalRefinement:
