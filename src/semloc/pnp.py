@@ -984,7 +984,9 @@ def local_optimization(
     turn, the inliers at factor * threshold are re-collected and take up to
     _LO_STEPS (2) Gauss-Newton steps.  A step is kept only if the inlier
     count at the threshold does not fall; the first step that would lower
-    it, or whose normal equations are singular, ends that set.  A set equal
+    it, whose normal equations are singular, or whose residuals or Jacobian
+    are not finite (a kept step moved a row of the set behind the camera),
+    ends that set.  A set equal
     to the last one stepped on, or at first to the winner's own inliers, is
     not stepped on: its steps would repeat what refine_pose's
     Levenberg-Marquardt does on it next.  So a winner with no
@@ -1008,8 +1010,11 @@ def local_optimization(
         stepped = inl
         set_points, rows = points[inl], np.repeat(inl, 2)
         for _ in range(_LO_STEPS):
+            set_res, J = res[rows], _pose_jacobian(R, C, set_points, K)
+            if not (np.isfinite(set_res).all() and np.isfinite(J).all()):
+                break
             try:
-                R_new, C_new = _pose_step(R, C, _pose_jacobian(R, C, set_points, K), res[rows])
+                R_new, C_new = _pose_step(R, C, J, set_res)
             except np.linalg.LinAlgError:
                 break
             res_new, err_new = _errors(R_new, C_new, points, pixels, K)

@@ -3,10 +3,12 @@
 Stages: depth-map filtering against neighbor views, voxel-grid fusion of the
 filtered depth maps into a point cloud, per-point semantic label voting,
 removal of unstable classes, and per-point visibility cones (distance range,
-extreme viewing directions, visible angle).  Each stage runs on columns of
-all points at once: fusion yields a FusedCloud, whose table of (point,
-image) contributor pairs feeds both the vote and the cones, and the map
-itself is the columnar DenseMap.
+extreme viewing directions, visible angle).  Fusion streams the records into
+a running voxel table and yields a FusedCloud, whose table of (point, image)
+contributor pairs feeds both the vote and the cones; those run on columns
+of points (the cones in fixed-size chunks), and the map itself is the
+columnar DenseMap.  A build's memory thus follows the map plus one record's
+pixels, not the pixels of every record.
 
 Depth maps are (H, W) float arrays holding z-depth in meters; values <= 0
 mark invalid pixels.  Label images are (H, W) uint8 arrays of Cityscapes
@@ -84,6 +86,14 @@ DEFAULT_FILTER_NEIGHBOR_COUNT = 4
 
 # Neighbor views that must confirm a depth for it to survive the filter.
 _MIN_CONSISTENT_NEIGHBORS = 1
+
+# Bits per axis of a packed voxel key; cells lie within +-_KEY_HALF of the
+# anchor cell.
+_KEY_BITS = 21
+_KEY_HALF = 1 << (_KEY_BITS - 1)
+
+# Points per chunk of the visibility-cone computation.
+_CONE_CHUNK_POINTS = 4096
 
 
 def label_ids_valid(labels: np.ndarray) -> bool:
@@ -362,45 +372,73 @@ def fuse_depth_maps(
     contributors are the records whose pixels fell in the voxel.  Points
     are numbered in first-touch order (records in list order, pixels
     row-major), so the result is deterministic for a given input order.
-    Raises ValueError when the occupied grid is too large for int64 voxel
-    keys.
+
+    The records are streamed: each is back-projected once and merged into a
+    running table of the occupied voxels, so memory follows the voxels and
+    one record's pixels, not every pixel at once.  A voxel's key packs its
+    cell relative to an anchor cell, the first valid pixel's, in
+    _KEY_BITS (21) bits per axis, so keys do not depend on the world
+    origin.  Raises ValueError ("too fine for int64 voxel keys") when a
+    cell lies 2**20 or more cells from the anchor on some axis: about
+    +-104 km at 0.1 m voxels, +-52 km at DEFAULT_VOXEL_SIZE.
     """
     if len(records) == 0:
         raise ValueError("record list must be non-empty")
     if not voxel_size > 0:
         raise ValueError("voxel size must be positive")
 
-    # Pass one keeps only each pixel's integer cell; pass two recomputes
-    # the world points record by record, so the float64 points of all
-    # records are never held at once.
-    counts = [int((rec.depth > 0.0).sum()) for rec in records]
-    bounds = np.concatenate([[0], np.cumsum(counts)])
-    if bounds[-1] == 0:
-        return FusedCloud(np.zeros((0, 3)), np.zeros((0, 2), dtype=np.int64))
-    cells = np.empty((bounds[-1], 3), dtype=np.int64)
-    for i, rec in enumerate(records):
-        cells[bounds[i]:bounds[i + 1]] = np.floor(_valid_world_points(rec)[2] / voxel_size)
-    cells -= cells.min(axis=0)
-    try:
-        keys = np.ravel_multi_index(tuple(cells.T), tuple(cells.max(axis=0) + 1))
-    except ValueError:
-        raise ValueError(f"voxel size {voxel_size} is too fine for int64 voxel keys") from None
-    del cells
-    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
-    del keys
-    rank = np.empty(len(first), dtype=np.int64)
-    rank[np.argsort(first)] = np.arange(len(first))
-    point = rank[inverse]
-
+    anchor = None
+    keys = np.zeros(0, dtype=np.int64)  # occupied voxel keys, sorted
+    points_of_keys = np.zeros(0, dtype=np.int64)  # their point numbers
     # np.add.at adds rows in index order.  Seeded with -0.0, the identity of
     # float addition (0.0 would turn a -0.0 member into +0.0), each sum is
-    # bitwise its members added one at a time in pixel order.
-    sums = np.full((len(first), 3), -0.0)
+    # bitwise its members added one at a time in record and pixel order.
+    sums = np.full((0, 3), -0.0)
+    counts = np.zeros(0, dtype=np.int64)
+    n = 0
+    pair_keys = []
     for i, rec in enumerate(records):
-        np.add.at(sums, point[bounds[i]:bounds[i + 1]], _valid_world_points(rec)[2])
-    positions = sums / np.bincount(point)[:, None]
+        world = _valid_world_points(rec)[2]
+        if len(world) == 0:
+            continue
+        cells = np.floor(world / voxel_size)
+        if anchor is None:
+            anchor = cells[0].copy()
+        # The cells are whole floats, so a difference below 2**20 is exact.
+        cells -= anchor
+        if not np.all(np.abs(cells) < _KEY_HALF):
+            raise ValueError(f"voxel size {voxel_size} is too fine for int64 voxel keys")
+        cells = (cells + _KEY_HALF).astype(np.int64)
+        rec_keys = (cells[:, 0] << 2 * _KEY_BITS) | (cells[:, 1] << _KEY_BITS) | cells[:, 2]
+        uniq, first, inverse = np.unique(rec_keys, return_index=True, return_inverse=True)
 
-    pair_keys = np.unique(point * len(records) + np.repeat(np.arange(len(records)), counts))
+        at = np.searchsorted(keys, uniq)
+        known = at < len(keys)
+        known[known] = keys[at[known]] == uniq[known]
+        point_of = np.empty(len(uniq), dtype=np.int64)
+        point_of[known] = points_of_keys[at[known]]
+        # New voxels take the next numbers in the order of their first pixel.
+        new = np.flatnonzero(~known)
+        point_of[new[np.argsort(first[new])]] = np.arange(n, n + len(new))
+        keys = np.insert(keys, at[new], uniq[new])
+        points_of_keys = np.insert(points_of_keys, at[new], point_of[new])
+        n += len(new)
+
+        if n > len(sums):
+            capacity = max(n, 2 * len(sums))
+            sums = np.concatenate([sums, np.full((capacity - len(sums), 3), -0.0)])
+            counts = np.concatenate([counts, np.zeros(capacity - len(counts), dtype=np.int64)])
+        np.add.at(sums, point_of[inverse], world)
+        counts[point_of] += np.bincount(inverse, minlength=len(uniq))
+        pair_keys.append(point_of * len(records) + i)
+
+    if n == 0:
+        return FusedCloud(np.zeros((0, 3)), np.zeros((0, 2), dtype=np.int64))
+    positions = sums[:n] / counts[:n, None]
+    del sums, counts
+    # Each record's points are distinct, so every pair key is too.
+    pair_keys = np.concatenate(pair_keys)
+    pair_keys.sort()
     pairs = np.stack([pair_keys // len(records), pair_keys % len(records)], axis=1)
     return FusedCloud(positions, pairs)
 
@@ -416,9 +454,8 @@ def select_filter_neighbors(records: Sequence[DatabaseImageRecord]) -> dict:
     centers = np.stack([r.pose.center for r in records])
     out = {}
     for i, rec in enumerate(records):
-        d = np.linalg.norm(centers - centers[i], axis=1)
-        order = np.argsort(d, kind="stable")
-        picked = [j for j in order if j != i][:DEFAULT_FILTER_NEIGHBOR_COUNT]
+        order = np.argsort(np.linalg.norm(centers - centers[i], axis=1), kind="stable")
+        picked = order[order != i][:DEFAULT_FILTER_NEIGHBOR_COUNT]
         out[rec.image_id] = [records[j].image_id for j in picked]
     return out
 
@@ -431,9 +468,10 @@ def _vote_labels_bulk(
     """Label of every fused point: the modal label over its reprojections
     into its contributing images (pairs as in FusedCloud), ties going to the
     smallest class id, and 255 when no reprojection lands on a labeled
-    pixel."""
+    pixel.  A point gets at most one vote per record, so the counts are
+    held in the smallest unsigned dtype that holds len(records)."""
     n = len(positions)
-    votes = np.zeros((n, MAX_CLASS_ID + 1), dtype=np.int64)
+    votes = np.zeros((n, MAX_CLASS_ID + 1), dtype=np.min_scalar_type(len(records)))
     by_image = pairs[np.argsort(pairs[:, 1], kind="stable")]
     images, starts = np.unique(by_image[:, 1], return_index=True)
     for ri, rows in zip(images, np.split(by_image[:, 0], starts[1:])):
@@ -441,10 +479,10 @@ def _vote_labels_bulk(
         px, _ = project_points(positions[rows], rec.pose.rotation, rec.pose.center, rec.intrinsics)
         labels, _ = sample_grid(rec.labels, px, rec.intrinsics, UNLABELED)
         keep = labels != UNLABELED
-        np.add.at(votes, (rows[keep], labels[keep]), 1)
-    out = np.full(n, UNLABELED, dtype=np.int64)
-    voted = votes.sum(axis=1) > 0
-    out[voted] = np.argmax(votes[voted], axis=1)
+        # A record's rows are distinct points, so no vote cell repeats.
+        votes[rows[keep], labels[keep]] += 1
+    out = np.argmax(votes, axis=1)
+    out[~votes.any(axis=1)] = UNLABELED
     return out
 
 
@@ -457,16 +495,33 @@ def _cones_bulk(
     fused point over its contributing camera centers (pairs as in
     FusedCloud).  The extreme pair is the first strictly widest (i, j) pair
     in contributor order; with a single distinct center the cone is a ray:
-    v_l = v_u and theta = 0."""
+    v_l = v_u and theta = 0.  Points are taken _CONE_CHUNK_POINTS at a time,
+    the pairs split at point boundaries; a point's cone does not depend on
+    its chunk."""
     n = len(positions)
-    points = pairs[:, 0]
-    support = np.bincount(points, minlength=n)
-    slot = np.arange(len(pairs)) - (np.cumsum(support) - support)[points]
-    max_s = max(int(support.max()), 2)  # two slots at least: pairs are never empty
     centers = np.stack([r.pose.center for r in records])
+    cones = (np.empty(n), np.empty(n), np.empty((n, 3)), np.empty((n, 3)), np.empty(n))
+    starts = np.arange(0, n, _CONE_CHUNK_POINTS)
+    bounds = np.append(np.searchsorted(pairs[:, 0], starts), len(pairs))
+    for lo, a, b in zip(starts, bounds[:-1], bounds[1:]):
+        hi = min(lo + _CONE_CHUNK_POINTS, n)
+        chunk = _chunk_cones(positions[lo:hi], pairs[a:b, 0] - lo, centers[pairs[a:b, 1]])
+        for column, values in zip(cones, chunk):
+            column[lo:hi] = values
+    return cones
+
+
+def _chunk_cones(positions: np.ndarray, points: np.ndarray,
+                 centers: np.ndarray) -> tuple[np.ndarray, ...]:
+    """_cones_bulk's columns for M points, from each pair's point (sorted,
+    0..M-1) and camera center."""
+    n = len(positions)
+    support = np.bincount(points, minlength=n)
+    slot = np.arange(len(points)) - (np.cumsum(support) - support)[points]
+    max_s = max(int(support.max()), 2)  # two slots at least: pairs are never empty
     cam = np.zeros((n, max_s, 3))
     mask = np.zeros((n, max_s), dtype=bool)
-    cam[points, slot] = centers[pairs[:, 1]]
+    cam[points, slot] = centers
     mask[points, slot] = True
     diff = cam - positions[:, None, :]
     dist = np.linalg.norm(diff, axis=2)
@@ -523,10 +578,13 @@ def build_dense_map(
     )
 
     fused = fuse_depth_maps(filtered, voxel_size)
+    # Only fusion reads the filtered depths; the vote and the cones read
+    # the records' labels and poses.
+    del filtered
     stats.fused_points = len(fused)
     logger.info("fused %d points at voxel size %.3g m", len(fused), voxel_size)
 
-    labels = _vote_labels_bulk(fused.positions, fused.pairs, filtered)
+    labels = _vote_labels_bulk(fused.positions, fused.pairs, records)
     labeled = labels != UNLABELED
     stats.labeled_points = int(labeled.sum())
     logger.info("voted labels: %d / %d points labeled", stats.labeled_points, len(fused))
@@ -545,6 +603,7 @@ def build_dense_map(
 
     positions = fused.positions[stable]
     pairs = fused.pairs[stable[fused.pairs[:, 0]]]
+    del fused
     pairs[:, 0] = (np.cumsum(stable) - 1)[pairs[:, 0]]
     supports = np.bincount(pairs[:, 0], minlength=len(positions))
     d_min, d_max, v_l, v_u, theta = _cones_bulk(positions, pairs, records)

@@ -1,8 +1,8 @@
 """Scalar reference implementations of the dense-map stages.
 
-semloc.semantic_map builds the map on columns of all fused points at once.
-These are the per-pixel and per-point versions it replaced, kept as test
-oracles: voxel fusion by a dict keyed on cell tuples, label voting for one
+semloc.semantic_map fuses record by record into a running voxel table and
+votes and builds cones on columns of fused points.  These are the per-pixel
+and per-point versions it replaced, kept as test oracles: voxel fusion by a dict keyed on cell tuples, label voting for one
 point, one point's visibility cone, unstable-class removal on a list of
 points, and the per-point DensePoint/VisibilityCone view of a DenseMap with
 its invariant check and a column-by-column map comparison.

@@ -1553,6 +1553,35 @@ class TestLocalOptimization:
         settled = local_optimization(winner, corrs, K, threshold)
         assert settled.inlier_indices.tolist() == list(range(30))
 
+    def test_a_row_stepped_behind_the_camera_ends_the_set(self):
+        # the winner sits 1 cm behind the true centre along its optical
+        # axis; one extra row lies on that axis 5 mm in front of it, so the
+        # first step on the 2x set, towards the true centre, moves that row
+        # behind the camera.  Its residuals turn inf there, and the set's
+        # second step is not taken: the stepped normal equations would hold
+        # NaN (a RuntimeWarning in matmul, an error under the suite's
+        # warning filters).
+        rng = np.random.default_rng(0)
+        K = default_intrinsics()
+        center = np.array([0.0, 0.0, 0.01])
+        pixels = rng.uniform(40, [600, 440], size=(30, 2))
+        depth = rng.uniform(2.0, 4.0, size=30)
+        points = np.column_stack([(pixels[:, 0] - K.cx) / K.fx * depth,
+                                  (pixels[:, 1] - K.cy) / K.fy * depth, depth]) + center
+        points = np.vstack([points, [0.0, 0.0, 0.005]])
+        pixels = np.vstack([pixels, [K.cx, K.cy]])
+        corrs = CorrespondenceBatch(pixels, points, ["db"] * 31, ["fam"] * 31)
+        winner_pose = RigidPose(np.eye(3), np.zeros(3))
+        err = _errors_at(winner_pose, corrs, K)
+        threshold = float(np.sort(err[:30])[-3])
+        assert err[30] == 0.0 and 0 < ((err >= threshold) & (err < 2 * threshold)).sum()
+        winner = PnPSolution(winner_pose, np.flatnonzero(err < threshold), 0.0)
+        settled = local_optimization(winner, corrs, K, threshold)
+        after = _errors_at(settled.pose, corrs, K)
+        assert after[30] == np.inf
+        assert settled.inlier_indices.tolist() == list(range(30))
+        assert np.linalg.norm(settled.pose.center - center) < 1e-9
+
 
 class TestRefinePose:
     def test_zero_residual_fixed_point(self):

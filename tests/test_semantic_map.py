@@ -8,10 +8,12 @@ against the per-pixel and per-point oracles in map_oracle.
 
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from semloc import semantic_map
 from semloc.geometry import CameraIntrinsics, RigidPose
 from semloc.semantic_map import (
     DEFAULT_UNSTABLE_CLASS_IDS,
@@ -255,10 +257,24 @@ class TestFuseDepthMaps:
         counts = [len(fuse_depth_maps(records, s)) for s in (0.025, 0.05, 0.1, 0.2, 0.4)]
         assert all(a >= b for a, b in zip(counts, counts[1:]))
 
+    @staticmethod
+    def _assert_matches_oracle(records, voxel):
+        """Positions bitwise and contributors exactly as the dict oracle's."""
+        fused = fuse_depth_maps(records, voxel)
+        oracle = fuse_oracle(records, voxel)
+        assert len(fused) == len(oracle) > 0
+        assert fused.positions.tobytes() == np.stack([p for p, _ in oracle]).tobytes()
+        got = [[] for _ in range(len(fused))]
+        for point, rec in fused.pairs.tolist():
+            got[point].append(rec)
+        assert [tuple(g) for g in got] == [c for _, c in oracle]
+        return oracle
+
     def test_matches_dict_oracle_on_random_scenes(self):
         # positions bitwise and contributors exactly as the per-pixel dict
         # loop, on scenes with negative world coordinates, voxels shared
-        # across records and a record with no valid depth
+        # across records and records with no valid depth: first, in the
+        # middle, last, or all three in one list
         rng = np.random.default_rng(11)
         K = _K(10, 8, f=12.0)
         shared = 0
@@ -271,20 +287,52 @@ class TestFuseDepthMaps:
                 depth = rng.uniform(0.5, 3.0, size=(K.height, K.width))
                 depth[rng.random(depth.shape) < 0.3] = 0.0
                 records.append(_record(f"im{i}", K, pose, depth))
-            records[trial % 4] = dataclasses.replace(
-                records[trial % 4], depth=np.zeros((K.height, K.width), dtype=np.float32))
-            voxel = (0.05, 0.2, 0.5)[trial % 3]
-            fused = fuse_depth_maps(records, voxel)
-            oracle = fuse_oracle(records, voxel)
-            assert len(fused) == len(oracle)
-            assert fused.positions.tobytes() == np.stack([p for p, _ in oracle]).tobytes()
-            assert np.any(fused.positions < 0.0)
-            got = [[] for _ in range(len(fused))]
-            for point, rec in fused.pairs.tolist():
-                got[point].append(rec)
-            assert [tuple(g) for g in got] == [c for _, c in oracle]
+            for i in ((0,), (1,), (2,), (3,), (0, 2, 3))[trial % 5]:
+                records[i] = dataclasses.replace(
+                    records[i], depth=np.zeros((K.height, K.width), dtype=np.float32))
+            oracle = self._assert_matches_oracle(records, (0.05, 0.2, 0.5)[trial % 3])
+            assert np.any(np.stack([p for p, _ in oracle]) < 0.0)
             shared += sum(len(c) > 1 for _, c in oracle)
         assert shared > 0
+
+    def test_utm_scale_coordinates_match_dict_oracle(self):
+        # keys are packed relative to the first valid pixel's cell, so a
+        # scene about 5e5 m from the origin fuses as one near it does
+        rng = np.random.default_rng(12)
+        K = _K(10, 8, f=12.0)
+        shared = 0
+        for trial in range(6):
+            base = np.array([5.1e5, -4.3e5, 2.0e3]) + rng.normal(scale=50.0, size=3)
+            records = []
+            for i in range(3):
+                pose = RigidPose(rodrigues(rng.normal(size=3), rng.uniform(0, 0.3)),
+                                 base + rng.normal(scale=0.2, size=3))
+                depth = rng.uniform(0.5, 3.0, size=(K.height, K.width))
+                depth[rng.random(depth.shape) < 0.3] = 0.0
+                records.append(_record(f"im{i}", K, pose, depth))
+            oracle = self._assert_matches_oracle(records, (0.05, 0.2, 0.5)[trial % 3])
+            shared += sum(len(c) > 1 for _, c in oracle)
+        assert shared > 0
+
+    @pytest.mark.parametrize("anchor_cell, other_cell, fits", [
+        (2**20, 2**21 - 1, True), (2**20, 2**21, False),
+        (2**21, 2**20 + 1, True), (2**21, 2**20, False),
+    ])
+    def test_cells_must_lie_within_2_to_the_20_of_the_anchor(self, anchor_cell, other_cell, fits):
+        # one pixel on the optical axis per record, at the centre of the
+        # given z cell of a 2**-20 m grid; the first record's is the anchor
+        voxel = 2.0**-20
+        K = _K()
+        records = []
+        for i, cell in enumerate((anchor_cell, other_cell)):
+            depth = np.zeros((K.height, K.width))
+            depth[int(K.cy), int(K.cx)] = (cell + 0.5) * voxel
+            records.append(_record(f"im{i}", K, RigidPose.identity(), depth))
+        if fits:
+            self._assert_matches_oracle(records, voxel)
+        else:
+            with pytest.raises(ValueError, match="too fine for int64 voxel keys"):
+                fuse_depth_maps(records, voxel)
 
     def test_no_valid_depth_gives_empty_cloud(self):
         K = _K()
@@ -383,6 +431,40 @@ class TestVoteSemanticLabel:
         for _ in range(5):
             perm = list(rng.permutation(len(recs)))
             assert _vote(np.zeros(3), [recs[i] for i in perm]) == base
+
+
+    @pytest.mark.parametrize("n_records", [20, 300])
+    def test_small_counters_match_an_int64_vote_on_random_maps(self, n_records):
+        # cameras around the origin whose label images are one class each,
+        # 2 on 18 of every 20 and 0 on one, the twentieth mixing 5 and
+        # unlabeled: a point seen by all 300 records holds 270 votes for
+        # class 2, which a uint8 counter would wrap to 14, below class 0's 15
+        rng = np.random.default_rng(16 + n_records)
+        recs = []
+        for i in range(n_records):
+            center = rng.normal(size=3)
+            center = 3.0 * center / np.linalg.norm(center)
+            rec = self._looking_at_origin_record(f"c{i}", center, 2)
+            if i % 20 == 1:
+                rec = dataclasses.replace(rec, labels=np.zeros((8, 8), dtype=np.uint8))
+            elif i % 20 == 2:
+                rec = dataclasses.replace(rec, labels=rng.choice(
+                    np.array([5, 255], dtype=np.uint8), size=(8, 8)))
+            recs.append(rec)
+        points = rng.normal(scale=0.05, size=(40, 3))
+        pairs = [np.arange(n_records)]
+        for k in rng.integers(1, 6, size=len(points) - 1):
+            # about half of the points see 1-3 records only, so class 0 wins some
+            k = k if k < 4 else rng.integers(1, n_records + 1)
+            pairs.append(np.sort(rng.choice(n_records, size=k, replace=False)))
+        pairs = np.concatenate([np.stack([np.full(len(c), p), c], axis=1)
+                                for p, c in enumerate(pairs)])
+        labels = _vote_labels_bulk(points, pairs, recs)
+        assert labels.dtype == np.int64
+        expected = [vote_semantic_label(X, [recs[r] for r in pairs[pairs[:, 0] == p, 1]])
+                    for p, X in enumerate(points)]
+        assert labels.tolist() == expected
+        assert expected[0] == 2 and 0 in expected
 
 
 @pytest.fixture(scope="module")
@@ -484,6 +566,23 @@ class TestVisibilityCone:
                 np.testing.assert_allclose(cone.v_u, dirs[pair[1]], atol=1e-9)
             cone.validate()
 
+    def test_chunks_give_the_bits_of_one_unchunked_call(self, monkeypatch):
+        # several hundred points with 1 to 12 contributors each, so chunks
+        # of 7 points differ in their padded width from each other and from
+        # the whole map's
+        rng = np.random.default_rng(17)
+        recs = [self._rec_at(f"c{i}", c) for i, c in enumerate(rng.normal(scale=4.0, size=(12, 3)))]
+        points = rng.normal(size=(400, 3))
+        pairs = np.concatenate([
+            np.stack([np.full(k, p), np.sort(rng.choice(12, size=k, replace=False))], axis=1)
+            for p, k in enumerate(rng.integers(1, 13, size=len(points)))])
+        monkeypatch.setattr(semantic_map, "_CONE_CHUNK_POINTS", len(points))
+        whole = _cones_bulk(points, pairs, recs)
+        monkeypatch.setattr(semantic_map, "_CONE_CHUNK_POINTS", 7)
+        chunked = _cones_bulk(points, pairs, recs)
+        assert [c.tobytes() for c in chunked] == [c.tobytes() for c in whole]
+        assert (whole[4] == 0).any() and (whole[4] > 0).any()
+
     def test_coincident_center_rejected(self):
         rec = self._rec_at("a", [0, 0, 0])
         with pytest.raises(ValueError, match="coincides"):
@@ -574,3 +673,46 @@ class TestBuildDenseMap:
             nbs = select_filter_neighbors(recs)
         assert nbs["i0"] == ["i1", "i2"]
         assert nbs["i2"] == ["i1", "i3"]
+
+    @pytest.mark.parametrize("count", [4, 7])
+    def test_neighbor_selection_matches_the_per_record_rule(self, count):
+        # integer centres on a small grid: many records share a centre, so
+        # equal distances are common and their order is the stable argsort's
+        rng = np.random.default_rng(18)
+        K = _K(2, 2)
+        centers = rng.integers(0, 3, size=(40, 3)).astype(np.float64)
+        recs = [_record(f"i{i}", K, RigidPose(np.eye(3), c), np.full((2, 2), 1.0))
+                for i, c in enumerate(centers)]
+        assert len(np.unique(centers, axis=0)) < len(centers)
+        with patched_depth_filter(neighbor_count=count):
+            nbs = select_filter_neighbors(recs)
+        for i, rec in enumerate(recs):
+            order = np.argsort(np.linalg.norm(centers - centers[i], axis=1), kind="stable")
+            expected = [j for j in order if j != i][:count]
+            assert nbs[rec.image_id] == [recs[j].image_id for j in expected]
+
+    # The build's traced peak may reach this many times the returned map's
+    # column bytes plus one record's back-projected float64 points.  The
+    # streamed build reads about 1.9 on this scene; holding int64 cells and
+    # keys for every pixel at once, as a whole-scene fusion does, reads
+    # about 4.
+    _PEAK_MULTIPLE = 3
+
+    def test_traced_peak_follows_the_map_not_the_pixels(self, zero_noise_dataset):
+        records = zero_noise_dataset.db_records
+        started = not tracemalloc.is_tracing()
+        if started:
+            tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            dense_map, _ = build_dense_map(records, voxel_size=0.05)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            if started:
+                tracemalloc.stop()
+        columns = sum(getattr(dense_map, c).nbytes for c in (
+            "positions", "labels", "v_l", "v_u", "theta", "d_min", "d_max", "support"))
+        one_record = records[0].depth.size * 3 * 8
+        assert len(dense_map) > 20000
+        assert peak < self._PEAK_MULTIPLE * (columns + one_record)
