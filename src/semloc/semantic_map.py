@@ -7,8 +7,9 @@ extreme viewing directions, visible angle).  Fusion streams the records into
 a running voxel table and yields a FusedCloud, whose table of (point, image)
 contributor pairs feeds both the vote and the cones; those run on columns
 of points (the cones in fixed-size chunks), and the map itself is the
-columnar DenseMap.  A build's memory thus follows the map plus one record's
-pixels, not the pixels of every record.
+columnar DenseMap.  Fusion's working memory thus follows the voxels plus
+one record's pixels; the filtered depth maps it reads (4 bytes a pixel)
+are the build's only arrays over every record's pixels.
 
 Depth maps are (H, W) float arrays holding z-depth in meters; values <= 0
 mark invalid pixels.  Label images are (H, W) uint8 arrays of Cityscapes
