@@ -11,8 +11,6 @@ and weighting the hypothesis sampling by score steers the solver back to
 the true pose; the inlier RULE is unchanged, only the sampling is biased.
 """
 
-from dataclasses import replace
-
 import numpy as np
 
 from semloc.config import PipelineConfig
@@ -89,12 +87,13 @@ for trial in range(trials):
         for s in scores:
             print(f"  {s.image_id}: {s.consistent} consistent of {s.projected} projected")
 
+    # one sampling weight per pooled row, passed beside the batch
     weighted = normalize_weights(scores, corrs)
-    uniform = replace(corrs, weights=np.full(len(corrs), 1.0 / len(corrs)))
+    uniform = np.full(len(corrs), 1.0 / len(corrs))
     cfg = RansacConfig(inlier_threshold_px=2.0, min_inliers=12, seed=trial * 13 + 5,
                        max_iterations=200)
-    sw = weighted_ransac_pnp(weighted, K, cfg)
-    su = weighted_ransac_pnp(uniform, K, cfg)
+    sw = weighted_ransac_pnp(corrs, weighted, K, cfg)
+    su = weighted_ransac_pnp(corrs, uniform, K, cfg)
     weighted_ok += sw is not None and np.linalg.norm(sw.pose.center - q_pose.center) < 0.05
     uniform_ok += su is not None and np.linalg.norm(su.pose.center - q_pose.center) < 0.05
 

@@ -37,6 +37,7 @@ import numpy as np
 
 from .geometry import CameraIntrinsics, RigidPose, matrix_to_quaternion, quaternion_to_matrix
 from .matching import FeatureSet
+from .retrieval import GlobalDescriptor, _unit_row
 from .semantic_map import (CONDITIONS, MAX_CLASS_ID, UNLABELED, DatabaseImageRecord, DenseMap,
                            QueryImage, label_ids_valid)
 
@@ -558,6 +559,14 @@ def load_dataset(root) -> Dataset:
         )
         for cam in _cameras_for(db_dir / "cameras.txt", manifest.db_ids)
     ]
+    # The retrieval index's checks, run here so that a bad database
+    # descriptor names its file; a bad query descriptor fails that query alone.
+    for rec in db_records:
+        try:
+            _unit_row(GlobalDescriptor(rec.image_id, rec.global_descriptor),
+                      len(db_records[0].global_descriptor))
+        except ValueError as exc:
+            raise DataFormatError(db_dir / f"{rec.image_id}.gdesc.bin", None, str(exc)) from None
     query_cams = _cameras_for(query_dir / "cameras.txt", manifest.query_ids)
     queries = [
         QueryImage(

@@ -15,7 +15,6 @@ complementary strengths cover for each other across imaging conditions.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 from scipy.spatial.distance import cdist
@@ -63,11 +62,10 @@ class CorrespondenceBatch(_RowTable):
 
     Row i pairs query pixel pixels[i] (N, 2) with world point points[i]
     (N, 3), lifted through database image image_ids[i] by feature family
-    families[i]; weights[i] is its sampling weight for pose estimation
-    (all 1 when not given).  Rows are selected with batch[mask_or_indices]
-    and batches pooled with CorrespondenceBatch.concat; no deduplication
-    happens, so a pixel matched by several families or retrieved images
-    contributes several rows.
+    families[i].  Rows are selected with batch[mask_or_indices] and batches
+    pooled with CorrespondenceBatch.concat; no deduplication happens, so a
+    pixel matched by several families or retrieved images contributes
+    several rows.
 
     The columns are read-only.  One whose array already has its dtype and
     shape is a view of the array passed in, so a caller must not write
@@ -78,24 +76,17 @@ class CorrespondenceBatch(_RowTable):
     points: np.ndarray
     image_ids: np.ndarray
     families: np.ndarray
-    weights: Optional[np.ndarray] = None
 
     def __post_init__(self) -> None:
         pixels = np.asarray(self.pixels, dtype=np.float64).reshape(-1, 2)
         points = np.asarray(self.points, dtype=np.float64).reshape(-1, 3)
         image_ids = np.asarray(self.image_ids, dtype=str).reshape(-1)
         families = np.asarray(self.families, dtype=str).reshape(-1)
-        n = len(pixels)
-        weights = np.ones(n) if self.weights is None else np.asarray(
-            self.weights, dtype=np.float64).reshape(-1)
-        if not len(points) == len(image_ids) == len(families) == len(weights) == n:
+        if not len(points) == len(image_ids) == len(families) == len(pixels):
             raise ValueError("correspondence columns disagree in row count")
         if not np.all(np.isfinite(points)):
             raise ValueError("world points must be finite")
-        if not np.all(weights >= 0.0):
-            raise ValueError("weights must be non-negative")
-        self._store(pixels=pixels, points=points, image_ids=image_ids, families=families,
-                    weights=weights)
+        self._store(pixels=pixels, points=points, image_ids=image_ids, families=families)
 
 
 @dataclass(frozen=True)
@@ -155,7 +146,6 @@ def lift_to_3d(
         table.points[kept[:, 1]],
         np.full(n, db.image_id),
         np.full(n, query_set.family),
-        np.ones(n),
     ))
     out_of_bounds = int(np.count_nonzero(status == OUTSIDE_IMAGE))
     return LiftResult(batch, dropped_out_of_bounds=out_of_bounds,

@@ -21,14 +21,16 @@ Per query the flow is:
      c. in rank order, gate the dense map by each image's temporary pose
         and score it by semantic consistency against the query
         segmentation,
-  3. pool all correspondences, turn scores into sampling weights,
-  4. run the weighted RANSAC-PnP, whose samples are drawn by weight and
-     which stops once it has probably drawn an all-inlier sample, judged
-     by the best model's inlier count or, once it has min_inliers
-     inliers, by their share of the sampling weight; locally optimize the
-     winner (local_optimization: its inliers re-collected at 2x and 1x the
-     inlier threshold) and refine it on its settled inliers.  The final
-     diagnostics describe the settled inlier set.
+  3. pool all correspondences, turn scores into sampling weights (an
+     array beside the pooled batch, one weight per row),
+  4. run the weighted RANSAC-PnP on the batch and its weights, the only
+     stage that reads them: it draws samples by weight and stops once it
+     has probably drawn an all-inlier sample, judged by the best model's
+     inlier count or, once it has min_inliers inliers, by their share of
+     the sampling weight; locally optimize the winner (local_optimization:
+     its inliers re-collected at 2x and 1x the inlier threshold) and
+     refine it on its settled inliers.  The final diagnostics describe the
+     settled inlier set.
 
 Every stage is deterministic: per-query and per-retrieved-image RANSAC
 seeds are derived from the master seed with numpy SeedSequences, so a run
@@ -110,7 +112,7 @@ def localize_query(
         descriptor = GlobalDescriptor(query.image_id, query.global_descriptor)
         retrieved = query_top_k(index, descriptor, cfg.retrieval(query.condition))
     except ValueError as exc:
-        logger.warning("query %s: %s", query.image_id, exc)
+        logger.warning("query %s", exc)  # the message starts with the query id
         return _failed(query, FAILURE_BAD_DESCRIPTOR, {})
 
     diagnostics: dict = {
@@ -168,14 +170,14 @@ def localize_query(
     if len(pooled) < 4:
         return _failed(query, FAILURE_NO_CORRESPONDENCES, diagnostics)
 
-    weighted = normalize_weights(scores, pooled)
+    weights = normalize_weights(scores, pooled)
     final_cfg = cfg.final_ransac(_query_seed(cfg.seed, query_index, stage=1))
-    solution = weighted_ransac_pnp(weighted, query.intrinsics, final_cfg)
+    solution = weighted_ransac_pnp(pooled, weights, query.intrinsics, final_cfg)
     if solution is None:
         return _failed(query, FAILURE_NO_CONSENSUS, diagnostics)
-    settled = local_optimization(solution, weighted, query.intrinsics,
+    settled = local_optimization(solution, pooled, query.intrinsics,
                                  final_cfg.inlier_threshold_px)
-    refined = refine_pose(settled, weighted, query.intrinsics)
+    refined = refine_pose(settled, pooled, query.intrinsics)
     diagnostics["final_inliers"] = settled.num_inliers
     diagnostics["final_mean_error_px"] = settled.mean_reprojection_error_px
     diagnostics["final_iterations"] = settled.iterations_used

@@ -940,8 +940,7 @@ def estimate_temporary_pose(
     batch.  A result is None when its batch has fewer than 4
     correspondences, when no model reaches min_inliers, or when the verdict
     stopped its run because the other batches' winners contradict it.
-    Otherwise it equals what the batch gets in a call of its own.  The
-    batches' weights are ignored."""
+    Otherwise it equals what the batch gets in a call of its own."""
     solved = iter(_ransac_pnp(
         [(batch, cfg, None) for batch, cfg in zip(batches, cfgs, strict=True) if len(batch) >= 4],
         K))
@@ -950,22 +949,26 @@ def estimate_temporary_pose(
 
 def weighted_ransac_pnp(
     batch: CorrespondenceBatch,
+    weights: np.ndarray,
     K: CameraIntrinsics,
     cfg: RansacConfig,
 ) -> Optional[PnPSolution]:
-    """RANSAC + P3P with minimal samples drawn by correspondence weight.
+    """RANSAC + P3P with minimal samples drawn by weight, one per batch row.
 
-    Weights must be normalized to sum to 1 (see
-    scoring.normalize_weights); inlier counting is identical to the
+    The weights must be finite, non-negative and normalized to sum to 1
+    (see scoring.normalize_weights); inlier counting is identical to the
     unweighted loop.  Raises when fewer than 4 correspondences are given;
     returns None when no model reaches min_inliers.
     """
     if len(batch) < 4:
         raise ValueError(f"need at least 4 correspondences, got {len(batch)}")
-    total = batch.weights.sum()
+    weights = np.asarray(weights, dtype=np.float64)
+    if weights.shape != (len(batch),) or not np.all(np.isfinite(weights) & (weights >= 0.0)):
+        raise ValueError(f"need {len(batch)} finite, non-negative weights, one per row")
+    total = weights.sum()
     if abs(total - 1.0) > 1e-6:
         raise ValueError(f"weights must sum to 1, got {total!r}")
-    return _ransac_pnp([(batch, cfg, batch.weights)], K)[0]
+    return _ransac_pnp([(batch, cfg, weights)], K)[0]
 
 
 # ── Refinement ───────────────────────────────────────────────────────────

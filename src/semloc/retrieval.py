@@ -62,23 +62,26 @@ class RetrievalIndex:
         return self.matrix.shape[1]
 
 
+def _unit_row(d: GlobalDescriptor, dim: int) -> np.ndarray:
+    """d's values scaled to unit length, the row it adds to or compares
+    with an index of dimension dim; rejects a zero vector and any other
+    dimension.  load_dataset runs the same check on database descriptors."""
+    if d.values.shape[0] != dim:
+        raise ValueError(f"{d.image_id}: dimension {d.values.shape[0]} != index dimension {dim}")
+    n = np.linalg.norm(d.values)
+    if n <= 0.0:
+        raise ValueError(f"{d.image_id}: zero-norm descriptor cannot be normalized")
+    return d.values / n
+
+
 def build_index(descriptors: list[GlobalDescriptor]) -> RetrievalIndex:
     """Normalize and stack descriptors; rejects zero vectors and mixed
     dimensions.  Duplicate vectors are retained with their own ids."""
     if len(descriptors) == 0:
         raise ValueError("descriptor list must be non-empty")
     dim = descriptors[0].values.shape[0]
-    rows = []
-    for d in descriptors:
-        if d.values.shape[0] != dim:
-            raise ValueError(
-                f"{d.image_id}: dimension {d.values.shape[0]} != index dimension {dim}"
-            )
-        n = np.linalg.norm(d.values)
-        if n <= 0.0:
-            raise ValueError(f"{d.image_id}: zero-norm descriptor cannot be normalized")
-        rows.append(d.values / n)
-    return RetrievalIndex([d.image_id for d in descriptors], np.stack(rows))
+    return RetrievalIndex([d.image_id for d in descriptors],
+                          np.stack([_unit_row(d, dim) for d in descriptors]))
 
 
 def query_top_k(
@@ -86,12 +89,6 @@ def query_top_k(
 ) -> list[tuple[str, float]]:
     """Ascending (image id, distance) list of the min(top_k, size) nearest
     database images; equal distances break by image id."""
-    q = query.values
-    if q.shape[0] != index.dim:
-        raise ValueError(f"query dimension {q.shape[0]} != index dimension {index.dim}")
-    n = np.linalg.norm(q)
-    if n <= 0.0:
-        raise ValueError("zero-norm query descriptor")
-    dist = np.linalg.norm(index.matrix - q / n, axis=1)
+    dist = np.linalg.norm(index.matrix - _unit_row(query, index.dim), axis=1)
     ranked = sorted(zip(index.ids, dist.tolist()), key=lambda t: (t[1], t[0]))
     return ranked[: min(cfg.top_k, len(index))]

@@ -23,7 +23,7 @@ assumed visible to the query as well.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -126,8 +126,9 @@ def semantic_consistency_score(
 
 def normalize_weights(
     scores: Sequence[SemanticScore], batch: CorrespondenceBatch
-) -> CorrespondenceBatch:
-    """Turn per-image scores into per-correspondence sampling weights.
+) -> np.ndarray:
+    """Turn per-image scores into per-correspondence sampling weights, one
+    float64 weight per row of batch.
 
     Every correspondence inherits its source image's score; weights are
     normalized by the sum over matches (so an image with many matches
@@ -140,8 +141,4 @@ def normalize_weights(
     except KeyError as exc:
         raise ValueError(f"no semantic score for source image {exc.args[0]!r}") from None
     total = raw.sum()
-    if total <= 0.0:
-        weights = np.full(len(batch), 1.0 / len(batch)) if len(batch) else raw
-    else:
-        weights = raw / total
-    return replace(batch, weights=weights)
+    return raw / total if total > 0.0 else np.full(len(raw), 1.0 / max(len(raw), 1))

@@ -230,13 +230,13 @@ def _contamination_trial(spec, dense_map, trial_seed, n_total=80, wrong_frac=0.6
         scores.append(semantic_consistency_score(gated, temp.pose, K, q_labels, image_id=img))
 
     weighted = normalize_weights(scores, corrs)
-    uniform = dataclasses.replace(corrs, weights=np.full(len(corrs), 1.0 / len(corrs)))
+    uniform = np.full(len(corrs), 1.0 / len(corrs))
     final_cfg = RansacConfig(inlier_threshold_px=thr, min_inliers=12,
                              seed=trial_seed * 13 + 5, max_iterations=iterations)
     errors = {}
-    for label, cs in (("weighted", weighted), ("uniform", uniform)):
+    for label, weights in (("weighted", weighted), ("uniform", uniform)):
         with patched_ransac_rule(fixed_budget=True):
-            sol = weighted_ransac_pnp(cs, K, final_cfg)
+            sol = weighted_ransac_pnp(corrs, weights, K, final_cfg)
         errors[label] = (np.inf if sol is None
                          else float(np.linalg.norm(sol.pose.center - q_pose.center)))
     return errors, scores

@@ -109,6 +109,21 @@ class TestBuildMap:
         assert code == 2
         assert not (tmp_path / "m.bin").exists()
 
+    def test_corrupt_database_descriptor_is_data_error(self, workspace, tmp_path, caplog):
+        from semloc.formats import read_global_descriptor, write_global_descriptor
+
+        data = tmp_path / "data"
+        shutil.copytree(workspace / "data", data)
+        gdesc = data / "database" / "db003.gdesc.bin"
+        values = read_global_descriptor(gdesc)
+        values[0] = np.nan
+        write_global_descriptor(gdesc, values)
+        code = main(["build-map", str(data), str(workspace / "config.txt"),
+                     str(tmp_path / "m.bin")])
+        assert code == 2
+        assert not (tmp_path / "m.bin").exists()
+        assert f"{gdesc}: db003: descriptor contains non-finite values" in caplog.text
+
     # A line build-map must refuse at its own line: a value out of range, or a
     # value for a key the config no longer has (a per-family match rule, or a
     # setting that became a constant, whatever its value).

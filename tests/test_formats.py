@@ -507,6 +507,29 @@ def test_grid_size_checked_against_camera(tmp_path, zero_noise_dataset, rel_path
         load_dataset(root)
 
 
+@pytest.mark.parametrize("case", ["non-finite", "zero-norm", "wrong-length"])
+def test_bad_database_descriptor_names_its_file(tmp_path, zero_noise_dataset, case):
+    # a database descriptor that the retrieval index would refuse fails the
+    # load at its file, while a query's loads and fails that query alone
+    from semloc.formats import load_dataset, save_dataset
+
+    root = tmp_path / "data"
+    save_dataset(zero_noise_dataset, root)
+    good = read_global_descriptor(root / "database" / "db003.gdesc.bin")
+    bad, message = {
+        "non-finite": (np.where(np.arange(len(good)) == 5, np.nan, good),
+                       "descriptor contains non-finite values"),
+        "zero-norm": (np.zeros_like(good), "zero-norm descriptor cannot be normalized"),
+        "wrong-length": (good[:3], f"dimension 3 != index dimension {len(good)}"),
+    }[case]
+    write_global_descriptor(root / "queries" / "q001.gdesc.bin", bad)
+    assert len(load_dataset(root).queries[1].global_descriptor) == len(bad)
+    path = root / "database" / "db003.gdesc.bin"
+    write_global_descriptor(path, bad)
+    with pytest.raises(DataFormatError, match=re.escape(f"{path}: db003: {message}")):
+        load_dataset(root)
+
+
 class TestTextFiles:
     def test_error_names_line_not_byte(self, tmp_path):
         (tmp_path / "manifest.txt").write_text("family = corner 16\nframes = 3\n")

@@ -8,7 +8,7 @@ analytic surface they were rendered from.
 import math
 import sys
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import FrozenInstanceError, replace
+from dataclasses import FrozenInstanceError, fields, replace
 
 import numpy as np
 import pytest
@@ -20,6 +20,7 @@ from semloc.matching import (
     lift_to_3d,
     match_family,
 )
+from semloc.pnp import RansacConfig, weighted_ransac_pnp
 from semloc.retrieval import GlobalDescriptor
 from semloc.semantic_map import (
     INVALID_DEPTH,
@@ -161,7 +162,6 @@ class TestLiftTo3D:
         np.testing.assert_allclose(c.pixels[0], [33.0, 44.0])
         assert c.image_ids.tolist() == ["db0"]
         assert c.families.tolist() == ["f"]
-        assert c.weights.tolist() == [1.0]
 
     def test_invalid_depth_dropped(self):
         K = self._K()
@@ -407,18 +407,11 @@ class TestCorrespondenceBatch:
             with pytest.raises(ValueError, match="finite"):
                 CorrespondenceBatch([[1.0, 2.0]], [[0.0, bad, 5.0]], ["db0"], ["f"])
 
-    def test_negative_weight_rejected(self):
-        for bad in (-1e-12, np.nan):
-            with pytest.raises(ValueError, match="non-negative"):
-                CorrespondenceBatch(np.zeros((2, 2)), np.ones((2, 3)), ["a", "a"], ["f", "f"],
-                                    weights=[0.5, bad])
-
     def test_row_count_mismatch_rejected(self):
         cols = dict(pixels=np.zeros((3, 2)), points=np.ones((3, 3)),
-                    image_ids=["a"] * 3, families=["f"] * 3, weights=np.ones(3))
+                    image_ids=["a"] * 3, families=["f"] * 3)
         for name, short in (("pixels", np.zeros((2, 2))), ("points", np.ones((2, 3))),
-                            ("image_ids", ["a"] * 2), ("families", ["f"] * 2),
-                            ("weights", np.ones(2))):
+                            ("image_ids", ["a"] * 2), ("families", ["f"] * 2)):
             with pytest.raises(ValueError, match="row count"):
                 CorrespondenceBatch(**{**cols, name: short})
 
@@ -430,9 +423,10 @@ class TestCorrespondenceBatch:
         name, q_set = next(iter(q.features.items()))
         lifted = lift_to_3d(match_family(q_set, db.features[name]), q_set, db).correspondences
         pooled = CorrespondenceBatch.concat([built, lifted])
-        for batch in (built, lifted, pooled, pooled[np.array([0, 2])], pooled[pooled.weights > 0],
-                      pooled[1:], replace(pooled, weights=np.full(len(pooled), 0.5))):
-            for col in ("pixels", "points", "image_ids", "families", "weights"):
+        for batch in (built, lifted, pooled, pooled[np.array([0, 2])],
+                      pooled[pooled.families == name], pooled[1:],
+                      replace(pooled, points=np.zeros((len(pooled), 3)))):
+            for col in ("pixels", "points", "image_ids", "families"):
                 column = getattr(batch, col)
                 assert not column.flags.writeable
                 with pytest.raises(ValueError):
@@ -447,7 +441,6 @@ class TestCorrespondenceBatch:
             n = len(batch)
             assert batch.pixels.shape == (n, 2) and batch.pixels.dtype == np.float64
             assert batch.points.shape == (n, 3) and batch.points.dtype == np.float64
-            assert batch.weights.shape == (n,) and batch.weights.dtype == np.float64
             assert batch.image_ids.shape == batch.families.shape == (n,)
             assert batch.image_ids.dtype.kind == batch.families.dtype.kind == "U"
         assert merged.image_ids.tolist() == ["db0"] * 2 + ["db12"] * 3
@@ -467,7 +460,7 @@ class TestMergeHybrid:
         a = _batch(3)
         merged = CorrespondenceBatch.concat([a, _batch(0)])
         assert len(merged) == 3
-        for col in ("pixels", "points", "image_ids", "families", "weights"):
+        for col in ("pixels", "points", "image_ids", "families"):
             assert np.array_equal(getattr(merged, col), getattr(a, col))
         assert len(CorrespondenceBatch.concat([])) == 0
 
@@ -483,14 +476,14 @@ class TestMergeHybrid:
 
 
 class TestSetWeights:
-    """Replacing a batch's weights with dataclasses.replace."""
-
-    def test_replaces_weights(self):
-        b = _batch(3)
-        out = replace(b, weights=np.array([0.2, 0.3, 0.5]))
-        assert out.weights.tolist() == [0.2, 0.3, 0.5]
-        assert b.weights.tolist() == [1.0, 1.0, 1.0]  # original untouched
+    """Sampling weights travel beside a batch, not in it: the batch has no
+    weights column, and the final RANSAC, which reads them, checks them."""
 
     def test_length_mismatch(self):
-        with pytest.raises(ValueError):
-            replace(_batch(1), weights=np.array([0.5, 0.5]))
+        assert [f.name for f in fields(CorrespondenceBatch)] == [
+            "pixels", "points", "image_ids", "families"]
+        with pytest.raises(TypeError):
+            replace(_batch(4), weights=np.full(4, 0.25))
+        K = CameraIntrinsics(fx=100.0, fy=100.0, cx=50.0, cy=50.0, width=100, height=100)
+        with pytest.raises(ValueError, match="one per row"):
+            weighted_ransac_pnp(_batch(4), np.full(5, 0.2), K, RansacConfig(seed=0))

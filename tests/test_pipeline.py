@@ -275,6 +275,39 @@ class TestFinalRefinement:
             assert a.pose.center.tobytes() == b.pose.center.tobytes()
 
 
+class TestFinalWeights:
+    def test_one_normalized_weight_per_pooled_row(self, zero_noise_dataset, small_cfg,
+                                                  small_run, monkeypatch):
+        # the final RANSAC gets the pooled batch and its weights beside it:
+        # one per row, none negative, summing to 1, and exactly 0 on the
+        # rows of an image that scored 0 unless every image did
+        ds = zero_noise_dataset
+        dense_map, _, baseline = small_run
+        seen = []
+
+        def final(batch, weights, K, cfg):
+            seen.append((batch, weights))
+            return pnp.weighted_ransac_pnp(batch, weights, K, cfg)
+
+        monkeypatch.setattr(pipeline, "weighted_ransac_pnp", final)
+        results = localize_all(ds.queries, ds.db_records, dense_map, small_cfg)
+        assert len(seen) == len(ds.queries)
+        zeroed = 0
+        for (batch, weights), r in zip(seen, results):
+            images = r.diagnostics["images"]
+            assert len(batch) == sum(img["correspondences"] for img in images.values())
+            assert weights.shape == (len(batch),)
+            assert np.all(weights >= 0.0) and abs(weights.sum() - 1.0) <= 1e-12
+            scores = np.array([images[i]["score_consistent"] for i in batch.image_ids.tolist()])
+            if scores.any():
+                assert np.all(weights[scores == 0] == 0.0) and np.all(weights[scores > 0] > 0.0)
+                zeroed += int(np.count_nonzero(scores == 0))
+            else:
+                assert np.all(weights == 1.0 / len(batch))
+        assert zeroed > 0
+        assert [r.diagnostics for r in results] == [r.diagnostics for r in baseline]
+
+
 class TestRoundSchedule:
     def test_outputs_equal_fixed_64_sample_rounds(self, tmp_path):
         # RANSAC rounds fitted to each run's remaining bound change no byte

@@ -470,10 +470,9 @@ class TestWeightedRansac:
         K = default_intrinsics()
         pose = random_pose(rng)
         corrs = synthetic_correspondences(rng, K, pose, 30, outlier_frac=0.3)
-        uniform = replace(corrs, weights=np.full(30, 1 / 30))
         cfg = RansacConfig(min_inliers=6, seed=41)
         a = _temporary(corrs, K, cfg)
-        b = weighted_ransac_pnp(uniform, K, cfg)
+        b = weighted_ransac_pnp(corrs, np.full(30, 1 / 30), K, cfg)
         assert np.array_equal(a.pose.rotation, b.pose.rotation)
         assert np.array_equal(a.pose.center, b.pose.center)
         assert np.array_equal(a.inlier_indices, b.inlier_indices)
@@ -483,14 +482,29 @@ class TestWeightedRansac:
         K = default_intrinsics()
         corrs = synthetic_correspondences(rng, K, random_pose(rng), 10)
         with pytest.raises(ValueError, match="sum to 1"):
-            weighted_ransac_pnp(corrs, K, RansacConfig(seed=0))
+            weighted_ransac_pnp(corrs, np.ones(10), K, RansacConfig(seed=0))
+
+    @pytest.mark.parametrize("weights, match", [
+        (np.full(9, 1 / 9), "one per row"),
+        (np.r_[-0.1, np.full(9, 1.1 / 9)], "non-negative"),
+        (np.r_[np.nan, np.full(9, 1 / 9)], "finite"),
+        (np.full(10, 0.2), "sum to 1"),
+    ], ids=["wrong-length", "negative", "nan", "not-normalized"])
+    def test_rejects_bad_weights(self, weights, match):
+        # the weights are checked where they are read: the negative entry
+        # is offset so that the weights still sum to 1
+        rng = np.random.default_rng(13)
+        K = default_intrinsics()
+        corrs = synthetic_correspondences(rng, K, random_pose(rng), 10)
+        with pytest.raises(ValueError, match=match):
+            weighted_ransac_pnp(corrs, weights, K, RansacConfig(seed=0))
 
     def test_too_few_correspondences_raises(self):
         rng = np.random.default_rng(14)
         K = default_intrinsics()
-        corrs = replace(synthetic_correspondences(rng, K, random_pose(rng), 3), weights=np.full(3, 1 / 3))
+        corrs = synthetic_correspondences(rng, K, random_pose(rng), 3)
         with pytest.raises(ValueError, match="at least 4"):
-            weighted_ransac_pnp(corrs, K, RansacConfig(seed=0))
+            weighted_ransac_pnp(corrs, np.full(3, 1 / 3), K, RansacConfig(seed=0))
 
     def test_dominant_weight_appears_in_most_samples(self):
         # one item holding weight 0.99 must show up in >= 95% of samples
@@ -1132,7 +1146,7 @@ class TestFittedRounds:
             return _draw_minimal_samples(rng, weights, m)
 
         monkeypatch.setattr(pnp, "_draw_minimal_samples", draw)
-        sol = weighted_ransac_pnp(replace(corrs, weights=w), K, RansacConfig(seed=3))
+        sol = weighted_ransac_pnp(corrs, w, K, RansacConfig(seed=3))
         assert sol.iterations_used <= 4
         assert drawn == [pnp._FIRST_ROUND]
 
@@ -1407,7 +1421,7 @@ class TestMassBound:
     def _scene():
         """40 exact correspondences of one pose holding 0.2 of the weight,
         8 of another pose holding 0.75 and 12 gross outliers holding 0.05,
-        and the first pose."""
+        their weights, and the first pose."""
         rng = np.random.default_rng(83)
         K = default_intrinsics()
         pose = random_pose(rng)
@@ -1416,19 +1430,19 @@ class TestMassBound:
         junk = synthetic_correspondences(rng, K, random_pose(rng), 12, outlier_frac=1.0)
         w = np.concatenate([np.full(40, 0.2 / 40), np.full(8, 0.75 / 8), np.full(12, 0.05 / 12)])
         corrs = CorrespondenceBatch.concat([full, heavy, junk])
-        return replace(corrs, weights=w / w.sum()), pose
+        return corrs, w / w.sum(), pose
 
     def test_heavy_model_below_min_inliers_does_not_stop_the_run(self):
         # the 8 heavy items agree on a model with 0.75 of the mass, which
         # would stop the run after 15 iterations; below min_inliers it must
         # not, and the run goes on to the 40-inlier consensus
-        corrs, pose = self._scene()
+        corrs, weights, pose = self._scene()
         K = default_intrinsics()
-        heavy = pnp._mass_chance(corrs.weights[40:48])
+        heavy = pnp._mass_chance(weights[40:48])
         assert pnp._iterations_needed(heavy, RansacConfig()) == 15
         for seed in range(5):
             cfg = RansacConfig(inlier_threshold_px=2.0, seed=seed, max_iterations=1000)
-            sol = weighted_ransac_pnp(corrs, K, cfg)
+            sol = weighted_ransac_pnp(corrs, weights, K, cfg)
             assert sol is not None
             assert sol.inlier_indices.tolist() == list(range(40))
             assert np.linalg.norm(sol.pose.center - pose.center) < 1e-9
@@ -1443,7 +1457,7 @@ class TestMassBound:
         cfg = RansacConfig(seed=3)
         assert pnp._iterations_needed((40 / 120) ** 3, cfg) == 184
         assert pnp._iterations_needed(pnp._mass_chance(w[80:] / w.sum()), cfg) == 4
-        sol = weighted_ransac_pnp(replace(corrs, weights=w), K, cfg)
+        sol = weighted_ransac_pnp(corrs, w, K, cfg)
         assert sol.inlier_indices.tolist() == list(range(80, 120))
         assert sol.iterations_used <= 4
         plain = _temporary(corrs, K, cfg)
@@ -1693,14 +1707,13 @@ class TestContaminationMini:
             wrong = replace(wrong, points=wrong.points + shift)
             corrs = CorrespondenceBatch.concat([good, wrong])
             # weights as normalize_weights would produce: wrong image scored 0
-            weights = np.where(corrs.image_ids == "good", 1.0 / 32, 0.0)
-            weighted = replace(corrs, weights=weights)
-            uniform = replace(corrs, weights=np.full(len(corrs), 1.0 / len(corrs)))
+            weighted = np.where(corrs.image_ids == "good", 1.0 / 32, 0.0)
+            uniform = np.full(len(corrs), 1.0 / len(corrs))
             cfg = RansacConfig(min_inliers=12, seed=900 + t, max_iterations=200,
                                inlier_threshold_px=2.0)
             with patched_ransac_rule(fixed_budget=True):
-                sw = weighted_ransac_pnp(weighted, K, cfg)
-                su = weighted_ransac_pnp(uniform, K, cfg)
+                sw = weighted_ransac_pnp(corrs, weighted, K, cfg)
+                su = weighted_ransac_pnp(corrs, uniform, K, cfg)
             w_ok += sw is not None and np.linalg.norm(sw.pose.center - pose.center) < 0.05
             u_ok += su is not None and np.linalg.norm(su.pose.center - pose.center) < 0.05
         assert w_ok > u_ok
