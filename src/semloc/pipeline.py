@@ -12,12 +12,13 @@ Per query the flow is:
         (DatabaseImageRecord.lift_table);
      b. estimate every image's temporary pose (plain RANSAC) in one
         estimate_temporary_pose call, whose per-image runs advance in
-        lockstep; before any round after its short first one, a run
+        lockstep; the two best-ranked images draw first, and the others
+        start one round later.  Before any round after the first, a run
         that the other runs' winners contradict (they hold its query
         keypoints as inliers at other world points) stops with no pose,
-        so its image scores 0 of 0 even where the run alone would have
-        found a late pose, and every other run returns what it would
-        alone;
+        a lower-ranked one possibly before it has drawn, so its image
+        scores 0 of 0 even where the run alone would have found a late
+        pose, and every other run returns what it would alone;
      c. in rank order, gate the dense map by each image's temporary pose
         and score it by semantic consistency against the query
         segmentation,

@@ -31,10 +31,12 @@ every candidate against every correspondence.  A round is fitted to what
 is left of the run's bound: a run that has at most 2 * _CHUNK iterations
 left draws all of them plus a quarter and 4 for degenerate draws, one with
 more left draws _CHUNK, and no round passes the draw cap.  A run draws at
-most _FIRST_ROUND (16) until it has run an iteration when it has a
-sampling prior, as its weight mass usually stops it within them, and when
-the cross-run verdict below judges it, so that the verdict comes before
-most of a wrong-place run's draws.  A round thus holds at most
+most _FIRST_ROUND (16) a round until it has run an iteration when it has
+a sampling prior, as its weight mass usually stops it within them, and
+when the cross-run verdict below judges it, so that the verdict comes
+before most of a wrong-place run's draws; a judged run past the first
+_FIRST_RUNS (2) of its call draws nothing before the verdict has judged
+it once.  A round thus holds at most
 2.5 * _CHUNK + 4 samples, and its working memory is O(_CHUNK * N) whatever
 max_iterations is.  A run solves the first needed - it of a round's
 non-degenerate samples; it solves samples past its stop only when a new
@@ -63,19 +65,25 @@ pruning of Enqvist, Josephson & Kahl (ICCV 2009) and the voting of Zeisl,
 Sattler & Pollefeys (ICCV 2015) applied across retrieved images.  It
 judges a call's runs whenever at least two of them draw, as in
 estimate_temporary_pose; weighted_ransac_pnp makes a single run.
-Rows of the call's batches with one family and a bitwise-equal query
-pixel are one query keypoint.  Before each round after the first, a run's
-best model is a winner when it has at least min_inliers inliers, and a row
-is contradicted when another run's winner holds the row's query keypoint
-as an inlier at a world point more than _CONTRADICTION_M (0.3 m) away.  A
-live run without a winner of its own and with fewer than min_inliers rows
-that are not contradicted stops and returns None.  A run that is not
-stopped returns bitwise its result alone, as round sizes change no run's
-result.  A stopped run might still have found a pose later in its run,
-and its image then scores 0 of 0 where that pose could have scored more.
-This is measured, not proven: on the bench workloads and the
-acceptance-06 scenes, three stopped runs find a pose alone, each with 6
-inliers, and each such pose scores 0 of 0, so no weight moves there.
+Only the first _FIRST_RUNS (2) runs, in the call's order (the retrieval
+rank in estimate_temporary_pose), draw in round 1; the others wait, so
+that hypotheses come from the best-ranked images first, as PROSAC (Chum &
+Matas, CVPR 2005) orders them within a run.  Rows of the call's batches
+with one family and a bitwise-equal query pixel are one query keypoint.
+Before each round after the first, a run's best model is a winner when it
+has at least min_inliers inliers, and a row is contradicted when another
+run's winner holds the row's query keypoint as an inlier at a world point
+more than _CONTRADICTION_M (0.3 m) away.  A run that has not ended, a
+waiting one included, without a winner of its own and with fewer than
+min_inliers rows that are not contradicted stops and returns None; a
+waiting run stopped before round 2 has drawn nothing, and every other
+waiting run starts in round 2.  A run that is not stopped returns bitwise
+its result alone, as neither round sizes nor the round a run starts in
+change its result.  A stopped run might still have found a pose later in
+its run, and its image then scores 0 of 0 where that pose could have
+scored more.  This is measured, not proven: on the bench workloads and
+the acceptance-06 scenes, three stopped runs find a pose alone, each with
+6 inliers, and each such pose scores 0 of 0, so no weight moves there.
 
 Every run applies two bounds, both the RANSAC bound of Fischler & Bolles
 (1981) at a fixed confidence of 0.999: the iterations after which a sample
@@ -142,6 +150,17 @@ _FIRST_ROUND = 16
 # when it holds the row's query keypoint as an inlier at a world point
 # farther than this, in metres (three default fusion voxels).
 _CONTRADICTION_M = 0.3
+
+# Runs of a judged call that draw in round 1, in the call's order; the
+# rest wait for the verdict before round 2.  estimate_temporary_pose gets
+# its images in retrieval rank, and the verdict's winners come from the
+# best-ranked ones: on the bench workloads (canyon-day, canyon-daynight,
+# canyon-long) rank 0 poses in 20/20, 40/40 and 20/20 queries and rank 1
+# in 17/20, 24/40 and 19/20.  With 1, queries take more rounds, and
+# canyon-daynight's stage took about 15% more CPU time (2 cores); 3 took
+# about as long as 2; 4 cut canyon-day's temporary draws by 43%, against
+# 63% with 2.
+_FIRST_RUNS = 2
 
 # A RANSAC run draws at most _MAX_SAMPLE_ATTEMPTS * max_iterations minimal
 # samples, degenerate ones included, before it gives up.
@@ -727,8 +746,8 @@ class _RansacRun:
         n = len(batch)
         self.n = n
         self.cfg = cfg
+        self.K = K
         self.points, self.pixels = batch.points, batch.pixels
-        self.bearings = _bearings_from_pixels(self.pixels, K)
         self.weights = (np.full(n, 1.0 / n) if weights is None
                         else np.asarray(weights, dtype=np.float64))
         # Each item's share of the sampling weight; under equal weights the
@@ -737,7 +756,10 @@ class _RansacRun:
                       else self.weights / self.weights.sum())
         # _ransac_pnp also sets it for the runs the cross-run verdict judges.
         self.short_start = self.prior is not None
-        self.rng = np.random.default_rng(cfg.seed)
+        # Built on the first draw, so that a run the verdict stops before it
+        # draws costs only this constructor.
+        self.rng: Optional[np.random.Generator] = None
+        self.bearings: Optional[np.ndarray] = None
         self.best_count = 0
         self.best_R: Optional[np.ndarray] = None
         self.best_C: Optional[np.ndarray] = None
@@ -757,6 +779,9 @@ class _RansacRun:
 
     def draw(self) -> np.ndarray:
         """This round's minimal samples, degenerate ones included."""
+        if self.rng is None:
+            self.rng = np.random.default_rng(self.cfg.seed)
+            self.bearings = _bearings_from_pixels(self.pixels, self.K)
         drawn = _draw_minimal_samples(self.rng, self.weights, self._round_size())
         self.draws_left -= len(drawn)
         return drawn
@@ -857,10 +882,12 @@ def _ransac_pnp(
     _degenerate_samples and one _p3p_batch call cover every live run's
     samples; one _finish call re-verifies every run's best model.
 
-    With at least two drawing runs, every run starts with a short round
-    and, before each later round, the cross-run verdict stops the runs that
-    the others' winners contradict; a stopped run returns None, and every
-    other run its result alone.
+    With at least two drawing runs, only the first _FIRST_RUNS of them
+    draw in round 1, every run starts with a short round, and before each
+    later round the cross-run verdict stops the runs that the others'
+    winners contradict, waiting runs included; a stopped run returns None,
+    one stopped while waiting has drawn nothing, and every other run
+    returns its result alone.
     """
     state = [None if len(batch) < cfg.min_inliers else _RansacRun(batch, K, cfg, weights)
              for batch, cfg, weights in runs]
@@ -870,28 +897,38 @@ def _ransac_pnp(
         for run in live:
             run.short_start = True
         judge = _Verdict(live, [batch for (batch, _, _), run in zip(runs, state) if run is not None])
+        # Round 1: the first _FIRST_RUNS runs draw; the rest wait for the
+        # verdict on their winners.
+        _lockstep_round(live[:_FIRST_RUNS], K)
     while live := [run for run in live if run.it < run.needed and run.draws_left]:
         if judge is not None and not (live := judge(live)):
             break
-        drawn = [run.draw() for run in live]
-        degenerate = _degenerate_samples(
-            np.concatenate([run.points[d] for run, d in zip(live, drawn)]),
-            np.concatenate([run.pixels[d] for run, d in zip(live, drawn)]),
-        )
-        parts = np.split(degenerate, np.cumsum([len(d) for d in drawn[:-1]]))
-        kept = [d[~bad][: run.needed - run.it] for run, d, bad in zip(live, drawn, parts)]
-        if not any(len(s) for s in kept):
-            continue
-        R, C, valid, _ = _p3p_batch(
-            np.concatenate([run.points[s] for run, s in zip(live, kept)]),
-            np.concatenate([run.bearings[s] for run, s in zip(live, kept)]),
-        )
-        start = 0
-        for run, samples in zip(live, kept):
-            stop = start + len(samples)
-            run.replay(R[start:stop], C[start:stop], valid[start:stop], K)
-            start = stop
+        _lockstep_round(live, K)
     return _finish(state, K)
+
+
+def _lockstep_round(live: Sequence[_RansacRun], K: CameraIntrinsics) -> None:
+    """One round of the live runs: each draws, one _degenerate_samples and
+    one _p3p_batch call cover every run's samples, and each run replays its
+    own candidates.  A round in which no run keeps a sample solves nothing."""
+    drawn = [run.draw() for run in live]
+    degenerate = _degenerate_samples(
+        np.concatenate([run.points[d] for run, d in zip(live, drawn)]),
+        np.concatenate([run.pixels[d] for run, d in zip(live, drawn)]),
+    )
+    parts = np.split(degenerate, np.cumsum([len(d) for d in drawn[:-1]]))
+    kept = [d[~bad][: run.needed - run.it] for run, d, bad in zip(live, drawn, parts)]
+    if not any(len(s) for s in kept):
+        return
+    R, C, valid, _ = _p3p_batch(
+        np.concatenate([run.points[s] for run, s in zip(live, kept)]),
+        np.concatenate([run.bearings[s] for run, s in zip(live, kept)]),
+    )
+    start = 0
+    for run, samples in zip(live, kept):
+        stop = start + len(samples)
+        run.replay(R[start:stop], C[start:stop], valid[start:stop], K)
+        start = stop
 
 
 def _finish(state: Sequence[Optional[_RansacRun]],
@@ -937,10 +974,13 @@ def estimate_temporary_pose(
     """Plain (uniform-sampling) RANSAC + P3P over each retrieved image's
     correspondences, batches[i] under cfgs[i], all runs in one lockstep
     loop under the cross-run verdict (module docstring); one result per
-    batch.  A result is None when its batch has fewer than 4
+    batch.  The batches come in retrieval rank: the first two that draw
+    start in round 1, and the others wait for the verdict on their
+    winners.  A result is None when its batch has fewer than 4
     correspondences, when no model reaches min_inliers, or when the verdict
-    stopped its run because the other batches' winners contradict it.
-    Otherwise it equals what the batch gets in a call of its own."""
+    stopped its run, before or after its first draw, because the other
+    batches' winners contradict it.  Otherwise it equals what the batch
+    gets in a call of its own."""
     solved = iter(_ransac_pnp(
         [(batch, cfg, None) for batch, cfg in zip(batches, cfgs, strict=True) if len(batch) >= 4],
         K))

@@ -238,6 +238,30 @@ class TestTemporaryPosesInLockstep:
                                                    query.intrinsics, query.labels)
                 assert score.consistent == 0
 
+    def test_a_lower_ranked_winner_does_not_stop_rank_one_in_round_one(self):
+        # the canyon-daynight bench scene, q027 as query 17: its rank-2
+        # image (db011) finds a 6-inlier pose at a wrong place within 16
+        # samples and contradicts all but 5 rows of its rank-1 image
+        # (db015), which has no winner yet.  Were both to draw in round 1,
+        # the verdict would stop db015 and its image would score 0 of 0;
+        # with db011 waiting a round, db015 finds its own pose in its
+        # second round and keeps it
+        ds = generate_scene(street_canyon_spec(seed=31, n_db=20, n_queries=40,
+                                               image_size=(96, 72), anchors_per_plane=40,
+                                               noise_profile="day_night", night_fraction=0.5))
+        cfg = PipelineConfig(seed=17, ransac_inlier_threshold_px=2.5, fusion_voxel_size=0.10,
+                             top_k_day=6, top_k_night=6, temp_ransac_max_iterations=150,
+                             ransac_max_iterations=1000)
+        dense_map, _ = build_map(ds.db_records, cfg)
+        index = build_index([GlobalDescriptor(r.image_id, r.global_descriptor)
+                             for r in ds.db_records])
+        query = ds.queries[27]
+        images = localize_query(query, 17, ds.db_records, dense_map, index,
+                                cfg).diagnostics["images"]
+        assert list(images)[:3] == ["db013", "db015", "db011"]
+        assert images["db015"]["temporary_pose"] and images["db015"]["score_consistent"] == 859
+        assert images["db011"]["temporary_pose"] and images["db011"]["score_consistent"] == 0
+
 
 class TestFinalRefinement:
     def test_winner_is_locally_optimized_at_the_final_threshold(self, zero_noise_dataset,

@@ -11,7 +11,8 @@ the same P3P candidates in the same order, and the same RANSAC results.
 Runs advanced in lockstep are checked bitwise against each run alone, and
 runs under any round sizes bitwise against the fitted rounds.  The
 cross-run verdict is checked to stop only runs that have no winner of
-their own, before any round after their short first one, and to leave
+their own, before any round after their short first one or, for a run
+past the first two of its call, before it draws at all, and to leave
 every other run bitwise as alone.
 """
 
@@ -866,10 +867,12 @@ class TestLockstep:
         assert solves_alone == [2, 1, 0, 1, 0, 2]
         # one P3P call per round that keeps a sample, each solving every
         # live run's samples; no call solves or scores nothing.  As more
-        # than one run draws, each run's first round is a short one: the
-        # success solves 16 + 64 + 25, the doomed run 16 + 51 and the
-        # weighted run 16 + 64, as many as alone
-        assert calls == [16 + 16 + 1 + 0 + 16, 64 + 51 + 64, 25]
+        # than one run draws, only the first two (the success and the
+        # doomed run) draw in round 1, the others start in round 2, and
+        # each run's first round is a short one: the success solves
+        # 16 + 64 + 25, the doomed run 16 + 51 and the weighted run
+        # 16 + 64, as many as alone
+        assert calls == [16 + 16, 64 + 51 + 1 + 0 + 16, 25 + 64]
         assert 0 not in scored
 
     def test_temporary_poses_equal_one_call_per_batch(self):
@@ -900,10 +903,48 @@ def _seen_elsewhere(rng, K, pixels, outliers=0):
 
 
 class TestCrossRunVerdict:
-    """estimate_temporary_pose stops a run before its second round when the
-    other runs' winners contradict all but fewer than min_inliers of its
-    rows and it has no winner of its own; every other run returns bitwise
-    its result alone."""
+    """estimate_temporary_pose stops a run before its second round, or a
+    run past the first two before its first, when the other runs' winners
+    contradict all but fewer than min_inliers of its rows and it has no
+    winner of its own; every other run returns bitwise its result alone."""
+
+    @staticmethod
+    def _wrong_place(rng, K, correct):
+        """12 of the correct batch's query keypoints at points 1-4 m from
+        its points, plus 3 gross outliers of their own: below min_inliers
+        = 6 once the correct run's winner claims the 12."""
+        rows = rng.choice(len(correct), 12, replace=False)
+        shift = rng.normal(size=(12, 3))
+        shift *= rng.uniform(1.0, 4.0, (12, 1)) / np.linalg.norm(shift, axis=1, keepdims=True)
+        moved = CorrespondenceBatch(correct.pixels[rows], correct.points[rows] + shift,
+                                    ["db1"] * 12, ["fam"] * 12)
+        own = synthetic_correspondences(rng, K, random_pose(rng), 3, outlier_frac=1.0)
+        return CorrespondenceBatch.concat([moved, own])
+
+    @staticmethod
+    def _by_round(monkeypatch, batches):
+        """Each batch's solo _ransac_pnp result, the estimate_temporary_pose
+        results, the batches whose samples each of the call's P3P rounds
+        solves, and the call's runs in batch order."""
+        K = default_intrinsics()
+        cfgs = [RansacConfig(min_inliers=6, seed=seed, max_iterations=300)
+                for seed in range(len(batches))]
+        owner = {p.tobytes(): i for i, batch in enumerate(batches) for p in batch.points}
+        rounds, runs = [], []
+
+        def p3p_batch(P, f):
+            rounds.append({owner[p.tobytes()] for p in P.reshape(-1, 3)})
+            return _p3p_batch(P, f)
+
+        class Run(pnp._RansacRun):
+            def __init__(self, *args):
+                super().__init__(*args)
+                runs.append(self)
+
+        alone = [_one_run(batch, K, cfg, None) for batch, cfg in zip(batches, cfgs)]
+        monkeypatch.setattr(pnp, "_p3p_batch", p3p_batch)
+        monkeypatch.setattr(pnp, "_RansacRun", Run)
+        return alone, estimate_temporary_pose(batches, K, cfgs), rounds, runs
 
     @staticmethod
     def _solve(monkeypatch, batches, cfgs):
@@ -928,25 +969,77 @@ class TestCrossRunVerdict:
         rng = np.random.default_rng(90)
         K = default_intrinsics()
         correct = synthetic_correspondences(rng, K, random_pose(rng), 40, pixel_noise=0.5)
-        batches = [correct]
-        for _ in range(3):
-            rows = rng.choice(40, 12, replace=False)
-            shift = rng.normal(size=(12, 3))
-            shift *= rng.uniform(1.0, 4.0, (12, 1)) / np.linalg.norm(shift, axis=1, keepdims=True)
-            moved = CorrespondenceBatch(correct.pixels[rows], correct.points[rows] + shift,
-                                        ["db1"] * 12, ["fam"] * 12)
-            own = synthetic_correspondences(rng, K, random_pose(rng), 3, outlier_frac=1.0)
-            batches.append(CorrespondenceBatch.concat([moved, own]))
+        batches = [correct] + [self._wrong_place(rng, K, correct) for _ in range(3)]
         cfgs = [RansacConfig(min_inliers=6, seed=seed, max_iterations=300) for seed in range(4)]
         alone, together, calls = self._solve(monkeypatch, batches, cfgs)
         assert alone[0] is not None and alone[0].num_inliers == 40
         assert alone[1:] == together[1:] == [None, None, None]
         _assert_bitwise_equal(together[0], alone[0])
-        # one round of at most 16 samples a run: the correct run's winner
-        # stops the others before their second, while alone each solves
-        # the min-inliers bound of 15 rows, 105 samples
+        # one round of at most 16 samples a run, of the first two runs
+        # only: the correct run's winner stops the wrong-place runs, the
+        # second before its second round and the last two before their
+        # first, while alone each solves the min-inliers bound of 15 rows,
+        # 105 samples
         assert _bound(6, 15) == 105
-        assert len(calls) == 1 and calls[0] <= 4 * pnp._FIRST_ROUND
+        assert len(calls) == 1 and calls[0] <= pnp._FIRST_RUNS * pnp._FIRST_ROUND
+
+    def test_lower_ranked_wrong_place_runs_stop_before_they_draw(self, monkeypatch):
+        # two views of the correct place at ranks 0 and 1, through 40 and
+        # 30 query keypoints of their own, and below them three wrong-place
+        # batches that reuse 12 of rank 0's query keypoints
+        rng = np.random.default_rng(92)
+        K = default_intrinsics()
+        pose = random_pose(rng)
+        batches = [synthetic_correspondences(rng, K, pose, n, pixel_noise=0.5) for n in (40, 30)]
+        batches += [self._wrong_place(rng, K, batches[0]) for _ in range(3)]
+        alone, together, rounds, runs = self._by_round(monkeypatch, batches)
+        assert [a is not None for a in alone] == [True, True, False, False, False]
+        assert together[2:] == [None, None, None]
+        for a, b in zip(together, alone):
+            _assert_bitwise_equal(a, b)
+        # round 1 solves the first two runs' samples alone; the verdict
+        # then stops the wrong-place runs before they build a generator
+        assert rounds[0] == {0, 1}
+        assert not {2, 3, 4} & set().union(*rounds)
+        assert [run.rng is None for run in runs] == [False, False, True, True, True]
+        assert all(run.bearings is None and run.it == 0 for run in runs[2:])
+
+    def test_a_lower_ranked_run_that_no_winner_contradicts_starts_in_round_two(self,
+                                                                               monkeypatch):
+        # ranks 0 and 1 as above; rank 2 sees another place, 40% outliers,
+        # through 30 query keypoints that no other batch holds
+        rng = np.random.default_rng(93)
+        K = default_intrinsics()
+        pose = random_pose(rng)
+        batches = [synthetic_correspondences(rng, K, pose, n, pixel_noise=0.5) for n in (40, 30)]
+        batches.append(synthetic_correspondences(rng, K, random_pose(rng), 30, outlier_frac=0.4,
+                                                 pixel_noise=0.5))
+        alone, together, rounds, _ = self._by_round(monkeypatch, batches)
+        assert all(a is not None for a in alone)
+        for a, b in zip(together, alone):
+            _assert_bitwise_equal(a, b)
+        assert rounds[0] == {0, 1} and 2 in rounds[1]
+        assert together[2].iterations_used > 1
+
+    def test_without_a_winner_in_round_one_every_waiting_run_starts(self, monkeypatch):
+        # ranks 0 and 1 are doomed, 13 gross outliers each, so round 1
+        # finds no winner; below them a correct batch and two wrong-place
+        # batches that reuse 12 of its query keypoints
+        rng = np.random.default_rng(94)
+        K = default_intrinsics()
+        batches = [synthetic_correspondences(rng, K, random_pose(rng), 13, outlier_frac=1.0)
+                   for _ in range(2)]
+        correct = synthetic_correspondences(rng, K, random_pose(rng), 40, pixel_noise=0.5)
+        batches += [correct] + [self._wrong_place(rng, K, correct) for _ in range(2)]
+        alone, together, rounds, runs = self._by_round(monkeypatch, batches)
+        assert [a is not None for a in alone] == [False, False, True, False, False]
+        for a, b in zip(together, alone):
+            _assert_bitwise_equal(a, b)
+        # nothing is stopped before round 2: every waiting run draws in it,
+        # and the correct run's winner stops the wrong-place runs only
+        # after that short first round of theirs, so no third round comes
+        assert rounds == [{0, 1}, {0, 1, 2, 3, 4}]
+        assert all(run.rng is not None for run in runs)
 
     def test_a_run_with_its_own_winner_is_never_stopped(self, monkeypatch):
         # two places seen through the same 30 query keypoints, every pair of
