@@ -390,6 +390,8 @@ def read_manifest(root) -> DatasetManifest:
                 raise DataFormatError(path, None, f"repeated family {parts[0]!r}", lineno)
             families.append((parts[0], int(parts[1])))
         elif key == "db":
+            if len(parts) != 1:
+                raise DataFormatError(path, None, "db needs 'id'", lineno)
             db_ids.append(val)
         elif key == "query":
             if len(parts) != 2 or parts[1] not in CONDITIONS:

@@ -177,27 +177,6 @@ class RigidPose(_FrozenArrays):
     def identity() -> "RigidPose":
         return RigidPose(np.eye(3), np.zeros(3))
 
-    @staticmethod
-    def from_stack(rotations: np.ndarray, centers: np.ndarray) -> list["RigidPose"]:
-        """Poses of (n, 3, 3) rotations and (n, 3) centers, run through the
-        constructor's checks once over the whole stack rather than pose by
-        pose; the stacked products and determinants are bitwise the
-        per-pose ones, so a pose passes exactly when it would alone.  When
-        any pose fails, the poses are built one at a time, so the first
-        failing pose raises the constructor's own error.  Raises ValueError
-        when the stacks hold different numbers of poses."""
-        R = np.array(rotations, dtype=np.float64)
-        C = np.array(centers, dtype=np.float64)
-        if R.shape[:1] != C.shape[:1]:
-            raise ValueError(f"rotations {R.shape} and centers {C.shape} "
-                             f"hold different numbers of poses")
-        if not (R.shape[1:] == (3, 3) and C.shape[1:] == (3,)
-                and np.all(np.isfinite(R)) and np.all(np.isfinite(C))
-                and np.all(np.abs(np.swapaxes(R, -1, -2) @ R - np.eye(3)) <= _ORTHONORMAL_TOL)
-                and np.all(np.abs(np.linalg.det(R) - 1.0) <= _ORTHONORMAL_TOL)):
-            return [RigidPose(r, c) for r, c in zip(rotations, centers)]
-        return [RigidPose._of_checked(pose) for pose in zip(R, C)]
-
 
 @dataclass(frozen=True)
 class PoseError:

@@ -30,21 +30,22 @@ degeneracy, solved by one vectorized P3P and scored by one reprojection of
 every candidate against every correspondence.  A round is fitted to what
 is left of the run's bound: a run that has at most 2 * _CHUNK iterations
 left draws all of them plus a quarter and 4 for degenerate draws, one with
-more left draws _CHUNK, and no round passes the draw cap.  A run draws at
-most _FIRST_ROUND (16) a round until it has run an iteration when it has
-a sampling prior, as its weight mass usually stops it within them, and
-when the cross-run verdict below judges it, so that the verdict comes
-before most of a wrong-place run's draws; a judged run past the first
-_FIRST_RUNS (2) of its call draws nothing before the verdict has judged
-it once.  A round thus holds at most
-2.5 * _CHUNK + 4 samples, and its working memory is O(_CHUNK * N) whatever
-max_iterations is.  A run solves the first needed - it of a round's
-non-degenerate samples; it solves samples past its stop only when a new
-best model lowers its bound mid-round, and discards that work.  Draws and
-selection stay sequential: samples come from the generator in the order
-one draw at a time would take them, and the iterations are replayed in
-order, so a run returns what the one-hypothesis-per-iteration loop
-returns up to rounding, and bitwise the same whatever its rounds' sizes.
+more left draws _CHUNK, and no round passes the draw cap.  Every run draws
+at most _FIRST_ROUND (16) a round until it has run an iteration: a run
+with a sampling prior is usually stopped within them by its weight mass,
+and a run that the cross-run verdict below judges meets the verdict before
+most of a wrong-place run's draws; a uniform run alone whose bound needs
+more takes one more round.  A judged run past the first _FIRST_RUNS (2) of
+its call draws nothing before the verdict has judged it once.  A round
+thus holds at most 2.5 * _CHUNK + 4 samples, and its working memory is
+O(_CHUNK * N) whatever max_iterations is.  A run solves the first
+needed - it of a round's non-degenerate samples; it solves samples past
+its stop only when a new best model lowers its bound mid-round, and
+discards that work.  Draws and selection stay sequential: samples come
+from the generator in the order one draw at a time would take them, and
+the iterations are replayed in order, so a run returns what the
+one-hypothesis-per-iteration loop returns up to rounding, and bitwise the
+same whatever its rounds' sizes.
 A candidate (in draw order, a sample's in root order) becomes the best
 model only with strictly more inliers than every one before it: equal
 counts keep the model drawn first, as their errors differ by rounding.
@@ -105,9 +106,10 @@ min_inliers never stops a run, however heavy its inliers.  Uniform weights
 keep the count bound exactly.  The min-inliers bound is taken from the
 start at the smallest acceptable ratio, min_inliers / n: the run stops
 once it has probably shown that no model reaches min_inliers.  A run
-given fewer than min_inliers correspondences draws nothing and returns no
-model.  A winning candidate becomes a RigidPose once, when the run ends,
-and only if it keeps min_inliers inliers.
+given fewer than max(4, min_inliers) correspondences draws nothing and
+returns no model: a P3P model fits its own three rows, so a fourth row is
+the first that can verify it.  A winning candidate becomes a RigidPose
+once, when the run ends, and only if it keeps min_inliers inliers.
 
 A run stopped that early may return a model fitted to a noisy sample and
 short of the full consensus.  local_optimization refits it (LO-RANSAC,
@@ -140,9 +142,8 @@ __all__ = [
 _COLLINEAR_AREA_TOL = 1e-12
 
 # Samples in a RANSAC round while more than 2 * _CHUNK iterations are
-# left, and the most a run with a sampling prior, or one judged by the
-# cross-run verdict, draws in a round before its first iteration (the
-# round schedule: module docstring).
+# left, and the most a run draws in a round before its first iteration
+# (the round schedule: module docstring).
 _CHUNK = 64
 _FIRST_ROUND = 16
 
@@ -601,14 +602,15 @@ def solve_p3p(points: np.ndarray, K: CameraIntrinsics,
     points and (H, 3, 2) pixels, exactly 3 correspondences per row.
 
     Returns one list of 0 to 4 poses per row, in root order, from one
-    _p3p_batch call, one stacked Gauss-Newton polish of every candidate and
-    one RigidPose.from_stack check of the kept poses.  A candidate is kept
-    when it reprojects its row's points within 1e-6 px, so a double root
-    that survives the polish gives its pose twice; a row gets bitwise the
-    poses it gets alone.  RANSAC scores
-    the raw _p3p_batch candidates: the polish and the filter run only here
-    (README, step 5, gives the measured gap).  Raises, naming the first
-    such row, on collinear world points or parallel rays."""
+    _p3p_batch call and one stacked Gauss-Newton polish of every candidate;
+    each kept pose is snapped to a rotation and passes the RigidPose
+    constructor's checks.  A candidate is kept when it reprojects its row's
+    points within 1e-6 px, so a double root that survives the polish gives
+    its pose twice; a row gets bitwise the poses it gets alone.  No
+    pipeline stage calls it: RANSAC scores the raw _p3p_batch candidates,
+    and the polish and the filter run only here (README, step 5, gives the
+    measured gap).  Raises, naming the first such row, on collinear world
+    points or parallel rays."""
     points = np.asarray(points, dtype=np.float64)
     pix = np.asarray(pixels, dtype=np.float64)
     if points.shape[1:] != (3, 3) or pix.shape != points.shape[:1] + (3, 2):
@@ -626,7 +628,7 @@ def solve_p3p(points: np.ndarray, K: CameraIntrinsics,
                            residuals=False)[1] < 1e-6).all(axis=1)
     # Back-substitution lets orthonormality drift; snap to the nearest rotation.
     R[kept] = _orthonormalized(R[kept])
-    poses = iter(RigidPose.from_stack(R[kept], C[kept]))
+    poses = map(RigidPose, R[kept], C[kept])
     return [[next(poses) for _ in range(n)] for n in kept.sum(axis=1).tolist()]
 
 
@@ -754,8 +756,6 @@ class _RansacRun:
         # mass is the inlier ratio: no prior.
         self.prior = (None if np.all(self.weights == self.weights[0])
                       else self.weights / self.weights.sum())
-        # _ransac_pnp also sets it for the runs the cross-run verdict judges.
-        self.short_start = self.prior is not None
         # Built on the first draw, so that a run the verdict stops before it
         # draws costs only this constructor.
         self.rng: Optional[np.random.Generator] = None
@@ -773,7 +773,7 @@ class _RansacRun:
         schedule of the module docstring."""
         left = self.needed - self.it
         size = _CHUNK if left > 2 * _CHUNK else left + left // 4 + 4
-        if self.short_start and self.it == 0:
+        if self.it == 0:
             size = min(size, _FIRST_ROUND)
         return min(size, self.draws_left)
 
@@ -877,25 +877,23 @@ def _ransac_pnp(
     """Independent RANSAC-PnP runs, given as (batch, cfg, weights) with
     weights None for uniform sampling, advanced in lockstep rounds (module
     docstring); one result per run, bitwise the one the run gets alone and
-    under any round sizes.  A run with fewer than min_inliers
-    correspondences returns None before any draw.  Per round, one
-    _degenerate_samples and one _p3p_batch call cover every live run's
-    samples; one _finish call re-verifies every run's best model.
+    under any round sizes.  A run with fewer than max(4, min_inliers)
+    correspondences returns None before any draw.  Every run's first round
+    draws at most _FIRST_ROUND samples.  Per round, one _degenerate_samples
+    and one _p3p_batch call cover every live run's samples; one _finish
+    call re-verifies every run's best model.
 
     With at least two drawing runs, only the first _FIRST_RUNS of them
-    draw in round 1, every run starts with a short round, and before each
-    later round the cross-run verdict stops the runs that the others'
-    winners contradict, waiting runs included; a stopped run returns None,
-    one stopped while waiting has drawn nothing, and every other run
-    returns its result alone.
+    draw in round 1, and before each later round the cross-run verdict
+    stops the runs that the others' winners contradict, waiting runs
+    included; a stopped run returns None, one stopped while waiting has
+    drawn nothing, and every other run returns its result alone.
     """
-    state = [None if len(batch) < cfg.min_inliers else _RansacRun(batch, K, cfg, weights)
+    state = [None if len(batch) < max(4, cfg.min_inliers) else _RansacRun(batch, K, cfg, weights)
              for batch, cfg, weights in runs]
     live = [run for run in state if run is not None]
     judge = None
     if len(live) >= 2:
-        for run in live:
-            run.short_start = True
         judge = _Verdict(live, [batch for (batch, _, _), run in zip(runs, state) if run is not None])
         # Round 1: the first _FIRST_RUNS runs draw; the rest wait for the
         # verdict on their winners.
@@ -976,15 +974,12 @@ def estimate_temporary_pose(
     loop under the cross-run verdict (module docstring); one result per
     batch.  The batches come in retrieval rank: the first two that draw
     start in round 1, and the others wait for the verdict on their
-    winners.  A result is None when its batch has fewer than 4
-    correspondences, when no model reaches min_inliers, or when the verdict
-    stopped its run, before or after its first draw, because the other
-    batches' winners contradict it.  Otherwise it equals what the batch
-    gets in a call of its own."""
-    solved = iter(_ransac_pnp(
-        [(batch, cfg, None) for batch, cfg in zip(batches, cfgs, strict=True) if len(batch) >= 4],
-        K))
-    return [next(solved) if len(batch) >= 4 else None for batch in batches]
+    winners.  A result is None when its batch has fewer than
+    max(4, min_inliers) correspondences, when no model reaches min_inliers,
+    or when the verdict stopped its run, before or after its first draw,
+    because the other batches' winners contradict it.  Otherwise it equals
+    what the batch gets in a call of its own."""
+    return _ransac_pnp([(batch, cfg, None) for batch, cfg in zip(batches, cfgs, strict=True)], K)
 
 
 def weighted_ransac_pnp(

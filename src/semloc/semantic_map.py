@@ -397,7 +397,7 @@ def fuse_depth_maps(
     sums = np.full((0, 3), -0.0)
     counts = np.zeros(0, dtype=np.int64)
     n = 0
-    pair_keys = []
+    pair_keys = [np.zeros(0, dtype=np.int64)]
     for i, rec in enumerate(records):
         world = _valid_world_points(rec)[2]
         if len(world) == 0:
@@ -433,8 +433,6 @@ def fuse_depth_maps(
         counts[point_of] += np.bincount(inverse, minlength=len(uniq))
         pair_keys.append(point_of * len(records) + i)
 
-    if n == 0:
-        return FusedCloud(np.zeros((0, 3)), np.zeros((0, 2), dtype=np.int64))
     positions = sums[:n] / counts[:n, None]
     del sums, counts
     # Each record's points are distinct, so every pair key is too.
@@ -600,7 +598,6 @@ def build_dense_map(
     )
     if stats.stable_points == 0:
         logger.warning("dense map is empty after unstable-class removal")
-        return DenseMap(*[np.zeros(0)] * 8), stats
 
     positions = fused.positions[stable]
     pairs = fused.pairs[stable[fused.pairs[:, 0]]]

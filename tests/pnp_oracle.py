@@ -19,7 +19,7 @@ an iteration that gives up after 20 degenerate draws in a row; and equal
 inlier counts keep the model drawn first instead of the one of lower mean
 inlier error.
 
-Like the production loop, a run given fewer than min_inliers
+Like the production loop, a run given fewer than max(4, min_inliers)
 correspondences returns None before drawing, and with adaptive=True (the
 production rule) the iteration budget starts at the min-inliers bound, the
 RANSAC bound at inlier ratio min_inliers / n, and a weighted run stops at
@@ -348,7 +348,7 @@ def ransac_pnp(
     sample whose pixels span less than span_px is degenerate; both bounds
     are taken at the given confidence."""
     n = len(batch)
-    if n < cfg.min_inliers:
+    if n < max(4, cfg.min_inliers):
         return None
     points, pixels = batch.points, batch.pixels
     w = np.full(n, 1.0 / n) if weights is None else np.asarray(weights, dtype=np.float64)

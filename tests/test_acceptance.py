@@ -276,20 +276,14 @@ def _subset_families(ds, names):
     return db, qs
 
 
-def _tightest_recall(results, gt_poses, conditions, condition, bucket):
-    total = 0
-    hit = 0
-    for r in results:
-        if conditions[r.query_id] != condition:
-            continue
-        total += 1
-        if r.pose is None:
-            continue
-        gt = gt_poses[r.query_id]
-        pos = float(np.linalg.norm(r.pose.center - gt.center))
-        rot = rotation_error_deg(gt.rotation, r.pose.rotation)
-        hit += pos <= bucket.max_position_m and rot <= bucket.max_orientation_deg
-    return 100.0 * hit / total
+def _tightest_recalls(results, gt_poses, conditions):
+    """Day and night recall in each condition's tightest bucket, by
+    semloc.evaluate."""
+    report = evaluate({r.query_id: r.pose for r in results}, gt_poses,
+                      buckets={"day": DAY_BUCKETS, "night": NIGHT_BUCKETS},
+                      conditions=conditions)
+    tightest = {g.condition: g.percentages[0] for g in report.groups}
+    return tightest["day"], tightest["night"]
 
 
 def test_acceptance_06_hybrid_feature_complementarity():
@@ -307,10 +301,7 @@ def test_acceptance_06_hybrid_feature_complementarity():
                         ("hybrid", {"corner", "blob"})):
         db, qs = _subset_families(ds, fams)
         results = localize_all(qs, db, dense_map, cfg)
-        recalls[label] = (
-            _tightest_recall(results, ds.gt_poses, conditions, "day", DAY_BUCKETS[0]),
-            _tightest_recall(results, ds.gt_poses, conditions, "night", NIGHT_BUCKETS[0]),
-        )
+        recalls[label] = _tightest_recalls(results, ds.gt_poses, conditions)
     day_ok = recalls["hybrid"][0] >= max(recalls["corner"][0], recalls["blob"][0]) - 1.0
     night_ok = recalls["hybrid"][1] > max(recalls["corner"][1], recalls["blob"][1])
     _report(6, "hybrid-feature complementarity", day_ok and night_ok,

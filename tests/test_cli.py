@@ -124,6 +124,21 @@ class TestBuildMap:
         assert not (tmp_path / "m.bin").exists()
         assert f"{gdesc}: db003: descriptor contains non-finite values" in caplog.text
 
+    @pytest.mark.parametrize("value", ["db003 db004", ""], ids=["two-ids", "empty"])
+    def test_bad_manifest_db_line_is_data_error(self, workspace, tmp_path, caplog, value):
+        data = tmp_path / "data"
+        shutil.copytree(workspace / "data", data)
+        manifest = data / "manifest.txt"
+        lines = manifest.read_text().splitlines()
+        lineno = lines.index("db = db003") + 1
+        lines[lineno - 1] = f"db = {value}"
+        manifest.write_text("\n".join(lines) + "\n")
+        code = main(["build-map", str(data), str(workspace / "config.txt"),
+                     str(tmp_path / "m.bin")])
+        assert code == 2
+        assert not (tmp_path / "m.bin").exists()
+        assert f"{manifest}:{lineno}: db needs 'id'" in caplog.text
+
     # A line build-map must refuse at its own line: a value out of range, or a
     # value for a key the config no longer has (a per-family match rule, or a
     # setting that became a constant, whatever its value).

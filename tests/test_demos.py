@@ -1,4 +1,5 @@
-"""Every script under demos/ runs to completion with exit status 0."""
+"""Every script under demos/ runs to completion with exit status 0, under
+the warnings that tier-1's filterwarnings turns into errors."""
 
 import os
 import subprocess
@@ -9,12 +10,15 @@ import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
+# pyproject.toml's filterwarnings does not reach a subprocess.
+WARNINGS_AS_ERRORS = ["-W", "error::RuntimeWarning", "-W", "error::DeprecationWarning",
+                      "-W", "error::FutureWarning"]
 
 
 @pytest.mark.parametrize("demo", DEMOS, ids=lambda p: p.name)
 def test_demo_exits_zero(demo):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
-    proc = subprocess.run([sys.executable, str(demo)], cwd=ROOT, env=env,
+    proc = subprocess.run([sys.executable, *WARNINGS_AS_ERRORS, str(demo)], cwd=ROOT, env=env,
                           capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr[-4000:]

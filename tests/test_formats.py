@@ -547,6 +547,14 @@ class TestTextFiles:
             read_manifest(tmp_path)
         assert str(info.value) == f"{tmp_path / 'manifest.txt'}:4: repeated family 'corner'"
 
+    @pytest.mark.parametrize("value", ["db003 db004", ""], ids=["two-ids", "empty"])
+    def test_db_line_names_one_id(self, tmp_path, value):
+        # a bad db line fails at its own line, not as a missing camera line
+        (tmp_path / "manifest.txt").write_text(f"family = corner 16\ndb = db000\ndb = {value}\n")
+        with pytest.raises(DataFormatError) as info:
+            read_manifest(tmp_path)
+        assert str(info.value) == f"{tmp_path / 'manifest.txt'}:3: db needs 'id'"
+
     def test_missing_file(self, tmp_path):
         with pytest.raises(DataFormatError, match="nowhere.txt: file not found"):
             list(text_lines(tmp_path / "nowhere.txt"))

@@ -278,79 +278,6 @@ class TestPoseTypes:
             CameraIntrinsics(fx=1.0, fy=1.0, cx=10.0, cy=0.0, width=10, height=10)
 
 
-def _construct_error(R, C):
-    """The constructor's message for one pose, None when it is accepted."""
-    try:
-        RigidPose(R, C)
-    except ValueError as exc:
-        return str(exc)
-    return None
-
-
-class TestPoseStack:
-    def test_equals_poses_built_one_at_a_time(self):
-        rng = np.random.default_rng(11)
-        poses = [random_pose(rng) for _ in range(50)]
-        R = np.array([p.rotation for p in poses])
-        C = np.array([p.center for p in poses])
-        stacked = RigidPose.from_stack(R, C)
-        R[:] = 0.0  # the poses hold their own copies
-        assert len(stacked) == 50
-        for pose, alone in zip(stacked, poses):
-            assert pose.rotation.tobytes() == alone.rotation.tobytes()
-            assert pose.center.tobytes() == alone.center.tobytes()
-            assert pose.rotation.shape == (3, 3) and pose.center.shape == (3,)
-            assert not pose.rotation.flags.writeable and not pose.center.flags.writeable
-        assert RigidPose.from_stack(np.empty((0, 3, 3)), np.empty((0, 3))) == []
-
-    def test_checks_as_the_constructor_at_the_bounds(self):
-        # scaling one axis by s moves |R^T R - I| across 1e-9 near
-        # s = 1 + 5e-10; every step, and the stack around it, must be
-        # accepted or refused exactly as the constructor does, with its message
-        good = np.eye(3)
-        outcomes = set()
-        s = 1.0 + 5e-10
-        for _ in range(41):
-            s = np.nextafter(s, 0.0)
-        for _ in range(81):
-            s = np.nextafter(s, 2.0)
-            R = np.diag([s, 1.0, 1.0])
-            expected = _construct_error(R, np.zeros(3))
-            outcomes.add(expected)
-            stack = np.stack([good, R, good])
-            if expected is None:
-                assert RigidPose.from_stack(stack, np.zeros((3, 3)))[1].rotation.tobytes() == \
-                    RigidPose(R, np.zeros(3)).rotation.tobytes()
-            else:
-                with pytest.raises(ValueError) as exc:
-                    RigidPose.from_stack(stack, np.zeros((3, 3)))
-                assert str(exc.value) == expected
-        assert None in outcomes and len(outcomes) == 2
-
-    def test_first_failing_pose_raises_its_own_error(self):
-        reflection = np.diag([1.0, 1.0, -1.0])
-        cases = [
-            ([np.eye(3), reflection, np.full((3, 3), np.nan)], "determinant"),
-            ([np.eye(3) * 1.001, reflection], "orthonormal"),
-            ([np.eye(3), np.eye(3)], "non-finite"),
-        ]
-        for rotations, word in cases:
-            centers = np.zeros((len(rotations), 3))
-            if word == "non-finite":
-                centers[1, 2] = np.inf
-            with pytest.raises(ValueError, match=word) as exc:
-                RigidPose.from_stack(np.array(rotations), centers)
-            first = next(e for e in map(_construct_error, rotations, centers) if e is not None)
-            assert str(exc.value) == first
-
-    def test_stacks_of_different_lengths_are_refused(self):
-        # valid poses, so only the count can fail
-        for n_rot, n_cen in ((3, 2), (2, 3), (0, 1)):
-            with pytest.raises(ValueError) as exc:
-                RigidPose.from_stack(np.tile(np.eye(3), (n_rot, 1, 1)), np.zeros((n_cen, 3)))
-            assert f"({n_rot}, 3, 3)" in str(exc.value) and f"({n_cen}, 3)" in str(exc.value)
-
-
 class TestQuaternions:
     def test_roundtrip(self):
         rng = np.random.default_rng(14)

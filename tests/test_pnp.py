@@ -856,23 +856,22 @@ class TestLockstep:
         assert len(together) == len(runs)
         for a, b in zip(together, alone):
             _assert_bitwise_equal(a, b)
-        # the success, the 3-point and the weighted run find models; the
-        # doomed and the clustered runs do not, and the 5-point run draws
+        # the success and the weighted run find models; the doomed and the
+        # clustered runs do not, and the 5-point and the 3-point runs draw
         # nothing
-        assert [s is not None for s in alone] == [True, False, False, True, False, True]
+        assert [s is not None for s in alone] == [True, False, False, False, False, True]
         # the clustered run draws up to its draw cap, every sample
-        # degenerate, and solves none of them, alone or together; the
-        # doomed run solves its whole bound in one round, and the weighted
-        # run starts with a small round
-        assert solves_alone == [2, 1, 0, 1, 0, 2]
+        # degenerate, and solves none of them, alone or together; every
+        # run starts with a short round, so the success solves in 3 rounds
+        # and the doomed and the weighted runs in 2
+        assert solves_alone == [3, 2, 0, 0, 0, 2]
         # one P3P call per round that keeps a sample, each solving every
         # live run's samples; no call solves or scores nothing.  As more
         # than one run draws, only the first two (the success and the
-        # doomed run) draw in round 1, the others start in round 2, and
-        # each run's first round is a short one: the success solves
-        # 16 + 64 + 25, the doomed run 16 + 51 and the weighted run
-        # 16 + 64, as many as alone
-        assert calls == [16 + 16, 64 + 51 + 1 + 0 + 16, 25 + 64]
+        # doomed run) draw in round 1, and the others start in round 2:
+        # the success solves 16 + 64 + 25, the doomed run 16 + 51 and the
+        # weighted run 16 + 64, as many as alone
+        assert calls == [16 + 16, 64 + 51 + 0 + 16, 25 + 64]
         assert 0 not in scored
 
     def test_temporary_poses_equal_one_call_per_batch(self):
@@ -1118,7 +1117,7 @@ class TestMinInliersBound:
         sol, counted = _counted_run(monkeypatch, self._doomed(), cfg)
         assert sol is None
         assert _bound(20, 40) == 52
-        assert counted["rows"] == 52 and counted["draws"] == 69
+        assert counted["rows"] == 52 and counted["draws"] == 65
 
     def test_without_adaptive_stopping_runs_max_iterations(self, monkeypatch):
         cfg = RansacConfig(min_inliers=20, seed=9, max_iterations=300)
@@ -1132,6 +1131,12 @@ class TestMinInliersBound:
         sol, counted = _counted_run(monkeypatch, corrs, RansacConfig(min_inliers=12, seed=0))
         assert sol is None
         assert counted == {"rows": 0, "draws": 0}
+
+    def test_a_chance_that_leaves_one_minus_p_at_one_gives_the_cap(self):
+        cfg = RansacConfig(max_iterations=777)
+        assert 1.0 - 1e-17 == 1.0
+        assert pnp._iterations_needed(1e-17, cfg) == 777
+        assert pnp._iterations_needed(0.0, cfg) == 777
 
     def test_consensus_past_the_bound_is_given_up(self, monkeypatch):
         # 6 true inliers of 20 and min_inliers = 6: under seed 50 no
@@ -1198,9 +1203,10 @@ class TestFittedRounds:
         _assert_bitwise_equal(single, fitted)
         _assert_same_result(fitted, pnp_oracle.ransac_pnp(corrs, K, cfg, weights, span_px=span))
 
-    def test_doomed_run_ends_in_one_round(self, monkeypatch):
+    def test_doomed_run_ends_in_two_rounds(self, monkeypatch):
         # a wrong-place image: 13 gross outliers and min_inliers = 6, so the
-        # run solves the bound's 67 samples, all drawn in its first round
+        # run solves the bound's 67 samples: _FIRST_ROUND in its short
+        # first round and the other 51 in its second
         rng = np.random.default_rng(85)
         K = default_intrinsics()
         calls, scored = [], []
@@ -1222,8 +1228,27 @@ class TestFittedRounds:
             scored.clear()
             cfg = RansacConfig(min_inliers=6, seed=seed, max_iterations=300)
             assert _temporary(corrs, K, cfg) is None
-            assert calls == [67]
-            assert len(scored) == 1
+            assert calls == [16, 51]
+            assert len(scored) == 2
+
+    def test_a_uniform_run_alone_starts_with_a_small_round(self, monkeypatch):
+        # no prior and no cross-run verdict: the first round still draws
+        # _FIRST_ROUND samples, though the min-inliers bound asks more
+        rng = np.random.default_rng(86)
+        K = default_intrinsics()
+        corrs = synthetic_correspondences(rng, K, random_pose(rng), 40, outlier_frac=0.6,
+                                          pixel_noise=0.5)
+        drawn = []
+
+        def draw(rng, weights, m):
+            drawn.append(m)
+            return _draw_minimal_samples(rng, weights, m)
+
+        monkeypatch.setattr(pnp, "_draw_minimal_samples", draw)
+        cfg = RansacConfig(min_inliers=6, seed=1, max_iterations=300)
+        assert _bound(6, 40) > pnp._FIRST_ROUND
+        assert _one_run(corrs, K, cfg, None) is not None
+        assert drawn[0] == pnp._FIRST_ROUND and len(drawn) > 1
 
     def test_weighted_run_starts_with_a_small_round(self, monkeypatch):
         # the mass bound stops a run with a prior within its first round of
@@ -1510,6 +1535,12 @@ class TestMassBound:
         assert pnp._mass_chance(shares[:3]) == 0.9 * (0.5 / 0.6) * (0.1 / 0.2)
         assert _exact_sample_chance(shares, range(3)) < 0.9 ** 3
 
+    def test_two_inliers_holding_all_the_inlier_mass_give_zero(self):
+        # a sample's third pick can then never be an inlier; with all of
+        # the sampling weight on the two, the bound's last factor is 0 / 0
+        assert pnp._mass_chance(np.array([0.25, 0.75])) == 0.0
+        assert pnp._mass_chance(np.array([0.5, 0.0, 0.25])) == 0.0
+
     @staticmethod
     def _scene():
         """40 exact correspondences of one pose holding 0.2 of the weight,
@@ -1780,6 +1811,103 @@ class TestRefinePose:
             twice = refine_pose(replace(sol, pose=once), corrs, K)
             assert len(steps) == 1
             assert np.linalg.norm(twice.center - once.center) < 1e-9
+
+
+class TestRefinePoseSafetyBranches:
+    """refine_pose's exits and retries that a well-posed refinement does not
+    reach: a start it cannot refine, a singular or non-finite step, and
+    damping past 1e12."""
+
+    @staticmethod
+    def _noisy():
+        """40 correspondences of a pose at 1 px noise and a solution at that
+        pose holding every row."""
+        rng = np.random.default_rng(25)
+        pose = random_pose(rng)
+        corrs = synthetic_correspondences(rng, default_intrinsics(), pose, 40, pixel_noise=1.0)
+        return corrs, PnPSolution(pose, np.arange(40), 0.0)
+
+    @staticmethod
+    def _cost(pose, corrs):
+        res = pnp._errors(pose.rotation, pose.center, corrs.points, corrs.pixels,
+                          default_intrinsics())[0]
+        return float(res @ res)
+
+    @staticmethod
+    def _steps(monkeypatch, step):
+        """The damping of every _pose_step call, which step(call, original,
+        R, C, J, res, lam) answers in place of the production step; call
+        counts from 1 and original is the production _pose_step."""
+        lams = []
+        original = pnp._pose_step
+
+        def patched(R, C, J, res, lam=0.0):
+            lams.append(lam)
+            return step(len(lams), original, R, C, J, res, lam)
+
+        monkeypatch.setattr(pnp, "_pose_step", patched)
+        return lams
+
+    @staticmethod
+    def _behind(R, C):
+        """The pose moved 1e6 m along its optical axis: every point is
+        behind it, so its residuals are inf."""
+        return R, C + 1e6 * R[2]
+
+    def test_a_non_finite_start_returns_the_initial_pose(self, monkeypatch):
+        corrs, sol = self._noisy()
+        points = corrs.points.copy()
+        points[0] = 2.0 * sol.pose.center - points[0]  # reflected behind the camera
+        lams = self._steps(monkeypatch, lambda *args: pytest.fail("no step expected"))
+        assert refine_pose(sol, replace(corrs, points=points), default_intrinsics()) is sol.pose
+        assert lams == []
+
+    def test_a_zero_starting_cost_returns_the_initial_pose(self, monkeypatch):
+        corrs, sol = self._noisy()
+        pixels = project_points(corrs.points, sol.pose.rotation, sol.pose.center,
+                                default_intrinsics())[0]
+        exact = replace(corrs, pixels=pixels)
+        assert self._cost(sol.pose, exact) == 0.0
+        lams = self._steps(monkeypatch, lambda *args: pytest.fail("no step expected"))
+        assert refine_pose(sol, exact, default_intrinsics()) is sol.pose
+        assert lams == []
+
+    def test_a_singular_step_is_retried_with_ten_times_the_damping(self, monkeypatch):
+        corrs, sol = self._noisy()
+
+        def step(call, original, *args):
+            if call == 1:
+                raise np.linalg.LinAlgError("singular matrix")
+            return original(*args)
+
+        lams = self._steps(monkeypatch, step)
+        refined = refine_pose(sol, corrs, default_intrinsics())
+        assert lams[:2] == [1e-6, 1e-6 * 10.0]
+        assert self._cost(refined, corrs) < self._cost(sol.pose, corrs)
+
+    def test_a_step_with_non_finite_residuals_is_rejected(self, monkeypatch):
+        corrs, sol = self._noisy()
+
+        def step(call, original, *args):
+            R, C = original(*args)
+            return self._behind(R, C) if call == 1 else (R, C)
+
+        lams = self._steps(monkeypatch, step)
+        refined = refine_pose(sol, corrs, default_intrinsics())
+        assert lams[:2] == [1e-6, 1e-6 * 10.0]
+        assert self._cost(refined, corrs) < self._cost(sol.pose, corrs)
+
+    def test_damping_past_1e12_ends_the_refinement(self, monkeypatch):
+        corrs, sol = self._noisy()
+        lams = self._steps(monkeypatch, lambda call, original, R, C, *args: self._behind(R, C))
+        refined = refine_pose(sol, corrs, default_intrinsics())
+        lam, expected = 1e-6, []
+        while lam <= 1e12:
+            expected.append(lam)
+            lam *= 10.0
+        assert lams == expected and len(lams) < pnp._REFINE_MAX_STEPS
+        assert refined.rotation.tobytes() == sol.pose.rotation.tobytes()
+        assert refined.center.tobytes() == sol.pose.center.tobytes()
 
 
 class TestContaminationMini:
