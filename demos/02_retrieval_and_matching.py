@@ -9,6 +9,7 @@ correspondences.
 
 import numpy as np
 
+from semloc.geometry import project_points
 from semloc.matching import CorrespondenceBatch, lift_to_3d, match_family
 from semloc.retrieval import GlobalDescriptor, RetrievalConfig, build_index, query_top_k
 from semloc.synthetic import generate_scene, street_canyon_spec
@@ -50,13 +51,9 @@ print(f"\nhybrid pool: {len(pooled)} correspondences "
 
 # all lifted points should reproject close to their query keypoints at the
 # ground-truth pose (zero-noise scene)
-from semloc.geometry import project
-
 gt = ds.gt_poses[query.image_id]
-residuals = []
-for X, x in zip(pooled.points, pooled.pixels):
-    pix = project(X, gt, query.intrinsics)
-    if pix is not None:
-        residuals.append(float(np.linalg.norm(pix - x)))
+pixels, depth = project_points(pooled.points, gt.rotation, gt.center, query.intrinsics)
+in_front = depth > 0
+residuals = np.linalg.norm(pixels[in_front] - pooled.pixels[in_front], axis=1)
 print(f"reprojection at the true pose: median {np.median(residuals):.2f} px, "
       f"p95 {np.percentile(residuals, 95):.2f} px")

@@ -11,9 +11,12 @@ and weighting the hypothesis sampling by score steers the solver back to
 the true pose; the inlier RULE is unchanged, only the sampling is biased.
 """
 
+import math
+
 import numpy as np
 
 from semloc.config import PipelineConfig
+from semloc.geometry import RigidPose, pixel_rays, rotation_about_axis
 from semloc.matching import CorrespondenceBatch
 from semloc.pipeline import build_map
 from semloc.pnp import RansacConfig, estimate_temporary_pose, weighted_ransac_pnp
@@ -24,7 +27,6 @@ from semloc.scoring import (
     semantic_consistency_score,
 )
 from semloc.synthetic import (
-    _canyon_pose,
     generate_scene,
     render_depth_and_labels,
     symmetric_canyon_spec,
@@ -45,7 +47,11 @@ for trial in range(trials):
     # query in the first half
     z = float(rng.uniform(4.0, 14.0))
     yaw = float(rng.uniform(55.0, 69.0)) * (1 if rng.random() < 0.5 else -1)
-    q_pose = _canyon_pose(float(rng.uniform(-0.5, 0.5)), -1.5, z, yaw)
+    # eye height 1.5 m (world y points down), looking down-street (+z) turned
+    # by yaw about the vertical axis
+    x = float(rng.uniform(-0.5, 0.5))
+    R = rotation_about_axis(np.array([0.0, 1.0, 0.0]), math.radians(yaw))
+    q_pose = RigidPose(R.T, np.array([x, -1.5, z]))
     _, q_labels = render_depth_and_labels(spec.planes, q_pose, K)
 
     # 32 exact matches from the correct half, 48 from the congruent far half
@@ -56,9 +62,7 @@ for trial in range(trials):
         t, pidx = trace_rays(spec.planes, q_pose, K, pix)
         labels = np.array([spec.planes[i].label if i >= 0 else 255 for i in pidx])
         ok = (pidx >= 0) & (t > 0) & (labels != 0)
-        dirs = np.stack([(pix[:, 0] - K.cx) / K.fx, (pix[:, 1] - K.cy) / K.fy,
-                         np.ones(len(pix))], axis=1)
-        world = q_pose.center + (t[:, None] * dirs) @ q_pose.rotation
+        world = q_pose.center + (t[:, None] * pixel_rays(pix, K)) @ q_pose.rotation
         for j in np.nonzero(ok)[0][: 32 - len(pts)]:
             pts.append((pix[j], world[j]))
     pix_good = np.array([p for p, _ in pts])

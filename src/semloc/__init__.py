@@ -14,10 +14,8 @@ from .geometry import (
     CameraIntrinsics,
     PoseError,
     RigidPose,
-    back_project,
     pose_error,
     position_error_m,
-    project,
     rotation_error_deg,
 )
 from .semantic_map import (

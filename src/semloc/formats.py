@@ -268,14 +268,38 @@ _MAP_DTYPE = np.dtype(
 )
 
 
+def _map_problem(rec: np.ndarray, labels: np.ndarray, support: np.ndarray) -> Optional[str]:
+    """Why MAP1 refuses a map, or None.  rec holds the columns as stored;
+    labels and support are the integers the file is to hold, which the
+    writer takes from the map because the record's uint8 / uint16 wrap."""
+    if not all(np.all(np.isfinite(rec[name])) for name in _MAP_DTYPE.names):
+        return "map contains non-finite values"
+    if np.any((labels < 0) | (labels > MAX_CLASS_ID)):
+        return f"map labels outside 0..{MAX_CLASS_ID}"
+    if np.any(support < 1):
+        return "map support must be >= 1"
+    if np.any(support > 0xFFFF):
+        return "support exceeds the uint16 range of the map format"
+    d_min, d_max, theta = (rec[name].astype(np.float64) for name in ("d_min", "d_max", "theta"))
+    if np.any((d_min <= 0) | (d_min > d_max)):
+        return "invalid visibility distance range"
+    # stored values are float32-quantized; allow that much slack
+    if np.any((theta < 0) | (theta > np.pi + 1e-6)):
+        return "visible angle outside [0, pi]"
+    return None
+
+
 def write_dense_map(path, dense_map: DenseMap) -> None:
-    n = len(dense_map)
-    if n and int(dense_map.support.max()) > 0xFFFF:
-        raise ValueError("support exceeds the uint16 range of the map format")
-    rec = np.empty(n, dtype=_MAP_DTYPE)
-    for name in _MAP_DTYPE.names:
-        rec[name] = getattr(dense_map, name)
-    _write_binary(path, b"MAP1", (n,), rec.tobytes())
+    """Write MAP1; a map that read_dense_map would refuse, or read back with
+    other labels or support, raises ValueError and writes nothing."""
+    rec = np.empty(len(dense_map), dtype=_MAP_DTYPE)
+    with np.errstate(over="ignore"):  # a float32 overflow is refused as non-finite
+        for name in _MAP_DTYPE.names:
+            rec[name] = getattr(dense_map, name)
+    problem = _map_problem(rec, dense_map.labels, dense_map.support)
+    if problem:
+        raise ValueError(problem)
+    _write_binary(path, b"MAP1", (len(rec),), rec.tobytes())
 
 
 def read_dense_map(path) -> DenseMap:
@@ -284,20 +308,10 @@ def read_dense_map(path) -> DenseMap:
     n = r.u32()
     rec = r.array(_MAP_DTYPE, n)
     r.done()
-    if not all(np.all(np.isfinite(rec[name])) for name in _MAP_DTYPE.names):
-        raise DataFormatError(path, None, "map contains non-finite values")
-    dense_map = DenseMap(**{name: rec[name] for name in _MAP_DTYPE.names})
-    if np.any(dense_map.labels > MAX_CLASS_ID):
-        raise DataFormatError(path, None, f"map labels outside 0..{MAX_CLASS_ID}")
-    if np.any(dense_map.support < 1):
-        raise DataFormatError(path, None, "map support must be >= 1")
-    bad_range = (dense_map.d_min <= 0) | (dense_map.d_min > dense_map.d_max)
-    if np.any(bad_range):
-        raise DataFormatError(path, None, "invalid visibility distance range")
-    # stored values are float32-quantized; allow that much slack
-    if np.any((dense_map.theta < 0) | (dense_map.theta > np.pi + 1e-6)):
-        raise DataFormatError(path, None, "visible angle outside [0, pi]")
-    return dense_map
+    problem = _map_problem(rec, rec["labels"], rec["support"])
+    if problem:
+        raise DataFormatError(path, None, problem)
+    return DenseMap(**{name: rec[name] for name in _MAP_DTYPE.names})
 
 
 # ── Text files ───────────────────────────────────────────────────────────

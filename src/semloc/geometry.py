@@ -25,7 +25,7 @@ from __future__ import annotations
 import dataclasses
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -33,12 +33,10 @@ __all__ = [
     "CameraIntrinsics",
     "RigidPose",
     "PoseError",
-    "project",
     "project_points",
     "pixel_rays",
     "nearest_pixel",
     "sample_grid",
-    "back_project",
     "back_project_pixels",
     "rotation_error_deg",
     "position_error_m",
@@ -139,16 +137,6 @@ class CameraIntrinsics:
                 f"{self.width}x{self.height} image"
             )
 
-    def contains(self, pixels: np.ndarray) -> np.ndarray:
-        """Boolean mask of pixel coordinates inside the image rectangle."""
-        p = np.atleast_2d(np.asarray(pixels, dtype=np.float64))
-        return (
-            (p[:, 0] >= 0.0)
-            & (p[:, 0] <= self.width - 1)
-            & (p[:, 1] >= 0.0)
-            & (p[:, 1] <= self.height - 1)
-        )
-
 
 @dataclass(frozen=True)
 class RigidPose(_FrozenArrays):
@@ -210,8 +198,8 @@ def project_points(
 
     For N >= 2 a row is bitwise the same whatever N is and however many
     poses are stacked, so a caller may pad or batch rows freely.  A one-row
-    call (N = 1, as in project) may differ from it in the last bit: the
-    matrix product takes another path for a single row.
+    call (N = 1) may differ from it in the last bit: the matrix product
+    takes another path for a single row.
     """
     center = np.asarray(center, dtype=np.float64)
     cam = (np.asarray(points, dtype=np.float64) - center[..., None, :]) @ np.swapaxes(
@@ -224,13 +212,6 @@ def project_points(
     pixels[..., 0] = K.fx * cam[..., 0] / z + K.cx
     pixels[..., 1] = K.fy * cam[..., 1] / z + K.cy
     return pixels, depth
-
-
-def project(point: np.ndarray, pose: RigidPose, K: CameraIntrinsics) -> Optional[np.ndarray]:
-    """Project one world point; returns pixel (x, y) or None if it lies at or
-    behind the camera plane (z <= 0).  No image-bounds clipping here."""
-    pixels, depth = project_points(np.reshape(point, (1, 3)), pose.rotation, pose.center, K)
-    return pixels[0] if depth[0] > 0.0 else None
 
 
 def pixel_rays(pixels: np.ndarray, K: CameraIntrinsics) -> np.ndarray:
@@ -274,13 +255,6 @@ def back_project_pixels(
     if not np.all(np.isfinite(d)) or np.any(d <= 0.0):
         raise ValueError("all depths must be finite and positive")
     return (pixel_rays(pixels, K) * d[:, None]) @ pose.rotation + pose.center
-
-
-def back_project(
-    pixel: np.ndarray, depth: float, pose: RigidPose, K: CameraIntrinsics
-) -> np.ndarray:
-    """back_project_pixels for one pixel and depth."""
-    return back_project_pixels(np.reshape(pixel, (1, 2)), [depth], pose, K)[0]
 
 
 # ── Error metrics ────────────────────────────────────────────────────────

@@ -34,15 +34,14 @@ Per query the flow is:
      settled inlier set.
 
 Every stage is deterministic: per-query and per-retrieved-image RANSAC
-seeds are derived from the master seed with numpy SeedSequences, so a run
-reproduces bit-identically regardless of thread count.
+seeds are derived from the master seed with numpy SeedSequences and the
+query's position in the batch, so a run reproduces bit-identically.
 """
 
 from __future__ import annotations
 
 import logging
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
@@ -197,14 +196,15 @@ def localize_all(
     cfg: PipelineConfig,
     threads: int = 1,
 ) -> list:
-    """Localize every query; results come back in query order regardless of
-    the thread count, so output files are bit-identical either way."""
+    """Localize every query in order on the calling thread.  threads must be
+    1; any other value raises ValueError."""
+    if threads != 1:
+        raise ValueError(f"threads must be 1, got {threads}")
     index = build_index(
         [GlobalDescriptor(r.image_id, r.global_descriptor) for r in db_records]
     )
-
-    def run(item):
-        i, q = item
+    results = []
+    for i, q in enumerate(queries):
         t0 = time.perf_counter()
         result = localize_query(q, i, db_records, dense_map, index, cfg)
         logger.info(
@@ -213,10 +213,5 @@ def localize_all(
             "pose" if result.pose is not None else f"failed: {result.failure_reason}",
             time.perf_counter() - t0,
         )
-        return result
-
-    items = list(enumerate(queries))
-    if threads <= 1:
-        return [run(it) for it in items]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(run, items))
+        results.append(result)
+    return results

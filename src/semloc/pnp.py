@@ -713,10 +713,11 @@ def _mass_chance(shares: np.ndarray) -> float:
     """Lower bound on the chance that one weighted minimal sample (three
     distinct items, _draw_minimal_samples) is all inliers, given the
     inliers' shares of the total sampling weight: the mass bound of the
-    module docstring, 0 when the two largest shares hold all of it."""
+    module docstring, 0 when the two largest shares hold all of it (what
+    they leave of it is below 1e-12, the sum's rounding)."""
     M = float(shares.sum())
     b, a = np.sort(shares)[-2:].tolist()
-    if M - a - b <= 0.0:
+    if M - a - b < 1e-12:
         return 0.0
     return M * (M - a) / (1.0 - a) * (M - a - b) / (1.0 - a - b)
 

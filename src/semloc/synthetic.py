@@ -123,7 +123,6 @@ class SyntheticDataset(Dataset):
 
     spec: SceneSpec
     anchor_positions: np.ndarray  # (A, 3)
-    anchor_plane: np.ndarray  # (A,) index of each anchor's plane
 
 
 # ── Analytic rendering ───────────────────────────────────────────────────
@@ -216,6 +215,14 @@ def sample_plane_points(plane: FacadePlane, count: int, rng: np.random.Generator
 # ── Dataset generation ───────────────────────────────────────────────────
 
 
+def _inside_image(pixels: np.ndarray, K: CameraIntrinsics) -> np.ndarray:
+    """Mask of (N, 2) pixels inside [0, W - 1] x [0, H - 1], where an anchor
+    counts as seen and a keypoint is kept.  Stricter than nearest_pixel's
+    [-0.5, W - 0.5) cells, so every keypoint reads a pixel of its image."""
+    x, y = pixels[:, 0], pixels[:, 1]
+    return (x >= 0.0) & (x <= K.width - 1) & (y >= 0.0) & (y <= K.height - 1)
+
+
 def _visible_anchor_mask(
     anchors: np.ndarray,
     planes: Sequence[FacadePlane],
@@ -226,7 +233,7 @@ def _visible_anchor_mask(
     projects inside the image and no plane hit lies strictly closer along
     its exact viewing ray."""
     pixels, depth = project_points(anchors, pose.rotation, pose.center, K)
-    inb = (depth > 1e-9) & K.contains(pixels)
+    inb = (depth > 1e-9) & _inside_image(pixels, K)
     visible = inb.copy()
     if np.any(inb):
         t_hit, _ = trace_rays(planes, pose, K, pixels[inb])
@@ -256,7 +263,7 @@ def _make_feature_sets(
         desc_noise = rng.normal(size=(n, fam.dim))
         keep = visible & (drop >= fam.dropout.get(condition, 0.0))
         locs = pixels[keep] + fam.location_sigma.get(condition, 0.0) * loc_noise[keep]
-        inb = K.contains(locs)
+        inb = _inside_image(locs, K)
         descs = codes[fam.name][keep] + fam.sigma.get(condition, 0.0) * desc_noise[keep]
         out[fam.name] = FeatureSet(
             family=fam.name, locations=locs[inb], descriptors=descs[inb]
@@ -271,14 +278,8 @@ def generate_scene(spec: SceneSpec) -> SyntheticDataset:
     spec.validate()
     rng = np.random.default_rng(np.random.SeedSequence(spec.seed))
 
-    positions = []
-    plane_of = []
-    for pi in spec.anchor_plane_indices:
-        pts = sample_plane_points(spec.planes[pi], spec.anchors_per_plane, rng)
-        positions.append(pts)
-        plane_of.extend([pi] * len(pts))
-    anchors = np.concatenate(positions, axis=0)
-    anchor_plane = np.array(plane_of, dtype=np.int64)
+    anchors = np.concatenate([sample_plane_points(spec.planes[pi], spec.anchors_per_plane, rng)
+                              for pi in spec.anchor_plane_indices], axis=0)
 
     # each anchor's latent descriptor per family, and its global one
     codes = {f.name: rng.normal(size=(len(anchors), f.dim)) for f in spec.families}
@@ -316,7 +317,6 @@ def generate_scene(spec: SceneSpec) -> SyntheticDataset:
         families=[(f.name, f.dim) for f in spec.families],
         spec=spec,
         anchor_positions=anchors,
-        anchor_plane=anchor_plane,
     )
 
 

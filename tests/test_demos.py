@@ -1,6 +1,8 @@
 """Every script under demos/ runs to completion with exit status 0, under
-the warnings that tier-1's filterwarnings turns into errors."""
+the warnings that tier-1's filterwarnings turns into errors, and uses only
+semloc's public names."""
 
+import ast
 import os
 import subprocess
 import sys
@@ -22,3 +24,25 @@ def test_demo_exits_zero(demo):
     proc = subprocess.run([sys.executable, *WARNINGS_AS_ERRORS, str(demo)], cwd=ROOT, env=env,
                           capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr[-4000:]
+
+
+def _private_semloc_imports(source: str) -> list[str]:
+    """Every name a script imports from semloc whose module path or name has
+    a part that starts with an underscore."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "semloc":
+            found += [f"{node.module}.{a.name}" for a in node.names
+                      if any(part.startswith("_") for part in [*node.module.split("."), a.name])]
+        elif isinstance(node, ast.Import):
+            found += [a.name for a in node.names if a.name.split(".")[0] == "semloc"
+                      and any(part.startswith("_") for part in a.name.split("."))]
+    return found
+
+
+def test_demos_import_only_public_names():
+    assert _private_semloc_imports("from semloc.synthetic import _canyon_pose, generate_scene\n"
+                                   "import semloc._x\nfrom semloc import _y\n") == [
+        "semloc.synthetic._canyon_pose", "semloc._x", "semloc._y"]
+    assert {demo.name: _private_semloc_imports(demo.read_text()) for demo in DEMOS} == {
+        demo.name: [] for demo in DEMOS}

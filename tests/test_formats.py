@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 
 from semloc.config import parse_config_file
 from semloc.formats import (
+    _MAP_DTYPE,
     CameraRecord,
     DataFormatError,
     read_cameras,
@@ -225,6 +226,17 @@ def _corrupted(dm, column, index, value):
     return DenseMap(**columns)
 
 
+def _write_patched_map(path, dm, stored):
+    """A valid MAP1 file of dm whose bytes then hold, for each column, the
+    value stored[column] = (row, value) at that row."""
+    write_dense_map(path, dm)
+    data = bytearray(path.read_bytes())
+    rec = np.frombuffer(data, dtype=_MAP_DTYPE, count=len(dm), offset=8)
+    for column, (row, value) in stored.items():
+        rec[column][row] = value
+    path.write_bytes(data)
+
+
 class TestDenseMapFormat:
     def test_roundtrip_random(self, tmp_path):
         rng = np.random.default_rng(4)
@@ -243,20 +255,37 @@ class TestDenseMapFormat:
             assert np.array_equal(back.support, dm.support)
 
     def test_support_range_guard(self, tmp_path):
+        # the writer refuses every map whose file the reader would refuse or
+        # read back with other values: the uint8 labels and uint16 support
+        # would wrap (274 -> 18, -1 -> 65535), and float32 would round a
+        # distance to 0 or overflow to inf; it writes nothing then
         rng = np.random.default_rng(5)
-        dm = _corrupted(_random_dense_map(rng, 2), "support", 0, 70000)
-        with pytest.raises(ValueError, match="uint16"):
-            write_dense_map(tmp_path / "m.bin", dm)
+        p = tmp_path / "m.bin"
+        for column, value, message in [
+            ("support", 70000, "uint16"),
+            ("support", -1, ">= 1"),
+            ("support", 0, ">= 1"),
+            ("labels", 274, "labels"),
+            ("labels", 19, "labels"),
+            ("labels", 255, "labels"),
+            ("labels", 300, "labels"),
+            ("labels", -1, "labels"),
+            ("d_min", 1e-50, "distance range"),
+            ("d_max", 1e39, "non-finite"),
+            ("theta", 3.5, "angle"),
+        ]:
+            dm = _corrupted(_random_dense_map(rng, 2), column, 0, value)
+            with pytest.raises(ValueError, match=message):
+                write_dense_map(p, dm)
+            assert not p.exists()
 
     def test_corrupt_map_rejected_on_load(self, tmp_path):
         rng = np.random.default_rng(6)
-        dm = _corrupted(_random_dense_map(rng, 3), "labels", 1, 99)
         p = tmp_path / "m.bin"
-        write_dense_map(p, dm)
+        _write_patched_map(p, _random_dense_map(rng, 3), {"labels": (1, 99)})
         with pytest.raises(DataFormatError, match="labels"):
             read_dense_map(p)
-        dm2 = _corrupted(_corrupted(_random_dense_map(rng, 3), "d_min", 0, 5.0), "d_max", 0, 1.0)
-        write_dense_map(p, dm2)
+        _write_patched_map(p, _random_dense_map(rng, 3), {"d_min": (0, 5.0), "d_max": (0, 1.0)})
         with pytest.raises(DataFormatError, match="distance range"):
             read_dense_map(p)
 

@@ -13,39 +13,47 @@ from semloc.geometry import (
     CameraIntrinsics,
     PoseError,
     RigidPose,
-    back_project,
     back_project_pixels,
     matrix_to_quaternion,
     position_error_m,
-    project,
     project_points,
     quaternion_to_matrix,
     rotation_error_deg,
     sample_grid,
 )
 
-from conftest import default_intrinsics, pinhole_project, random_pose, rodrigues
+from conftest import (default_intrinsics, pinhole_back_project, pinhole_project, random_pose,
+                      rodrigues)
 
 
 def _simple_K():
     return CameraIntrinsics(fx=100.0, fy=100.0, cx=50.0, cy=50.0, width=100, height=100)
 
 
+def _project_one(point):
+    """project_points' pixel and depth of one world point under the identity
+    pose and _simple_K."""
+    pixels, depth = project_points(np.reshape(point, (1, 3)), np.eye(3), np.zeros(3), _simple_K())
+    return pixels[0], depth[0]
+
+
 class TestProject:
     def test_on_optical_axis(self):
-        p = project(np.array([0.0, 0.0, 5.0]), RigidPose.identity(), _simple_K())
+        p, _ = _project_one([0.0, 0.0, 5.0])
         np.testing.assert_allclose(p, [50.0, 50.0], atol=0)
 
     def test_off_axis(self):
         # 100 * 1/5 + 50 = 70
-        p = project(np.array([1.0, 0.0, 5.0]), RigidPose.identity(), _simple_K())
+        p, _ = _project_one([1.0, 0.0, 5.0])
         np.testing.assert_allclose(p, [70.0, 50.0], atol=0)
 
     def test_behind_camera_is_none(self):
-        assert project(np.array([0.0, 0.0, -1.0]), RigidPose.identity(), _simple_K()) is None
+        p, depth = _project_one([0.0, 0.0, -1.0])
+        assert depth <= 0.0 and np.isnan(p).all()
 
     def test_on_camera_plane_is_none(self):
-        assert project(np.array([1.0, 1.0, 0.0]), RigidPose.identity(), _simple_K()) is None
+        p, depth = _project_one([1.0, 1.0, 0.0])
+        assert depth <= 0.0 and np.isnan(p).all()
 
     def test_vectorized_matches_scalar(self):
         rng = np.random.default_rng(5)
@@ -58,12 +66,10 @@ class TestProject:
             assert depth[i] == pytest.approx((pose.rotation @ (pts[i] - pose.center))[2])
             if single is None:
                 assert depth[i] <= 0 and np.isnan(pixels[i]).all()
-                assert project(pts[i], pose, K) is None
             else:
                 assert depth[i] > 0
                 # matmul and scalar dot may differ in the last ulp
                 np.testing.assert_allclose(pixels[i], single, rtol=1e-12, atol=1e-9)
-                np.testing.assert_allclose(project(pts[i], pose, K), single, rtol=1e-12, atol=1e-9)
 
     def test_stacked_poses_match_one_pose_at_a_time(self):
         # M poses against N points in one call: bitwise the per-pose rows
@@ -80,11 +86,10 @@ class TestProject:
             assert np.array_equal(pixels[m], one_pixels, equal_nan=True)
             assert np.array_equal(depth[m], one_depth)
 
-
     def test_rows_do_not_depend_on_the_row_count(self):
         # a row is bitwise the same in every call of two or more rows, also
         # when each of M stacked poses projects its own points; a one-row
-        # call (project) may differ from it in the last bit
+        # call may differ from it in the last bit
         rng = np.random.default_rng(9)
         K = default_intrinsics()
         pose = random_pose(rng)
@@ -105,33 +110,44 @@ class TestProject:
                 assert np.array_equal(sub_depth, depth[m, :n])
 
 
+def _back_project_one(pixel, depth):
+    """back_project_pixels' world point of one pixel and depth under the
+    identity pose and _simple_K."""
+    return back_project_pixels(np.reshape(pixel, (1, 2)), [depth], RigidPose.identity(),
+                               _simple_K())[0]
+
+
 class TestBackProject:
     def test_principal_point(self):
-        X = back_project(np.array([50.0, 50.0]), 5.0, RigidPose.identity(), _simple_K())
+        X = _back_project_one([50.0, 50.0], 5.0)
         np.testing.assert_allclose(X, [0.0, 0.0, 5.0], atol=0)
 
     def test_off_axis(self):
-        X = back_project(np.array([70.0, 50.0]), 5.0, RigidPose.identity(), _simple_K())
+        X = _back_project_one([70.0, 50.0], 5.0)
         np.testing.assert_allclose(X, [1.0, 0.0, 5.0], atol=1e-15)
 
     @pytest.mark.parametrize("depth", [0.0, -1.0, math.nan, math.inf])
     def test_rejects_bad_depth(self, depth):
         with pytest.raises(ValueError):
-            back_project(np.array([50.0, 50.0]), depth, RigidPose.identity(), _simple_K())
+            _back_project_one([50.0, 50.0], depth)
 
     def test_roundtrip_property(self):
-        # project(back_project(q, d)) == q within 1e-9 px over random draws
+        # back_project_pixels of (q, d), projected by the scalar oracle, is q
+        # within 1e-9 px, and is the oracle's back-projection within 1e-9 m
         rng = np.random.default_rng(11)
         K = default_intrinsics()
-        worst = 0.0
+        worst_px = worst_m = 0.0
         for _ in range(200):
             pose = random_pose(rng)
             pix = np.array([rng.uniform(0, K.width), rng.uniform(0, K.height)])
             d = rng.uniform(0.1, 50.0)
-            back = back_project(pix, d, pose, K)
-            forward = project(back, pose, K)
-            worst = max(worst, float(np.linalg.norm(forward - pix)))
-        assert worst < 1e-9
+            back = back_project_pixels(pix[None], [d], pose, K)[0]
+            forward = pinhole_project(back, pose, K)
+            worst_px = max(worst_px, float(np.linalg.norm(forward - pix)))
+            oracle = pinhole_back_project(pix, d, pose, K)
+            worst_m = max(worst_m, float(np.linalg.norm(back - oracle)))
+        assert worst_px < 1e-9
+        assert worst_m < 1e-9
 
     def test_roundtrip_bulk(self):
         rng = np.random.default_rng(12)

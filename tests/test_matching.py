@@ -13,7 +13,7 @@ from dataclasses import FrozenInstanceError, fields, replace
 import numpy as np
 import pytest
 
-from semloc.geometry import CameraIntrinsics, RigidPose, back_project_pixels, nearest_pixel, project
+from semloc.geometry import CameraIntrinsics, RigidPose, back_project_pixels, nearest_pixel
 from semloc.matching import (
     CorrespondenceBatch,
     FeatureSet,
@@ -31,7 +31,7 @@ from semloc.semantic_map import (
 )
 from semloc.synthetic import FacadePlane
 
-from conftest import pinhole_back_project
+from conftest import pinhole_back_project, pinhole_project
 
 
 def _set(family, descs, locs=None):
@@ -210,7 +210,7 @@ class TestLiftTo3D:
             if not len(res.correspondences):
                 continue
             lifted += 1
-            pix = project(res.correspondences.points[0], db.pose, db.intrinsics)
+            pix = pinhole_project(res.correspondences.points[0], db.pose, db.intrinsics)
             assert pix is not None
             assert np.max(np.abs(pix - fs.locations[i])) <= 0.5 + 1e-6
         assert lifted > 10
@@ -363,8 +363,8 @@ class TestLiftTable:
         assert rec.features[name] is fs and rec.lift_table(name) is table
 
     def test_threads_share_the_lazily_built_tables(self, zero_noise_dataset):
-        # localize_all(threads > 1) lifts through shared records, and the
-        # first lifts of several threads race to build a record's tables
+        # a caller that localizes from its own threads lifts through shared
+        # records, and the first lifts race to build a record's tables
         expected = {(r.image_id, name): r.lift_table(name)
                     for r in zero_noise_dataset.db_records for name in r.features}
         fresh = [replace(r) for r in zero_noise_dataset.db_records] * 3

@@ -104,17 +104,19 @@ class TestLocalization:
         assert pose_error(ds.gt_poses[q.image_id], res.pose).position_error < 0.05
 
     def test_determinism_across_runs_and_threads(self, zero_noise_dataset, small_cfg):
+        # a re-run gives bitwise the same poses; localize_all runs its
+        # queries on the calling thread and refuses any other thread count
         ds = zero_noise_dataset
         dense_map, _ = build_map(ds.db_records, small_cfg)
         a = localize_all(ds.queries, ds.db_records, dense_map, small_cfg, threads=1)
         b = localize_all(ds.queries, ds.db_records, dense_map, small_cfg, threads=1)
-        c = localize_all(ds.queries, ds.db_records, dense_map, small_cfg, threads=3)
-        for ra, rb, rc in zip(a, b, c):
-            assert ra.query_id == rb.query_id == rc.query_id
+        for ra, rb in zip(a, b, strict=True):
+            assert ra.query_id == rb.query_id
             assert np.array_equal(ra.pose.rotation, rb.pose.rotation)
             assert np.array_equal(ra.pose.center, rb.pose.center)
-            assert np.array_equal(ra.pose.rotation, rc.pose.rotation)
-            assert np.array_equal(ra.pose.center, rc.pose.center)
+        for threads in (3, 0):
+            with pytest.raises(ValueError, match="threads must be 1"):
+                localize_all(ds.queries, ds.db_records, dense_map, small_cfg, threads=threads)
 
     def test_diagnostics_recorded(self, small_run):
         _, _, results = small_run

@@ -218,8 +218,8 @@ class TestGateVisible:
             assert np.array_equal(mask, _oracle_mask(dense_map, _at(np.zeros(3)), m, MARGINS[1]))
 
     def test_threads_share_the_lazily_built_tree(self, zero_noise_dataset, built_map):
-        # localize_all(threads > 1) gates one map from several threads, and
-        # their first calls race to build the map's cached tree
+        # a caller that localizes from its own threads gates one map from
+        # each of them, and their first calls race to build its cached tree
         poses = [rec.pose for rec in zero_noise_dataset.db_records] * 2
         expected = [gate_visible(built_map, pose) for pose in poses]
         fresh = built_map[np.arange(len(built_map))]  # a copy with no tree yet

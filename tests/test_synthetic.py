@@ -6,7 +6,7 @@ import re
 import numpy as np
 import pytest
 
-from semloc.geometry import CameraIntrinsics, RigidPose, back_project
+from semloc.geometry import CameraIntrinsics, RigidPose
 from semloc.synthetic import (
     FacadePlane,
     generate_scene,
@@ -16,6 +16,8 @@ from semloc.synthetic import (
     symmetric_canyon_spec,
     trace_rays,
 )
+
+from conftest import pinhole_back_project
 
 
 def _ray_plane_oracle(plane, origin, d_world):
@@ -74,7 +76,7 @@ class TestRendering:
         rng = np.random.default_rng(1)
         for k in rng.integers(0, len(ys), size=50):
             pix = np.array([float(xs[k]), float(ys[k])])
-            X = back_project(pix, float(depth[ys[k], xs[k]]), pose, K)
+            X = pinhole_back_project(pix, float(depth[ys[k], xs[k]]), pose, K)
             best = min(abs(np.dot(X - p.corner, p.normal())) for p in spec.planes)
             # float32 depth quantization bounds the off-plane distance
             assert best < 1e-5
