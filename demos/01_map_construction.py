@@ -24,13 +24,13 @@ print(f"scene: {len(spec.planes)} planes, {len(ds.db_records)} database cameras,
       f"{spec.intrinsics.width}x{spec.intrinsics.height} px")
 
 # ── depth filtering on one image ─────────────────────────────────────────
-neighbors = select_filter_neighbors(ds.db_records)  # the 4 nearest camera centers
+# row i: indices of the 4 records with camera centers nearest record i's
+neighbors = select_filter_neighbors(ds.db_records)
 rec = ds.db_records[5]
-by_id = {r.image_id: r for r in ds.db_records}
-nbs = [by_id[i] for i in neighbors[rec.image_id]]
+nbs = [ds.db_records[j] for j in neighbors[5]]
 cfg = DepthFilterConfig(tau=0.01)  # a depth survives when one neighbor confirms it
 filtered = filter_depth_map(rec, nbs, cfg)
-print(f"\n{rec.image_id}: neighbors {neighbors[rec.image_id]}")
+print(f"\n{rec.image_id}: neighbors {[r.image_id for r in nbs]}")
 print(f"  valid depths {int((rec.depth > 0).sum())} -> {int((filtered > 0).sum())} "
       f"after the |d_r - d_n|/d_n < {cfg.tau} consistency test")
 

@@ -67,11 +67,10 @@ for trial in range(trials):
             pts.append((pix[j], world[j]))
     pix_good = np.array([p for p, _ in pts])
     world_good = np.array([X for _, X in pts])
-    good = CorrespondenceBatch(pix_good, world_good, ["good_img"] * 32, ["corner"] * 32)
+    good = CorrespondenceBatch(pix_good, world_good, ["corner"] * 32)
     shift = np.array([0.0, 0.0, 20.0])
     j = np.arange(48) % 32
-    wrong = CorrespondenceBatch(pix_good[j], world_good[j] + shift,
-                                ["wrong_img"] * 48, ["corner"] * 48)
+    wrong = CorrespondenceBatch(pix_good[j], world_good[j] + shift, ["corner"] * 48)
     corrs = CorrespondenceBatch.concat([good, wrong])
 
     # score each "retrieved image" through its temporary pose
@@ -83,16 +82,17 @@ for trial in range(trials):
     scores = []
     for (img, _), temp in zip(images, temps):
         if temp is None:
-            scores.append(SemanticScore(img, 0, 0))
+            scores.append(SemanticScore(0, 0))
             continue
         gated = gate_visible(dense_map, temp.pose)
-        scores.append(semantic_consistency_score(gated, temp.pose, K, q_labels, image_id=img))
+        scores.append(semantic_consistency_score(gated, temp.pose, K, q_labels))
     if trial == 0:
-        for s in scores:
-            print(f"  {s.image_id}: {s.consistent} consistent of {s.projected} projected")
+        for (img, _), s in zip(images, scores):
+            print(f"  {img}: {s.consistent} consistent of {s.projected} projected")
 
-    # one sampling weight per pooled row, passed beside the batch
-    weighted = normalize_weights(scores, corrs)
+    # one sampling weight per pooled row, passed beside the batch: each row
+    # takes the score of its image, paired with the image's batch by position
+    weighted = normalize_weights(scores, [good, wrong])
     uniform = np.full(len(corrs), 1.0 / len(corrs))
     cfg = RansacConfig(inlier_threshold_px=2.0, min_inliers=12, seed=trial * 13 + 5,
                        max_iterations=200)

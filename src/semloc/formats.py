@@ -433,7 +433,7 @@ def write_estimates(path, results: Sequence) -> None:
             vals = " ".join(_pose_fields(res.pose))
             lines.append(f"{res.query_id} {res.condition} pose {vals}")
         else:
-            reason = (res.failure_reason or "unknown").replace(" ", "_")
+            reason = "_".join((res.failure_reason or "").split()) or "unknown"
             lines.append(f"{res.query_id} {res.condition} failed {reason}")
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
@@ -452,18 +452,17 @@ def read_estimates(path) -> tuple[dict, dict]:
             raise DataFormatError(path, None, f"unknown condition {condition!r}", lineno)
         if qid in estimates:
             raise DataFormatError(path, None, f"duplicate query id {qid!r}", lineno)
-        conditions[qid] = condition
-        if kind == "pose":
-            if len(parts) != 10:
-                raise DataFormatError(path, None, "pose line needs 7 numbers", lineno)
-            try:
-                estimates[qid] = _parse_pose(parts[3:])
-            except ValueError as exc:
-                raise DataFormatError(path, None, str(exc), lineno) from None
-        elif kind == "failed":
-            estimates[qid] = None
-        else:
+        # the fields write_estimates writes: a quaternion and centre, or one reason
+        count = {"pose": 10, "failed": 4}.get(kind)
+        if count is None:
             raise DataFormatError(path, None, f"unknown record kind {kind!r}", lineno)
+        if len(parts) != count:
+            raise DataFormatError(path, None, f"{kind} line needs {count} fields", lineno)
+        conditions[qid] = condition
+        try:
+            estimates[qid] = _parse_pose(parts[3:]) if kind == "pose" else None
+        except ValueError as exc:
+            raise DataFormatError(path, None, str(exc), lineno) from None
     return estimates, conditions
 
 

@@ -61,11 +61,12 @@ class CorrespondenceBatch(_RowTable):
     """2D-3D correspondences as columns, one row per correspondence.
 
     Row i pairs query pixel pixels[i] (N, 2) with world point points[i]
-    (N, 3), lifted through database image image_ids[i] by feature family
-    families[i].  Rows are selected with batch[mask_or_indices] and batches
-    pooled with CorrespondenceBatch.concat; no deduplication happens, so a
-    pixel matched by several families or retrieved images contributes
-    several rows.
+    (N, 3), lifted by feature family families[i].  Rows are selected with
+    batch[mask_or_indices] and batches pooled, in order, with
+    CorrespondenceBatch.concat; no deduplication happens, so a pixel
+    matched by several families or retrieved images contributes several
+    rows.  A row does not name the database image it was lifted through:
+    pooled from per-image batches, it belongs to its batch's image.
 
     The columns are read-only.  One whose array already has its dtype and
     shape is a view of the array passed in, so a caller must not write
@@ -74,19 +75,17 @@ class CorrespondenceBatch(_RowTable):
 
     pixels: np.ndarray
     points: np.ndarray
-    image_ids: np.ndarray
     families: np.ndarray
 
     def __post_init__(self) -> None:
         pixels = np.asarray(self.pixels, dtype=np.float64).reshape(-1, 2)
         points = np.asarray(self.points, dtype=np.float64).reshape(-1, 3)
-        image_ids = np.asarray(self.image_ids, dtype=str).reshape(-1)
         families = np.asarray(self.families, dtype=str).reshape(-1)
-        if not len(points) == len(image_ids) == len(families) == len(pixels):
+        if not len(points) == len(families) == len(pixels):
             raise ValueError("correspondence columns disagree in row count")
         if not np.all(np.isfinite(points)):
             raise ValueError("world points must be finite")
-        self._store(pixels=pixels, points=points, image_ids=image_ids, families=families)
+        self._store(pixels=pixels, points=points, families=families)
 
 
 @dataclass(frozen=True)
@@ -140,13 +139,11 @@ def lift_to_3d(
     table = db.lift_table(query_set.family)
     status = table.status[matches[:, 1]]
     kept = matches[status == LIFTED]
-    n = len(kept)
     batch = CorrespondenceBatch._of_checked((
         query_set.locations[kept[:, 0]],
         table.points[kept[:, 1]],
-        np.full(n, db.image_id),
-        np.full(n, query_set.family),
+        np.full(len(kept), query_set.family),
     ))
     out_of_bounds = int(np.count_nonzero(status == OUTSIDE_IMAGE))
     return LiftResult(batch, dropped_out_of_bounds=out_of_bounds,
-                      dropped_invalid_depth=len(matches) - n - out_of_bounds)
+                      dropped_invalid_depth=len(matches) - len(kept) - out_of_bounds)

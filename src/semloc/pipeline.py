@@ -22,8 +22,9 @@ Per query the flow is:
      c. in rank order, gate the dense map by each image's temporary pose
         and score it by semantic consistency against the query
         segmentation,
-  3. pool all correspondences, turn scores into sampling weights (an
-     array beside the pooled batch, one weight per row),
+  3. pool all correspondences in rank order and turn scores into sampling
+     weights (an array beside the pooled batch, one weight per row), each
+     row taking the score of the image whose batch it was pooled from,
   4. run the weighted RANSAC-PnP on the batch and its weights, the only
      stage that reads them: it draws samples by weight and stops once it
      has probably drawn an all-inlier sample, judged by the best model's
@@ -150,12 +151,10 @@ def localize_query(
     scores = []
     for (image_id, _dist), image_corrs, temp in zip(retrieved, image_batches, temps):
         if temp is None:
-            score = SemanticScore(image_id=image_id, consistent=0, projected=0)
+            score = SemanticScore(consistent=0, projected=0)
         else:
             gated = gate_visible(dense_map, temp.pose)
-            score = semantic_consistency_score(
-                gated, temp.pose, query.intrinsics, query.labels, image_id=image_id
-            )
+            score = semantic_consistency_score(gated, temp.pose, query.intrinsics, query.labels)
         scores.append(score)
         diagnostics["images"][image_id].update({
             "correspondences": len(image_corrs),
@@ -170,7 +169,7 @@ def localize_query(
     if len(pooled) < 4:
         return _failed(query, FAILURE_NO_CORRESPONDENCES, diagnostics)
 
-    weights = normalize_weights(scores, pooled)
+    weights = normalize_weights(scores, image_batches)
     final_cfg = cfg.final_ransac(_query_seed(cfg.seed, query_index, stage=1))
     solution = weighted_ransac_pnp(pooled, weights, query.intrinsics, final_cfg)
     if solution is None:

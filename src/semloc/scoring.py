@@ -6,7 +6,8 @@ observed range and from a direction inside its observed angle, both
 widened by fixed margins.  The surviving points are projected into the
 query segmentation and label agreement is counted; the consistent count is
 the semantic consistency score of the retrieved image that produced the
-temporary pose.  Scores then become per-correspondence sampling weights.
+temporary pose.  Scores then become per-correspondence sampling weights,
+each row taking the score its per-image batch is paired with by position.
 
 No point farther than max(d_max) * _DISTANCE_MARGIN from the query centre
 passes the distance range, so the gate tests only the rows that a radius
@@ -53,7 +54,6 @@ _ANGLE_MARGIN = 0.1
 class SemanticScore:
     """Label-agreement counts for one retrieved image's temporary pose."""
 
-    image_id: str
     consistent: int
     projected: int
 
@@ -108,7 +108,6 @@ def semantic_consistency_score(
     pose: RigidPose,
     K: CameraIntrinsics,
     query_labels: np.ndarray,
-    image_id: str = "",
 ) -> SemanticScore:
     """Count gated map points whose projection lands on a query pixel with
     the same label.
@@ -121,24 +120,25 @@ def semantic_consistency_score(
     pixel_labels, _ = sample_grid(query_labels, projected, K, UNLABELED)
     counted = pixel_labels != UNLABELED
     consistent = int(np.sum(pixel_labels[counted] == points.labels[counted]))
-    return SemanticScore(image_id=image_id, consistent=consistent, projected=int(counted.sum()))
+    return SemanticScore(consistent=consistent, projected=int(counted.sum()))
 
 
 def normalize_weights(
-    scores: Sequence[SemanticScore], batch: CorrespondenceBatch
+    scores: Sequence[SemanticScore], batches: Sequence[CorrespondenceBatch]
 ) -> np.ndarray:
     """Turn per-image scores into per-correspondence sampling weights, one
-    float64 weight per row of batch.
+    float64 weight per row of CorrespondenceBatch.concat(batches).
 
-    Every correspondence inherits its source image's score; weights are
-    normalized by the sum over matches (so an image with many matches
-    contributes its score once per match) and sum to 1.  When every score is
-    zero the weights fall back to uniform.
+    scores[i] scores the image that batches[i] was lifted through, and
+    every row of batches[i] inherits it; weights are normalized by the sum
+    over rows (so an image with many matches contributes its score once per
+    match) and sum to 1.  When every score is zero the weights fall back to
+    uniform.  Raises ValueError unless there is one score per batch.
     """
-    by_image = {s.image_id: float(s.consistent) for s in scores}
-    try:
-        raw = np.array([by_image[i] for i in batch.image_ids.tolist()], dtype=np.float64)
-    except KeyError as exc:
-        raise ValueError(f"no semantic score for source image {exc.args[0]!r}") from None
+    if len(scores) != len(batches):
+        raise ValueError(f"need one semantic score per batch, got {len(scores)} "
+                         f"for {len(batches)}")
+    raw = np.repeat(np.array([s.consistent for s in scores], dtype=np.float64),
+                    [len(b) for b in batches])
     total = raw.sum()
     return raw / total if total > 0.0 else np.full(len(raw), 1.0 / max(len(raw), 1))

@@ -200,10 +200,12 @@ class DatabaseImageRecord(_FrozenArrays):
         return table
 
 
-@dataclass
-class QueryImage:
+@dataclass(frozen=True)
+class QueryImage(_FrozenArrays):
     """A query: calibrated image with segmentation, features and global
-    descriptor, but no pose."""
+    descriptor, but no pose.  Frozen like DatabaseImageRecord: its labels
+    and global descriptor are read-only views and features a dict of its
+    own."""
 
     image_id: str
     intrinsics: CameraIntrinsics
@@ -216,6 +218,8 @@ class QueryImage:
         if self.condition not in CONDITIONS:
             raise ValueError(f"unknown condition tag {self.condition!r}")
         _check_labels(self.image_id, self.intrinsics, self.labels)
+        self._store(labels=self.labels, global_descriptor=self.global_descriptor,
+                    features=dict(self.features))
 
 
 @dataclass(frozen=True)
@@ -445,18 +449,17 @@ def fuse_depth_maps(
 # ── Map building ─────────────────────────────────────────────────────────
 
 
-def select_filter_neighbors(records: Sequence[DatabaseImageRecord]) -> dict:
-    """Nearest-camera-center neighbor lists (excluding self) for filtering,
-    DEFAULT_FILTER_NEIGHBOR_COUNT long or all other records if fewer."""
+def select_filter_neighbors(records: Sequence[DatabaseImageRecord]) -> np.ndarray:
+    """Filter neighbors of every record as an (R, k) int64 array of indices
+    into records: row i holds the k records other than i with the nearest
+    camera centers, nearest first and ties in list order, where
+    k = min(DEFAULT_FILTER_NEIGHBOR_COUNT, R - 1)."""
     if len(records) < 2:
         raise ValueError("need at least 2 database images to select neighbors")
     centers = np.stack([r.pose.center for r in records])
-    out = {}
-    for i, rec in enumerate(records):
-        order = np.argsort(np.linalg.norm(centers - centers[i], axis=1), kind="stable")
-        picked = order[order != i][:DEFAULT_FILTER_NEIGHBOR_COUNT]
-        out[rec.image_id] = [records[j].image_id for j in picked]
-    return out
+    k = min(DEFAULT_FILTER_NEIGHBOR_COUNT, len(records) - 1)
+    orders = (np.argsort(np.linalg.norm(centers - c, axis=1), kind="stable") for c in centers)
+    return np.array([order[order != i][:k] for i, order in enumerate(orders)], dtype=np.int64)
 
 
 def _vote_labels_bulk(
@@ -562,12 +565,9 @@ def build_dense_map(
     stats = BuildStats()
     stats.valid_pixels_before_filter = int(sum((r.depth > 0).sum() for r in records))
 
-    neighbor_ids = select_filter_neighbors(records)
-    by_id = {r.image_id: r for r in records}
     filtered = [
-        dataclasses.replace(rec, depth=filter_depth_map(
-            rec, [by_id[i] for i in neighbor_ids[rec.image_id]], filter_cfg))
-        for rec in records
+        dataclasses.replace(rec, depth=filter_depth_map(rec, [records[j] for j in nbs], filter_cfg))
+        for rec, nbs in zip(records, select_filter_neighbors(records))
     ]
     stats.valid_pixels_after_filter = int(sum((r.depth > 0).sum() for r in filtered))
     logger.info(

@@ -7,14 +7,15 @@ Depth and label images are rendered by closed-form ray-plane intersection
 (exact up to pixel-center sampling), so depth filtering, fusion, and
 semantic scoring can all be checked against independent recomputation.
 
-Features are synthesized at the projections of scene anchor points.  Each
-anchor owns one latent descriptor per feature family; an observation is the
-latent plus Gaussian noise whose scale depends on the image's condition tag
-(day/night), with per-condition dropout.  This corruption model is what
-lets the suite reproduce the qualitative complementarity of a handcrafted
-and a learned feature family without any CNNs: the handcrafted-like family
-is sharp by day and collapses at night, the learned-like family is mildly
-noisy everywhere but keeps working at night.
+Features are synthesized at the projections of scene anchor points, which
+lie on every plane but the road.  Each anchor owns one latent descriptor
+per feature family; an observation is the latent plus Gaussian noise whose
+scale depends on the image's condition tag (day/night), with per-condition
+dropout.  This corruption model is what lets the suite reproduce the
+qualitative complementarity of a handcrafted and a learned feature family
+without any CNNs: the handcrafted-like family is sharp by day and
+collapses at night, the learned-like family is mildly noisy everywhere but
+keeps working at night.
 
 World frame: x right, y DOWN, z forward; the ground plane sits at y = 0
 and cameras at negative y.  Rendered depth is z-depth along the optical
@@ -95,8 +96,7 @@ class SceneSpec:
     query_poses: list
     query_conditions: list
     families: list
-    anchor_plane_indices: list  # planes that carry feature anchors
-    anchors_per_plane: int = 40
+    anchors_per_plane: int = 40  # on every plane but the road (label 0)
     global_dim: int = 64
     global_sigma: dict = field(default_factory=lambda: {"day": 0.0, "night": 0.0})
 
@@ -108,8 +108,8 @@ class SceneSpec:
         for c in self.query_conditions:
             if c not in CONDITIONS:
                 raise ValueError(f"unknown condition tag {c!r}")
-        if len(self.planes) == 0:
-            raise ValueError("scene has no geometry")
+        if not any(p.label != 0 for p in self.planes):
+            raise ValueError("scene has no plane but the road to carry anchors")
         names = [f.name for f in self.families]
         if len(set(names)) != len(names):
             raise ValueError("feature family names must be distinct")
@@ -278,8 +278,8 @@ def generate_scene(spec: SceneSpec) -> SyntheticDataset:
     spec.validate()
     rng = np.random.default_rng(np.random.SeedSequence(spec.seed))
 
-    anchors = np.concatenate([sample_plane_points(spec.planes[pi], spec.anchors_per_plane, rng)
-                              for pi in spec.anchor_plane_indices], axis=0)
+    anchors = np.concatenate([sample_plane_points(plane, spec.anchors_per_plane, rng)
+                              for plane in spec.planes if plane.label != 0], axis=0)
 
     # each anchor's latent descriptor per family, and its global one
     codes = {f.name: rng.normal(size=(len(anchors), f.dim)) for f in spec.families}
@@ -435,7 +435,6 @@ def street_canyon_spec(
         FamilySpec(name="corner", dim=16, **prof["corner"]),
         FamilySpec(name="blob", dim=16, **prof["blob"]),
     ]
-    wall_planes = [i for i, p in enumerate(planes) if p.label != 0]
     return SceneSpec(
         seed=seed,
         intrinsics=K,
@@ -445,7 +444,6 @@ def street_canyon_spec(
         query_conditions=conditions,
         families=families,
         anchors_per_plane=anchors_per_plane,
-        anchor_plane_indices=wall_planes,
         global_dim=64,
         **prof["scene"],
     )
@@ -487,7 +485,6 @@ def symmetric_canyon_spec(
         query_conditions=[],
         families=[FamilySpec(name="corner", dim=16)],
         anchors_per_plane=6,
-        anchor_plane_indices=[i for i, p in enumerate(planes) if p.label != 0],
         global_dim=32,
     )
 

@@ -52,7 +52,7 @@ def default_intrinsics(width=640, height=480):
 
 
 def synthetic_correspondences(rng, K, pose, n, outlier_frac=0.0, pixel_noise=0.0,
-                              source_id="db0", family="fam"):
+                              family="fam"):
     """Exact 2D-3D pairs for a known pose, with optional gross outliers
     (world point displaced) and pixel noise on the inliers."""
     depths = rng.uniform(2.0, 10.0, size=n)
@@ -74,7 +74,7 @@ def synthetic_correspondences(rng, K, pose, n, outlier_frac=0.0, pixel_noise=0.0
             pixel = pixel + rng.normal(scale=pixel_noise, size=2)
         pixels.append(pixel)
         points.append(world)
-    return CorrespondenceBatch(np.array(pixels), np.array(points), [source_id] * n, [family] * n)
+    return CorrespondenceBatch(np.array(pixels), np.array(points), [family] * n)
 
 
 @contextlib.contextmanager

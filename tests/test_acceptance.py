@@ -209,11 +209,10 @@ def _contamination_trial(spec, dense_map, trial_seed, n_total=80, wrong_frac=0.6
             pts.append((pix[j], world[j]))
     pix_good = np.array([p for p, _ in pts])
     world_good = np.array([X for _, X in pts])
-    good = CorrespondenceBatch(pix_good, world_good, ["good_img"] * n_good, ["corner"] * n_good)
+    good = CorrespondenceBatch(pix_good, world_good, ["corner"] * n_good)
     shift = np.array([0.0, 0.0, half])
     j = np.arange(n_wrong) % len(pts)
-    wrong = CorrespondenceBatch(pix_good[j], world_good[j] + shift,
-                                ["wrong_img"] * n_wrong, ["corner"] * n_wrong)
+    wrong = CorrespondenceBatch(pix_good[j], world_good[j] + shift, ["corner"] * n_wrong)
     corrs = CorrespondenceBatch.concat([good, wrong])
 
     images = (("good_img", good), ("wrong_img", wrong))
@@ -224,12 +223,12 @@ def _contamination_trial(spec, dense_map, trial_seed, n_total=80, wrong_frac=0.6
     scores = []
     for (img, _), temp in zip(images, temps):
         if temp is None:
-            scores.append(SemanticScore(img, 0, 0))
+            scores.append(SemanticScore(0, 0))
             continue
         gated = gate_visible(dense_map, temp.pose)
-        scores.append(semantic_consistency_score(gated, temp.pose, K, q_labels, image_id=img))
+        scores.append(semantic_consistency_score(gated, temp.pose, K, q_labels))
 
-    weighted = normalize_weights(scores, corrs)
+    weighted = normalize_weights(scores, [good, wrong])
     uniform = np.full(len(corrs), 1.0 / len(corrs))
     final_cfg = RansacConfig(inlier_threshold_px=thr, min_inliers=12,
                              seed=trial_seed * 13 + 5, max_iterations=iterations)

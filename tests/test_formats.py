@@ -437,10 +437,39 @@ class TestEstimates:
         assert np.array_equal(est["q0"].center, results[0].pose.center)
         assert np.max(np.abs(est["q0"].rotation - results[0].pose.rotation)) < 1e-12
 
+    def test_every_failure_reason_writes_one_field(self, tmp_path):
+        # whitespace inside a reason becomes "_", and an empty reason is
+        # "unknown", so each failure line has the 4 fields the reader needs
+        from semloc.pipeline import LocalizationResult
+
+        reasons = ["no consensus", "a\tb\nc  d ", "   ", "", None]
+        results = [LocalizationResult(f"q{i}", "day", None, failure_reason=r)
+                   for i, r in enumerate(reasons)]
+        p = tmp_path / "est.txt"
+        write_estimates(p, results)
+        assert p.read_text().splitlines()[1:] == [
+            "q0 day failed no_consensus", "q1 day failed a_b_c_d", "q2 day failed unknown",
+            "q3 day failed unknown", "q4 day failed unknown"]
+        assert read_estimates(p)[0] == {f"q{i}": None for i in range(len(reasons))}
+
     def test_rejects_malformed(self, tmp_path):
         p = tmp_path / "est.txt"
         p.write_text("q0 day teleported 1 2 3\n")
         with pytest.raises(DataFormatError, match="kind"):
+            read_estimates(p)
+
+    @pytest.mark.parametrize("line, fields", [
+        ("q000 day failed no_consensus trailing junk 1 2", 4),
+        ("q000 day failed no consensus", 4),
+        ("q000 day pose 1 0 0 0 1 2", 10),
+        ("q000 day pose 1 0 0 0 1 2 3 4", 10),
+    ], ids=["failed-trailing-fields", "failed-two-word-reason", "pose-short", "pose-long"])
+    def test_rejects_a_line_with_another_field_count(self, tmp_path, line, fields):
+        # a line holds exactly the fields write_estimates writes for its kind
+        p = tmp_path / "est.txt"
+        p.write_text(f"q001 night failed no_consensus\n{line}\n")
+        kind = line.split()[2]
+        with pytest.raises(DataFormatError, match=rf"est\.txt:2: {kind} line needs {fields} fields"):
             read_estimates(p)
 
 

@@ -51,6 +51,7 @@ def _instances(ds, dense_map):
         "FeatureSet": rec.features[family],
         "PnPSolution": PnPSolution(rec.pose, [0, 3, 4], 0.25, iterations_used=7),
         "DatabaseImageRecord": rec,
+        "QueryImage": ds.queries[0],
         "GlobalDescriptor": GlobalDescriptor(rec.image_id, rec.global_descriptor),
         "FacadePlane": ds.spec.planes[0],
     }
@@ -81,15 +82,17 @@ def _assert_same_frozen_arrays(copied, original, where):
 @pytest.mark.parametrize("how", sorted(COPIES))
 @pytest.mark.parametrize("kind", ["CorrespondenceBatch", "DenseMap", "sub-map", "LiftTable",
                                   "FusedCloud", "RigidPose", "FeatureSet", "PnPSolution",
-                                  "DatabaseImageRecord", "GlobalDescriptor", "FacadePlane"])
+                                  "DatabaseImageRecord", "QueryImage", "GlobalDescriptor",
+                                  "FacadePlane"])
 def test_copies_keep_read_only_arrays_and_drop_caches(zero_noise_dataset, canyon_map, kind, how):
     original = _instances(zero_noise_dataset, canyon_map)[kind]
     copied = COPIES[how](original)
     assert copied is not original
     _assert_same_frozen_arrays(copied, original, kind)
+    if kind in ("DatabaseImageRecord", "QueryImage"):
+        assert copied.features is not original.features
     if kind == "DatabaseImageRecord":
         assert original._lift_tables  # the original's cache was filled
-        assert copied.features is not original.features
 
 
 @pytest.mark.parametrize("how", sorted(COPIES))

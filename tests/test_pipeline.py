@@ -306,7 +306,8 @@ class TestFinalWeights:
                                                   small_run, monkeypatch):
         # the final RANSAC gets the pooled batch and its weights beside it:
         # one per row, none negative, summing to 1, and exactly 0 on the
-        # rows of an image that scored 0 unless every image did
+        # rows of an image that scored 0 unless every image did.  The rows
+        # hold each retrieved image's correspondences in retrieval order
         ds = zero_noise_dataset
         dense_map, _, baseline = small_run
         seen = []
@@ -324,7 +325,10 @@ class TestFinalWeights:
             assert len(batch) == sum(img["correspondences"] for img in images.values())
             assert weights.shape == (len(batch),)
             assert np.all(weights >= 0.0) and abs(weights.sum() - 1.0) <= 1e-12
-            scores = np.array([images[i]["score_consistent"] for i in batch.image_ids.tolist()])
+            ranked = [images[image_id] for image_id, _dist in r.diagnostics["retrieved"]]
+            scores = np.repeat([img["score_consistent"] for img in ranked],
+                               [img["correspondences"] for img in ranked])
+            assert scores.shape == (len(batch),)
             if scores.any():
                 assert np.all(weights[scores == 0] == 0.0) and np.all(weights[scores > 0] > 0.0)
                 zeroed += int(np.count_nonzero(scores == 0))

@@ -470,7 +470,6 @@ class TestTemporaryPose:
         corrs = CorrespondenceBatch(
             pixels=[[x, K.cy] for x in xs],
             points=[[(x - K.cx) / K.fx * d, 0.1 * i, d] for i, (x, d) in enumerate(zip(xs, depths))],
-            image_ids=["db0"] * len(xs),
             families=list("ccbcbcb"),
         )
         for seed in range(5):
@@ -913,7 +912,7 @@ def _seen_elsewhere(rng, K, pixels, outliers=0):
     cam = pixel_rays(pixels, K) * rng.uniform(2.0, 10.0, (len(pixels), 1))
     points = cam @ pose.rotation + pose.center
     points[:outliers] += rng.normal(scale=3.0, size=(outliers, 3))
-    return CorrespondenceBatch(pixels, points, ["db1"] * len(pixels), ["fam"] * len(pixels))
+    return CorrespondenceBatch(pixels, points, ["fam"] * len(pixels))
 
 
 class TestCrossRunVerdict:
@@ -930,8 +929,7 @@ class TestCrossRunVerdict:
         rows = rng.choice(len(correct), 12, replace=False)
         shift = rng.normal(size=(12, 3))
         shift *= rng.uniform(1.0, 4.0, (12, 1)) / np.linalg.norm(shift, axis=1, keepdims=True)
-        moved = CorrespondenceBatch(correct.pixels[rows], correct.points[rows] + shift,
-                                    ["db1"] * 12, ["fam"] * 12)
+        moved = CorrespondenceBatch(correct.pixels[rows], correct.points[rows] + shift, ["fam"] * 12)
         own = synthetic_correspondences(rng, K, random_pose(rng), 3, outlier_frac=1.0)
         return CorrespondenceBatch.concat([moved, own])
 
@@ -1726,7 +1724,7 @@ class TestLocalOptimization:
                                   (pixels[:, 1] - K.cy) / K.fy * depth, depth]) + center
         points = np.vstack([points, [0.0, 0.0, 0.005]])
         pixels = np.vstack([pixels, [K.cx, K.cy]])
-        corrs = CorrespondenceBatch(pixels, points, ["db"] * 31, ["fam"] * 31)
+        corrs = CorrespondenceBatch(pixels, points, ["fam"] * 31)
         winner_pose = RigidPose(np.eye(3), np.zeros(3))
         err = _errors_at(winner_pose, corrs, K)
         threshold = float(np.sort(err[:30])[-3])
@@ -1940,13 +1938,13 @@ class TestContaminationMini:
         trials = 30
         for t in range(trials):
             pose = random_pose(rng)
-            good = synthetic_correspondences(rng, K, pose, 32, source_id="good")
+            good = synthetic_correspondences(rng, K, pose, 32)
             shift = np.array([20.0, 0.0, 0.0])
-            wrong = synthetic_correspondences(rng, K, pose, 48, source_id="wrong")
+            wrong = synthetic_correspondences(rng, K, pose, 48)
             wrong = replace(wrong, points=wrong.points + shift)
             corrs = CorrespondenceBatch.concat([good, wrong])
             # weights as normalize_weights would produce: wrong image scored 0
-            weighted = np.where(corrs.image_ids == "good", 1.0 / 32, 0.0)
+            weighted = np.repeat([1.0 / 32, 0.0], [len(good), len(wrong)])
             uniform = np.full(len(corrs), 1.0 / len(corrs))
             cfg = RansacConfig(min_inliers=12, seed=900 + t, max_iterations=200,
                                inlier_threshold_px=2.0)

@@ -291,7 +291,7 @@ class TestSemanticConsistencyScore:
         qid, pose = next(iter(ds.gt_poses.items()))
         q = next(q for q in ds.queries if q.image_id == qid)
         gated = gate_visible(built_map, pose)
-        score = semantic_consistency_score(gated, pose, q.intrinsics, q.labels, image_id="x")
+        score = semantic_consistency_score(gated, pose, q.intrinsics, q.labels)
         assert score.projected > 50
         # labels rendered from the same geometry: perfect agreement
         assert score.consistent == score.projected
@@ -351,55 +351,62 @@ class TestSemanticConsistencyScore:
 
 
 class TestNormalizeWeights:
-    def _batch(self, *images):
-        n = len(images)
-        return CorrespondenceBatch(np.zeros((n, 2)), np.ones((n, 3)), list(images), ["f"] * n)
+    def _batches(self, *lengths):
+        """One batch per image, of the given row counts."""
+        return [CorrespondenceBatch(np.zeros((n, 2)), np.ones((n, 3)), ["f"] * n)
+                for n in lengths]
 
     def test_basic_proportions(self):
-        scores = [SemanticScore("a", 10, 20), SemanticScore("b", 30, 40)]
-        corrs = self._batch("a", "b")
-        out = normalize_weights(scores, corrs)
+        scores = [SemanticScore(10, 20), SemanticScore(30, 40)]
+        out = normalize_weights(scores, self._batches(1, 1))
         assert type(out) is np.ndarray and out.dtype == np.float64
         assert out.tolist() == pytest.approx([0.25, 0.75])
 
     def test_all_zero_scores_fall_back_to_uniform(self):
-        scores = [SemanticScore("a", 0, 5), SemanticScore("b", 0, 9)]
-        corrs = self._batch("a", "b", "b")
-        out = normalize_weights(scores, corrs)
+        scores = [SemanticScore(0, 5), SemanticScore(0, 9)]
+        out = normalize_weights(scores, self._batches(1, 2))
         assert out.tolist() == pytest.approx([1 / 3] * 3)
 
     def test_per_match_normalization(self):
         # A scores 10 with 2 matches, B scores 10 with 1 match: the sum runs
         # over matches, so every match weighs 10 / 30 = 1/3
-        scores = [SemanticScore("a", 10, 10), SemanticScore("b", 10, 10)]
-        corrs = self._batch("a", "a", "b")
-        out = normalize_weights(scores, corrs)
+        scores = [SemanticScore(10, 10), SemanticScore(10, 10)]
+        out = normalize_weights(scores, self._batches(2, 1))
         assert out.tolist() == pytest.approx([1 / 3, 1 / 3, 1 / 3])
+
+    def test_rows_take_their_batch_score_in_pooled_order(self):
+        # rows follow CorrespondenceBatch.concat(batches), and an image with
+        # no rows takes no weight
+        scores = [SemanticScore(1, 9), SemanticScore(5, 9), SemanticScore(0, 9),
+                  SemanticScore(2, 9)]
+        out = normalize_weights(scores, self._batches(2, 0, 1, 3))
+        assert out.tolist() == pytest.approx([1 / 8, 1 / 8, 0.0, 2 / 8, 2 / 8, 2 / 8])
 
     def test_weights_sum_to_one(self):
         rng = np.random.default_rng(25)
-        scores = [SemanticScore(f"im{i}", int(rng.integers(0, 100)), 100) for i in range(8)]
-        corrs = self._batch(*(f"im{int(rng.integers(0, 8))}" for _ in range(60)))
-        if sum(s.consistent for s in scores) == 0:
+        scores = [SemanticScore(int(rng.integers(0, 100)), 100) for _ in range(8)]
+        batches = self._batches(*(int(n) for n in rng.integers(0, 16, size=8)))
+        if sum(s.consistent for s, b in zip(scores, batches) if len(b)) == 0:
             pytest.skip("degenerate draw")
-        out = normalize_weights(scores, corrs)
+        out = normalize_weights(scores, batches)
         assert abs(out.sum() - 1.0) < 1e-12
 
     def test_scale_invariance(self):
-        scores1 = [SemanticScore("a", 3, 10), SemanticScore("b", 9, 10)]
-        scores7 = [SemanticScore("a", 21, 70), SemanticScore("b", 63, 70)]
-        corrs = self._batch("a", "b", "b")
-        w1 = normalize_weights(scores1, corrs).tolist()
-        w7 = normalize_weights(scores7, corrs).tolist()
+        scores1 = [SemanticScore(3, 10), SemanticScore(9, 10)]
+        scores7 = [SemanticScore(21, 70), SemanticScore(63, 70)]
+        batches = self._batches(1, 2)
+        w1 = normalize_weights(scores1, batches).tolist()
+        w7 = normalize_weights(scores7, batches).tolist()
         assert w1 == pytest.approx(w7, rel=1e-12)
 
-    def test_unknown_source_id_rejected(self):
-        scores = [SemanticScore("a", 1, 1)]
-        with pytest.raises(ValueError, match="no semantic score"):
-            normalize_weights(scores, self._batch("zzz"))
+    def test_score_and_batch_counts_must_match(self):
+        scores = [SemanticScore(1, 1)]
+        for lengths in ((), (1, 1)):
+            with pytest.raises(ValueError, match="one semantic score per batch"):
+                normalize_weights(scores, self._batches(*lengths))
 
 
 class TestConfigValidation:
     def test_score_invariant(self):
         with pytest.raises(ValueError):
-            SemanticScore("a", consistent=3, projected=2)
+            SemanticScore(consistent=3, projected=2)

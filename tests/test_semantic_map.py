@@ -71,6 +71,32 @@ def test_both_record_types_share_the_label_id_rule(value, valid):
                 make()
 
 
+def test_both_record_types_are_frozen_with_read_only_arrays():
+    # no field can be set past the constructor's checks (a query's
+    # condition "dusk" would reach the estimates file, whose reader refuses
+    # it), and neither the caller's arrays nor its feature dict are shared
+    K = _K(4, 3)
+    labels = np.full((3, 4), 2, dtype=np.uint8)
+    gdesc, features = np.ones(8), {}
+    db = DatabaseImageRecord(image_id="db", intrinsics=K, pose=RigidPose.identity(),
+                             depth=np.ones((3, 4)), labels=labels, global_descriptor=gdesc,
+                             features=features)
+    query = QueryImage(image_id="q", intrinsics=K, labels=labels, global_descriptor=gdesc,
+                       features=features)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        query.condition = "dusk"
+    assert query.condition == "day"
+    for image in (db, query):
+        for name in ("image_id", "intrinsics", "labels", "global_descriptor", "features"):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(image, name, getattr(image, name))
+        assert image.labels is not labels and image.features is not features
+        for array in (image.labels, image.global_descriptor):
+            with pytest.raises(ValueError, match="read-only"):
+                array[...] = 0
+    assert labels.flags.writeable and gdesc.flags.writeable
+
+
 def _plane_depth(K, pose, plane_z=6.0):
     """Depth map of the world plane z = plane_z for a camera looking +z."""
     depth = np.zeros((K.height, K.width), dtype=np.float32)
@@ -610,15 +636,10 @@ class TestBuildDenseMap:
         # replicate the build stages with the per-point oracles
         ds = zero_noise_dataset
         records = ds.db_records[:4]
-        by_id = {r.image_id: r for r in records}
-        neighbor_ids = select_filter_neighbors(records)
         cfg = DepthFilterConfig(tau=0.01)
         filtered = [
-            dataclasses.replace(
-                rec,
-                depth=filter_depth_map(rec, [by_id[j] for j in neighbor_ids[rec.image_id]], cfg),
-            )
-            for rec in records
+            dataclasses.replace(rec, depth=filter_depth_map(rec, [records[j] for j in nbs], cfg))
+            for rec, nbs in zip(records, select_filter_neighbors(records))
         ]
         fused = fuse_depth_maps(filtered, 0.3)
         dense_map, _ = build_dense_map(records, voxel_size=0.3, filter_cfg=cfg)
@@ -671,8 +692,11 @@ class TestBuildDenseMap:
         ]
         with patched_depth_filter(neighbor_count=2):
             nbs = select_filter_neighbors(recs)
-        assert nbs["i0"] == ["i1", "i2"]
-        assert nbs["i2"] == ["i1", "i3"]
+        assert nbs.shape == (5, 2) and nbs.dtype == np.int64
+        assert nbs[0].tolist() == [1, 2]
+        assert nbs[2].tolist() == [1, 3]
+        # fewer records than the neighbor count: every other record
+        assert select_filter_neighbors(recs[:3]).tolist() == [[1, 2], [0, 2], [1, 0]]
 
     @pytest.mark.parametrize("count", [4, 7])
     def test_neighbor_selection_matches_the_per_record_rule(self, count):
@@ -686,10 +710,10 @@ class TestBuildDenseMap:
         assert len(np.unique(centers, axis=0)) < len(centers)
         with patched_depth_filter(neighbor_count=count):
             nbs = select_filter_neighbors(recs)
-        for i, rec in enumerate(recs):
+        assert nbs.shape == (len(recs), count) and nbs.dtype == np.int64
+        for i in range(len(recs)):
             order = np.argsort(np.linalg.norm(centers - centers[i], axis=1), kind="stable")
-            expected = [j for j in order if j != i][:count]
-            assert nbs[rec.image_id] == [recs[j].image_id for j in expected]
+            assert nbs[i].tolist() == [j for j in order if j != i][:count]
 
     # The build's traced peak may reach this many times the returned map's
     # column bytes plus one record's back-projected float64 points.  The

@@ -118,6 +118,34 @@ class TestAnchors:
                 d = np.linalg.norm(proj - loc, axis=1)
                 assert d.min() < 1e-9  # every keypoint is some anchor's projection
 
+    @pytest.mark.parametrize("make", [
+        lambda: street_canyon_spec(seed=3, n_db=4, n_queries=2, image_size=(48, 36),
+                                   anchors_per_plane=7),
+        lambda: symmetric_canyon_spec(seed=41, n_db=4),
+    ], ids=["canyon", "symmetric"])
+    def test_anchors_on_every_plane_but_the_road(self, make):
+        # anchors_per_plane anchors on each non-road plane, in plane order,
+        # and none on the road (label 0)
+        spec = make()
+        ds = generate_scene(spec)
+        carriers = [p for p in spec.planes if p.label != 0]
+        assert len(carriers) == len(spec.planes) - 1
+        assert ds.anchor_positions.shape == (spec.anchors_per_plane * len(carriers), 3)
+        for plane, pts in zip(carriers, np.split(ds.anchor_positions, len(carriers))):
+            rel = pts - plane.corner
+            a = rel @ plane.edge_u / np.dot(plane.edge_u, plane.edge_u)
+            b = rel @ plane.edge_v / np.dot(plane.edge_v, plane.edge_v)
+            assert np.all((a > 0.0) & (a < 1.0) & (b > 0.0) & (b < 1.0))
+            assert np.all(np.abs(rel @ plane.normal()) < 1e-9)
+
+    @pytest.mark.parametrize("keep", [lambda p: p.label == 0, lambda p: False],
+                             ids=["road-only", "no-planes"])
+    def test_a_scene_without_a_plane_to_carry_anchors_is_refused(self, keep):
+        spec = street_canyon_spec(seed=3, n_db=4, n_queries=2, image_size=(48, 36))
+        spec.planes = [p for p in spec.planes if keep(p)]
+        with pytest.raises(ValueError, match="no plane but the road to carry anchors"):
+            generate_scene(spec)
+
 
 class TestGenerateScene:
     def test_deterministic_regeneration(self):
@@ -248,9 +276,9 @@ def _same_spec(a, b) -> bool:
     return (
         (a.seed, a.intrinsics, a.query_conditions, a.families, a.anchors_per_plane)
         == (b.seed, b.intrinsics, b.query_conditions, b.families, b.anchors_per_plane)
-        and (a.anchor_plane_indices, a.global_dim, a.global_sigma)
-        == (b.anchor_plane_indices, b.global_dim, b.global_sigma)
-        and [p.corner.tolist() for p in a.planes] == [p.corner.tolist() for p in b.planes]
+        and (a.global_dim, a.global_sigma) == (b.global_dim, b.global_sigma)
+        and [(p.corner.tolist(), p.label) for p in a.planes]
+        == [(p.corner.tolist(), p.label) for p in b.planes]
         and poses(a) == poses(b)
     )
 
