@@ -18,6 +18,15 @@ Coordinate conventions used throughout the package:
   camera-frame z coordinate, not the Euclidean ray length.
 
   Angles are radians internally; reported errors are degrees.
+
+Per-point kernels work one column at a time.  An (N, 3) array combined
+with a broadcast (3,) operand, or reduced over its last axis, makes numpy
+run N inner loops of length 3.  So project_points, sample_grid,
+nearest_pixel and back_project_pixels, and the visibility gate in scoring,
+apply each elementwise op to whole x, y and z columns: the op that the
+row-wise formula applies to each entry, in the same order, so the results
+are bitwise the row-wise ones.  The 3x3 rotation stays one BLAS matrix
+product.
 """
 
 from __future__ import annotations
@@ -192,25 +201,37 @@ def project_points(
 ) -> tuple[np.ndarray, np.ndarray]:
     """World-to-pixel projection of (N, 3) points under one or many poses.
 
-    rotation is (..., 3, 3) world-to-camera and center (..., 3); the result
-    is (pixels (..., N, 2), depth (..., N)), depth being the camera-frame z.
-    Pixel rows with depth <= 0 are NaN.  No image-bounds clipping here.
+    rotation is (..., 3, 3) world-to-camera and center (..., 3); points may
+    also be (..., N, 3), one set per pose.  The result is (pixels (..., N,
+    2), depth (..., N)), depth being the camera-frame z.  Pixel rows with
+    depth <= 0 are NaN.  No image-bounds clipping here.
 
     For N >= 2 a row is bitwise the same whatever N is and however many
     poses are stacked, so a caller may pad or batch rows freely.  A one-row
     call (N = 1) may differ from it in the last bit: the matrix product
     takes another path for a single row.
     """
+    points = np.asarray(points, dtype=np.float64)
     center = np.asarray(center, dtype=np.float64)
-    cam = (np.asarray(points, dtype=np.float64) - center[..., None, :]) @ np.swapaxes(
-        rotation, -1, -2
-    )
-    depth = cam[..., 2]
+    # Camera-frame coordinates as (..., 3, N) planes, x, y and z each one
+    # contiguous row.  R @ (X - C)^T has bitwise the entries of (X - C) @
+    # R^T, one-row calls included (tests/kernel_oracle.py keeps that form),
+    # and with both operands C-contiguous it takes the faster BLAS path.
+    rel = np.empty(np.broadcast_shapes(points.shape[:-2], center.shape[:-1])
+                   + (3, points.shape[-2]))
+    for k in range(3):
+        np.subtract(points[..., k], center[..., k, None], out=rel[..., k, :])
+    cam = rotation @ rel
+    depth = cam[..., 2, :]
     # A NaN divisor behind the camera makes those pixel rows NaN.
     z = np.where(depth > 0.0, depth, np.nan)
     pixels = np.empty(depth.shape + (2,))
-    pixels[..., 0] = K.fx * cam[..., 0] / z + K.cx
-    pixels[..., 1] = K.fy * cam[..., 1] / z + K.cy
+    # f * x / z + c, each step written in place into its pixel column.
+    for k, f, c in ((0, K.fx, K.cx), (1, K.fy, K.cy)):
+        col = pixels[..., k]
+        np.multiply(f, cam[..., k, :], out=col)
+        col /= z
+        col += c
     return pixels, depth
 
 
@@ -224,25 +245,46 @@ def pixel_rays(pixels: np.ndarray, K: CameraIntrinsics) -> np.ndarray:
     return rays
 
 
+def _rounded(pixels: np.ndarray, K: CameraIntrinsics) -> tuple[np.ndarray, ...]:
+    """The rounding rule of nearest_pixel: x and y columns of (N, 2)
+    continuous pixels rounded half up, as floats, and the mask of rows
+    whose rounded pixel lies inside the image (non-finite rows do not)."""
+    px = np.asarray(pixels, dtype=np.float64).reshape(-1, 2)
+    x = px[:, 0] + 0.5
+    y = px[:, 1] + 0.5
+    np.floor(x, out=x)
+    np.floor(y, out=y)
+    inside = (x >= 0) & (x < K.width) & (y >= 0) & (y < K.height)
+    return x, y, inside
+
+
 def nearest_pixel(pixels: np.ndarray, K: CameraIntrinsics) -> tuple[np.ndarray, np.ndarray]:
     """Integer (x, y) indices of the nearest pixels (round half up) to (N, 2)
     continuous coordinates, and the mask of rows inside the image.
 
     Non-finite rows are outside; indices of outside rows are 0.
     """
-    r = np.floor(np.asarray(pixels, dtype=np.float64).reshape(-1, 2) + 0.5)
-    inside = (r[:, 0] >= 0) & (r[:, 0] < K.width) & (r[:, 1] >= 0) & (r[:, 1] < K.height)
-    return np.where(inside[:, None], r, 0.0).astype(np.int64), inside
+    x, y, inside = _rounded(pixels, K)
+    ij = np.zeros((len(x), 2), dtype=np.int64)
+    ij[inside, 0] = x[inside]
+    ij[inside, 1] = y[inside]
+    return ij, inside
 
 
 def sample_grid(grid: np.ndarray, pixels: np.ndarray, K: CameraIntrinsics,
                 fill) -> tuple[np.ndarray, np.ndarray]:
     """Values of an (H, W) grid at the nearest pixels of (N, 2) continuous
     coordinates (nearest_pixel), in the grid's dtype, and the mask of rows
-    inside the image.  Rows outside, non-finite rows included, read fill."""
-    ij, inside = nearest_pixel(pixels, K)
-    values = np.full(len(ij), fill, dtype=grid.dtype)
-    values[inside] = grid[ij[inside, 1], ij[inside, 0]]
+    inside the image.  Rows outside, non-finite rows included, read fill.
+
+    Raises ValueError unless the grid is K.height x K.width."""
+    if grid.shape != (K.height, K.width):
+        raise ValueError(f"grid shape {grid.shape} is not the image shape "
+                         f"{(K.height, K.width)} of its intrinsics")
+    x, y, inside = _rounded(pixels, K)
+    values = np.full(len(x), fill, dtype=grid.dtype)
+    rows = np.flatnonzero(inside)
+    values[rows] = np.take(grid.reshape(-1), (y[rows] * K.width + x[rows]).astype(np.intp))
     return values, inside
 
 
@@ -254,7 +296,14 @@ def back_project_pixels(
     d = np.asarray(depths, dtype=np.float64).reshape(-1)
     if not np.all(np.isfinite(d)) or np.any(d <= 0.0):
         raise ValueError("all depths must be finite and positive")
-    return (pixel_rays(pixels, K) * d[:, None]) @ pose.rotation + pose.center
+    cam = pixel_rays(pixels, K)
+    cam[:, 0] *= d
+    cam[:, 1] *= d
+    cam[:, 2] = d  # the ray's z is 1, and 1 * d is d
+    world = cam @ pose.rotation
+    for k in range(3):
+        world[:, k] += pose.center[k]
+    return world
 
 
 # ── Error metrics ────────────────────────────────────────────────────────

@@ -71,6 +71,28 @@ class SemanticScore:
 _RADIUS_PAD = 1e-9
 
 
+def _view_vectors(positions: np.ndarray, center: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """v = center - X for (N, 3) points X and its norm ||v||, one column at
+    a time (geometry's column rule).  The norm sums (x^2 + y^2) + z^2, as
+    np.linalg.norm(v, axis=1) does, so it is bitwise that norm."""
+    v = np.empty_like(positions)
+    for k in range(3):
+        np.subtract(center[k], positions[:, k], out=v[:, k])
+    dist = v[:, 0] * v[:, 0]
+    dist += v[:, 1] * v[:, 1]
+    dist += v[:, 2] * v[:, 2]
+    np.sqrt(dist, out=dist)
+    return v, dist
+
+
+def _view_angles(v: np.ndarray, dist: np.ndarray, v_m: np.ndarray) -> np.ndarray:
+    """Angles between the rows of v (norms dist) and the unit bisectors v_m.
+    einsum's summation order over a row depends on the operands' memory
+    layout, so both are passed as gathered C-contiguous rows."""
+    cos = np.einsum("ij,ij->i", v, v_m) / dist
+    return np.arccos(np.clip(cos, -1.0, 1.0))
+
+
 def gate_visible(dense_map: DenseMap, query_pose: RigidPose) -> DenseMap:
     """Sub-map of points whose cones admit the query viewpoint.
 
@@ -94,12 +116,11 @@ def gate_visible(dense_map: DenseMap, query_pose: RigidPose) -> DenseMap:
         dense_map.position_tree.query_ball_point(query_pose.center, radius, return_sorted=False),
         dtype=np.intp,
     ))
-    v = query_pose.center - dense_map.positions[rows]
-    dist = np.linalg.norm(v, axis=1)
-    near = (dense_map.d_min[rows] / m < dist) & (dist < dense_map.d_max[rows] * m) & (dist > 0.0)
-    rows, v, dist = rows[near], v[near], dist[near]
-    cos = np.einsum("ij,ij->i", v, dense_map.v_m[rows]) / dist
-    ang = np.arccos(np.clip(cos, -1.0, 1.0))
+    v, dist = _view_vectors(dense_map.positions[rows], query_pose.center)
+    near = np.flatnonzero(
+        (dense_map.d_min[rows] / m < dist) & (dist < dense_map.d_max[rows] * m) & (dist > 0.0))
+    rows = rows[near]
+    ang = _view_angles(v[near], dist[near], dense_map.v_m[rows])
     return dense_map[rows[ang < dense_map.theta[rows] + _ANGLE_MARGIN]]
 
 

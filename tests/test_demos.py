@@ -1,9 +1,10 @@
 """Every script under demos/ runs to completion with exit status 0, under
 the warnings that tier-1's filterwarnings turns into errors, and uses only
-semloc's public names."""
+semloc's public names; README's library tour runs and ends in a pose."""
 
 import ast
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -46,3 +47,16 @@ def test_demos_import_only_public_names():
         "semloc.synthetic._canyon_pose", "semloc._x", "semloc._y"]
     assert {demo.name: _private_semloc_imports(demo.read_text()) for demo in DEMOS} == {
         demo.name: [] for demo in DEMOS}
+
+
+def test_readme_library_tour_ends_in_a_pose():
+    # the tour's two code blocks, run in order in one namespace, as a reader
+    # pastes them
+    text = (ROOT / "README.md").read_text()
+    tour = text.split("\n## Library tour\n", 1)[1].split("\n## ", 1)[0]
+    blocks = re.findall(r"```python\n(.*?)```", tour, flags=re.S)
+    assert len(blocks) == 2
+    namespace: dict = {}
+    for block in blocks:
+        exec(compile(block, "README.md", "exec"), namespace)
+    assert namespace["solution"] is not None

@@ -9,12 +9,14 @@ import math
 import numpy as np
 import pytest
 
+import kernel_oracle
 from semloc.geometry import (
     CameraIntrinsics,
     PoseError,
     RigidPose,
     back_project_pixels,
     matrix_to_quaternion,
+    nearest_pixel,
     position_error_m,
     project_points,
     quaternion_to_matrix,
@@ -200,6 +202,121 @@ class TestSampleGrid:
         values, inside = sample_grid(np.zeros((3, 4), dtype=np.uint8), np.zeros((0, 2)),
                                      CameraIntrinsics(10.0, 10.0, 2.0, 1.0, 4, 3), 255)
         assert values.shape == inside.shape == (0,) and values.dtype == np.uint8
+
+    @pytest.mark.parametrize("shape", [(20, 30), (4, 5)], ids=["larger", "smaller"])
+    def test_a_grid_of_another_size_is_refused(self, shape):
+        # a larger grid would be read at the wrong pixels and a smaller one
+        # out of bounds; both name the grid's shape and the image's
+        K = CameraIntrinsics(fx=10.0, fy=10.0, cx=5.0, cy=4.0, width=10, height=8)
+        grid = np.arange(np.prod(shape)).reshape(shape).astype(np.uint8)
+        with pytest.raises(ValueError, match=rf"\({shape[0]}, {shape[1]}\).*\(8, 10\)"):
+            sample_grid(grid, np.array([[9.0, 7.0]]), K, 255)
+
+
+# ── Column kernels against the row-major oracles ─────────────────────────
+
+
+def _same(a, b):
+    """Bitwise equal arrays of one dtype and shape: NaN rows, and the sign
+    of zeros, included."""
+    return (a.dtype == b.dtype and a.shape == b.shape
+            and np.ascontiguousarray(a).tobytes() == np.ascontiguousarray(b).tobytes())
+
+
+def _same_projection(points, rotation, center, K):
+    new = project_points(points, rotation, center, K)
+    old = kernel_oracle.project_points(points, rotation, center, K)
+    return all(_same(a, b) for a, b in zip(new, old))
+
+
+class TestColumnKernels:
+    def test_project_points_matches_the_row_oracle(self):
+        rng = np.random.default_rng(33)
+        K = default_intrinsics()
+        for _ in range(40):
+            pose = random_pose(rng)
+            pts = rng.normal(scale=4.0, size=(int(rng.integers(0, 300)), 3))
+            assert _same_projection(pts, pose.rotation, pose.center, K)
+        pose = random_pose(rng)
+        for n in (0, 1, 2, 3):
+            assert _same_projection(rng.normal(scale=4.0, size=(n, 3)), pose.rotation,
+                                    pose.center, K)
+
+    def test_rows_behind_and_on_the_camera_plane(self):
+        # under the identity pose camera z is the point's z, exactly
+        K = default_intrinsics()
+        pts = np.array([[1.0, 2.0, 0.0], [0.0, 0.0, -0.0], [3.0, -1.0, -2.0], [1.0, 1.0, 5.0],
+                        [-1.0, 0.5, 1e-300], [2.0, 2.0, -1e-300]])
+        assert _same_projection(pts, np.eye(3), np.zeros(3), K)
+        pixels, depth = project_points(pts, np.eye(3), np.zeros(3), K)
+        assert np.isnan(pixels[[0, 1, 2, 5]]).all() and np.isfinite(pixels[[3, 4]]).all()
+
+    def test_stacked_poses_and_stacked_points(self):
+        rng = np.random.default_rng(34)
+        K = default_intrinsics()
+        for m, n in ((1, 1), (3, 1), (3, 2), (5, 64), (4, 0)):
+            poses = [random_pose(rng) for _ in range(m)]
+            R = np.stack([p.rotation for p in poses])
+            C = np.stack([p.center for p in poses])
+            pts = rng.normal(scale=4.0, size=(n, 3))
+            assert _same_projection(pts, R, C, K)
+            # one set of points per pose, as the P3P polish passes them
+            per_pose = rng.normal(scale=4.0, size=(m, n, 3))
+            assert _same_projection(per_pose, R, C, K)
+            assert _same_projection(np.swapaxes(rng.normal(size=(n, m, 3)), 0, 1), R, C, K)
+
+    def test_non_contiguous_and_fortran_inputs(self):
+        rng = np.random.default_rng(35)
+        K = default_intrinsics()
+        pose = random_pose(rng)
+        positions = rng.normal(scale=4.0, size=(500, 3))
+        wide = rng.normal(scale=4.0, size=(300, 5))
+        rows = rng.choice(500, size=200, replace=False)
+        for pts in (positions[rows], positions[::3], wide[:, 1:4], np.asfortranarray(positions),
+                    positions.astype(np.float32)):
+            assert _same_projection(pts, pose.rotation, pose.center, K)
+            assert _same_projection(pts, np.asfortranarray(pose.rotation), pose.center, K)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64, np.uint8])
+    def test_sample_grid_matches_the_row_oracle(self, dtype):
+        K = CameraIntrinsics(fx=50.0, fy=50.0, cx=20.0, cy=15.0, width=40, height=30)
+        rng = np.random.default_rng(36)
+        grid = rng.uniform(0.0, 250.0, size=(30, 40)).astype(dtype)
+        if grid.dtype.kind == "f":
+            grid[rng.random(grid.shape) < 0.1] = np.nan
+        pixels = np.concatenate([
+            rng.uniform(-3.0, 43.0, size=(5000, 2)),
+            rng.integers(-2, 42, size=(500, 2)) + 0.5,
+            [[np.nan, 3.0], [3.0, np.nan], [np.inf, 3.0], [3.0, -np.inf], [-np.inf, np.inf],
+             [np.nan, np.nan], [1e300, -1e300]],
+        ])
+        rng.shuffle(pixels)
+        for px in (pixels, pixels[:0], pixels[:1], pixels[::2], np.asfortranarray(pixels)):
+            fill = grid.dtype.type(7)
+            values, inside = sample_grid(grid, px, K, fill)
+            old_values, old_inside = kernel_oracle.sample_grid(grid, px, K, fill)
+            assert _same(values, old_values) and _same(inside, old_inside)
+            ij, inside = nearest_pixel(px, K)
+            old_ij, old_inside = kernel_oracle.nearest_pixel(px, K)
+            assert _same(ij, old_ij) and _same(inside, old_inside)
+
+    def test_back_project_pixels_matches_the_row_oracle(self):
+        rng = np.random.default_rng(37)
+        K = default_intrinsics()
+        for n in (0, 1, 2, 3, 19200):
+            pose = random_pose(rng)
+            pix = np.stack([rng.uniform(0, K.width, n), rng.uniform(0, K.height, n)], axis=1)
+            d = rng.uniform(0.1, 50.0, n)
+            for px in (pix, np.asfortranarray(pix)):
+                assert _same(back_project_pixels(px, d, pose, K),
+                             kernel_oracle.back_project_pixels(px, d, pose, K))
+        # the integer pixel grid of a depth map, as the map build lifts it
+        vy, vx = np.nonzero(rng.random((120, 160)) < 0.7)
+        pix = np.stack([vx, vy], axis=1).astype(np.float64)
+        d = rng.uniform(0.5, 40.0, len(pix)).astype(np.float32).astype(np.float64)
+        K = CameraIntrinsics(fx=120.0, fy=120.0, cx=80.0, cy=60.0, width=160, height=120)
+        assert _same(back_project_pixels(pix, d, pose, K),
+                     kernel_oracle.back_project_pixels(pix, d, pose, K))
 
 
 class TestRotationError:

@@ -17,10 +17,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+import kernel_oracle
 from semloc.geometry import RigidPose
 from semloc.matching import CorrespondenceBatch
 from semloc.scoring import (
     SemanticScore,
+    _view_angles,
+    _view_vectors,
     gate_visible,
     normalize_weights,
     semantic_consistency_score,
@@ -251,6 +254,29 @@ class TestGateVisible:
             original = gate_visible(built_map, pose)
             assert len(original) > 0
             assert same_map(gate_visible(doubled, pose), original)
+
+    def test_distances_and_angles_match_the_row_oracle(self):
+        # bitwise on 10^5 rows; a column dot product summed in another order
+        # than einsum's differs from it on a large share of them
+        rng = np.random.default_rng(38)
+        n = 100_000
+        positions = rng.normal(scale=20.0, size=(n, 3))
+        bisectors = rng.normal(size=(n, 3))
+        bisectors /= np.linalg.norm(bisectors, axis=1, keepdims=True)
+        for center in (rng.normal(scale=20.0, size=3), positions[17].copy()):
+            v, dist = _view_vectors(positions, center)
+            old_dist, old_angle = kernel_oracle.view_distances_and_angles(
+                positions, bisectors, center)
+            assert np.array_equal(v, center - positions)
+            assert np.array_equal(dist, old_dist)
+            seen = np.flatnonzero(dist > 0.0)
+            assert len(seen) >= n - 1
+            angle = _view_angles(v[seen], dist[seen], bisectors[seen])
+            assert np.array_equal(angle, old_angle[seen])
+            # and on rows gathered as the gate gathers them
+            rows = np.sort(rng.choice(n, size=n // 3, replace=False))
+            v, dist = _view_vectors(positions[rows], center)
+            assert np.array_equal(dist, old_dist[rows])
 
 
 class TestSubMap:
