@@ -32,9 +32,9 @@ for axis, name in ((np.array([0.0, 0.0, 1.0]), "down-street (z)"),
     print(f"{'offset (m)':>12s} {'gated':>7s} {'projected':>10s} {'consistent':>11s}")
     for offset in (0.0, 0.3, 0.6, 1.0, 1.5, 2.0):
         pose = RigidPose(gt.rotation, gt.center + offset * axis)
-        gated = gate_visible(dense_map, pose)  # cones widened by 1.2x and 0.1 rad
-        s = semantic_consistency_score(gated, pose, query.intrinsics, query.labels)
-        print(f"{offset:12.1f} {len(gated):7d} {s.projected:10d} {s.consistent:11d}")
+        rows = gate_visible(dense_map, pose)  # cones widened by 1.2x and 0.1 rad
+        s = semantic_consistency_score(dense_map, rows, pose, query.intrinsics, query.labels)
+        print(f"{offset:12.1f} {len(rows):7d} {s.projected:10d} {s.consistent:11d}")
 
 print("\nacross-street displacement shows the label term directly: at 0.3-0.6 m")
 print("many points still project into the image but land on the wrong stripe,")

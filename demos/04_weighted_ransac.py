@@ -84,8 +84,8 @@ for trial in range(trials):
         if temp is None:
             scores.append(SemanticScore(0, 0))
             continue
-        gated = gate_visible(dense_map, temp.pose)
-        scores.append(semantic_consistency_score(gated, temp.pose, K, q_labels))
+        rows = gate_visible(dense_map, temp.pose)
+        scores.append(semantic_consistency_score(dense_map, rows, temp.pose, K, q_labels))
     if trial == 0:
         for (img, _), s in zip(images, scores):
             print(f"  {img}: {s.consistent} consistent of {s.projected} projected")

@@ -21,11 +21,11 @@ Coordinate conventions used throughout the package:
 
 Per-point kernels work one column at a time.  An (N, 3) array combined
 with a broadcast (3,) operand, or reduced over its last axis, makes numpy
-run N inner loops of length 3.  So project_points, sample_grid,
-nearest_pixel and back_project_pixels, and the visibility gate in scoring,
-apply each elementwise op to whole x, y and z columns: the op that the
-row-wise formula applies to each entry, in the same order, so the results
-are bitwise the row-wise ones.  The 3x3 rotation stays one BLAS matrix
+run N inner loops of length 3.  So project_points, sample_grid and
+back_project_pixels, and the visibility gate in scoring, apply each
+elementwise op to whole x, y and z columns: the op that the row-wise
+formula applies to each entry, in the same order, so the results are
+bitwise the row-wise ones.  The 3x3 rotation stays one BLAS matrix
 product.
 """
 
@@ -44,7 +44,6 @@ __all__ = [
     "PoseError",
     "project_points",
     "pixel_rays",
-    "nearest_pixel",
     "sample_grid",
     "back_project_pixels",
     "rotation_error_deg",
@@ -69,7 +68,8 @@ class _FrozenArrays:
     caller's arrays keep their flags); a subclass without checks stores its
     fields as given.  A copy, deep copy or unpickled object is rebuilt
     through the constructor, so its arrays are read-only too and nothing
-    cached on the original (a k-d tree, lift tables) comes along.
+    cached on the original (a k-d tree, lift tables) comes along.  The base
+    selects no rows; CorrespondenceBatch, the one row table, does that.
     """
 
     def __post_init__(self) -> None:
@@ -84,9 +84,8 @@ class _FrozenArrays:
 
     @classmethod
     def _of_checked(cls, columns: Sequence[np.ndarray]):
-        """An instance of arrays, one per field in field order, that were
-        already checked: each has its dtype and shape and no one else holds
-        it, so it is made read-only in place rather than viewed."""
+        """An instance of checked arrays with their dtypes and shapes, one per
+        field in field order, that no one else holds: made read-only in place."""
         obj = object.__new__(cls)
         for column in columns:
             column.setflags(write=False)
@@ -97,37 +96,12 @@ class _FrozenArrays:
         return type(self), tuple(getattr(self, f.name) for f in dataclasses.fields(self) if f.init)
 
 
-class _RowTable(_FrozenArrays):
-    """A _FrozenArrays whose fields are all columns of one row count, in
-    the field order the dataclass records once per class.
-
-    table[mask_or_indices] is the table of those rows of every column, and
-    concat pools the rows of several tables in order; both assemble the
-    table from the selected rows without checking them again.
-    """
-
-    def __len__(self) -> int:
-        return len(getattr(self, next(iter(self.__dataclass_fields__))))
-
-    def __getitem__(self, rows):
-        return self._of_checked([getattr(self, name)[rows] for name in self.__dataclass_fields__])
-
-    @classmethod
-    def concat(cls, tables: Sequence["_RowTable"]):
-        """Rows of every table in order; an empty sequence gives an empty
-        table."""
-        if not tables:
-            return cls(*([[]] * sum(f.init for f in dataclasses.fields(cls))))
-        return cls._of_checked([np.concatenate([getattr(t, name) for t in tables])
-                                for name in cls.__dataclass_fields__])
-
-
 @dataclass(frozen=True)
 class CameraIntrinsics:
     """Pinhole intrinsics, no distortion.
 
-    fx, fy are focal lengths in pixels, (cx, cy) the principal point,
-    (width, height) the image size in pixels.
+    fx, fy are finite, positive focal lengths in pixels, (cx, cy) the
+    principal point, (width, height) the image size in pixels.
     """
 
     fx: float
@@ -138,7 +112,7 @@ class CameraIntrinsics:
     height: int
 
     def __post_init__(self) -> None:
-        if not (self.fx > 0 and self.fy > 0):
+        if not (0 < self.fx < math.inf and 0 < self.fy < math.inf):  # nan and inf fail
             raise ValueError(f"focal lengths must be positive, got fx={self.fx}, fy={self.fy}")
         if not (0 <= self.cx < self.width and 0 <= self.cy < self.height):
             raise ValueError(
@@ -245,43 +219,23 @@ def pixel_rays(pixels: np.ndarray, K: CameraIntrinsics) -> np.ndarray:
     return rays
 
 
-def _rounded(pixels: np.ndarray, K: CameraIntrinsics) -> tuple[np.ndarray, ...]:
-    """The rounding rule of nearest_pixel: x and y columns of (N, 2)
-    continuous pixels rounded half up, as floats, and the mask of rows
-    whose rounded pixel lies inside the image (non-finite rows do not)."""
+def sample_grid(grid: np.ndarray, pixels: np.ndarray, K: CameraIntrinsics,
+                fill) -> tuple[np.ndarray, np.ndarray]:
+    """Values of an (H, W) grid at the nearest pixels of (N, 2) continuous
+    coordinates (x and y each rounded half up), in the grid's dtype, and
+    the mask of rows inside the image.  Rows outside, non-finite rows
+    included, read fill.
+
+    Raises ValueError unless the grid is K.height x K.width."""
+    if grid.shape != (K.height, K.width):
+        raise ValueError(f"grid shape {grid.shape} is not the image shape "
+                         f"{(K.height, K.width)} of its intrinsics")
     px = np.asarray(pixels, dtype=np.float64).reshape(-1, 2)
     x = px[:, 0] + 0.5
     y = px[:, 1] + 0.5
     np.floor(x, out=x)
     np.floor(y, out=y)
     inside = (x >= 0) & (x < K.width) & (y >= 0) & (y < K.height)
-    return x, y, inside
-
-
-def nearest_pixel(pixels: np.ndarray, K: CameraIntrinsics) -> tuple[np.ndarray, np.ndarray]:
-    """Integer (x, y) indices of the nearest pixels (round half up) to (N, 2)
-    continuous coordinates, and the mask of rows inside the image.
-
-    Non-finite rows are outside; indices of outside rows are 0.
-    """
-    x, y, inside = _rounded(pixels, K)
-    ij = np.zeros((len(x), 2), dtype=np.int64)
-    ij[inside, 0] = x[inside]
-    ij[inside, 1] = y[inside]
-    return ij, inside
-
-
-def sample_grid(grid: np.ndarray, pixels: np.ndarray, K: CameraIntrinsics,
-                fill) -> tuple[np.ndarray, np.ndarray]:
-    """Values of an (H, W) grid at the nearest pixels of (N, 2) continuous
-    coordinates (nearest_pixel), in the grid's dtype, and the mask of rows
-    inside the image.  Rows outside, non-finite rows included, read fill.
-
-    Raises ValueError unless the grid is K.height x K.width."""
-    if grid.shape != (K.height, K.width):
-        raise ValueError(f"grid shape {grid.shape} is not the image shape "
-                         f"{(K.height, K.width)} of its intrinsics")
-    x, y, inside = _rounded(pixels, K)
     values = np.full(len(x), fill, dtype=grid.dtype)
     rows = np.flatnonzero(inside)
     values[rows] = np.take(grid.reshape(-1), (y[rows] * K.width + x[rows]).astype(np.intp))

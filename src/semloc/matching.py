@@ -15,11 +15,12 @@ complementary strengths cover for each other across imaging conditions.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 from scipy.spatial.distance import cdist
 
-from .geometry import _FrozenArrays, _RowTable
+from .geometry import _FrozenArrays
 from .semantic_map import LIFTED, OUTSIDE_IMAGE, DatabaseImageRecord
 
 __all__ = [
@@ -48,6 +49,8 @@ class FeatureSet(_FrozenArrays):
             desc = desc.reshape(len(loc), -1) if desc.size else desc.reshape(0, 0)
         if len(loc) != len(desc):
             raise ValueError("locations and descriptors disagree in length")
+        if len(desc) and desc.shape[1] == 0:
+            raise ValueError(f"{self.family}: descriptors have no dimensions")
         if not (np.all(np.isfinite(loc)) and np.all(np.isfinite(desc))):
             raise ValueError(f"{self.family}: non-finite keypoint location or descriptor")
         self._store(locations=loc, descriptors=desc)
@@ -57,13 +60,15 @@ class FeatureSet(_FrozenArrays):
 
 
 @dataclass(frozen=True)
-class CorrespondenceBatch(_RowTable):
-    """2D-3D correspondences as columns, one row per correspondence.
+class CorrespondenceBatch(_FrozenArrays):
+    """2D-3D correspondences as columns, one row per correspondence; the
+    only row table of the package.
 
     Row i pairs query pixel pixels[i] (N, 2) with world point points[i]
     (N, 3), lifted by feature family families[i].  Rows are selected with
     batch[mask_or_indices] and batches pooled, in order, with
-    CorrespondenceBatch.concat; no deduplication happens, so a pixel
+    CorrespondenceBatch.concat, both assembled from already-checked rows
+    without checking them again; no deduplication happens, so a pixel
     matched by several families or retrieved images contributes several
     rows.  A row does not name the database image it was lifted through:
     pooled from per-image batches, it belongs to its batch's image.
@@ -86,6 +91,21 @@ class CorrespondenceBatch(_RowTable):
         if not np.all(np.isfinite(points)):
             raise ValueError("world points must be finite")
         self._store(pixels=pixels, points=points, families=families)
+
+    def __len__(self) -> int:
+        return len(self.pixels)
+
+    def __getitem__(self, rows) -> "CorrespondenceBatch":
+        return self._of_checked([self.pixels[rows], self.points[rows], self.families[rows]])
+
+    @classmethod
+    def concat(cls, batches: Sequence["CorrespondenceBatch"]) -> "CorrespondenceBatch":
+        """Rows of every batch in order; an empty sequence gives an empty
+        batch."""
+        if not batches:
+            return cls([], [], [])
+        return cls._of_checked([np.concatenate([getattr(b, name) for b in batches])
+                                for name in cls.__dataclass_fields__])
 
 
 @dataclass(frozen=True)

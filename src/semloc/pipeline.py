@@ -153,8 +153,9 @@ def localize_query(
         if temp is None:
             score = SemanticScore(consistent=0, projected=0)
         else:
-            gated = gate_visible(dense_map, temp.pose)
-            score = semantic_consistency_score(gated, temp.pose, query.intrinsics, query.labels)
+            rows = gate_visible(dense_map, temp.pose)
+            score = semantic_consistency_score(dense_map, rows, temp.pose, query.intrinsics,
+                                               query.labels)
         scores.append(score)
         diagnostics["images"][image_id].update({
             "correspondences": len(image_corrs),

@@ -13,9 +13,9 @@ No point farther than max(d_max) * _DISTANCE_MARGIN from the query centre
 passes the distance range, so the gate tests only the rows that a radius
 search of the map's k-d tree returns, and tests the angle only on the rows
 that pass the distance range.  The tree is built once per map and cached
-on it.  The radius is padded, the exact tests still decide and the rows
-are sorted, so the gated sub-map equals a scan of every point, row for
-row.
+on it.  The radius is padded, the exact tests still decide and the kept
+rows are sorted, so the gated rows equal a full scan's.  The gate returns
+row indices, and the score reads only the positions and labels at them.
 
 Occlusion is handled only through the cone gating (no z-buffer): a point
 observed from similar distance and direction by the database cameras is
@@ -93,8 +93,9 @@ def _view_angles(v: np.ndarray, dist: np.ndarray, v_m: np.ndarray) -> np.ndarray
     return np.arccos(np.clip(cos, -1.0, 1.0))
 
 
-def gate_visible(dense_map: DenseMap, query_pose: RigidPose) -> DenseMap:
-    """Sub-map of points whose cones admit the query viewpoint.
+def gate_visible(dense_map: DenseMap, query_pose: RigidPose) -> np.ndarray:
+    """Ascending np.intp row indices of the points whose cones admit the
+    query viewpoint.
 
     With m = _DISTANCE_MARGIN, a point passes when d_min/m < ||v|| <
     d_max*m and the angle between v = C_query - X and the cone bisector v_m
@@ -103,44 +104,44 @@ def gate_visible(dense_map: DenseMap, query_pose: RigidPose) -> DenseMap:
     Rows farther than max(d_max) * m from the query centre fail the
     distance test, so only the rows inside that ball, padded by a relative
     1e-9, are tested.  ``dense_map.position_tree``, the k-d tree built once
-    per map on its first gate call, returns them unsorted, and they are
-    sorted once as an index array, which costs less.  The exact
+    per map on its first gate call, returns them unsorted.  The exact
     tests then decide, the distance test first and the angle test only on
-    the rows it passes, so the sub-map holds the same rows in the same
-    order as a scan of the whole map.  A row's angle does not depend on
-    which other rows are tested with it.
+    the rows it passes.  A row's tests do not depend on which other rows
+    are tested with it, so the kept rows, sorted once at the end, equal a
+    full scan's.
     """
     m = _DISTANCE_MARGIN
     radius = np.max(dense_map.d_max, initial=0.0) * m * (1.0 + _RADIUS_PAD)
-    rows = np.sort(np.array(
+    rows = np.array(
         dense_map.position_tree.query_ball_point(query_pose.center, radius, return_sorted=False),
         dtype=np.intp,
-    ))
+    )
     v, dist = _view_vectors(dense_map.positions[rows], query_pose.center)
     near = np.flatnonzero(
         (dense_map.d_min[rows] / m < dist) & (dist < dense_map.d_max[rows] * m) & (dist > 0.0))
     rows = rows[near]
     ang = _view_angles(v[near], dist[near], dense_map.v_m[rows])
-    return dense_map[rows[ang < dense_map.theta[rows] + _ANGLE_MARGIN]]
+    return np.sort(rows[ang < dense_map.theta[rows] + _ANGLE_MARGIN])
 
 
 def semantic_consistency_score(
-    points: DenseMap,
+    dense_map: DenseMap,
+    rows: np.ndarray,
     pose: RigidPose,
     K: CameraIntrinsics,
     query_labels: np.ndarray,
 ) -> SemanticScore:
-    """Count gated map points whose projection lands on a query pixel with
-    the same label.
+    """Count the map points at rows (gate_visible's result) whose
+    projection lands on a query pixel with the same label.
 
-    Unlabeled query pixels (255) are excluded from both counts: segmentation
-    voids should not penalize a pose.  The score is the raw consistent
-    count.
+    Only the positions and labels of those rows are read.  Unlabeled query
+    pixels (255) are excluded from both counts: segmentation voids should
+    not penalize a pose.  The score is the raw consistent count.
     """
-    projected, _ = project_points(points.positions, pose.rotation, pose.center, K)
+    projected, _ = project_points(dense_map.positions[rows], pose.rotation, pose.center, K)
     pixel_labels, _ = sample_grid(query_labels, projected, K, UNLABELED)
     counted = pixel_labels != UNLABELED
-    consistent = int(np.sum(pixel_labels[counted] == points.labels[counted]))
+    consistent = int(np.sum(pixel_labels[counted] == dense_map.labels[rows][counted]))
     return SemanticScore(consistent=consistent, projected=int(counted.sum()))
 
 

@@ -32,7 +32,6 @@ from .geometry import (
     CameraIntrinsics,
     RigidPose,
     _FrozenArrays,
-    _RowTable,
     back_project_pixels,
     project_points,
     sample_grid,
@@ -110,7 +109,7 @@ LIFTED, OUTSIDE_IMAGE, INVALID_DEPTH = 0, 1, 2
 
 
 @dataclass(frozen=True)
-class LiftTable(_RowTable):
+class LiftTable(_FrozenArrays):
     """Every keypoint of one feature family in one database image, lifted
     through the image's depth map.
 
@@ -241,25 +240,23 @@ class DepthFilterConfig:
 
 
 @dataclass(frozen=True, eq=False)
-class DenseMap(_RowTable):
+class DenseMap(_FrozenArrays):
     """The fused map points as parallel columns.
 
     Row i is one point: position, semantic label, number of contributing
     database images (support), and its visibility cone: d_min/d_max, the
     extreme Euclidean distances to observing camera centers; v_l/v_u, the
     unit point-to-camera directions of the widest pair; v_m, their unit
-    bisector; theta, the angle between v_l and v_u.  Indexing with a mask
-    or an index array yields the sub-map of those rows and their v_m (v_m
-    is computed row by row, so the bits are the same as recomputing it).
-    The columns are read-only views: a k-d tree over the positions is
-    built on first use and cached on the map.
+    bisector; theta, the angle between v_l and v_u.  A map is read whole
+    or at row indices (scoring.gate_visible returns the gated rows); no
+    map of selected rows is built.  The columns are read-only views: a k-d
+    tree over the positions is built on first use and cached on the map.
 
     A column whose array already has its dtype is a view of the array passed
     to the constructor, not a copy, so a caller must not write that array
     after building the map: the map's points would move under the cached
     tree.  read_dense_map and build_dense_map pass arrays that no one else
-    holds (a freshly read record array and freshly computed columns), and
-    indexing passes fancy-indexed copies.
+    holds (a freshly read record array and freshly computed columns).
     """
 
     positions: np.ndarray
@@ -290,10 +287,14 @@ class DenseMap(_RowTable):
         safe = norms > 1e-12
         self._store(v_m=np.where(safe[:, None], s / np.where(safe, norms, 1.0)[:, None], self.v_l))
 
+    def __len__(self) -> int:
+        return len(self.positions)
+
     @functools.cached_property
     def position_tree(self) -> cKDTree:
         """k-d tree over the positions, built on first access rather than
-        in ``__init__``, so that sub-maps never searched build none."""
+        in ``__init__``, so that a map that is never gated builds none,
+        such as the built map that build-map writes to MAP1."""
         return cKDTree(self.positions)
 
 

@@ -217,8 +217,8 @@ def sample_plane_points(plane: FacadePlane, count: int, rng: np.random.Generator
 
 def _inside_image(pixels: np.ndarray, K: CameraIntrinsics) -> np.ndarray:
     """Mask of (N, 2) pixels inside [0, W - 1] x [0, H - 1], where an anchor
-    counts as seen and a keypoint is kept.  Stricter than nearest_pixel's
-    [-0.5, W - 0.5) cells, so every keypoint reads a pixel of its image."""
+    counts as seen and a keypoint is kept.  Stricter than sample_grid's
+    [-0.5, W - 0.5) pixel cells, so every keypoint reads a pixel of its image."""
     x, y = pixels[:, 0], pixels[:, 1]
     return (x >= 0.0) & (x <= K.width - 1) & (y >= 0.0) & (y <= K.height - 1)
 

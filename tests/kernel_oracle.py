@@ -28,6 +28,9 @@ def project_points(points, rotation, center, K: CameraIntrinsics):
 
 
 def nearest_pixel(pixels, K: CameraIntrinsics):
+    """Integer (x, y) of each row's nearest pixel, 0 on rows outside the
+    image, and the inside mask: the rounding rule that sample_grid reads
+    at."""
     r = np.floor(np.asarray(pixels, dtype=np.float64).reshape(-1, 2) + 0.5)
     inside = (r[:, 0] >= 0) & (r[:, 0] < K.width) & (r[:, 1] >= 0) & (r[:, 1] < K.height)
     return np.where(inside[:, None], r, 0.0).astype(np.int64), inside

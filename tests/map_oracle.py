@@ -5,7 +5,8 @@ votes and builds cones on columns of fused points.  These are the per-pixel
 and per-point versions it replaced, kept as test oracles: voxel fusion by a dict keyed on cell tuples, label voting for one
 point, one point's visibility cone, unstable-class removal on a list of
 points, and the per-point DensePoint/VisibilityCone view of a DenseMap with
-its invariant check and a column-by-column map comparison.
+its invariant check, a map of selected rows built from gathered columns and
+a column-by-column map comparison.
 """
 
 from __future__ import annotations
@@ -157,11 +158,20 @@ def map_from_points(points: Sequence[DensePoint]) -> DenseMap:
     )
 
 
+# The DenseMap columns passed to its constructor, in order (v_m is derived).
+STORED_COLUMNS = ("positions", "labels", "v_l", "v_u", "theta", "d_min", "d_max", "support")
+
+
+def map_rows(dense_map: DenseMap, rows) -> DenseMap:
+    """A new DenseMap of the given rows (a mask or index array), built from
+    its gathered columns."""
+    return DenseMap(*(getattr(dense_map, col)[rows] for col in STORED_COLUMNS))
+
+
 def same_map(a: DenseMap, b: DenseMap) -> bool:
     """True when every stored column of the two maps is equal."""
     return len(a) == len(b) and all(
-        np.array_equal(getattr(a, col), getattr(b, col))
-        for col in ("positions", "labels", "v_l", "v_u", "theta", "d_min", "d_max", "support")
+        np.array_equal(getattr(a, col), getattr(b, col)) for col in STORED_COLUMNS
     )
 
 

@@ -66,6 +66,7 @@ from conftest import (
     synthetic_correspondences,
 )
 from test_semantic_map import _K, _filter_oracle, _plane_depth, _record
+from map_oracle import map_rows
 from test_scoring import _score_oracle
 
 
@@ -165,9 +166,9 @@ def test_acceptance_04_semantic_score_oracle():
                 rodrigues(rng.normal(size=3), rng.uniform(0, math.pi)),
                 np.array([rng.uniform(-3, 3), rng.uniform(-4, 0), rng.uniform(0, 16)]),
             )
-            gated = gate_visible(dense_map, pose)
-            score = semantic_consistency_score(gated, pose, q.intrinsics, q.labels)
-            c, p = _score_oracle(gated, pose, q.intrinsics, q.labels)
+            rows = gate_visible(dense_map, pose)
+            score = semantic_consistency_score(dense_map, rows, pose, q.intrinsics, q.labels)
+            c, p = _score_oracle(map_rows(dense_map, rows), pose, q.intrinsics, q.labels)
             exact &= (score.consistent, score.projected) == (c, p)
             poses_checked += 1
     _report(4, "semantic score oracle equivalence", exact and poses_checked == 100,
@@ -225,8 +226,8 @@ def _contamination_trial(spec, dense_map, trial_seed, n_total=80, wrong_frac=0.6
         if temp is None:
             scores.append(SemanticScore(0, 0))
             continue
-        gated = gate_visible(dense_map, temp.pose)
-        scores.append(semantic_consistency_score(gated, temp.pose, K, q_labels))
+        rows = gate_visible(dense_map, temp.pose)
+        scores.append(semantic_consistency_score(dense_map, rows, temp.pose, K, q_labels))
 
     weighted = normalize_weights(scores, [good, wrong])
     uniform = np.full(len(corrs), 1.0 / len(corrs))

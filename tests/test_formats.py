@@ -418,6 +418,21 @@ class TestCameraFiles:
         with pytest.raises(DataFormatError, match="14 fields"):
             read_cameras(p)
 
+    @pytest.mark.parametrize("field", [1, 2], ids=["fx", "fy"])
+    def test_infinite_focal_length_fails_at_its_line(self, tmp_path, field):
+        rng = np.random.default_rng(9)
+        K = CameraIntrinsics(100.0, 100.0, 50.0, 50.0, 100, 100)
+        p = tmp_path / "c.txt"
+        write_cameras(p, [CameraRecord(i, K, random_pose(rng)) for i in ("a", "b")])
+        lines = p.read_text().splitlines()
+        lineno = next(n for n, line in enumerate(lines, 1) if line.startswith("b "))
+        parts = lines[lineno - 1].split()
+        parts[field] = "inf"
+        lines[lineno - 1] = " ".join(parts)
+        p.write_text("\n".join(lines) + "\n")
+        with pytest.raises(DataFormatError, match=re.escape(f"{p}:{lineno}: focal lengths")):
+            read_cameras(p)
+
 
 class TestEstimates:
     def test_roundtrip(self, tmp_path):
@@ -604,6 +619,13 @@ class TestTextFiles:
         with pytest.raises(DataFormatError) as info:
             read_manifest(tmp_path)
         assert str(info.value) == f"{tmp_path / 'manifest.txt'}:4: repeated family 'corner'"
+
+    def test_family_dim_zero_fails_at_its_line(self, tmp_path):
+        # descriptors without dimensions would all match at distance 0
+        (tmp_path / "manifest.txt").write_text("family = corner 16\nfamily = line 0\ndb = db0\n")
+        with pytest.raises(DataFormatError) as info:
+            read_manifest(tmp_path)
+        assert str(info.value) == f"{tmp_path / 'manifest.txt'}:2: family 'line' needs dim >= 1"
 
     @pytest.mark.parametrize("value", ["db003 db004", ""], ids=["two-ids", "empty"])
     def test_db_line_names_one_id(self, tmp_path, value):

@@ -16,7 +16,6 @@ from semloc.geometry import (
     RigidPose,
     back_project_pixels,
     matrix_to_quaternion,
-    nearest_pixel,
     position_error_m,
     project_points,
     quaternion_to_matrix,
@@ -296,9 +295,11 @@ class TestColumnKernels:
             values, inside = sample_grid(grid, px, K, fill)
             old_values, old_inside = kernel_oracle.sample_grid(grid, px, K, fill)
             assert _same(values, old_values) and _same(inside, old_inside)
-            ij, inside = nearest_pixel(px, K)
+            # an index grid reads each row's flat nearest-pixel index
+            index, inside = sample_grid(np.arange(30 * 40).reshape(30, 40), px, K, -1)
             old_ij, old_inside = kernel_oracle.nearest_pixel(px, K)
-            assert _same(ij, old_ij) and _same(inside, old_inside)
+            old_index = np.where(old_inside, old_ij[:, 1] * 40 + old_ij[:, 0], -1)
+            assert _same(index, old_index) and _same(inside, old_inside)
 
     def test_back_project_pixels_matches_the_row_oracle(self):
         rng = np.random.default_rng(37)
@@ -405,8 +406,9 @@ class TestPoseTypes:
             PoseError(position_error=0.0, orientation_error=181.0)
 
     def test_intrinsics_validation(self):
-        with pytest.raises(ValueError):
-            CameraIntrinsics(fx=0.0, fy=1.0, cx=0.0, cy=0.0, width=10, height=10)
+        for fx, fy in ((0.0, 1.0), (np.inf, np.inf), (1.0, np.inf), (np.nan, 1.0)):
+            with pytest.raises(ValueError, match="focal lengths"):
+                CameraIntrinsics(fx=fx, fy=fy, cx=0.0, cy=0.0, width=10, height=10)
         with pytest.raises(ValueError):
             CameraIntrinsics(fx=1.0, fy=1.0, cx=10.0, cy=0.0, width=10, height=10)
 

@@ -13,7 +13,7 @@ from dataclasses import FrozenInstanceError, fields, replace
 import numpy as np
 import pytest
 
-from semloc.geometry import CameraIntrinsics, RigidPose, back_project_pixels, nearest_pixel
+from semloc.geometry import CameraIntrinsics, RigidPose, back_project_pixels, sample_grid
 from semloc.matching import (
     CorrespondenceBatch,
     FeatureSet,
@@ -61,6 +61,14 @@ class TestFeatureSet:
     def test_non_finite_descriptor_rejected(self):
         with pytest.raises(ValueError, match="non-finite"):
             FeatureSet(family="f", locations=np.zeros((1, 2)), descriptors=[[0.0, np.nan]])
+
+    def test_descriptors_without_dimensions_rejected(self):
+        # such keypoints would all match at distance 0; an empty set keeps
+        # dim 0, as the FEA1 writer stores it
+        with pytest.raises(ValueError, match="f: descriptors have no dimensions"):
+            FeatureSet(family="f", locations=np.zeros((3, 2)), descriptors=np.zeros((3, 0)))
+        empty = FeatureSet(family="f", locations=np.zeros((0, 2)), descriptors=np.zeros((0, 0)))
+        assert empty.descriptors.shape == (0, 0)
 
     def test_columns_are_read_only_views(self):
         # a FeatureSet and the other frozen types whose arrays are kept as
@@ -259,12 +267,14 @@ class TestLiftTo3D:
 
 def _lift_alone(fs, k, db):
     """Status and world point of keypoint k lifted on its own: a one-row
-    nearest-pixel lookup and a one-row back-projection."""
+    nearest-pixel lookup, which an index grid turns into the flat index of
+    the pixel, and a one-row back-projection."""
     loc = fs.locations[k:k + 1]
-    pix, inside = nearest_pixel(loc, db.intrinsics)
+    h, w = db.depth.shape
+    index, inside = sample_grid(np.arange(h * w).reshape(h, w), loc, db.intrinsics, -1)
     if not inside[0]:
         return OUTSIDE_IMAGE, np.full(3, np.nan)
-    depth = float(db.depth[pix[0, 1], pix[0, 0]])
+    depth = float(db.depth.reshape(-1)[index[0]])
     if depth <= 0.0:
         return INVALID_DEPTH, np.full(3, np.nan)
     return LIFTED, back_project_pixels(loc, [depth], db.pose, db.intrinsics)[0]

@@ -236,8 +236,8 @@ class TestTemporaryPosesInLockstep:
             localize_query(query, i, ds.db_records, dense_map, index, cfg)
             assert len(posed_alone) == (query.image_id == "q140")
             for temp in posed_alone:
-                score = semantic_consistency_score(gate_visible(dense_map, temp.pose), temp.pose,
-                                                   query.intrinsics, query.labels)
+                score = semantic_consistency_score(dense_map, gate_visible(dense_map, temp.pose),
+                                                   temp.pose, query.intrinsics, query.labels)
                 assert score.consistent == 0
 
     def test_a_lower_ranked_winner_does_not_stop_rank_one_in_round_one(self):

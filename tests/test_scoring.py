@@ -30,7 +30,7 @@ from semloc.scoring import (
 )
 from semloc.semantic_map import DenseMap, build_dense_map
 from conftest import patched_gate_margins, random_pose, rodrigues
-from map_oracle import map_point, same_map
+from map_oracle import map_point, map_rows
 
 # The gate's distance and angle margins (test_config pins the constants).
 MARGINS = (1.2, 0.1)
@@ -80,18 +80,18 @@ def _oracle_mask(dense_map, pose, distance_margin, angle_margin):
     )
 
 
-def _gated_mask(dense_map, pose):
-    """Rows of dense_map that gate_visible keeps, as a mask.
+def _gated_rows(dense_map, pose):
+    """gate_visible's rows, checked to be ascending np.intp indices."""
+    rows = gate_visible(dense_map, pose)
+    assert rows.dtype == np.intp and rows.ndim == 1
+    assert np.all(np.diff(rows) > 0)
+    return rows
 
-    The gate never reads the support column, so a copy carrying each row's
-    index there gives the kept rows back from the gated sub-map.
-    """
-    tagged = DenseMap(
-        dense_map.positions, dense_map.labels, dense_map.v_l, dense_map.v_u,
-        dense_map.theta, dense_map.d_min, dense_map.d_max, np.arange(len(dense_map)),
-    )
+
+def _gated_mask(dense_map, pose):
+    """Rows of dense_map that gate_visible keeps, as a mask."""
     mask = np.zeros(len(dense_map), dtype=bool)
-    mask[gate_visible(tagged, pose).support] = True
+    mask[_gated_rows(dense_map, pose)] = True
     return mask
 
 
@@ -154,7 +154,7 @@ class TestGateVisible:
 
     def test_matches_oracle_random_poses(self, built_map):
         rng = np.random.default_rng(21)
-        sub = built_map[np.arange(0, len(built_map), 11)]
+        sub = map_rows(built_map, np.arange(0, len(built_map), 11))
         for _ in range(12):
             pose = RigidPose(
                 rodrigues(rng.normal(size=3), rng.uniform(0, math.pi)),
@@ -177,25 +177,25 @@ class TestGateVisible:
     @given(gate_cases())
     def test_random_maps_match_oracle(self, case):
         dense_map, pose, margins = case
-        expected = dense_map[_oracle_mask(dense_map, pose, *margins)]
+        expected = np.flatnonzero(_oracle_mask(dense_map, pose, *margins))
         with patched_gate_margins(*margins):
-            assert same_map(gate_visible(dense_map, pose), expected)
+            assert np.array_equal(_gated_rows(dense_map, pose), expected)
 
     def test_empty_map(self):
         empty = DenseMap(*[np.zeros(0)] * 8)
-        assert len(gate_visible(empty, _at([1.0, 2.0, 3.0]))) == 0
+        assert len(_gated_rows(empty, _at([1.0, 2.0, 3.0]))) == 0
 
     def test_one_point_map(self):
         # the cone looks along -x from the point, 2 to 4 m out
         one = _map_with_cones(np.zeros((1, 3)), [2.0], [4.0], -np.eye(3)[:1], -np.eye(3)[:1])
-        assert same_map(gate_visible(one, _at([-3.0, 0.0, 0.0])), one)
+        assert _gated_rows(one, _at([-3.0, 0.0, 0.0])).tolist() == [0]
         assert len(gate_visible(one, _at([3.0, 0.0, 0.0]))) == 0  # behind the cone
         assert len(gate_visible(one, _at([-6.0, 0.0, 0.0]))) == 0  # beyond d_max * m
 
     def test_query_centre_on_map_point(self, built_map):
         # distance 0 has no direction and is rejected; the other rows still
         # gate as the oracle says
-        sub = built_map[np.arange(0, len(built_map), 7)]
+        sub = map_rows(built_map, np.arange(0, len(built_map), 7))
         pose = _at(sub.positions[5])
         with patched_gate_margins(1.5, 0.5):
             mask = _gated_mask(sub, pose)
@@ -225,7 +225,7 @@ class TestGateVisible:
         # each of them, and their first calls race to build its cached tree
         poses = [rec.pose for rec in zero_noise_dataset.db_records] * 2
         expected = [gate_visible(built_map, pose) for pose in poses]
-        fresh = built_map[np.arange(len(built_map))]  # a copy with no tree yet
+        fresh = map_rows(built_map, np.arange(len(built_map)))  # a copy with no tree yet
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
@@ -233,7 +233,7 @@ class TestGateVisible:
                 gated = list(pool.map(lambda pose: gate_visible(fresh, pose), poses))
         finally:
             sys.setswitchinterval(interval)
-        assert all(same_map(g, e) for g, e in zip(gated, expected))
+        assert all(np.array_equal(g, e) for g, e in zip(gated, expected))
 
     def test_distant_copy_changes_nothing(self, zero_noise_dataset, built_map):
         # a second canyon farther off than the search radius: the work and
@@ -253,7 +253,7 @@ class TestGateVisible:
         for pose in poses:
             original = gate_visible(built_map, pose)
             assert len(original) > 0
-            assert same_map(gate_visible(doubled, pose), original)
+            assert np.array_equal(gate_visible(doubled, pose), original)
 
     def test_distances_and_angles_match_the_row_oracle(self):
         # bitwise on 10^5 rows; a column dot product summed in another order
@@ -279,45 +279,13 @@ class TestGateVisible:
             assert np.array_equal(dist, old_dist[rows])
 
 
-class TestSubMap:
-    """Rows of a DenseMap (indexing, and the gate's result) carry their
-    columns, v_m included, as read-only arrays."""
-
-    COLUMNS = ("positions", "labels", "v_l", "v_u", "v_m", "theta", "d_min", "d_max", "support")
-
-    def _sub_maps(self, zero_noise_dataset, built_map):
-        rng = np.random.default_rng(5)
-        yield built_map[np.arange(0, len(built_map), 3)]
-        yield built_map[rng.random(len(built_map)) < 0.5]
-        yield built_map[np.array([], dtype=np.intp)]
-        for rec in zero_noise_dataset.db_records[::2]:
-            yield gate_visible(built_map, rec.pose)
-
-    def test_v_m_is_the_recomputed_bisector(self, zero_noise_dataset, built_map):
-        for sub in self._sub_maps(zero_noise_dataset, built_map):
-            recomputed = DenseMap(sub.positions, sub.labels, sub.v_l, sub.v_u, sub.theta,
-                                  sub.d_min, sub.d_max, sub.support)
-            assert sub.v_m.shape == (len(sub), 3)
-            assert sub.v_m.tobytes() == recomputed.v_m.tobytes()
-
-    def test_columns_are_read_only(self, zero_noise_dataset, built_map):
-        for sub in self._sub_maps(zero_noise_dataset, built_map):
-            for col in self.COLUMNS:
-                column = getattr(sub, col)
-                assert not column.flags.writeable
-                with pytest.raises(ValueError):
-                    column[...] = column
-            # the parent's cached tree is not carried over
-            assert "position_tree" not in vars(sub)
-
-
 class TestSemanticConsistencyScore:
     def test_ground_truth_pose_fully_consistent(self, zero_noise_dataset, built_map):
         ds = zero_noise_dataset
         qid, pose = next(iter(ds.gt_poses.items()))
         q = next(q for q in ds.queries if q.image_id == qid)
-        gated = gate_visible(built_map, pose)
-        score = semantic_consistency_score(gated, pose, q.intrinsics, q.labels)
+        rows = gate_visible(built_map, pose)
+        score = semantic_consistency_score(built_map, rows, pose, q.intrinsics, q.labels)
         assert score.projected > 50
         # labels rendered from the same geometry: perfect agreement
         assert score.consistent == score.projected
@@ -326,8 +294,8 @@ class TestSemanticConsistencyScore:
         ds = zero_noise_dataset
         q = ds.queries[0]
         off = RigidPose(np.eye(3), np.array([0.0, 0.0, 1e5]))
-        gated = gate_visible(built_map, off)
-        score = semantic_consistency_score(gated, off, q.intrinsics, q.labels)
+        rows = gate_visible(built_map, off)
+        score = semantic_consistency_score(built_map, rows, off, q.intrinsics, q.labels)
         assert score.consistent == score.projected == 0
 
     def test_counts_match_oracle_perturbed_poses(self, zero_noise_dataset, built_map):
@@ -340,19 +308,44 @@ class TestSemanticConsistencyScore:
                 rodrigues(rng.normal(size=3), rng.uniform(0, 0.15)) @ gt.rotation,
                 gt.center + rng.normal(scale=0.5, size=3),
             )
-            gated = gate_visible(built_map, pose)
-            score = semantic_consistency_score(gated, pose, q.intrinsics, q.labels)
-            c, p = _score_oracle(gated, pose, q.intrinsics, q.labels)
+            rows = gate_visible(built_map, pose)
+            score = semantic_consistency_score(built_map, rows, pose, q.intrinsics, q.labels)
+            c, p = _score_oracle(map_rows(built_map, rows), pose, q.intrinsics, q.labels)
             assert (score.consistent, score.projected) == (c, p)
-            assert 0 <= score.consistent <= score.projected <= len(gated)
+            assert 0 <= score.consistent <= score.projected <= len(rows)
+
+    def test_rows_score_as_a_gathered_copy(self, zero_noise_dataset, built_map):
+        # the score reads the map at the rows it is given: any row set,
+        # sorted or not, the empty one and a single row, counts as the
+        # whole of a map built from those rows' gathered columns
+        q = zero_noise_dataset.queries[2]
+        pose = zero_noise_dataset.gt_poses[q.image_id]
+        rng = np.random.default_rng(26)
+        n = len(built_map)
+        row_sets = [np.array([], dtype=np.intp), np.array([int(rng.integers(n))]),
+                    gate_visible(built_map, pose)]
+        for size in (2, 50, n // 3, n):
+            drawn = rng.choice(n, size=size, replace=False)
+            row_sets += [drawn, np.sort(drawn)]
+        consistent = 0
+        for rows in row_sets:
+            score = semantic_consistency_score(built_map, rows, pose, q.intrinsics, q.labels)
+            gathered = map_rows(built_map, rows)
+            whole = semantic_consistency_score(gathered, np.arange(len(gathered)), pose,
+                                               q.intrinsics, q.labels)
+            assert score == whole
+            assert (score.consistent, score.projected) == _score_oracle(
+                gathered, pose, q.intrinsics, q.labels)
+            consistent += score.consistent
+        assert consistent > 0
 
     def test_unlabeled_pixels_excluded(self, built_map, zero_noise_dataset):
         ds = zero_noise_dataset
         q = ds.queries[0]
         pose = ds.gt_poses[q.image_id]
-        gated = gate_visible(built_map, pose)
+        rows = gate_visible(built_map, pose)
         blank = np.full_like(q.labels, 255)
-        score = semantic_consistency_score(gated, pose, q.intrinsics, blank)
+        score = semantic_consistency_score(built_map, rows, pose, q.intrinsics, blank)
         assert score.consistent == score.projected == 0
 
     def test_discriminates_ground_truth_from_displaced(self, zero_noise_dataset, built_map):
@@ -364,13 +357,15 @@ class TestSemanticConsistencyScore:
         for t in range(trials):
             q = ds.queries[t % len(ds.queries)]
             gt = ds.gt_poses[q.image_id]
-            gated = gate_visible(built_map, gt)
-            s_gt = semantic_consistency_score(gated, gt, q.intrinsics, q.labels).consistent
+            rows = gate_visible(built_map, gt)
+            s_gt = semantic_consistency_score(built_map, rows, gt, q.intrinsics,
+                                              q.labels).consistent
             offset = rng.normal(size=3)
             offset = offset / np.linalg.norm(offset) * rng.uniform(2.0, 4.0)
             disp = RigidPose(gt.rotation, gt.center + offset)
-            gated_d = gate_visible(built_map, disp)
-            s_d = semantic_consistency_score(gated_d, disp, q.intrinsics, q.labels).consistent
+            rows_d = gate_visible(built_map, disp)
+            s_d = semantic_consistency_score(built_map, rows_d, disp, q.intrinsics,
+                                             q.labels).consistent
             if s_gt >= s_d:
                 wins += 1
         assert wins >= 95
