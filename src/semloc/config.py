@@ -13,6 +13,7 @@ range-checked as its line is read.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 from .formats import DataFormatError, key_value_lines
@@ -57,7 +58,7 @@ class PipelineConfig:
     def __post_init__(self) -> None:
         if self.seed < 0:
             raise ValueError("seed must be >= 0")
-        if not self.fusion_voxel_size > 0:
+        if not 0 < self.fusion_voxel_size < math.inf:  # nan and inf fail
             raise ValueError("fusion voxel_size must be positive")
         if any(not (0 <= i <= MAX_CLASS_ID) for i in self.unstable_classes):
             raise ValueError(f"unstable class ids must lie in 0..{MAX_CLASS_ID}")

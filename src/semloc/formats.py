@@ -387,6 +387,15 @@ def write_manifest(path, manifest: DatasetManifest) -> None:
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
+def _plain_name(path, lineno: int, key: str, name: str) -> str:
+    """name, an image id or family name that load_dataset and save_dataset
+    put into file names; one that could name a file outside its directory
+    fails at its manifest line."""
+    if name in (".", "..") or any(c in name for c in "/\\\0"):
+        raise DataFormatError(path, None, f"{key} {name!r} is not a plain file name", lineno)
+    return name
+
+
 def read_manifest(root) -> DatasetManifest:
     """Parse ``root/manifest.txt``; load_dataset reads the files it names."""
     path = Path(root) / "manifest.txt"
@@ -404,15 +413,15 @@ def read_manifest(root) -> DatasetManifest:
                 raise DataFormatError(path, None, f"family {parts[0]!r} needs dim >= 1", lineno)
             if any(name == parts[0] for name, _ in families):
                 raise DataFormatError(path, None, f"repeated family {parts[0]!r}", lineno)
-            families.append((parts[0], int(parts[1])))
+            families.append((_plain_name(path, lineno, key, parts[0]), int(parts[1])))
         elif key == "db":
             if len(parts) != 1:
                 raise DataFormatError(path, None, "db needs 'id'", lineno)
-            db_ids.append(val)
+            db_ids.append(_plain_name(path, lineno, key, val))
         elif key == "query":
             if len(parts) != 2 or parts[1] not in CONDITIONS:
                 raise DataFormatError(path, None, "query needs 'id day|night'", lineno)
-            query_ids.append(parts[0])
+            query_ids.append(_plain_name(path, lineno, key, parts[0]))
             conditions[parts[0]] = parts[1]
         else:
             raise DataFormatError(path, None, f"unknown manifest key {key!r}", lineno)

@@ -302,7 +302,7 @@ class RansacConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if not self.inlier_threshold_px > 0:
+        if not 0 < self.inlier_threshold_px < math.inf:  # nan and inf fail
             raise ValueError("inlier threshold must be positive")
         if self.max_iterations < 1:
             raise ValueError("max_iterations must be >= 1")
@@ -734,8 +734,8 @@ def _iterations_needed(p: float, cfg: RansacConfig) -> int:
 
 
 class _RansacRun:
-    """One RANSAC run's correspondences, generator, iterations run (it),
-    stopping bound (needed) and best model.
+    """One RANSAC run's batch, camera K and settings cfg, its generator,
+    iterations run (it), stopping bound (needed) and best model.
 
     needed starts at the min-inliers bound (at least 1) and drops to each
     new best model's adaptive bound (module docstring), never below the
@@ -748,8 +748,7 @@ class _RansacRun:
                  weights: Optional[np.ndarray]) -> None:
         n = len(batch)
         self.n = n
-        self.cfg = cfg
-        self.K = K
+        self.batch, self.K, self.cfg = batch, K, cfg
         self.points, self.pixels = batch.points, batch.pixels
         self.weights = (np.full(n, 1.0 / n) if weights is None
                         else np.asarray(weights, dtype=np.float64))
@@ -765,7 +764,7 @@ class _RansacRun:
         self.best_R: Optional[np.ndarray] = None
         self.best_C: Optional[np.ndarray] = None
         self.best_inliers: Optional[np.ndarray] = None
-        self.needed = max(1, _iterations_needed((cfg.min_inliers / n) ** 3, cfg))
+        self.needed = _iterations_needed((cfg.min_inliers / n) ** 3, cfg)
         self.it = 0
         self.draws_left = _MAX_SAMPLE_ATTEMPTS * cfg.max_iterations
 
@@ -787,7 +786,7 @@ class _RansacRun:
         self.draws_left -= len(drawn)
         return drawn
 
-    def replay(self, R: np.ndarray, C: np.ndarray, valid: np.ndarray, K: CameraIntrinsics) -> None:
+    def replay(self, R: np.ndarray, C: np.ndarray, valid: np.ndarray) -> None:
         """Score this run's P3P candidates (one row per kept sample, in draw
         order) and take them one iteration at a time.  A round with no valid
         candidate only counts its iterations."""
@@ -797,7 +796,7 @@ class _RansacRun:
         if not len(R):
             self.it += len(per_sample)
             return
-        counts, inl = _score_hypotheses(R, C, self.points, self.pixels, K,
+        counts, inl = _score_hypotheses(R, C, self.points, self.pixels, self.K,
                                         cfg.inlier_threshold_px)
         counts = counts.tolist()
 
@@ -847,11 +846,10 @@ class _Verdict:
     """The cross-run verdict (module docstring) over the drawing runs of
     one call, whose batches hold the query keypoints."""
 
-    def __init__(self, runs: Sequence[_RansacRun],
-                 batches: Sequence[CorrespondenceBatch]) -> None:
+    def __init__(self, runs: Sequence[_RansacRun]) -> None:
         self.runs = runs
         self.starts = np.cumsum([0] + [run.n for run in runs[:-1]])
-        self.a, self.b = _contradiction_pairs(batches)
+        self.a, self.b = _contradiction_pairs([run.batch for run in runs])
 
     def __call__(self, live: list[_RansacRun]) -> list[_RansacRun]:
         """The live runs that go on.  A stopped run drops its model, so
@@ -895,18 +893,18 @@ def _ransac_pnp(
     live = [run for run in state if run is not None]
     judge = None
     if len(live) >= 2:
-        judge = _Verdict(live, [batch for (batch, _, _), run in zip(runs, state) if run is not None])
+        judge = _Verdict(live)
         # Round 1: the first _FIRST_RUNS runs draw; the rest wait for the
         # verdict on their winners.
-        _lockstep_round(live[:_FIRST_RUNS], K)
+        _lockstep_round(live[:_FIRST_RUNS])
     while live := [run for run in live if run.it < run.needed and run.draws_left]:
         if judge is not None and not (live := judge(live)):
             break
-        _lockstep_round(live, K)
-    return _finish(state, K)
+        _lockstep_round(live)
+    return _finish(state)
 
 
-def _lockstep_round(live: Sequence[_RansacRun], K: CameraIntrinsics) -> None:
+def _lockstep_round(live: Sequence[_RansacRun]) -> None:
     """One round of the live runs: each draws, one _degenerate_samples and
     one _p3p_batch call cover every run's samples, and each run replays its
     own candidates.  A round in which no run keeps a sample solves nothing."""
@@ -926,12 +924,11 @@ def _lockstep_round(live: Sequence[_RansacRun], K: CameraIntrinsics) -> None:
     start = 0
     for run, samples in zip(live, kept):
         stop = start + len(samples)
-        run.replay(R[start:stop], C[start:stop], valid[start:stop], K)
+        run.replay(R[start:stop], C[start:stop], valid[start:stop])
         start = stop
 
 
-def _finish(state: Sequence[Optional[_RansacRun]],
-            K: CameraIntrinsics) -> list[Optional[PnPSolution]]:
+def _finish(state: Sequence[Optional[_RansacRun]]) -> list[Optional[PnPSolution]]:
     """Each stopped run's solution, None for a None entry, a run with no
     model, or a model that keeps fewer than min_inliers inliers.
 
@@ -948,7 +945,7 @@ def _finish(state: Sequence[Optional[_RansacRun]],
     R = _orthonormalized(np.stack([state[i].best_R for i in solved]))
     for i, R_run in zip(solved, R):
         run = state[i]
-        _, err = _errors(R_run, run.best_C, run.points, run.pixels, K, residuals=False)
+        _, err = _errors(R_run, run.best_C, run.points, run.pixels, run.K, residuals=False)
         inl = err < run.cfg.inlier_threshold_px
         if np.count_nonzero(inl) >= run.cfg.min_inliers:
             results[i] = PnPSolution(RigidPose(R_run, run.best_C), np.flatnonzero(inl),

@@ -47,12 +47,13 @@ class RetrievalConfig:
             raise ValueError("top_k must be >= 1")
 
 
-class RetrievalIndex:
-    """Immutable store of L2-normalized descriptors in insertion order."""
+@dataclass(frozen=True)
+class RetrievalIndex(_FrozenArrays):
+    """L2-normalized descriptors in insertion order, with a read-only
+    matrix."""
 
-    def __init__(self, ids: list[str], matrix: np.ndarray) -> None:
-        self.ids = list(ids)
-        self.matrix = matrix  # (N, D), rows unit length
+    ids: tuple[str, ...]
+    matrix: np.ndarray  # (N, D), rows unit length
 
     def __len__(self) -> int:
         return len(self.ids)
@@ -80,7 +81,7 @@ def build_index(descriptors: list[GlobalDescriptor]) -> RetrievalIndex:
     if len(descriptors) == 0:
         raise ValueError("descriptor list must be non-empty")
     dim = descriptors[0].values.shape[0]
-    return RetrievalIndex([d.image_id for d in descriptors],
+    return RetrievalIndex(tuple(d.image_id for d in descriptors),
                           np.stack([_unit_row(d, dim) for d in descriptors]))
 
 

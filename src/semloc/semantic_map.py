@@ -22,6 +22,7 @@ from __future__ import annotations
 import dataclasses
 import functools
 import logging
+import math
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
@@ -235,7 +236,7 @@ class DepthFilterConfig:
     tau: float = 0.01
 
     def __post_init__(self) -> None:
-        if not self.tau > 0:
+        if not 0 < self.tau < math.inf:  # nan and inf fail
             raise ValueError("tau must be positive")
 
 
@@ -390,7 +391,7 @@ def fuse_depth_maps(
     """
     if len(records) == 0:
         raise ValueError("record list must be non-empty")
-    if not voxel_size > 0:
+    if not 0 < voxel_size < math.inf:  # nan and inf fail
         raise ValueError("voxel size must be positive")
 
     anchor = None

@@ -334,6 +334,8 @@ def _canyon_planes(
     palette_for_z,
 ) -> list:
     """Two striped facade walls plus a road strip on the ground."""
+    if not 0 < length < math.inf:  # nan and inf fail
+        raise ValueError(f"length must be finite and positive, got {length}")
     planes = []
     n_stripes = int(round(length / stripe))
     for side, x in ((0, -half_width), (1, half_width)):

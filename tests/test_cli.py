@@ -73,6 +73,14 @@ class TestSynth:
         assert f"{bad}: preset 'canyon': " in caplog.text
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("length", ["inf", "-inf"])
+    def test_infinite_length_is_data_error(self, tmp_path, caplog, length):
+        bad = tmp_path / "scene.txt"
+        bad.write_text(SCENE_SPEC.replace("length = 14.0\n", f"length = {length}\n"))
+        assert main(["synth", str(bad), str(tmp_path / "out")]) == 2
+        assert f"{bad}: preset 'canyon': length must be finite and positive" in caplog.text
+        assert not (tmp_path / "out").exists()
+
     def test_spec_generation_refuses_names_the_file(self, tmp_path, caplog):
         # the canyon preset takes n_db = 1, but a scene needs two database
         # cameras

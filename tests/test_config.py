@@ -1,6 +1,7 @@
 """Configuration file parsing tests."""
 
 import inspect
+import math
 import re
 from dataclasses import fields
 from pathlib import Path
@@ -168,6 +169,10 @@ OUT_OF_RANGE_LINES = [
     "depth_filter.tau = 0",
     "seed = -1",
     "fusion.voxel_size = 0",
+    "ransac.inlier_threshold_px = inf",
+    "depth_filter.tau = inf",
+    "fusion.voxel_size = inf",
+    "fusion.voxel_size = 1e400",
 ]
 
 
@@ -186,6 +191,18 @@ def test_config_checked_when_built():
         PipelineConfig(top_k_night=0)
     with pytest.raises(ValueError, match="unstable class ids"):
         PipelineConfig(unstable_classes=frozenset({99}))
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda v: RansacConfig(inlier_threshold_px=v), "inlier threshold must be positive"),
+    (lambda v: DepthFilterConfig(tau=v), "tau must be positive"),
+    (lambda v: PipelineConfig(fusion_voxel_size=v), "fusion voxel_size must be positive"),
+], ids=["ransac", "depth_filter", "pipeline"])
+def test_settings_must_be_finite(build, message):
+    for value in (math.inf, math.nan):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            build(value)
+    build(1e18)
 
 
 def test_config_is_frozen():

@@ -635,6 +635,25 @@ class TestTextFiles:
             read_manifest(tmp_path)
         assert str(info.value) == f"{tmp_path / 'manifest.txt'}:3: db needs 'id'"
 
+    @pytest.mark.parametrize("line, name", [
+        ("db = ../../outside", "../../outside"),
+        ("db = ..", ".."),
+        ("db = .", "."),
+        ("db = a\\b", "a\\b"),
+        ("db = a\0b", "a\0b"),
+        ("query = sub/q1 day", "sub/q1"),
+        ("family = ../x 16", "../x"),
+    ], ids=["db-parent-path", "db-dotdot", "db-dot", "db-backslash", "db-nul", "query-slash",
+            "family-parent"])
+    def test_name_outside_the_dataset_fails_at_its_line(self, tmp_path, line, name):
+        # load_dataset and save_dataset would put the name into a file path
+        (tmp_path / "manifest.txt").write_text(f"family = corner 16\ndb = db000\n{line}\n")
+        with pytest.raises(DataFormatError) as info:
+            read_manifest(tmp_path)
+        key = line.split(" = ")[0]
+        assert str(info.value) == (f"{tmp_path / 'manifest.txt'}:3: "
+                                   f"{key} {name!r} is not a plain file name")
+
     def test_missing_file(self, tmp_path):
         with pytest.raises(DataFormatError, match="nowhere.txt: file not found"):
             list(text_lines(tmp_path / "nowhere.txt"))

@@ -15,7 +15,7 @@ import pytest
 
 from semloc.matching import lift_to_3d, match_family
 from semloc.pnp import PnPSolution
-from semloc.retrieval import GlobalDescriptor
+from semloc.retrieval import GlobalDescriptor, build_index
 from semloc.scoring import gate_visible
 from semloc.semantic_map import build_dense_map, fuse_depth_maps
 from semloc.synthetic import FacadePlane
@@ -52,6 +52,8 @@ def _instances(ds, dense_map):
         "DatabaseImageRecord": rec,
         "QueryImage": ds.queries[0],
         "GlobalDescriptor": GlobalDescriptor(rec.image_id, rec.global_descriptor),
+        "RetrievalIndex": build_index([GlobalDescriptor(r.image_id, r.global_descriptor)
+                                       for r in ds.db_records]),
         "FacadePlane": ds.spec.planes[0],
     }
 
@@ -82,7 +84,7 @@ def _assert_same_frozen_arrays(copied, original, where):
 @pytest.mark.parametrize("kind", ["CorrespondenceBatch", "DenseMap", "LiftTable",
                                   "FusedCloud", "RigidPose", "FeatureSet", "PnPSolution",
                                   "DatabaseImageRecord", "QueryImage", "GlobalDescriptor",
-                                  "FacadePlane"])
+                                  "RetrievalIndex", "FacadePlane"])
 def test_copies_keep_read_only_arrays_and_drop_caches(zero_noise_dataset, canyon_map, kind, how):
     original = _instances(zero_noise_dataset, canyon_map)[kind]
     copied = COPIES[how](original)

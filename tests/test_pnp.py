@@ -760,7 +760,7 @@ class TestEqualCountsKeepTheFirstModel:
         C[:, 0] = [first.center, second.center]
         valid = np.zeros((2, 4), dtype=bool)
         valid[:, 0] = True
-        run.replay(R, C, valid, K)
+        run.replay(R, C, valid)
         assert run.it == 2 and run.best_count == 20
         assert np.array_equal(run.best_C, first.center)
 
@@ -1339,7 +1339,7 @@ class TestFinish:
 
         expected = [_verified_alone(run, K) for run in state]
         monkeypatch.setattr(pnp, "RigidPose", rigid_pose)
-        finished = pnp._finish(state, K)
+        finished = pnp._finish(state)
         assert len(finished) == len(state)
         for a, b in zip(finished, expected):
             _assert_bitwise_equal(a, b)

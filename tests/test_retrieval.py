@@ -19,13 +19,22 @@ class TestBuildIndex:
         v = np.array([1.0, 2.0, 2.0])
         idx = build_index([GlobalDescriptor("a", v), GlobalDescriptor("b", v.copy())])
         assert len(idx) == 2
-        assert idx.ids == ["a", "b"]
+        assert idx.ids == ("a", "b")
 
     def test_norms_all_one(self):
         rng = np.random.default_rng(0)
         idx = build_index(_descs(rng.normal(size=(1000, 16))))
         norms = np.linalg.norm(idx.matrix, axis=1)
         assert np.max(np.abs(norms - 1.0)) < 1e-9
+
+    def test_matrix_is_read_only(self):
+        idx = build_index([GlobalDescriptor("a", np.array([1.0, 0.0])),
+                           GlobalDescriptor("b", np.array([0.0, 1.0]))])
+        assert not idx.matrix.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            idx.matrix[0] = [0.0, 1.0]
+        hits = query_top_k(idx, GlobalDescriptor("q", np.array([1.0, 0.0])), RetrievalConfig())
+        assert hits[0] == ("a", 0.0)
 
     def test_rejects_zero_vector(self):
         with pytest.raises(ValueError, match="zero-norm"):

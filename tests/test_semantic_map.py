@@ -381,6 +381,13 @@ class TestFuseDepthMaps:
         with pytest.raises(ValueError):
             fuse_depth_maps([rec], 0.0)
 
+    def test_rejects_infinite_voxel(self):
+        K = _K()
+        rec = _record("a", K, RigidPose.identity(), _plane_depth(K, RigidPose.identity()))
+        for voxel_size in (np.inf, float("1e400")):
+            with pytest.raises(ValueError, match="^voxel size must be positive$"):
+                fuse_depth_maps([rec], voxel_size)
+
 
 def _one_point_pairs(recs):
     """Pair table of one point seen by every record."""

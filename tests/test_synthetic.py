@@ -335,6 +335,8 @@ class TestSceneSpecFile:
         ("night_fraction = -0.5", "night_fraction must lie in [0, 1], got -0.5"),
         ("night_fraction = nan", "night_fraction must lie in [0, 1], got nan"),
         ("image_width = 0", "focal lengths must be positive, got fx=0.0, fy=0.0"),
+        ("length = inf", "length must be finite and positive, got inf"),
+        ("length = -inf", "length must be finite and positive, got -inf"),
     ])
     def test_value_the_preset_refuses_names_the_file(self, tmp_path, line, message):
         from semloc.formats import DataFormatError
