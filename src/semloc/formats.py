@@ -403,6 +403,7 @@ def read_manifest(root) -> DatasetManifest:
     db_ids: list = []
     query_ids: list = []
     conditions: dict = {}
+    image_ids: set = set()
     # family, db and query lines each name one item, so their keys repeat
     for lineno, key, val in key_value_lines(path, unique=False):
         parts = val.split()
@@ -425,9 +426,10 @@ def read_manifest(root) -> DatasetManifest:
             conditions[parts[0]] = parts[1]
         else:
             raise DataFormatError(path, None, f"unknown manifest key {key!r}", lineno)
-    ids = db_ids + query_ids
-    if len(set(ids)) != len(ids):
-        raise DataFormatError(path, None, "image ids are not unique")
+        if key != "family":
+            if parts[0] in image_ids:
+                raise DataFormatError(path, None, f"repeated image id {parts[0]!r}", lineno)
+            image_ids.add(parts[0])
     return DatasetManifest(
         families=families, db_ids=db_ids, query_ids=query_ids, conditions=conditions,
     )

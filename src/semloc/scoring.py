@@ -9,13 +9,11 @@ the semantic consistency score of the retrieved image that produced the
 temporary pose.  Scores then become per-correspondence sampling weights,
 each row taking the score its per-image batch is paired with by position.
 
-No point farther than max(d_max) * _DISTANCE_MARGIN from the query centre
-passes the distance range, so the gate tests only the rows that a radius
-search of the map's k-d tree returns, and tests the angle only on the rows
-that pass the distance range.  The tree is built once per map and cached
-on it.  The radius is padded, the exact tests still decide and the kept
-rows are sorted, so the gated rows equal a full scan's.  The gate returns
-row indices, and the score reads only the positions and labels at them.
+The gate is one pass over the map's columns: the distance of every row
+from the query centre, one coordinate column at a time, then the distance
+range, and the angle only on the rows inside it.  The gate returns
+ascending row indices, and the score reads only the positions and labels
+at them.
 
 Occlusion is handled only through the cone gating (no z-buffer): a point
 observed from similar distance and direction by the database cameras is
@@ -65,24 +63,17 @@ class SemanticScore:
             )
 
 
-# Relative padding of the search radius.  The tree compares its own rounded
-# distance with the radius, so without it a row just inside d_max * margin
-# could miss the ball although the exact distance test admits it.
-_RADIUS_PAD = 1e-9
-
-
-def _view_vectors(positions: np.ndarray, center: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """v = center - X for (N, 3) points X and its norm ||v||, one column at
-    a time (geometry's column rule).  The norm sums (x^2 + y^2) + z^2, as
-    np.linalg.norm(v, axis=1) does, so it is bitwise that norm."""
-    v = np.empty_like(positions)
-    for k in range(3):
-        np.subtract(center[k], positions[:, k], out=v[:, k])
-    dist = v[:, 0] * v[:, 0]
-    dist += v[:, 1] * v[:, 1]
-    dist += v[:, 2] * v[:, 2]
-    np.sqrt(dist, out=dist)
-    return v, dist
+def _view_distances(positions: np.ndarray, center: np.ndarray) -> np.ndarray:
+    """||center - X|| of (N, 3) points X, one column at a time (geometry's
+    column rule).  It sums (x^2 + y^2) + z^2, as np.linalg.norm(center - X,
+    axis=1) does, so it is bitwise that norm."""
+    d = center[0] - positions[:, 0]
+    dist = d * d
+    for k in (1, 2):
+        np.subtract(center[k], positions[:, k], out=d)
+        d *= d
+        dist += d
+    return np.sqrt(dist, out=dist)
 
 
 def _view_angles(v: np.ndarray, dist: np.ndarray, v_m: np.ndarray) -> np.ndarray:
@@ -99,29 +90,19 @@ def gate_visible(dense_map: DenseMap, query_pose: RigidPose) -> np.ndarray:
 
     With m = _DISTANCE_MARGIN, a point passes when d_min/m < ||v|| <
     d_max*m and the angle between v = C_query - X and the cone bisector v_m
-    is below theta + _ANGLE_MARGIN.
-
-    Rows farther than max(d_max) * m from the query centre fail the
-    distance test, so only the rows inside that ball, padded by a relative
-    1e-9, are tested.  ``dense_map.position_tree``, the k-d tree built once
-    per map on its first gate call, returns them unsorted.  The exact
-    tests then decide, the distance test first and the angle test only on
-    the rows it passes.  A row's tests do not depend on which other rows
-    are tested with it, so the kept rows, sorted once at the end, equal a
-    full scan's.
+    is below theta + _ANGLE_MARGIN.  Every row's distance is computed from
+    the map's column-major positions; the angle is tested only on the rows
+    that pass the distance range.
     """
     m = _DISTANCE_MARGIN
-    radius = np.max(dense_map.d_max, initial=0.0) * m * (1.0 + _RADIUS_PAD)
-    rows = np.array(
-        dense_map.position_tree.query_ball_point(query_pose.center, radius, return_sorted=False),
-        dtype=np.intp,
-    )
-    v, dist = _view_vectors(dense_map.positions[rows], query_pose.center)
-    near = np.flatnonzero(
-        (dense_map.d_min[rows] / m < dist) & (dist < dense_map.d_max[rows] * m) & (dist > 0.0))
-    rows = rows[near]
-    ang = _view_angles(v[near], dist[near], dense_map.v_m[rows])
-    return np.sort(rows[ang < dense_map.theta[rows] + _ANGLE_MARGIN])
+    center = query_pose.center
+    dist = _view_distances(dense_map.positions, center)
+    near = np.flatnonzero(dist < dense_map.d_max * m)
+    dist = dist[near]
+    keep = (dense_map.d_min[near] / m < dist) & (dist > 0.0)
+    near, dist = near[keep], dist[keep]
+    ang = _view_angles(center - dense_map.positions[near], dist, dense_map.v_m[near])
+    return near[ang < dense_map.theta[near] + _ANGLE_MARGIN]
 
 
 def semantic_consistency_score(

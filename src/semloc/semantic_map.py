@@ -20,14 +20,12 @@ pixel (geometry.sample_grid); a read outside the image gives depth 0 or 255.
 from __future__ import annotations
 
 import dataclasses
-import functools
 import logging
 import math
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from .geometry import (
     CameraIntrinsics,
@@ -250,13 +248,15 @@ class DenseMap(_FrozenArrays):
     unit point-to-camera directions of the widest pair; v_m, their unit
     bisector; theta, the angle between v_l and v_u.  A map is read whole
     or at row indices (scoring.gate_visible returns the gated rows); no
-    map of selected rows is built.  The columns are read-only views: a k-d
-    tree over the positions is built on first use and cached on the map.
+    map of selected rows is built.  The columns are read-only views, and
+    positions is column-major, so the gate reads each coordinate as one
+    contiguous column.
 
-    A column whose array already has its dtype is a view of the array passed
-    to the constructor, not a copy, so a caller must not write that array
-    after building the map: the map's points would move under the cached
-    tree.  read_dense_map and build_dense_map pass arrays that no one else
+    A column whose array already has its dtype (and for positions its
+    column-major layout) is a view of the array passed to the constructor,
+    not a copy, so a caller must not write that array after building the
+    map: v_m, derived from v_l and v_u when the map is built, would go
+    stale.  read_dense_map and build_dense_map pass arrays that no one else
     holds (a freshly read record array and freshly computed columns).
     """
 
@@ -273,7 +273,7 @@ class DenseMap(_FrozenArrays):
     def __post_init__(self) -> None:
         n = len(self.positions)
         self._store(
-            positions=np.asarray(self.positions, dtype=np.float64).reshape(n, 3),
+            positions=np.asfortranarray(np.reshape(self.positions, (n, 3)), np.float64),
             labels=np.asarray(self.labels, dtype=np.int64).reshape(n),
             v_l=np.asarray(self.v_l, dtype=np.float64).reshape(n, 3),
             v_u=np.asarray(self.v_u, dtype=np.float64).reshape(n, 3),
@@ -290,13 +290,6 @@ class DenseMap(_FrozenArrays):
 
     def __len__(self) -> int:
         return len(self.positions)
-
-    @functools.cached_property
-    def position_tree(self) -> cKDTree:
-        """k-d tree over the positions, built on first access rather than
-        in ``__init__``, so that a map that is never gated builds none,
-        such as the built map that build-map writes to MAP1."""
-        return cKDTree(self.positions)
 
 
 @dataclass(frozen=True)

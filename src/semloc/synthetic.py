@@ -325,6 +325,10 @@ def generate_scene(spec: SceneSpec) -> SyntheticDataset:
 _WALL_PALETTE_A = (2, 8, 3, 2, 8)  # building / vegetation / wall mix
 _WALL_PALETTE_B = (4, 5, 1, 4, 5)  # fence / pole / sidewalk mix
 
+# Facade stripes per wall a canyon may have: 4 km of street at the presets'
+# 4 m stripes.  Generation time and memory grow with the stripe count.
+_MAX_STRIPES_PER_WALL = 1000
+
 
 def _canyon_planes(
     length: float,
@@ -333,11 +337,16 @@ def _canyon_planes(
     stripe: float,
     palette_for_z,
 ) -> list:
-    """Two striped facade walls plus a road strip on the ground."""
+    """Two striped facade walls plus a road strip on the ground.  Raises
+    ValueError unless length is finite and positive and needs at most
+    _MAX_STRIPES_PER_WALL stripes."""
     if not 0 < length < math.inf:  # nan and inf fail
         raise ValueError(f"length must be finite and positive, got {length}")
-    planes = []
     n_stripes = int(round(length / stripe))
+    if n_stripes > _MAX_STRIPES_PER_WALL:
+        raise ValueError(f"length {length} m needs more than {_MAX_STRIPES_PER_WALL} "
+                         f"stripes of {stripe} m per wall")
+    planes = []
     for side, x in ((0, -half_width), (1, half_width)):
         for s in range(n_stripes):
             z0 = s * stripe

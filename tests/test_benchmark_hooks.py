@@ -1,16 +1,29 @@
-"""The benchmark's traced layers still exist: perfbench/spans.py swaps
-functions by name in semloc.pipeline and semloc.semantic_map, so a renamed
-or bypassed function would silently drop its span from every traced run."""
+"""The library names the benchmark relies on still work.
 
+perfbench/spans.py swaps functions by name in semloc.pipeline and
+semloc.semantic_map, so a renamed or bypassed function would silently drop
+its span from every traced run.  perfbench/run.py's gates read the
+DenseMap columns, call localize_all(..., threads=1), read MAP1 back and
+pool a RecallReport's groups; a change that breaks one of them would
+otherwise show only in a benchmark run.
+"""
+
+import importlib
 import importlib.util
+import math
 import sys
 from pathlib import Path
+from types import SimpleNamespace
+
+import numpy as np
 
 from semloc.config import PipelineConfig
-from semloc.pipeline import build_map, localize_query
+from semloc.formats import load_dataset, save_dataset
+from semloc.pipeline import build_map, localize_all, localize_query
 from semloc.retrieval import GlobalDescriptor, build_index
 
-_SPANS_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+_ROOT = Path(__file__).resolve().parents[1]
+_SPANS_PATH = _ROOT / "perfbench" / "spans.py"
 
 
 def _load_spans(monkeypatch):
@@ -38,3 +51,40 @@ def test_every_hooked_layer_records_its_span(zero_noise_dataset, monkeypatch):
     (final,) = [s for s in tracer.spans if s.name == "pnp.final"]
     pooled = sum(img["correspondences"] for img in result.diagnostics["images"].values())
     assert final.counts["correspondences"] == pooled
+
+
+def test_benchmark_gates_hold_on_a_small_scene(zero_noise_dataset, tmp_path, monkeypatch):
+    monkeypatch.syspath_prepend(str(_ROOT))
+    run = importlib.import_module("perfbench.run")
+    metrics = importlib.import_module("perfbench.metrics")
+    spans = importlib.import_module("perfbench.spans")
+    inputs = tmp_path / "data"
+    save_dataset(zero_noise_dataset, inputs)
+    cfg = PipelineConfig(seed=7, ransac_inlier_threshold_px=1.2, fusion_voxel_size=0.12,
+                         top_k_day=6, top_k_night=6, temp_ransac_max_iterations=300)
+    # a workload that loads its inputs from disk and writes and reads MAP1
+    workload = SimpleNamespace(from_disk=True)
+    (tmp_path / "first").mkdir()
+    (tmp_path / "again").mkdir()
+    ready, again = (run.set_up(workload, cfg, None, inputs, tmp_path / name, spans.NoTracer())
+                    for name in ("first", "again"))
+    # setup_deterministic and map_read_back
+    assert run.same_map(ready.dense_map, again.dense_map)
+    assert run.same_map(ready.dense_map, ready.built_map,
+                        lambda a: a.astype(np.float32).astype(a.dtype))
+    assert ready.map_bytes == (tmp_path / "first" / "map.bin").stat().st_size
+
+    # matches_localize_all
+    dataset = load_dataset(inputs)
+    looped = [localize_query(q, pos, ready.records, ready.dense_map, ready.index, cfg)
+              for pos, q in enumerate(dataset.queries)]
+    batch = localize_all(dataset.queries, ready.records, ready.dense_map, cfg, threads=1)
+    assert (run.estimates_bytes(batch, tmp_path / "batch.txt")
+            == run.estimates_bytes(looped, tmp_path / "loop.txt"))
+
+    # the accuracy metrics
+    assert all(r.pose is not None for r in looped)
+    report = run.accuracy(looped, dataset.gt_poses)
+    recall = metrics.pooled_recall(report)
+    assert len(recall) > 0
+    assert all(math.isfinite(v) for v in recall + metrics.median_errors(report))

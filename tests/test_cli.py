@@ -81,6 +81,13 @@ class TestSynth:
         assert f"{bad}: preset 'canyon': length must be finite and positive" in caplog.text
         assert not (tmp_path / "out").exists()
 
+    def test_huge_finite_length_is_data_error(self, tmp_path, caplog):
+        bad = tmp_path / "scene.txt"
+        bad.write_text(SCENE_SPEC.replace("length = 14.0\n", "length = 1e30\n"))
+        assert main(["synth", str(bad), str(tmp_path / "out")]) == 2
+        assert f"{bad}: preset 'canyon': length 1e+30 m needs more than" in caplog.text
+        assert not (tmp_path / "out").exists()
+
     def test_spec_generation_refuses_names_the_file(self, tmp_path, caplog):
         # the canyon preset takes n_db = 1, but a scene needs two database
         # cameras

@@ -290,13 +290,10 @@ class TestDenseMapFormat:
             read_dense_map(p)
 
     def test_columns_are_read_only(self):
-        # the map caches a k-d tree over its positions, so a column written
-        # in place would leave the tree stale
         dm = _random_dense_map(np.random.default_rng(7), 3)
         for name in _DENSE_MAP_COLUMNS + ("v_m",):
             with pytest.raises(ValueError, match="read-only"):
                 getattr(dm, name)[0] = 0
-        assert dm.position_tree.query_ball_point(dm.positions[1], 1e-9) == [1]
 
 
 def _writer_made_files() -> dict:
@@ -487,6 +484,19 @@ class TestEstimates:
         with pytest.raises(DataFormatError, match=rf"est\.txt:2: {kind} line needs {fields} fields"):
             read_estimates(p)
 
+    @pytest.mark.parametrize("line, message", [
+        ("q002 day failed", "short estimate line"),
+        ("q002 dusk failed no_consensus", "unknown condition 'dusk'"),
+        ("q001 day failed no_consensus", "duplicate query id 'q001'"),
+        ("q002 day pose 2 0 0 0 1 2 3", "quaternion norm 2.0 too far from 1"),
+    ], ids=["short", "unknown-condition", "duplicate-id", "quaternion-norm-2"])
+    def test_rejects_a_bad_line_at_its_line(self, tmp_path, line, message):
+        p = tmp_path / "est.txt"
+        p.write_text(f"q001 night failed no_consensus\n{line}\n")
+        with pytest.raises(DataFormatError) as info:
+            read_estimates(p)
+        assert str(info.value) == f"{p}:2: {message}"
+
 
 class TestDatasetLayout:
     def test_save_load_roundtrip(self, tmp_path, zero_noise_dataset):
@@ -563,6 +573,35 @@ class TestDatasetLayout:
         message = f"{path}: descriptor dim 8 != manifest dim 16"
         with pytest.raises(DataFormatError, match=re.escape(message)):
             load_dataset(root)
+
+    @pytest.mark.parametrize("part", ["database", "queries"])
+    def test_missing_camera_line_names_the_cameras_file(self, tmp_path, zero_noise_dataset,
+                                                        part):
+        from semloc.formats import load_dataset, save_dataset
+
+        root = tmp_path / "data"
+        save_dataset(zero_noise_dataset, root)
+        path = root / part / "cameras.txt"
+        lines = path.read_text().splitlines(keepends=True)
+        image_id = lines[-1].split()[0]
+        path.write_text("".join(lines[:-1]))
+        with pytest.raises(DataFormatError) as info:
+            load_dataset(root)
+        assert str(info.value) == f"{path}: no camera line for {image_id!r}"
+
+    def test_feature_family_must_be_its_manifest_entry(self, tmp_path, zero_noise_dataset):
+        # a feature file that holds another family than the one its name
+        # and the manifest declare is refused at that file
+        from semloc.formats import load_dataset, save_dataset
+
+        root = tmp_path / "data"
+        save_dataset(zero_noise_dataset, root)
+        path = root / "database" / "db003.corner.feat.bin"
+        fs = read_feature_set(path)
+        write_feature_set(path, FeatureSet("line", fs.locations, fs.descriptors))
+        with pytest.raises(DataFormatError) as info:
+            load_dataset(root)
+        assert str(info.value) == f"{path}: family 'line' != manifest entry 'corner'"
 
 
 @pytest.mark.parametrize("rel_path,write", [
@@ -653,6 +692,26 @@ class TestTextFiles:
         key = line.split(" = ")[0]
         assert str(info.value) == (f"{tmp_path / 'manifest.txt'}:3: "
                                    f"{key} {name!r} is not a plain file name")
+
+    @pytest.mark.parametrize("lines, lineno", [
+        ("db = a\nquery = a day\n", 3),
+        ("query = q1 day\ndb = b\nquery = q1 night\n", 4),
+    ], ids=["db-then-query", "query-twice"])
+    def test_repeated_image_id_fails_at_its_line(self, tmp_path, lines, lineno):
+        # ids name the image files, so a second line would read one image twice
+        (tmp_path / "manifest.txt").write_text(f"family = corner 16\n{lines}")
+        with pytest.raises(DataFormatError) as info:
+            read_manifest(tmp_path)
+        image_id = lines.split()[2]
+        assert str(info.value) == (f"{tmp_path / 'manifest.txt'}:{lineno}: "
+                                   f"repeated image id {image_id!r}")
+
+    @pytest.mark.parametrize("value", ["q1", "q1 dusk", "q1 day extra"])
+    def test_query_line_names_an_id_and_a_condition(self, tmp_path, value):
+        (tmp_path / "manifest.txt").write_text(f"family = corner 16\ndb = db000\nquery = {value}\n")
+        with pytest.raises(DataFormatError) as info:
+            read_manifest(tmp_path)
+        assert str(info.value) == f"{tmp_path / 'manifest.txt'}:3: query needs 'id day|night'"
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(DataFormatError, match="nowhere.txt: file not found"):

@@ -2,8 +2,8 @@
 
 A copy, a deep copy or a pickle round trip is rebuilt through the
 constructor: every array stays read-only and bitwise equal to the
-original's, and nothing cached on the original (a map's k-d tree, a
-record's lift tables) comes along.
+original's, and nothing cached on the original (a record's lift tables)
+comes along.  A map's positions stay column-major.
 """
 
 import copy
@@ -13,6 +13,7 @@ import pickle
 import numpy as np
 import pytest
 
+from semloc.formats import read_dense_map, write_dense_map
 from semloc.matching import lift_to_3d, match_family
 from semloc.pnp import PnPSolution
 from semloc.retrieval import GlobalDescriptor, build_index
@@ -30,7 +31,6 @@ COPIES = {
 @pytest.fixture(scope="module")
 def canyon_map(zero_noise_dataset):
     dense_map, _ = build_dense_map(zero_noise_dataset.db_records, voxel_size=0.12)
-    dense_map.position_tree  # built before copying, so a copy could carry it
     return dense_map
 
 
@@ -104,4 +104,16 @@ def test_a_copied_map_gates_the_same_rows(zero_noise_dataset, canyon_map, how):
         ours, theirs = gate_visible(copied, pose), gate_visible(canyon_map, pose)
         assert len(theirs) > 0
         assert np.array_equal(ours, theirs)
-    assert copied.position_tree is not canyon_map.position_tree
+    assert copied.positions.flags.f_contiguous
+
+
+def test_map_positions_are_column_major(canyon_map, tmp_path):
+    # the gate reads each coordinate of every row as one contiguous column,
+    # on the built map and on its MAP1 read-back alike
+    write_dense_map(tmp_path / "map.bin", canyon_map)
+    read_back = read_dense_map(tmp_path / "map.bin")
+    for dense_map in (canyon_map, read_back):
+        assert dense_map.positions.flags.f_contiguous
+        assert not dense_map.positions.flags.c_contiguous
+    assert np.array_equal(read_back.positions,
+                          canyon_map.positions.astype(np.float32).astype(np.float64))

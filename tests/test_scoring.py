@@ -4,7 +4,7 @@ normalization tests.
 The gate and the score are both re-evaluated per point by a scalar oracle
 that reimplements the two visibility inequalities and the projection rule
 independently of the vectorized code.  The oracle scans every point, so it
-also checks that the gate's k-d tree ball search drops no row that passes.
+also checks that the gate's distance pass drops no row that passes.
 """
 
 import math
@@ -23,7 +23,7 @@ from semloc.matching import CorrespondenceBatch
 from semloc.scoring import (
     SemanticScore,
     _view_angles,
-    _view_vectors,
+    _view_distances,
     gate_visible,
     normalize_weights,
     semantic_consistency_score,
@@ -222,10 +222,11 @@ class TestGateVisible:
 
     def test_threads_share_the_lazily_built_tree(self, zero_noise_dataset, built_map):
         # a caller that localizes from its own threads gates one map from
-        # each of them, and their first calls race to build its cached tree
+        # each of them; the gate keeps no state, so every thread gets the
+        # serial rows
         poses = [rec.pose for rec in zero_noise_dataset.db_records] * 2
         expected = [gate_visible(built_map, pose) for pose in poses]
-        fresh = map_rows(built_map, np.arange(len(built_map)))  # a copy with no tree yet
+        fresh = map_rows(built_map, np.arange(len(built_map)))  # a copy never gated
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
@@ -236,8 +237,8 @@ class TestGateVisible:
         assert all(np.array_equal(g, e) for g, e in zip(gated, expected))
 
     def test_distant_copy_changes_nothing(self, zero_noise_dataset, built_map):
-        # a second canyon farther off than the search radius: the work and
-        # the result of a gate stay those of the map the query is in
+        # a second canyon farther off than any cone reaches: the result of
+        # a gate stays that of the map the query is in
         reach = built_map.d_max.max() * MARGINS[0]
         extent = np.ptp(built_map.positions, axis=0).max()
         offset = np.array([3.0 * (reach + extent), 0.0, 0.0])
@@ -256,27 +257,27 @@ class TestGateVisible:
             assert np.array_equal(gate_visible(doubled, pose), original)
 
     def test_distances_and_angles_match_the_row_oracle(self):
-        # bitwise on 10^5 rows; a column dot product summed in another order
+        # bitwise on 10^5 rows, from row-major and from column-major (the
+        # map's) positions; a column dot product summed in another order
         # than einsum's differs from it on a large share of them
         rng = np.random.default_rng(38)
         n = 100_000
-        positions = rng.normal(scale=20.0, size=(n, 3))
+        row_major = rng.normal(scale=20.0, size=(n, 3))
         bisectors = rng.normal(size=(n, 3))
         bisectors /= np.linalg.norm(bisectors, axis=1, keepdims=True)
-        for center in (rng.normal(scale=20.0, size=3), positions[17].copy()):
-            v, dist = _view_vectors(positions, center)
+        for center in (rng.normal(scale=20.0, size=3), row_major[17].copy()):
             old_dist, old_angle = kernel_oracle.view_distances_and_angles(
-                positions, bisectors, center)
-            assert np.array_equal(v, center - positions)
-            assert np.array_equal(dist, old_dist)
-            seen = np.flatnonzero(dist > 0.0)
-            assert len(seen) >= n - 1
-            angle = _view_angles(v[seen], dist[seen], bisectors[seen])
-            assert np.array_equal(angle, old_angle[seen])
-            # and on rows gathered as the gate gathers them
-            rows = np.sort(rng.choice(n, size=n // 3, replace=False))
-            v, dist = _view_vectors(positions[rows], center)
-            assert np.array_equal(dist, old_dist[rows])
+                row_major, bisectors, center)
+            for positions in (row_major, np.asfortranarray(row_major)):
+                dist = _view_distances(positions, center)
+                assert np.array_equal(dist, old_dist)
+                # the angles on rows gathered as the gate gathers them
+                seen = np.flatnonzero(dist > 0.0)
+                assert len(seen) >= n - 1
+                v = center - positions[seen]
+                assert v.flags.c_contiguous
+                angle = _view_angles(v, dist[seen], bisectors[seen])
+                assert np.array_equal(angle, old_angle[seen])
 
 
 class TestSemanticConsistencyScore:

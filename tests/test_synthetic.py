@@ -2,6 +2,7 @@
 model, and deterministic regeneration."""
 
 import re
+import time
 
 import numpy as np
 import pytest
@@ -344,4 +345,19 @@ class TestSceneSpecFile:
         with pytest.raises(DataFormatError) as exc:
             self._parse(tmp_path, f"n_queries = 4\n{line}\n")
         assert str(exc.value) == f"{tmp_path / 'scene.txt'}: preset 'canyon': {message}"
+
+    @pytest.mark.parametrize("preset", ["canyon", "symmetric"])
+    def test_huge_finite_length_is_refused_at_once(self, tmp_path, preset):
+        # a street that needs more facade stripes than the cap is refused
+        # before any plane is built, however long it is
+        from semloc.formats import DataFormatError
+
+        start = time.perf_counter()
+        with pytest.raises(DataFormatError) as exc:
+            self._parse(tmp_path, f"preset = {preset}\nlength = 1e30\n")
+        assert time.perf_counter() - start < 1.0
+        assert str(exc.value) == (f"{tmp_path / 'scene.txt'}: preset {preset!r}: length 1e+30 m "
+                                  f"needs more than 1000 stripes of 4.0 m per wall")
+        # 4 km of street, 1000 stripes per wall at the presets' 4 m, is allowed
+        self._parse(tmp_path, f"preset = {preset}\nlength = 4000.0\nn_db = 2\n")
 
