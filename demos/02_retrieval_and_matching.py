@@ -46,8 +46,7 @@ for fam_spec in spec.families:
 
 pooled = CorrespondenceBatch.concat(per_family)
 print(f"\nhybrid pool: {len(pooled)} correspondences "
-      f"({np.sum(pooled.families == 'corner')} corner + "
-      f"{np.sum(pooled.families == 'blob')} blob)")
+      f"({' + '.join(f'{len(b)} {f.name}' for b, f in zip(per_family, spec.families))})")
 
 # all lifted points should reproject close to their query keypoints at the
 # ground-truth pose (zero-noise scene)

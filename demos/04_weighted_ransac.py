@@ -67,10 +67,10 @@ for trial in range(trials):
             pts.append((pix[j], world[j]))
     pix_good = np.array([p for p, _ in pts])
     world_good = np.array([X for _, X in pts])
-    good = CorrespondenceBatch(pix_good, world_good, ["corner"] * 32)
+    good = CorrespondenceBatch(pix_good, world_good)
     shift = np.array([0.0, 0.0, 20.0])
     j = np.arange(48) % 32
-    wrong = CorrespondenceBatch(pix_good[j], world_good[j] + shift, ["corner"] * 48)
+    wrong = CorrespondenceBatch(pix_good[j], world_good[j] + shift)
     corrs = CorrespondenceBatch.concat([good, wrong])
 
     # score each "retrieved image" through its temporary pose

@@ -10,9 +10,10 @@ Subcommands::
 Global flags: ``--seed N`` overrides the config file's seed and replaces the
 scene spec's seed for ``synth``; ``--verbose`` logs at debug level.
 
-Exit codes: 0 success, 1 usage error, 2 data error.  Logs go to stderr;
-results only ever go to files.  ``evaluate`` needs one estimate line per
-ground-truth query.
+Exit codes: 0 success, 1 usage error, 2 data error (an input that is
+missing, unreadable or malformed, or an output that cannot be written).
+Logs go to stderr; results only ever go to files.  ``evaluate`` needs one
+estimate line per ground-truth query.
 """
 
 from __future__ import annotations
@@ -168,8 +169,8 @@ def main(argv=None) -> int:
     }
     try:
         return handlers[args.command](args)
-    except FileNotFoundError as exc:
-        logger.error("missing file: %s", exc)
+    except OSError as exc:  # reading fails as DataFormatError, so this is a write
+        logger.error("cannot write %s: %s", exc.filename, exc.strerror)
         return EXIT_DATA
     except ValueError as exc:
         logger.error("%s", exc)

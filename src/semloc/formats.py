@@ -83,9 +83,7 @@ def text_lines(path) -> Iterator[tuple[int, str]]:
     skipped.  Every text file semloc reads goes through here: cameras,
     manifest, estimates, pipeline config and scene spec."""
     try:
-        text = Path(path).read_text(encoding="utf-8")
-    except FileNotFoundError:
-        raise DataFormatError(path, None, "file not found") from None
+        text = _Reader(path).data.decode("utf-8")
     except UnicodeDecodeError:
         raise DataFormatError(path, None, "not UTF-8 text") from None
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -117,6 +115,8 @@ class _Reader:
             self.data = self.path.read_bytes()
         except FileNotFoundError:
             raise DataFormatError(path, None, "file not found") from None
+        except OSError as exc:
+            raise DataFormatError(path, None, f"cannot read: {exc.strerror}") from None
         self.pos = 0
 
     def fail(self, message: str):

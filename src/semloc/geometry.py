@@ -68,8 +68,7 @@ class _FrozenArrays:
     caller's arrays keep their flags); a subclass without checks stores its
     fields as given.  A copy, deep copy or unpickled object is rebuilt
     through the constructor, so its arrays are read-only too and nothing
-    cached on the original (a record's lift tables) comes along.  The base
-    selects no rows; CorrespondenceBatch, the one row table, does that.
+    cached on the original (a record's lift tables) comes along.
     """
 
     def __post_init__(self) -> None:

@@ -61,16 +61,14 @@ class FeatureSet(_FrozenArrays):
 
 @dataclass(frozen=True)
 class CorrespondenceBatch(_FrozenArrays):
-    """2D-3D correspondences as columns, one row per correspondence; the
-    only row table of the package.
+    """2D-3D correspondences as columns, one row per correspondence.
 
     Row i pairs query pixel pixels[i] (N, 2) with world point points[i]
-    (N, 3), lifted by feature family families[i].  Rows are selected with
-    batch[mask_or_indices] and batches pooled, in order, with
-    CorrespondenceBatch.concat, both assembled from already-checked rows
-    without checking them again; no deduplication happens, so a pixel
-    matched by several families or retrieved images contributes several
-    rows.  A row does not name the database image it was lifted through:
+    (N, 3).  Batches are pooled, in order, with CorrespondenceBatch.concat
+    from already-checked rows without checking them again; no
+    deduplication happens, so a pixel matched by several families or
+    retrieved images contributes several rows.  A row names neither the
+    family that lifted it nor the database image it was lifted through:
     pooled from per-image batches, it belongs to its batch's image.
 
     The columns are read-only.  One whose array already has its dtype and
@@ -80,30 +78,25 @@ class CorrespondenceBatch(_FrozenArrays):
 
     pixels: np.ndarray
     points: np.ndarray
-    families: np.ndarray
 
     def __post_init__(self) -> None:
         pixels = np.asarray(self.pixels, dtype=np.float64).reshape(-1, 2)
         points = np.asarray(self.points, dtype=np.float64).reshape(-1, 3)
-        families = np.asarray(self.families, dtype=str).reshape(-1)
-        if not len(points) == len(families) == len(pixels):
+        if len(points) != len(pixels):
             raise ValueError("correspondence columns disagree in row count")
         if not np.all(np.isfinite(points)):
             raise ValueError("world points must be finite")
-        self._store(pixels=pixels, points=points, families=families)
+        self._store(pixels=pixels, points=points)
 
     def __len__(self) -> int:
         return len(self.pixels)
-
-    def __getitem__(self, rows) -> "CorrespondenceBatch":
-        return self._of_checked([self.pixels[rows], self.points[rows], self.families[rows]])
 
     @classmethod
     def concat(cls, batches: Sequence["CorrespondenceBatch"]) -> "CorrespondenceBatch":
         """Rows of every batch in order; an empty sequence gives an empty
         batch."""
         if not batches:
-            return cls([], [], [])
+            return cls([], [])
         return cls._of_checked([np.concatenate([getattr(b, name) for b in batches])
                                 for name in cls.__dataclass_fields__])
 
@@ -159,11 +152,8 @@ def lift_to_3d(
     table = db.lift_table(query_set.family)
     status = table.status[matches[:, 1]]
     kept = matches[status == LIFTED]
-    batch = CorrespondenceBatch._of_checked((
-        query_set.locations[kept[:, 0]],
-        table.points[kept[:, 1]],
-        np.full(len(kept), query_set.family),
-    ))
+    batch = CorrespondenceBatch._of_checked((query_set.locations[kept[:, 0]],
+                                             table.points[kept[:, 1]]))
     out_of_bounds = int(np.count_nonzero(status == OUTSIDE_IMAGE))
     return LiftResult(batch, dropped_out_of_bounds=out_of_bounds,
                       dropped_invalid_depth=len(matches) - len(kept) - out_of_bounds)

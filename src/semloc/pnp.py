@@ -70,7 +70,8 @@ Only the first _FIRST_RUNS (2) runs, in the call's order (the retrieval
 rank in estimate_temporary_pose), draw in round 1; the others wait, so
 that hypotheses come from the best-ranked images first, as PROSAC (Chum &
 Matas, CVPR 2005) orders them within a run.  Rows of the call's batches
-with one family and a bitwise-equal query pixel are one query keypoint.
+with a bitwise-equal query pixel are one query keypoint, whichever family
+lifted them: one pixel sees one world point.
 Before each round after the first, a run's best model is a winner when it
 has at least min_inliers inliers, and a row is contradicted when another
 run's winner holds the row's query keypoint as an inlier at a world point
@@ -244,16 +245,7 @@ def _quartic_roots_batch(A: np.ndarray) -> np.ndarray:
         w = (p + 2.0 * y) ** 0.5
         s1 = (-(3.0 * p + 2.0 * y + 2.0 * q / w)) ** 0.5
         s2 = (-(3.0 * p + 2.0 * y - 2.0 * q / w)) ** 0.5
-        shift = -b / 4.0
-        roots = np.stack(
-            [
-                shift + 0.5 * (w + s1),
-                shift + 0.5 * (w - s1),
-                shift + 0.5 * (-w + s2),
-                shift + 0.5 * (-w - s2),
-            ],
-            axis=1,
-        )
+        roots = (-b / 4.0)[:, None] + 0.5 * np.stack([w + s1, w - s1, -w + s2, -w - s2], axis=1)
     # The companion's first row as np.roots forms it, -A[1:] / a4: finite,
     # with a finite a4, only if every coefficient is.
     top = -np.stack([b, c, d, e], axis=1)
@@ -821,16 +813,15 @@ class _RansacRun:
 
 def _contradiction_pairs(batches: Sequence[CorrespondenceBatch]) -> tuple[np.ndarray, np.ndarray]:
     """Pairs (a, b) of rows of the concatenated batches that place one
-    query keypoint (one family, bitwise one pixel) in two different batches
-    at world points more than _CONTRADICTION_M apart, in both orders."""
-    families = np.concatenate([batch.families for batch in batches])
+    query keypoint (bitwise one pixel) in two different batches at world
+    points more than _CONTRADICTION_M apart, in both orders."""
     bits = np.concatenate([batch.pixels for batch in batches]).view(np.int64)
     points = np.concatenate([batch.points for batch in batches])
     owner = np.repeat(np.arange(len(batches)), [len(batch) for batch in batches])
-    order = np.lexsort((bits[:, 1], bits[:, 0], families))
-    families, bits = families[order], bits[order]
+    order = np.lexsort((bits[:, 1], bits[:, 0]))
+    bits = bits[order]
     new = np.ones(len(order), dtype=bool)
-    new[1:] = (families[1:] != families[:-1]) | (bits[1:] != bits[:-1]).any(axis=1)
+    new[1:] = (bits[1:] != bits[:-1]).any(axis=1)
     start = np.flatnonzero(new)
     size = np.diff(np.append(start, len(order)))
     # Each row of a keypoint's group is paired with every row of the group.

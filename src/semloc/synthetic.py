@@ -329,6 +329,19 @@ _WALL_PALETTE_B = (4, 5, 1, 4, 5)  # fence / pole / sidewalk mix
 # 4 m stripes.  Generation time and memory grow with the stripe count.
 _MAX_STRIPES_PER_WALL = 1000
 
+# The counts a preset may be asked for, far above every scene in the
+# repository (80 database images, 200 queries, 40 anchors per plane): the
+# presets build every pose, and generation renders every camera and draws
+# every anchor.
+_MAX_COUNTS = {"n_db": 10_000, "n_queries": 10_000, "anchors_per_plane": 1_000}
+
+
+def _check_counts(**counts: int) -> None:
+    """Raise ValueError naming the first count above its _MAX_COUNTS cap."""
+    for key, count in counts.items():
+        if count > _MAX_COUNTS[key]:
+            raise ValueError(f"{key} {count} is above the cap of {_MAX_COUNTS[key]}")
+
 
 def _canyon_planes(
     length: float,
@@ -417,6 +430,7 @@ def street_canyon_spec(
         raise ValueError(f"unknown noise profile {noise_profile!r}")
     if not 0.0 <= night_fraction <= 1.0:
         raise ValueError(f"night_fraction must lie in [0, 1], got {night_fraction}")
+    _check_counts(n_db=n_db, n_queries=n_queries, anchors_per_plane=anchors_per_plane)
     prof = _PROFILES[noise_profile]
     w, h = image_size
     K = CameraIntrinsics(fx=1.05 * w, fy=1.05 * w, cx=w / 2.0, cy=h / 2.0, width=w, height=h)
@@ -470,6 +484,7 @@ def symmetric_canyon_spec(
     but carry different semantic palettes.  The stage for retrieval
     confusions: a wrong retrieved image from the far half produces a
     self-consistent but misplaced pose that only semantics can reject."""
+    _check_counts(n_db=n_db)
     w, h = image_size
     K = CameraIntrinsics(fx=0.9 * w, fy=0.9 * w, cx=w / 2.0, cy=h / 2.0, width=w, height=h)
     half = length / 2.0

@@ -51,8 +51,7 @@ def default_intrinsics(width=640, height=480):
     return CameraIntrinsics(fx=420.0, fy=400.0, cx=320.0, cy=240.0, width=width, height=height)
 
 
-def synthetic_correspondences(rng, K, pose, n, outlier_frac=0.0, pixel_noise=0.0,
-                              family="fam"):
+def synthetic_correspondences(rng, K, pose, n, outlier_frac=0.0, pixel_noise=0.0):
     """Exact 2D-3D pairs for a known pose, with optional gross outliers
     (world point displaced) and pixel noise on the inliers."""
     depths = rng.uniform(2.0, 10.0, size=n)
@@ -74,7 +73,7 @@ def synthetic_correspondences(rng, K, pose, n, outlier_frac=0.0, pixel_noise=0.0
             pixel = pixel + rng.normal(scale=pixel_noise, size=2)
         pixels.append(pixel)
         points.append(world)
-    return CorrespondenceBatch(np.array(pixels), np.array(points), [family] * n)
+    return CorrespondenceBatch(np.array(pixels), np.array(points))
 
 
 @contextlib.contextmanager

@@ -88,6 +88,13 @@ class TestSynth:
         assert f"{bad}: preset 'canyon': length 1e+30 m needs more than" in caplog.text
         assert not (tmp_path / "out").exists()
 
+    def test_huge_camera_count_is_data_error(self, tmp_path, caplog):
+        bad = tmp_path / "scene.txt"
+        bad.write_text(SCENE_SPEC.replace("n_db = 8\n", "n_db = 1000000000\n"))
+        assert main(["synth", str(bad), str(tmp_path / "out")]) == 2
+        assert f"{bad}: preset 'canyon': n_db 1000000000 is above the cap of" in caplog.text
+        assert not (tmp_path / "out").exists()
+
     def test_spec_generation_refuses_names_the_file(self, tmp_path, caplog):
         # the canyon preset takes n_db = 1, but a scene needs two database
         # cameras
@@ -177,6 +184,22 @@ class TestBuildMap:
         assert code == 2
         assert not (tmp_path / "m.bin").exists()
         assert f"{config}:{len(lines) + 1}: {message}" in caplog.text
+
+    @pytest.mark.parametrize("where", ["depth-map", "config", "out-map"])
+    def test_a_directory_in_place_of_a_file_is_data_error(self, workspace, tmp_path, caplog,
+                                                          capsys, where):
+        data = tmp_path / "data"
+        shutil.copytree(workspace / "data", data)
+        config = tmp_path / "config.txt"
+        shutil.copy(workspace / "config.txt", config)
+        out_map = tmp_path / "m.bin"
+        victim = {"depth-map": data / "database" / "db000.depth.bin", "config": config,
+                  "out-map": out_map}[where]
+        victim.unlink(missing_ok=True)
+        victim.mkdir()
+        assert main(["build-map", str(data), str(config), str(out_map)]) == 2
+        assert str(victim) in caplog.text
+        assert "Traceback" not in caplog.text + capsys.readouterr().err
 
 
 @pytest.fixture(scope="module")

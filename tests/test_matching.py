@@ -168,7 +168,6 @@ class TestLiftTo3D:
         assert len(c) == 1
         np.testing.assert_allclose(c.points[0], [1.0, 0.0, 5.0], atol=1e-12)
         np.testing.assert_allclose(c.pixels[0], [33.0, 44.0])
-        assert c.families.tolist() == ["f"]
 
     def test_invalid_depth_dropped(self):
         K = self._K()
@@ -401,39 +400,33 @@ class TestLiftTable:
                 column[0] = 0
 
 
-def _batch(n, family="f", x=1.0):
-    return CorrespondenceBatch(
-        pixels=np.tile([x, 2.0], (n, 1)),
-        points=np.tile([0.0, 0.0, 5.0], (n, 1)),
-        families=[family] * n,
-    )
+def _batch(n, x=1.0):
+    return CorrespondenceBatch(pixels=np.tile([x, 2.0], (n, 1)),
+                               points=np.tile([0.0, 0.0, 5.0], (n, 1)))
 
 
 class TestCorrespondenceBatch:
     def test_non_finite_point_rejected(self):
         for bad in (np.nan, np.inf):
             with pytest.raises(ValueError, match="finite"):
-                CorrespondenceBatch([[1.0, 2.0]], [[0.0, bad, 5.0]], ["f"])
+                CorrespondenceBatch([[1.0, 2.0]], [[0.0, bad, 5.0]])
 
     def test_row_count_mismatch_rejected(self):
-        cols = dict(pixels=np.zeros((3, 2)), points=np.ones((3, 3)), families=["f"] * 3)
-        for name, short in (("pixels", np.zeros((2, 2))), ("points", np.ones((2, 3))),
-                            ("families", ["f"] * 2)):
+        cols = dict(pixels=np.zeros((3, 2)), points=np.ones((3, 3)))
+        for name, short in (("pixels", np.zeros((2, 2))), ("points", np.ones((2, 3)))):
             with pytest.raises(ValueError, match="row count"):
                 CorrespondenceBatch(**{**cols, name: short})
 
     def test_columns_are_read_only(self, zero_noise_dataset):
         pixels, points = np.zeros((3, 2)), np.ones((3, 3))
-        built = CorrespondenceBatch(pixels, points, ["f"] * 3)
+        built = CorrespondenceBatch(pixels, points)
         q = zero_noise_dataset.queries[0]
         db = zero_noise_dataset.db_records[0]
         name, q_set = next(iter(q.features.items()))
         lifted = lift_to_3d(match_family(q_set, db.features[name]), q_set, db).correspondences
         pooled = CorrespondenceBatch.concat([built, lifted])
-        for batch in (built, lifted, pooled, pooled[np.array([0, 2])],
-                      pooled[pooled.families == name], pooled[1:],
-                      replace(pooled, points=np.zeros((len(pooled), 3)))):
-            for col in ("pixels", "points", "families"):
+        for batch in (built, lifted, pooled, replace(pooled, points=np.zeros((len(pooled), 3)))):
+            for col in ("pixels", "points"):
                 column = getattr(batch, col)
                 assert not column.flags.writeable
                 with pytest.raises(ValueError):
@@ -442,22 +435,12 @@ class TestCorrespondenceBatch:
         assert pixels.flags.writeable and points.flags.writeable
 
     def test_assembled_batches_keep_dtypes_and_shapes(self):
-        merged = CorrespondenceBatch.concat([_batch(2, "f"), _batch(3, "gg", x=9.0)])
-        for batch in (merged, merged[np.array([4, 0])], merged[merged.families == "f"],
-                      CorrespondenceBatch.concat([])):
+        merged = CorrespondenceBatch.concat([_batch(2), _batch(3, x=9.0)])
+        for batch in (merged, CorrespondenceBatch.concat([])):
             n = len(batch)
             assert batch.pixels.shape == (n, 2) and batch.pixels.dtype == np.float64
             assert batch.points.shape == (n, 3) and batch.points.dtype == np.float64
-            assert batch.families.shape == (n,) and batch.families.dtype.kind == "U"
-        assert merged.families.tolist() == ["f"] * 2 + ["gg"] * 3
         assert merged.pixels[:, 0].tolist() == [1.0] * 2 + [9.0] * 3
-
-    def test_row_selection(self):
-        b = CorrespondenceBatch.concat([_batch(2, "f", x=1.0), _batch(3, "g", x=9.0)])
-        sel = b[b.families == "g"]
-        assert len(sel) == 3
-        assert sel.pixels[:, 0].tolist() == [9.0] * 3
-        assert b[np.array([4, 0])].families.tolist() == ["g", "f"]
 
 
 class TestMergeHybrid:
@@ -467,17 +450,17 @@ class TestMergeHybrid:
         a = _batch(3)
         merged = CorrespondenceBatch.concat([a, _batch(0)])
         assert len(merged) == 3
-        for col in ("pixels", "points", "families"):
+        for col in ("pixels", "points"):
             assert np.array_equal(getattr(merged, col), getattr(a, col))
         assert len(CorrespondenceBatch.concat([])) == 0
 
     def test_sizes_add(self):
-        merged = CorrespondenceBatch.concat([_batch(10, "f"), _batch(15, "g")])
+        merged = CorrespondenceBatch.concat([_batch(10), _batch(15, x=9.0)])
         assert len(merged) == 25
-        assert merged.families.tolist() == ["f"] * 10 + ["g"] * 15
+        assert merged.pixels[:, 0].tolist() == [1.0] * 10 + [9.0] * 15
 
     def test_duplicates_kept(self):
-        merged = CorrespondenceBatch.concat([_batch(1, "f", x=7.0), _batch(1, "g", x=7.0)])
+        merged = CorrespondenceBatch.concat([_batch(1, x=7.0), _batch(1, x=7.0)])
         assert len(merged) == 2
         assert merged.pixels[0, 0] == merged.pixels[1, 0] == 7.0
 
@@ -487,8 +470,7 @@ class TestSetWeights:
     weights column, and the final RANSAC, which reads them, checks them."""
 
     def test_length_mismatch(self):
-        assert [f.name for f in fields(CorrespondenceBatch)] == [
-            "pixels", "points", "families"]
+        assert [f.name for f in fields(CorrespondenceBatch)] == ["pixels", "points"]
         with pytest.raises(TypeError):
             replace(_batch(4), weights=np.full(4, 0.25))
         K = CameraIntrinsics(fx=100.0, fy=100.0, cx=50.0, cy=50.0, width=100, height=100)

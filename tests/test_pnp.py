@@ -470,7 +470,6 @@ class TestTemporaryPose:
         corrs = CorrespondenceBatch(
             pixels=[[x, K.cy] for x in xs],
             points=[[(x - K.cx) / K.fx * d, 0.1 * i, d] for i, (x, d) in enumerate(zip(xs, depths))],
-            families=list("ccbcbcb"),
         )
         for seed in range(5):
             sol = _temporary(corrs, K, RansacConfig(min_inliers=4, seed=seed,
@@ -912,7 +911,7 @@ def _seen_elsewhere(rng, K, pixels, outliers=0):
     cam = pixel_rays(pixels, K) * rng.uniform(2.0, 10.0, (len(pixels), 1))
     points = cam @ pose.rotation + pose.center
     points[:outliers] += rng.normal(scale=3.0, size=(outliers, 3))
-    return CorrespondenceBatch(pixels, points, ["fam"] * len(pixels))
+    return CorrespondenceBatch(pixels, points)
 
 
 class TestCrossRunVerdict:
@@ -929,7 +928,7 @@ class TestCrossRunVerdict:
         rows = rng.choice(len(correct), 12, replace=False)
         shift = rng.normal(size=(12, 3))
         shift *= rng.uniform(1.0, 4.0, (12, 1)) / np.linalg.norm(shift, axis=1, keepdims=True)
-        moved = CorrespondenceBatch(correct.pixels[rows], correct.points[rows] + shift, ["fam"] * 12)
+        moved = CorrespondenceBatch(correct.pixels[rows], correct.points[rows] + shift)
         own = synthetic_correspondences(rng, K, random_pose(rng), 3, outlier_frac=1.0)
         return CorrespondenceBatch.concat([moved, own])
 
@@ -1072,6 +1071,23 @@ class TestCrossRunVerdict:
         # a short first round, after which the second run, with a winner
         # of its own, goes on to its adaptive bound
         assert calls[0] <= 2 * pnp._FIRST_ROUND and len(calls) > 1
+
+    def test_contradiction_pairs_are_one_pixel_in_two_batches_far_apart(self):
+        # the second batch holds the first's pixels 0 and 1 bitwise and
+        # pixel 2 one bit to the right, at points 1 m, 0.2 m and 1 m away;
+        # the first batch holds pixel 0 twice, the second time at the
+        # second batch's point
+        pixels = np.array([[100.0, 50.0], [200.0, 60.0], [300.0, 70.0], [100.0, 50.0]])
+        points = np.array([[0.0, 0.0, 5.0], [1.0, 0.0, 5.0], [2.0, 0.0, 5.0], [1.0, 0.0, 5.0]])
+        there_pixels = pixels[:3].copy()
+        there_pixels[2, 0] = np.nextafter(300.0, np.inf)
+        there = CorrespondenceBatch(there_pixels, points[:3] + [[1.0, 0, 0], [0.2, 0, 0],
+                                                                 [1.0, 0, 0]])
+        assert pnp._CONTRADICTION_M == 0.3
+        a, b = pnp._contradiction_pairs([CorrespondenceBatch(pixels, points), there])
+        # only pixel 0 at 1 m pairs up, in both orders: not 0.2 m apart,
+        # not one bit apart, not within one batch, not at one point
+        assert sorted(zip(a.tolist(), b.tolist())) == [(0, 4), (4, 0)]
 
 
 class TestIterationRule:
@@ -1724,7 +1740,7 @@ class TestLocalOptimization:
                                   (pixels[:, 1] - K.cy) / K.fy * depth, depth]) + center
         points = np.vstack([points, [0.0, 0.0, 0.005]])
         pixels = np.vstack([pixels, [K.cx, K.cy]])
-        corrs = CorrespondenceBatch(pixels, points, ["fam"] * 31)
+        corrs = CorrespondenceBatch(pixels, points)
         winner_pose = RigidPose(np.eye(3), np.zeros(3))
         err = _errors_at(winner_pose, corrs, K)
         threshold = float(np.sort(err[:30])[-3])

@@ -220,7 +220,7 @@ class TestGateVisible:
             assert mask.tolist() == [passes, True, True]
             assert np.array_equal(mask, _oracle_mask(dense_map, _at(np.zeros(3)), m, MARGINS[1]))
 
-    def test_threads_share_the_lazily_built_tree(self, zero_noise_dataset, built_map):
+    def test_threads_gating_one_map_get_the_serial_rows(self, zero_noise_dataset, built_map):
         # a caller that localizes from its own threads gates one map from
         # each of them; the gate keeps no state, so every thread gets the
         # serial rows
@@ -375,8 +375,7 @@ class TestSemanticConsistencyScore:
 class TestNormalizeWeights:
     def _batches(self, *lengths):
         """One batch per image, of the given row counts."""
-        return [CorrespondenceBatch(np.zeros((n, 2)), np.ones((n, 3)), ["f"] * n)
-                for n in lengths]
+        return [CorrespondenceBatch(np.zeros((n, 2)), np.ones((n, 3))) for n in lengths]
 
     def test_basic_proportions(self):
         scores = [SemanticScore(10, 20), SemanticScore(30, 40)]

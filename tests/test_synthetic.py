@@ -361,3 +361,19 @@ class TestSceneSpecFile:
         # 4 km of street, 1000 stripes per wall at the presets' 4 m, is allowed
         self._parse(tmp_path, f"preset = {preset}\nlength = 4000.0\nn_db = 2\n")
 
+    @pytest.mark.parametrize("preset, key, cap", [
+        ("canyon", "n_db", 10_000), ("canyon", "n_queries", 10_000),
+        ("canyon", "anchors_per_plane", 1_000), ("symmetric", "n_db", 10_000)])
+    def test_huge_count_is_refused_at_once(self, tmp_path, preset, key, cap):
+        # a count above its cap is refused before any pose is built
+        from semloc.formats import DataFormatError
+
+        start = time.perf_counter()
+        with pytest.raises(DataFormatError) as exc:
+            self._parse(tmp_path, f"preset = {preset}\n{key} = 1000000000\n")
+        assert time.perf_counter() - start < 1.0
+        assert str(exc.value) == (f"{tmp_path / 'scene.txt'}: preset {preset!r}: "
+                                  f"{key} 1000000000 is above the cap of {cap}")
+        # the cap itself is allowed
+        assert self._parse(tmp_path, f"preset = {preset}\n{key} = {cap}\n")
+
