@@ -19,8 +19,10 @@ estimate line per ground-truth query.
 from __future__ import annotations
 
 import argparse
+import errno
 import json
 import logging
+import os
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -106,11 +108,15 @@ def cmd_build_map(args) -> int:
 
 
 def cmd_localize(args) -> int:
+    out, diag_path = Path(args.out), Path(str(args.out) + ".diagnostics.json")
+    for path in (out, diag_path):  # the error writing would raise, before any work
+        if path.is_dir() or not path.parent.is_dir():
+            code = errno.EISDIR if path.is_dir() else errno.ENOENT
+            raise OSError(code, os.strerror(code), str(path))
     cfg = _load_config(args.config, args)
     loaded = formats.load_dataset(args.dataset)
     dense_map = formats.read_dense_map(args.map)
     results = localize_all(loaded.queries, loaded.db_records, dense_map, cfg)
-    formats.write_estimates(args.out, results)
     diag = {
         r.query_id: {
             "condition": r.condition,
@@ -119,9 +125,12 @@ def cmd_localize(args) -> int:
         }
         for r in results
     }
-    Path(str(args.out) + ".diagnostics.json").write_text(
-        json.dumps(diag, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-    )
+    diag_path.write_text(json.dumps(diag, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+    try:
+        formats.write_estimates(out, results)
+    except OSError:
+        diag_path.unlink()  # a failed localize leaves neither file
+        raise
     ok = sum(1 for r in results if r.pose is not None)
     logger.info("localized %d / %d queries; estimates at %s", ok, len(results), args.out)
     return EXIT_OK

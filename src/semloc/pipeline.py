@@ -14,11 +14,11 @@ Per query the flow is:
         estimate_temporary_pose call, whose per-image runs advance in
         lockstep; the two best-ranked images draw first, and the others
         start one round later.  Before any round after the first, a run
-        that the other runs' winners contradict (they hold its query
-        keypoints as inliers at other world points) stops with no pose,
-        a lower-ranked one possibly before it has drawn, so its image
-        scores 0 of 0 even where the run alone would have found a late
-        pose, and every other run returns what it would alone;
+        without a winner, of whose rows fewer than min_inliers reproject
+        within 8x the inlier threshold under some winner's pose, stops
+        with no pose, possibly before it has drawn, so its image scores
+        0 of 0 even where it alone would have found a late pose, and
+        every other run returns what it would alone;
      c. in rank order, gate the dense map by each image's temporary pose
         and score it by semantic consistency against the query
         segmentation,

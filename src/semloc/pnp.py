@@ -61,31 +61,31 @@ each run returns bitwise what it returns when run alone.  When every run
 has stopped, _finish snaps every run's best model to a rotation in one
 stacked call and re-verifies each over its own correspondences.
 
-The one exception is the cross-run verdict, the pairwise-consistency
-pruning of Enqvist, Josephson & Kahl (ICCV 2009) and the voting of Zeisl,
-Sattler & Pollefeys (ICCV 2015) applied across retrieved images.  It
-judges a call's runs whenever at least two of them draw, as in
+The one exception is the cross-run verdict, consistency pruning after
+Enqvist, Josephson & Kahl (ICCV 2009) and the voting of Zeisl, Sattler &
+Pollefeys (ICCV 2015) applied across retrieved images.  It judges a
+call's runs whenever at least two of them draw, as in
 estimate_temporary_pose; weighted_ransac_pnp makes a single run.
 Only the first _FIRST_RUNS (2) runs, in the call's order (the retrieval
 rank in estimate_temporary_pose), draw in round 1; the others wait, so
 that hypotheses come from the best-ranked images first, as PROSAC (Chum &
-Matas, CVPR 2005) orders them within a run.  Rows of the call's batches
-with a bitwise-equal query pixel are one query keypoint, whichever family
-lifted them: one pixel sees one world point.
+Matas, CVPR 2005) orders them within a run.
 Before each round after the first, a run's best model is a winner when it
-has at least min_inliers inliers, and a row is contradicted when another
-run's winner holds the row's query keypoint as an inlier at a world point
-more than _CONTRADICTION_M (0.3 m) away.  A run that has not ended, a
-waiting one included, without a winner of its own and with fewer than
-min_inliers rows that are not contradicted stops and returns None; a
-waiting run stopped before round 2 has drawn nothing, and every other
-waiting run starts in round 2.  A run that is not stopped returns bitwise
-its result alone, as neither round sizes nor the round a run starts in
-change its result.  A stopped run might still have found a pose later in
-its run, and its image then scores 0 of 0 where that pose could have
-scored more.  This is measured, not proven: on the bench workloads and
-the acceptance-06 scenes, three stopped runs find a pose alone, each with
-6 inliers, and each such pose scores 0 of 0, so no weight moves there.
+has at least min_inliers inliers, and a row of the call is explained when
+some winner's raw best model reprojects its world point within
+_EXPLAINED_FACTOR (8) times its inlier threshold of its pixel (one
+stacked _errors call).  A run that has not ended, a waiting one included,
+without a winner of its own and with fewer than min_inliers explained
+rows stops and returns None: one query has one pose.  A waiting run
+stopped before round 2 has drawn nothing, and every other waiting run
+starts in round 2.  A run that is not stopped returns bitwise its result
+alone, as neither round sizes nor the round a run starts in change it.
+A stopped run might have posed later, and its image then scores 0 of 0;
+where the best-ranked images pose at an aliased wrong place, it could be
+the one correct run.  Measured, not proven: on the bench workloads no
+stopped run poses alone; on acceptance-06 (seeds 31-33) twelve do, ten
+scoring 0 of 0 and two every projected point, moving two estimates by
+under 1e-7 m.
 
 Every run applies two bounds, both the RANSAC bound of Fischler & Bolles
 (1981) at a fixed confidence of 0.999: the iterations after which a sample
@@ -148,10 +148,11 @@ _COLLINEAR_AREA_TOL = 1e-12
 _CHUNK = 64
 _FIRST_ROUND = 16
 
-# The cross-run verdict's radius: another run's winner contradicts a row
-# when it holds the row's query keypoint as an inlier at a world point
-# farther than this, in metres (three default fusion voxels).
-_CONTRADICTION_M = 0.3
+# The cross-run verdict's reach: a winner explains a row when its raw best
+# model reprojects the row's world point within this many times the row's
+# inlier threshold of the row's pixel.  Factors 8 to 16 keep the bench
+# workloads' outputs byte-identical; 4 changed canyon-daynight's estimates.
+_EXPLAINED_FACTOR = 8.0
 
 # Runs of a judged call that draw in round 1, in the call's order; the
 # rest wait for the verdict before round 2.  estimate_temporary_pose gets
@@ -726,7 +727,7 @@ def _iterations_needed(p: float, cfg: RansacConfig) -> int:
 
 
 class _RansacRun:
-    """One RANSAC run's batch, camera K and settings cfg, its generator,
+    """One RANSAC run's rows, camera K and settings cfg, its generator,
     iterations run (it), stopping bound (needed) and best model.
 
     needed starts at the min-inliers bound (at least 1) and drops to each
@@ -740,7 +741,7 @@ class _RansacRun:
                  weights: Optional[np.ndarray]) -> None:
         n = len(batch)
         self.n = n
-        self.batch, self.K, self.cfg = batch, K, cfg
+        self.K, self.cfg = K, cfg
         self.points, self.pixels = batch.points, batch.pixels
         self.weights = (np.full(n, 1.0 / n) if weights is None
                         else np.asarray(weights, dtype=np.float64))
@@ -811,51 +812,37 @@ class _RansacRun:
                                       max(self.it, _iterations_needed(p, cfg)))
 
 
-def _contradiction_pairs(batches: Sequence[CorrespondenceBatch]) -> tuple[np.ndarray, np.ndarray]:
-    """Pairs (a, b) of rows of the concatenated batches that place one
-    query keypoint (bitwise one pixel) in two different batches at world
-    points more than _CONTRADICTION_M apart, in both orders."""
-    bits = np.concatenate([batch.pixels for batch in batches]).view(np.int64)
-    points = np.concatenate([batch.points for batch in batches])
-    owner = np.repeat(np.arange(len(batches)), [len(batch) for batch in batches])
-    order = np.lexsort((bits[:, 1], bits[:, 0]))
-    bits = bits[order]
-    new = np.ones(len(order), dtype=bool)
-    new[1:] = (bits[1:] != bits[:-1]).any(axis=1)
-    start = np.flatnonzero(new)
-    size = np.diff(np.append(start, len(order)))
-    # Each row of a keypoint's group is paired with every row of the group.
-    g = np.repeat(size, size)
-    a = np.repeat(order, g)
-    b = order[np.repeat(np.repeat(start, size), g) + np.arange(len(a))
-              - np.repeat(np.cumsum(g) - g, g)]
-    far = (owner[a] != owner[b]) & (_norm(points[a] - points[b]) > _CONTRADICTION_M)
-    return a[far], b[far]
-
-
 class _Verdict:
     """The cross-run verdict (module docstring) over the drawing runs of
-    one call, whose batches hold the query keypoints."""
+    one call, whose rows it holds concatenated."""
 
     def __init__(self, runs: Sequence[_RansacRun]) -> None:
         self.runs = runs
-        self.starts = np.cumsum([0] + [run.n for run in runs[:-1]])
-        self.a, self.b = _contradiction_pairs([run.batch for run in runs])
+        sizes = [run.n for run in runs]
+        self.starts = np.cumsum([0] + sizes[:-1])
+        self.points = np.concatenate([run.points for run in runs])
+        self.pixels = np.concatenate([run.pixels for run in runs])
+        self.reach = np.repeat([_EXPLAINED_FACTOR * run.cfg.inlier_threshold_px for run in runs],
+                               sizes)
+
+    def explained(self, winners: Sequence[_RansacRun]) -> np.ndarray:
+        """Mask of the call's rows that some winner's raw best model
+        reprojects within reach, from one stacked _errors call."""
+        err = _errors(np.stack([run.best_R for run in winners]),
+                      np.stack([run.best_C for run in winners]),
+                      self.points, self.pixels, winners[0].K, residuals=False)[1]
+        return (err < self.reach).any(axis=0)
 
     def __call__(self, live: list[_RansacRun]) -> list[_RansacRun]:
         """The live runs that go on.  A stopped run drops its model, so
         _finish returns None for it."""
-        won = [run.best_count >= run.cfg.min_inliers for run in self.runs]
-        if not any(won):
+        winners = [run for run in self.runs if run.best_count >= run.cfg.min_inliers]
+        if not winners:
             return live
-        held = np.concatenate([run.best_inliers if w else np.zeros(run.n, dtype=bool)
-                               for run, w in zip(self.runs, won)])
-        contradicted = np.zeros(len(held), dtype=bool)
-        contradicted[self.a[held[self.b]]] = True
-        free = np.add.reduceat(~contradicted, self.starts, dtype=np.int64).tolist()
-        stopped = {run for run, w, k in zip(self.runs, won, free)
-                   if not w and k < run.cfg.min_inliers}
-        for run in stopped.intersection(live):
+        counts = np.add.reduceat(self.explained(winners), self.starts, dtype=np.int64).tolist()
+        stopped = [run for run, k in zip(self.runs, counts)
+                   if run in live and run not in winners and k < run.cfg.min_inliers]
+        for run in stopped:
             run.best_R = None
         return [run for run in live if run not in stopped]
 
@@ -875,7 +862,7 @@ def _ransac_pnp(
 
     With at least two drawing runs, only the first _FIRST_RUNS of them
     draw in round 1, and before each later round the cross-run verdict
-    stops the runs that the others' winners contradict, waiting runs
+    stops the winnerless runs whose rows no winner explains, waiting runs
     included; a stopped run returns None, one stopped while waiting has
     drawn nothing, and every other run returns its result alone.
     """
@@ -966,8 +953,8 @@ def estimate_temporary_pose(
     winners.  A result is None when its batch has fewer than
     max(4, min_inliers) correspondences, when no model reaches min_inliers,
     or when the verdict stopped its run, before or after its first draw,
-    because the other batches' winners contradict it.  Otherwise it equals
-    what the batch gets in a call of its own."""
+    because the other batches' winners explain too few of its rows.
+    Otherwise it equals what the batch gets in a call of its own."""
     return _ransac_pnp([(batch, cfg, None) for batch, cfg in zip(batches, cfgs, strict=True)], K)
 
 

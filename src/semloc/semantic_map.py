@@ -390,10 +390,11 @@ def fuse_depth_maps(
     anchor = None
     keys = np.zeros(0, dtype=np.int64)  # occupied voxel keys, sorted
     points_of_keys = np.zeros(0, dtype=np.int64)  # their point numbers
-    # np.add.at adds rows in index order.  Seeded with -0.0, the identity of
-    # float addition (0.0 would turn a -0.0 member into +0.0), each sum is
-    # bitwise its members added one at a time in record and pixel order.
-    sums = np.full((0, 3), -0.0)
+    # np.add.at adds in index order, on one row per coordinate by its 1-D
+    # fast path.  Seeded with -0.0, the identity of float addition (0.0
+    # would turn a -0.0 member into +0.0), each sum is bitwise its members
+    # added one at a time in record and pixel order.
+    sums = np.full((3, 0), -0.0)
     counts = np.zeros(0, dtype=np.int64)
     n = 0
     pair_keys = [np.zeros(0, dtype=np.int64)]
@@ -424,15 +425,17 @@ def fuse_depth_maps(
         points_of_keys = np.insert(points_of_keys, at[new], point_of[new])
         n += len(new)
 
-        if n > len(sums):
-            capacity = max(n, 2 * len(sums))
-            sums = np.concatenate([sums, np.full((capacity - len(sums), 3), -0.0)])
-            counts = np.concatenate([counts, np.zeros(capacity - len(counts), dtype=np.int64)])
-        np.add.at(sums, point_of[inverse], world)
+        if n > len(counts):
+            grow = max(n, 2 * len(counts)) - len(counts)
+            sums = np.concatenate([sums, np.full((3, grow), -0.0)], axis=1)
+            counts = np.concatenate([counts, np.zeros(grow, dtype=np.int64)])
+        rows = point_of[inverse]
+        for k in range(3):
+            np.add.at(sums[k], rows, world[:, k])
         counts[point_of] += np.bincount(inverse, minlength=len(uniq))
         pair_keys.append(point_of * len(records) + i)
 
-    positions = sums[:n] / counts[:n, None]
+    positions = (sums[:, :n] / counts[:n]).T.copy()
     del sums, counts
     # Each record's points are distinct, so every pair key is too.
     pair_keys = np.concatenate(pair_keys)

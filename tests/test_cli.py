@@ -9,6 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from semloc import cli
 from semloc.cli import _build_parser, main
 from semloc.config import PipelineConfig, render_config
 from test_config import OUT_OF_RANGE_LINES, REMOVED_KEY_LINES
@@ -239,6 +240,40 @@ class TestLocalizeAndEvaluate:
                      str(est)]) == 2
         assert not est.exists()
         assert f"{config}:{CONFIG.count(chr(10)) + 1}: unknown config key" in caplog.text
+
+    @pytest.mark.parametrize("where", ["diagnostics", "missing-dir"])
+    def test_unwritable_output_is_refused_before_localizing(self, workspace, artifacts,
+                                                            tmp_path, caplog, monkeypatch,
+                                                            where):
+        _, map_path, _ = artifacts
+        est = tmp_path / "est.txt"
+        if where == "diagnostics":
+            victim = tmp_path / "est.txt.diagnostics.json"
+            victim.mkdir()
+        else:
+            est = victim = tmp_path / "nodir" / "est.txt"
+
+        def localize_all(*args, **kwargs):
+            raise AssertionError("localized before checking the outputs")
+
+        monkeypatch.setattr(cli, "localize_all", localize_all)
+        assert main(["localize", str(workspace / "data"), str(map_path),
+                     str(workspace / "config.txt"), str(est)]) == 2
+        assert f"cannot write {victim}" in caplog.text
+        assert not est.exists()
+
+    def test_a_failed_estimates_write_leaves_no_diagnostics(self, workspace, artifacts,
+                                                            tmp_path, monkeypatch):
+        _, map_path, _ = artifacts
+        est = tmp_path / "est.txt"
+
+        def write_estimates(path, results):
+            raise PermissionError(13, "Permission denied", str(path))
+
+        monkeypatch.setattr(cli.formats, "write_estimates", write_estimates)
+        assert main(["localize", str(workspace / "data"), str(map_path),
+                     str(workspace / "config.txt"), str(est)]) == 2
+        assert list(tmp_path.iterdir()) == []
 
     def test_bad_query_descriptor_fails_only_that_query(self, workspace, artifacts, tmp_path):
         from semloc.formats import read_global_descriptor, write_global_descriptor

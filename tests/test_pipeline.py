@@ -242,11 +242,10 @@ class TestTemporaryPosesInLockstep:
 
     def test_a_lower_ranked_winner_does_not_stop_rank_one_in_round_one(self):
         # the canyon-daynight bench scene, q027 as query 17: its rank-2
-        # image (db011) finds a 6-inlier pose at a wrong place within 16
-        # samples and contradicts all but 5 rows of its rank-1 image
-        # (db015), which has no winner yet.  Were both to draw in round 1,
-        # the verdict would stop db015 and its image would score 0 of 0;
-        # with db011 waiting a round, db015 finds its own pose in its
+        # image (db011) finds a 6-inlier pose at a wrong place, and its
+        # rank-1 image (db015) has no winner after its first round.  The
+        # rank-0 winner explains 6 of db015's 18 rows, min_inliers, so the
+        # verdict lets db015 go on, and it finds its own pose in its
         # second round and keeps it
         ds = generate_scene(street_canyon_spec(seed=31, n_db=20, n_queries=40,
                                                image_size=(96, 72), anchors_per_plane=40,

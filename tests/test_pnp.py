@@ -815,18 +815,19 @@ def _lockstep_runs():
     meets: a success over two rounds, a doomed wrong-place image with 13
     outliers, a batch below min_inliers, one below 4 correspondences, one
     whose pixels all lie within 10 px so that every draw is degenerate
-    while the other runs' draws are not, and a weighted run."""
+    while the other runs' draws are not, and a weighted run at the
+    success's place, so that the cross-run verdict stops neither run that
+    poses."""
     rng = np.random.default_rng(80)
     K = default_intrinsics()
-    success = synthetic_correspondences(rng, K, random_pose(rng), 40, outlier_frac=0.6,
-                                        pixel_noise=0.5)
+    pose = random_pose(rng)
+    success = synthetic_correspondences(rng, K, pose, 40, outlier_frac=0.6, pixel_noise=0.5)
     doomed = synthetic_correspondences(rng, K, random_pose(rng), 13, outlier_frac=1.0)
     below_min = synthetic_correspondences(rng, K, random_pose(rng), 5)
     three = synthetic_correspondences(rng, K, random_pose(rng), 3)
     clustered = synthetic_correspondences(rng, K, random_pose(rng), 20)
     clustered = replace(clustered, pixels=200.0 + 0.01 * clustered.pixels)  # 6.2 px wide
-    weighted = synthetic_correspondences(rng, K, random_pose(rng), 60, outlier_frac=0.5,
-                                         pixel_noise=0.5)
+    weighted = synthetic_correspondences(rng, K, pose, 60, outlier_frac=0.5, pixel_noise=0.5)
     w = rng.uniform(0.0, 1.0, 60)
     w /= w.sum()
     temp = dict(min_inliers=6, max_iterations=300)
@@ -883,7 +884,8 @@ class TestLockstep:
         # than one run draws, only the first two (the success and the
         # doomed run) draw in round 1, and the others start in round 2:
         # the success solves 16 + 64 + 25, the doomed run 16 + 51 and the
-        # weighted run 16 + 64, as many as alone
+        # weighted run 16 + 64, as many as alone.  The success's winner
+        # explains the weighted run's inliers, so the verdict lets it go on
         assert calls == [16 + 16, 64 + 51 + 0 + 16, 25 + 64]
         assert 0 not in scored
 
@@ -916,15 +918,17 @@ def _seen_elsewhere(rng, K, pixels, outliers=0):
 
 class TestCrossRunVerdict:
     """estimate_temporary_pose stops a run before its second round, or a
-    run past the first two before its first, when the other runs' winners
-    contradict all but fewer than min_inliers of its rows and it has no
-    winner of its own; every other run returns bitwise its result alone."""
+    run past the first two before its first, when it has no winner of its
+    own and the winners explain fewer than min_inliers of its rows (some
+    winner's pose reprojects the row's point within _EXPLAINED_FACTOR times
+    its inlier threshold of its pixel); every other run returns bitwise its
+    result alone."""
 
     @staticmethod
     def _wrong_place(rng, K, correct):
         """12 of the correct batch's query keypoints at points 1-4 m from
-        its points, plus 3 gross outliers of their own: below min_inliers
-        = 6 once the correct run's winner claims the 12."""
+        its points, plus 3 gross outliers of their own: the correct run's
+        winner explains fewer than min_inliers = 6 of the 15 rows."""
         rows = rng.choice(len(correct), 12, replace=False)
         shift = rng.normal(size=(12, 3))
         shift *= rng.uniform(1.0, 4.0, (12, 1)) / np.linalg.norm(shift, axis=1, keepdims=True)
@@ -1015,15 +1019,15 @@ class TestCrossRunVerdict:
         assert [run.rng is None for run in runs] == [False, False, True, True, True]
         assert all(run.bearings is None and run.it == 0 for run in runs[2:])
 
-    def test_a_lower_ranked_run_that_no_winner_contradicts_starts_in_round_two(self,
-                                                                               monkeypatch):
-        # ranks 0 and 1 as above; rank 2 sees another place, 40% outliers,
-        # through 30 query keypoints that no other batch holds
+    def test_a_lower_ranked_run_at_the_winners_place_starts_in_round_two(self, monkeypatch):
+        # ranks 0 and 1 as above; rank 2 sees their place, 40% outliers,
+        # through 30 query keypoints of its own, so the winners explain its
+        # inliers
         rng = np.random.default_rng(93)
         K = default_intrinsics()
         pose = random_pose(rng)
         batches = [synthetic_correspondences(rng, K, pose, n, pixel_noise=0.5) for n in (40, 30)]
-        batches.append(synthetic_correspondences(rng, K, random_pose(rng), 30, outlier_frac=0.4,
+        batches.append(synthetic_correspondences(rng, K, pose, 30, outlier_frac=0.4,
                                                  pixel_noise=0.5))
         alone, together, rounds, _ = self._by_round(monkeypatch, batches)
         assert all(a is not None for a in alone)
@@ -1031,6 +1035,26 @@ class TestCrossRunVerdict:
             _assert_bitwise_equal(a, b)
         assert rounds[0] == {0, 1} and 2 in rounds[1]
         assert together[2].iterations_used > 1
+
+    def test_a_lower_ranked_run_at_another_place_stops_before_it_draws(self, monkeypatch):
+        # ranks 0 and 1 as above; rank 2 sees another place, 40% outliers,
+        # through 30 query keypoints that no other batch holds: alone it
+        # poses, but the winners explain fewer than 6 of its rows
+        rng = np.random.default_rng(93)
+        K = default_intrinsics()
+        pose = random_pose(rng)
+        batches = [synthetic_correspondences(rng, K, pose, n, pixel_noise=0.5) for n in (40, 30)]
+        batches.append(synthetic_correspondences(rng, K, random_pose(rng), 30, outlier_frac=0.4,
+                                                 pixel_noise=0.5))
+        held = {p.tobytes() for batch in batches[:2] for p in batch.pixels}
+        assert not held & {p.tobytes() for p in batches[2].pixels}
+        alone, together, rounds, runs = self._by_round(monkeypatch, batches)
+        assert all(a is not None for a in alone)
+        assert together[2] is None
+        for a, b in zip(together[:2], alone[:2]):
+            _assert_bitwise_equal(a, b)
+        assert rounds[0] == {0, 1} and not any(2 in r for r in rounds)
+        assert runs[2].rng is None and runs[2].it == 0
 
     def test_without_a_winner_in_round_one_every_waiting_run_starts(self, monkeypatch):
         # ranks 0 and 1 are doomed, 13 gross outliers each, so round 1
@@ -1055,8 +1079,8 @@ class TestCrossRunVerdict:
     def test_a_run_with_its_own_winner_is_never_stopped(self, monkeypatch):
         # two places seen through the same 30 query keypoints, every pair of
         # points for one keypoint more than 1 m apart: the first batch is
-        # exact, the second has 18 inliers and 12 outliers, so each winner
-        # contradicts every row of the other run
+        # exact, the second has 18 inliers and 12 outliers, so neither
+        # winner explains the other run's rows
         rng = np.random.default_rng(91)
         K = default_intrinsics()
         here = synthetic_correspondences(rng, K, random_pose(rng), 30, pixel_noise=0.5)
@@ -1072,22 +1096,87 @@ class TestCrossRunVerdict:
         # of its own, goes on to its adaptive bound
         assert calls[0] <= 2 * pnp._FIRST_ROUND and len(calls) > 1
 
-    def test_contradiction_pairs_are_one_pixel_in_two_batches_far_apart(self):
-        # the second batch holds the first's pixels 0 and 1 bitwise and
-        # pixel 2 one bit to the right, at points 1 m, 0.2 m and 1 m away;
-        # the first batch holds pixel 0 twice, the second time at the
-        # second batch's point
-        pixels = np.array([[100.0, 50.0], [200.0, 60.0], [300.0, 70.0], [100.0, 50.0]])
-        points = np.array([[0.0, 0.0, 5.0], [1.0, 0.0, 5.0], [2.0, 0.0, 5.0], [1.0, 0.0, 5.0]])
-        there_pixels = pixels[:3].copy()
-        there_pixels[2, 0] = np.nextafter(300.0, np.inf)
-        there = CorrespondenceBatch(there_pixels, points[:3] + [[1.0, 0, 0], [0.2, 0, 0],
-                                                                 [1.0, 0, 0]])
-        assert pnp._CONTRADICTION_M == 0.3
-        a, b = pnp._contradiction_pairs([CorrespondenceBatch(pixels, points), there])
-        # only pixel 0 at 1 m pairs up, in both orders: not 0.2 m apart,
-        # not one bit apart, not within one batch, not at one point
-        assert sorted(zip(a.tolist(), b.tolist())) == [(0, 4), (4, 0)]
+    @staticmethod
+    def _judged(K, batches, poses):
+        """The runs of the batches, at inlier threshold 2 px and
+        min_inliers 6, run i holding poses[i] as its winner unless it is
+        None and a model of no inliers otherwise, and their verdict."""
+        runs = []
+        for batch, pose in zip(batches, poses):
+            run = pnp._RansacRun(batch, K, RansacConfig(inlier_threshold_px=2.0, min_inliers=6),
+                                 None)
+            run.best_R, run.best_C = np.eye(3), np.zeros(3)
+            if pose is not None:
+                run.best_R, run.best_C, run.best_count = pose.rotation, pose.center, 6
+            runs.append(run)
+        return runs, pnp._Verdict(runs)
+
+    def test_a_row_counts_within_the_reach_of_a_winners_pose(self):
+        # the second run's pixels lie off their points' projections under
+        # the first run's winner along x, rows 0-5 just inside the reach of
+        # 8 x 2 px and rows 6 and 7 just outside it
+        rng = np.random.default_rng(95)
+        K = default_intrinsics()
+        pose = random_pose(rng)
+        winner = synthetic_correspondences(rng, K, pose, 10)
+        points = synthetic_correspondences(rng, K, pose, 8).points
+        reach = pnp._EXPLAINED_FACTOR * 2.0
+        assert reach == 16.0
+        pixels = project_points(points, pose.rotation, pose.center, K)[0]
+        pixels[:, 0] += np.where(np.arange(8) < 6, reach - 1e-6, reach + 1e-6)
+        runs, verdict = self._judged(K, [winner, CorrespondenceBatch(pixels, points)],
+                                     [pose, None])
+        assert verdict.explained(runs[:1]).tolist() == [True] * 16 + [False] * 2
+        # six explained rows are min_inliers: the run goes on
+        assert verdict(runs) == runs and runs[1].best_R is not None
+        # with row 5 just outside too, five are left, and the run stops
+        pixels[5, 0] += 2e-6
+        runs, verdict = self._judged(K, [winner, CorrespondenceBatch(pixels, points)],
+                                     [pose, None])
+        assert verdict(runs) == runs[:1] and runs[1].best_R is None
+
+    def test_a_row_that_only_a_second_winner_explains_counts(self):
+        # the third run sees three points at each winner's place
+        rng = np.random.default_rng(96)
+        K = default_intrinsics()
+        here, there = random_pose(rng), random_pose(rng)
+        first = synthetic_correspondences(rng, K, here, 10)
+        second = synthetic_correspondences(rng, K, there, 10)
+        third = CorrespondenceBatch.concat([synthetic_correspondences(rng, K, here, 3),
+                                            synthetic_correspondences(rng, K, there, 3)])
+        runs, verdict = self._judged(K, [first, second, third], [here, there, None])
+        assert verdict.explained(runs[:1])[20:].tolist() == [True] * 3 + [False] * 3
+        assert verdict.explained(runs[1:2])[20:].tolist() == [False] * 3 + [True] * 3
+        assert verdict(runs[2:]) == runs[2:]
+        # the first winner alone explains three of its rows, and it stops
+        runs[1].best_count = 5
+        assert verdict(runs[2:]) == [] and runs[2].best_R is None
+
+    def test_winners_are_judged_by_one_stacked_errors_call(self, monkeypatch):
+        # three winners over the call's 45 rows, some behind their cameras:
+        # each row of the stacked errors is bitwise that winner's own call
+        rng = np.random.default_rng(97)
+        K = default_intrinsics()
+        poses = [random_pose(rng) for _ in range(3)]
+        batches = [synthetic_correspondences(rng, K, pose, 12, outlier_frac=0.5)
+                   for pose in poses]
+        batches.append(synthetic_correspondences(rng, K, random_pose(rng), 9, outlier_frac=0.3))
+        runs, verdict = self._judged(K, batches, poses + [None])
+        errors, calls = pnp._errors, []
+
+        def counted_errors(*args, **kwargs):
+            calls.append(errors(*args, **kwargs)[1])
+            return None, calls[-1]
+
+        monkeypatch.setattr(pnp, "_errors", counted_errors)
+        explained = verdict.explained(runs[:3])
+        assert len(calls) == 1 and calls[0].shape == (3, 45)
+        assert np.isinf(calls[0]).any()
+        for pose, err in zip(poses, calls[0]):
+            alone = errors(pose.rotation, pose.center, verdict.points, verdict.pixels, K,
+                           residuals=False)[1]
+            assert alone.tobytes() == err.tobytes()
+        assert np.array_equal(explained, (calls[0] < 16.0).any(axis=0))
 
 
 class TestIterationRule:
