@@ -82,6 +82,15 @@ def _load_config(path, args) -> PipelineConfig:
     return cfg if args.seed is None else replace(cfg, seed=args.seed)
 
 
+def _refuse_unwritable(*paths: Path) -> None:
+    """Raise the OSError that writing would raise for an output path that
+    is a directory or whose parent directory is missing, before any work."""
+    for path in paths:
+        if path.is_dir() or not path.parent.is_dir():
+            code = errno.EISDIR if path.is_dir() else errno.ENOENT
+            raise OSError(code, os.strerror(code), str(path))
+
+
 def cmd_synth(args) -> int:
     spec = parse_scene_spec_file(args.scene_spec, seed=args.seed)
     dataset = generate_scene(spec)
@@ -94,6 +103,7 @@ def cmd_synth(args) -> int:
 
 
 def cmd_build_map(args) -> int:
+    _refuse_unwritable(Path(args.out_map))
     cfg = _load_config(args.config, args)
     loaded = formats.load_dataset(args.dataset)
     dense_map, stats = build_map(loaded.db_records, cfg)
@@ -109,10 +119,7 @@ def cmd_build_map(args) -> int:
 
 def cmd_localize(args) -> int:
     out, diag_path = Path(args.out), Path(str(args.out) + ".diagnostics.json")
-    for path in (out, diag_path):  # the error writing would raise, before any work
-        if path.is_dir() or not path.parent.is_dir():
-            code = errno.EISDIR if path.is_dir() else errno.ENOENT
-            raise OSError(code, os.strerror(code), str(path))
+    _refuse_unwritable(out, diag_path)
     cfg = _load_config(args.config, args)
     loaded = formats.load_dataset(args.dataset)
     dense_map = formats.read_dense_map(args.map)
@@ -137,6 +144,7 @@ def cmd_localize(args) -> int:
 
 
 def cmd_evaluate(args) -> int:
+    _refuse_unwritable(*formats.report_paths(args.out_prefix))
     estimates, conditions = formats.read_estimates(args.estimates)
     gt_records = formats.read_cameras(args.ground_truth)
     ground_truth = {rec.image_id: rec.pose for rec in gt_records}

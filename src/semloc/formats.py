@@ -56,7 +56,7 @@ __all__ = [
     "DatasetManifest",
     "Dataset", "save_dataset", "load_dataset",
     "write_estimates", "read_estimates",
-    "write_report_files",
+    "report_paths", "write_report_files",
 ]
 
 
@@ -613,12 +613,22 @@ def load_dataset(root) -> Dataset:
     )
 
 
+def report_paths(out_prefix) -> tuple[Path, Path]:
+    """The text and JSON report paths of an output prefix."""
+    return Path(str(out_prefix) + ".txt"), Path(str(out_prefix) + ".json")
+
+
 def write_report_files(out_prefix, report, rendered: str) -> tuple[Path, Path]:
-    text_path = Path(str(out_prefix) + ".txt")
-    json_path = Path(str(out_prefix) + ".json")
+    """Write both report files, or neither: the text file is deleted when
+    the JSON write fails."""
+    text_path, json_path = report_paths(out_prefix)
     text_path.write_text(rendered, encoding="utf-8")
-    json_path.write_text(
-        json.dumps(asdict(report), indent=2, sort_keys=True) + "\n",
-        encoding="utf-8",
-    )
+    try:
+        json_path.write_text(
+            json.dumps(asdict(report), indent=2, sort_keys=True) + "\n",
+            encoding="utf-8",
+        )
+    except OSError:
+        text_path.unlink()
+        raise
     return text_path, json_path

@@ -1,15 +1,18 @@
 """Dense semantic 3D map construction.
 
 Stages: depth-map filtering against neighbor views, voxel-grid fusion of the
-filtered depth maps into a point cloud, per-point semantic label voting,
+filtered depth pixels into a point cloud, per-point semantic label voting,
 removal of unstable classes, and per-point visibility cones (distance range,
-extreme viewing directions, visible angle).  Fusion streams the records into
-a running voxel table and yields a FusedCloud, whose table of (point, image)
-contributor pairs feeds both the vote and the cones; those run on columns
-of points (the cones in fixed-size chunks), and the map itself is the
-columnar DenseMap.  Fusion's working memory thus follows the voxels plus
-one record's pixels; the filtered depth maps it reads (4 bytes a pixel)
-are the build's only arrays over every record's pixels.
+extreme viewing directions, visible angle).  The build filters and fuses in
+one streamed pass: each record's valid depth pixels are back-projected
+once, confirmed against its neighbors' raw depth (neighbor views behind
+which every point lies are skipped) and merged into a running voxel table,
+which yields a FusedCloud.  Its table of (point, image) contributor pairs
+feeds both the vote and the cones; those run on columns of points (the
+cones in fixed-size chunks), and the map itself is the columnar DenseMap.
+The build's working memory thus follows the voxels plus one record's
+pixels; it holds no array over every record's pixels beyond the records'
+own depth maps and label images.
 
 Depth maps are (H, W) float arrays holding z-depth in meters; values <= 0
 mark invalid pixels.  Label images are (H, W) uint8 arrays of Cityscapes
@@ -19,11 +22,11 @@ pixel (geometry.sample_grid); a read outside the image gives depth 0 or 255.
 
 from __future__ import annotations
 
-import dataclasses
+import itertools
 import logging
 import math
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -332,6 +335,41 @@ def _valid_world_points(rec: DatabaseImageRecord) -> tuple[np.ndarray, ...]:
     return vy, vx, back_project_pixels(pixels, depths, rec.pose, rec.intrinsics)
 
 
+def _confirm(world: np.ndarray, neighbors: Sequence[DatabaseImageRecord],
+             tau: float) -> tuple[np.ndarray, int]:
+    """Mask of the (N, 3) world points that at least
+    _MIN_CONSISTENT_NEIGHBORS of the neighbor views confirm, and the number
+    of neighbor views skipped because they see no point.
+
+    A point is confirmed by a neighbor when its depth d_r there and the
+    neighbor's stored depth d_n at its nearest pixel satisfy
+    |d_r - d_n| / d_n < tau.  One (k, 3) @ (3, N) product of the neighbors'
+    optical axes with the points, minus each center's offset, gives every
+    point's depth in every neighbor.  A neighbor whose depths all lie below
+    -1e-9 * (max|X| + |C|) is skipped: project_points gives its points NaN
+    pixels, which read depth 0, so it confirms nothing.  The margin is far
+    wider than the rounding gap between the two depth computations, so the
+    skip is exact: the mask is bitwise what projecting into every neighbor
+    gives.
+    """
+    axes = np.stack([nb.pose.rotation[2] for nb in neighbors])
+    centers = np.stack([nb.pose.center for nb in neighbors])
+    # Each neighbor's largest depth; a row of the product is contiguous.
+    deepest = ((axes @ world.T).max(axis=1, initial=-np.inf)
+               - np.einsum("kj,kj->k", axes, centers))
+    scale = np.abs(world).max(initial=0.0) + np.linalg.norm(centers, axis=1)
+    sees = deepest >= -1e-9 * scale
+
+    support = np.zeros(len(world), dtype=np.int64)
+    for nb in itertools.compress(neighbors, sees):
+        px, d_r = project_points(world, nb.pose.rotation, nb.pose.center, nb.intrinsics)
+        d_n, _ = sample_grid(nb.depth, px, nb.intrinsics, 0.0)
+        ok = d_n > 0.0
+        ok[ok] &= np.abs(d_r[ok] - d_n[ok]) / d_n[ok] < tau
+        support += ok.astype(np.int64)
+    return support >= _MIN_CONSISTENT_NEIGHBORS, int(len(sees) - sees.sum())
+
+
 def filter_depth_map(
     target: DatabaseImageRecord,
     neighbors: Sequence[DatabaseImageRecord],
@@ -343,22 +381,14 @@ def filter_depth_map(
     neighbor, and compared against the neighbor's stored depth at the
     nearest pixel.  A neighbor with no valid depth there (or the point
     behind its camera / out of bounds) does not count.  Returns a new depth
-    map with unconfirmed pixels set to 0.
+    map with unconfirmed pixels set to 0.  build_dense_map runs the same
+    confirmation on the points it fuses, without building this map.
     """
     if len(neighbors) == 0:
         raise ValueError("neighbor list must be non-empty")
     vy, vx, world = _valid_world_points(target)
-
-    support = np.zeros(len(world), dtype=np.int64)
-    for nb in neighbors:
-        px, d_r = project_points(world, nb.pose.rotation, nb.pose.center, nb.intrinsics)
-        d_n, _ = sample_grid(nb.depth, px, nb.intrinsics, 0.0)
-        ok = d_n > 0.0
-        ok[ok] &= np.abs(d_r[ok] - d_n[ok]) / d_n[ok] < cfg.tau
-        support += ok.astype(np.int64)
-
+    keep, _ = _confirm(world, neighbors, cfg.tau)
     out = np.zeros_like(target.depth)
-    keep = support >= _MIN_CONSISTENT_NEIGHBORS
     out[vy[keep], vx[keep]] = target.depth[vy[keep], vx[keep]]
     return out
 
@@ -384,6 +414,16 @@ def fuse_depth_maps(
     """
     if len(records) == 0:
         raise ValueError("record list must be non-empty")
+    return _fuse_points((_valid_world_points(rec)[2] for rec in records), len(records),
+                        voxel_size)
+
+
+def _fuse_points(clouds: Iterable[np.ndarray], n_records: int,
+                 voxel_size: float) -> FusedCloud:
+    """fuse_depth_maps over a stream of n_records (N_i, 3) world point
+    arrays, one per record in list order, each in its pixels' row-major
+    order.  Each array is merged into the voxel table as it arrives; the
+    voxel size is checked before the stream is read."""
     if not 0 < voxel_size < math.inf:  # nan and inf fail
         raise ValueError("voxel size must be positive")
 
@@ -398,8 +438,7 @@ def fuse_depth_maps(
     counts = np.zeros(0, dtype=np.int64)
     n = 0
     pair_keys = [np.zeros(0, dtype=np.int64)]
-    for i, rec in enumerate(records):
-        world = _valid_world_points(rec)[2]
+    for i, world in enumerate(clouds):
         if len(world) == 0:
             continue
         cells = np.floor(world / voxel_size)
@@ -433,14 +472,14 @@ def fuse_depth_maps(
         for k in range(3):
             np.add.at(sums[k], rows, world[:, k])
         counts[point_of] += np.bincount(inverse, minlength=len(uniq))
-        pair_keys.append(point_of * len(records) + i)
+        pair_keys.append(point_of * n_records + i)
 
     positions = (sums[:, :n] / counts[:n]).T.copy()
     del sums, counts
     # Each record's points are distinct, so every pair key is too.
     pair_keys = np.concatenate(pair_keys)
     pair_keys.sort()
-    pairs = np.stack([pair_keys // len(records), pair_keys % len(records)], axis=1)
+    pairs = np.stack([pair_keys // n_records, pair_keys % n_records], axis=1)
     return FusedCloud(positions, pairs)
 
 
@@ -558,26 +597,51 @@ def build_dense_map(
 ) -> tuple[DenseMap, BuildStats]:
     """Full map build: filter -> fuse -> vote -> cones -> drop unstable.
 
-    Per-stage point counts are logged and returned in BuildStats.
+    The filter and fusion are one streamed pass over the records: each
+    record's valid depth pixels are back-projected once, confirmed against
+    its filter neighbors' raw depth and merged into fusion's running voxel
+    table, so no filtered depth map is built.  The map is bitwise
+    filter_depth_map on every record followed by fuse_depth_maps on the
+    filtered records.  Per-stage point counts are logged and returned in
+    BuildStats.
     """
     stats = BuildStats()
-    stats.valid_pixels_before_filter = int(sum((r.depth > 0).sum() for r in records))
+    neighbors = select_filter_neighbors(records)
 
-    filtered = [
-        dataclasses.replace(rec, depth=filter_depth_map(rec, [records[j] for j in nbs], filter_cfg))
-        for rec, nbs in zip(records, select_filter_neighbors(records))
-    ]
-    stats.valid_pixels_after_filter = int(sum((r.depth > 0).sum() for r in filtered))
-    logger.info(
-        "depth filter kept %d / %d pixels",
-        stats.valid_pixels_after_filter,
-        stats.valid_pixels_before_filter,
-    )
+    def confirmed_points():
+        skipped = 0
+        for rec, nbs in zip(records, neighbors):
+            world = _valid_world_points(rec)[2]
+            keep, n_skipped = _confirm(world, [records[j] for j in nbs], filter_cfg.tau)
+            stats.valid_pixels_before_filter += len(world)
+            stats.valid_pixels_after_filter += int(keep.sum())
+            skipped += n_skipped
+            yield world[keep]
+        # Reached when fusion asks for a record after the last one.
+        logger.info(
+            "depth filter kept %d / %d pixels; %d of %d neighbor views saw no point",
+            stats.valid_pixels_after_filter,
+            stats.valid_pixels_before_filter,
+            skipped,
+            neighbors.size,
+        )
 
-    fused = fuse_depth_maps(filtered, voxel_size)
-    # Only fusion reads the filtered depths; the vote and the cones read
-    # the records' labels and poses.
-    del filtered
+    # The cloud is passed straight on, so it is freed before the cones.
+    return _map_from_cloud(_fuse_points(confirmed_points(), len(records), voxel_size),
+                           records, voxel_size, unstable, stats), stats
+
+
+def _map_from_cloud(
+    fused: FusedCloud,
+    records: Sequence[DatabaseImageRecord],
+    voxel_size: float,
+    unstable: frozenset | set,
+    stats: BuildStats,
+) -> DenseMap:
+    """The build after fusion: vote, drop unstable and unlabeled points,
+    cones.  Fills the fused, labeled and stable counts of stats.  The cloud
+    is released before the cones when the caller holds no other reference
+    to it."""
     stats.fused_points = len(fused)
     logger.info("fused %d points at voxel size %.3g m", len(fused), voxel_size)
 
@@ -603,4 +667,4 @@ def build_dense_map(
     pairs[:, 0] = (np.cumsum(stable) - 1)[pairs[:, 0]]
     supports = np.bincount(pairs[:, 0], minlength=len(positions))
     d_min, d_max, v_l, v_u, theta = _cones_bulk(positions, pairs, records)
-    return DenseMap(positions, labels[stable], v_l, v_u, theta, d_min, d_max, supports), stats
+    return DenseMap(positions, labels[stable], v_l, v_u, theta, d_min, d_max, supports)

@@ -202,6 +202,22 @@ class TestBuildMap:
         assert str(victim) in caplog.text
         assert "Traceback" not in caplog.text + capsys.readouterr().err
 
+    @pytest.mark.parametrize("where", ["directory", "missing-dir"])
+    def test_unwritable_output_is_refused_before_building(self, workspace, tmp_path, caplog,
+                                                          monkeypatch, where):
+        out_map = tmp_path / "m.bin" if where == "directory" else tmp_path / "nodir" / "m.bin"
+        if where == "directory":
+            out_map.mkdir()
+
+        def build_map(*args, **kwargs):
+            raise AssertionError("built the map before checking the output")
+
+        monkeypatch.setattr(cli, "build_map", build_map)
+        assert main(["build-map", str(workspace / "data"), str(workspace / "config.txt"),
+                     str(out_map)]) == 2
+        reason = "Is a directory" if where == "directory" else "No such file or directory"
+        assert f"cannot write {out_map}: {reason}" in caplog.text
+
 
 @pytest.fixture(scope="module")
 def artifacts(workspace, tmp_path_factory):
@@ -320,6 +336,40 @@ class TestLocalizeAndEvaluate:
         assert code == 2
         assert f"{short}: no estimates for query ids: ['q001']" in caplog.text
         assert list(tmp_path.glob("r*")) == []
+
+    @pytest.mark.parametrize("where", ["json", "text", "missing-dir"])
+    def test_unwritable_report_is_refused_before_reading(self, workspace, artifacts, tmp_path,
+                                                         caplog, monkeypatch, where):
+        _, _, est_path = artifacts
+        prefix = tmp_path / "rep" if where != "missing-dir" else tmp_path / "nodir" / "rep"
+        victim = {"json": tmp_path / "rep.json", "text": tmp_path / "rep.txt",
+                  "missing-dir": tmp_path / "nodir" / "rep.txt"}[where]
+        if where != "missing-dir":
+            victim.mkdir()
+
+        def read_estimates(path):
+            raise AssertionError("read the estimates before checking the outputs")
+
+        monkeypatch.setattr(cli.formats, "read_estimates", read_estimates)
+        assert main(["evaluate", str(est_path), str(workspace / "data" / "queries" / "cameras.txt"),
+                     str(prefix)]) == 2
+        assert f"cannot write {victim}" in caplog.text
+        assert [p.name for p in tmp_path.iterdir() if p.is_file()] == []
+
+    def test_a_failed_json_write_leaves_no_text_report(self, workspace, artifacts, tmp_path,
+                                                       monkeypatch):
+        _, _, est_path = artifacts
+        write_text = Path.write_text
+
+        def failing_json(path, *args, **kwargs):
+            if path.suffix == ".json":
+                raise PermissionError(13, "Permission denied", str(path))
+            return write_text(path, *args, **kwargs)
+
+        monkeypatch.setattr(Path, "write_text", failing_json)
+        assert main(["evaluate", str(est_path), str(workspace / "data" / "queries" / "cameras.txt"),
+                     str(tmp_path / "rep")]) == 2
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestFlags:

@@ -228,6 +228,69 @@ class TestFilterDepthMap:
             filter_depth_map(target, [], DepthFilterConfig())
 
 
+class TestNeighborSkip:
+    """A neighbor view behind which every point lies is never projected, and
+    one point just in front of a view keeps it."""
+
+    # Looks down -z: a point's depth in it is the camera's z minus the point's.
+    _FACING_DOWN = np.diag([-1.0, 1.0, -1.0])
+
+    @staticmethod
+    def _projected_centers(monkeypatch):
+        centers = []
+        project = semantic_map.project_points
+
+        def spy(points, rotation, center, K):
+            centers.append(np.array(center, dtype=np.float64))
+            return project(points, rotation, center, K)
+
+        monkeypatch.setattr(semantic_map, "project_points", spy)
+        return centers
+
+    def _scene(self):
+        # The target looks down +z at depth 3, but pixel (x=3, y=1) lies at
+        # depth 2.  "near" looks down -z from 1e-9 m above that pixel's point
+        # and sees it alone, on its optical axis; "away" looks down -z from
+        # below the target and sees no point.
+        K = _K(5, 5, f=10.0)
+        pose = RigidPose.identity()
+        depth = np.full((5, 5), 3.0)
+        depth[1, 3] = 2.0
+        target = DatabaseImageRecord("t", K, pose, depth, np.full((5, 5), 2, dtype=np.uint8))
+        point = back_project(np.array([3.0, 1.0]), 2.0, pose, K)
+        near_pose = RigidPose(self._FACING_DOWN, point + np.array([0.0, 0.0, 1e-9]))
+        _, d_r = semantic_map.project_points(np.stack([point, point]), near_pose.rotation,
+                                             near_pose.center, K)
+        assert 0.0 < d_r[0] < 1.1e-9
+        near = DatabaseImageRecord("near", K, near_pose, np.full((5, 5), d_r[0]),
+                                   np.full((5, 5), 2, dtype=np.uint8))
+        away = _record("away", K, RigidPose(self._FACING_DOWN, np.array([0.0, 0.0, -1.0])),
+                       np.full((5, 5), 1.0))
+        return target, near, away
+
+    def test_a_view_facing_away_from_every_point_is_never_projected(self, monkeypatch):
+        target, near, away = self._scene()
+        centers = self._projected_centers(monkeypatch)
+        out = filter_depth_map(target, [away], DepthFilterConfig())
+        assert centers == []
+        assert np.all(out == 0.0)
+        keep, skipped = semantic_map._confirm(np.zeros((0, 3)), [away, near], 0.01)
+        assert len(keep) == 0 and skipped == 2
+
+    def test_one_point_1e_9_m_in_front_keeps_the_view_and_its_confirmation(self, monkeypatch):
+        target, near, away = self._scene()
+        centers = self._projected_centers(monkeypatch)
+        out = filter_depth_map(target, [away, near], DepthFilterConfig())
+        assert len(centers) == 1 and np.array_equal(centers[0], near.pose.center)
+        expected = np.zeros((5, 5))
+        expected[1, 3] = 2.0
+        assert np.array_equal(out, expected)
+        assert np.array_equal(out, _filter_oracle(target, [away, near], 0.01, 1))
+        world = semantic_map._valid_world_points(target)[2]
+        keep, skipped = semantic_map._confirm(world, [away, near], 0.01)
+        assert keep.sum() == 1 and skipped == 1
+
+
 class TestFuseDepthMaps:
     def test_single_pixel(self):
         K = _K(4, 4, f=10.0)
@@ -509,6 +572,17 @@ def relabeled_records(zero_noise_dataset):
     ]
 
 
+@pytest.fixture(scope="module")
+def close_cameras_records():
+    """A canyon whose database cameras stand 0.27 m apart along the street,
+    so that many pixels have two confirming filter neighbors."""
+    from semloc.synthetic import generate_scene, street_canyon_spec
+
+    spec = street_canyon_spec(seed=301, n_db=12, n_queries=1, image_size=(64, 48),
+                              anchors_per_plane=10, length=9.0)
+    return generate_scene(spec).db_records
+
+
 class TestRemoveUnstable:
     """build_dense_map's unstable-class mask against the per-point oracle."""
 
@@ -689,6 +763,65 @@ class TestBuildDenseMap:
         assert len(dense_map) == 0
         assert stats.valid_pixels_before_filter > 0
         assert stats.valid_pixels_after_filter == stats.fused_points == 0
+
+    # scene, depth filter patch, and whether the map is empty
+    TWO_STEP_CASES = {
+        "canyon": ("zero_noise_dataset", {}, False),
+        "two-neighbors": ("zero_noise_dataset", {"neighbor_count": 2}, False),
+        # in the session canyon no pixel has two confirming views
+        "two-confirmations-empty": ("zero_noise_dataset", {"min_consistent": 2}, True),
+        "two-confirmations": ("close_cameras_records", {"min_consistent": 2}, False),
+        "unstable-labels": ("relabeled_records", {}, False),
+    }
+
+    @pytest.mark.parametrize("case", TWO_STEP_CASES)
+    def test_streamed_build_is_the_two_step_build(self, request, case):
+        scene, patch, empty = self.TWO_STEP_CASES[case]
+        records = request.getfixturevalue(scene)
+        records = getattr(records, "db_records", records)
+        with patched_depth_filter(**patch):
+            streamed, streamed_stats = build_dense_map(records, voxel_size=0.1)
+            # filter_depth_map per record, the records rebuilt with their
+            # filtered depth, fuse_depth_maps, then the rest of the build
+            cfg = DepthFilterConfig()
+            filtered = [
+                dataclasses.replace(rec, depth=filter_depth_map(rec, [records[j] for j in nbs], cfg))
+                for rec, nbs in zip(records, select_filter_neighbors(records))
+            ]
+            stats = semantic_map.BuildStats(
+                valid_pixels_before_filter=int(sum((r.depth > 0).sum() for r in records)),
+                valid_pixels_after_filter=int(sum((r.depth > 0).sum() for r in filtered)))
+            two_step = semantic_map._map_from_cloud(
+                fuse_depth_maps(filtered, 0.1), records, 0.1, DEFAULT_UNSTABLE_CLASS_IDS, stats)
+        assert streamed_stats == stats
+        assert (stats.valid_pixels_after_filter == 0) == empty
+        assert stats.valid_pixels_after_filter < stats.valid_pixels_before_filter
+        assert (stats.stable_points < stats.labeled_points) == (case == "unstable-labels")
+        for name in ("positions", "labels", "v_l", "v_u", "theta", "d_min", "d_max", "support",
+                     "v_m"):
+            a, b = getattr(streamed, name), getattr(two_step, name)
+            assert (a.dtype, a.shape, a.strides) == (b.dtype, b.shape, b.strides), name
+            assert a.tobytes() == b.tobytes(), name
+
+    def test_filter_log_counts_the_views_that_see_no_point(self, zero_noise_dataset, caplog):
+        import logging
+
+        records = zero_noise_dataset.db_records
+        neighbors = select_filter_neighbors(records)
+        blind = 0
+        for rec, nbs in zip(records, neighbors):
+            world = semantic_map._valid_world_points(rec)[2]
+            for j in nbs:
+                pose = records[j].pose
+                _, depth = semantic_map.project_points(world, pose.rotation, pose.center,
+                                                       records[j].intrinsics)
+                blind += bool(np.all(depth <= 0.0))
+        assert 0 < blind < neighbors.size
+        with caplog.at_level(logging.INFO, logger="semloc.semantic_map"):
+            _, stats = build_dense_map(records, voxel_size=0.1)
+        assert (f"depth filter kept {stats.valid_pixels_after_filter} / "
+                f"{stats.valid_pixels_before_filter} pixels; {blind} of {neighbors.size} "
+                "neighbor views saw no point") in caplog.messages
 
     def test_neighbor_selection_nearest(self):
         K = _K()
