@@ -9,8 +9,12 @@ the semantic consistency score of the retrieved image that produced the
 temporary pose.  Scores then become per-correspondence sampling weights,
 each row taking the score its per-image batch is paired with by position.
 
-The gate is one pass over the map's columns: the distance of every row
-from the query centre, one coordinate column at a time, then the distance
+The gate first tests the map's block bounds (DenseMap.block_low,
+block_high and block_reach): a block whose bounding box lies farther from
+the query centre than any of its rows' widened d_max holds no row that
+passes.  It then makes one pass over the contiguous row span from the
+first to the last block that may hold one: the distance of every row from
+the query centre, one coordinate column at a time, then the distance
 range, and the angle only on the rows inside it.  The gate returns
 ascending row indices, and the score reads only the positions and labels
 at them.
@@ -29,7 +33,7 @@ import numpy as np
 
 from .geometry import CameraIntrinsics, RigidPose, project_points, sample_grid
 from .matching import CorrespondenceBatch
-from .semantic_map import UNLABELED, DenseMap
+from .semantic_map import _BLOCK_ROWS, UNLABELED, DenseMap
 
 __all__ = [
     "SemanticScore",
@@ -84,21 +88,52 @@ def _view_angles(v: np.ndarray, dist: np.ndarray, v_m: np.ndarray) -> np.ndarray
     return np.arccos(np.clip(cos, -1.0, 1.0))
 
 
+def _scan_span(dense_map: DenseMap, center: np.ndarray) -> tuple[int, int]:
+    """Rows [a, b) that gate_visible scans for a query at center: from the
+    first block whose bounds can reach center to the end of the last one
+    (a == b when none can).
+
+    A block's gap to center is, per axis, max(max(low - c, c - high), 0),
+    then sqrt((gx^2 + gy^2) + gz^2), the order of _view_distances; the
+    block can reach center when gap < block_reach * m.  Skipping the other
+    blocks is exact, with no slack: IEEE rounding is monotone, so for
+    every row with coordinate x in the block fl(low - c) <= fl(x - c) and
+    fl(c - high) <= fl(c - x), and then the gap's squares, sums and square
+    root are each at most the row's, so the gap is at most the row's
+    computed distance.  As m > 0, d_max * m <= block_reach * m too.  A row
+    that passes (distance < d_max * m) thus lies in a block that can reach
+    center.  A row with a NaN coordinate or d_max never passes, and the
+    NaN-ignoring bounds still cover the block's other rows.
+    """
+    c = center[:, None]
+    g = np.maximum(np.maximum(dense_map.block_low - c, c - dense_map.block_high), 0.0)
+    g *= g
+    gap = np.sqrt((g[0] + g[1]) + g[2])
+    blocks = np.flatnonzero(gap < dense_map.block_reach * _DISTANCE_MARGIN)
+    if len(blocks) == 0:
+        return 0, 0
+    return (int(blocks[0]) * _BLOCK_ROWS,
+            min(int(blocks[-1] + 1) * _BLOCK_ROWS, len(dense_map)))
+
+
 def gate_visible(dense_map: DenseMap, query_pose: RigidPose) -> np.ndarray:
     """Ascending np.intp row indices of the points whose cones admit the
     query viewpoint.
 
     With m = _DISTANCE_MARGIN, a point passes when d_min/m < ||v|| <
     d_max*m and the angle between v = C_query - X and the cone bisector v_m
-    is below theta + _ANGLE_MARGIN.  Every row's distance is computed from
-    the map's column-major positions; the angle is tested only on the rows
+    is below theta + _ANGLE_MARGIN.  The distance is computed from the
+    map's column-major positions on every row of _scan_span's span, which
+    holds every row that can pass; the angle is tested only on the rows
     that pass the distance range.
     """
     m = _DISTANCE_MARGIN
     center = query_pose.center
-    dist = _view_distances(dense_map.positions, center)
-    near = np.flatnonzero(dist < dense_map.d_max * m)
+    a, b = _scan_span(dense_map, center)
+    dist = _view_distances(dense_map.positions[a:b], center)
+    near = np.flatnonzero(dist < dense_map.d_max[a:b] * m)
     dist = dist[near]
+    near += a
     keep = (dense_map.d_min[near] / m < dist) & (dist > 0.0)
     near, dist = near[keep], dist[keep]
     ang = _view_angles(center - dense_map.positions[near], dist, dense_map.v_m[near])

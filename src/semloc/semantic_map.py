@@ -97,6 +97,9 @@ _KEY_HALF = 1 << (_KEY_BITS - 1)
 # Points per chunk of the visibility-cone computation.
 _CONE_CHUNK_POINTS = 4096
 
+# Consecutive map rows per block of DenseMap's block bounds.
+_BLOCK_ROWS = 256
+
 
 def label_ids_valid(labels: np.ndarray) -> bool:
     """Whether every label is a class id 0..MAX_CLASS_ID or UNLABELED."""
@@ -255,10 +258,18 @@ class DenseMap(_FrozenArrays):
     positions is column-major, so the gate reads each coordinate as one
     contiguous column.
 
+    The constructor also derives the gate's block bounds.  For each block
+    of _BLOCK_ROWS consecutive rows (the last may be shorter),
+    block_low[:, j] and block_high[:, j] hold the least and greatest x, y
+    and z of its positions and block_reach[j] its greatest d_max; NaN rows
+    are ignored, so a block is NaN only where all its rows are.  Like v_m
+    they are recomputed whenever a map is constructed (building, a MAP1
+    read, a copy, an unpickling), never stored or cached.
+
     A column whose array already has its dtype (and for positions its
     column-major layout) is a view of the array passed to the constructor,
     not a copy, so a caller must not write that array after building the
-    map: v_m, derived from v_l and v_u when the map is built, would go
+    map: v_m and the block bounds, derived when the map is built, would go
     stale.  read_dense_map and build_dense_map pass arrays that no one else
     holds (a freshly read record array and freshly computed columns).
     """
@@ -272,6 +283,9 @@ class DenseMap(_FrozenArrays):
     d_max: np.ndarray
     support: np.ndarray
     v_m: np.ndarray = field(init=False)
+    block_low: np.ndarray = field(init=False)
+    block_high: np.ndarray = field(init=False)
+    block_reach: np.ndarray = field(init=False)
 
     def __post_init__(self) -> None:
         n = len(self.positions)
@@ -285,11 +299,24 @@ class DenseMap(_FrozenArrays):
             d_max=np.asarray(self.d_max, dtype=np.float64).reshape(n),
             support=np.asarray(self.support, dtype=np.int64).reshape(n),
         )
-        # Bisector of the extreme directions, recomputed rather than stored.
+        # Bisector of the extreme directions, recomputed rather than stored,
+        # one column at a time: (x^2 + y^2) + z^2 is np.linalg.norm's sum.
         s = self.v_l + self.v_u
-        norms = np.linalg.norm(s, axis=1)
+        x, y, z = s.T
+        norms = np.sqrt((x * x + y * y) + z * z)
         safe = norms > 1e-12
-        self._store(v_m=np.where(safe[:, None], s / np.where(safe, norms, 1.0)[:, None], self.v_l))
+        norms[~safe] = 1.0
+        v_m = np.empty_like(s)
+        for k in range(3):
+            v_m[:, k] = np.where(safe, s[:, k] / norms, self.v_l[:, k])
+        starts = np.arange(0, n, _BLOCK_ROWS)
+        columns = self.positions.T  # (3, n), C-contiguous
+        self._store(
+            v_m=v_m,
+            block_low=np.fmin.reduceat(columns, starts, axis=1),
+            block_high=np.fmax.reduceat(columns, starts, axis=1),
+            block_reach=np.fmax.reduceat(self.d_max, starts),
+        )
 
     def __len__(self) -> int:
         return len(self.positions)

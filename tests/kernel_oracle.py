@@ -1,10 +1,10 @@
 """Row-major reference versions of the per-point kernels.
 
-semloc.geometry and the visibility gate in semloc.scoring run every
-elementwise op over whole x, y and z columns.  These are the formulas they
-replaced, which combine (N, 3) rows with a broadcast (3,) operand or reduce
-over the last axis, kept as test oracles: the column kernels must give
-bitwise their results.
+semloc.geometry, the visibility gate in semloc.scoring and the DenseMap's
+cone bisector run every elementwise op over whole x, y and z columns.
+These are the formulas they replaced, which combine (N, 3) rows with a
+broadcast (3,) operand or reduce over the last axis, kept as test oracles:
+the column kernels must give bitwise their results.
 """
 
 from __future__ import annotations
@@ -63,3 +63,12 @@ def view_distances_and_angles(positions, v_m, center):
     angle = np.full(len(dist), np.nan)
     angle[seen] = np.arccos(np.clip(cos, -1.0, 1.0))
     return dist, angle
+
+
+def cone_bisectors(v_l, v_u):
+    """The unit bisector of each row's v_l and v_u, or v_l where their sum
+    is shorter than 1e-12: the DenseMap's v_m, from row norms."""
+    s = v_l + v_u
+    norms = np.linalg.norm(s, axis=1)
+    safe = norms > 1e-12
+    return np.where(safe[:, None], s / np.where(safe, norms, 1.0)[:, None], v_l)

@@ -5,8 +5,8 @@ votes and builds cones on columns of fused points.  These are the per-pixel
 and per-point versions it replaced, kept as test oracles: voxel fusion by a dict keyed on cell tuples, label voting for one
 point, one point's visibility cone, unstable-class removal on a list of
 points, and the per-point DensePoint/VisibilityCone view of a DenseMap with
-its invariant check, a map of selected rows built from gathered columns and
-a column-by-column map comparison.
+its invariant check, a map of selected rows built from gathered columns, a
+column-by-column map comparison and the map's per-block bounds.
 """
 
 from __future__ import annotations
@@ -173,6 +173,17 @@ def same_map(a: DenseMap, b: DenseMap) -> bool:
     return len(a) == len(b) and all(
         np.array_equal(getattr(a, col), getattr(b, col)) for col in STORED_COLUMNS
     )
+
+
+def block_bounds(dense_map: DenseMap, rows_per_block: int) -> tuple[np.ndarray, ...]:
+    """Each run of rows_per_block consecutive rows' least and greatest x, y
+    and z, as (3, blocks) arrays, and its greatest d_max, ignoring NaN: the
+    block columns DenseMap derives, one block at a time."""
+    blocks = [slice(j, j + rows_per_block) for j in range(0, len(dense_map), rows_per_block)]
+    low = np.array([np.fmin.reduce(dense_map.positions[b], axis=0) for b in blocks]).reshape(-1, 3)
+    high = np.array([np.fmax.reduce(dense_map.positions[b], axis=0) for b in blocks]).reshape(-1, 3)
+    reach = np.array([np.fmax.reduce(dense_map.d_max[b]) for b in blocks], dtype=np.float64)
+    return low.T, high.T, reach
 
 
 def validate_map(dense_map: DenseMap, tol: float = 1e-9) -> None:

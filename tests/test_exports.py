@@ -1,6 +1,7 @@
-"""Every name a semloc module exports in ``__all__`` exists on it, and every
+"""Every name a semloc module exports in ``__all__`` exists on it, every
 dataclass that holds numpy arrays is frozen and derives from the one base
-that makes them read-only."""
+that makes them read-only, and a DenseMap is constructed from the eight
+columns MAP1 stores."""
 
 import dataclasses
 import importlib
@@ -11,6 +12,8 @@ import pytest
 
 import semloc
 from semloc.geometry import _FrozenArrays
+from semloc.semantic_map import DenseMap
+from map_oracle import STORED_COLUMNS
 
 _MODULES = sorted(m.name for m in pkgutil.iter_modules(semloc.__path__, "semloc."))
 
@@ -49,3 +52,13 @@ def test_mutable_array_types_are_still_mutable_array_types():
         cls = getattr(importlib.import_module(module), cls_name)
         assert any("ndarray" in str(f.type) for f in dataclasses.fields(cls)), path
         assert not cls.__dataclass_params__.frozen, path
+
+
+def test_dense_map_is_built_from_its_eight_stored_columns():
+    # the constructor takes the eight columns MAP1 stores (and a copy or an
+    # unpickled map passes only those); v_m and the gate's block bounds are
+    # derived from them whenever a map is constructed
+    fields = dataclasses.fields(DenseMap)
+    assert tuple(f.name for f in fields if f.init) == STORED_COLUMNS
+    assert [f.name for f in fields if not f.init] == ["v_m", "block_low", "block_high",
+                                                      "block_reach"]

@@ -291,7 +291,7 @@ class TestDenseMapFormat:
 
     def test_columns_are_read_only(self):
         dm = _random_dense_map(np.random.default_rng(7), 3)
-        for name in _DENSE_MAP_COLUMNS + ("v_m",):
+        for name in _DENSE_MAP_COLUMNS + ("v_m", "block_low", "block_high", "block_reach"):
             with pytest.raises(ValueError, match="read-only"):
                 getattr(dm, name)[0] = 0
 

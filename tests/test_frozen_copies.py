@@ -18,8 +18,9 @@ from semloc.matching import lift_to_3d, match_family
 from semloc.pnp import PnPSolution
 from semloc.retrieval import GlobalDescriptor, build_index
 from semloc.scoring import gate_visible
-from semloc.semantic_map import build_dense_map, fuse_depth_maps
+from semloc.semantic_map import _BLOCK_ROWS, build_dense_map, fuse_depth_maps
 from semloc.synthetic import FacadePlane
+from map_oracle import block_bounds
 
 COPIES = {
     "copy": copy.copy,
@@ -117,3 +118,24 @@ def test_map_positions_are_column_major(canyon_map, tmp_path):
         assert not dense_map.positions.flags.c_contiguous
     assert np.array_equal(read_back.positions,
                           canyon_map.positions.astype(np.float32).astype(np.float64))
+
+
+@pytest.mark.parametrize("path", ["built", "MAP1", *sorted(COPIES)])
+def test_block_bounds_are_derived_on_every_construction_path(canyon_map, tmp_path, path):
+    # the bounds are not stored or carried along: each way of making a map
+    # derives them from its own positions and d_max (float32 ones after a
+    # MAP1 read)
+    if path == "MAP1":
+        write_dense_map(tmp_path / "map.bin", canyon_map)
+        dense_map = read_dense_map(tmp_path / "map.bin")
+    elif path == "built":
+        dense_map = canyon_map
+    else:
+        dense_map = COPIES[path](canyon_map)
+    expected = block_bounds(dense_map, _BLOCK_ROWS)
+    assert len(expected[2]) == -(-len(dense_map) // _BLOCK_ROWS) > 1
+    for name, column in zip(("block_low", "block_high", "block_reach"), expected):
+        derived = getattr(dense_map, name)
+        assert not derived.flags.writeable, name
+        assert derived.dtype == column.dtype and derived.shape == column.shape, name
+        assert derived.tobytes() == column.tobytes(), name

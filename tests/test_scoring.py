@@ -4,7 +4,8 @@ normalization tests.
 The gate and the score are both re-evaluated per point by a scalar oracle
 that reimplements the two visibility inequalities and the projection rule
 independently of the vectorized code.  The oracle scans every point, so it
-also checks that the gate's distance pass drops no row that passes.
+also checks that neither the gate's block test nor its distance pass drops
+a row that passes.
 """
 
 import math
@@ -22,13 +23,14 @@ from semloc.geometry import RigidPose
 from semloc.matching import CorrespondenceBatch
 from semloc.scoring import (
     SemanticScore,
+    _scan_span,
     _view_angles,
     _view_distances,
     gate_visible,
     normalize_weights,
     semantic_consistency_score,
 )
-from semloc.semantic_map import DenseMap, build_dense_map
+from semloc.semantic_map import _BLOCK_ROWS, DenseMap, build_dense_map
 from conftest import patched_gate_margins, random_pose, rodrigues
 from map_oracle import map_point, map_rows
 
@@ -129,6 +131,70 @@ def gate_cases(draw):
     return dense_map, _at(center), margins
 
 
+def _on_a_face(draw, dense_map, rng):
+    """A finite query centre on a face of one block's bounding box: on one
+    axis at the box's low or high bound, on each other axis at a bound or
+    inside the box."""
+    j = draw(st.integers(0, len(dense_map.block_reach) - 1))
+    face = draw(st.integers(0, 2))
+    low, high = dense_map.block_low[:, j], dense_map.block_high[:, j]
+    center = np.where(rng.random(3) < 0.5, low, high)
+    with np.errstate(invalid="ignore"):
+        inside = low + rng.random(3) * (high - low)
+    center = np.where((rng.random(3) < 0.5) & (np.arange(3) != face), inside, center)
+    return np.where(np.isfinite(center), center, 0.0)
+
+
+@st.composite
+def spread_gate_cases(draw):
+    """A map of 300 to 3,000 rows, never a whole number of blocks, laid
+    out along one axis so that a query near one part of it leaves other
+    blocks out of reach.  Some rows hold NaN or +-inf in a coordinate or in
+    d_max, and one block may hold NaN in every row of a coordinate.  The
+    query centre sits on a face of a block's bounding box, on a row, or
+    anywhere along the map; the margins are random."""
+    n = draw(st.integers(300, 3000).filter(lambda n: n % _BLOCK_ROWS != 0))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    axis = draw(st.integers(0, 2))
+    spacing = draw(st.floats(0.01, 0.5))
+    positions = rng.uniform(-2.0, 2.0, size=(n, 3))
+    positions[:, axis] = np.arange(n) * spacing + rng.uniform(-1.0, 1.0, n)
+    d_min = rng.uniform(0.05, 2.0, n)
+    d_max = d_min * rng.uniform(1.0, 3.0, n)
+    for value in (np.nan, np.inf, -np.inf):
+        rows = rng.choice(n, draw(st.integers(0, 6)), replace=False)
+        positions[rows, rng.integers(0, 3, len(rows))] = value
+        d_max[rng.choice(n, draw(st.integers(0, 6)), replace=False)] = value
+    if draw(st.booleans()):
+        j = int(rng.integers(0, -(-n // _BLOCK_ROWS)))
+        positions[j * _BLOCK_ROWS:(j + 1) * _BLOCK_ROWS, rng.integers(0, 3)] = np.nan
+    dense_map = _map_with_cones(positions, d_min, d_max, rng.normal(size=(n, 3)),
+                                rng.normal(size=(n, 3)))
+    where = draw(st.sampled_from(["face", "row", "along"]))
+    if where == "face":
+        center = _on_a_face(draw, dense_map, rng)
+    elif where == "row":
+        center = positions[draw(st.integers(0, n - 1))]
+        center = np.where(np.isfinite(center), center, 0.0)
+    else:
+        center = rng.uniform(-2.0, 2.0, 3)
+        center[axis] = rng.uniform(-10.0, n * spacing + 10.0)
+    margins = (draw(st.floats(1.0, 2.0)), draw(st.floats(0.0, 0.5)))
+    return dense_map, _at(center), margins
+
+
+def _long_map(n=3000, spacing=0.1):
+    """n rows 0.1 m apart along x with cones that admit every direction
+    from 0.5 / 1.2 m up to at most 5 m * 1.2."""
+    rng = np.random.default_rng(40)
+    positions = np.zeros((n, 3))
+    positions[:, 0] = np.arange(n) * spacing
+    positions[:, 1:] = rng.uniform(-1.0, 1.0, size=(n, 2))
+    d_min = rng.uniform(0.5, 2.0, n)
+    x = np.tile([1.0, 0.0, 0.0], (n, 1))
+    return _map_with_cones(positions, d_min, d_min * 2.5, x, -x)
+
+
 @pytest.fixture(scope="module")
 def built_map(zero_noise_dataset):
     dense_map, _ = build_dense_map(zero_noise_dataset.db_records, voxel_size=0.12)
@@ -181,8 +247,40 @@ class TestGateVisible:
         with patched_gate_margins(*margins):
             assert np.array_equal(_gated_rows(dense_map, pose), expected)
 
+    @settings(max_examples=120, deadline=None, derandomize=True, database=None)
+    @given(spread_gate_cases())
+    def test_maps_of_many_blocks_match_oracle(self, case):
+        # the block test skips rows; every row it skips must fail the oracle
+        dense_map, pose, margins = case
+        expected = np.flatnonzero(_oracle_mask(dense_map, pose, *margins))
+        with patched_gate_margins(*margins):
+            assert np.array_equal(_gated_rows(dense_map, pose), expected)
+
+    def test_a_query_at_one_end_scans_the_blocks_near_it(self):
+        # the cone reaches at most 5 m * 1.2: of a 300 m map, a query at one
+        # end scans only the first blocks, and at the middle a span around it
+        long_map = _long_map()
+        n = len(long_map)
+        for x in (0.0, 150.0, 299.9):
+            a, b = _scan_span(long_map, np.array([x, 0.0, 0.0]))
+            assert b - a <= n // 2
+            assert a <= x / 0.1 < b
+            rows = _gated_rows(long_map, _at([x, 0.0, 0.0]))
+            assert len(rows) > 0 and a <= rows[0] and rows[-1] < b
+            assert np.array_equal(rows, np.flatnonzero(
+                _oracle_mask(long_map, _at([x, 0.0, 0.0]), *MARGINS)))
+        assert _scan_span(long_map, np.zeros(3))[0] == 0
+
+    def test_a_query_no_block_reaches_gets_no_rows(self):
+        long_map = _long_map()
+        for center in ([-50.0, 0.0, 0.0], [150.0, 40.0, 0.0], [1e6, 1e6, 1e6]):
+            assert _scan_span(long_map, np.array(center)) == (0, 0)
+            rows = _gated_rows(long_map, _at(center))
+            assert rows.dtype == np.intp and rows.shape == (0,)
+
     def test_empty_map(self):
         empty = DenseMap(*[np.zeros(0)] * 8)
+        assert _scan_span(empty, np.array([1.0, 2.0, 3.0])) == (0, 0)
         assert len(_gated_rows(empty, _at([1.0, 2.0, 3.0]))) == 0
 
     def test_one_point_map(self):

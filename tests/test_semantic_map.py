@@ -29,9 +29,11 @@ from semloc.semantic_map import (
     select_filter_neighbors,
 )
 
+import kernel_oracle
 from conftest import pinhole_back_project as back_project
 from conftest import patched_depth_filter, rodrigues
 from map_oracle import (
+    block_bounds,
     compute_visibility_cone,
     map_from_points,
     map_point,
@@ -690,12 +692,69 @@ class TestVisibilityCone:
         assert [c.tobytes() for c in chunked] == [c.tobytes() for c in whole]
         assert (whole[4] == 0).any() and (whole[4] > 0).any()
 
+    def test_map_bisector_is_the_row_norm_formula(self):
+        # bitwise on 68,857 rows (canyon-long's map size): unit directions,
+        # float32-quantized ones as a MAP1 read gives, opposite pairs whose
+        # sum is shorter than the 1e-12 cut, and NaN rows
+        rng = np.random.default_rng(40)
+        n = 68_857
+        v_l, v_u = (v / np.linalg.norm(v, axis=1, keepdims=True)
+                    for v in rng.normal(size=(2, n, 3)))
+        v_u[:20_000] = v_u[:20_000].astype(np.float32)
+        v_u[20_000:20_100] = -v_l[20_000:20_100]
+        v_u[20_100:20_200] = -v_l[20_100:20_200] * (1.0 + rng.uniform(-1e-12, 1e-12, (100, 1)))
+        v_l[20_200:20_210, 1] = np.nan
+        zeros = np.zeros(n)
+        dense_map = DenseMap(np.zeros((n, 3)), zeros, v_l, v_u, zeros, zeros, zeros, zeros)
+        expected = kernel_oracle.cone_bisectors(v_l, v_u)
+        assert dense_map.v_m.dtype == expected.dtype and dense_map.v_m.shape == expected.shape
+        assert dense_map.v_m.tobytes() == expected.tobytes()
+        assert np.array_equal(dense_map.v_m[20_000:20_100], v_l[20_000:20_100])
+
     def test_coincident_center_rejected(self):
         rec = self._rec_at("a", [0, 0, 0])
         with pytest.raises(ValueError, match="coincides"):
             _cones_bulk(np.zeros((1, 3)), _one_point_pairs([rec]), [rec])
         with pytest.raises(ValueError, match="coincides"):
             compute_visibility_cone(np.zeros(3), [rec])
+
+
+class TestBlockBounds:
+    def test_bounds_of_blocks_with_nan_and_inf_rows(self):
+        # 600 rows: two whole blocks and a short one; a NaN row leaves its
+        # block's bounds to the other rows, and a block whose rows all hold
+        # NaN in a coordinate is NaN there
+        rng = np.random.default_rng(41)
+        n = 600
+        positions = rng.normal(scale=10.0, size=(n, 3))
+        d_max = rng.uniform(1.0, 5.0, n)
+        positions[3, 0] = np.nan
+        positions[300, 2] = np.inf
+        positions[301, 2] = -np.inf
+        positions[512:, 1] = np.nan
+        d_max[[7, 520]] = np.nan
+        d_max[260] = np.inf
+        zeros = np.zeros(n)
+        v = np.tile([1.0, 0.0, 0.0], (n, 1))
+        dense_map = DenseMap(positions, zeros, v, v, zeros, zeros, d_max, zeros)
+        low, high, reach = block_bounds(dense_map, semantic_map._BLOCK_ROWS)
+        assert low.shape == high.shape == (3, 3) and reach.shape == (3,)
+        for name, expected in (("block_low", low), ("block_high", high),
+                               ("block_reach", reach)):
+            column = getattr(dense_map, name)
+            assert column.dtype == np.float64 and column.shape == expected.shape
+            assert np.array_equal(column, expected, equal_nan=True), name
+        assert np.isfinite(dense_map.block_low[:, 0]).all()
+        assert dense_map.block_low[0, 0] == np.fmin.reduce(positions[:256, 0])
+        assert (dense_map.block_low[2, 1], dense_map.block_high[2, 1]) == (-np.inf, np.inf)
+        assert np.isnan(dense_map.block_low[1, 2]) and np.isnan(dense_map.block_high[1, 2])
+        assert dense_map.block_reach[1] == np.inf
+        assert dense_map.block_reach[2] == np.fmax.reduce(d_max[512:])
+
+    def test_the_empty_map_has_no_blocks(self):
+        empty = DenseMap(*[np.zeros(0)] * 8)
+        assert empty.block_low.shape == empty.block_high.shape == (3, 0)
+        assert empty.block_reach.shape == (0,)
 
 
 class TestBuildDenseMap:
